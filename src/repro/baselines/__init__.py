@@ -1,8 +1,10 @@
 """Baseline checkpoint/recovery protocols HC3I is compared against.
 
 The paper positions HC3I against three families (§2.2, §6) and one strawman
-(§3.2 / Fig. 4); all four are implemented on the same substrate so the
-benchmark harness can swap them by name:
+(§3.2 / Fig. 4); with HC3I itself, its transitive variant and two post-paper
+families that makes eight registered protocols, all built from the same
+toolkit (:mod:`repro.core.rounds`, :mod:`repro.core.recovery_line`) so the
+benchmark harness can swap them by name.  The paper's four:
 
 * ``global-coordinated`` -- one federation-wide two-phase commit ("The
   large number of nodes and network performance between clusters do not
@@ -33,9 +35,9 @@ Two post-paper families extend the tournament beyond the paper's baselines:
 """
 
 from repro.baselines.cic_always import CicAlwaysProtocol, Hc3iTransitiveProtocol
-from repro.baselines.clc_cic import ClcCicProtocol, ghost_line_targets
+from repro.baselines.clc_cic import ClcCicProtocol
 from repro.baselines.global_coordinated import GlobalCoordinatedProtocol
-from repro.baselines.independent import IndependentProtocol, domino_targets
+from repro.baselines.independent import IndependentProtocol
 from repro.baselines.min_process_coordinated import MinProcessCoordinatedProtocol
 from repro.baselines.pessimistic_log import PessimisticLogProtocol
 
@@ -47,6 +49,4 @@ __all__ = [
     "IndependentProtocol",
     "MinProcessCoordinatedProtocol",
     "PessimisticLogProtocol",
-    "domino_targets",
-    "ghost_line_targets",
 ]

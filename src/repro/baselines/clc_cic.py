@@ -21,12 +21,12 @@ Architecture mirrors HC3I's hierarchy -- intra-cluster two-phase commit,
 sender-side optimistic logging of inter-cluster messages, rollback epochs
 against ghosts -- but the DDV/SN dependency test is replaced by the logical
 clock.  Recovery rolls the faulty cluster to its last checkpoint and runs
-a *ghost-only* fixpoint (:func:`ghost_line_targets`): receivers of erased
-sends roll back to the forced checkpoint the predicate placed just before
-the delivery, and in-transit messages are replayed from the sender logs
-instead of rolling senders back.  How far that fixpoint descends is
-exactly what the predicate controls, which is what the protocol tournament
-measures.
+the *ghost-only* fixpoint (:func:`~repro.core.recovery_line.line_targets`
+with ``propagate = {GHOST}``): receivers of erased sends roll back to the
+forced checkpoint the predicate placed just before the delivery, and
+in-transit messages are replayed from the sender logs instead of rolling
+senders back.  How far that fixpoint descends is exactly what the
+predicate controls, which is what the protocol tournament measures.
 """
 
 from __future__ import annotations
@@ -36,71 +36,27 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.msglog import MessageLog
-from repro.core.protocol import BaseProtocol, NodeAgent, register_protocol
-from repro.network.message import Message, MessageKind, NodeId
-from repro.sim.timers import PeriodicTimer
+from repro.core.protocol import register_protocol
+from repro.core.recovery_line import GHOST, GhostCuts
+from repro.core.rounds import (
+    CONTROL_SIZE,
+    Checkpoint,
+    FreezeAgent,
+    LineClusterState,
+    LineProtocol,
+    TwoPhaseRound,
+)
+from repro.network.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-__all__ = ["ClcCicProtocol", "ghost_line_targets"]
+__all__ = ["ClcCicProtocol"]
 
-CONTROL_SIZE = 64
 #: piggyback bytes on an inter-cluster application message (lc + ordinal + epoch)
 PIGGYBACK_SIZE = 16
 
 PREDICATES = ("bcs", "bcs-aftersend")
-
-
-def ghost_line_targets(
-    checkpoints: Sequence[Sequence[int]],
-    edges: Sequence[tuple],
-    failed: int,
-) -> list:
-    """Recovery line under sender-side logging: only ghosts force rollback.
-
-    :param checkpoints: per cluster, the sorted list of stored checkpoint
-        ordinals (a delivery at ordinal ``e`` survives a restore to ``s``
-        iff ``e < s``).
-    :param edges: delivery records ``(src, send_ordinal, dst,
-        recv_ordinal)``.
-    :param failed: the faulty cluster.
-    :returns: per-cluster restored ordinal (``None`` = no rollback).
-
-    Unlike :func:`~repro.baselines.independent.domino_targets`, an
-    in-transit message (send kept, receive erased) does not lower the
-    sender: the sender log replays it.  Only the ghost direction (receive
-    kept, send erased) propagates, so the fixpoint is monotone in the
-    placement of forced checkpoints -- the CIC predicate's job.
-    """
-    n = len(checkpoints)
-    INF = float("inf")
-    target: list = [INF] * n
-    if not checkpoints[failed]:
-        raise ValueError(f"faulty cluster {failed} has no checkpoint")
-    target[failed] = checkpoints[failed][-1]
-
-    def lower(cluster: int, epoch: int) -> bool:
-        best = 0
-        for number in checkpoints[cluster]:
-            if number <= epoch:
-                best = number
-            else:
-                break
-        if target[cluster] == INF or best < target[cluster]:
-            target[cluster] = best
-            return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for src, send_ord, dst, recv_ord in edges:
-            sent_kept = target[src] == INF or send_ord < target[src]
-            recv_kept = target[dst] == INF or recv_ord < target[dst]
-            if recv_kept and not sent_kept:
-                changed |= lower(dst, recv_ord)
-    return [None if t == INF else int(t) for t in target]
 
 
 @dataclass(frozen=True)
@@ -111,101 +67,86 @@ class CicPiggyback:
     ordinal: int
     epoch: int
 
+    def entry_for(self, cluster: int) -> int:
+        """What a rollback cut of the sender is compared against."""
+        return self.ordinal
+
 
 @dataclass(frozen=True)
-class CicCheckpoint:
-    """One committed cluster checkpoint."""
+class CicCheckpoint(Checkpoint):
+    """One committed cluster checkpoint; ``number`` is the per-cluster
+    ordinal (1, 2, ...)."""
 
-    ordinal: int              #: per-cluster count (1, 2, ...)
     index: int                #: BCS logical-clock index (strictly increasing)
-    time: float
     cause: str                #: "initial" | "timer" | "forced"
     delivered_ids: frozenset  #: inter-cluster deliveries captured
 
 
-class _CicClusterState:
-    """Shared per-cluster CIC state."""
+class _CicClusterState(LineClusterState):
+    """Shared per-cluster CIC state (``sn`` is the checkpoint ordinal)."""
 
-    def __init__(self, index: int, n_clusters: int):
-        self.index = index
-        self.n_clusters = n_clusters
+    def __init__(self, index: int):
+        super().__init__(index)
         self.lc = 0                       #: logical clock = last checkpoint index
-        self.ordinal = 0                  #: checkpoints committed so far
-        self.checkpoints: list = []
         self.delivered_ids: set = set()
         self.sent_log = MessageLog(index)
         self.sent_since_ckpt = False
-        self.recovering = False
-        self.rollback_epoch = 0
-        #: per source cluster: [(new_epoch, restored_ordinal)] rollback cuts
-        self.ghost_cuts: list = [[] for _ in range(n_clusters)]
-        # 2PC round state (the cluster leader coordinates)
-        self.phase_collecting = False
-        self.acks_pending: set = set()
+        # what the running round commits, and what the next one must serve
         self.round_cause = "timer"
         self.round_target = 0
         self.pending_request = False
         self.pending_cause = "timer"
         self.pending_target = 0
 
-    def record_cut(self, src: int, restored_ordinal: int, new_epoch: int) -> None:
-        self.ghost_cuts[src].append((new_epoch, restored_ordinal))
-
-    def is_ghost(self, src: int, piggy: CicPiggyback) -> bool:
-        for new_epoch, restored_ordinal in self.ghost_cuts[src]:
-            if new_epoch > piggy.epoch and restored_ordinal <= piggy.ordinal:
-                return True
-        return False
+    def clear_pending(self) -> tuple:
+        """Take the accumulated request: ``(cause, target)``."""
+        request = (self.pending_cause, self.pending_target)
+        self.pending_request = False
+        self.pending_cause = "timer"
+        self.pending_target = 0
+        return request
 
 
 @register_protocol("clc-cic")
-class ClcCicProtocol(BaseProtocol):
+class ClcCicProtocol(LineProtocol, GhostCuts):
     """Index-based CIC on the hierarchical substrate."""
 
+    stats_prefix = "cic"
+    rollback_cause = "ghost-line"
+    #: in-transit messages replay from the sender logs: only ghosts propagate
+    propagate = (GHOST,)
+
     def __init__(self, federation, options: Optional[dict] = None):
-        super().__init__(federation, options)
+        LineProtocol.__init__(self, federation, options)
+        # every cluster learns of a rollback cut in the same instant, so
+        # one federation-wide table stands for the per-cluster copies
+        GhostCuts.__init__(self, self.n_clusters)
         self.predicate = self.options.get("predicate", "bcs")
         if self.predicate not in PREDICATES:
             raise ValueError(
                 f"unknown CIC predicate {self.predicate!r}; "
                 f"choose from {PREDICATES}"
             )
-        n = federation.topology.n_clusters
-        self.n_clusters = n
-        self.states = [_CicClusterState(i, n) for i in range(n)]
-        #: delivery records (src, send_ordinal, dst, recv_ordinal)
-        self.edges: list = []
-        self.timers_: list = []
-        for i in range(n):
-            period = federation.timers.clc_period_for(i)
-            self.timers_.append(
-                PeriodicTimer(
-                    self.sim,
-                    period,
-                    functools.partial(self._timer_fired, i),
-                    name=f"cic-c{i}",
-                )
-            )
-        self._agents: dict = {}
+        self.states = [_CicClusterState(i) for i in range(self.n_clusters)]
+        #: the participant set of a round is one cluster (its leader coordinates)
+        self.rounds = [
+            TwoPhaseRound(functools.partial(self._commit, i))
+            for i in range(self.n_clusters)
+        ]
+        self.timers_ = self.cluster_timers(self._timer_fired, "cic")
 
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "CicAgent":
-        agent = CicAgent(self, node)
-        self._agents[node.id] = agent
-        return agent
+        cluster = node.id.cluster
+        return CicAgent(self, node, self.rounds[cluster], self.states[cluster])
 
     def start(self) -> None:
         # Initial checkpoints commit directly at t=0 (nothing was delivered
         # yet), so a recovery line exists before the first 2PC completes.
         for i, st in enumerate(self.states):
-            st.ordinal = 1
             st.lc = 1
-            st.checkpoints.append(
-                CicCheckpoint(1, 1, self.sim.now, "initial", frozenset())
-            )
-            self.stats.counter(f"clc/c{i}/initial").inc()
-            self.stats.counter(f"clc/c{i}/total").inc()
-            self.tracer.protocol("clc_commit", cluster=i, sn=1, cause="initial", lc=1)
+            st.record(CicCheckpoint(1, self.sim.now, 1, "initial", frozenset()))
+            self.note_commit(i, "initial", lc=1)
         for timer in self.timers_:
             timer.start()
 
@@ -218,7 +159,7 @@ class ClcCicProtocol(BaseProtocol):
     # ------------------------------------------------------------------
     def _timer_fired(self, cluster: int) -> None:
         st = self.states[cluster]
-        if st.phase_collecting or st.recovering or st.pending_request:
+        if self.rounds[cluster].collecting or st.recovering or st.pending_request:
             return
         self._initiate(cluster, cause="timer")
 
@@ -226,87 +167,42 @@ class ClcCicProtocol(BaseProtocol):
         st = self.states[cluster]
         if st.recovering:
             return
-        if st.phase_collecting:
+        if self.rounds[cluster].collecting:
             # Accumulate; the immediately following round serves it.
             st.pending_request = True
             st.pending_target = max(st.pending_target, target)
             if cause == "forced":
                 st.pending_cause = "forced"
             return
-        st.phase_collecting = True
         st.round_cause = cause
         st.round_target = target
         runtime = self.federation.clusters[cluster]
-        leader = runtime.leader
-        self._agents[leader.id].freeze()
-        self._agents[leader.id].save_state()
-        st.acks_pending = {n.id for n in runtime.nodes if n.id != leader.id}
-        for n in runtime.nodes:
-            if n.id != leader.id:
-                leader.send_raw(n.id, MessageKind.CLC_REQUEST, size=CONTROL_SIZE)
-        if not st.acks_pending:
-            self._commit(cluster)
-
-    def on_ack(self, cluster: int, msg: Message) -> None:
-        st = self.states[cluster]
-        if not st.phase_collecting:
-            return  # stale ack from an aborted round
-        st.acks_pending.discard(msg.src)
-        if not st.acks_pending:
-            self._commit(cluster)
+        self.rounds[cluster].begin(runtime.leader, runtime.nodes)
 
     def _commit(self, cluster: int) -> None:
         st = self.states[cluster]
-        st.ordinal += 1
         st.lc = max(st.lc + 1, st.round_target)
-        record = CicCheckpoint(
-            ordinal=st.ordinal,
-            index=st.lc,
-            time=self.sim.now,
-            cause=st.round_cause,
-            delivered_ids=frozenset(st.delivered_ids),
+        st.record(
+            CicCheckpoint(
+                number=st.sn + 1,
+                time=self.sim.now,
+                index=st.lc,
+                cause=st.round_cause,
+                delivered_ids=frozenset(st.delivered_ids),
+            )
         )
-        st.checkpoints.append(record)
         st.sent_since_ckpt = False
-        st.phase_collecting = False
-        cause = st.round_cause
-        self.stats.counter(f"clc/c{cluster}/{cause}").inc()
-        self.stats.counter(f"clc/c{cluster}/total").inc()
-        self.stats.gauge(f"clc/c{cluster}/stored").set(len(st.checkpoints))
-        self.tracer.protocol(
-            "clc_commit", cluster=cluster, sn=st.ordinal, cause=cause, lc=st.lc
-        )
-        runtime = self.federation.clusters[cluster]
-        leader = runtime.leader
-        for n in runtime.nodes:
-            if n.id != leader.id:
-                leader.send_raw(n.id, MessageKind.CLC_COMMIT, size=CONTROL_SIZE)
-        self._agents[leader.id].apply_commit()
+        self.note_commit(cluster, st.round_cause, lc=st.lc)
+        self.note_stored(cluster)
+        self.rounds[cluster].release()
         self.timers_[cluster].reset()
         if st.pending_request and not st.recovering:
-            st.pending_request = False
-            target, st.pending_target = st.pending_target, 0
-            cause, st.pending_cause = st.pending_cause, "timer"
+            cause, target = st.clear_pending()
             self.sim.schedule(0.0, self._begin_if_pending, cluster, cause, target)
 
     def _begin_if_pending(self, cluster: int, cause: str, target: int) -> None:
-        st = self.states[cluster]
-        if not st.phase_collecting and not st.recovering:
+        if not self.rounds[cluster].collecting:
             self._initiate(cluster, cause=cause, target=target)
-
-    def _abort_round(self, cluster: int) -> None:
-        st = self.states[cluster]
-        st.phase_collecting = False
-        st.acks_pending = set()
-        st.pending_request = False
-        st.pending_target = 0
-        st.pending_cause = "timer"
-
-    # ------------------------------------------------------------------
-    # dependency bookkeeping
-    # ------------------------------------------------------------------
-    def record_delivery(self, src: int, send_ordinal: int, dst: int) -> None:
-        self.edges.append((src, send_ordinal, dst, self.states[dst].ordinal))
 
     # ------------------------------------------------------------------
     # failure: ghost fixpoint + replay
@@ -316,74 +212,29 @@ class ClcCicProtocol(BaseProtocol):
         self.tracer.protocol(
             "failure_detected", cluster=failed, node=node.id.node
         )
-        checkpoint_ordinals = [
-            [c.ordinal for c in st.checkpoints] for st in self.states
-        ]
-        targets = ghost_line_targets(checkpoint_ordinals, self.edges, failed)
-        fed = self.federation
-        rolled = 0
-        self.stats.counter("rollback/failures").inc()
-        for cluster, target_ord in enumerate(targets):
-            if target_ord is None:
-                continue
-            rolled += 1
-            st = self.states[cluster]
-            record = next(
-                c for c in st.checkpoints if c.ordinal == target_ord
-            )
-            depth = st.ordinal - target_ord
-            self.stats.counter("rollback/total").inc()
-            self.stats.tally("cic/rollback_depth").record(depth)
-            self._abort_round(cluster)
-            st.checkpoints = [
-                c for c in st.checkpoints if c.ordinal <= target_ord
-            ]
-            st.ordinal = target_ord
-            st.lc = record.index
-            st.delivered_ids = set(record.delivered_ids)
-            st.sent_since_ckpt = False
-            st.sent_log.drop_sent_after(target_ord)
-            st.recovering = True
-            st.rollback_epoch += 1
-            self.stats.gauge(f"clc/c{cluster}/stored").set(len(st.checkpoints))
-            self.tracer.protocol(
-                "rollback", cluster=cluster, to_sn=target_ord, cause="ghost-line"
-            )
-            for other in range(self.n_clusters):
-                if other != cluster:
-                    self.states[other].record_cut(
-                        cluster, target_ord, st.rollback_epoch
-                    )
-            for agent in (self._agents[n.id] for n in fed.clusters[cluster].nodes):
-                agent.reset_volatile()
-            fed.on_cluster_rollback(
-                cluster,
-                record.time,
-                node if cluster == failed else None,
-            )
-        self.stats.counter("rollback/clusters_rolled").inc(rolled)
-        # Survivors drop queued input whose sends were just erased.
-        for cluster, target_ord in enumerate(targets):
-            if target_ord is None:
-                for n in fed.clusters[cluster].nodes:
-                    self._agents[n.id].drop_ghost_input()
-        # Prune delivery records that reference erased events; a replayed
-        # message records a fresh edge when it is re-delivered.
-        kept = []
-        for src, send_ord, dst, recv_ord in self.edges:
-            ts, td = targets[src], targets[dst]
-            if (ts is None or send_ord < ts) and (td is None or recv_ord < td):
-                kept.append((src, send_ord, dst, recv_ord))
-        self.edges = kept
-        # Replay surviving logged messages the rolled clusters lost.
-        for cluster, target_ord in enumerate(targets):
-            if target_ord is not None:
-                self._replay_into(cluster, target_ord)
+        self.roll_back_line(node, self.computed_line(failed))
 
-        timers = fed.timers
-        delay = timers.checkpoint_restore_time + timers.node_repair_time
-        delay += fed.topology.delay(node.id, node.id, timers.node_state_size)
-        self.sim.schedule(delay, self._complete_recovery, targets, node)
+    def restore_cluster(self, cluster: int, record: CicCheckpoint) -> None:
+        st = self.states[cluster]
+        st.clear_pending()
+        st.lc = record.index
+        st.delivered_ids = set(record.delivered_ids)
+        st.sent_since_ckpt = False
+        st.sent_log.drop_sent_after(record.number)
+        self.record_cut(cluster, record.number, st.rollback_epoch)
+
+    def after_line(self, targets: Sequence[Optional[int]]) -> None:
+        fed = self.federation
+        # Survivors drop queued input whose sends were just erased.
+        for cluster, number in enumerate(targets):
+            if number is None:
+                for node in fed.clusters[cluster].nodes:
+                    node.agent.drop_ghost_input()
+        # Replay surviving logged messages the rolled clusters lost; a
+        # replayed message records a fresh edge when it is re-delivered.
+        for cluster, number in enumerate(targets):
+            if number is not None:
+                self._replay_into(cluster, number)
 
     def _replay_into(self, dest: int, restored_ordinal: int) -> None:
         """Re-send surviving logged messages ``dest`` no longer has."""
@@ -403,37 +254,18 @@ class ClcCicProtocol(BaseProtocol):
                 self.federation.fabric.send(entry.msg.clone_for_replay())
 
     def _complete_recovery(self, targets: list, failed_node: "Node") -> None:
-        fed = self.federation
-        if not failed_node.up:
-            failed_node.recover()
-        for cluster, target_ord in enumerate(targets):
-            if target_ord is None:
-                continue
-            self.states[cluster].recovering = False
-            fed.restart_cluster_apps(cluster)
-            fed.notify_recovery_complete(cluster)
-            self.timers_[cluster].reset()
-        for cluster, target_ord in enumerate(targets):
-            if target_ord is not None:
-                for n in fed.clusters[cluster].nodes:
-                    self._agents[n.id].process_deferred()
+        self.finish_recovery(targets, failed_node, self.timers_)
 
     # ------------------------------------------------------------------
     def cluster_summary(self, cluster: int) -> dict:
         st = self.states[cluster]
-        stats = self.stats
-
-        def count(name: str) -> int:
-            full = f"clc/c{cluster}/{name}"
-            return stats.counter(full).value if full in stats else 0
-
         return {
-            "sn": st.ordinal,
+            "sn": st.sn,
             "lc": st.lc,
-            "clc_initial": count("initial"),
-            "clc_unforced": count("timer"),
-            "clc_forced": count("forced"),
-            "clc_total": count("total"),
+            "clc_initial": self.clc_count(cluster, "initial"),
+            "clc_unforced": self.clc_count(cluster, "timer"),
+            "clc_forced": self.clc_count(cluster, "forced"),
+            "clc_total": self.clc_count(cluster, "total"),
             "clc_stored": len(st.checkpoints),
             "log_entries": len(st.sent_log),
             "log_bytes": st.sent_log.bytes,
@@ -441,84 +273,35 @@ class ClcCicProtocol(BaseProtocol):
         }
 
 
-class CicAgent(NodeAgent):
+class CicAgent(FreezeAgent):
     """Per-node endpoint: clock piggyback, forced-CLC predicate, logging."""
 
-    def __init__(self, protocol: ClcCicProtocol, node: "Node"):
-        super().__init__(protocol, node)
-        self.protocol: ClcCicProtocol = protocol
-        self.frozen = False
-        self.queued_out: list = []
-        self.deferred_in: list = []
+    def __init__(self, protocol, node: "Node", round: TwoPhaseRound, state: _CicClusterState):
+        super().__init__(protocol, node, round, state)
         #: messages whose forced checkpoint has not committed yet
         self.pending: list = []
 
-    @property
-    def state(self) -> _CicClusterState:
-        return self.protocol.states[self.node.id.cluster]
-
     # -- sending ---------------------------------------------------------
-    def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
-        if not self.node.up:
-            return
-        if self.frozen or self.state.recovering:
-            self.queued_out.append((dst, size, payload))
-            return
-        self._send_now(dst, size, payload)
-
-    def _send_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
+    def stamp(self, msg: Message) -> None:
         st = self.state
-        piggyback = None
-        if dst.cluster != st.index:
-            piggyback = CicPiggyback(
-                lc=st.lc, ordinal=st.ordinal, epoch=st.rollback_epoch
-            )
-            size += PIGGYBACK_SIZE
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size,
-            payload=payload or {}, piggyback=piggyback,
+        msg.piggyback = CicPiggyback(lc=st.lc, ordinal=st.sn, epoch=st.rollback_epoch)
+        msg.size += PIGGYBACK_SIZE
+        st.sent_log.add(msg, send_sn=st.sn)
+        st.sent_since_ckpt = True
+        self.protocol.stats.gauge(f"cic/c{st.index}/log_entries").set(
+            len(st.sent_log)
         )
-        if piggyback is not None:
-            st.sent_log.add(msg, send_sn=st.ordinal)
-            st.sent_since_ckpt = True
-            self.protocol.stats.gauge(f"cic/c{st.index}/log_entries").set(
-                len(st.sent_log)
-            )
-        self.protocol.federation.fabric.send(msg)
 
     # -- receiving ---------------------------------------------------------
-    def on_receive(self, msg: Message) -> None:
-        kind = msg.kind
-        cluster = self.node.id.cluster
-        if kind is MessageKind.APP or kind is MessageKind.REPLAY:
-            if msg.inter_cluster:
-                self._on_inter_arrival(msg)
-            else:
-                self.node.deliver_app(msg)
-        elif kind is MessageKind.CLC_REQUEST:
-            self.freeze()
-            self.save_state()
-            leader = self.protocol.federation.clusters[cluster].leader
-            self.node.send_raw(leader.id, MessageKind.CLC_ACK, size=CONTROL_SIZE)
-        elif kind is MessageKind.CLC_ACK:
-            self.protocol.on_ack(cluster, msg)
-        elif kind is MessageKind.CLC_COMMIT:
-            self.apply_commit()
-        elif kind is MessageKind.CLC_INITIATE:
-            self.protocol._initiate(
-                cluster, cause="forced", target=msg.payload.get("target", 0)
-            )
-        elif kind is MessageKind.INTER_ACK:
-            self.state.sent_log.ack(msg.payload["msg_id"], msg.payload["ack_sn"])
-        elif kind is MessageKind.REPLICA:
-            pass
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"clc-cic protocol cannot handle {kind}")
+    def on_force_request(self, payload: dict) -> None:
+        self.protocol._initiate(
+            self.state.index, cause="forced", target=payload.get("target", 0)
+        )
 
-    def _on_inter_arrival(self, msg: Message) -> None:
+    def on_inter_arrival(self, msg: Message) -> None:
         st = self.state
         piggy: CicPiggyback = msg.piggyback
-        if st.is_ghost(msg.src.cluster, piggy):
+        if self.protocol.is_ghost(msg.src.cluster, piggy):
             self.protocol.stats.counter("cic/ghosts_dropped").inc()
             return
         if self.frozen or st.recovering:
@@ -539,28 +322,15 @@ class CicAgent(NodeAgent):
             # BCS: checkpoint (indexed m.lc) before delivery.
             self.pending.append((msg, piggy.lc))
             self.protocol.stats.counter("cic/forces_requested").inc()
-            self._request_force(piggy.lc)
+            self.request_force({"target": piggy.lc}, CONTROL_SIZE)
             return
         self._deliver(msg)
-
-    def _request_force(self, target: int) -> None:
-        cluster = self.node.id.cluster
-        leader = self.protocol.federation.clusters[cluster].leader
-        if self.node.id == leader.id:
-            self.protocol._initiate(cluster, cause="forced", target=target)
-        else:
-            self.node.send_raw(
-                leader.id,
-                MessageKind.CLC_INITIATE,
-                size=CONTROL_SIZE,
-                payload={"target": target},
-            )
 
     def _deliver(self, msg: Message) -> None:
         st = self.state
         st.delivered_ids.add(msg.msg_id)
-        self.protocol.record_delivery(
-            msg.src.cluster, msg.piggyback.ordinal, st.index
+        self.protocol.edges.append(
+            (msg.src.cluster, msg.piggyback.ordinal, st.index, st.sn)
         )
         self.node.deliver_app(msg)
         self._send_ack(msg)
@@ -568,35 +338,7 @@ class CicAgent(NodeAgent):
     def _send_ack(self, msg: Message) -> None:
         # ack_sn = ordinal of the first checkpoint that captures this
         # delivery; the replay filter compares it to the restored ordinal.
-        self.node.send_raw(
-            msg.src,
-            MessageKind.INTER_ACK,
-            size=CONTROL_SIZE,
-            payload={"msg_id": msg.msg_id, "ack_sn": self.state.ordinal + 1},
-        )
-
-    # -- 2PC participant ---------------------------------------------------
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def save_state(self) -> None:
-        cluster = self.protocol.federation.clusters[self.node.id.cluster]
-        n = cluster.size
-        if n > 1:
-            neighbour = cluster.nodes[(self.node.id.node + 1) % n]
-            self.node.send_raw(
-                neighbour.id,
-                MessageKind.REPLICA,
-                size=self.protocol.federation.timers.node_state_size,
-            )
-
-    def apply_commit(self) -> None:
-        self.frozen = False
-        queued, self.queued_out = self.queued_out, []
-        for dst, size, payload in queued:
-            self._send_now(dst, size, payload)
-        self.evaluate_pending()
-        self.process_deferred()
+        self.ack_delivery(msg, self.state.sn + 1)
 
     def evaluate_pending(self) -> None:
         st = self.state
@@ -609,28 +351,16 @@ class CicAgent(NodeAgent):
                 still.append((msg, target))
         self.pending = still
 
-    def process_deferred(self) -> None:
-        while self.deferred_in and not self.frozen and not self.state.recovering:
-            self._on_inter_arrival(self.deferred_in.pop(0))
-
     # -- failure bookkeeping ----------------------------------------------
     def drop_ghost_input(self) -> None:
-        st = self.state
+        is_ghost = self.protocol.is_ghost
         self.pending = [
             (m, t) for m, t in self.pending
-            if not st.is_ghost(m.src.cluster, m.piggyback)
+            if not is_ghost(m.src.cluster, m.piggyback)
         ]
-        self.deferred_in = [
-            m for m in self.deferred_in
-            if not st.is_ghost(m.src.cluster, m.piggyback)
-        ]
+        self.drop_ghost_arrivals(is_ghost)
 
     def reset_volatile(self) -> None:
-        self.frozen = False
-        self.queued_out = []
+        super().reset_volatile()
         self.deferred_in = []
         self.pending = []
-
-    def on_node_failed(self) -> None:
-        self.queued_out = []
-        self.frozen = False

@@ -24,11 +24,18 @@ ones: delivery during the window amends the receiver's saved state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.protocol import BaseProtocol, NodeAgent, register_protocol
-from repro.network.message import Message, MessageKind, NodeId
+from repro.core.protocol import register_protocol
+from repro.core.recovery_line import ErasedWindows
+from repro.core.rounds import (
+    Checkpoint,
+    FreezeAgent,
+    LineClusterState,
+    LineProtocol,
+    TwoPhaseRound,
+)
+from repro.network.message import Message
 from repro.sim.timers import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,146 +43,69 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GlobalCoordinatedProtocol"]
 
-CONTROL_SIZE = 64
-
-
-@dataclass(frozen=True)
-class GlobalCheckpoint:
-    """One committed federation-wide checkpoint."""
-
-    number: int
-    time: float
-
 
 @register_protocol("global-coordinated")
-class GlobalCoordinatedProtocol(BaseProtocol):
+class GlobalCoordinatedProtocol(LineProtocol, ErasedWindows):
     """Single 2PC across the whole federation."""
 
-    IDLE = "idle"
-    COLLECTING = "collecting"
-
     def __init__(self, federation, options: Optional[dict] = None):
-        super().__init__(federation, options)
-        self.checkpoint_number = 0
-        self.checkpoints: list = []
-        self.phase = self.IDLE
-        self._acks_pending: set = set()
-        self.state_size = federation.timers.node_state_size
+        LineProtocol.__init__(self, federation, options)
+        # in-flight messages whose send a rollback just erased are dropped
+        ErasedWindows.__init__(self, self.n_clusters)
+        #: one checkpoint history for everybody: the clusters share it
+        self.state = LineClusterState(0)
+        self.states = [self.state] * self.n_clusters
+        #: the participant set of a round is the whole federation
+        self.round = TwoPhaseRound(self._commit)
+        self.rounds = [self.round] * self.n_clusters
         period = federation.timers.clc_period_for(0)
         self.timer = PeriodicTimer(self.sim, period, self._timer_fired, name="global-clc")
-        self.recovering = False
-        self._agents: dict = {}
-        #: [(erased_from, erased_until)] -- every cluster rolls together, so
-        #: one shared list of erased send windows suffices (used to drop
-        #: in-flight messages whose send a rollback just erased)
-        self.ghost_windows: list = []
 
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "GlobalAgent":
-        agent = GlobalAgent(self, node)
-        self._agents[node.id] = agent
-        return agent
+        return GlobalAgent(self, node, self.round, self.state)
 
     def start(self) -> None:
         self._initiate()  # initial global checkpoint at t=0
         self.timer.start()
 
-    @property
-    def initiator(self) -> "Node":
-        return self.federation.clusters[0].leader
-
     def _timer_fired(self) -> None:
-        if self.phase == self.IDLE and not self.recovering:
+        if not self.round.collecting and not self.state.recovering:
             self._initiate()
 
     # ------------------------------------------------------------------
     # the global two-phase commit
     # ------------------------------------------------------------------
     def _initiate(self) -> None:
-        self.phase = self.COLLECTING
-        initiator = self.initiator
-        init_agent = self._agents[initiator.id]
-        init_agent.freeze()
-        init_agent._save_state()
-        self._acks_pending = set()
-        for cluster in self.federation.clusters:
-            for node in cluster.nodes:
-                if node.id == initiator.id:
-                    continue
-                self._acks_pending.add(node.id)
-                initiator.send_raw(node.id, MessageKind.CLC_REQUEST, size=CONTROL_SIZE)
-        if not self._acks_pending:
-            self._commit()
-
-    def on_ack(self, msg: Message) -> None:
-        if self.phase != self.COLLECTING:
-            return
-        self._acks_pending.discard(msg.src)
-        if not self._acks_pending:
-            self._commit()
+        clusters = self.federation.clusters
+        self.round.begin(clusters[0].leader, [n for c in clusters for n in c.nodes])
 
     def _commit(self) -> None:
-        self.checkpoint_number += 1
-        self.checkpoints.append(GlobalCheckpoint(self.checkpoint_number, self.sim.now))
-        self.phase = self.IDLE
+        st = self.state
+        st.record(Checkpoint(st.sn + 1, self.sim.now))
         self.stats.counter("global/checkpoints").inc()
-        self.stats.gauge("global/stored").set(len(self.checkpoints))
-        self.tracer.protocol("global_commit", number=self.checkpoint_number)
-        initiator = self.initiator
-        for cluster in self.federation.clusters:
-            for node in cluster.nodes:
-                if node.id == initiator.id:
-                    continue
-                initiator.send_raw(node.id, MessageKind.CLC_COMMIT, size=CONTROL_SIZE)
-        self._agents[initiator.id].unfreeze()
+        self.stats.gauge("global/stored").set(len(st.checkpoints))
+        self.tracer.protocol("global_commit", number=st.sn)
+        self.round.release()
         self.timer.reset()
-
-    def abort_round(self) -> None:
-        self.phase = self.IDLE
-        self._acks_pending = set()
-
-    def send_erased(self, msg: Message) -> bool:
-        """Was this in-flight message's send erased by a global rollback?
-
-        A rollback to checkpoint time ``T`` at instant ``R`` erases sends
-        in ``[T, R]`` (closed on the left: the restored state is fixed at
-        the commit).  The fabric's send timestamp stands in for the
-        channel incarnation number a real system would use.
-        """
-        return any(
-            erased_from <= msg.send_time <= erased_until
-            for erased_from, erased_until in self.ghost_windows
-        )
 
     # ------------------------------------------------------------------
     # failure: everybody rolls back
     # ------------------------------------------------------------------
     def on_failure_detected(self, node: "Node") -> None:
-        if not self.checkpoints:
+        if not self.state.checkpoints:
             raise RuntimeError("failure before the initial global checkpoint")
-        target = self.checkpoints[-1]
-        self.abort_round()
-        fed = self.federation
-        n_clusters = fed.topology.n_clusters
-        self.stats.counter("rollback/failures").inc()
-        self.stats.counter("rollback/total").inc(n_clusters)
-        self.stats.counter("rollback/clusters_rolled").inc(n_clusters)
-        self.tracer.protocol(
-            "global_rollback", number=target.number, failed=str(node.id)
-        )
-        self.recovering = True
-        self.ghost_windows.append((target.time, self.sim.now))
-        for agent in self._agents.values():
-            agent.reset_volatile()
-        for cluster in fed.clusters:
-            fed.on_cluster_rollback(cluster.index, target.time, node if node.id.cluster == cluster.index else None)
-        timers = fed.timers
-        delay = timers.checkpoint_restore_time + timers.node_repair_time
-        delay += fed.topology.delay(node.id, node.id, timers.node_state_size)
-        self.sim.schedule(delay, self._complete_recovery, node)
+        self.tracer.protocol("global_rollback", number=self.state.sn, failed=str(node.id))
+        self.roll_back_line(node, [self.state.sn] * self.n_clusters)
 
-    def _complete_recovery(self, failed_node: "Node") -> None:
-        self.recovering = False
+    def note_rollback(self, cluster: int, depth: int) -> None:
+        pass  # one ``global_rollback`` record stands for all clusters
+
+    def restore_cluster(self, cluster: int, record: Checkpoint) -> None:
+        self.record_window(cluster, record.time, self.sim.now)
+
+    def _complete_recovery(self, targets: list, failed_node: "Node") -> None:
+        self.state.recovering = False
         fed = self.federation
         if not failed_node.up:
             failed_node.recover()
@@ -183,101 +113,49 @@ class GlobalCoordinatedProtocol(BaseProtocol):
             fed.restart_cluster_apps(cluster.index)
             fed.notify_recovery_complete(cluster.index)
         self.timer.reset()
-        self.tracer.protocol("global_recovery_complete", number=self.checkpoints[-1].number)
+        self.tracer.protocol("global_recovery_complete", number=self.state.sn)
 
     def cluster_summary(self, cluster: int) -> dict:
+        number = self.state.sn
         return {
-            "clc_total": self.checkpoint_number,
-            "clc_unforced": self.checkpoint_number - 1,
+            "clc_total": number,
+            "clc_unforced": number - 1,
             "clc_forced": 0,
-            "clc_initial": 1 if self.checkpoint_number else 0,
-            "clc_stored": len(self.checkpoints),
+            "clc_initial": 1 if number else 0,
+            "clc_stored": len(self.state.checkpoints),
         }
 
 
-class GlobalAgent(NodeAgent):
-    """Per-node endpoint of the global protocol."""
+class GlobalAgent(FreezeAgent):
+    """Per-node endpoint of the global protocol: no piggyback, no forced
+    checkpoints; it only times its freeze windows."""
 
-    def __init__(self, protocol: GlobalCoordinatedProtocol, node: "Node"):
-        super().__init__(protocol, node)
-        self.protocol: GlobalCoordinatedProtocol = protocol
-        self.frozen = False
-        self.queued_out: list = []
+    def __init__(self, protocol, node: "Node", round: TwoPhaseRound, state: LineClusterState):
+        super().__init__(protocol, node, round, state)
         self._freeze_started = 0.0
 
-    # -- sending ---------------------------------------------------------
-    def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
-        if not self.node.up:
-            return
-        if self.frozen or self.protocol.recovering:
-            self.queued_out.append((dst, size, payload))
-            return
-        self._send_now(dst, size, payload)
-
-    def _send_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size,
-            payload=payload or {},
-        )
-        self.protocol.federation.fabric.send(msg)
-
-    # -- receiving ---------------------------------------------------------
-    def on_receive(self, msg: Message) -> None:
-        kind = msg.kind
-        if kind.is_app:
-            if msg.inter_cluster and self.protocol.send_erased(msg):
-                # Ghost: the send was erased while the message crossed the
-                # WAN -- everybody already rolled behind its send point.
-                self.protocol.stats.counter("global/ghosts_dropped").inc()
-                self.protocol.tracer.protocol(
-                    "ghost_dropped", cluster=self.node.id.cluster,
-                    msg_id=msg.msg_id, src=msg.src.cluster,
-                )
-                return
-            # Deliveries during the freeze window amend the saved state
-            # (same convention as HC3I's intra-cluster handling).
-            self.node.deliver_app(msg)
-        elif kind is MessageKind.CLC_REQUEST:
-            self.freeze()
-            self._save_state()
-            self.node.send_raw(
-                self.protocol.initiator.id, MessageKind.CLC_ACK, size=CONTROL_SIZE
+    def on_inter_arrival(self, msg: Message) -> None:
+        if self.protocol.send_erased(msg):
+            # Ghost: the send was erased while the message crossed the
+            # WAN -- everybody already rolled behind its send point.
+            self.protocol.stats.counter("global/ghosts_dropped").inc()
+            self.protocol.tracer.protocol(
+                "ghost_dropped", cluster=self.node.id.cluster,
+                msg_id=msg.msg_id, src=msg.src.cluster,
             )
-        elif kind is MessageKind.CLC_ACK:
-            self.protocol.on_ack(msg)
-        elif kind is MessageKind.CLC_COMMIT:
-            self.unfreeze()
-        elif kind is MessageKind.REPLICA:
-            pass
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"global-coordinated cannot handle {kind}")
+            return
+        # Deliveries during the freeze window amend the saved state
+        # (same convention as HC3I's intra-cluster handling).
+        self.node.deliver_app(msg)
 
-    # -- freeze machinery ---------------------------------------------------
     def freeze(self) -> None:
         if not self.frozen:
-            self.frozen = True
             self._freeze_started = self.node.sim.now
-
-    def _save_state(self) -> None:
-        # Stable storage: one neighbour replica inside the node's cluster.
-        cluster = self.protocol.federation.clusters[self.node.id.cluster]
-        n = cluster.size
-        if n > 1:
-            neighbour = cluster.nodes[(self.node.id.node + 1) % n]
-            self.node.send_raw(
-                neighbour.id, MessageKind.REPLICA, size=self.protocol.state_size
-            )
+        super().freeze()
 
     def unfreeze(self) -> None:
         if self.frozen:
-            self.frozen = False
             self.protocol.stats.tally("global/freeze_time").record(
                 self.node.sim.now - self._freeze_started
             )
-        queued, self.queued_out = self.queued_out, []
-        for dst, size, payload in queued:
-            self._send_now(dst, size, payload)
-
-    def reset_volatile(self) -> None:
-        self.frozen = False
-        self.queued_out = []
+        super().unfreeze()

@@ -17,276 +17,95 @@ messages), giving the textbook bidirectional domino:
 * an **in-transit** message (send kept, receive erased) forces the sender
   back before the send, since without logs nobody can re-produce it.
 
-:func:`domino_targets` is the pure fixpoint; benchmarks use it to report
-rollback depths, and property tests verify it against brute force.
+:func:`repro.core.recovery_line.line_targets` with both directions
+propagating is the pure fixpoint; benchmarks use it to report rollback
+depths, and property tests verify it against brute force.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.protocol import BaseProtocol, NodeAgent, register_protocol
-from repro.network.message import Message, MessageKind, NodeId
-from repro.sim.timers import PeriodicTimer
+from repro.core.protocol import register_protocol
+from repro.core.recovery_line import GHOST, IN_TRANSIT, ErasedWindows
+from repro.core.rounds import (
+    Checkpoint,
+    FreezeAgent,
+    LineClusterState,
+    LineProtocol,
+    TwoPhaseRound,
+)
+from repro.network.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-__all__ = ["IndependentProtocol", "domino_targets"]
-
-CONTROL_SIZE = 64
-
-
-def domino_targets(
-    checkpoints: Sequence[Sequence[int]],
-    edges: Sequence[tuple],
-    failed: int,
-) -> list:
-    """Recovery line for independent checkpointing.
-
-    :param checkpoints: per cluster, the sorted list of available
-        checkpoint numbers (interval k spans from checkpoint k to k+1).
-    :param edges: message records ``(src_cluster, send_epoch, dst_cluster,
-        recv_epoch)`` -- epochs are the checkpoint count at the event.
-    :param failed: the faulty cluster.
-    :returns: per-cluster restored checkpoint number (``None`` = cluster
-        does not roll back, ``0`` = restart from the very beginning of the
-        application -- the domino ran past the oldest checkpoint).  A
-        send/receive in epoch ``e`` survives a restore to ``s`` iff
-        ``e < s``.
-
-    Fixpoint: start from the faulty cluster's last checkpoint; while some
-    message violates "send kept iff receive kept", lower the offending
-    side to the newest checkpoint at or below the event's epoch (or to the
-    initial state when none exists).
-    """
-    n = len(checkpoints)
-    INF = float("inf")
-    target: list = [INF] * n  # INF = live (no rollback)
-    if not checkpoints[failed]:
-        raise ValueError(f"faulty cluster {failed} has no checkpoint")
-    target[failed] = checkpoints[failed][-1]
-
-    def lower(cluster: int, epoch: int) -> bool:
-        """Restore ``cluster`` to the newest checkpoint <= ``epoch``.
-
-        When no stored checkpoint is old enough the cluster restarts from
-        the beginning of the application (target 0) -- the unbounded
-        domino the paper warns about.
-        """
-        best = 0
-        for number in checkpoints[cluster]:
-            if number <= epoch:
-                best = number
-            else:
-                break
-        if target[cluster] == INF or best < target[cluster]:
-            target[cluster] = best
-            return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for src, send_epoch, dst, recv_epoch in edges:
-            sent_kept = send_epoch < target[src]
-            recv_kept = recv_epoch < target[dst]
-            if recv_kept and not sent_kept:
-                changed |= lower(dst, recv_epoch)  # ghost
-            elif sent_kept and not recv_kept:
-                changed |= lower(src, send_epoch)  # in-transit, no logs
-    return [None if t == INF else int(t) for t in target]
-
-
-@dataclass(frozen=True)
-class ClusterCheckpoint:
-    number: int
-    time: float
-
-
-class _IndependentClusterState:
-    """Per-cluster state: checkpoint history + the intra 2PC machinery."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.sn = 0
-        self.checkpoints: list = []
-        self.phase_collecting = False
-        self.acks_pending: set = set()
-        self.recovering = False
+__all__ = ["IndependentProtocol"]
 
 
 @register_protocol("independent")
-class IndependentProtocol(BaseProtocol):
+class IndependentProtocol(LineProtocol, ErasedWindows):
     """Uncoordinated cluster checkpoints + rollback-time recovery line."""
 
+    stats_prefix = "independent"
+    rollback_cause = "domino"
+    #: nothing is logged: a lost receive can only be re-produced by rolling
+    #: the sender back too
+    propagate = (GHOST, IN_TRANSIT)
+
     def __init__(self, federation, options: Optional[dict] = None):
-        super().__init__(federation, options)
-        n = federation.topology.n_clusters
-        self.states = [_IndependentClusterState(i) for i in range(n)]
-        #: message dependency records (src, send_epoch, dst, recv_epoch)
-        self.edges: list = []
-        #: per cluster: [(erased_from, erased_until)] time windows of its
-        #: rollbacks, used to drop in-flight messages whose send a rollback
-        #: erased while they were on the wire (channel incarnation check)
-        self.ghost_windows: list = [[] for _ in range(n)]
-        self.timers_: list = []
-        for i in range(n):
-            period = federation.timers.clc_period_for(i)
-            self.timers_.append(
-                PeriodicTimer(
-                    self.sim,
-                    period,
-                    functools.partial(self._initiate, i),
-                    name=f"ind-c{i}",
-                )
-            )
-        self._agents: dict = {}
+        LineProtocol.__init__(self, federation, options)
+        # in-flight messages whose send a rollback erased while they were
+        # on the wire are dropped on arrival (channel incarnation check)
+        ErasedWindows.__init__(self, self.n_clusters)
+        self.states = [LineClusterState(i) for i in range(self.n_clusters)]
+        #: the participant set of a round is one cluster
+        self.rounds = [
+            TwoPhaseRound(functools.partial(self._commit, i))
+            for i in range(self.n_clusters)
+        ]
+        self.timers_ = self.cluster_timers(self._initiate, "ind")
 
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "IndependentAgent":
-        agent = IndependentAgent(self, node)
-        self._agents[node.id] = agent
-        return agent
+        cluster = node.id.cluster
+        return IndependentAgent(self, node, self.rounds[cluster], self.states[cluster])
 
     def start(self) -> None:
         for i, timer in enumerate(self.timers_):
             self._initiate(i)
             timer.start()
 
-    # -- intra-cluster coordinated checkpoint (same 2PC as HC3I) ---------
+    # -- intra-cluster coordinated checkpoint ----------------------------
     def _initiate(self, cluster: int) -> None:
-        st = self.states[cluster]
-        if st.phase_collecting or st.recovering:
+        if self.rounds[cluster].collecting or self.states[cluster].recovering:
             return
-        st.phase_collecting = True
         runtime = self.federation.clusters[cluster]
-        leader = runtime.leader
-        self._agents[leader.id].freeze()
-        self._agents[leader.id].save_state()
-        st.acks_pending = {n.id for n in runtime.nodes if n.id != leader.id}
-        for n in runtime.nodes:
-            if n.id != leader.id:
-                leader.send_raw(n.id, MessageKind.CLC_REQUEST, size=CONTROL_SIZE)
-        if not st.acks_pending:
-            self._commit(cluster)
-
-    def on_ack(self, cluster: int, msg: Message) -> None:
-        st = self.states[cluster]
-        if not st.phase_collecting:
-            return
-        st.acks_pending.discard(msg.src)
-        if not st.acks_pending:
-            self._commit(cluster)
+        self.rounds[cluster].begin(runtime.leader, runtime.nodes)
 
     def _commit(self, cluster: int) -> None:
         st = self.states[cluster]
-        st.sn += 1
-        st.checkpoints.append(ClusterCheckpoint(st.sn, self.sim.now))
-        st.phase_collecting = False
-        self.stats.counter(f"clc/c{cluster}/timer").inc()
-        self.stats.counter(f"clc/c{cluster}/total").inc()
-        self.stats.gauge(f"clc/c{cluster}/stored").set(len(st.checkpoints))
-        self.tracer.protocol("clc_commit", cluster=cluster, sn=st.sn, cause="timer")
-        runtime = self.federation.clusters[cluster]
-        leader = runtime.leader
-        for n in runtime.nodes:
-            if n.id != leader.id:
-                leader.send_raw(n.id, MessageKind.CLC_COMMIT, size=CONTROL_SIZE)
-        self._agents[leader.id].unfreeze()
+        st.record(Checkpoint(st.sn + 1, self.sim.now))
+        self.note_commit(cluster, "timer")
+        self.note_stored(cluster)
+        self.rounds[cluster].release()
         self.timers_[cluster].reset()
 
     # -- failure: domino ---------------------------------------------------
     def on_failure_detected(self, node: "Node") -> None:
-        failed = node.id.cluster
-        checkpoint_numbers = [
-            [c.number for c in st.checkpoints] for st in self.states
-        ]
-        targets = domino_targets(checkpoint_numbers, self.edges, failed)
-        fed = self.federation
-        rolled = 0
-        self.stats.counter("rollback/failures").inc()
-        for cluster, target_sn in enumerate(targets):
-            if target_sn is None:
-                continue
-            rolled += 1
-            st = self.states[cluster]
-            if target_sn == 0:
-                # Domino past every checkpoint: restart from the initial
-                # one, which captures the application's starting state.
-                target_sn = st.checkpoints[0].number
-            depth = st.sn - target_sn
-            self.stats.counter("rollback/total").inc()
-            self.stats.tally("independent/rollback_depth").record(depth)
-            record = next(c for c in st.checkpoints if c.number == target_sn)
-            self.ghost_windows[cluster].append((record.time, self.sim.now))
-            st.checkpoints = [c for c in st.checkpoints if c.number <= target_sn]
-            st.sn = target_sn
-            st.phase_collecting = False
-            st.acks_pending = set()
-            st.recovering = True
-            self.stats.gauge(f"clc/c{cluster}/stored").set(len(st.checkpoints))
-            self.tracer.protocol(
-                "rollback", cluster=cluster, to_sn=target_sn, cause="domino"
-            )
-            for agent in (self._agents[n.id] for n in fed.clusters[cluster].nodes):
-                agent.reset_volatile()
-            fed.on_cluster_rollback(
-                cluster,
-                record.time,
-                node if cluster == failed else None,
-            )
-        self.stats.counter("rollback/clusters_rolled").inc(rolled)
-        # Drop dependency records that reference erased epochs.
-        kept = []
-        for src, send_epoch, dst, recv_epoch in self.edges:
-            ts, td = targets[src], targets[dst]
-            if (ts is None or send_epoch < ts) and (td is None or recv_epoch < td):
-                kept.append((src, send_epoch, dst, recv_epoch))
-        self.edges = kept
+        self.roll_back_line(node, self.computed_line(node.id.cluster))
 
-        timers = fed.timers
-        delay = timers.checkpoint_restore_time + timers.node_repair_time
-        delay += fed.topology.delay(node.id, node.id, timers.node_state_size)
-        self.sim.schedule(delay, self._complete_recovery, targets, node)
+    def restore_cluster(self, cluster: int, record: Checkpoint) -> None:
+        self.record_window(cluster, record.time, self.sim.now)
 
     def _complete_recovery(self, targets: list, failed_node: "Node") -> None:
-        fed = self.federation
-        if not failed_node.up:
-            failed_node.recover()
-        for cluster, target_sn in enumerate(targets):
-            if target_sn is None:
-                continue
-            self.states[cluster].recovering = False
-            fed.restart_cluster_apps(cluster)
-            fed.notify_recovery_complete(cluster)
-            self.timers_[cluster].reset()
+        self.finish_recovery(targets, failed_node, self.timers_)
 
     # ------------------------------------------------------------------
-    def record_edge(self, src: int, send_epoch: int, dst: int, recv_epoch: int) -> None:
-        self.edges.append((src, send_epoch, dst, recv_epoch))
-
-    def send_erased(self, msg: Message) -> bool:
-        """Was this in-flight message's send erased by a sender rollback?
-
-        The fabric stamps every message with its send time; a rollback of
-        the sender to checkpoint time ``T`` at instant ``R`` erases sends
-        in ``[T, R]`` (closed on the left: the restored state is fixed at
-        the checkpoint commit).  Real systems detect such stale messages
-        with channel incarnation numbers; the simulator can use the send
-        timestamp directly.
-        """
-        return any(
-            erased_from <= msg.send_time <= erased_until
-            for erased_from, erased_until in self.ghost_windows[msg.src.cluster]
-        )
-
     def cluster_summary(self, cluster: int) -> dict:
         st = self.states[cluster]
-        total = self.stats.counter(f"clc/c{cluster}/total").value \
-            if f"clc/c{cluster}/total" in self.stats else 0
+        total = self.clc_count(cluster, "total")
         return {
             "sn": st.sn,
             "clc_total": total,
@@ -294,100 +113,29 @@ class IndependentProtocol(BaseProtocol):
             "clc_forced": 0,
             "clc_initial": 1 if total else 0,
             "clc_stored": len(st.checkpoints),
-            "dependency_edges": sum(
-                1 for e in self.edges if e[0] == cluster or e[2] == cluster
-            ),
+            "dependency_edges": self.edges_touching(cluster),
         }
 
 
-class IndependentAgent(NodeAgent):
+class IndependentAgent(FreezeAgent):
     """Per-node endpoint: freeze windows + dependency stamping."""
 
-    def __init__(self, protocol: IndependentProtocol, node: "Node"):
-        super().__init__(protocol, node)
-        self.protocol: IndependentProtocol = protocol
-        self.frozen = False
-        self.queued_out: list = []
+    def stamp(self, msg: Message) -> None:
+        msg.piggyback = self.state.sn  # dependency stamp, never forces
+        msg.size += 8
 
-    @property
-    def state(self) -> _IndependentClusterState:
-        return self.protocol.states[self.node.id.cluster]
-
-    # -- sending ---------------------------------------------------------
-    def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
-        if not self.node.up:
-            return
-        if self.frozen or self.state.recovering:
-            self.queued_out.append((dst, size, payload))
-            return
-        self._send_now(dst, size, payload)
-
-    def _send_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
-        piggyback = None
-        if dst.cluster != self.node.id.cluster:
-            piggyback = self.state.sn  # dependency stamp, never forces
-            size += 8
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size,
-            payload=payload or {}, piggyback=piggyback,
-        )
-        self.protocol.federation.fabric.send(msg)
-
-    # -- receiving ---------------------------------------------------------
-    def on_receive(self, msg: Message) -> None:
-        kind = msg.kind
+    def on_inter_arrival(self, msg: Message) -> None:
+        protocol = self.protocol
         cluster = self.node.id.cluster
-        if kind.is_app:
-            if msg.inter_cluster:
-                if self.protocol.send_erased(msg):
-                    # Ghost: the send was erased while the message was on
-                    # the wire.  Delivering it would poison the edge set
-                    # AND the application state with unsent data.
-                    self.protocol.stats.counter("independent/ghosts_dropped").inc()
-                    self.protocol.tracer.protocol(
-                        "ghost_dropped", cluster=cluster, msg_id=msg.msg_id,
-                        src=msg.src.cluster,
-                    )
-                    return
-                self.protocol.record_edge(
-                    msg.src.cluster, msg.piggyback, cluster, self.state.sn
-                )
-            self.node.deliver_app(msg)
-        elif kind is MessageKind.CLC_REQUEST:
-            self.freeze()
-            self.save_state()
-            leader = self.protocol.federation.clusters[cluster].leader
-            self.node.send_raw(leader.id, MessageKind.CLC_ACK, size=CONTROL_SIZE)
-        elif kind is MessageKind.CLC_ACK:
-            self.protocol.on_ack(cluster, msg)
-        elif kind is MessageKind.CLC_COMMIT:
-            self.unfreeze()
-        elif kind is MessageKind.REPLICA:
-            pass
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"independent protocol cannot handle {kind}")
-
-    # -- freeze ------------------------------------------------------------
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def save_state(self) -> None:
-        cluster = self.protocol.federation.clusters[self.node.id.cluster]
-        n = cluster.size
-        if n > 1:
-            neighbour = cluster.nodes[(self.node.id.node + 1) % n]
-            self.node.send_raw(
-                neighbour.id,
-                MessageKind.REPLICA,
-                size=self.protocol.federation.timers.node_state_size,
+        if protocol.send_erased(msg):
+            # Ghost: the send was erased while the message was on the
+            # wire.  Delivering it would poison the edge set AND the
+            # application state with unsent data.
+            protocol.stats.counter("independent/ghosts_dropped").inc()
+            protocol.tracer.protocol(
+                "ghost_dropped", cluster=cluster, msg_id=msg.msg_id,
+                src=msg.src.cluster,
             )
-
-    def unfreeze(self) -> None:
-        self.frozen = False
-        queued, self.queued_out = self.queued_out, []
-        for dst, size, payload in queued:
-            self._send_now(dst, size, payload)
-
-    def reset_volatile(self) -> None:
-        self.frozen = False
-        self.queued_out = []
+            return
+        protocol.edges.append((msg.src.cluster, msg.piggyback, cluster, self.state.sn))
+        self.node.deliver_app(msg)

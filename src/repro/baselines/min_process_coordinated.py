@@ -12,128 +12,80 @@ granularity:
   from *c*; only those clusters freeze, save and commit together,
 * the participants of one round share a mutually consistent cut by
   construction (they froze together), so the rollback-time recovery line
-  -- the same :func:`~repro.baselines.independent.domino_targets` fixpoint
-  -- is bounded by round membership instead of cascading to t=0.
+  -- the same bidirectional
+  :func:`~repro.core.recovery_line.line_targets` fixpoint as
+  ``independent`` -- is bounded by round membership instead of cascading
+  to t=0.
 
 Dependency discovery piggybacks the sender cluster's SN on inter-cluster
-messages (8 bytes, exactly like ``independent``); the initiator's
-request/reply dependency probe of the original algorithm is abstracted
-into the shared protocol state, the way the other baselines centralize
-their recovery-line computation.
+messages (exactly like ``independent``); the initiator's request/reply
+dependency probe of the original algorithm is abstracted into the shared
+protocol state, the way the other baselines centralize their
+recovery-line computation.
 
 Rollback epochs guard against messages from an erased timeline: every
 rollback increments the cluster's epoch, and an arrival whose piggybacked
 (sn, epoch) falls behind a recorded rollback cut is dropped as a ghost --
-the same incarnation-number technique HC3I uses.
+the same incarnation-number technique (and the same piggyback) HC3I uses.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.baselines.independent import domino_targets
-from repro.core.protocol import BaseProtocol, NodeAgent, register_protocol
-from repro.network.message import Message, MessageKind, NodeId
-from repro.sim.timers import PeriodicTimer
+from repro.core.hc3i import SN_PIGGYBACK_SIZE, Piggyback
+from repro.core.protocol import register_protocol
+from repro.core.recovery_line import GHOST, IN_TRANSIT, GhostCuts, survives
+from repro.core.rounds import (
+    Checkpoint,
+    FreezeAgent,
+    LineClusterState,
+    LineProtocol,
+    TwoPhaseRound,
+)
+from repro.network.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
 __all__ = ["MinProcessCoordinatedProtocol"]
 
-CONTROL_SIZE = 64
-#: piggyback bytes on an inter-cluster application message (sn + epoch)
-PIGGYBACK_SIZE = 12
-
-
-@dataclass(frozen=True)
-class MinProcPiggyback:
-    """Sender cluster's (sn, epoch) stamped on inter-cluster messages."""
-
-    sn: int
-    epoch: int
-
-
-@dataclass(frozen=True)
-class MinProcCheckpoint:
-    number: int
-    time: float
-
-
-class _MinProcClusterState:
-    """Per-cluster state: checkpoint history, dependencies, 2PC flags."""
-
-    def __init__(self, index: int, n_clusters: int):
-        self.index = index
-        self.sn = 0
-        self.checkpoints: list = []
-        #: newest send-SN delivered here per source cluster; ``upstream[j]
-        #: >= states[j].sn`` means j communicated with us since j's last
-        #: checkpoint, so j belongs in our minimum participant set
-        self.upstream: dict = {}
-        self.recovering = False
-        self.rollback_epoch = 0
-        #: per source cluster: [(new_epoch, restored_sn)] rollback cuts,
-        #: used to recognize ghost messages from erased timelines
-        self.ghost_cuts: list = [[] for _ in range(n_clusters)]
-
-    def record_cut(self, src: int, restored_sn: int, new_epoch: int) -> None:
-        self.ghost_cuts[src].append((new_epoch, restored_sn))
-
-    def is_ghost(self, src: int, piggy: MinProcPiggyback) -> bool:
-        for new_epoch, restored_sn in self.ghost_cuts[src]:
-            if new_epoch > piggy.epoch and restored_sn <= piggy.sn:
-                return True
-        return False
-
 
 @register_protocol("min-process")
-class MinProcessCoordinatedProtocol(BaseProtocol):
+class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
     """Coordinated rounds over the minimum causally-dependent cluster set."""
 
+    stats_prefix = "minproc"
+    rollback_cause = "domino"
+    #: nothing is logged, so both directions propagate (as ``independent``)
+    propagate = (GHOST, IN_TRANSIT)
+
     def __init__(self, federation, options: Optional[dict] = None):
-        super().__init__(federation, options)
-        n = federation.topology.n_clusters
-        self.n_clusters = n
-        self.states = [_MinProcClusterState(i, n) for i in range(n)]
-        #: message dependency records (src, send_sn, dst, recv_sn) for the
-        #: rollback-time recovery line (same encoding as ``independent``)
-        self.edges: list = []
+        LineProtocol.__init__(self, federation, options)
+        # every cluster learns of a rollback cut in the same instant, so
+        # one federation-wide table stands for the per-cluster copies
+        GhostCuts.__init__(self, self.n_clusters)
+        self.states = [LineClusterState(i) for i in range(self.n_clusters)]
+        #: per cluster: newest send-SN delivered there per source cluster;
+        #: ``upstream[i][j] >= states[j].sn`` means j communicated with i
+        #: since j's last checkpoint, so j belongs in i's minimum set
+        self.upstream: list = [{} for _ in range(self.n_clusters)]
         #: one round at a time across the federation
-        self.round_active = False
-        self.round_initiator = 0
+        self.round = TwoPhaseRound(self._commit)
+        self.rounds = [self.round] * self.n_clusters
         self.round_participants: list = []
-        self._acks_pending: set = set()
-        self.timers_: list = []
-        for i in range(n):
-            period = federation.timers.clc_period_for(i)
-            self.timers_.append(
-                PeriodicTimer(
-                    self.sim,
-                    period,
-                    functools.partial(self._timer_fired, i),
-                    name=f"minproc-c{i}",
-                )
-            )
-        self._agents: dict = {}
+        self.timers_ = self.cluster_timers(self._timer_fired, "minproc")
 
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "MinProcAgent":
-        agent = MinProcAgent(self, node)
-        self._agents[node.id] = agent
-        return agent
+        return MinProcAgent(self, node, self.round, self.states[node.id.cluster])
 
     def start(self) -> None:
         # §4-style initial checkpoints: commit one per cluster directly at
         # t=0 (no dependencies exist yet, so every minimum set is {c}).
         for i, st in enumerate(self.states):
-            st.sn = 1
-            st.checkpoints.append(MinProcCheckpoint(1, self.sim.now))
-            self.stats.counter(f"clc/c{i}/initial").inc()
-            self.stats.counter(f"clc/c{i}/total").inc()
-            self.tracer.protocol("clc_commit", cluster=i, sn=1, cause="initial")
+            st.record(Checkpoint(1, self.sim.now))
+            self.note_commit(i, "initial")
         for timer in self.timers_:
             timer.start()
 
@@ -141,10 +93,9 @@ class MinProcessCoordinatedProtocol(BaseProtocol):
     # dependency bookkeeping
     # ------------------------------------------------------------------
     def record_delivery(self, src: int, send_sn: int, dst: int) -> None:
-        st = self.states[dst]
-        if send_sn > st.upstream.get(src, -1):
-            st.upstream[src] = send_sn
-        self.edges.append((src, send_sn, dst, st.sn))
+        if send_sn > self.upstream[dst].get(src, -1):
+            self.upstream[dst][src] = send_sn
+        self.edges.append((src, send_sn, dst, self.states[dst].sn))
 
     def participants_for(self, initiator: int) -> list:
         """Transitive closure of "communicated since its last checkpoint".
@@ -156,8 +107,8 @@ class MinProcessCoordinatedProtocol(BaseProtocol):
 
         def related(a: int, b: int) -> bool:
             return (
-                self.states[a].upstream.get(b, -1) >= self.states[b].sn
-                or self.states[b].upstream.get(a, -1) >= self.states[a].sn
+                self.upstream[a].get(b, -1) >= self.states[b].sn
+                or self.upstream[b].get(a, -1) >= self.states[a].sn
             )
 
         members = {initiator}
@@ -174,81 +125,35 @@ class MinProcessCoordinatedProtocol(BaseProtocol):
     # the coordinated round
     # ------------------------------------------------------------------
     def _timer_fired(self, cluster: int) -> None:
-        if self.round_active or any(st.recovering for st in self.states):
+        if self.round.collecting or any(st.recovering for st in self.states):
             self.stats.counter("minproc/rounds_skipped").inc()
             return
         self._initiate(cluster)
 
     def _initiate(self, initiator: int) -> None:
         participants = self.participants_for(initiator)
-        self.round_active = True
-        self.round_initiator = initiator
         self.round_participants = participants
         self.stats.counter("minproc/rounds").inc()
         self.stats.tally("minproc/participants").record(len(participants))
         self.tracer.protocol(
             "minproc_round", initiator=initiator, participants=len(participants)
         )
-        fed = self.federation
-        leader = fed.clusters[initiator].leader
-        leader_agent = self._agents[leader.id]
-        leader_agent.freeze()
-        leader_agent.save_state()
-        self._acks_pending = set()
-        for c in participants:
-            for node in fed.clusters[c].nodes:
-                if node.id == leader.id:
-                    continue
-                self._acks_pending.add(node.id)
-                leader.send_raw(node.id, MessageKind.CLC_REQUEST, size=CONTROL_SIZE)
-        if not self._acks_pending:
-            self._commit()
-
-    def on_ack(self, msg: Message) -> None:
-        if not self.round_active:
-            return  # stale ack from an aborted round
-        self._acks_pending.discard(msg.src)
-        if not self._acks_pending:
-            self._commit()
+        clusters = self.federation.clusters
+        self.round.begin(
+            clusters[initiator].leader,
+            [node for c in participants for node in clusters[c].nodes],
+        )
 
     def _commit(self) -> None:
-        fed = self.federation
         now = self.sim.now
         for c in self.round_participants:
             st = self.states[c]
-            st.sn += 1
-            st.checkpoints.append(MinProcCheckpoint(st.sn, now))
-            self.stats.counter(f"clc/c{c}/timer").inc()
-            self.stats.counter(f"clc/c{c}/total").inc()
-            self.stats.gauge(f"clc/c{c}/stored").set(len(st.checkpoints))
-            self.tracer.protocol("clc_commit", cluster=c, sn=st.sn, cause="timer")
-        leader = fed.clusters[self.round_initiator].leader
-        for c in self.round_participants:
-            for node in fed.clusters[c].nodes:
-                if node.id == leader.id:
-                    continue
-                leader.send_raw(node.id, MessageKind.CLC_COMMIT, size=CONTROL_SIZE)
-        self._agents[leader.id].unfreeze()
+            st.record(Checkpoint(st.sn + 1, now))
+            self.note_commit(c, "timer")
+            self.note_stored(c)
+        self.round.release()
         for c in self.round_participants:
             self.timers_[c].reset()
-        self.round_active = False
-        self.round_participants = []
-
-    def _abort_round(self, targets: list) -> None:
-        """Cancel an in-flight round when a failure interrupts it.
-
-        Participants that will *not* roll back flush their freeze queues
-        (their timeline survives, so their queued sends must happen);
-        participants about to roll back are reset by the rollback loop.
-        """
-        if not self.round_active:
-            return
-        self.round_active = False
-        self._acks_pending = set()
-        for c in self.round_participants:
-            if targets[c] is None:
-                for node in self.federation.clusters[c].nodes:
-                    self._agents[node.id].unfreeze()
         self.round_participants = []
 
     # ------------------------------------------------------------------
@@ -259,172 +164,66 @@ class MinProcessCoordinatedProtocol(BaseProtocol):
         self.tracer.protocol(
             "failure_detected", cluster=failed, node=node.id.node
         )
-        checkpoint_numbers = [
-            [c.number for c in st.checkpoints] for st in self.states
-        ]
-        targets = domino_targets(checkpoint_numbers, self.edges, failed)
-        self._abort_round(targets)
-        fed = self.federation
-        rolled = 0
-        self.stats.counter("rollback/failures").inc()
-        for cluster, target_sn in enumerate(targets):
-            if target_sn is None:
-                continue
-            rolled += 1
-            st = self.states[cluster]
-            if target_sn == 0:
-                target_sn = st.checkpoints[0].number
-            depth = st.sn - target_sn
-            self.stats.counter("rollback/total").inc()
-            self.stats.tally("minproc/rollback_depth").record(depth)
-            record = next(c for c in st.checkpoints if c.number == target_sn)
-            st.checkpoints = [c for c in st.checkpoints if c.number <= target_sn]
-            st.sn = target_sn
-            st.recovering = True
-            st.rollback_epoch += 1
-            # Deliveries above the restored SN are erased with the state.
-            st.upstream = {
-                src: sn for src, sn in st.upstream.items() if sn < target_sn
-            }
-            self.stats.gauge(f"clc/c{cluster}/stored").set(len(st.checkpoints))
-            self.tracer.protocol(
-                "rollback", cluster=cluster, to_sn=target_sn, cause="domino"
-            )
-            for other in range(self.n_clusters):
-                if other != cluster:
-                    self.states[other].record_cut(
-                        cluster, target_sn, st.rollback_epoch
-                    )
-            for agent in (self._agents[n.id] for n in fed.clusters[cluster].nodes):
-                agent.reset_volatile()
-            fed.on_cluster_rollback(
-                cluster,
-                record.time,
-                node if cluster == failed else None,
-            )
-        self.stats.counter("rollback/clusters_rolled").inc(rolled)
-        # Drop dependency records referencing erased epochs; surviving
-        # upstream marks referencing rolled senders were pruned above.
-        kept = []
-        for src, send_sn, dst, recv_sn in self.edges:
-            ts, td = targets[src], targets[dst]
-            if (ts is None or send_sn < ts) and (td is None or recv_sn < td):
-                kept.append((src, send_sn, dst, recv_sn))
-        self.edges = kept
-        for st in self.states:
-            if targets[st.index] is None:
-                st.upstream = {
+        targets = self.computed_line(failed)
+        if self.round.collecting:
+            # A failure cancels the in-flight round.  Participants that
+            # will *not* roll back flush their freeze queues (their
+            # timeline survives, so their queued sends must happen);
+            # participants about to roll back are reset by the rollback.
+            self.round.abort()
+            for c in self.round_participants:
+                if targets[c] is None:
+                    for member in self.federation.clusters[c].nodes:
+                        member.agent.unfreeze()
+            self.round_participants = []
+        self.roll_back_line(node, targets)
+
+    def restore_cluster(self, cluster: int, record: Checkpoint) -> None:
+        # Deliveries above the restored SN are erased with the state.
+        self.upstream[cluster] = {
+            src: sn for src, sn in self.upstream[cluster].items() if sn < record.number
+        }
+        self.record_cut(cluster, record.number, self.states[cluster].rollback_epoch)
+
+    def after_line(self, targets: Sequence[Optional[int]]) -> None:
+        # Survivors forget deliveries whose sends were just erased.
+        for cluster, number in enumerate(targets):
+            if number is None:
+                self.upstream[cluster] = {
                     src: sn
-                    for src, sn in st.upstream.items()
-                    if targets[src] is None or sn < targets[src]
+                    for src, sn in self.upstream[cluster].items()
+                    if survives(targets[src], sn)
                 }
 
-        timers = fed.timers
-        delay = timers.checkpoint_restore_time + timers.node_repair_time
-        delay += fed.topology.delay(node.id, node.id, timers.node_state_size)
-        self.sim.schedule(delay, self._complete_recovery, targets, node)
-
     def _complete_recovery(self, targets: list, failed_node: "Node") -> None:
-        fed = self.federation
-        if not failed_node.up:
-            failed_node.recover()
-        for cluster, target_sn in enumerate(targets):
-            if target_sn is None:
-                continue
-            self.states[cluster].recovering = False
-            fed.restart_cluster_apps(cluster)
-            fed.notify_recovery_complete(cluster)
-            self.timers_[cluster].reset()
-        for cluster, target_sn in enumerate(targets):
-            if target_sn is not None:
-                for n in fed.clusters[cluster].nodes:
-                    self._agents[n.id].process_deferred()
+        self.finish_recovery(targets, failed_node, self.timers_)
 
     # ------------------------------------------------------------------
     def cluster_summary(self, cluster: int) -> dict:
         st = self.states[cluster]
-        stats = self.stats
-
-        def count(name: str) -> int:
-            full = f"clc/c{cluster}/{name}"
-            return stats.counter(full).value if full in stats else 0
-
         return {
             "sn": st.sn,
-            "clc_initial": count("initial"),
-            "clc_unforced": count("timer"),
+            "clc_initial": self.clc_count(cluster, "initial"),
+            "clc_unforced": self.clc_count(cluster, "timer"),
             "clc_forced": 0,
-            "clc_total": count("total"),
+            "clc_total": self.clc_count(cluster, "total"),
             "clc_stored": len(st.checkpoints),
-            "dependency_edges": sum(
-                1 for e in self.edges if e[0] == cluster or e[2] == cluster
-            ),
+            "dependency_edges": self.edges_touching(cluster),
             "rollback_epoch": st.rollback_epoch,
         }
 
 
-class MinProcAgent(NodeAgent):
-    """Per-node endpoint: freeze windows, (sn, epoch) piggyback, deferral."""
+class MinProcAgent(FreezeAgent):
+    """Per-node endpoint: (sn, epoch) piggyback, deferral inside rounds."""
 
-    def __init__(self, protocol: MinProcessCoordinatedProtocol, node: "Node"):
-        super().__init__(protocol, node)
-        self.protocol: MinProcessCoordinatedProtocol = protocol
-        self.frozen = False
-        self.queued_out: list = []
-        self.deferred_in: list = []
+    def stamp(self, msg: Message) -> None:
+        msg.piggyback = Piggyback(sn=self.state.sn, epoch=self.state.rollback_epoch)
+        msg.size += SN_PIGGYBACK_SIZE
 
-    @property
-    def state(self) -> _MinProcClusterState:
-        return self.protocol.states[self.node.id.cluster]
-
-    # -- sending ---------------------------------------------------------
-    def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
-        if not self.node.up:
-            return
-        if self.frozen or self.state.recovering:
-            self.queued_out.append((dst, size, payload))
-            return
-        self._send_now(dst, size, payload)
-
-    def _send_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
-        piggyback = None
-        if dst.cluster != self.node.id.cluster:
-            st = self.state
-            piggyback = MinProcPiggyback(sn=st.sn, epoch=st.rollback_epoch)
-            size += PIGGYBACK_SIZE
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size,
-            payload=payload or {}, piggyback=piggyback,
-        )
-        self.protocol.federation.fabric.send(msg)
-
-    # -- receiving ---------------------------------------------------------
-    def on_receive(self, msg: Message) -> None:
-        kind = msg.kind
-        if kind.is_app:
-            if msg.inter_cluster:
-                self._on_inter_arrival(msg)
-            else:
-                self.node.deliver_app(msg)
-        elif kind is MessageKind.CLC_REQUEST:
-            self.freeze()
-            self.save_state()
-            initiator = self.protocol.round_initiator
-            leader = self.protocol.federation.clusters[initiator].leader
-            self.node.send_raw(leader.id, MessageKind.CLC_ACK, size=CONTROL_SIZE)
-        elif kind is MessageKind.CLC_ACK:
-            self.protocol.on_ack(msg)
-        elif kind is MessageKind.CLC_COMMIT:
-            self.unfreeze()
-        elif kind is MessageKind.REPLICA:
-            pass
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"min-process protocol cannot handle {kind}")
-
-    def _on_inter_arrival(self, msg: Message) -> None:
+    def on_inter_arrival(self, msg: Message) -> None:
         st = self.state
-        piggy: MinProcPiggyback = msg.piggyback
-        if st.is_ghost(msg.src.cluster, piggy):
+        piggy: Piggyback = msg.piggyback
+        if self.protocol.is_ghost(msg.src.cluster, piggy):
             self.protocol.stats.counter("minproc/ghosts_dropped").inc()
             return
         if self.frozen or st.recovering:
@@ -436,42 +235,6 @@ class MinProcAgent(NodeAgent):
         self.protocol.record_delivery(msg.src.cluster, piggy.sn, st.index)
         self.node.deliver_app(msg)
 
-    def process_deferred(self) -> None:
-        while self.deferred_in and not self.frozen and not self.state.recovering:
-            self._on_inter_arrival(self.deferred_in.pop(0))
-
-    # -- freeze ------------------------------------------------------------
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def save_state(self) -> None:
-        cluster = self.protocol.federation.clusters[self.node.id.cluster]
-        n = cluster.size
-        if n > 1:
-            neighbour = cluster.nodes[(self.node.id.node + 1) % n]
-            self.node.send_raw(
-                neighbour.id,
-                MessageKind.REPLICA,
-                size=self.protocol.federation.timers.node_state_size,
-            )
-
-    def unfreeze(self) -> None:
-        self.frozen = False
-        queued, self.queued_out = self.queued_out, []
-        for dst, size, payload in queued:
-            self._send_now(dst, size, payload)
-        self.process_deferred()
-
     def reset_volatile(self) -> None:
-        self.frozen = False
-        self.queued_out = []
-        st = self.state
-        self.deferred_in = [
-            m
-            for m in self.deferred_in
-            if not st.is_ghost(m.src.cluster, m.piggyback)
-        ]
-
-    def on_node_failed(self) -> None:
-        self.queued_out = []
-        self.frozen = False
+        super().reset_volatile()
+        self.drop_ghost_arrivals(self.protocol.is_ghost)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.protocol import BaseProtocol, NodeAgent, register_protocol
+from repro.core.rounds import recovery_delay, replicate_state
 from repro.network.message import Message, MessageKind, NodeId
 from repro.sim.timers import PeriodicTimer
 
@@ -32,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
 __all__ = ["PessimisticLogProtocol"]
-
-CONTROL_SIZE = 64
 
 
 @register_protocol("pessimistic-log")
@@ -69,9 +68,7 @@ class PessimisticLogProtocol(BaseProtocol):
             node=node.id.node,
             replayed=agent.received_since_checkpoint,
         )
-        timers = fed.timers
-        delay = timers.checkpoint_restore_time + timers.node_repair_time
-        delay += fed.topology.delay(node.id, node.id, timers.node_state_size)
+        delay = recovery_delay(fed, node)
         delay += agent.received_since_checkpoint * self.replay_cost
         self.sim.schedule(delay, self._complete_recovery, node)
 
@@ -139,14 +136,10 @@ class PessimisticAgent(NodeAgent):
             f"clc/c{self.node.id.cluster}/total"
         ).inc()
         # Stable storage: the local state goes to the ring successor.
-        cluster = self.protocol.federation.clusters[self.node.id.cluster]
-        if cluster.size > 1:
-            neighbour = cluster.nodes[(self.node.id.node + 1) % cluster.size]
-            self.node.send_raw(
-                neighbour.id,
-                MessageKind.REPLICA,
-                size=self.protocol.federation.timers.node_state_size,
-            )
+        fed = self.protocol.federation
+        replicate_state(
+            fed.clusters[self.node.id.cluster], self.node, fed.timers.node_state_size
+        )
 
     # -- traffic -----------------------------------------------------------
     def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:

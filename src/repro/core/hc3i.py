@@ -4,12 +4,14 @@ Structure:
 
 * :class:`Hc3iClusterState` -- shared per-cluster protocol state (SN, DDV,
   CLC store, sender log, incarnation bookkeeping),
-* :class:`ClcCoordinator` -- the two-phase commit engine of one cluster,
-  hosted by the cluster leader's agent (the paper's "initiator node"),
-* :class:`Hc3iNodeAgent` -- per-node behaviour: piggybacking SNs on
+* :class:`ClcCoordinator` -- what one cluster's two-phase commit
+  (:class:`repro.core.rounds.TwoPhaseRound`, hosted by the cluster leader's
+  agent, the paper's "initiator node") commits: request merging, the new
+  SN/DDV and the CLC record,
+* :class:`Hc3iNodeAgent` -- per-node behaviour on top of
+  :class:`repro.core.rounds.FreezeAgent`: piggybacking SNs on
   inter-cluster sends, sender-side logging, the forced-CLC decision on
-  reception, freezing during 2PC windows, delivery-after-commit and
-  acknowledgements,
+  reception, delivery-after-commit and acknowledgements,
 * :class:`Hc3iProtocol` -- glues the above with the rollback manager
   (:mod:`repro.core.rollback`) and the garbage collector
   (:mod:`repro.core.garbage`).
@@ -35,9 +37,8 @@ mechanism is filled in explicitly -- every rollback increments the cluster's
 *rollback epoch*, which is piggybacked (with the SN) on inter-cluster
 messages and carried on alerts.  A message sent before a rollback that
 erased its send (a *ghost*) is recognized and dropped by the receiver by
-comparing its epoch and SN against the recorded alerts.  This is the
-standard incarnation-number technique from optimistic message logging and is
-behaviourally neutral in failure-free runs.
+comparing its epoch and SN against the recorded alerts
+(:class:`repro.core.recovery_line.GhostCuts`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.clc import CheckpointCause, CheckpointRecord
 from repro.core.ddv import DDV
-from repro.core.protocol import BaseProtocol, ClusterView, NodeAgent, register_protocol
-from repro.network.message import Message, MessageKind, NodeId
+from repro.core.protocol import BaseProtocol, ClusterView, register_protocol
+from repro.core.recovery_line import GhostCuts
+from repro.core.rounds import CONTROL_SIZE, FreezeAgent, TwoPhaseRound, replicate_state
+from repro.network.message import Message, MessageKind
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLevel
 
@@ -64,8 +67,6 @@ __all__ = [
     "Piggyback",
 ]
 
-#: base size in bytes of a protocol control message
-CONTROL_SIZE = 64
 #: extra bytes piggybacked on an inter-cluster app message in "sn" mode
 SN_PIGGYBACK_SIZE = 12
 
@@ -102,31 +103,25 @@ class PendingDelivery:
     force_required: bool = False  #: "always" mode: commit needed even w/o updates
 
 
-class Hc3iClusterState(ClusterView):
-    """Shared HC3I state of one cluster (see ClusterView for the basics)."""
+class Hc3iClusterState(ClusterView, GhostCuts):
+    """Shared HC3I state of one cluster (see ClusterView for the basics).
+
+    The ghost cuts are per *receiving* cluster: each one learns of a
+    rollback when the alert reaches it.
+    """
 
     def __init__(self, index: int, n_clusters: int):
-        super().__init__(index, n_clusters)
+        ClusterView.__init__(self, index, n_clusters)
+        GhostCuts.__init__(self, n_clusters)
         #: newest rollback epoch heard from each cluster (own entry = own)
         self.known_epochs = [0] * n_clusters
-        #: per source cluster: [(new_epoch, restored_sn)] of its rollbacks,
-        #: used to recognize ghost messages from erased epochs
-        self.ghost_cuts: list = [[] for _ in range(n_clusters)]
         #: SN of the record being restored while ``recovering``
         self.restore_target_sn: Optional[int] = None
 
     def record_alert(self, faulty: int, alert_sn: int, new_epoch: int) -> None:
         if new_epoch > self.known_epochs[faulty]:
             self.known_epochs[faulty] = new_epoch
-            self.ghost_cuts[faulty].append((new_epoch, alert_sn))
-
-    def is_ghost(self, src_cluster: int, piggy: Piggyback) -> bool:
-        """Was this message's send erased by a rollback of its sender?"""
-        value = piggy.entry_for(src_cluster)
-        for new_epoch, restored_sn in self.ghost_cuts[src_cluster]:
-            if new_epoch > piggy.epoch and restored_sn <= value:
-                return True
-        return False
+            self.record_cut(faulty, alert_sn, new_epoch)
 
 
 @dataclass
@@ -170,31 +165,27 @@ class Hc3iOptions:
         return opts
 
 
-class ClcCoordinator:
-    """Two-phase commit engine of one cluster (runs at the leader).
-
-    §3.1: "An initiator node broadcasts (in its cluster) a CLC request.
-    All the cluster nodes acknowledge the request, then the initiator node
-    broadcasts a commit.  Between the request and the commit messages,
-    application messages are queued."
+class ClcCoordinator(TwoPhaseRound):
+    """What the §3.1 two-phase commit of one cluster commits (runs at the
+    leader; the round itself is :class:`~repro.core.rounds.TwoPhaseRound`).
 
     One round at a time; forced-CLC requests arriving during an active
     round are accumulated and served by the immediately following round.
     """
 
-    IDLE = "idle"
-    COLLECTING = "collecting"
-
     def __init__(self, protocol: "Hc3iProtocol", cluster_index: int):
+        control_size = protocol.options.control_size
+        n_clusters = protocol.federation.topology.n_clusters
+        super().__init__(
+            self._commit, control_size, commit_size=control_size + 8 * n_clusters
+        )
         self.protocol = protocol
         self.cluster = cluster_index
         self.cs = protocol.cluster_states[cluster_index]
-        self.phase = self.IDLE
         self.round_updates: dict = {}
-        self.round_force = False
         self.round_cause = CheckpointCause.TIMER
-        self._acks_pending: set = set()
-        self._snapshots: list = []
+        #: the leader's own queued messages, captured as the round begins
+        self._leader_snapshot: tuple = ()
         self.pending_request = False
         self.pending_updates: dict = {}
         self.pending_force = False
@@ -216,7 +207,7 @@ class ClcCoordinator:
             tracer.debug("clc_timer_fired", cluster=self.cluster)
         if self.cs.recovering:
             return
-        if self.phase != self.IDLE or self.pending_request:
+        if self.collecting or self.pending_request:
             return  # a CLC is being established right now anyway
         self.initiate(CheckpointCause.TIMER)
 
@@ -237,8 +228,7 @@ class ClcCoordinator:
         elif not self.pending_request:
             self.pending_cause = cause
         self.pending_request = True
-        if self.phase == self.IDLE and not self.cs.recovering:
-            self._begin_round()
+        self._begin_if_pending()
 
     def scrub(self, faulty: int, alert_sn: int) -> None:
         """Drop DDV updates that a rollback of ``faulty`` just erased."""
@@ -249,62 +239,35 @@ class ClcCoordinator:
 
     def abort(self) -> None:
         """A rollback cancels any in-flight round and pending requests."""
-        self.phase = self.IDLE
+        super().abort()
         self.round_updates = {}
-        self.round_force = False
-        self._acks_pending.clear()
-        self._snapshots = []
         self.pending_request = False
         self.pending_updates = {}
         self.pending_force = False
 
     # ------------------------------------------------------------------
-    def _begin_round(self) -> None:
-        cs = self.cs
-        self.phase = self.COLLECTING
+    def _begin_if_pending(self) -> None:
+        if self.collecting or not self.pending_request or self.cs.recovering:
+            return
         self.round_updates = self.pending_updates
-        self.round_force = self.pending_force
         self.round_cause = self.pending_cause
         self.pending_request = False
         self.pending_updates = {}
         self.pending_force = False
         self.pending_cause = CheckpointCause.TIMER
-        self._snapshots = []
-
-        cluster = self.protocol.federation.clusters[self.cluster]
-        leader_agent = self.leader.agent
-        assert isinstance(leader_agent, Hc3iNodeAgent)
-        # The leader participates locally: freeze, save state, snapshot.
-        leader_agent.in_round = True
-        self._snapshots.append((self.leader.id.node, tuple(leader_agent.pending_force)))
-        leader_agent.send_replicas()
-
-        others = [n for n in cluster.nodes if n.id != self.leader.id]
-        self._acks_pending = {n.id.node for n in others}
-        size = self.protocol.options.control_size
-        for n in others:
-            self.leader.send_raw(n.id, MessageKind.CLC_REQUEST, size=size)
-        if not self._acks_pending:
-            self._commit()
-
-    def on_ack(self, msg: Message) -> None:
-        if self.phase != self.COLLECTING:
-            return  # stale ack from an aborted round
-        node_idx = msg.src.node
-        if node_idx not in self._acks_pending:
-            return
-        self._acks_pending.discard(node_idx)
-        self._snapshots.append((node_idx, msg.payload["snapshot"]))
-        if not self._acks_pending:
-            self._commit()
+        leader = self.leader
+        self._leader_snapshot = tuple(leader.agent.pending_force)
+        self.begin(leader, self.protocol.federation.clusters[self.cluster].nodes)
 
     def _commit(self) -> None:
         cs = self.cs
         new_sn = cs.sn + 1
         new_ddv = DDV(cs.ddv).merged(self.round_updates).with_entry(cs.index, new_sn)
+        snapshots = [(self.leader.id.node, self._leader_snapshot)]
+        snapshots += [(ack.src.node, ack.payload["snapshot"]) for ack in self.acks]
         queued = tuple(
             (node_idx, entry)
-            for node_idx, snapshot in self._snapshots
+            for node_idx, snapshot in snapshots
             for entry in snapshot
         )
         n_nodes = self.protocol.federation.topology.nodes_in(self.cluster)
@@ -323,48 +286,26 @@ class ClcCoordinator:
         cs.sn = new_sn
         cs.ddv = list(new_ddv)
         cs.state_dirty = False
-        self.phase = self.IDLE
         self.protocol.note_commit(self.cluster, record)
 
-        # Phase 2: commit broadcast; the leader applies locally right away.
-        size = self.protocol.options.control_size + 8 * cs.n_clusters
-        cluster = self.protocol.federation.clusters[self.cluster]
-        for n in cluster.nodes:
-            if n.id == self.leader.id:
-                continue
-            self.leader.send_raw(
-                n.id, MessageKind.CLC_COMMIT, size=size, payload={"sn": new_sn}
-            )
-        leader_agent = self.leader.agent
-        assert isinstance(leader_agent, Hc3iNodeAgent)
-        leader_agent.apply_commit()
-
+        self.release({"sn": new_sn})
         self.timer.reset()
-        if self.pending_request and not self.cs.recovering:
+        if self.pending_request and not cs.recovering:
             # Serve the requests accumulated during this round immediately.
             self.protocol.sim.schedule(0.0, self._begin_if_pending)
 
-    def _begin_if_pending(self) -> None:
-        if self.phase == self.IDLE and self.pending_request and not self.cs.recovering:
-            self._begin_round()
 
-
-class Hc3iNodeAgent(NodeAgent):
+class Hc3iNodeAgent(FreezeAgent):
     """Per-node HC3I endpoint."""
 
     def __init__(self, protocol: "Hc3iProtocol", node: "Node"):
-        super().__init__(protocol, node)
-        self.cs: Hc3iClusterState = protocol.cluster_states[node.id.cluster]
-        #: this cluster's 2PC engine (agents are built after the coordinators)
-        self.coordinator: ClcCoordinator = protocol.coordinators[node.id.cluster]
+        cluster = node.id.cluster
+        # the cluster's 2PC engine: agents are built after the coordinators
+        super().__init__(
+            protocol, node, protocol.coordinators[cluster], protocol.cluster_states[cluster]
+        )
         #: lazily-resolved hc3i/c{i}/log_entries gauge (hot: every logged send)
         self._log_gauge = None
-        #: between CLC request and CLC commit: application messages queued
-        self.in_round = False
-        #: application sends queued during a freeze window
-        self.queued_out: list = []
-        #: inter-cluster arrivals deferred (freeze window or recovery)
-        self.deferred_in: list = []
         #: messages waiting for their forced CLC to commit
         self.pending_force: list = []
         #: incremental stable storage: True once a full replica was shipped
@@ -373,44 +314,27 @@ class Hc3iNodeAgent(NodeAgent):
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
-        if not self.node.up:
-            return  # fail-stop: a failed node sends nothing
-        if self.in_round or self.cs.recovering:
-            self.queued_out.append((dst, size, payload))
-            return
-        self._send_app_now(dst, size, payload)
+    def stamp(self, msg: Message) -> None:
+        cs = self.state
+        if self.protocol.options.mode == "ddv":
+            msg.piggyback = Piggyback(
+                sn=cs.sn, epoch=cs.rollback_epoch, ddv=cs.ddv_tuple()
+            )
+            msg.size += 4 + 8 * cs.n_clusters
+        else:
+            msg.piggyback = Piggyback(sn=cs.sn, epoch=cs.rollback_epoch)
+            msg.size += SN_PIGGYBACK_SIZE
+        entry = cs.sent_log.add(msg, send_sn=cs.sn)
+        entry.epoch = cs.rollback_epoch  # type: ignore[attr-defined]
+        cs.state_dirty = True
+        gauge = self._log_gauge
+        if gauge is None:
+            gauge = self._log_gauge = self.protocol.stats.gauge(
+                f"hc3i/c{cs.index}/log_entries"
+            )
+        gauge.set(len(cs.sent_log))
 
-    def _send_app_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
-        cs = self.cs
-        opts = self.protocol.options
-        piggyback = None
-        if dst.cluster != cs.index:
-            if opts.mode == "ddv":
-                piggyback = Piggyback(
-                    sn=cs.sn, epoch=cs.rollback_epoch, ddv=cs.ddv_tuple()
-                )
-                size += 4 + 8 * cs.n_clusters
-            else:
-                piggyback = Piggyback(sn=cs.sn, epoch=cs.rollback_epoch)
-                size += SN_PIGGYBACK_SIZE
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size,
-            payload=payload or {}, piggyback=piggyback,
-        )
-        if piggyback is not None:
-            entry = cs.sent_log.add(msg, send_sn=cs.sn)
-            entry.epoch = cs.rollback_epoch  # type: ignore[attr-defined]
-            cs.state_dirty = True
-            gauge = self._log_gauge
-            if gauge is None:
-                gauge = self._log_gauge = self.protocol.stats.gauge(
-                    f"hc3i/c{cs.index}/log_entries"
-                )
-            gauge.set(len(cs.sent_log))
-        self.protocol.federation.fabric.send(msg)
-
-    def send_replicas(self) -> None:
+    def save_state(self) -> None:
         """Stable storage: copy this node's state to its ring successors.
 
         With ``incremental`` enabled only the first replica after a
@@ -419,46 +343,23 @@ class Hc3iNodeAgent(NodeAgent):
         """
         opts = self.protocol.options
         degree = opts.replication_degree
-        cluster = self.protocol.federation.clusters[self.cs.index]
-        n = len(cluster.nodes)
-        state_size = self.protocol.federation.timers.node_state_size
-        size = state_size
+        cluster = self.protocol.federation.clusters[self.state.index]
+        size = self.protocol.federation.timers.node_state_size
         if opts.incremental and self.replicated_full:
-            size = max(1, int(state_size * opts.incremental_fraction))
-        for k in range(1, min(degree, n - 1) + 1):
-            neighbour = cluster.nodes[(self.node.id.node + k) % n]
-            self.node.send_raw(neighbour.id, MessageKind.REPLICA, size=size)
-        if degree > 0 and n > 1:
+            size = max(1, int(size * opts.incremental_fraction))
+        replicate_state(cluster, self.node, size, degree)
+        if degree > 0 and cluster.size > 1:
             self.replicated_full = True
+
+    def ack_payload(self) -> dict:
+        return {"snapshot": tuple(self.pending_force)}
 
     # ------------------------------------------------------------------
     # receiving
     # ------------------------------------------------------------------
-    def on_receive(self, msg: Message) -> None:
+    def on_control(self, msg: Message) -> None:
         kind = msg.kind
-        if kind is MessageKind.APP or kind is MessageKind.REPLAY:
-            if msg.src.cluster != msg.dst.cluster:
-                self._on_inter_arrival(msg)
-            else:
-                self.node.deliver_app(msg)
-            return
-        if kind is MessageKind.CLC_REQUEST:
-            self._on_clc_request()
-        elif kind is MessageKind.CLC_ACK:
-            self.coordinator.on_ack(msg)
-        elif kind is MessageKind.CLC_COMMIT:
-            self.apply_commit()
-        elif kind is MessageKind.CLC_INITIATE:
-            self.coordinator.initiate(
-                CheckpointCause.FORCED,
-                updates=msg.payload.get("updates"),
-                force=msg.payload.get("force", False),
-            )
-        elif kind is MessageKind.INTER_ACK:
-            self.cs.sent_log.ack(msg.payload["msg_id"], msg.payload["ack_sn"])
-        elif kind is MessageKind.REPLICA:
-            pass  # accounted by the fabric; content is abstract state
-        elif kind is MessageKind.ALERT:
+        if kind is MessageKind.ALERT:
             self.protocol.on_alert_message(self.node, msg)
         elif kind is MessageKind.ALERT_LOCAL:
             pass  # intra-cluster fan-out of an alert (accounting only)
@@ -473,15 +374,15 @@ class Hc3iNodeAgent(NodeAgent):
             raise ValueError(f"unhandled message kind {kind}")
 
     # -- inter-cluster application messages -----------------------------
-    def _on_inter_arrival(self, msg: Message) -> None:
-        if self.in_round or self.cs.recovering:
+    def on_inter_arrival(self, msg: Message) -> None:
+        if self.frozen or self.state.recovering:
             self.deferred_in.append(msg)
             return
         self.handle_inter(msg)
 
     def handle_inter(self, msg: Message) -> None:
         """The communication-induced checkpointing decision (§3.2)."""
-        cs = self.cs
+        cs = self.state
         piggy: Piggyback = msg.piggyback
         src = msg.src.cluster
         if cs.is_ghost(src, piggy):
@@ -497,7 +398,7 @@ class Hc3iNodeAgent(NodeAgent):
             # conservatively; the delivery is captured by the next CLC at
             # the latest.
             self.protocol.stats.counter("hc3i/duplicates").inc()
-            self._send_ack(msg, cs.sn + 1)
+            self.ack_delivery(msg, cs.sn + 1)
             return
 
         updates = self._required_updates(piggy, src)
@@ -521,12 +422,15 @@ class Hc3iNodeAgent(NodeAgent):
                     src=src,
                     updates=dict(updates),
                 )
-            self._request_force(updates, force_required)
+            self.request_force(
+                {"updates": dict(updates), "force": force_required},
+                size=self.protocol.options.control_size + 8 * len(updates),
+            )
         else:
             self.deliver_now(msg, ack_sn)
 
     def _required_updates(self, piggy: Piggyback, src: int) -> dict:
-        cs = self.cs
+        cs = self.state
         if self.protocol.options.mode == "ddv" and piggy.ddv is not None:
             return {
                 i: v
@@ -537,65 +441,28 @@ class Hc3iNodeAgent(NodeAgent):
             return {src: piggy.sn}
         return {}
 
-    def _request_force(self, updates: dict, force: bool) -> None:
-        coordinator = self.coordinator
-        if self.node.id == coordinator.leader.id:
-            coordinator.initiate(CheckpointCause.FORCED, updates=updates, force=force)
-        else:
-            size = self.protocol.options.control_size + 8 * len(updates)
-            self.node.send_raw(
-                coordinator.leader.id,
-                MessageKind.CLC_INITIATE,
-                size=size,
-                payload={"updates": dict(updates), "force": force},
-            )
+    def on_force_request(self, payload: dict) -> None:
+        self.round.initiate(
+            CheckpointCause.FORCED,
+            updates=payload.get("updates"),
+            force=payload.get("force", False),
+        )
 
     def deliver_now(self, msg: Message, ack_sn: int) -> None:
-        cs = self.cs
+        cs = self.state
         cs.delivered_ids.add(msg.msg_id)
         cs.state_dirty = True
         self.node.deliver_app(msg)
-        self._send_ack(msg, ack_sn)
+        self.ack_delivery(msg, ack_sn)
         tracer = self.protocol.tracer
         if tracer.level >= TraceLevel.PROTOCOL:
             tracer.protocol(
                 "inter_delivered", cluster=cs.index, msg_id=msg.msg_id, ack_sn=ack_sn
             )
 
-    def _send_ack(self, msg: Message, ack_sn: int) -> None:
-        self.node.send_raw(
-            msg.src,
-            MessageKind.INTER_ACK,
-            size=self.protocol.options.control_size,
-            payload={"msg_id": msg.msg_id, "ack_sn": ack_sn},
-        )
-
-    # -- 2PC participant --------------------------------------------------
-    def _on_clc_request(self) -> None:
-        self.in_round = True
-        self.send_replicas()
-        coordinator = self.coordinator
-        self.node.send_raw(
-            coordinator.leader.id,
-            MessageKind.CLC_ACK,
-            size=self.protocol.options.control_size,
-            payload={"snapshot": tuple(self.pending_force)},
-        )
-
-    def apply_commit(self) -> None:
-        """Unfreeze after a commit; deliver satisfied queued messages."""
-        self.in_round = False
-        self.flush_queued_out()
-        self.evaluate_pending()
-        self.process_deferred()
-
-    def flush_queued_out(self) -> None:
-        queued, self.queued_out = self.queued_out, []
-        for dst, size, payload in queued:
-            self._send_app_now(dst, size, payload)
-
     def evaluate_pending(self) -> None:
-        cs = self.cs
+        """After a commit: deliver the queued messages it satisfied."""
+        cs = self.state
         still: list = []
         for entry in self.pending_force:
             residual = {i: v for i, v in entry.updates.items() if v > cs.ddv[i]}
@@ -613,32 +480,17 @@ class Hc3iNodeAgent(NodeAgent):
                 still.append(entry)
         self.pending_force = still
 
-    def process_deferred(self) -> None:
-        while self.deferred_in and not self.in_round and not self.cs.recovering:
-            self.handle_inter(self.deferred_in.pop(0))
-
     # -- failure bookkeeping ----------------------------------------------
-    def on_node_failed(self) -> None:
-        # Volatile state of the crashed node is lost; its queued output
-        # and frozen round membership die with it.  The pending_force
-        # entries conceptually live in the (stable) CLC snapshots and are
-        # restored by the rollback.
-        self.queued_out = []
-        self.in_round = False
-
+    # (a crashed node's pending_force entries conceptually live in the
+    # stable CLC snapshots and are restored by the rollback)
     def drop_ghost_input(self, faulty: int) -> None:
         """Remove queued/deferred messages whose sends were just erased."""
-        cs = self.cs
+        is_ghost = self.state.is_ghost
         self.pending_force = [
-            e
-            for e in self.pending_force
-            if not cs.is_ghost(e.msg.src.cluster, e.msg.piggyback)
+            e for e in self.pending_force
+            if not is_ghost(e.msg.src.cluster, e.msg.piggyback)
         ]
-        self.deferred_in = [
-            m
-            for m in self.deferred_in
-            if not cs.is_ghost(m.src.cluster, m.piggyback)
-        ]
+        self.drop_ghost_arrivals(is_ghost)
 
 
 @register_protocol("hc3i")
@@ -728,18 +580,13 @@ class Hc3iProtocol(BaseProtocol):
 
     def cluster_summary(self, cluster: int) -> dict:
         cs = self.cluster_states[cluster]
-        stats = self.stats
-        def count(name: str) -> int:
-            full = f"clc/c{cluster}/{name}"
-            return stats.counter(full).value if full in stats else 0
-
         return {
             "sn": cs.sn,
             "ddv": cs.ddv_tuple(),
-            "clc_initial": count("initial"),
-            "clc_unforced": count("timer"),
-            "clc_forced": count("forced"),
-            "clc_total": count("total"),
+            "clc_initial": self.clc_count(cluster, "initial"),
+            "clc_unforced": self.clc_count(cluster, "timer"),
+            "clc_forced": self.clc_count(cluster, "forced"),
+            "clc_total": self.clc_count(cluster, "total"),
             "clc_stored": len(cs.store),
             "log_entries": len(cs.sent_log),
             "log_bytes": cs.sent_log.bytes,

@@ -141,6 +141,11 @@ class BaseProtocol(abc.ABC):
         """Protocol-specific per-cluster numbers for reports (override)."""
         return {}
 
+    def clc_count(self, cluster: int, name: str) -> int:
+        """``clc/c<cluster>/<name>`` counter; 0 when nothing was counted yet."""
+        full = f"clc/c{cluster}/{name}"
+        return self.stats.counter(full).value if full in self.stats else 0
+
     @property
     def sim(self):
         return self.federation.sim

@@ -129,8 +129,7 @@ class Hc3iRecoveryManager:
                 live_msgs[msg.msg_id] = msg
             agent.pending_force = []
             agent.deferred_in = []
-            agent.queued_out = []
-            agent.in_round = False
+            agent.reset_volatile()
             # A rollback invalidates incremental-replica delta chains.
             agent.replicated_full = False
 

@@ -36,8 +36,9 @@ class LatencyRing:
         return ordered[rank]
 
     def summary(self) -> dict:
+        """Percentiles over the recent window; ``window`` is its occupancy."""
         return {
-            "count": len(self._samples),
+            "window": len(self._samples),
             "p50_ms": round(self.percentile(50) * 1e3, 3),
             "p99_ms": round(self.percentile(99) * 1e3, 3),
         }
@@ -72,6 +73,8 @@ class ServeStats:
 
     def snapshot(self) -> dict:
         with self._lock:
+            # ``count`` is the route's lifetime request count; the ring
+            # reports how many of them its percentiles cover as ``window``.
             routes = {
                 route: {"count": entry["count"], **entry["ring"].summary()}
                 for route, entry in sorted(self._routes.items())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.independent import domino_targets
+from repro.core.recovery_line import GHOST, IN_TRANSIT, line_targets
 from repro.network.message import NodeId
 from tests.conftest import make_federation
 
@@ -14,7 +14,7 @@ class TestGlobalCoordinated:
         )
         results = fed.run()
         # initial + ~9 periodic
-        assert 8 <= fed.protocol.checkpoint_number <= 11
+        assert 8 <= fed.protocol.state.sn <= 11
 
     def test_requests_cross_clusters(self):
         fed = make_federation(
@@ -65,15 +65,19 @@ class TestGlobalCoordinated:
                 assert node.app_process is not None and node.app_process.alive
 
 
+#: no sender logs: both inconsistency directions propagate
+DOMINO = (GHOST, IN_TRANSIT)
+
+
 class TestDominoTargets:
     def test_no_messages_only_faulty_rolls(self):
-        targets = domino_targets([[1, 2], [1, 2]], edges=[], failed=0)
+        targets = line_targets([[1, 2], [1, 2]], edges=[], failed=0, propagate=DOMINO)
         assert targets == [2, None]
 
     def test_ghost_pulls_receiver_back(self):
         # c0 sent in epoch 2 (after checkpoint 2), received by c1 in epoch 1
         edges = [(0, 2, 1, 1)]
-        targets = domino_targets([[1, 2], [1, 2]], edges, failed=0)
+        targets = line_targets([[1, 2], [1, 2]], edges, failed=0, propagate=DOMINO)
         # c0 restores 2 -> send epoch 2 erased -> c1 must erase the receive
         # (epoch 1): newest checkpoint <= 1 is 1
         assert targets == [2, 1]
@@ -81,7 +85,7 @@ class TestDominoTargets:
     def test_in_transit_pulls_sender_back(self):
         # c1 sent in epoch 1, c0 received in epoch 2 (erased by rollback)
         edges = [(1, 1, 0, 2)]
-        targets = domino_targets([[1, 2], [1, 2]], edges, failed=0)
+        targets = line_targets([[1, 2], [1, 2]], edges, failed=0, propagate=DOMINO)
         assert targets[0] == 2
         assert targets[1] == 1  # sender must unsend
 
@@ -95,7 +99,7 @@ class TestDominoTargets:
             (0, 3, 1, 2),
             (1, 2, 0, 2),
         ]
-        targets = domino_targets([[1, 2, 3], [1, 2, 3]], edges, failed=0)
+        targets = line_targets([[1, 2, 3], [1, 2, 3]], edges, failed=0, propagate=DOMINO)
         assert targets == [2, 2]
 
     def test_rolling_to_last_checkpoint_is_harmless(self):
@@ -107,17 +111,17 @@ class TestDominoTargets:
             (0, 2, 1, 2),
             (1, 2, 0, 2),
         ]
-        targets = domino_targets([[1, 2, 3], [1, 2, 3]], edges, failed=0)
+        targets = line_targets([[1, 2, 3], [1, 2, 3]], edges, failed=0, propagate=DOMINO)
         assert targets == [3, None]
 
     def test_kept_messages_dont_trigger(self):
         edges = [(0, 0, 1, 0)]  # exchanged before any checkpoint of interest
-        targets = domino_targets([[1, 2], [1, 2]], edges, failed=0)
+        targets = line_targets([[1, 2], [1, 2]], edges, failed=0, propagate=DOMINO)
         assert targets == [2, None]
 
     def test_needs_checkpoint(self):
         with pytest.raises(ValueError):
-            domino_targets([[], [1]], [], failed=0)
+            line_targets([[], [1]], [], failed=0, propagate=DOMINO)
 
 
 class TestIndependentProtocol:

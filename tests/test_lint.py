@@ -367,6 +367,8 @@ MYPY_STRICT_FLOOR = (
     "repro.network.topology",
     "repro.sim.trace_digest",
     "repro.serve.stats",
+    "repro.core.rounds",
+    "repro.core.recovery_line",
 )
 
 

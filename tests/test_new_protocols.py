@@ -16,7 +16,7 @@ import pytest
 
 import repro.network.message as msgmod
 from repro.app.process import scripted_sender_factory
-from repro.baselines.clc_cic import ghost_line_targets
+from repro.core.recovery_line import GHOST, line_targets
 from repro.experiments.ablations import (
     component_importance,
     render_importance_markdown,
@@ -98,7 +98,7 @@ class TestGhostLineTargets:
         # c0 sent at ordinal 3 (erased) -> c1 must descend to <= 3
         checkpoints = [[1, 2, 3], [1, 2, 3, 4]]
         edges = [(0, 3, 1, 3)]
-        targets = ghost_line_targets(checkpoints, edges, failed=0)
+        targets = line_targets(checkpoints, edges, failed=0, propagate={GHOST})
         assert targets[0] == 3  # last stored checkpoint of the faulty cluster
         assert targets[1] == 3  # descended below the erased delivery
 
@@ -107,13 +107,13 @@ class TestGhostLineTargets:
         # sender log replays it, so c0 must NOT roll back
         checkpoints = [[1, 2, 3], [1, 2]]
         edges = [(0, 2, 1, 2)]
-        targets = ghost_line_targets(checkpoints, edges, failed=1)
+        targets = line_targets(checkpoints, edges, failed=1, propagate={GHOST})
         assert targets[1] == 2
         assert targets[0] is None
 
     def test_faulty_without_checkpoint_raises(self):
         with pytest.raises(ValueError):
-            ghost_line_targets([[1], []], [], failed=1)
+            line_targets([[1], []], [], failed=1, propagate={GHOST})
 
 
 class TestCicPredicates:
@@ -182,10 +182,7 @@ def test_send_erased_recognizes_windows(protocol_name):
     )
     msg.send_time = 50.0
     assert not protocol.send_erased(msg)
-    if protocol_name == "independent":
-        protocol.ghost_windows[0].append((40.0, 60.0))
-    else:
-        protocol.ghost_windows.append((40.0, 60.0))
+    protocol.ghost_windows[0].append((40.0, 60.0))
     assert protocol.send_erased(msg)
     for boundary in (40.0, 60.0):  # closed interval, both ends erased
         msg.send_time = boundary

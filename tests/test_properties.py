@@ -1,11 +1,17 @@
 """Property-based tests (hypothesis) on the core data structures and the
 recovery-line computations."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ddv import DDV
-from repro.core.recovery_line import cascade_targets, compute_min_sns
-from repro.baselines.independent import domino_targets
+from repro.core.recovery_line import (
+    GHOST,
+    IN_TRANSIT,
+    cascade_targets,
+    compute_min_sns,
+    line_targets,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Tally
 
@@ -228,12 +234,58 @@ def domino_instance(draw):
     return checkpoints, edges, failed
 
 
+#: no sender logs: both inconsistency directions propagate
+DOMINO = (GHOST, IN_TRANSIT)
+#: sender logs replay in-transit messages: only ghosts propagate
+GHOST_ONLY = (GHOST,)
+
+
+def rescan_line_targets(checkpoints, edges, failed, propagate):
+    """Reference fixpoint: rescan every edge until nothing moves.
+
+    The pre-worklist formulation (O(iterations x edges)), kept here as the
+    oracle :func:`line_targets` must agree with for every ``propagate``.
+    """
+    INF = float("inf")
+    target = [INF] * len(checkpoints)
+    target[failed] = checkpoints[failed][-1]
+
+    def lower(cluster, epoch):
+        best = max((n for n in checkpoints[cluster] if n <= epoch), default=0)
+        if best < target[cluster]:
+            target[cluster] = best
+            return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for src, send_epoch, dst, recv_epoch in edges:
+            sent_kept = send_epoch < target[src]
+            recv_kept = recv_epoch < target[dst]
+            if GHOST in propagate and recv_kept and not sent_kept:
+                changed |= lower(dst, recv_epoch)
+            elif IN_TRANSIT in propagate and sent_kept and not recv_kept:
+                changed |= lower(src, send_epoch)
+    return [None if t == INF else int(t) for t in target]
+
+
+@pytest.mark.parametrize("propagate", [DOMINO, GHOST_ONLY], ids=["domino", "ghost-only"])
+@given(domino_instance())
+@settings(max_examples=150, deadline=None)
+def test_line_targets_match_rescan_reference(propagate, inst):
+    checkpoints, edges, failed = inst
+    assert line_targets(checkpoints, edges, failed, propagate) == rescan_line_targets(
+        checkpoints, edges, failed, propagate
+    )
+
+
 @given(domino_instance())
 @settings(max_examples=150, deadline=None)
 def test_domino_fixpoint_is_consistent(inst):
     """At the fixpoint no message is half-erased."""
     checkpoints, edges, failed = inst
-    targets = domino_targets(checkpoints, edges, failed)
+    targets = line_targets(checkpoints, edges, failed, DOMINO)
     INF = float("inf")
     eff = [t if t is not None else INF for t in targets]
     for src, se, dst, re in edges:
@@ -244,8 +296,39 @@ def test_domino_fixpoint_is_consistent(inst):
 
 @given(domino_instance())
 @settings(max_examples=150, deadline=None)
+def test_ghost_only_fixpoint_leaves_no_ghost(inst):
+    """With sender logs a kept send may lose its receive, never the reverse."""
+    checkpoints, edges, failed = inst
+    targets = line_targets(checkpoints, edges, failed, GHOST_ONLY)
+    INF = float("inf")
+    eff = [t if t is not None else INF for t in targets]
+    for src, se, dst, re in edges:
+        assert se < eff[src] or not re < eff[dst]
+
+
+@given(domino_instance())
+@settings(max_examples=150, deadline=None)
 def test_domino_faulty_always_rolls(inst):
     checkpoints, edges, failed = inst
-    targets = domino_targets(checkpoints, edges, failed)
-    assert targets[failed] is not None
-    assert targets[failed] <= checkpoints[failed][-1]
+    for propagate in (DOMINO, GHOST_ONLY):
+        targets = line_targets(checkpoints, edges, failed, propagate)
+        assert targets[failed] is not None
+        assert targets[failed] <= checkpoints[failed][-1]
+
+
+@given(domino_instance())
+@settings(max_examples=150, deadline=None)
+def test_sender_logs_never_roll_a_cluster_further_back(inst):
+    """``propagate={GHOST}`` is never worse than the full domino on the
+    same input: a cluster it rolls back, the domino rolls at least as far."""
+    checkpoints, edges, failed = inst
+    logged = line_targets(checkpoints, edges, failed, GHOST_ONLY)
+    domino = line_targets(checkpoints, edges, failed, DOMINO)
+    for with_logs, without in zip(logged, domino):
+        if with_logs is not None:
+            assert without is not None and without <= with_logs
+
+
+def test_line_targets_rejects_unknown_direction():
+    with pytest.raises(ValueError):
+        line_targets([[1], [1]], [], 0, propagate=("ghost", "orphan"))

@@ -52,7 +52,7 @@ class TestFailureDuringRound:
         fed.start()
         fed.sim.run(until=10.0)
         agent = fed.node(NodeId(0, 1)).agent
-        agent.in_round = True
+        agent.frozen = True
         agent.app_send(NodeId(0, 0), 64, None)
         assert len(agent.queued_out) == 1
         fed.inject_failure(NodeId(0, 1))

@@ -22,7 +22,7 @@ from repro.experiments import registry
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import Experiment
 from repro.serve import HotTier, ServeApp, start_in_thread
-from repro.serve.stats import LatencyRing
+from repro.serve.stats import LatencyRing, ServeStats
 
 try:
     import fcntl
@@ -109,6 +109,16 @@ class TestLatencyRing:
 
     def test_empty_ring_reports_zero(self):
         assert LatencyRing().percentile(99) == 0.0
+
+    def test_route_count_outlives_the_ring_window(self):
+        """The ring forgets old samples; the route's request count must not."""
+        stats = ServeStats(ring_size=4)
+        for i in range(10):
+            stats.observe("/r", 200, i / 1e3)
+        route = stats.snapshot()["routes"]["/r"]
+        assert route["count"] == 10
+        assert route["window"] == 4
+        assert route["p99_ms"] == pytest.approx(9.0)  # percentiles: last 4 only
 
 
 # ----------------------------------------------------- synthetic experiment

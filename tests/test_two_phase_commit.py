@@ -6,6 +6,7 @@ from repro.core.clc import CheckpointCause
 from repro.network.message import MessageKind, NodeId
 from repro.app.process import scripted_sender_factory
 from tests.conftest import make_federation
+from tests.oracles.consistency import assert_consistent, attach_oracle
 
 
 def run_initial(fed):
@@ -124,11 +125,11 @@ class TestFreezing:
         fed.start()
         fed.sim.run(until=5.0)
         agent = fed.node(NodeId(0, 1)).agent
-        agent.in_round = True  # simulate freeze window
+        agent.frozen = True  # simulate freeze window
         agent.app_send(NodeId(0, 0), 10, {"n": 1})
         agent.app_send(NodeId(0, 0), 10, {"n": 2})
         assert fed.fabric.app_message_count(0, 0) == 0
-        agent.apply_commit()
+        agent.unfreeze()
         fed.sim.run(until=6.0)
         assert fed.fabric.app_message_count(0, 0) == 2
 
@@ -137,7 +138,7 @@ class TestFreezing:
         fed.start()
         fed.sim.run(until=5.0)
         agent = fed.node(NodeId(1, 0)).agent
-        agent.in_round = True
+        agent.frozen = True
         # hand-craft an inter-cluster arrival
         from repro.core.hc3i import Piggyback
         from repro.network.message import Message
@@ -150,7 +151,7 @@ class TestFreezing:
         assert agent.deferred_in == [msg]
         cs = fed.protocol.cluster_states[1]
         assert msg.msg_id not in cs.delivered_ids
-        agent.apply_commit()
+        agent.unfreeze()
         fed.sim.run(until=6.0)
         assert msg.msg_id in cs.delivered_ids
 
@@ -186,3 +187,126 @@ class TestManualCheckpoint:
         # initial (~0), manual (~90), then timer at ~190 -- NOT at 100
         assert len(times) == 3
         assert times[2] == pytest.approx(190.0, abs=1.0)
+
+
+# ----------------------------------------------------------------------
+# the 2PC contract, once, for every family that runs rounds
+# ----------------------------------------------------------------------
+
+#: family -> nodes taking part in each round the t=10 timers start on a
+#: 2 x 3 federation: the participant set is what a family chooses
+ROUND_FAMILIES = {
+    "hc3i": [3, 3],                 # one round per cluster
+    "independent": [3, 3],
+    "clc-cic": [3, 3],
+    "min-process": [3],             # one round at a time; nothing entangled yet
+    "global-coordinated": [6],      # the whole federation
+}
+
+ROUND_KINDS = ("clc_request", "clc_ack", "clc_commit")
+
+
+def record_sends(fed):
+    """Every message handed to the fabric, as ``(time, msg)``, in order."""
+    sent = []
+    fabric_send = fed.fabric.send
+
+    def shim(msg):
+        sent.append((fed.sim.now, msg))
+        return fabric_send(msg)
+
+    fed.fabric.send = shim
+    return sent
+
+
+def step_until(fed, condition, limit=100_000):
+    for _ in range(limit):
+        if condition():
+            return
+        assert fed.sim.step(), "simulation drained before the condition held"
+    raise AssertionError("condition never held")
+
+
+@pytest.mark.parametrize("protocol", sorted(ROUND_FAMILIES))
+class TestRoundContract:
+    def test_round_costs_participants_minus_one_of_each(self, protocol):
+        fed = make_federation(
+            n_clusters=2, nodes=3, clc_period=10.0, total_time=15.0, protocol=protocol
+        )
+        fed.start()
+        fed.sim.run(until=5.0)  # initial checkpoints settle
+
+        def counts():
+            return [fed.stats.counter(f"net/protocol/{k}").value for k in ROUND_KINDS]
+
+        before = counts()
+        fed.sim.run(until=15.0)
+        expected = sum(p - 1 for p in ROUND_FAMILIES[protocol])
+        assert [a - b for a, b in zip(counts(), before)] == [expected] * 3
+
+    def test_sends_inside_the_window_leave_in_order_after_commit(self, protocol):
+        fed = make_federation(
+            n_clusters=2, nodes=3, clc_period=10.0, total_time=15.0, protocol=protocol
+        )
+        sent = record_sends(fed)
+        fed.start()
+        fed.sim.run(until=9.0)
+        node = fed.node(NodeId(0, 1))
+        step_until(fed, lambda: node.agent.frozen)
+        frozen_at = fed.sim.now
+        for size in (100, 200, 300):
+            node.send_app(NodeId(0, 2), size)
+        assert len(node.agent.queued_out) == 3
+        fed.sim.run(until=15.0)
+
+        assert not node.agent.frozen and node.agent.queued_out == []
+        commit_at = next(
+            t for t, m in sent
+            if m.kind is MessageKind.CLC_COMMIT and m.dst == node.id and t >= frozen_at
+        )
+        app = [(t, m.size) for t, m in sent if m.kind is MessageKind.APP and m.src == node.id]
+        assert [size for _, size in app] == [100, 200, 300]
+        assert all(t > commit_at for t, _ in app)
+
+    def test_participant_crash_between_request_and_commit(self, protocol):
+        """ROADMAP correctness 3b: crash during the 2PC freeze."""
+        victim, bystander = NodeId(0, 1), NodeId(0, 2)
+        fed = make_federation(
+            n_clusters=2, nodes=3, clc_period=50.0, total_time=145.0, protocol=protocol,
+            app_factory=scripted_sender_factory({
+                # dependencies in both directions, captured by the first
+                # timer round (t ~ 50); the second one (t ~ 100) is crashed
+                NodeId(0, 2): [(5.0, NodeId(1, 1), 256), (125.0, NodeId(1, 2), 256)],
+                NodeId(1, 1): [(8.0, NodeId(0, 2), 256), (130.0, NodeId(0, 1), 256)],
+            }),
+        )
+        oracle = attach_oracle(fed)
+        fed.start()
+        fed.sim.run(until=90.0)
+        leader = fed.node(NodeId(0, 0))
+        round_ = leader.agent.round
+        step_until(fed, lambda: round_.collecting and fed.node(bystander).agent.frozen)
+        crashed_at = fed.sim.now
+        assert crashed_at < 120.0
+        # a send caught inside the window the crash is about to strand
+        fed.node(bystander).send_app(NodeId(1, 0), 512)
+        assert fed.node(bystander).agent.queued_out
+        fed.inject_failure(victim)
+
+        detection = crashed_at + fed.timers.failure_detection_delay
+        fed.sim.run(until=detection - 0.01)
+        assert round_.collecting, "the round must stall on the dead node's ack"
+        assert leader.agent.frozen
+        fed.sim.run(until=detection + 0.01)
+        assert not round_.collecting, "the rollback must abort the round"
+
+        fed.sim.run(until=140.0)  # recovered; the next timer round is not due yet
+        assert fed.node(victim).up
+        for cluster in fed.clusters:
+            for node in cluster.nodes:
+                assert not node.agent.frozen, f"{node.id} still frozen"
+                assert node.agent.queued_out == [], f"{node.id} strands queued sends"
+        fed.sim.run(until=145.0)
+        report = assert_consistent(fed, oracle)
+        # the pre-round exchange survives the rollback, the post-recovery one ran
+        assert report.delivered == 4 and report.erasures >= 1
