@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -55,6 +54,11 @@ from repro.analysis.reporting import format_table
 from repro.cluster.federation import Federation
 from repro.config.loader import ScenarioConfig, load_scenario
 from repro.core.protocol import protocol_names
+from repro.experiments.registry import (
+    SCALE_PROFILES,
+    coerce_set_value,
+    resolve_overrides,
+)
 from repro.sim.trace import TraceLevel
 
 __all__ = [
@@ -73,13 +77,6 @@ def build_lint_parser() -> argparse.ArgumentParser:
     from repro.lint.cli import build_parser as build
 
     return build()
-
-#: grid overrides per --scale profile ("full" = the grids' paper defaults)
-SCALE_PROFILES = {
-    "full": {},
-    "small": {"nodes": 10, "total_time": 7200.0},
-    "tiny": {"nodes": 4, "total_time": 1800.0},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,118 +106,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", action="store_true", help="emit results as JSON instead of tables"
     )
-    parser.add_argument(
-        "--experiment",
-        help=(
-            "run a named paper experiment instead of a scenario "
-            f"({', '.join(sorted(EXPERIMENTS))})"
-        ),
-    )
-    parser.add_argument(
-        "--scale",
-        choices=["full", "small"],
-        default="small",
-        help="experiment scale: 'full' = the paper's 100 nodes / 10 h",
-    )
     return parser
 
 
-def _experiment_names() -> list:
-    from repro.experiments import registry
+def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
+    """``--scale``/``--set``/``--seed`` through the registry's one resolver.
 
-    return registry.names()
-
-
-EXPERIMENTS = tuple(_experiment_names())
-
-
-def _sweep_overrides(
-    experiment,
-    scale: str,
-    seed: Optional[int] = None,
-    sets: Optional[dict] = None,
-) -> dict:
-    """Grid overrides for one experiment under a --scale profile.
-
-    Scale keys an experiment's grid does not understand are dropped
-    silently (that is what makes one profile applicable to heterogeneous
-    grids), but explicit ``--seed`` / ``--set key=value`` overrides must
-    never be ignored: an unknown key is an error, not a no-op.
+    Its :class:`ValueError` (malformed pair, non-finite value, key the grid
+    does not take) becomes a clean exit: an explicit flag is never a
+    silent no-op.
     """
-    overrides = dict(SCALE_PROFILES[scale]) if experiment.scaled else {}
-    for key, value in (sets or {}).items():
-        if key not in experiment.grid_kwargs({key: value}):
-            import inspect
-
-            accepted = sorted(inspect.signature(experiment.grid).parameters)
-            raise SystemExit(
-                f"experiment {experiment.name!r} does not accept --set {key}=...; "
-                f"its grid takes: {', '.join(accepted) or '(nothing)'}"
-            )
-        overrides[key] = value
-    if seed is not None:
-        if "seed" not in experiment.grid_kwargs({"seed": seed}):
-            raise SystemExit(
-                f"experiment {experiment.name!r} does not accept --seed"
-            )
-        overrides["seed"] = seed
-    return overrides
-
-
-def coerce_set_value(raw: str):
-    """Type a ``--set`` value: bool, int, float, JSON lists, else str.
-
-    ``true``/``false`` (any case) become booleans; anything ``json.loads``
-    accepts keeps its JSON type (``5`` -> int, ``5.0`` -> float,
-    ``[5, 15]`` -> list); everything else stays a string.  Non-finite
-    floats are rejected here with a clean error -- grid points must
-    survive a strict JSON round-trip, so NaN/Infinity could never run.
-    """
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
     try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-    if _has_non_finite(value):
-        raise SystemExit(f"--set value {raw!r} contains a non-finite number")
-    return value
-
-
-def _has_non_finite(value) -> bool:
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, list):
-        return any(_has_non_finite(v) for v in value)
-    if isinstance(value, dict):
-        return any(_has_non_finite(v) for v in value.values())
-    return False
-
-
-def _parse_set_overrides(pairs) -> dict:
-    sets = {}
-    for pair in pairs or []:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"--set expects KEY=VALUE, got {pair!r}")
-        sets[key] = coerce_set_value(raw)
-    return sets
-
-
-def _run_experiment(name: str, scale: str) -> int:
-    """Legacy ``--experiment`` path: one serial, uncached run."""
-    from repro.experiments import registry
-    from repro.experiments.runner import run_experiment
-
-    try:
-        experiment = registry.get(name)
-    except KeyError:
-        raise SystemExit(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    report = run_experiment(experiment, overrides=_sweep_overrides(experiment, scale))
-    print(report.result.render())
-    return 0
+        sets = {}
+        for pair in set_pairs:
+            key, sep, raw = pair.partition("=")
+            if not sep or not key:
+                raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
+            sets[key] = coerce_set_value(raw)
+        return resolve_overrides(experiment, scale, sets=sets, seed=seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -389,9 +294,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     cache = None
     if not args.no_cache:
         cache = ResultCache(root=args.cache_dir)
-    overrides = _sweep_overrides(
-        experiment, args.scale, args.seed, _parse_set_overrides(args.sets)
-    )
+    overrides = _overrides_or_exit(experiment, args.scale, args.sets, args.seed)
     if args.hosts and args.backend != "ssh":
         # same rule as --set/--seed: an explicit flag is never a silent no-op
         raise SystemExit(
@@ -526,7 +429,7 @@ ABLATE_TARGETS = {"hc3i": "ablation-components"}
 
 
 def build_ablate_parser() -> argparse.ArgumentParser:
-    from repro.experiments.ablations import ABLATION_METRICS
+    from repro.experiments.studies import ABLATION_METRICS
 
     parser = argparse.ArgumentParser(
         prog="repro ablate",
@@ -585,7 +488,7 @@ def build_ablate_parser() -> argparse.ArgumentParser:
 
 def _ablate_main(argv: Sequence[str]) -> int:
     from repro.experiments import registry
-    from repro.experiments.ablations import (
+    from repro.experiments.studies import (
         component_importance,
         render_importance_markdown,
     )
@@ -595,7 +498,7 @@ def _ablate_main(argv: Sequence[str]) -> int:
     args = build_ablate_parser().parse_args(argv)
     experiment = registry.get(ABLATE_TARGETS[args.target])
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
-    overrides = _sweep_overrides(experiment, args.scale, args.seed)
+    overrides = _overrides_or_exit(experiment, args.scale, seed=args.seed)
     report = run_experiment(
         experiment, overrides=overrides, jobs=args.jobs, cache=cache
     )
@@ -829,8 +732,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.experiment:
-        return _run_experiment(args.experiment, args.scale)
     scenario = _load(args)
     if args.protocol:
         scenario.protocol = args.protocol

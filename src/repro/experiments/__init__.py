@@ -3,76 +3,21 @@
 Every experiment is declared as three pure pieces -- a parameter ``grid``,
 a picklable per-point function, and a ``reduce`` step that assembles the
 paper's table/series -- registered in
-:mod:`repro.experiments.registry`.  The sweep engine
+:mod:`repro.experiments.registry`.  The protocol comparisons and
+ablations share one grid/point/reduce and are rows of the table in
+:mod:`repro.experiments.studies`.  The sweep engine
 (:mod:`repro.experiments.runner`) fans grid points out over a pluggable
 execution backend (:mod:`repro.experiments.backends` -- local process
 pool, SSH multi-host fan-out, or an in-process test double) and memoizes
-them in a content-addressed cache (:mod:`repro.experiments.cache`);
-``repro sweep <name>`` is the CLI entry point, and ``docs/sweeps.md`` the
-user guide.
+them in a content-addressed cache (:mod:`repro.experiments.cache`).
 
-The historical one-call-per-experiment functions below remain the
-library API; they run the same grid/point/reduce pipeline serially, so
-both paths produce identical results.
+The registry is the only entry point: ``run_experiment(name,
+overrides).result`` from code, ``repro sweep <name>`` from the shell
+(``docs/sweeps.md`` is the user guide).  All scaled experiments accept
+``nodes`` and ``total_time`` so tests can exercise them at reduced
+scale; defaults reproduce the paper (100 nodes per cluster, 10-hour
+application).
 
-All scaled experiments accept ``nodes`` and ``total_time`` so tests can
-exercise them at reduced scale; defaults reproduce the paper (100 nodes
-per cluster, 10-hour application).
+Importing this package imports no experiment module; the registry loads
+them on first use.
 """
-
-from repro.experiments.common import ExperimentResult, run_federation
-from repro.experiments.registry import (
-    Experiment,
-    all_experiments,
-    derive_seed,
-    load_all,
-)
-from repro.experiments.table1 import table1_message_counts
-from repro.experiments.fig6_fig7 import clc_delay_sweep
-from repro.experiments.fig8 import cluster1_timer_sweep
-from repro.experiments.fig9 import communication_pattern_sweep
-from repro.experiments.table2_table3 import (
-    gc_three_clusters,
-    gc_two_clusters,
-    no_gc_reference,
-)
-from repro.experiments.figure5 import figure5_scenario
-from repro.experiments.overhead import protocol_overhead
-from repro.experiments.robustness import multi_seed_robustness
-from repro.experiments.failure_sweep import mtbf_sweep
-from repro.experiments.scalability import federation_scaling
-from repro.experiments.ablations import (
-    baseline_comparison,
-    gc_period_sweep,
-    incremental_checkpoint_ablation,
-    message_logging_ablation,
-    replication_degree_sweep,
-    transitive_ddv_ablation,
-)
-
-__all__ = [
-    "Experiment",
-    "ExperimentResult",
-    "all_experiments",
-    "baseline_comparison",
-    "clc_delay_sweep",
-    "cluster1_timer_sweep",
-    "communication_pattern_sweep",
-    "derive_seed",
-    "figure5_scenario",
-    "gc_period_sweep",
-    "federation_scaling",
-    "gc_three_clusters",
-    "gc_two_clusters",
-    "incremental_checkpoint_ablation",
-    "load_all",
-    "message_logging_ablation",
-    "mtbf_sweep",
-    "multi_seed_robustness",
-    "no_gc_reference",
-    "protocol_overhead",
-    "replication_degree_sweep",
-    "run_federation",
-    "table1_message_counts",
-    "transitive_ddv_ablation",
-]

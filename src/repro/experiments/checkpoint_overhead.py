@@ -34,7 +34,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import Experiment, register
 from repro.sim import snapshot
 
-__all__ = ["checkpoint_overhead"]
+__all__ = ["EXPERIMENT"]
 
 #: snapshot interval as a fraction of the run's horizon (None = no snapshots)
 DEFAULT_INTERVAL_FRACS = [None, 0.5, 0.25, 0.1, 0.05]
@@ -148,21 +148,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def checkpoint_overhead(
-    interval_fracs: Optional[Sequence[Optional[float]]] = None,
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    seed: int = 42,
-) -> ExperimentResult:
-    """Snapshot count/size decomposition across checkpoint intervals."""
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        interval_fracs=list(interval_fracs) if interval_fracs is not None else None,
-        nodes=nodes,
-        total_time=total_time,
-        seed=seed,
-    )

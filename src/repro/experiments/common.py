@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.analysis.reporting import format_series, format_table
 from repro.cluster.federation import Federation
@@ -22,8 +22,13 @@ def run_federation(
     trace_level: TraceLevel = TraceLevel.NONE,
     app_factory=None,
     until: Optional[float] = None,
+    failures: Sequence[tuple] = (),
 ) -> tuple:
-    """Build and run one federation; returns ``(federation, results)``."""
+    """Build and run one federation; returns ``(federation, results)``.
+
+    ``failures`` is a schedule of ``(time, NodeId)`` crashes, injected
+    after the federation has started and before the kernel runs.
+    """
     fed = Federation(
         topology,
         application,
@@ -34,6 +39,9 @@ def run_federation(
         trace_level=trace_level,
         app_factory=app_factory,
     )
+    fed.start()
+    for at, victim in failures:
+        fed.sim.schedule_at(at, fed.inject_failure, victim)
     results = fed.run(until=until)
     return fed, results
 
@@ -44,8 +52,8 @@ class ExperimentResult:
 
     ``rows``/``headers`` hold table-style output; sweep experiments fill
     ``xs``/``series`` instead (or additionally).  ``paper`` records the
-    reference values/claims from the publication so EXPERIMENTS.md and the
-    bench output can show paper-vs-measured side by side.
+    reference values/claims from the publication so ``render()`` can show
+    paper-vs-measured side by side.
 
     Everything here is plain data (scalars, strings, lists) so results
     pickle cleanly through the sweep cache and across worker processes.

@@ -29,7 +29,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import Experiment, register
 from repro.sim.trace import TraceLevel
 
-__all__ = ["mtbf_sweep"]
+__all__ = ["EXPERIMENT"]
 
 DEFAULT_MTBFS = [4 * HOUR, 2 * HOUR, HOUR, HOUR / 2]
 DEFAULT_PROTOCOLS = ("hc3i", "global-coordinated", "pessimistic-log")
@@ -126,24 +126,3 @@ EXPERIMENT = register(
         scaled=False,
     )
 )
-
-
-def mtbf_sweep(
-    mtbfs: Optional[Sequence[float]] = None,
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    nodes: int = 10,
-    total_time: float = 8 * HOUR,
-    clc_period: float = 20 * MINUTE,
-    seed: int = 42,
-) -> ExperimentResult:
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        mtbfs=list(mtbfs) if mtbfs is not None else None,
-        protocols=list(protocols),
-        nodes=nodes,
-        total_time=total_time,
-        clc_period=clc_period,
-        seed=seed,
-    )

@@ -18,7 +18,6 @@ Paper shapes to reproduce:
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 from repro.app.workloads import TOTAL_TIME, table1_workload
@@ -26,7 +25,7 @@ from repro.config.timers import MINUTE
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, register
 
-__all__ = ["clc_delay_sweep", "DEFAULT_DELAYS_MIN"]
+__all__ = ["DEFAULT_DELAYS_MIN", "EXPERIMENT"]
 
 DEFAULT_DELAYS_MIN = [5, 10, 15, 20, 30, 45, 60, 90, 120]
 
@@ -108,29 +107,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def clc_delay_sweep(
-    delays_min: Optional[Sequence[float]] = None,
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    seed: int = 42,
-    protocol: str = "hc3i",
-    parallel: bool = False,
-) -> ExperimentResult:
-    """Sweep cluster 0's CLC timer; report per-cluster forced/unforced CLCs.
-
-    ``parallel=True`` fans the (independent, deterministic) sweep points
-    out over a process pool.
-    """
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        jobs=(os.cpu_count() or 1) if parallel else 1,
-        delays_min=list(delays_min) if delays_min is not None else None,
-        nodes=nodes,
-        total_time=total_time,
-        seed=seed,
-        protocol=protocol,
-    )

@@ -16,7 +16,7 @@ from repro.config.timers import MINUTE
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, register
 
-__all__ = ["cluster1_timer_sweep", "DEFAULT_C1_DELAYS_MIN"]
+__all__ = ["DEFAULT_C1_DELAYS_MIN", "EXPERIMENT"]
 
 DEFAULT_C1_DELAYS_MIN = [15, 20, 25, 30, 40, 50, 60]
 
@@ -91,24 +91,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def cluster1_timer_sweep(
-    delays_min: Optional[Sequence[float]] = None,
-    cluster0_delay_min: float = 30.0,
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    seed: int = 42,
-    protocol: str = "hc3i",
-) -> ExperimentResult:
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        delays_min=list(delays_min) if delays_min is not None else None,
-        cluster0_delay_min=cluster0_delay_min,
-        nodes=nodes,
-        total_time=total_time,
-        seed=seed,
-        protocol=protocol,
-    )

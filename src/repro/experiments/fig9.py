@@ -17,7 +17,7 @@ from repro.config.timers import MINUTE
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, register
 
-__all__ = ["communication_pattern_sweep", "DEFAULT_MESSAGE_COUNTS"]
+__all__ = ["DEFAULT_MESSAGE_COUNTS", "EXPERIMENT"]
 
 DEFAULT_MESSAGE_COUNTS = [10, 30, 50, 70, 90, 110]
 
@@ -104,24 +104,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def communication_pattern_sweep(
-    message_counts: Optional[Sequence[int]] = None,
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    clc_period_min: float = 30.0,
-    seed: int = 42,
-    protocol: str = "hc3i",
-) -> ExperimentResult:
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        message_counts=list(message_counts) if message_counts is not None else None,
-        nodes=nodes,
-        total_time=total_time,
-        clc_period_min=clc_period_min,
-        seed=seed,
-        protocol=protocol,
-    )

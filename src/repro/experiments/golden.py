@@ -7,9 +7,9 @@ per experiment, which is what the golden suite
 (``tests/test_trace_golden.py``) compares against the committed digests in
 ``tests/golden/trace_digests.json``.
 
-The tiny-scale overrides here intentionally mirror the cross-backend
-equivalence suite (``tests/test_cross_backend.py``): same grids, same
-seeds, so a digest divergence can be cross-checked against a result-level
+The cross-backend equivalence suite (``tests/test_cross_backend.py``)
+runs the same tiny grids with the same seeds (:func:`golden_overrides`),
+so a digest divergence can be cross-checked against a result-level
 divergence directly.
 """
 
@@ -30,24 +30,20 @@ __all__ = [
 #: fixed grid seed for experiments whose grid takes one
 GOLDEN_SEED = 7
 
-#: the CLI's --scale tiny profile (duplicated from repro.cli to keep this
-#: module importable without pulling in argparse plumbing)
-TINY_PROFILE = {"nodes": 4, "total_time": 1800.0}
-
 #: non-scaled experiments that still accept shrinking kwargs
 EXTRA_TINY = {"scaling": {"shapes": [[2, 4], [3, 3]], "total_time": 900.0}}
 
 
 def golden_overrides(experiment) -> dict:
     """Tiny-scale grid overrides for one experiment (seed pinned)."""
-    overrides = dict(TINY_PROFILE) if experiment.scaled else {}
-    overrides = experiment.grid_kwargs(overrides)
-    extra = EXTRA_TINY.get(experiment.name)
-    if extra:
-        overrides.update(extra)
-    if "seed" in experiment.grid_kwargs({"seed": GOLDEN_SEED}):
-        overrides.setdefault("seed", GOLDEN_SEED)
-    return overrides
+    accepted = experiment.grid_parameters()
+    takes_seed = accepted is None or "seed" in accepted
+    return registry.resolve_overrides(
+        experiment,
+        "tiny",
+        sets=EXTRA_TINY.get(experiment.name),
+        seed=GOLDEN_SEED if takes_seed else None,
+    )
 
 
 def experiment_digest(name: str, overrides: Optional[dict] = None) -> dict:

@@ -29,7 +29,7 @@ from repro.config.timers import MINUTE
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, register
 
-__all__ = ["protocol_overhead"]
+__all__ = ["EXPERIMENT"]
 
 _CONTROL_KINDS = ("clc_request", "clc_ack", "clc_commit", "clc_initiate")
 
@@ -151,21 +151,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def protocol_overhead(
-    timers_min: Optional[Sequence[Optional[float]]] = None,
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    seed: int = 42,
-) -> ExperimentResult:
-    """Cost decomposition across CLC timer settings (both clusters equal)."""
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        timers_min=list(timers_min) if timers_min is not None else None,
-        nodes=nodes,
-        total_time=total_time,
-        seed=seed,
-    )

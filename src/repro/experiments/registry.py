@@ -14,10 +14,10 @@ Every experiment is three pure pieces:
 * ``reduce(grid, points) -> ExperimentResult`` -- assemble the paper's
   table/series from the per-point summaries, in grid order.
 
-The legacy per-experiment entry points (``table1_message_counts`` & co.)
-are thin wrappers that run the same grid/point/reduce pipeline serially
-in-process, so the parallel sweep path is identical-by-construction to
-the historical serial path.
+This module is also the one place that turns a ``--scale`` profile plus
+explicit ``--set``/``seed`` overrides into grid kwargs
+(:func:`resolve_overrides`); the CLI, the HTTP service and the golden
+suite all call it.
 """
 
 from __future__ import annotations
@@ -25,19 +25,30 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 __all__ = [
+    "SCALE_PROFILES",
     "Experiment",
     "all_experiments",
     "canonical_params",
+    "coerce_set_value",
     "derive_seed",
     "get",
     "load_all",
     "names",
     "register",
+    "resolve_overrides",
 ]
+
+#: grid overrides per scale profile ("full" = the grids' paper defaults)
+SCALE_PROFILES = {
+    "full": {},
+    "small": {"nodes": 10, "total_time": 7200.0},
+    "tiny": {"nodes": 4, "total_time": 1800.0},
+}
 
 #: modules whose import registers experiments (one per paper artifact group)
 _EXPERIMENT_MODULES = (
@@ -51,9 +62,8 @@ _EXPERIMENT_MODULES = (
     "repro.experiments.robustness",
     "repro.experiments.failure_sweep",
     "repro.experiments.scalability",
-    "repro.experiments.ablations",
+    "repro.experiments.studies",
     "repro.experiments.checkpoint_overhead",
-    "repro.experiments.tournament",
 )
 
 
@@ -72,16 +82,22 @@ class Experiment:
     scaled: bool = True
     tags: tuple = field(default_factory=tuple)
 
+    def grid_parameters(self) -> Optional[tuple]:
+        """Names of the kwargs this grid takes; ``None`` if it takes any."""
+        parameters = inspect.signature(self.grid).parameters
+        if any(
+            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
+        ):
+            return None
+        return tuple(parameters)
+
     def grid_kwargs(self, overrides: Optional[dict] = None) -> dict:
         """Filter ``overrides`` down to the kwargs this grid accepts."""
         overrides = overrides or {}
-        sig = inspect.signature(self.grid)
-        if any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in sig.parameters.values()
-        ):
+        accepted = self.grid_parameters()
+        if accepted is None:
             return dict(overrides)
-        return {k: v for k, v in overrides.items() if k in sig.parameters}
+        return {k: v for k, v in overrides.items() if k in accepted}
 
     def build_grid(self, overrides: Optional[dict] = None) -> list:
         grid = self.grid(**self.grid_kwargs(overrides))
@@ -149,6 +165,73 @@ def get(name: str) -> Experiment:
         raise KeyError(
             f"unknown experiment {name!r}; registered: {', '.join(sorted(_REGISTRY))}"
         ) from None
+
+
+def resolve_overrides(
+    experiment: Experiment,
+    scale: str,
+    sets: Optional[dict] = None,
+    seed: Optional[int] = None,
+) -> dict:
+    """Grid overrides for one experiment under a scale profile.
+
+    The profile applies only to ``scaled`` experiments, and its keys the
+    grid does not take are dropped (that is what makes one profile
+    applicable to heterogeneous grids).  Explicit overrides -- typed
+    ``sets`` values, then ``seed`` -- are never ignored: a key the grid
+    does not take raises :class:`ValueError` naming the keys it does.
+    """
+    if scale not in SCALE_PROFILES:
+        raise ValueError(
+            f"unknown scale {scale!r}; choose from {sorted(SCALE_PROFILES)}"
+        )
+    explicit = dict(sets or {})
+    if seed is not None:
+        explicit["seed"] = seed
+    accepted = experiment.grid_parameters()
+    if accepted is not None:
+        for key in explicit:
+            if key not in accepted:
+                raise ValueError(
+                    f"experiment {experiment.name!r} does not accept {key}=...; "
+                    f"its grid takes: {', '.join(sorted(accepted)) or '(nothing)'}"
+                )
+    profile = SCALE_PROFILES[scale] if experiment.scaled else {}
+    overrides = {
+        k: v for k, v in profile.items() if accepted is None or k in accepted
+    }
+    overrides.update(explicit)
+    return overrides
+
+
+def coerce_set_value(raw: str):
+    """Type a ``--set``/query-string value: bool, int, float, JSON lists, else str.
+
+    ``true``/``false`` (any case) become booleans; anything ``json.loads``
+    accepts keeps its JSON type (``5`` -> int, ``5.0`` -> float,
+    ``[5, 15]`` -> list); everything else stays a string.  Non-finite
+    floats raise :class:`ValueError` -- grid points must survive a strict
+    JSON round-trip, so NaN/Infinity could never run.
+    """
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+    if _has_non_finite(value):
+        raise ValueError(f"override value {raw!r} contains a non-finite number")
+    return value
+
+
+def _has_non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, list):
+        return any(_has_non_finite(v) for v in value)
+    if isinstance(value, dict):
+        return any(_has_non_finite(v) for v in value.values())
+    return False
 
 
 def canonical_params(params: dict) -> dict:

@@ -12,16 +12,15 @@ protocol and not of one lucky random stream:
 
 from __future__ import annotations
 
+import statistics
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.app.workloads import TOTAL_TIME, table1_workload
 from repro.config.timers import MINUTE
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, derive_seed, register
 
-__all__ = ["multi_seed_robustness"]
+__all__ = ["EXPERIMENT"]
 
 _METRICS = (
     "msgs 0->0",
@@ -88,14 +87,14 @@ def _reduce(grid: list, points: list) -> ExperimentResult:
     seeds = [params["seed"] for params in grid]
     rows = []
     for name in _METRICS:
-        arr = np.asarray([point[name] for point in points], dtype=float)
+        values = [point[name] for point in points]
         rows.append(
             (
                 name,
-                round(float(arr.mean()), 1),
-                round(float(arr.std(ddof=1)), 2) if len(arr) > 1 else 0.0,
-                int(arr.min()),
-                int(arr.max()),
+                round(statistics.fmean(values), 1),
+                round(statistics.stdev(values), 2) if len(values) > 1 else 0.0,
+                min(values),
+                max(values),
             )
         )
     clc_period_0 = grid[0]["clc_period_0"]
@@ -128,20 +127,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def multi_seed_robustness(
-    seeds: Optional[Sequence[int]] = None,
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    clc_period_0: float = 30 * MINUTE,
-) -> ExperimentResult:
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        seeds=list(seeds) if seeds is not None else None,
-        nodes=nodes,
-        total_time=total_time,
-        clc_period_0=clc_period_0,
-    )

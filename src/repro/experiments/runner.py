@@ -6,8 +6,7 @@ parallel: cache misses fan out over a pluggable execution backend
 an in-process test double) while hits return instantly from the
 content-addressed cache.  Determinism is structural: every point's
 params dict carries its own explicit seed, so ``--jobs 1``, ``--jobs N``
-and ``--backend ssh`` produce byte-identical results, and the legacy
-serial entry points share this exact pipeline.
+and ``--backend ssh`` produce byte-identical results.
 
 The runner owns fault tolerance.  Results are written to the local
 cache *as they arrive* (not after the sweep), so a partially failed
@@ -36,7 +35,7 @@ from repro.experiments.backends import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import Experiment
 
-__all__ = ["SweepError", "SweepReport", "run_experiment", "run_grid_inline"]
+__all__ = ["SweepError", "SweepReport", "run_experiment"]
 
 #: per-point reassignment budget after worker losses
 DEFAULT_MAX_RETRIES = 3
@@ -253,13 +252,3 @@ def _execute_pending(
             future.cancel()
         raise
     return retries
-
-
-def run_grid_inline(experiment: Experiment, jobs: int = 1, **grid_kwargs):
-    """Serial-compatible entry used by the legacy experiment functions.
-
-    Runs the registered grid/point/reduce pipeline in-process (or across
-    ``jobs`` workers) with no cache, returning the bare
-    ``ExperimentResult`` exactly as the historical functions did.
-    """
-    return run_experiment(experiment, overrides=grid_kwargs, jobs=jobs).result

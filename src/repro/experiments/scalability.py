@@ -24,7 +24,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import Experiment, register
 from repro.network.topology import ClusterSpec, Topology
 
-__all__ = ["federation_scaling"]
+__all__ = ["EXPERIMENT"]
 
 DEFAULT_SHAPES = [(2, 10), (2, 50), (2, 100), (4, 50), (8, 25), (16, 12)]
 
@@ -122,19 +122,3 @@ EXPERIMENT = register(
         scaled=False,
     )
 )
-
-
-def federation_scaling(
-    shapes: Optional[Sequence[tuple]] = None,
-    total_time: float = 1800.0,
-    seed: int = 42,
-) -> ExperimentResult:
-    """Sweep (n_clusters, nodes_per_cluster) shapes."""
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT,
-        shapes=[list(s) for s in shapes] if shapes is not None else None,
-        total_time=total_time,
-        seed=seed,
-    )

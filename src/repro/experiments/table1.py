@@ -18,7 +18,7 @@ from repro.app.workloads import TOTAL_TIME, table1_workload
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, register
 
-__all__ = ["table1_message_counts", "PAPER_TABLE1"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE1"]
 
 PAPER_TABLE1 = {(0, 0): 2920, (1, 1): 2497, (0, 1): 145, (1, 0): 11}
 
@@ -84,16 +84,3 @@ EXPERIMENT = register(
         reduce=_reduce,
     )
 )
-
-
-def table1_message_counts(
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    seed: int = 42,
-) -> ExperimentResult:
-    """Run the Table 1 workload and report the message-count matrix."""
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        EXPERIMENT, nodes=nodes, total_time=total_time, seed=seed
-    )

@@ -19,7 +19,7 @@ from repro.config.timers import HOUR
 from repro.experiments.common import ExperimentResult, run_federation
 from repro.experiments.registry import Experiment, register
 
-__all__ = ["gc_three_clusters", "gc_two_clusters", "no_gc_reference"]
+__all__ = ["NO_GC", "TABLE2", "TABLE3"]
 
 
 def _gc_table(gc_series: list) -> tuple:
@@ -145,7 +145,7 @@ def _no_gc_reduce(grid: list, points: list) -> ExperimentResult:
         paper={
             "stored_clcs": 63,
             "states_per_node": 126,
-            "peak_log": "4 (paper counts only entries still needed; see EXPERIMENTS.md)",
+            "peak_log": "4 (paper counts only entries still needed)",
         },
     )
 
@@ -233,54 +233,3 @@ TABLE3 = register(
         reduce=_table3_reduce,
     )
 )
-
-
-def gc_two_clusters(
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    gc_period: float = 2 * HOUR,
-    seed: int = 42,
-    gc_mode: str = "centralized",
-) -> ExperimentResult:
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        TABLE2,
-        nodes=nodes,
-        total_time=total_time,
-        gc_period=gc_period,
-        seed=seed,
-        gc_mode=gc_mode,
-    )
-
-
-def no_gc_reference(
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    seed: int = 42,
-) -> ExperimentResult:
-    """§5.4 sizing without garbage collection."""
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(NO_GC, nodes=nodes, total_time=total_time, seed=seed)
-
-
-def gc_three_clusters(
-    nodes: int = 100,
-    total_time: float = TOTAL_TIME,
-    gc_period: float = 2 * HOUR,
-    seed: int = 42,
-    inter_messages: int = 100,
-    gc_mode: str = "centralized",
-) -> ExperimentResult:
-    from repro.experiments.runner import run_grid_inline
-
-    return run_grid_inline(
-        TABLE3,
-        nodes=nodes,
-        total_time=total_time,
-        gc_period=gc_period,
-        seed=seed,
-        inter_messages=inter_messages,
-        gc_mode=gc_mode,
-    )

@@ -50,13 +50,6 @@ __all__ = ["ServeApp", "ServerHandle", "start_in_thread"]
 #: query keys with route-level meaning; everything else is a grid override
 _RESERVED_QUERY = {"scale", "index"}
 
-#: grid overrides per scale profile, mirroring the sweep CLI
-_SCALE_PROFILES = {
-    "full": {},
-    "small": {"nodes": 10, "total_time": 7200.0},
-    "tiny": {"nodes": 4, "total_time": 1800.0},
-}
-
 
 class _SweepCancelled(RuntimeError):
     """Raised inside the runner thread when the client went away."""
@@ -215,32 +208,16 @@ class ServeApp:
             exp = registry.get(name)
         except KeyError as exc:
             return None, None, json_response({"error": str(exc)}, status=404)
-        scale = request.query.get("scale", "tiny")
-        profile = _SCALE_PROFILES.get(scale)
-        if profile is None:
-            return None, None, json_response(
-                {"error": f"unknown scale {scale!r}; choose from {sorted(_SCALE_PROFILES)}"},
-                status=400,
-            )
-        overrides = dict(profile) if exp.scaled else {}
-        accepted = exp.grid_kwargs(
-            {k: None for k in request.query if k not in _RESERVED_QUERY}
-        )
-        from repro.cli import coerce_set_value
-
-        for key, raw in request.query.items():
-            if key in _RESERVED_QUERY:
-                continue
-            if key not in accepted:
-                return None, None, json_response(
-                    {"error": f"experiment {name!r} grid takes no parameter {key!r}"},
-                    status=400,
-                )
-            try:
-                overrides[key] = coerce_set_value(raw)
-            except SystemExit as exc:
-                return None, None, json_response({"error": str(exc)}, status=400)
         try:
+            overrides = registry.resolve_overrides(
+                exp,
+                request.query.get("scale", "tiny"),
+                sets={
+                    key: registry.coerce_set_value(raw)
+                    for key, raw in request.query.items()
+                    if key not in _RESERVED_QUERY
+                },
+            )
             grid = exp.build_grid(overrides)
         except (TypeError, ValueError) as exc:
             return None, None, json_response({"error": str(exc)}, status=400)
@@ -377,18 +354,15 @@ class ServeApp:
             exp = registry.get(spec["experiment"])
         except KeyError as exc:
             return json_response({"error": str(exc)}, status=404)
-        scale = spec.get("scale", "tiny")
-        profile = _SCALE_PROFILES.get(scale)
-        if profile is None:
-            return json_response(
-                {"error": f"unknown scale {scale!r}; choose from {sorted(_SCALE_PROFILES)}"},
-                status=400,
-            )
-        overrides = dict(profile) if exp.scaled else {}
         extra = spec.get("overrides", {})
         if not isinstance(extra, dict):
             return json_response({"error": '"overrides" must be an object'}, status=400)
-        overrides.update(extra)
+        try:
+            overrides = registry.resolve_overrides(
+                exp, spec.get("scale", "tiny"), sets=extra
+            )
+        except ValueError as exc:
+            return json_response({"error": str(exc)}, status=400)
         jobs = spec.get("jobs", 1)
         backend_name = spec.get("backend", "inprocess")
         if backend_name not in ("inprocess", "local"):

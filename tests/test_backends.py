@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import coerce_set_value, main
+from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.backends import (
     Backend,
@@ -34,8 +34,7 @@ from repro.experiments.backends import (
     parse_hosts,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import parallel_map
-from repro.experiments.registry import canonical_params
+from repro.experiments.registry import canonical_params, coerce_set_value
 from repro.experiments.remote_worker import run_job
 from repro.experiments.runner import SweepError, run_experiment
 
@@ -437,13 +436,6 @@ class TestRemoteWorker:
             backend.shutdown()
 
 
-class TestParallelMapBridge:
-    def test_backend_path_preserves_order_and_values(self):
-        backend = InProcessBackend(hosts=["w0", "w1", "w2"])
-        items = [{"i": i} for i in range(7)]
-        assert parallel_map(canonical_params, items, backend=backend) == items
-
-
 class TestSweepCliBackendFlags:
     def test_backend_local_explicit(self, tmp_path, capsys):
         rc = main(
@@ -534,11 +526,13 @@ class TestSetOverrides:
         "raw", ["NaN", "Infinity", "-Infinity", "[5, NaN]", '{"a": [Infinity]}']
     )
     def test_non_finite_set_values_rejected_cleanly(self, raw):
-        with pytest.raises(SystemExit, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             coerce_set_value(raw)
+        with pytest.raises(SystemExit, match="finite"):
+            main(["sweep", "table1", "--no-cache", "--set", f"nodes={raw}"])
 
     def test_set_unknown_key_is_an_error(self):
-        with pytest.raises(SystemExit, match="does not accept --set"):
+        with pytest.raises(SystemExit, match="does not accept bogus_key="):
             main(["sweep", "table1", "--no-cache", "--set", "bogus_key=1"])
 
     def test_set_malformed_pair_is_an_error(self):

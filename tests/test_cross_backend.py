@@ -25,9 +25,9 @@ from conftest import (
     make_k8s_backend,
     make_slurm_backend,
 )
-from repro.cli import SCALE_PROFILES, _sweep_overrides
 from repro.experiments import registry
 from repro.experiments.backends import InProcessBackend, SSHBackend
+from repro.experiments.golden import golden_overrides
 from repro.experiments.runner import run_experiment
 
 ALL_EXPERIMENTS = registry.names()
@@ -35,26 +35,12 @@ ALL_EXPERIMENTS = registry.names()
 #: unmarked smoke subset: every backend crossed in the fast lane
 SMOKE_EXPERIMENTS = ("table1", "fig6-fig7", "protocol-tournament", "ablation-components")
 
-#: tiny grids plus a fixed seed where the grid takes one, for cheap determinism
-assert "tiny" in SCALE_PROFILES
-
-#: non-scaled experiments that still accept shrinking kwargs
-EXTRA_TINY = {"scaling": {"shapes": [[2, 4], [3, 3]], "total_time": 900.0}}
-
 #: `scaling` measures wall-clock in whichever process runs the point (see
 #: scalability.py): its first N columns are deterministic, the rest timing.
 #: `checkpoint_overhead` reports pickle sizes, which drift by a few bytes
 #: between interpreter instances (hash randomization reorders set iteration
 #: and with it the pickle memo layout); interval/events/snapshots stay exact.
 DETERMINISTIC_COLUMNS = {"scaling": 5, "checkpoint_overhead": 3}
-
-
-def tiny_overrides(experiment) -> dict:
-    overrides = _sweep_overrides(experiment, "tiny")
-    overrides.update(EXTRA_TINY.get(experiment.name, {}))
-    if "seed" in experiment.grid_kwargs({"seed": 0}):
-        overrides.setdefault("seed", 7)
-    return overrides
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +52,7 @@ def serial_baseline():
         if name not in reports:
             experiment = registry.get(name)
             reports[name] = run_experiment(
-                experiment, overrides=tiny_overrides(experiment), jobs=1
+                experiment, overrides=golden_overrides(experiment), jobs=1
             )
         return reports[name]
 
@@ -75,7 +61,7 @@ def serial_baseline():
 
 def run_on_backend(name: str, backend_kind: str, tmp_path, stub_ssh):
     experiment = registry.get(name)
-    overrides = tiny_overrides(experiment)
+    overrides = golden_overrides(experiment)
     if backend_kind == "inprocess":
         backend = InProcessBackend(hosts=["w0", "w1", "w2"])
     elif backend_kind == "local":

@@ -1,25 +1,12 @@
 """Tests for the experiment harness at reduced scale.
 
 Each experiment must produce the paper's qualitative *shape* even in small
-runs; the full-scale numbers live in the benchmarks / EXPERIMENTS.md.
+runs; the full-scale numbers are held by ``tests/test_paper_fidelity.py``.
 """
 
 import pytest
 
-from repro.experiments import (
-    baseline_comparison,
-    clc_delay_sweep,
-    cluster1_timer_sweep,
-    communication_pattern_sweep,
-    gc_period_sweep,
-    gc_three_clusters,
-    gc_two_clusters,
-    message_logging_ablation,
-    no_gc_reference,
-    replication_degree_sweep,
-    table1_message_counts,
-    transitive_ddv_ablation,
-)
+from repro.experiments.runner import run_experiment
 
 HOUR = 3600.0
 
@@ -30,20 +17,20 @@ SMALL = {"nodes": 10, "total_time": 2 * HOUR}
 
 class TestTable1:
     def test_counts_scale_with_workload(self):
-        exp = table1_message_counts(seed=1, **SMALL)
+        exp = run_experiment("table1", {"seed": 1, **SMALL}).result
         measured = {(row[0], row[1]): row[2] for row in exp.rows}
         # intra-cluster flows dominate by ~an order of magnitude
         assert measured[("Cluster 0", "Cluster 0")] > 10 * measured[("Cluster 0", "Cluster 1")]
         assert measured[("Cluster 1", "Cluster 1")] > 10 * measured[("Cluster 1", "Cluster 0")]
 
     def test_directional_asymmetry(self):
-        exp = table1_message_counts(seed=1, **SMALL)
+        exp = run_experiment("table1", {"seed": 1, **SMALL}).result
         measured = {(row[0], row[1]): row[2] for row in exp.rows}
         # 0->1 carries ~13x more than 1->0 in the paper
         assert measured[("Cluster 0", "Cluster 1")] > measured[("Cluster 1", "Cluster 0")]
 
     def test_render_contains_table(self):
-        exp = table1_message_counts(seed=1, **SMALL)
+        exp = run_experiment("table1", {"seed": 1, **SMALL}).result
         text = exp.render()
         assert "Cluster 0" in text and "Paper" in text
 
@@ -51,7 +38,9 @@ class TestTable1:
 class TestFig6Fig7:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return clc_delay_sweep(delays_min=[5, 15, 30, 60], seed=2, **SMALL)
+        return run_experiment(
+            "fig6-fig7", {"delays_min": [5, 15, 30, 60], "seed": 2, **SMALL}
+        ).result
 
     def test_unforced_decreases_with_delay(self, sweep):
         unforced = sweep.series["c0 unforced"]
@@ -90,7 +79,7 @@ class TestFig6Fig7:
 
 class TestFig8:
     def test_c0_insensitive_to_c1_timer(self):
-        exp = cluster1_timer_sweep(delays_min=[15, 30, 60], seed=3, **SMALL)
+        exp = run_experiment("fig8", {"delays_min": [15, 30, 60], "seed": 3, **SMALL}).result
         c0_total = exp.series["c0 total"]
         assert max(c0_total) - min(c0_total) <= 2
         c1_total = exp.series["c1 total"]
@@ -100,9 +89,9 @@ class TestFig8:
 class TestFig9:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return communication_pattern_sweep(
-            message_counts=[10, 60, 110], seed=4, **SMALL
-        )
+        return run_experiment(
+            "fig9", {"message_counts": [10, 60, 110], "seed": 4, **SMALL}
+        ).result
 
     def test_c0_forced_grows_fast(self, sweep):
         forced = sweep.series["c0 forced"]
@@ -123,7 +112,7 @@ class TestFig9:
 
 class TestTables2And3:
     def test_gc_two_clusters_shape(self):
-        exp = gc_two_clusters(gc_period=0.5 * HOUR, seed=5, **SMALL)
+        exp = run_experiment("table2", {"gc_period": 0.5 * HOUR, "seed": 5, **SMALL}).result
         assert len(exp.rows) >= 3
         for row in exp.rows:
             _, b0, a0, b1, a1 = row
@@ -131,7 +120,7 @@ class TestTables2And3:
             assert a0 <= 3 and a1 <= 3
 
     def test_gc_three_clusters_shape(self):
-        exp = gc_three_clusters(gc_period=0.5 * HOUR, seed=5, **SMALL)
+        exp = run_experiment("table3", {"gc_period": 0.5 * HOUR, "seed": 5, **SMALL}).result
         assert len(exp.rows) >= 3
         for row in exp.rows:
             for before, after in zip(row[1::2], row[2::2]):
@@ -139,30 +128,39 @@ class TestTables2And3:
                 assert after <= 3
 
     def test_no_gc_reference_accumulates(self):
-        exp = no_gc_reference(seed=5, **SMALL)
+        exp = run_experiment("no-gc", {"seed": 5, **SMALL}).result
         for _cluster, stored, states, _peak in exp.rows:
             assert stored >= 4
             assert states == 2 * stored  # neighbour replication doubles
 
     def test_distributed_gc_variant(self):
-        exp = gc_two_clusters(gc_period=0.5 * HOUR, seed=5, gc_mode="distributed", **SMALL)
+        exp = run_experiment(
+            "table2",
+            {"gc_period": 0.5 * HOUR, "seed": 5, "gc_mode": "distributed", **SMALL},
+        ).result
         assert len(exp.rows) >= 3
 
 
 class TestAblations:
     def test_transitive_never_worse(self):
-        exp = transitive_ddv_ablation(nodes_per_stage=8, total_time=2 * HOUR, seed=6)
+        exp = run_experiment(
+            "ablation-transitive", {"nodes_per_stage": 8, "total_time": 2 * HOUR, "seed": 6}
+        ).result
         by_protocol = {row[0]: row[1] for row in exp.rows}
         assert by_protocol["hc3i-transitive"] <= by_protocol["hc3i"]
         assert by_protocol["cic-always"] >= by_protocol["hc3i"]
 
     def test_cic_always_forces_per_message(self):
-        exp = transitive_ddv_ablation(nodes_per_stage=8, total_time=2 * HOUR, seed=6)
+        exp = run_experiment(
+            "ablation-transitive", {"nodes_per_stage": 8, "total_time": 2 * HOUR, "seed": 6}
+        ).result
         rows = {row[0]: row for row in exp.rows}
         assert rows["cic-always"][1] == rows["cic-always"][3]  # forced == msgs
 
     def test_logging_ablation_scope(self):
-        exp = message_logging_ablation(nodes=6, total_time=2 * HOUR, seed=7)
+        exp = run_experiment(
+            "ablation-logging", {"nodes": 6, "total_time": 2 * HOUR, "seed": 7}
+        ).result
         with_log, without_log = exp.rows
         # without logs at least as many clusters roll back per failure
         assert without_log[3] >= with_log[3]
@@ -170,7 +168,7 @@ class TestAblations:
         assert with_log[4] >= 0 and without_log[4] == 0
 
     def test_baseline_comparison_rows(self):
-        exp = baseline_comparison(nodes=6, total_time=2 * HOUR, seed=8)
+        exp = run_experiment("baselines", {"nodes": 6, "total_time": 2 * HOUR, "seed": 8}).result
         protocols = [row[0] for row in exp.rows]
         assert protocols == [
             "hc3i", "global-coordinated", "independent", "pessimistic-log"
@@ -182,7 +180,10 @@ class TestAblations:
         assert by_protocol["pessimistic-log"][5] > by_protocol["global-coordinated"][5]
 
     def test_gc_period_tradeoff(self):
-        exp = gc_period_sweep(periods_h=[0.5, 2, None], nodes=10, total_time=2 * HOUR, seed=9)
+        exp = run_experiment(
+            "ablation-gc-period",
+            {"periods_h": [0.5, 2, None], "nodes": 10, "total_time": 2 * HOUR, "seed": 9},
+        ).result
         peaks = [row[1] for row in exp.rows]
         # less frequent GC -> (weakly) higher peak storage; none -> highest
         assert peaks[0] <= peaks[-1]
@@ -190,7 +191,10 @@ class TestAblations:
         assert removed[-1] == 0  # GC off removes nothing
 
     def test_replication_sweep(self):
-        exp = replication_degree_sweep(degrees=(0, 1, 2), nodes=6, total_time=HOUR, seed=10)
+        exp = run_experiment(
+            "ablation-replication",
+            {"degrees": (0, 1, 2), "nodes": 6, "total_time": HOUR, "seed": 10},
+        ).result
         tolerated = [row[1] for row in exp.rows]
         assert tolerated == [0, 1, 2]
         replicas = [row[4] for row in exp.rows]

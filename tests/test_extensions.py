@@ -221,9 +221,11 @@ class TestIncrementalStorage:
             )
 
     def test_ablation_experiment(self):
-        from repro.experiments.ablations import incremental_checkpoint_ablation
+        from repro.experiments.runner import run_experiment
 
-        exp = incremental_checkpoint_ablation(nodes=4, total_time=3600.0, seed=2)
+        exp = run_experiment(
+            "ablation-incremental", {"nodes": 4, "total_time": 3600.0, "seed": 2}
+        ).result
         full, inc = exp.rows
         assert inc[3] < full[3]       # fewer protocol bytes
         assert inc[2] == pytest.approx(full[2], abs=6)  # similar message counts

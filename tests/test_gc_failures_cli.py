@@ -71,30 +71,17 @@ class TestDistributedGcUnderFailure:
 
 class TestCliExperiments:
     def test_registry_names(self):
-        from repro.cli import EXPERIMENTS
+        from repro.experiments import registry
 
+        names = registry.names()
         for name in ("table1", "fig6-fig7", "fig8", "fig9", "table2",
                      "table3", "no-gc", "baselines", "mtbf", "scaling",
                      "overhead", "robustness"):
-            assert name in EXPERIMENTS
-
-    def test_run_experiment_small(self, capsys):
-        from repro.cli import main
-
-        rc = main(["--experiment", "table1", "--scale", "small"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-
-    def test_unknown_experiment_rejected(self):
-        from repro.cli import _run_experiment
-
-        with pytest.raises(SystemExit):
-            _run_experiment("nope", "small")
+            assert name in names
 
     def test_fixed_experiment_runs(self, capsys):
         from repro.cli import main
 
-        rc = main(["--experiment", "ablation-replication"])
+        rc = main(["sweep", "ablation-replication", "--no-cache"])
         assert rc == 0
         assert "replication" in capsys.readouterr().out

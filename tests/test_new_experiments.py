@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.experiments.failure_sweep import mtbf_sweep
-from repro.experiments.robustness import multi_seed_robustness
-from repro.experiments.scalability import federation_scaling
+from repro.experiments.runner import run_experiment
 
 HOUR = 3600.0
 
@@ -12,9 +10,9 @@ HOUR = 3600.0
 class TestRobustness:
     @pytest.fixture(scope="class")
     def exp(self):
-        return multi_seed_robustness(
-            seeds=[1, 2, 3], nodes=10, total_time=2 * HOUR
-        )
+        return run_experiment(
+            "robustness", {"seeds": [1, 2, 3], "nodes": 10, "total_time": 2 * HOUR}
+        ).result
 
     def test_one_row_per_metric(self, exp):
         assert len(exp.rows) == 8
@@ -37,13 +35,16 @@ class TestRobustness:
 class TestMtbfSweep:
     @pytest.fixture(scope="class")
     def exp(self):
-        return mtbf_sweep(
-            mtbfs=[2 * HOUR, HOUR / 2],
-            protocols=("hc3i", "global-coordinated"),
-            nodes=4,
-            total_time=4 * HOUR,
-            seed=7,
-        )
+        return run_experiment(
+            "mtbf",
+            {
+                "mtbfs": [2 * HOUR, HOUR / 2],
+                "protocols": ("hc3i", "global-coordinated"),
+                "nodes": 4,
+                "total_time": 4 * HOUR,
+                "seed": 7,
+            },
+        ).result
 
     def test_rows_per_protocol_and_mtbf(self, exp):
         assert len(exp.rows) == 4
@@ -68,9 +69,9 @@ class TestMtbfSweep:
 
 class TestScaling:
     def test_shapes_and_rates(self):
-        exp = federation_scaling(
-            shapes=[(2, 4), (3, 4)], total_time=600.0, seed=1
-        )
+        exp = run_experiment(
+            "scaling", {"shapes": [(2, 4), (3, 4)], "total_time": 600.0, "seed": 1}
+        ).result
         assert [row[0] for row in exp.rows] == ["2x4", "3x4"]
         for row in exp.rows:
             assert row[2] > 0      # events

@@ -17,7 +17,7 @@ import pytest
 import repro.network.message as msgmod
 from repro.app.process import scripted_sender_factory
 from repro.core.recovery_line import GHOST, line_targets
-from repro.experiments.ablations import (
+from repro.experiments.studies import (
     component_importance,
     render_importance_markdown,
 )

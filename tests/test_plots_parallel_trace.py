@@ -1,9 +1,8 @@
-"""Tests for ASCII plots, the parallel sweep runner and trace export."""
+"""Tests for ASCII plots and trace export."""
 
 import pytest
 
 from repro.analysis.plots import ascii_plot
-from repro.experiments.parallel import parallel_map
 from repro.sim.trace import TraceLevel, Tracer
 
 
@@ -48,33 +47,6 @@ class TestAsciiPlot:
             ascii_plot([1, 2], {"a": [1]})
         with pytest.raises(ValueError):
             ascii_plot([1], {"a": [1]}, width=2, height=2)
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestParallelMap:
-    def test_serial_mode(self):
-        assert parallel_map(_square, [1, 2, 3], serial=True) == [1, 4, 9]
-
-    def test_parallel_matches_serial(self):
-        items = list(range(8))
-        assert parallel_map(_square, items, max_workers=2) == parallel_map(
-            _square, items, serial=True
-        )
-
-    def test_single_item_stays_serial(self):
-        assert parallel_map(_square, [7]) == [49]
-
-    def test_sweep_parallel_equals_serial(self):
-        """The fig6/7 sweep gives identical numbers both ways."""
-        from repro.experiments.fig6_fig7 import clc_delay_sweep
-
-        kwargs = {"delays_min": [10, 30], "nodes": 5, "total_time": 3600.0, "seed": 3}
-        serial = clc_delay_sweep(parallel=False, **kwargs)
-        para = clc_delay_sweep(parallel=True, **kwargs)
-        assert serial.series == para.series
 
 
 class TestTracePersistence:

@@ -248,6 +248,11 @@ class TestEnumeration:
         assert status == 400
         assert "flux_capacitor" in json.loads(body)["error"]
 
+    def test_unknown_study_param_is_400(self, server):
+        status, _, body = http_get(server, "/experiments/baselines/points?bogus=1")
+        assert status == 400
+        assert "bogus" in json.loads(body)["error"]
+
     def test_index_out_of_range_is_400(self, server):
         status, _, _ = http_get(server, POINT + "&index=99")
         assert status == 400

@@ -5,12 +5,16 @@ import json
 
 import pytest
 
-from repro.cli import SCALE_PROFILES, main
+from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache, code_version_hash
-from repro.experiments.registry import canonical_params, derive_seed
+from repro.experiments.registry import (
+    SCALE_PROFILES,
+    canonical_params,
+    derive_seed,
+    resolve_overrides,
+)
 from repro.experiments.runner import run_experiment
-from repro.experiments.table1 import table1_message_counts
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 
@@ -216,13 +220,6 @@ class TestRunner:
         assert serial.result.series == para.result.series
         assert serial.points == para.points == 3
 
-    def test_matches_legacy_serial_entry_point(self):
-        report = run_experiment(
-            "table1", overrides={"nodes": 10, "total_time": 7200.0, "seed": 1}
-        )
-        legacy = table1_message_counts(nodes=10, total_time=7200.0, seed=1)
-        assert report.result.render() == legacy.render()
-
     def test_second_run_is_fully_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         overrides = {**TINY, "seed": 3}
@@ -337,13 +334,11 @@ class TestSweepCli:
         assert set(SCALE_PROFILES) == {"full", "small", "tiny"}
 
     def test_explicit_seed_never_silently_dropped(self):
-        from repro.cli import _sweep_overrides
-
         seedless = dataclasses.replace(
             registry.get("table1"), grid=lambda nodes=4: [{"nodes": nodes}]
         )
-        with pytest.raises(SystemExit, match="does not accept --seed"):
-            _sweep_overrides(seedless, "tiny", seed=9)
+        with pytest.raises(ValueError, match="does not accept seed"):
+            resolve_overrides(seedless, "tiny", seed=9)
 
     def test_seed_flag_reaches_robustness(self, capsys):
         rc = main(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.timeline import render_timeline
 from repro.experiments.figure5 import figure5_scenario
-from repro.experiments.overhead import protocol_overhead
+from repro.experiments.runner import run_experiment
 
 
 class TestTimeline:
@@ -58,9 +58,10 @@ class TestTimeline:
 class TestOverheadExperiment:
     @pytest.fixture(scope="class")
     def exp(self):
-        return protocol_overhead(
-            timers_min=[None, 30, 10], nodes=10, total_time=7200.0, seed=3
-        )
+        return run_experiment(
+            "overhead",
+            {"timers_min": [None, 30, 10], "nodes": 10, "total_time": 7200.0, "seed": 3},
+        ).result
 
     def test_rows_per_timer(self, exp):
         assert [row[0] for row in exp.rows] == ["off", "30 min", "10 min"]
