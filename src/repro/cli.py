@@ -37,8 +37,14 @@ The static determinism/concurrency contract checker
     repro lint
     repro lint --list-rules
 
+``--checkpoint-every`` makes evicted points resume instead of recompute;
+the policy is built once here and rides every task to its worker, the
+same way on every backend::
+
+    repro sweep fig6-fig7 --scale full --backend k8s --checkpoint-every 600
+
 See ``docs/sweeps.md`` for the sweep-engine guide (scales, caching,
-multi-host execution, batch schedulers, cache sync) and
+multi-host execution, batch schedulers, checkpoint/resume, cache sync) and
 ``docs/architecture.md`` for the module map.
 """
 
@@ -271,9 +277,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_main(argv: Sequence[str]) -> int:
+    from pathlib import Path
+
     from repro.experiments import registry
     from repro.experiments.backends import create_backend
-    from repro.experiments.cache import ResultCache
+    from repro.experiments.cache import ResultCache, default_cache_dir
     from repro.experiments.runner import run_experiment
 
     args = build_sweep_parser().parse_args(argv)
@@ -295,30 +303,20 @@ def _sweep_main(argv: Sequence[str]) -> int:
     if not args.no_cache:
         cache = ResultCache(root=args.cache_dir)
     overrides = _overrides_or_exit(experiment, args.scale, args.sets, args.seed)
-    if args.hosts and args.backend != "ssh":
-        # same rule as --set/--seed: an explicit flag is never a silent no-op
-        raise SystemExit(
-            f"--hosts only applies to --backend ssh (got --backend {args.backend})"
-        )
-    if args.sbatch_opts and args.backend != "slurm":
-        raise SystemExit(
-            f"--sbatch-opt directives only apply to --backend slurm "
-            f"(got --backend {args.backend})"
-        )
-    if args.spool and args.backend not in ("slurm", "k8s"):
-        raise SystemExit(
-            f"--spool/--sbatch-opt only apply to --backend slurm/k8s "
-            f"(--sbatch-opt: slurm only; got --backend {args.backend})"
-        )
-    if (args.namespace or args.k8s_opts) and args.backend != "k8s":
-        raise SystemExit(
-            f"--namespace/--k8s-opt only apply to --backend k8s "
-            f"(got --backend {args.backend})"
-        )
+    # same rule as --set/--seed: an explicit flag is never a silent no-op
+    for given, flags, backends in (
+        (args.hosts, "--hosts only applies", "ssh"),
+        (args.sbatch_opts, "--sbatch-opt directives only apply", "slurm"),
+        (args.spool, "--spool/--sbatch-opt only apply", "slurm/k8s"),
+        (args.namespace or args.k8s_opts, "--namespace/--k8s-opt only apply", "k8s"),
+    ):
+        if given and args.backend not in backends.split("/"):
+            raise SystemExit(
+                f"{flags} to --backend {backends} (got --backend {args.backend})"
+            )
     if (
         args.checkpoint_wall is not None or args.checkpoint_dir
     ) and args.checkpoint_every is None:
-        # same rule as --set/--hosts: an explicit flag is never a silent no-op
         raise SystemExit(
             "--checkpoint-wall/--checkpoint-dir require --checkpoint-every"
         )
@@ -330,8 +328,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             # keep the promise of "<cache dir>/<scheduler>-spool": an explicit
             # --cache-dir (often the cluster-shared filesystem) carries the
             # spool with it
-            from pathlib import Path
-
             backend_kwargs["spool"] = Path(args.cache_dir) / f"{args.backend}-spool"
     if args.backend == "slurm":
         backend_kwargs["sbatch_options"] = tuple(args.sbatch_opts)
@@ -343,45 +339,28 @@ def _sweep_main(argv: Sequence[str]) -> int:
         # this process's python is the right default, on a real cluster
         # $REPRO_K8S_PYTHON names the interpreter inside the image
         backend_kwargs["python"] = os.environ.get("REPRO_K8S_PYTHON", sys.executable)
-    checkpoint_env: dict = {}
-    if args.checkpoint_every is not None:
-        from pathlib import Path
-
-        from repro.experiments import checkpoint as checkpoint_mod
-        from repro.experiments.cache import default_cache_dir
-
-        if args.backend in ("slurm", "k8s"):
-            # the policy travels inside each wire job; snapshots default to
-            # <spool>/snapshots so compute nodes/pods can reach them
-            policy: dict = {
-                "every": args.checkpoint_every,
-                "wall": args.checkpoint_wall,
-            }
-            if args.checkpoint_dir:
-                policy["dir"] = args.checkpoint_dir
-            backend_kwargs["checkpoint"] = policy
-        else:
-            # local/ssh: workers pick the policy up from the environment
-            root = Path(cache.root) if cache is not None else default_cache_dir()
-            ckpt_dir = (
-                Path(args.checkpoint_dir)
-                if args.checkpoint_dir
-                else root / "checkpoints"
-            )
-            checkpoint_env = {
-                checkpoint_mod.ENV_EVERY: str(args.checkpoint_every),
-                checkpoint_mod.ENV_DIR: str(ckpt_dir),
-            }
-            if args.checkpoint_wall is not None:
-                checkpoint_env[checkpoint_mod.ENV_WALL] = str(args.checkpoint_wall)
     try:
         backend = create_backend(
             args.backend, jobs=args.jobs, hosts=args.hosts, **backend_kwargs
         )
     except ValueError as exc:
         raise SystemExit(f"repro sweep: {exc}") from None
-    saved_env = {k: os.environ.get(k) for k in checkpoint_env}
-    os.environ.update(checkpoint_env)
+    policy = None
+    if args.checkpoint_every is not None:
+        # One policy for every backend; it rides each task to its worker.
+        # Snapshots default to <spool>/snapshots for slurm/k8s (compute
+        # nodes/pods can reach it), else to <cache dir>/checkpoints.
+        if args.checkpoint_dir:
+            ckpt_dir = Path(args.checkpoint_dir)
+        elif args.backend in ("slurm", "k8s"):
+            ckpt_dir = backend.spool / "snapshots"
+        else:
+            ckpt_dir = (cache.root if cache is not None else default_cache_dir()) / "checkpoints"
+        policy = {
+            "every": args.checkpoint_every,
+            "wall": args.checkpoint_wall,
+            "dir": str(ckpt_dir),
+        }
     try:
         report = run_experiment(
             experiment,
@@ -389,14 +368,10 @@ def _sweep_main(argv: Sequence[str]) -> int:
             jobs=args.jobs,
             cache=cache,
             backend=backend,
+            checkpoint=policy,
         )
     finally:
         backend.shutdown()
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
     result = report.result
     if args.json:
         payload = {

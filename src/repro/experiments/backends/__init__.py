@@ -12,11 +12,11 @@ pluggable policy behind the :class:`Backend` protocol:
   ``ssh host python -m repro.experiments.remote_worker``.
 * ``slurm`` (:class:`SlurmBackend`) -- batches points into SLURM array
   jobs submitted through ``sbatch`` and polled via ``squeue``/``sacct``
-  (pluggable :class:`SchedulerTransport`; results spool through a shared
+  (pluggable :class:`BatchTransport`; results spool through a shared
   directory).
 * ``k8s`` (:class:`KubernetesBackend`) -- batches points into
   indexed-completion Kubernetes Jobs driven through ``kubectl``
-  (pluggable :class:`K8sTransport`; same spool-directory envelopes).
+  (pluggable :class:`BatchTransport`; same spool-directory envelopes).
 * ``inprocess`` (:class:`InProcessBackend`) -- synchronous test double
   with fake hosts and fault injection.
 
@@ -24,6 +24,13 @@ pluggable policy behind the :class:`Backend` protocol:
 :class:`~repro.experiments.backends.batch.BatchBackend` substrate
 (linger batching, poll-loop grace counters, requeue taxonomy, spool
 hygiene); each contributes only its scheduler's dialect.
+
+A :class:`PointTask` reaches its worker one way on all of them: the
+backend hands the task -- checkpoint policy ref included -- to
+:func:`repro.experiments.checkpoint.run_point`, directly (``local``,
+``inprocess``) or as the one wire job
+:func:`repro.experiments.remote_worker.encode_wire_job` builds (``ssh``,
+``slurm``, ``k8s``).  No backend takes a checkpoint option of its own.
 
 ``create_backend`` is the CLI/runner factory.  The runner owns retry:
 a :class:`WorkerLostError` puts the point back in the queue and the
@@ -44,11 +51,11 @@ from repro.experiments.backends.base import (
     RemotePointError,
     WorkerLostError,
 )
-from repro.experiments.backends.batch import BatchBackend, BatchTransport
+from repro.experiments.backends.batch import BatchBackend, BatchTransport, CliTransport
 from repro.experiments.backends.hosts import HostSpec, parse_hosts
-from repro.experiments.backends.k8s import K8sCliTransport, K8sTransport, KubernetesBackend
+from repro.experiments.backends.k8s import K8sCliTransport, KubernetesBackend
 from repro.experiments.backends.local import InProcessBackend, LocalProcessBackend
-from repro.experiments.backends.slurm import SchedulerTransport, SlurmBackend, SlurmCliTransport
+from repro.experiments.backends.slurm import SlurmBackend, SlurmCliTransport
 from repro.experiments.backends.ssh import SSHBackend
 
 __all__ = [
@@ -57,17 +64,16 @@ __all__ = [
     "BACKEND_NAMES",
     "BatchBackend",
     "BatchTransport",
+    "CliTransport",
     "HostSpec",
     "InProcessBackend",
     "K8sCliTransport",
-    "K8sTransport",
     "KubernetesBackend",
     "LocalProcessBackend",
     "PointOutcome",
     "PointTask",
     "RemoteCodeMismatchError",
     "RemotePointError",
-    "SchedulerTransport",
     "SlurmBackend",
     "SlurmCliTransport",
     "SSHBackend",

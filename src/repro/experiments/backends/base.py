@@ -34,9 +34,10 @@ Failure semantics split in two, and the split is what makes retry safe:
 from __future__ import annotations
 
 import abc
+import shlex
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 __all__ = [
     "Backend",
@@ -46,7 +47,11 @@ __all__ = [
     "RemoteCodeMismatchError",
     "RemotePointError",
     "WorkerLostError",
+    "worker_shell_line",
 ]
+
+#: the stdin/stdout worker every distributed backend runs
+WORKER_MODULE = "repro.experiments.remote_worker"
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,17 @@ class PointTask:
 
     ``experiment`` + ``params`` are the location-independent description
     (what a remote worker needs); ``fn`` is the already-resolved local
-    callable (what in-process backends call directly).
+    callable (what in-process backends call directly).  ``checkpoint``
+    is the point's snapshot policy ref ``{every, wall, dir, key}``, or
+    ``None``: the runner fills it in and every backend hands it to the
+    worker unchanged (in the wire job, for the distributed ones), so a
+    point checkpoints the same way wherever an attempt lands.
     """
 
     experiment: str
     params: dict
     fn: Callable[[dict], object]
+    checkpoint: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -196,3 +206,30 @@ def tail_text(blob: bytes, limit: int = 300) -> str:
     """The last ``limit`` characters of a subprocess stream, for error messages."""
     text = blob.decode(errors="replace").strip()
     return text[-limit:] if len(text) > limit else text
+
+
+def worker_shell_line(
+    python: str,
+    cwd: Optional[str] = None,
+    pythonpath: Optional[str] = None,
+    spooled: bool = False,
+) -> str:
+    """The one shell line that runs the worker on a remote side, safely quoted.
+
+    ``cd`` into the checkout, prepend ``pythonpath``, run the worker on
+    stdin/stdout (what SSH pipes).  ``spooled`` is the batch form: job
+    from ``$task``, envelope to ``$out`` by write-then-rename, so a
+    result file is complete the instant it exists.
+    """
+    steps = []
+    if cwd:
+        steps.append(f"cd {shlex.quote(cwd)}")
+    if pythonpath:
+        # export is a declaration utility: no word splitting on the suffix
+        steps.append(
+            f"export PYTHONPATH={shlex.quote(pythonpath)}" + "${PYTHONPATH:+:$PYTHONPATH}"
+        )
+    run = f"{shlex.quote(python)} -m {WORKER_MODULE}"
+    if spooled:
+        run += ' < "$task" > "$out.tmp" && mv "$out.tmp" "$out"'
+    return " && ".join([*steps, run])

@@ -14,10 +14,12 @@ The common shape:
   (``linger`` window, ``prepare``/``flush`` hints from the runner) and
   dispatched as **one** scheduler batch of up to ``batch_size`` tasks.
 * Each batch gets a job directory under a shared spool: every point's
-  wire job (the exact :func:`make_wire_job` format the SSH backend
-  ships) is written to ``tasks/<i>.json``, and task *i* is expected to
-  leave its response envelope at ``results/<i>.json`` --
-  write-then-rename, so a result file is complete the instant it exists.
+  wire job (the exact :func:`encode_wire_job` text the SSH backend
+  pipes, checkpoint ref included) is written to ``tasks/<i>.json``, and
+  task *i* runs the shared worker line
+  (:func:`~repro.experiments.backends.base.worker_shell_line`), leaving
+  its response envelope at ``results/<i>.json`` -- write-then-rename, so
+  a result file is complete the instant it exists.
 * A polling thread harvests result envelopes (an envelope always beats
   possibly-stale scheduler state) and maps the remaining task states
   through the subclass's ``active`` / ``lost`` / ``completed``
@@ -31,10 +33,11 @@ The common shape:
   code-hash handshake refuses results from out-of-sync checkouts.
 
 Scheduler interaction goes through a pluggable :class:`BatchTransport`
-(``sbatch``/``squeue``/``sacct`` for SLURM, ``kubectl`` for Kubernetes),
-which is also the test seam: in-memory transports and the
-``tools/stub_slurm.py`` / ``tools/stub_k8s.py`` mini-schedulers drive the
-exact same code paths CI cannot reach with a real cluster.
+(``sbatch``/``squeue``/``sacct`` for SLURM, ``kubectl`` for Kubernetes;
+both real ones are :class:`CliTransport` dialects), which is also the
+test seam: in-memory transports and the ``tools/stub_slurm.py`` /
+``tools/stub_k8s.py`` mini-schedulers drive the exact same code paths CI
+cannot reach with a real cluster.
 """
 
 from __future__ import annotations
@@ -43,34 +46,34 @@ import abc
 import json
 import os
 import re
+import shlex
 import shutil
+import subprocess
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments.backends.base import (
     Backend,
     BackendUnavailableError,
     PointOutcome,
     PointTask,
     WorkerLostError,
+    tail_text,
+    worker_shell_line,
 )
-from repro.experiments.remote_worker import decode_envelope, make_wire_job
+from repro.experiments.remote_worker import decode_envelope, encode_wire_job
 
 __all__ = [
     "BatchBackend",
     "BatchJob",
     "BatchTransport",
-    "WORKER_MODULE",
+    "CliTransport",
     "expand_indices",
     "normalize_state",
 ]
-
-#: the stdin/stdout worker every batch task runs
-WORKER_MODULE = "repro.experiments.remote_worker"
 
 
 #: one array-index chunk: ``7``, ``0-15``, ``0-15:4``, each with an optional
@@ -94,6 +97,9 @@ def expand_indices(token: str) -> list:
     treat the token as "no state learned" explicitly (with a warning),
     instead of the parser hiding the problem.
     """
+    def bad(why: str) -> ValueError:
+        return ValueError(f"unrecognized scheduler array-index token {token!r} ({why})")
+
     text = token.strip()
     if text.startswith("[") and text.endswith("]"):
         text = text[1:-1]
@@ -101,31 +107,19 @@ def expand_indices(token: str) -> list:
     for chunk in text.split(","):
         match = _CHUNK_RE.match(chunk.strip())
         if match is None:
-            raise ValueError(
-                f"unrecognized scheduler array-index token {token!r} "
-                f"(cannot parse chunk {chunk.strip()!r})"
-            )
+            raise bad(f"cannot parse chunk {chunk.strip()!r}")
         lo, hi, step, limit = match.groups()
         if limit is not None and int(limit) < 1:
-            raise ValueError(
-                f"unrecognized scheduler array-index token {token!r} "
-                f"(throttle %{limit} must be >= 1)"
-            )
+            raise bad(f"throttle %{limit} must be >= 1")
         if hi is None:
             indices.append(int(lo))
             continue
         lo_i, hi_i = int(lo), int(hi)
         step_i = int(step) if step is not None else 1
         if step_i < 1:
-            raise ValueError(
-                f"unrecognized scheduler array-index token {token!r} "
-                f"(step :{step} must be >= 1)"
-            )
+            raise bad(f"step :{step} must be >= 1")
         if hi_i < lo_i:
-            raise ValueError(
-                f"unrecognized scheduler array-index token {token!r} "
-                f"(descending range {lo_i}-{hi_i})"
-            )
+            raise bad(f"descending range {lo_i}-{hi_i}")
         indices.extend(range(lo_i, hi_i + 1, step_i))
     return indices
 
@@ -172,6 +166,85 @@ class BatchTransport(abc.ABC):
         """Best-effort cancellation of a job (or one task).  Never raises."""
 
 
+class CliTransport(BatchTransport):
+    """A scheduler reached by shelling out to its command-line client.
+
+    Owns what every such dialect needs: the argv prefix (how tests and CI
+    substitute a stub scheduler), the submission conversation with its
+    failure taxonomy, quiet best-effort queries, and best-effort cancel.
+    A dialect names its ``host`` label and submission ``verb`` for error
+    messages and fills in four small hooks.
+    """
+
+    host = "?"
+    verb = "submit"
+
+    def __init__(self, command_prefix: tuple, timeout: float = 60.0) -> None:
+        self.prefix = tuple(command_prefix)
+        self.timeout = timeout
+
+    def _argv(self, *args: str) -> list:
+        return [*self.prefix, *args]
+
+    @abc.abstractmethod
+    def _submit_args(self, spec: Path) -> tuple:
+        """The client arguments that submit ``spec``."""
+
+    @abc.abstractmethod
+    def _parse_job_id(self, stdout: str) -> str:
+        """The job id in the submission's (stripped) stdout, or ``""``."""
+
+    @abc.abstractmethod
+    def _cancel_args(self, target: str) -> tuple:
+        """The client arguments that cancel ``target``."""
+
+    @abc.abstractmethod
+    def _cancel_orphan(self, spec: Path) -> None:
+        """Cancel, by the unique name in ``spec``, a job whose id was never read."""
+
+    def submit(self, job_dir: Path, spec: Path, n_tasks: int) -> str:
+        argv = self._argv(*self._submit_args(spec))
+        try:
+            proc = subprocess.run(argv, capture_output=True, timeout=self.timeout)
+        except OSError as exc:
+            raise BackendUnavailableError(
+                f"cannot launch {self.verb.split()[0]} ({argv[0]!r}): {exc}"
+            ) from None
+        except subprocess.TimeoutExpired:
+            # the scheduler may have accepted the job without the client
+            # reporting it; the orphan must not run the same points the
+            # retry will resubmit
+            self._cancel_orphan(spec)
+            raise WorkerLostError(
+                self.host, f"{self.verb} gave no job id within {self.timeout:g}s"
+            ) from None
+        if proc.returncode != 0:
+            raise WorkerLostError(
+                self.host, f"{self.verb} exit {proc.returncode}: {tail_text(proc.stderr)}"
+            )
+        job_id = self._parse_job_id(proc.stdout.decode(errors="replace").strip())
+        if not job_id:
+            raise WorkerLostError(self.host, f"{self.verb} printed no job id")
+        return job_id
+
+    def _run_quiet(self, *args: str) -> Optional[str]:
+        """The client's stdout, or ``None`` on any failure (never raises)."""
+        try:
+            proc = subprocess.run(
+                self._argv(*args), capture_output=True, timeout=self.timeout
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        if proc.returncode != 0:
+            # e.g. squeue "Invalid job id" once the job left the queue, or
+            # the namespace disappeared mid-sweep
+            return None
+        return proc.stdout.decode(errors="replace")
+
+    def cancel(self, target: str) -> None:
+        self._run_quiet(*self._cancel_args(target))
+
+
 class _TaskSlot:
     """One submitted point waiting on a batch task."""
 
@@ -203,9 +276,10 @@ class BatchBackend(Backend):
 
     Subclasses provide the scheduler vocabulary (``active_states`` /
     ``lost_states`` / ``completed_states``, a ``task_noun`` for error
-    messages) and two hooks: :meth:`_write_submission` renders the
-    per-batch submission artifact into the job directory, and
-    :meth:`_cancel_target` names what to cancel when one task times out.
+    messages, the ``index_var`` a task reads its index from) and two
+    hooks: :meth:`_write_submission` renders the per-batch submission
+    artifact into the job directory, and :meth:`_cancel_target` names
+    what to cancel when one task times out.
     """
 
     #: scheduler states that mean "the task can still produce a result"
@@ -216,6 +290,8 @@ class BatchBackend(Backend):
     completed_states: frozenset = frozenset({"COMPLETED"})
     #: how error messages name one task ("array task 3", "completion index 3")
     task_noun: str = "task"
+    #: environment variable the scheduler sets to a task's index
+    index_var: str = "TASK_INDEX"
 
     def __init__(
         self,
@@ -230,9 +306,6 @@ class BatchBackend(Backend):
         point_timeout: Optional[float] = None,
         unknown_grace: int = 10,
         completed_grace: int = 5,
-        keep_spool: bool = False,
-        verify_code: bool = True,
-        checkpoint: Optional[dict] = None,
     ) -> None:
         self.transport = transport
         self.spool = Path(spool)
@@ -245,15 +318,6 @@ class BatchBackend(Backend):
         self.point_timeout = point_timeout
         self.unknown_grace = max(1, int(unknown_grace))
         self.completed_grace = max(1, int(completed_grace))
-        self.keep_spool = keep_spool
-        self.verify_code = verify_code
-        # Checkpoint policy shipped with every wire job ({"every", "wall",
-        # "dir"}): snapshots land next to the spool by default, so a
-        # requeued task (fresh batch, same key) finds its predecessor's
-        # latest envelope and resumes instead of recomputing.
-        self.checkpoint = dict(checkpoint) if checkpoint else None
-        if self.checkpoint is not None and not self.checkpoint.get("dir"):
-            self.checkpoint["dir"] = str(self.spool / "snapshots")
 
         self._cond = threading.Condition()
         self._buffer: list = []
@@ -281,6 +345,17 @@ class BatchBackend(Backend):
     def _cancel_target(self, job_id: str, index: int) -> str:
         """What to cancel when task ``index`` times out (default: the job)."""
         return job_id
+
+    def _worker_script(self, job_dir: Path) -> str:
+        """What one task runs: its spool paths, then the shared worker line."""
+        quoted = shlex.quote(str(job_dir))
+        lines = [
+            "set -u",
+            f'task={quoted}/tasks/"${self.index_var}".json',
+            f'out={quoted}/results/"${self.index_var}".json',
+            worker_shell_line(self.python, self.cwd, self.pythonpath, spooled=True),
+        ]
+        return "\n".join(lines) + "\n"
 
     # -- Backend protocol ----------------------------------------------
 
@@ -400,13 +475,8 @@ class BatchBackend(Backend):
             (job_dir / "results").mkdir()
             (job_dir / "logs").mkdir()
             for i, slot in enumerate(slots):
-                wire = make_wire_job(
-                    slot.task.experiment,
-                    slot.task.params,
-                    checkpoint=self._wire_checkpoint(slot.task),
-                )
                 (job_dir / "tasks" / f"{i}.json").write_text(
-                    json.dumps(wire, sort_keys=True), encoding="utf-8"
+                    encode_wire_job(slot.task), encoding="utf-8"
                 )
             spec = self._write_submission(job_dir, len(slots))
         except OSError as exc:
@@ -419,22 +489,6 @@ class BatchBackend(Backend):
             return
         with self._cond:
             self._jobs.append(BatchJob(job_id, job_dir, slots))
-
-    def _wire_checkpoint(self, task: PointTask) -> Optional[dict]:
-        """The snapshot ref this task ships: policy + its stable point key.
-
-        The key is derived from (code, experiment, params) -- identical
-        for the original submission and every requeue -- which is what
-        lets attempt N+1 pick up attempt N's latest snapshot.
-        """
-        if self.checkpoint is None:
-            return None
-        return {
-            "every": self.checkpoint.get("every"),
-            "wall": self.checkpoint.get("wall"),
-            "dir": self.checkpoint["dir"],
-            "key": checkpoint_mod.point_key(task.experiment, task.params),
-        }
 
     @staticmethod
     def _fail_slots(slots: list, exc: BaseException) -> None:
@@ -515,7 +569,7 @@ class BatchBackend(Backend):
             self._lose(job, i, slot, f"garbled result file {path.name}: {exc}")
             return
         try:
-            value = decode_envelope(envelope, host, verify_code=self.verify_code)
+            value = decode_envelope(envelope, host)
         except BaseException as exc:  # noqa: BLE001 - delivered through the future
             _set_exception(slot.future, exc)
             job.failed = True
@@ -528,16 +582,11 @@ class BatchBackend(Backend):
         _set_exception(slot.future, WorkerLostError(f"{self.name}:{job.job_id}", reason))
 
     def _finalize_job(self, job: BatchJob) -> None:
-        if self.keep_spool or job.failed:
-            return  # keep failed-job spools around for post-mortems
-        shutil.rmtree(job.dir, ignore_errors=True)
+        if not job.failed:  # failed-job spools are kept for post-mortems
+            shutil.rmtree(job.dir, ignore_errors=True)
 
     def _cleanup_sweep_dir(self) -> None:
-        if self.checkpoint is not None and not self.keep_spool:
-            # killed writers leave *.tmp behind; snapshots of completed
-            # points were GC'd as they finished
-            checkpoint_mod.sweep_orphans(self.checkpoint["dir"])
-        if self._sweep_dir is None or self.keep_spool:
+        if self._sweep_dir is None:
             return
         try:
             self._sweep_dir.rmdir()  # only if every job dir was cleaned up

@@ -14,28 +14,21 @@ paths, which fits single-node/dev clusters and CI -- production
 clusters typically swap in a shared PVC (see ``docs/sweeps.md``).
 
 All the scheduler-agnostic machinery (linger batching, the poll loop
-with unknown/completed grace, requeue taxonomy, spool hygiene) comes
-from :class:`~repro.experiments.backends.batch.BatchBackend`; this
-module contributes the Kubernetes dialect: the Job manifest, the
-``kubectl`` conversation, and the pod-phase vocabulary.
+with unknown/completed grace, the requeue and failure taxonomy, spool
+hygiene) comes from :class:`~repro.experiments.backends.batch.
+BatchBackend` (see its module docstring for the contract); this module
+contributes the Kubernetes dialect: the Job manifest, the ``kubectl``
+conversation, and the pod-phase vocabulary.
 
-Scheduler interaction goes through a pluggable :class:`K8sTransport`.
-The default :class:`K8sCliTransport` shells out to ``kubectl
-create/get/delete``; ``$REPRO_KUBECTL_COMMAND`` prefixes every
+The default transport, :class:`K8sCliTransport`, shells out to
+``kubectl create/get/delete``; ``$REPRO_KUBECTL_COMMAND`` prefixes every
 invocation (mirroring ``$REPRO_SLURM_COMMAND``), which is how tests and
 CI substitute ``tools/stub_k8s.py`` -- a synchronous mini-scheduler --
 for a real cluster.
 
-Failure semantics follow the backend contract: a pod that fails, is
-evicted, hits the Job deadline, or vanishes raises
-:class:`WorkerLostError`, so the runner requeues the point --
-resubmissions are batched into a fresh Job.  The manifest pins
-``backoffLimit: 0`` / ``restartPolicy: Never`` because retry is *the
-runner's* job: letting kubelet restart a pod would re-run a point the
-runner may already have requeued elsewhere.  A point *raising* inside
-the worker comes back in the envelope as a deterministic
-:class:`RemotePointError` (not retryable), and the code-hash handshake
-refuses results from out-of-sync checkouts exactly as over SSH/SLURM.
+The manifest pins ``backoffLimit: 0`` / ``restartPolicy: Never`` because
+retry is *the runner's* job: letting kubelet restart a pod would re-run
+a point the runner may already have requeued elsewhere.
 """
 
 from __future__ import annotations
@@ -43,25 +36,14 @@ from __future__ import annotations
 import json
 import os
 import shlex
-import subprocess
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.backends.base import (
-    BackendUnavailableError,
-    WorkerLostError,
-    tail_text as _tail,
-)
-from repro.experiments.backends.batch import (
-    WORKER_MODULE as _WORKER_MODULE,
-    BatchBackend,
-    BatchTransport,
-)
+from repro.experiments.backends.batch import BatchBackend, BatchTransport, CliTransport
 from repro.experiments.cache import default_cache_dir
 
 __all__ = [
     "K8sCliTransport",
-    "K8sTransport",
     "KubernetesBackend",
     "default_k8s_spool_dir",
     "default_kubectl_command",
@@ -98,36 +80,25 @@ LOST_PHASES = frozenset(
 
 def default_kubectl_command() -> tuple:
     """The kubectl argv prefix: ``$REPRO_KUBECTL_COMMAND`` or ``kubectl``."""
-    env = os.environ.get(_K8S_COMMAND_ENV)
-    if env:
-        return tuple(shlex.split(env))
-    return ("kubectl",)
+    return tuple(shlex.split(os.environ.get(_K8S_COMMAND_ENV) or "kubectl"))
 
 
 def default_k8s_spool_dir() -> Path:
     """``$REPRO_K8S_SPOOL`` or ``<cache dir>/k8s-spool`` (shared filesystem)."""
-    env = os.environ.get(_K8S_SPOOL_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / "k8s-spool"
+    return Path(os.environ.get(_K8S_SPOOL_ENV) or default_cache_dir() / "k8s-spool")
 
 
-class K8sTransport(BatchTransport):
-    """How the backend talks to a Kubernetes control plane.  Stubbable.
-
-    The Kubernetes-flavoured name for the shared :class:`BatchTransport`
-    protocol; ``spec`` in :meth:`submit` is the rendered Job manifest
-    (JSON -- also valid input for real ``kubectl create -f``).
-    """
-
-
-class K8sCliTransport(K8sTransport):
+class K8sCliTransport(CliTransport):
     """The real thing: shell out to ``kubectl create``/``get``/``delete``.
 
     ``namespace`` adds ``-n <ns>`` and ``kubectl_options`` appends extra
     arguments (``--context=...``, ``--kubeconfig=...``) to every
-    invocation.
+    invocation.  ``spec`` in :meth:`submit` is the rendered Job manifest
+    (JSON -- also valid input for real ``kubectl create -f``).
     """
+
+    host = "k8s"
+    verb = "kubectl create"
 
     def __init__(
         self,
@@ -136,45 +107,35 @@ class K8sCliTransport(K8sTransport):
         kubectl_options: tuple = (),
         timeout: float = 60.0,
     ) -> None:
-        self.prefix = (
-            tuple(command_prefix) if command_prefix is not None else default_kubectl_command()
+        super().__init__(
+            command_prefix if command_prefix is not None else default_kubectl_command(),
+            timeout,
         )
         self.namespace = namespace
         self.kubectl_options = tuple(kubectl_options)
-        self.timeout = timeout
 
     def _argv(self, *args: str) -> list:
-        argv = [*self.prefix, *args]
+        argv = super()._argv(*args)
         if self.namespace:
             argv += ["-n", self.namespace]
-        argv += list(self.kubectl_options)
-        return argv
+        return argv + list(self.kubectl_options)
 
-    def submit(self, job_dir: Path, spec: Path, n_tasks: int) -> str:
-        argv = self._argv("create", "-f", str(spec), "-o", "name")
+    def _submit_args(self, spec: Path) -> tuple:
+        return ("create", "-f", str(spec), "-o", "name")
+
+    def _parse_job_id(self, stdout: str) -> str:
+        return stdout.rsplit("/", 1)[-1]  # -o name prints "job.batch/<name>"
+
+    def _cancel_args(self, target: str) -> tuple:
+        return ("delete", "job", target, "--ignore-not-found=true", "--wait=false")
+
+    def _cancel_orphan(self, spec: Path) -> None:
         try:
-            proc = subprocess.run(argv, capture_output=True, timeout=self.timeout)
-        except OSError as exc:
-            raise BackendUnavailableError(
-                f"cannot launch kubectl ({argv[0]!r}): {exc}"
-            ) from None
-        except subprocess.TimeoutExpired:
-            # the API server may have accepted the Job without the client
-            # reporting it; delete by (unique) manifest name so the orphan
-            # cannot run the same points the retry will resubmit
-            self._cancel_by_manifest_name(spec)
-            raise WorkerLostError(
-                "k8s", f"kubectl create gave no job name within {self.timeout:g}s"
-            ) from None
-        if proc.returncode != 0:
-            raise WorkerLostError(
-                "k8s", f"kubectl create exit {proc.returncode}: {_tail(proc.stderr)}"
-            )
-        # -o name prints "job.batch/<name>"
-        name = proc.stdout.decode(errors="replace").strip().rsplit("/", 1)[-1]
-        if not name:
-            raise WorkerLostError("k8s", "kubectl create printed no job name")
-        return name
+            manifest = json.loads(Path(spec).read_text(encoding="utf-8"))
+            name = manifest["metadata"]["name"]
+        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+            return
+        self.cancel(str(name))
 
     def poll(self, job_id: str) -> dict:
         out = self._run_quiet(
@@ -209,92 +170,36 @@ class K8sCliTransport(K8sTransport):
                 states[index] = phase
         return states
 
-    def _run_quiet(self, *args: str) -> Optional[str]:
-        try:
-            proc = subprocess.run(
-                self._argv(*args), capture_output=True, timeout=self.timeout
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            # e.g. the namespace disappeared mid-sweep
-            return None
-        return proc.stdout.decode(errors="replace")
-
-    def cancel(self, target: str) -> None:
-        try:
-            subprocess.run(
-                self._argv(
-                    "delete", "job", target, "--ignore-not-found=true", "--wait=false"
-                ),
-                capture_output=True,
-                timeout=self.timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-
-    def _cancel_by_manifest_name(self, spec: Path) -> None:
-        """Best-effort delete of a Job whose creation was never confirmed."""
-        try:
-            manifest = json.loads(Path(spec).read_text(encoding="utf-8"))
-            name = manifest["metadata"]["name"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            return
-        self.cancel(str(name))
-
 
 class KubernetesBackend(BatchBackend):
     """Batch cache-missing grid points into indexed-completion k8s Jobs."""
 
     name = "k8s"
     task_noun = "completion index"
+    index_var = "JOB_COMPLETION_INDEX"
     active_states = ACTIVE_PHASES
     lost_states = LOST_PHASES
     completed_states = frozenset({"SUCCEEDED"})
 
     def __init__(
         self,
-        transport: Optional[K8sTransport] = None,
+        transport: Optional[BatchTransport] = None,
         spool: Optional[Path] = None,
-        python: str = "python3",
-        cwd: Optional[str] = None,
-        pythonpath: Optional[str] = None,
         namespace: Optional[str] = None,
         image: str = "python:3.12-slim",
         kubectl_options: tuple = (),
-        batch_size: int = 500,
-        linger: float = 0.2,
-        poll_interval: float = 1.0,
-        point_timeout: Optional[float] = None,
-        unknown_grace: int = 10,
-        completed_grace: int = 5,
-        keep_spool: bool = False,
-        verify_code: bool = True,
-        checkpoint: Optional[dict] = None,
+        **substrate,
     ) -> None:
+        """``substrate`` is :class:`BatchBackend`'s keywords, passed through."""
         super().__init__(
-            transport=(
-                transport
-                if transport is not None
-                else K8sCliTransport(namespace=namespace, kubectl_options=kubectl_options)
-            ),
-            spool=spool if spool is not None else default_k8s_spool_dir(),
-            python=python,
-            cwd=cwd,
-            pythonpath=pythonpath,
-            batch_size=batch_size,
-            linger=linger,
-            poll_interval=poll_interval,
-            point_timeout=point_timeout,
-            unknown_grace=unknown_grace,
-            completed_grace=completed_grace,
-            keep_spool=keep_spool,
-            verify_code=verify_code,
-            checkpoint=checkpoint,
+            transport
+            if transport is not None
+            else K8sCliTransport(namespace=namespace, kubectl_options=kubectl_options),
+            spool if spool is not None else default_k8s_spool_dir(),
+            **substrate,
         )
         self.namespace = namespace
         self.image = image
-        self.kubectl_options = tuple(kubectl_options)
 
     # -- BatchBackend hooks ----------------------------------------------
 
@@ -315,25 +220,6 @@ class KubernetesBackend(BatchBackend):
         # DNS-1123: the spool components are already lowercase [a-z0-9-]
         # ("sweep-<pid>-<hex>", "job-<seq>"), so this stays a valid name
         return f"hc3i-{job_dir.parent.name}-{job_dir.name}"
-
-    def _render_pod_script(self, job_dir: Path) -> str:
-        lines = ["set -u"]
-        if self.cwd:
-            lines.append(f"cd {shlex.quote(self.cwd)}")
-        if self.pythonpath:
-            lines.append(
-                f"export PYTHONPATH={shlex.quote(self.pythonpath)}"
-                + "${PYTHONPATH:+:$PYTHONPATH}"
-            )
-        quoted = shlex.quote(str(job_dir))
-        lines.append(f'task={quoted}/tasks/"$JOB_COMPLETION_INDEX".json')
-        lines.append(f'out={quoted}/results/"$JOB_COMPLETION_INDEX".json')
-        # write-then-rename: a result file is complete the instant it exists
-        lines.append(
-            f'{shlex.quote(self.python)} -m {_WORKER_MODULE} '
-            '< "$task" > "$out.tmp" && mv "$out.tmp" "$out"'
-        )
-        return "\n".join(lines) + "\n"
 
     def _render_manifest(self, job_dir: Path, n_tasks: int) -> dict:
         name = self._job_name(job_dir)
@@ -375,7 +261,7 @@ class KubernetesBackend(BatchBackend):
                                 "command": [
                                     "/bin/bash",
                                     "-c",
-                                    self._render_pod_script(job_dir),
+                                    self._worker_script(job_dir),
                                 ],
                                 "volumeMounts": volume_mounts,
                             }

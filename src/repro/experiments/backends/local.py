@@ -78,15 +78,11 @@ class LocalProcessBackend(Backend):
         # the registry there as a side effect.
         outer: Future = Future()
         try:
-            inner = self._ensure_pool().submit(
-                _timed_point, task.fn, task.params, task.experiment
-            )
+            inner = self._ensure_pool().submit(_timed_point, task)
         except BrokenProcessPool:
             # the previous pool died; build a fresh one so a retry can run
             self._discard_pool()
-            inner = self._ensure_pool().submit(
-                _timed_point, task.fn, task.params, task.experiment
-            )
+            inner = self._ensure_pool().submit(_timed_point, task)
         inner.add_done_callback(lambda fut: self._finish(outer, fut))
         return outer
 
@@ -169,30 +165,27 @@ class InProcessBackend(Backend):
         if self._fault is not None and self._fault(task, host, attempt):
             self.kill_host(host)
             raise WorkerLostError(host, "fault injected")
-        start = time.perf_counter()
-        value = checkpoint.run_point(task.fn, task.params, experiment=task.experiment)
-        return PointOutcome(value=value, host=host, elapsed=time.perf_counter() - start)
+        value, elapsed = _timed_point(task)
+        return PointOutcome(value=value, host=host, elapsed=elapsed)
 
     def hosts(self) -> list:
         return [h for h in self._hosts if h in self._alive]
 
 
-def _timed_point(
-    fn: Callable[[dict], object], params: dict, experiment: Optional[str] = None
-) -> tuple:
+def _timed_point(task: PointTask) -> tuple:
     """Worker-side wrapper: run a point and report its wall time.
 
     Routed through :func:`checkpoint.run_point` so pool workers honor the
-    ``$REPRO_CHECKPOINT_*`` environment (inherited at fork/spawn) exactly
-    as batch workers honor their wire policy.
+    task's checkpoint policy exactly as remote workers honor the same
+    ref in their wire job.
     """
     start = time.perf_counter()
-    value = checkpoint.run_point(fn, params, experiment=experiment)
+    value = checkpoint.run_point(task.fn, task.params, task.experiment, task.checkpoint)
     return value, time.perf_counter() - start
 
 
 def _run_inline(task: PointTask) -> PointOutcome:
-    value, elapsed = _timed_point(task.fn, task.params, task.experiment)
+    value, elapsed = _timed_point(task)
     return PointOutcome(value=value, host=LOCAL_HOST, elapsed=elapsed)
 
 

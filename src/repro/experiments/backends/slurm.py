@@ -4,35 +4,25 @@ Real federation sites do not hand out interactive shells -- they take
 work through a batch scheduler.  This backend turns the sweep's
 cache-missing grid points into SLURM *array jobs*: points submitted
 close together are batched into one job directory under a shared spool,
-each point's wire job (the exact :func:`make_wire_job` format the SSH
-backend ships) written to ``tasks/<i>.json``, and one ``sbatch`` script
-whose array task ``i`` runs ``python -m repro.experiments.remote_worker``
-with stdin/stdout redirected to ``tasks/<i>.json`` / ``results/<i>.json``.
+each point's wire job (the same text the SSH backend pipes) written to
+``tasks/<i>.json``, and one ``sbatch`` script whose array task ``i``
+runs ``python -m repro.experiments.remote_worker`` with stdin/stdout
+redirected to ``tasks/<i>.json`` / ``results/<i>.json``.
 The spool directory must be visible to both the submitting machine and
 the compute nodes (home directories usually are).
 
 All of that machinery -- spooling, linger batching, the poll loop with
-its unknown/completed grace counters, the requeue taxonomy -- lives in
-the scheduler-agnostic :class:`~repro.experiments.backends.batch.
-BatchBackend`; this module contributes only SLURM's dialect: the
-``sbatch`` script, the ``sacct``/``squeue`` conversation, and the state
-vocabulary.
+its unknown/completed grace counters, the requeue and failure taxonomy
+-- lives in the scheduler-agnostic :class:`~repro.experiments.backends.
+batch.BatchBackend` (see its module docstring for the contract); this
+module contributes only SLURM's dialect: the ``sbatch`` script, the
+``sacct``/``squeue`` conversation, and the state vocabulary.
 
-Scheduler interaction goes through a pluggable
-:class:`SchedulerTransport`.  The default
-:class:`SlurmCliTransport` shells out to ``sbatch``/``squeue``/``sacct``/
-``scancel``; ``$REPRO_SLURM_COMMAND`` prefixes every invocation (like
-``$REPRO_SSH_COMMAND`` for the SSH backend), which is how tests and CI
-substitute a stub scheduler without a real SLURM installation.
-
-Failure semantics follow the backend contract: an array task that ends
-in a failed state (killed job, node failure, timeout) or vanishes from
-the scheduler raises :class:`WorkerLostError`, so the runner requeues
-the point -- resubmissions are batched into a fresh array job.  A point
-*raising* inside the worker comes back in the envelope as a
-deterministic :class:`RemotePointError` (not retryable), and the
-code-hash handshake refuses results from out-of-sync checkouts exactly
-as over SSH.
+The default transport, :class:`SlurmCliTransport`, shells out to
+``sbatch``/``squeue``/``sacct``/``scancel``; ``$REPRO_SLURM_COMMAND``
+prefixes every invocation (like ``$REPRO_SSH_COMMAND`` for the SSH
+backend), which is how tests and CI substitute a stub scheduler without
+a real SLURM installation.
 """
 
 from __future__ import annotations
@@ -41,26 +31,19 @@ import logging
 import os
 import re
 import shlex
-import subprocess
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.backends.base import (
-    BackendUnavailableError,
-    WorkerLostError,
-    tail_text as _tail,
-)
 from repro.experiments.backends.batch import (
-    WORKER_MODULE as _WORKER_MODULE,
     BatchBackend,
     BatchTransport,
+    CliTransport,
     expand_indices as _expand_indices,
     normalize_state as _normalize_state,
 )
 from repro.experiments.cache import default_cache_dir
 
 __all__ = [
-    "SchedulerTransport",
     "SlurmBackend",
     "SlurmCliTransport",
     "default_slurm_command",
@@ -106,64 +89,43 @@ LOST_STATES = frozenset(
 
 def default_slurm_command() -> tuple:
     """The scheduler argv prefix: ``$REPRO_SLURM_COMMAND`` or nothing."""
-    env = os.environ.get(_SLURM_COMMAND_ENV)
-    if env:
-        return tuple(shlex.split(env))
-    return ()
+    return tuple(shlex.split(os.environ.get(_SLURM_COMMAND_ENV) or ""))
 
 
 def default_spool_dir() -> Path:
     """``$REPRO_SLURM_SPOOL`` or ``<cache dir>/slurm-spool`` (shared $HOME)."""
-    env = os.environ.get(_SLURM_SPOOL_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / "slurm-spool"
+    return Path(os.environ.get(_SLURM_SPOOL_ENV) or default_cache_dir() / "slurm-spool")
 
 
-class SchedulerTransport(BatchTransport):
-    """How the backend talks to a batch scheduler.  Stubbable in tests.
-
-    The SLURM-flavoured name for the shared :class:`BatchTransport`
-    protocol; ``spec`` in :meth:`submit` is the rendered ``sbatch``
-    script.
-    """
-
-
-class SlurmCliTransport(SchedulerTransport):
+class SlurmCliTransport(CliTransport):
     """The real thing: shell out to ``sbatch``/``squeue``/``sacct``/``scancel``."""
 
+    host = "slurm"
+    verb = "sbatch"
+
     def __init__(self, command_prefix: Optional[tuple] = None, timeout: float = 60.0) -> None:
-        self.prefix = (
-            tuple(command_prefix) if command_prefix is not None else default_slurm_command()
+        super().__init__(
+            command_prefix if command_prefix is not None else default_slurm_command(),
+            timeout,
         )
-        self.timeout = timeout
 
-    def _argv(self, *args: str) -> list:
-        return [*self.prefix, *args]
+    def _submit_args(self, spec: Path) -> tuple:
+        return ("sbatch", "--parsable", str(spec))
 
-    def submit(self, job_dir: Path, spec: Path, n_tasks: int) -> str:
-        argv = self._argv("sbatch", "--parsable", str(spec))
+    def _parse_job_id(self, stdout: str) -> str:
+        return stdout.split(";")[0]  # --parsable prints "jobid" or "jobid;cluster"
+
+    def _cancel_args(self, target: str) -> tuple:
+        return ("scancel", target)
+
+    def _cancel_orphan(self, spec: Path) -> None:
         try:
-            proc = subprocess.run(argv, capture_output=True, timeout=self.timeout)
-        except OSError as exc:
-            raise BackendUnavailableError(
-                f"cannot launch sbatch ({argv[0]!r}): {exc}"
-            ) from None
-        except subprocess.TimeoutExpired:
-            # sbatch may have accepted the job without printing its id yet;
-            # cancel by (unique) job name so the orphan cannot run the same
-            # points the retry will resubmit
-            self._cancel_by_script_name(spec)
-            raise WorkerLostError("slurm", f"sbatch gave no job id within {self.timeout:g}s") from None
-        if proc.returncode != 0:
-            raise WorkerLostError(
-                "slurm", f"sbatch exit {proc.returncode}: {_tail(proc.stderr)}"
-            )
-        # --parsable prints "jobid" or "jobid;cluster"
-        job_id = proc.stdout.decode(errors="replace").strip().split(";")[0]
-        if not job_id:
-            raise WorkerLostError("slurm", "sbatch printed no job id")
-        return job_id
+            text = Path(spec).read_text(encoding="utf-8")
+        except OSError:
+            return
+        match = re.search(r"^#SBATCH --job-name=(\S+)", text, re.MULTILINE)
+        if match is not None:
+            self._run_quiet("scancel", "--name", match.group(1))
 
     def poll(self, job_id: str) -> dict:
         states: dict = {}
@@ -178,44 +140,6 @@ class SlurmCliTransport(SchedulerTransport):
         if out is not None:
             states.update(_parse_squeue(out))
         return states
-
-    def _run_quiet(self, *args: str) -> Optional[str]:
-        try:
-            proc = subprocess.run(
-                self._argv(*args), capture_output=True, timeout=self.timeout
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            # e.g. squeue "Invalid job id" once the job left the queue
-            return None
-        return proc.stdout.decode(errors="replace")
-
-    def cancel(self, target: str) -> None:
-        try:
-            subprocess.run(
-                self._argv("scancel", target), capture_output=True, timeout=self.timeout
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-
-    def _cancel_by_script_name(self, script: Path) -> None:
-        """Best-effort scancel of a job whose id was never read."""
-        try:
-            text = Path(script).read_text(encoding="utf-8")
-        except OSError:
-            return
-        match = re.search(r"^#SBATCH --job-name=(\S+)", text, re.MULTILINE)
-        if match is None:
-            return
-        try:
-            subprocess.run(
-                self._argv("scancel", "--name", match.group(1)),
-                capture_output=True,
-                timeout=self.timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            pass
 
 
 _log = logging.getLogger(__name__)
@@ -242,6 +166,14 @@ def _expand_quiet(token: str) -> list:
         return []
 
 
+def _learn(states: dict, token: str, state: str) -> None:
+    """Record one scheduler line: ``state`` for every task index in ``token``."""
+    normalized = _normalize_state(state)  # "CANCELLED by 0", "COMPLETED+"
+    if normalized:
+        for idx in _expand_quiet(token):
+            states[idx] = normalized
+
+
 def _parse_sacct(out: str, job_id: str) -> dict:
     """``sacct -n -P -X -o JobID,State`` lines -> {array index: STATE}."""
     states: dict = {}
@@ -251,12 +183,7 @@ def _parse_sacct(out: str, job_id: str) -> dict:
         match = pattern.match(jid)
         if not match or not state:
             continue
-        token = match.group(1)
-        normalized = _normalize_state(state)  # "CANCELLED by 0", "COMPLETED+"
-        if not normalized:
-            continue
-        for idx in _expand_quiet(token):
-            states[idx] = normalized
+        _learn(states, match.group(1), state)
     return states
 
 
@@ -265,13 +192,8 @@ def _parse_squeue(out: str) -> dict:
     states: dict = {}
     for line in out.splitlines():
         token, _, state = line.strip().partition("|")
-        if not token or not state:
-            continue
-        normalized = _normalize_state(state)
-        if not normalized:
-            continue
-        for idx in _expand_quiet(token):
-            states[idx] = normalized
+        if token and state:
+            _learn(states, token, state)
     return states
 
 
@@ -280,43 +202,23 @@ class SlurmBackend(BatchBackend):
 
     name = "slurm"
     task_noun = "array task"
+    index_var = "SLURM_ARRAY_TASK_ID"
     active_states = ACTIVE_STATES
     lost_states = LOST_STATES
     completed_states = frozenset({"COMPLETED"})
 
     def __init__(
         self,
-        transport: Optional[SchedulerTransport] = None,
+        transport: Optional[BatchTransport] = None,
         spool: Optional[Path] = None,
-        python: str = "python3",
-        cwd: Optional[str] = None,
-        pythonpath: Optional[str] = None,
         sbatch_options: tuple = (),
-        batch_size: int = 500,
-        linger: float = 0.2,
-        poll_interval: float = 1.0,
-        point_timeout: Optional[float] = None,
-        unknown_grace: int = 10,
-        completed_grace: int = 5,
-        keep_spool: bool = False,
-        verify_code: bool = True,
-        checkpoint: Optional[dict] = None,
+        **substrate,
     ) -> None:
+        """``substrate`` is :class:`BatchBackend`'s keywords, passed through."""
         super().__init__(
-            transport=transport if transport is not None else SlurmCliTransport(),
-            spool=spool if spool is not None else default_spool_dir(),
-            python=python,
-            cwd=cwd,
-            pythonpath=pythonpath,
-            batch_size=batch_size,
-            linger=linger,
-            poll_interval=poll_interval,
-            point_timeout=point_timeout,
-            unknown_grace=unknown_grace,
-            completed_grace=completed_grace,
-            keep_spool=keep_spool,
-            verify_code=verify_code,
-            checkpoint=checkpoint,
+            transport if transport is not None else SlurmCliTransport(),
+            spool if spool is not None else default_spool_dir(),
+            **substrate,
         )
         self.sbatch_options = tuple(sbatch_options)
 
@@ -340,20 +242,4 @@ class SlurmBackend(BatchBackend):
             f"#SBATCH --output={job_dir / 'logs'}/%a.log",
         ]
         lines.extend(f"#SBATCH {opt}" for opt in self.sbatch_options)
-        lines.append("set -u")
-        if self.cwd:
-            lines.append(f"cd {shlex.quote(self.cwd)}")
-        if self.pythonpath:
-            lines.append(
-                f"export PYTHONPATH={shlex.quote(self.pythonpath)}"
-                + "${PYTHONPATH:+:$PYTHONPATH}"
-            )
-        quoted = shlex.quote(str(job_dir))
-        lines.append(f'task={quoted}/tasks/"$SLURM_ARRAY_TASK_ID".json')
-        lines.append(f'out={quoted}/results/"$SLURM_ARRAY_TASK_ID".json')
-        # write-then-rename: a result file is complete the instant it exists
-        lines.append(
-            f'{shlex.quote(self.python)} -m {_WORKER_MODULE} '
-            '< "$task" > "$out.tmp" && mv "$out.tmp" "$out"'
-        )
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + self._worker_script(job_dir)

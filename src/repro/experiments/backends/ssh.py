@@ -44,9 +44,10 @@ from repro.experiments.backends.base import (
     WorkerLostError,
     _HostState,
     tail_text as _tail,
+    worker_shell_line,
 )
 from repro.experiments.backends.hosts import HostSpec
-from repro.experiments.remote_worker import decode_envelope, make_wire_job
+from repro.experiments.remote_worker import decode_envelope, encode_wire_job
 
 __all__ = ["SSHBackend", "DEFAULT_SSH_COMMAND", "default_ssh_command"]
 
@@ -56,8 +57,6 @@ DEFAULT_SSH_COMMAND = ("ssh", "-o", "BatchMode=yes", "-o", "ConnectTimeout=10")
 #: overrides the transport command line (shlex-split), e.g. to add jump
 #: hosts/options or to substitute a stub transport in tests and CI
 _SSH_COMMAND_ENV = "REPRO_SSH_COMMAND"
-
-_WORKER_MODULE = "repro.experiments.remote_worker"
 
 
 def default_ssh_command() -> tuple:
@@ -79,14 +78,12 @@ class SSHBackend(Backend):
         ssh_command: Optional[tuple] = None,
         point_timeout: Optional[float] = None,
         max_host_strikes: int = 2,
-        verify_code: bool = True,
     ) -> None:
         if not hosts:
             raise ValueError("SSHBackend needs at least one host")
         self.ssh_command = tuple(ssh_command) if ssh_command else default_ssh_command()
         self.point_timeout = point_timeout
         self.max_host_strikes = max(1, int(max_host_strikes))
-        self.verify_code = verify_code
         self._states = {
             spec.name: _HostState(
                 name=spec.name, slots=spec.slots, free=spec.slots, extra={"spec": spec}
@@ -155,8 +152,12 @@ class SSHBackend(Backend):
         return outcome
 
     def _execute(self, spec: HostSpec, task: PointTask) -> PointOutcome:
-        job = json.dumps(make_wire_job(task.experiment, task.params))
-        argv = [*self.ssh_command, spec.name, _remote_command(spec)]
+        job = encode_wire_job(task)
+        argv = [
+            *self.ssh_command,
+            spec.name,
+            worker_shell_line(spec.python, spec.cwd, spec.pythonpath),
+        ]
         start = time.perf_counter()
         try:
             proc = subprocess.run(
@@ -183,7 +184,7 @@ class SSHBackend(Backend):
             raise WorkerLostError(
                 spec.name, f"truncated/garbled result stream: {_tail(proc.stdout)}"
             ) from None
-        value = decode_envelope(envelope, spec.name, verify_code=self.verify_code)
+        value = decode_envelope(envelope, spec.name)
         return PointOutcome(value=value, host=spec.name, elapsed=elapsed)
 
     def shutdown(self) -> None:
@@ -195,19 +196,3 @@ class SSHBackend(Backend):
     def hosts(self) -> list:
         with self._cond:
             return sorted(s.name for s in self._states.values() if s.alive)
-
-
-def _remote_command(spec: HostSpec) -> str:
-    """The shell line executed on the remote host, safely quoted."""
-    parts = []
-    if spec.cwd:
-        parts.append(f"cd {shlex.quote(spec.cwd)} &&")
-    if spec.pythonpath:
-        # assignment context: no word splitting on the expanded suffix
-        parts.append(
-            f"PYTHONPATH={shlex.quote(spec.pythonpath)}" + "${PYTHONPATH:+:$PYTHONPATH}"
-        )
-    parts.append(f"{shlex.quote(spec.python)} -m {_WORKER_MODULE}")
-    return " ".join(parts)
-
-

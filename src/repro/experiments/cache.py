@@ -30,17 +30,18 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
+
+from repro.atomic import atomic_write
 
 try:  # POSIX advisory locking for the shared provenance journal
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-__all__ = ["ResultCache", "code_version_hash", "default_cache_dir"]
+__all__ = ["ResultCache", "code_version_hash", "default_cache_dir", "point_key"]
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _code_hash_cache: Optional[str] = None
@@ -70,6 +71,24 @@ def code_version_hash() -> str:
     return _code_hash_cache
 
 
+def point_key(experiment: str, params: dict, code_hash: Optional[str] = None) -> str:
+    """Content address of one grid point: SHA-256(code, experiment, params).
+
+    The one recipe behind result-cache entries *and* resume snapshots, so
+    a point's snapshot key is its cache key -- attempt-independent, which
+    is what lets a requeued attempt find its predecessor's snapshots.
+    """
+    material = json.dumps(
+        {
+            "code": code_hash if code_hash is not None else code_version_hash(),
+            "experiment": experiment,
+            "params": params,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
 class ResultCache:
     """Pickle store addressed by (experiment, params, code version)."""
 
@@ -89,11 +108,7 @@ class ResultCache:
 
     def key(self, experiment: str, params: dict) -> str:
         """Stable content address of one grid point under the current code."""
-        material = json.dumps(
-            {"code": self.code_hash, "experiment": experiment, "params": params},
-            sort_keys=True,
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
+        return point_key(experiment, params, self.code_hash)
 
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -121,29 +136,10 @@ class ResultCache:
     def put(self, experiment: str, params: dict, value) -> None:
         if not self.enabled:
             return
-        path = self.path(self.key(experiment, params))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            fh = os.fdopen(fd, "wb")
-        except BaseException:
-            # fdopen never took ownership: close the raw fd ourselves
-            os.close(fd)
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        try:
-            with fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self.path(self.key(experiment, params)),
+            lambda fh: pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def record(self, experiment: str, params: dict, host: str, elapsed: float = 0.0) -> None:
         """Append one provenance line: who computed this entry, and how long it took.
@@ -296,10 +292,10 @@ class ResultCache:
     def clear(self) -> int:
         """Remove every entry; returns the number of entries removed.
 
-        Also sweeps orphaned ``*.tmp`` files -- a sweep killed between
-        :func:`tempfile.mkstemp` and :func:`os.replace` in :meth:`put`
-        leaves one behind, and nothing else ever looks at them.  Orphans
-        do not count toward the return value (they were never entries).
+        Also sweeps orphaned ``*.tmp`` files -- a sweep killed inside
+        :meth:`put`'s :func:`~repro.atomic.atomic_write` leaves one behind,
+        and nothing else ever looks at them.  Orphans do not count toward
+        the return value (they were never entries).
         """
         removed = 0
         if self.root.exists():

@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
 import tarfile
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.atomic import atomic_write
 from repro.experiments.cache import ResultCache
 
 __all__ = [
@@ -112,10 +111,9 @@ def export_cache(cache: ResultCache, archive: Union[str, Path]) -> SyncReport:
     provenance = cache.journal_by_key()
     entries = []
     paths = sorted(cache.root.rglob("*.pkl")) if cache.root.exists() else []
-    archive.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=archive.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as raw, tarfile.open(fileobj=raw, mode="w:gz") as tar:
+
+    def write_archive(raw) -> None:
+        with tarfile.open(fileobj=raw, mode="w:gz") as tar:
             for path in paths:
                 key = path.stem
                 if not _KEY_RE.match(key):
@@ -138,13 +136,8 @@ def export_cache(cache: ResultCache, archive: Union[str, Path]) -> SyncReport:
                 "entries": entries,
             }
             _add_bytes(tar, _MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
-        os.replace(tmp, archive)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+
+    atomic_write(archive, write_archive)
     return SyncReport(
         operation="export",
         source=str(cache.root),
@@ -357,15 +350,4 @@ def _read_manifest(tar: tarfile.TarFile, archive: Path) -> dict:
 
 
 def _atomic_copy_bytes(data: bytes, target: Path) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(target, lambda fh: fh.write(data))

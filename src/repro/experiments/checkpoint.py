@@ -11,9 +11,12 @@ How it plugs in
 ---------------
 
 :func:`run_point` wraps every point execution (in-process runners, the
-local process pool, and ``remote_worker`` all route through it).  When a
-checkpoint config is active -- from an :func:`activate` block, from the
-``$REPRO_CHECKPOINT_*`` environment, or shipped in the wire job -- it
+local process pool, and ``remote_worker`` all route through it).  The
+policy reaches it one way: as the ``checkpoint`` ref ``{every, wall, dir,
+key}`` of the :class:`~repro.experiments.backends.base.PointTask`, which
+the runner fills in from ``run_experiment(checkpoint=...)`` and every
+distributed backend ships inside the wire job -- never as ambient state
+of whichever process happens to run the attempt.  Under a policy it
 installs :meth:`CheckpointConfig.drive` as the federation run hook:
 instead of one ``sim.run(until=horizon)``, the driver slices the run into
 ``every``-second intervals and snapshots the federation between slices.
@@ -33,7 +36,9 @@ poison its results.
 
 Once a point finishes, a ``<key>.done.json`` manifest records the
 per-call digests (CI's resume-equivalence lane compares these) and the
-superseded ``.ckpt`` envelopes are garbage-collected.
+superseded ``.ckpt`` envelopes are garbage-collected -- by the worker,
+and again by the runner once the result is durably cached (a worker can
+die between writing its result and its own GC).
 
 Fault injection for tests and CI: ``$REPRO_CHECKPOINT_KILL_EVENT=N``
 raises :class:`SimulatedEviction` -- a ``BaseException``, so it sails
@@ -43,17 +48,16 @@ which to the batch backend looks exactly like a worker dying mid-point.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time as _time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
-from repro.experiments.cache import code_version_hash
+from repro.atomic import atomic_write
+from repro.experiments.cache import code_version_hash, point_key
 from repro.sim import snapshot
 from repro.sim.snapshot import SnapshotError, StaleSnapshotError
 from repro.sim.trace_digest import ChainedTraceDigest
@@ -62,22 +66,14 @@ __all__ = [
     "CheckpointConfig",
     "SimulatedEviction",
     "activate",
-    "from_env",
-    "from_wire",
-    "gc_for",
     "gc_point",
     "point_key",
     "run_point",
     "sweep_orphans",
 ]
 
-ENV_EVERY = "REPRO_CHECKPOINT_EVERY"
-ENV_WALL = "REPRO_CHECKPOINT_WALL"
-ENV_DIR = "REPRO_CHECKPOINT_DIR"
+#: fault-injection seam (tools/stub_k8s.py, CI): die after N more events
 ENV_KILL = "REPRO_CHECKPOINT_KILL_EVENT"
-
-#: config installed by :func:`activate` for the current thread of execution
-_active: Optional["CheckpointConfig"] = None
 
 
 class SimulatedEviction(BaseException):
@@ -296,101 +292,47 @@ class CheckpointConfig:
 
 
 # ---------------------------------------------------------------------------
-# config sources
-
-
-def from_env(environ=None) -> Optional[CheckpointConfig]:
-    """Config from ``$REPRO_CHECKPOINT_*``, or ``None`` when unset."""
-    env = os.environ if environ is None else environ
-    every = env.get(ENV_EVERY)
-    wall = env.get(ENV_WALL)
-    directory = env.get(ENV_DIR)
-    if not every and not wall and not directory:
-        return None
-    return CheckpointConfig(
-        every=float(every) if every else None,
-        wall=float(wall) if wall else None,
-        directory=Path(directory) if directory else None,
-    )
-
-
-def from_wire(wire) -> Optional[CheckpointConfig]:
-    """Config from a wire job's ``checkpoint`` field (see remote_worker)."""
-    if not wire:
-        return None
-    return CheckpointConfig(
-        every=wire.get("every"),
-        wall=wire.get("wall"),
-        directory=Path(wire["dir"]) if wire.get("dir") else None,
-        key=wire.get("key"),
-    )
-
-
-def point_key(experiment: str, params: dict) -> str:
-    """Stable snapshot key for one grid point (the result-cache recipe)."""
-    material = {
-        "code": code_version_hash(),
-        "experiment": experiment,
-        "params": {k: params[k] for k in sorted(params)},
-    }
-    blob = json.dumps(material, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+# point execution
 
 
 @contextmanager
 def activate(cfg: CheckpointConfig) -> Iterator[CheckpointConfig]:
-    """Install ``cfg`` as the active checkpoint policy for this block."""
-    global _active
-    prev_active = _active
-    prev_hook = snapshot._drive_hook
-    _active = cfg
+    """Install ``cfg.drive`` as the ``Federation.run`` hook for this block."""
+    previous = snapshot._drive_hook
     snapshot._drive_hook = cfg.drive
     try:
         yield cfg
     finally:
-        _active = prev_active
-        snapshot._drive_hook = prev_hook
-
-
-# ---------------------------------------------------------------------------
-# point execution
+        snapshot._drive_hook = previous
 
 
 def run_point(
     fn: Callable[[dict], Any],
     params: dict,
     experiment: Optional[str] = None,
-    wire: Optional[dict] = None,
+    policy: Optional[dict] = None,
 ) -> Any:
-    """Run one grid point under the applicable checkpoint policy.
+    """Run one grid point under ``policy``, its task's checkpoint ref.
 
-    Policy precedence: an explicit ``wire`` job field, then an
-    :func:`activate` block, then the environment.  With no policy and no
-    kill injection this is exactly ``fn(params)``.
+    ``policy`` is ``{every, wall, dir, key}`` (see the module docstring)
+    or ``None``; nothing else -- no environment, no enclosing block --
+    contributes.  With no policy and no kill injection this is exactly
+    ``fn(params)``.
     """
-    if wire:
-        base = from_wire(wire)
-    else:
-        base = _active if _active is not None else from_env()
     kill_env = os.environ.get(ENV_KILL)
     kill = int(kill_env) if kill_env else None
-    if base is None and kill is None:
+    if not policy and kill is None:
         return fn(params)
-    if base is None:
-        cfg = CheckpointConfig(kill_at_event=kill)
-    else:
-        key = base.key
-        if key is None and base.directory is not None and experiment is not None:
-            key = point_key(experiment, params)
-        # Fresh per-point config: _calls/_kill_remaining/_call_records are
-        # attempt state and must not leak between points.
-        cfg = CheckpointConfig(
-            every=base.every,
-            wall=base.wall,
-            directory=base.directory,
-            key=key,
-            kill_at_event=kill if kill is not None else base.kill_at_event,
-        )
+    policy = policy or {}
+    # Fresh per-point config: _calls/_kill_remaining/_call_records are
+    # attempt state and must not leak between points.
+    cfg = CheckpointConfig(
+        every=policy.get("every"),
+        wall=policy.get("wall"),
+        directory=policy.get("dir"),
+        key=policy.get("key"),
+        kill_at_event=kill,
+    )
     with activate(cfg):
         value = fn(params)
     if cfg.directory is not None and cfg.key is not None:
@@ -405,7 +347,6 @@ def write_done_manifest(cfg: CheckpointConfig, experiment: Optional[str]) -> Pat
     Written *before* the snapshots are GC'd so the resume-equivalence
     check always has the digests, even though the envelopes are gone.
     """
-    path = cfg.directory / f"{cfg.key}.done.json"
     doc = {
         "format": snapshot.FORMAT,
         "code": code_version_hash(),
@@ -414,28 +355,7 @@ def write_done_manifest(cfg: CheckpointConfig, experiment: Optional[str]) -> Pat
         "calls": cfg._call_records,
     }
     blob = json.dumps(doc, sort_keys=True).encode("utf-8") + b"\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        fh = os.fdopen(fd, "wb")
-    except BaseException:
-        os.close(fd)
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:
-        with fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(cfg.directory / f"{cfg.key}.done.json", lambda fh: fh.write(blob))
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +372,6 @@ def gc_point(directory, key: str) -> int:
         except OSError:
             pass
     return removed
-
-
-def gc_for(experiment: Optional[str], params: dict) -> None:
-    """Best-effort snapshot GC once the runner records a point's success.
-
-    Covers the case where the point ran on a worker that died *after*
-    writing its result but before its own GC (the runner is the only
-    place that reliably observes completion).
-    """
-    try:
-        cfg = _active if _active is not None else from_env()
-        if cfg is None or cfg.directory is None or experiment is None:
-            return
-        key = cfg.key or point_key(experiment, params)
-        gc_point(cfg.directory, key)
-    except Exception:
-        pass
 
 
 def sweep_orphans(directory) -> int:

@@ -2,17 +2,24 @@
 
 This module *owns the wire format* shared by every distributed backend:
 the SSH backend pipes a job over ``ssh <host> python -m
-repro.experiments.remote_worker``; the SLURM backend writes the same job
-to a spool file and an array task runs the same command with stdin/stdout
-redirected.  Build jobs with :func:`make_wire_job` and interpret
-responses with :func:`decode_envelope` so every backend applies the same
-code-hash handshake and failure taxonomy.
+repro.experiments.remote_worker``; the SLURM and Kubernetes backends
+write the same job to a spool file and a task runs the same command with
+stdin/stdout redirected.  Every backend serialises a task with
+:func:`encode_wire_job` and interprets the response with
+:func:`decode_envelope`, so all of them ship the same job and apply the
+same code-hash handshake and failure taxonomy.
 
 A job is one JSON object::
 
     {"experiment": "fig8", "params": {...}, "code_hash": "<submitter's hash>"}
 
-and the response is exactly one JSON envelope.  Success::
+plus, when the sweep runs under a checkpoint policy, the task's snapshot
+ref -- the only way a policy ever reaches a worker::
+
+    "checkpoint": {"every": 600.0, "wall": null, "dir": "/spool/snapshots",
+                   "key": "<the point's cache key>"}
+
+The response is exactly one JSON envelope.  Success::
 
     {"ok": true, "code_hash": "<this host's hash>",
      "elapsed": 1.23, "pickle": "<base64 pickled point value>"}
@@ -51,31 +58,35 @@ from typing import Optional
 from repro.experiments import checkpoint, registry
 from repro.experiments.cache import code_version_hash
 
-__all__ = ["decode_envelope", "main", "make_wire_job", "run_job"]
+__all__ = ["decode_envelope", "encode_wire_job", "main", "make_wire_job", "run_job"]
 
 
-def make_wire_job(
-    experiment: str, params: dict, checkpoint: Optional[dict] = None
-) -> dict:
+def make_wire_job(task) -> dict:
     """The self-contained job object a worker consumes, handshake included.
 
-    ``checkpoint`` (optional -- jobs without it are byte-identical to the
-    old format) is the snapshot ref a requeued point ships: the policy
-    dict (``every``/``wall``/``dir``/``key``) under which the worker runs
-    the point via :func:`repro.experiments.checkpoint.run_point`, resuming
-    from the latest envelope at that key if one exists.
+    ``task`` is a :class:`~repro.experiments.backends.base.PointTask`.
+    Its ``checkpoint`` ref rides along only when set (a job without a
+    policy has exactly the keys ``code_hash, experiment, params``); the
+    worker runs the point under it via
+    :func:`repro.experiments.checkpoint.run_point`, resuming from the
+    latest envelope at that key if one exists.
     """
     wire = {
-        "experiment": experiment,
-        "params": params,
+        "experiment": task.experiment,
+        "params": task.params,
         "code_hash": code_version_hash(),
     }
-    if checkpoint is not None:
-        wire["checkpoint"] = checkpoint
+    if task.checkpoint is not None:
+        wire["checkpoint"] = task.checkpoint
     return wire
 
 
-def decode_envelope(envelope: dict, host: str, verify_code: bool = True):
+def encode_wire_job(task) -> str:
+    """``task`` as the JSON text SSH pipes and the batch spool stores."""
+    return json.dumps(make_wire_job(task), sort_keys=True)
+
+
+def decode_envelope(envelope: dict, host: str):
     """Interpret one response envelope; returns the point value.
 
     Applies the shared failure taxonomy: code skew raises
@@ -93,7 +104,7 @@ def decode_envelope(envelope: dict, host: str, verify_code: bool = True):
         WorkerLostError,
     )
 
-    if verify_code and "code_hash" in envelope:
+    if "code_hash" in envelope:
         local, remote = code_version_hash(), str(envelope["code_hash"])
         if remote != local:
             raise RemoteCodeMismatchError(host, local, remote)
@@ -103,7 +114,7 @@ def decode_envelope(envelope: dict, host: str, verify_code: bool = True):
             str(envelope.get("error", "unknown error")),
             str(envelope.get("traceback", "")),
         )
-    if verify_code and "code_hash" not in envelope:
+    if "code_hash" not in envelope:
         raise RemoteCodeMismatchError(host, code_version_hash(), "(missing)")
     try:
         return pickle.loads(base64.b64decode(envelope["pickle"]))
@@ -121,13 +132,8 @@ def run_job(job: dict) -> dict:
             experiment = registry.get(str(job["experiment"]))
             params = registry.canonical_params(job["params"])
             start = time.perf_counter()
-            # Checkpoint policy: the wire field if the submitter sent one,
-            # otherwise whatever $REPRO_CHECKPOINT_* says on this host.
             value = checkpoint.run_point(
-                experiment.point,
-                params,
-                experiment=str(job["experiment"]),
-                wire=job.get("checkpoint"),
+                experiment.point, params, experiment.name, job.get("checkpoint")
             )
             elapsed = time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - reported in the envelope

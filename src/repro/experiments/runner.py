@@ -16,6 +16,12 @@ puts the point back in the queue (bounded by ``max_retries`` per point)
 and the backend stops assigning work to the casualty, so a sweep
 survives losing hosts mid-flight -- the federation-of-scavenged-
 resources model of the paper's setting.
+
+The runner also owns the sweep's checkpoint policy: it is the one place
+that knows both the policy and that a result is durably cached, so it
+stamps each :class:`PointTask` with its snapshot ref (the only carrier a
+policy has, whatever the backend) and collects a point's snapshots once
+its result is safe.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.experiments import checkpoint, registry
+from repro.experiments import checkpoint as checkpoint_mod, registry
 from repro.experiments.backends import (
     Backend,
     PointTask,
     WorkerLostError,
     create_backend,
 )
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, point_key
 from repro.experiments.registry import Experiment
 
 __all__ = ["SweepError", "SweepReport", "run_experiment"]
@@ -88,6 +94,7 @@ def run_experiment(
     backend: Union[str, Backend, None] = None,
     hosts: Optional[Union[str, list]] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
+    checkpoint: Optional[dict] = None,
 ) -> SweepReport:
     """Run one experiment's full grid; returns the reduced result + stats.
 
@@ -101,7 +108,17 @@ def run_experiment(
     :func:`repro.experiments.backends.create_backend` (``hosts`` feeds
     the SSH roster), or a ready :class:`Backend` instance, which the
     caller keeps ownership of (it is not shut down here).
+
+    ``checkpoint`` is the sweep's resume policy ``{"every": simulated
+    seconds, "wall": throttle seconds or None, "dir": snapshot
+    directory}``: every executed point snapshots under it -- on any
+    backend -- at its cache key, so a requeued attempt resumes (see
+    :mod:`repro.experiments.checkpoint`).
     """
+    if checkpoint is not None:
+        if not checkpoint.get("dir"):
+            raise ValueError("a checkpoint policy needs a snapshot 'dir'")
+        checkpoint = {**checkpoint, "dir": str(checkpoint["dir"])}  # wire-safe
     exp = registry.get(experiment) if isinstance(experiment, str) else experiment
     start = time.perf_counter()
     grid = exp.build_grid(overrides)
@@ -129,11 +146,16 @@ def run_experiment(
         resolved = create_backend(backend, jobs=jobs, hosts=hosts)
         try:
             retries = _execute_pending(
-                resolved, exp, grid, pending, results, cache, host_counts, max_retries
+                resolved, exp, grid, pending, results, cache, host_counts,
+                max_retries, checkpoint,
             )
         finally:
             if not borrowed:
                 resolved.shutdown()
+            if checkpoint is not None:
+                # killed writers leave *.tmp behind; snapshots of completed
+                # points were collected as they finished
+                checkpoint_mod.sweep_orphans(checkpoint["dir"])
         backend_name = resolved.name
     else:
         backend_name = backend.name if isinstance(backend, Backend) else (backend or "local")
@@ -163,6 +185,7 @@ def _execute_pending(
     cache: Optional[ResultCache],
     host_counts: dict,
     max_retries: int,
+    policy: Optional[dict] = None,
 ) -> int:
     """Fan ``pending`` grid indices out over ``backend`` with retry.
 
@@ -170,8 +193,21 @@ def _execute_pending(
     an aborted sweep resumes from exactly where it failed.  Returns the
     number of worker-loss resubmissions.
     """
+    # A task's snapshot ref is the policy plus the point's cache key --
+    # identical for the first submission and every requeue, which is what
+    # lets attempt N+1 pick up attempt N's latest snapshot.
+    tasks = {
+        i: PointTask(
+            exp.name,
+            grid[i],
+            exp.point,
+            policy and {**policy, "key": point_key(exp.name, grid[i])},
+        )
+        for i in pending
+    }
+
     def submit(i: int):
-        return backend.submit(PointTask(experiment=exp.name, params=grid[i], fn=exp.point))
+        return backend.submit(tasks[i])
 
     backend.prepare(len(pending))
     in_flight: dict = {}
@@ -209,10 +245,12 @@ def _execute_pending(
         if cache is not None:
             cache.put(exp.name, grid[i], outcome.value)
             cache.record(exp.name, grid[i], host=outcome.host, elapsed=outcome.elapsed)
-        # the point is durably recorded: its resume snapshots are garbage
-        # (best-effort; the worker that died after writing its result may
-        # not have gotten to its own GC)
-        checkpoint.gc_for(exp.name, grid[i])
+        ref = tasks[i].checkpoint
+        if ref is not None:
+            # the point is durably recorded: its resume snapshots are
+            # garbage (the worker that died after writing its result may
+            # not have gotten to its own GC)
+            checkpoint_mod.gc_point(ref["dir"], ref["key"])
 
     try:
         for i in pending:

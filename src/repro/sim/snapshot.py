@@ -51,11 +51,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
+
+from repro.atomic import atomic_write
 
 __all__ = [
     "CorruptSnapshotError",
@@ -242,35 +242,11 @@ def write_envelope(path, meta: dict, payload: bytes) -> Path:
     Write-then-rename (the result-cache idiom): a reader either sees the
     previous complete snapshot or this one, never a torn mix.
     """
-    path = Path(path)
     header = dict(meta)
     header["format"] = FORMAT
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        fh = os.fdopen(fd, "wb")
-    except BaseException:
-        # fdopen never took ownership: close the raw fd ourselves
-        os.close(fd)
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:
-        with fh:
-            fh.write(line)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, lambda fh: fh.writelines((line, payload)))
 
 
 def read_envelope(path) -> Tuple[dict, bytes]:

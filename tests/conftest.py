@@ -11,6 +11,7 @@ import pytest
 from repro.cluster.federation import Federation
 from repro.config.application import ApplicationConfig, ClusterAppSpec
 from repro.config.timers import TimersConfig
+from repro.experiments.backends import BatchTransport
 from repro.network.message import NodeId
 from repro.network.topology import ClusterSpec, LinkSpec, Topology
 from repro.sim.kernel import Simulator
@@ -106,17 +107,21 @@ def stub_ssh(tmp_path):
     """A stand-in for ``ssh``: ignores options/host, runs the command locally.
 
     Hosts named ``dead*`` refuse the connection (exit 255), so tests can
-    kill a fake remote worker without an sshd anywhere.
+    kill a fake remote worker without an sshd anywhere.  Like a real ssh
+    hop, it does not forward ``REPRO_CHECKPOINT_*`` variables: whatever
+    the worker needs must arrive inside the wire job.
     """
     script = tmp_path / "stub-ssh.py"
     script.write_text(
         "#!/usr/bin/env python3\n"
-        "import subprocess, sys\n"
+        "import os, subprocess, sys\n"
         "host, command = sys.argv[-2], sys.argv[-1]\n"
         "if host.startswith('dead'):\n"
         "    print('stub-ssh: connection refused', file=sys.stderr)\n"
         "    sys.exit(255)\n"
-        "sys.exit(subprocess.call(command, shell=True))\n"
+        "env = {k: v for k, v in os.environ.items()\n"
+        "       if not k.startswith('REPRO_CHECKPOINT_')}\n"
+        "sys.exit(subprocess.call(command, shell=True, env=env))\n"
     )
     return (sys.executable, str(script))
 
@@ -134,8 +139,8 @@ def loopback_spec(name: str = "loopback", slots: int = 2):
     )
 
 
-class InMemorySlurmTransport:
-    """A :class:`SchedulerTransport` that runs array tasks in-process.
+class InMemorySlurmTransport(BatchTransport):
+    """A :class:`BatchTransport` that runs array tasks in-process.
 
     ``sbatch`` is simulated at submit time: each task's wire job is read
     from the spool, executed through the real ``remote_worker.run_job``,
@@ -192,8 +197,8 @@ def make_slurm_backend(spool, transport=None, **kwargs):
     )
 
 
-class InMemoryK8sTransport:
-    """A :class:`K8sTransport` that runs completion indices in-process.
+class InMemoryK8sTransport(BatchTransport):
+    """A :class:`BatchTransport` that runs completion indices in-process.
 
     ``kubectl create`` is simulated at submit time: each index's wire job
     is read from the spool, executed through the real

@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import pickle
+import sys
 
 import pytest
 
@@ -30,6 +31,8 @@ from repro.experiments.checkpoint import (
     CheckpointConfig,
     SimulatedEviction,
 )
+from repro.experiments.backends import BatchTransport, PointTask
+from repro.experiments.cache import ResultCache
 from repro.experiments.golden import golden_overrides
 from repro.experiments.remote_worker import make_wire_job
 from repro.sim import snapshot
@@ -66,9 +69,9 @@ def run_checkpointed(
     wall=None,
     kill_at=None,
 ):
-    """One ``run_point`` attempt under an explicit wire checkpoint policy."""
+    """One ``run_point`` attempt under an explicit task checkpoint ref."""
     exp = registry.get(name)
-    wire = {
+    policy = {
         "every": every,
         "wall": wall,
         "dir": str(directory),
@@ -78,7 +81,7 @@ def run_checkpointed(
     if kill_at is not None:
         os.environ[ENV_KILL] = str(kill_at)
     try:
-        return checkpoint.run_point(exp.point, params, experiment=name, wire=wire)
+        return checkpoint.run_point(exp.point, params, name, policy)
     finally:
         os.environ.pop(ENV_KILL, None)
 
@@ -185,6 +188,84 @@ class TestSnapshotRoundtrip:
     def test_write_envelope_leaves_no_tmp_behind(self, tmp_path):
         snapshot.write_envelope(tmp_path / "a.ckpt", {"state": "x"}, b"p")
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
+
+
+class _TornFile:
+    """A file whose every write lands one byte, then the disk fills up."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(bytes(data)[:1])
+        raise OSError("disk full")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _export_empty_cache(root):
+    from repro.experiments.cache_sync import export_cache
+
+    export_cache(ResultCache(root / "empty", code_hash="h"), root / "site.tar.gz")
+
+
+def _copy_entry(root):
+    from repro.experiments.cache_sync import _atomic_copy_bytes
+
+    _atomic_copy_bytes(b"entry bytes", root / "ab" / "entry.pkl")
+
+
+#: the five atomic writers: (call, glob of the target it creates under root)
+ATOMIC_WRITERS = {
+    "ResultCache.put": (
+        lambda root: ResultCache(root, code_hash="h").put("t", {"a": 1}, [1, 2, 3]),
+        "*.pkl",
+    ),
+    "write_envelope": (
+        lambda root: snapshot.write_envelope(root / "a.ckpt", {"state": "x"}, b"payload"),
+        "*.ckpt",
+    ),
+    "write_done_manifest": (
+        lambda root: checkpoint.write_done_manifest(
+            CheckpointConfig(every=60.0, directory=root, key="k"), "table1"
+        ),
+        "*.done.json",
+    ),
+    "export_cache": (_export_empty_cache, "*.tar.gz"),
+    "_atomic_copy_bytes": (_copy_entry, "*.pkl"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_a_writer_that_raises_mid_write_leaves_nothing_behind(
+    writer, tmp_path, monkeypatch
+):
+    """All five go through ``repro.atomic.atomic_write``: a write that
+    raises part-way leaves no ``*.tmp`` and no partial target."""
+    write, target = ATOMIC_WRITERS[writer]
+    real_fdopen = os.fdopen
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            os, "fdopen", lambda fd, *a, **k: _TornFile(real_fdopen(fd, *a, **k))
+        )
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path)
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert list(tmp_path.rglob(target)) == []
+    write(tmp_path)  # and unbroken, the same call does create its target
+    assert len(list(tmp_path.rglob(target))) == 1
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +444,6 @@ class TestPolicy:
         assert header["state"] == "completed"
         assert inflight_writes == 1
 
-    def test_env_config_round_trip(self):
-        env = {
-            checkpoint.ENV_EVERY: "120.5",
-            checkpoint.ENV_WALL: "30",
-            checkpoint.ENV_DIR: "/tmp/ckpt",
-        }
-        cfg = checkpoint.from_env(env)
-        assert (cfg.every, cfg.wall, str(cfg.directory)) == (120.5, 30.0, "/tmp/ckpt")
-        assert checkpoint.from_env({}) is None
-
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             CheckpointConfig(every=0)
@@ -384,6 +455,21 @@ class TestPolicy:
         b = checkpoint.point_key("table1", {"y": 2, "x": 1})
         c = checkpoint.point_key("fig8", {"x": 1, "y": 2})
         assert a == b != c
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_snapshot_key_is_the_result_cache_key(self, name):
+        """The resume docs' promise: a point's snapshots sit at its cache key."""
+        params = tiny_point(name)
+        assert checkpoint.point_key(name, params) == ResultCache().key(name, params)
+
+    def test_run_point_ignores_the_environment(self, tmp_path, monkeypatch):
+        """The task's ref is the only carrier: ambient variables are not policy."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "60")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        params = tiny_point("table1")
+        reset_msg_ids()
+        checkpoint.run_point(registry.get("table1").point, params, "table1")
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_point_without_policy_is_a_plain_call(self):
         calls = []
@@ -401,12 +487,11 @@ class TestSweepCliFlags:
         with pytest.raises(SystemExit, match="require --checkpoint-every"):
             main([*base, "--checkpoint-dir", str(tmp_path)])
 
-    def test_local_sweep_checkpoints_via_env_and_restores_it(
-        self, tmp_path, capsys
-    ):
+    def test_local_sweep_policy_rides_the_task_not_environ(self, tmp_path, capsys):
         from repro.cli import main
 
         ckpt_dir = tmp_path / "snaps"
+        environ_before = dict(os.environ)
         rc = main(
             [
                 "sweep", "table1", "--scale", "tiny", "--no-cache",
@@ -419,19 +504,51 @@ class TestSweepCliFlags:
         manifests = list(ckpt_dir.glob("*.done.json"))
         assert len(manifests) == 1, "the sweep's point left no done manifest"
         assert not list(ckpt_dir.glob("*.ckpt")), "snapshots must be GC'd"
-        for key in (checkpoint.ENV_EVERY, checkpoint.ENV_WALL, checkpoint.ENV_DIR):
-            assert key not in os.environ, f"{key} leaked past the sweep"
+        assert dict(os.environ) == environ_before, "the sweep touched os.environ"
+
+    def test_ssh_sweep_checkpoints_on_the_remote_side(
+        self, tmp_path, capsys, monkeypatch, stub_ssh
+    ):
+        """The policy crosses ssh inside the wire job: the stub transport
+        scrubs every REPRO_CHECKPOINT_* variable from the worker's
+        environment, as a real ssh hop does."""
+        from conftest import REPO_ROOT
+        from repro.cli import main
+
+        roster = tmp_path / "hosts.toml"
+        roster.write_text(
+            "[[hosts]]\n"
+            'name = "loopback"\n'
+            f'python = "{sys.executable}"\n'
+            f'cwd = "{REPO_ROOT}"\n'
+            'pythonpath = "src"\n'
+        )
+        monkeypatch.setenv("REPRO_SSH_COMMAND", " ".join(stub_ssh))
+        ckpt_dir = tmp_path / "snaps"
+        rc = main(
+            [
+                "sweep", "table1", "--scale", "tiny", "--no-cache",
+                "--backend", "ssh", "--hosts", str(roster),
+                "--checkpoint-every", "60",
+                "--checkpoint-dir", str(ckpt_dir),
+            ]
+        )
+        assert rc == 0
+        assert "backend=ssh" in capsys.readouterr().out
+        (manifest,) = ckpt_dir.glob("*.done.json")
+        assert json.loads(manifest.read_text())["experiment"] == "table1"
+        assert not list(ckpt_dir.glob("*.ckpt")), "snapshots must be GC'd"
 
 
 class TestWireFormat:
     def test_wire_job_without_checkpoint_is_byte_identical_to_old_format(self):
-        job = make_wire_job("table1", {"seed": 1})
+        job = make_wire_job(PointTask("table1", {"seed": 1}, fn=dict))
         assert "checkpoint" not in job
         assert sorted(job) == ["code_hash", "experiment", "params"]
 
     def test_wire_job_carries_checkpoint_policy(self):
         policy = {"every": 60.0, "wall": None, "dir": "/spool/snaps", "key": "k"}
-        job = make_wire_job("table1", {"seed": 1}, checkpoint=policy)
+        job = make_wire_job(PointTask("table1", {"seed": 1}, fn=dict, checkpoint=policy))
         assert job["checkpoint"] == policy
 
 
@@ -439,7 +556,7 @@ class TestWireFormat:
 # the batch requeue path: eviction mid-run, requeued point resumes
 
 
-class MidRunEvictingTransport:
+class MidRunEvictingTransport(BatchTransport):
     """An in-memory k8s control plane whose pods can die *mid-simulation*.
 
     ``kills`` maps ``(job_seq, index) -> event_budget``: the matching pod
@@ -455,6 +572,7 @@ class MidRunEvictingTransport:
         self.jobs: dict = {}
         self.job_dirs: dict = {}
         self.cancelled: list = []
+        self.shipped: list = []  # every wire job, in submission order
 
     def submit(self, job_dir, spec, n_tasks) -> str:
         from repro.experiments.remote_worker import run_job
@@ -464,6 +582,7 @@ class MidRunEvictingTransport:
         phases = {}
         for i in range(n_tasks):
             job = json.loads((job_dir / "tasks" / f"{i}.json").read_text())
+            self.shipped.append(job)
             budget = self.kills.get((self.seq, i))
             if budget is not None:
                 os.environ[ENV_KILL] = str(budget)
@@ -500,11 +619,15 @@ class TestBatchRequeueResume:
         # Kill every first-job pod after 40 events; requeues run clean.
         kills = {(1, i): 40 for i in range(len(serial.grid))}
         spool = tmp_path / "spool"
-        backend = make_k8s_backend(
-            spool, MidRunEvictingTransport(kills), checkpoint={"every": 60.0}
-        )
+        snap_dir = spool / "snapshots"
+        backend = make_k8s_backend(spool, MidRunEvictingTransport(kills))
         try:
-            report = run_experiment("table1", overrides=overrides, backend=backend)
+            report = run_experiment(
+                "table1",
+                overrides=overrides,
+                backend=backend,
+                checkpoint={"every": 60.0, "dir": snap_dir},
+            )
         finally:
             backend.shutdown()
 
@@ -513,7 +636,6 @@ class TestBatchRequeueResume:
 
         # Every requeued point genuinely resumed -- its done manifest says
         # where the transplant picked up -- and its snapshots were GC'd.
-        snap_dir = spool / "snapshots"
         manifests = sorted(snap_dir.glob("*.done.json"))
         assert len(manifests) == len(serial.grid)
         for path in manifests:
@@ -523,25 +645,28 @@ class TestBatchRequeueResume:
             )
         assert not list(snap_dir.glob("*.ckpt"))
 
-    def test_wire_checkpoint_key_is_stable_across_requeues(self, tmp_path):
-        """The requeue resumes because the key is attempt-independent."""
+    def test_task_ref_is_stable_across_requeues(self, tmp_path):
+        """The requeue resumes because the ref is attempt-independent: the
+        evicted attempt and its requeue ship the same key and dir."""
         from conftest import make_k8s_backend
-        from repro.experiments.backends import PointTask
+        from repro.experiments.runner import run_experiment
 
-        backend = make_k8s_backend(
-            tmp_path / "spool", checkpoint={"every": 60.0}
-        )
+        transport = MidRunEvictingTransport({(1, 0): 40})
+        backend = make_k8s_backend(tmp_path / "spool", transport)
+        policy = {"every": 60.0, "wall": None, "dir": str(tmp_path / "snaps")}
         try:
-            exp = registry.get("table1")
-            params = tiny_point("table1")
-            task = PointTask(experiment="table1", params=params, fn=exp.point)
-            first = backend._wire_checkpoint(task)
-            second = backend._wire_checkpoint(task)
+            report = run_experiment(
+                "table1", overrides={**TINY, "seed": 7}, backend=backend,
+                checkpoint=policy,
+            )
         finally:
             backend.shutdown()
+        assert report.retries == 1
+        first, second = (job["checkpoint"] for job in transport.shipped)
         assert first == second
-        assert first["key"] == checkpoint.point_key("table1", params)
-        assert first["dir"] == str(tmp_path / "spool" / "snapshots")
+        assert first == {
+            **policy, "key": checkpoint.point_key("table1", report.grid[0])
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +699,30 @@ class TestSpoolHygiene:
         assert checkpoint.sweep_orphans(tmp_path / "missing") == 0
 
     def test_runner_gc_for_cleans_a_dead_workers_leftovers(self, tmp_path):
-        params = {"seed": 1}
-        key = checkpoint.point_key("table1", params)
-        (tmp_path / f"{key}.c0.ckpt").write_bytes(b"x")
-        cfg = CheckpointConfig(every=60.0, directory=tmp_path)
-        with checkpoint.activate(cfg):
-            checkpoint.gc_for("table1", params)
-        assert not list(tmp_path.glob("*.ckpt"))
+        """A pod that died between writing its result and its own GC leaves
+        a snapshot behind; the runner collects it once the result is
+        recorded -- on a batch backend too, where the submitting process
+        holds no ambient policy at all."""
+        from conftest import InMemoryK8sTransport, make_k8s_backend
+        from repro.experiments.runner import run_experiment
+
+        class DiesBeforeItsOwnGC(InMemoryK8sTransport):
+            def submit(self, job_dir, spec, n_tasks) -> str:
+                name = super().submit(job_dir, spec, n_tasks)
+                for task in (job_dir / "tasks").glob("*.json"):
+                    ref = json.loads(task.read_text())["checkpoint"]
+                    (tmp_path / "snaps" / f"{ref['key']}.c0.ckpt").write_bytes(b"x")
+                return name
+
+        snap_dir = tmp_path / "snaps"
+        backend = make_k8s_backend(tmp_path / "spool", DiesBeforeItsOwnGC())
+        try:
+            report = run_experiment(
+                "table1", overrides={**TINY, "seed": 7}, backend=backend,
+                checkpoint={"every": 60.0, "dir": snap_dir},
+            )
+        finally:
+            backend.shutdown()
+        key = checkpoint.point_key("table1", report.grid[0])
+        assert not list(snap_dir.glob("*.ckpt"))
+        assert (snap_dir / f"{key}.done.json").exists()
