@@ -44,7 +44,8 @@ from repro.sim.trace import TraceLevel
 # Importing the baselines registers them with the protocol registry.
 import repro.baselines  # noqa: E402,F401
 
-__version__ = "1.0.0"
+#: the one version literal; pyproject.toml reads it (``dynamic = ["version"]``)
+__version__ = "1.2.0"
 
 __all__ = [
     "ApplicationConfig",

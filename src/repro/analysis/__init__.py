@@ -18,15 +18,11 @@ from repro.analysis.consistency import (
 from repro.analysis.rollback_cost import RollbackCostReport, rollback_costs
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.timeline import render_timeline
-from repro.analysis.plots import ascii_plot
-from repro.analysis.describe import describe_federation
 
 __all__ = [
     "ConsistencyReport",
     "RollbackCostReport",
-    "ascii_plot",
     "check_invariants",
-    "describe_federation",
     "format_series",
     "format_table",
     "render_timeline",

@@ -104,19 +104,6 @@ def verify_consistency(federation: "Federation", allow_in_flight: bool = True) -
                 report.delivered += 1
 
     # Sender-side: every surviving send is accounted for at the receiver.
-    for cs in states:
-        pending_ids = set()
-        deferred_ids = set()
-        for node in federation.clusters[cs.index].nodes:
-            agent = node.agent
-            pending_ids |= {e.msg.msg_id for e in getattr(agent, "pending_force", ())}
-            deferred_ids |= {m.msg_id for m in getattr(agent, "deferred_in", ())}
-            deferred_ids |= {
-                m.msg_id
-                for m in getattr(node, "_held", ())
-                if m.kind.is_app
-            }
-
     for msg_id, entry in surviving_sends.items():
         dst_cs = states[entry.dest_cluster]
         if msg_id in dst_cs.delivered_ids:

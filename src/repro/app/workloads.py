@@ -29,6 +29,7 @@ from repro.network.topology import (
     ClusterSpec,
     LinkSpec,
     Topology,
+    two_cluster_topology,
 )
 
 __all__ = [
@@ -45,16 +46,6 @@ TOTAL_TIME = 10 * HOUR
 # Table 1 calibration targets.
 _C0_SENDS = 2920 + 145      # total emissions of cluster 0
 _C1_SENDS = 2497 + 11       # total emissions of cluster 1
-
-
-def _two_cluster_topology(nodes: int) -> Topology:
-    return Topology(
-        clusters=[
-            ClusterSpec("cluster0", nodes, MYRINET_LIKE),
-            ClusterSpec("cluster1", nodes, MYRINET_LIKE),
-        ],
-        inter_links={(0, 1): ETHERNET_LIKE},
-    )
 
 
 def table1_workload(
@@ -101,7 +92,7 @@ def table1_workload(
         clc_periods=[clc_period_0, clc_period_1],
         gc_period=gc_period,
     )
-    return _two_cluster_topology(nodes), application, timers
+    return two_cluster_topology(nodes), application, timers
 
 
 def fig9_workload(

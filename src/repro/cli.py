@@ -73,16 +73,8 @@ __all__ = [
     "build_ablate_parser",
     "build_sweep_parser",
     "build_cache_parser",
-    "build_lint_parser",
     "build_serve_parser",
 ]
-
-
-def build_lint_parser() -> argparse.ArgumentParser:
-    """Parser for ``repro lint`` (defined in :mod:`repro.lint.cli`)."""
-    from repro.lint.cli import build_parser as build
-
-    return build()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,6 +126,78 @@ def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
         raise SystemExit(str(exc)) from None
 
 
+def _add_engine_args(parser: argparse.ArgumentParser, unit: str) -> None:
+    """The flags of every verb that runs a registry experiment through the
+    engine; ``unit`` is what that verb calls one grid point in its help."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help=f"worker processes for cache-missing {unit}s (default 1)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help=f"recompute every {unit}, bypassing the result cache",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
+    )
+    parser.add_argument(
+        "--scale",
+        choices=sorted(SCALE_PROFILES),
+        default="small",
+        help="grid scale: 'full' = the paper's 100 nodes / 10 h",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override the grid seed")
+
+
+def _run(experiment, args: argparse.Namespace, backend_for=None):
+    """Run ``experiment`` as the engine flags say; returns the SweepReport.
+
+    Cache (unless ``--no-cache``), then ``--scale/--set/--seed`` through the
+    registry, then -- for a verb that has them -- ``backend_for(args, cache)
+    -> (backend, checkpoint policy)``, shut down again once the run is over.
+    """
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.runner import run_experiment
+
+    cache = None if args.no_cache else ResultCache(root=args.cache_dir)
+    sets = getattr(args, "sets", ())  # ``repro ablate`` takes no --set
+    overrides = _overrides_or_exit(experiment, args.scale, sets, args.seed)
+    backend, policy = backend_for(args, cache) if backend_for else (None, None)
+    try:
+        return run_experiment(
+            experiment,
+            overrides=overrides,
+            jobs=args.jobs,
+            cache=cache,
+            backend=backend,
+            checkpoint=policy,
+        )
+    finally:
+        if backend is not None:
+            backend.shutdown()
+
+
+def _report_payload(report, args: argparse.Namespace) -> dict:
+    """The execution accounting every ``--json`` report carries."""
+    return {
+        "experiment": report.name,
+        "scale": args.scale,
+        "points": report.points,
+        "cache_hits": report.cache_hits,
+        "executed": report.executed,
+    }
+
+
+def _print_json(payload: dict) -> None:
+    json.dump(payload, sys.stdout, indent=2, default=str)
+    print()
+
+
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro sweep",
@@ -149,29 +213,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list", action="store_true", help="list registered experiments and exit"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for cache-missing grid points (default 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every grid point, bypassing the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SCALE_PROFILES),
-        default="small",
-        help="grid scale: 'full' = the paper's 100 nodes / 10 h",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the grid seed")
+    _add_engine_args(parser, "grid point")
     parser.add_argument(
         "--set",
         dest="sets",
@@ -276,33 +318,13 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_main(argv: Sequence[str]) -> int:
+def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
+    """``repro sweep``'s backend and checkpoint policy from its flags."""
     from pathlib import Path
 
-    from repro.experiments import registry
     from repro.experiments.backends import create_backend
-    from repro.experiments.cache import ResultCache, default_cache_dir
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.cache import default_cache_dir
 
-    args = build_sweep_parser().parse_args(argv)
-    if args.list:
-        rows = [
-            (exp.name, "yes" if exp.scaled else "no", exp.title)
-            for exp in registry.all_experiments()
-        ]
-        print(format_table(["name", "scaled", "title"], rows,
-                           title="-- registered experiments --"))
-        return 0
-    if not args.name:
-        raise SystemExit("repro sweep: an experiment name (or --list) is required")
-    try:
-        experiment = registry.get(args.name)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0]) from None
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(root=args.cache_dir)
-    overrides = _overrides_or_exit(experiment, args.scale, args.sets, args.seed)
     # same rule as --set/--seed: an explicit flag is never a silent no-op
     for given, flags, backends in (
         (args.hosts, "--hosts only applies", "ssh"),
@@ -361,25 +383,32 @@ def _sweep_main(argv: Sequence[str]) -> int:
             "wall": args.checkpoint_wall,
             "dir": str(ckpt_dir),
         }
+    return backend, policy
+
+
+def _sweep_main(argv: Sequence[str]) -> int:
+    from repro.experiments import registry
+
+    args = build_sweep_parser().parse_args(argv)
+    if args.list:
+        rows = [
+            (exp.name, "yes" if exp.scaled else "no", exp.title)
+            for exp in registry.all_experiments()
+        ]
+        print(format_table(["name", "scaled", "title"], rows,
+                           title="-- registered experiments --"))
+        return 0
+    if not args.name:
+        raise SystemExit("repro sweep: an experiment name (or --list) is required")
     try:
-        report = run_experiment(
-            experiment,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache=cache,
-            backend=backend,
-            checkpoint=policy,
-        )
-    finally:
-        backend.shutdown()
+        experiment = registry.get(args.name)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
+    report = _run(experiment, args, _sweep_backend)
     result = report.result
     if args.json:
-        payload = {
-            "experiment": report.name,
-            "scale": args.scale,
-            "points": report.points,
-            "cache_hits": report.cache_hits,
-            "executed": report.executed,
+        _print_json({
+            **_report_payload(report, args),
             "backend": report.backend,
             "host_counts": dict(report.host_counts),
             "retries": report.retries,
@@ -390,9 +419,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
             "xs": list(result.xs),
             "series": {k: list(v) for k, v in result.series.items()},
             "notes": list(result.notes),
-        }
-        json.dump(payload, sys.stdout, indent=2, default=str)
-        print()
+        })
     else:
         print(result.render())
         print(f"[sweep] {report.summary()}")
@@ -424,29 +451,7 @@ def build_ablate_parser() -> argparse.ArgumentParser:
         default="lost_work",
         help="metric the importance ranking uses (default: lost_work)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for cache-missing configurations (default 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every configuration, bypassing the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SCALE_PROFILES),
-        default="small",
-        help="grid scale: 'full' = the paper's 100 nodes / 10 h",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the grid seed")
+    _add_engine_args(parser, "configuration")
     parser.add_argument(
         "--json",
         action="store_true",
@@ -467,26 +472,15 @@ def _ablate_main(argv: Sequence[str]) -> int:
         component_importance,
         render_importance_markdown,
     )
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.runner import run_experiment
 
     args = build_ablate_parser().parse_args(argv)
-    experiment = registry.get(ABLATE_TARGETS[args.target])
-    cache = None if args.no_cache else ResultCache(root=args.cache_dir)
-    overrides = _overrides_or_exit(experiment, args.scale, seed=args.seed)
-    report = run_experiment(
-        experiment, overrides=overrides, jobs=args.jobs, cache=cache
-    )
+    report = _run(registry.get(ABLATE_TARGETS[args.target]), args)
     result = report.result
     ranking = component_importance(result, metric=args.metric)
     markdown = render_importance_markdown(ranking)
     payload = {
         "target": args.target,
-        "experiment": report.name,
-        "scale": args.scale,
-        "points": report.points,
-        "cache_hits": report.cache_hits,
-        "executed": report.executed,
+        **_report_payload(report, args),
         "metric": args.metric,
         "ranking": ranking,
         "headers": list(result.headers),
@@ -502,8 +496,7 @@ def _ablate_main(argv: Sequence[str]) -> int:
         )
         (out / "report.md").write_text(markdown + "\n")
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, default=str)
-        print()
+        _print_json(payload)
     else:
         print(result.render())
         print()
@@ -739,8 +732,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "clusters": results.clusters,
             "stats": results.stats,
         }
-        json.dump(payload, sys.stdout, indent=2, default=str)
-        print()
+        _print_json(payload)
         return 0
 
     print(f"protocol={results.protocol} seed={results.seed} "

@@ -32,7 +32,6 @@ from repro.sim.timers import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
-    from repro.cluster.node import Node
 
 __all__ = ["HeartbeatDetector"]
 
@@ -135,8 +134,3 @@ class HeartbeatDetector:
                     silent_for=now - self._last_heard[node.id],
                 )
                 fed.protocol.on_failure_detected(node)
-
-    def note_recovered(self, node: "Node") -> None:
-        """Grace period after recovery so the node is not re-suspected."""
-        self._last_heard[node.id] = self.federation.sim.now
-        self._reported.discard(node.id)

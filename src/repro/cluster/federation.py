@@ -54,7 +54,6 @@ class Federation:
         seed: int = 0,
         trace_level: TraceLevel = TraceLevel.NONE,
         app_factory=None,
-        fifo_network: bool = True,
         allow_simultaneous_faults: bool = False,
     ):
         if len(application.clusters) != topology.n_clusters:
@@ -73,7 +72,7 @@ class Federation:
         self.streams = RandomStreams(seed)
         self.stats = StatsRegistry(clock)
         self.tracer = Tracer(clock, trace_level)
-        self.fabric = Fabric(self.sim, topology, self.stats, self.tracer, fifo=fifo_network)
+        self.fabric = Fabric(self.sim, topology, self.stats, self.tracer)
 
         self.clusters: list[ClusterRuntime] = []
         for ci, spec in enumerate(topology.clusters):
@@ -278,12 +277,3 @@ class FederationResults:
     def counter(self, name: str, default: int = 0) -> int:
         value = self.stats.get(name, default)
         return int(value) if isinstance(value, (int, float)) else default
-
-    def message_matrix_table(self) -> list:
-        """Rows like the paper's Table 1."""
-        rows = []
-        n = max((k[0] for k in self.messages), default=-1) + 1
-        for i in range(n):
-            for j in range(n):
-                rows.append((i, j, self.messages.get((i, j), 0)))
-        return rows

@@ -148,9 +148,6 @@ class ClusterRuntime:
     def node(self, idx: int) -> Node:
         return self.nodes[idx]
 
-    def up_nodes(self) -> list:
-        return [n for n in self.nodes if n.up]
-
     def __iter__(self):
         return iter(self.nodes)
 

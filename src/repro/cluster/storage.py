@@ -59,9 +59,6 @@ class StableStorage:
         """
         return stored_clcs * (1 + self.replication_degree)
 
-    def bytes_held_by(self, node: int, stored_clcs: int, state_size: int) -> int:
-        return self.states_held_by(node, stored_clcs) * state_size
-
     # ------------------------------------------------------------------
     def recoverable(self, failed: Iterable[int]) -> bool:
         """Can every node's checkpoint part still be retrieved?

@@ -75,24 +75,6 @@ class DDV:
                 entries[cluster] = value
         return DDV(entries)
 
-    def merged_max(self, other: "DDV") -> "DDV":
-        """Entrywise maximum with another DDV (transitive-tracking mode)."""
-        if len(other) != len(self):
-            raise ValueError("DDV size mismatch")
-        return DDV(max(a, b) for a, b in zip(self._entries, other._entries))
-
-    def increased_entries(self, other: "DDV", skip: int = -1) -> dict:
-        """Entries of ``other`` strictly greater than ours, except ``skip``.
-
-        Used in transitive mode to decide whether a received DDV introduces
-        any new dependency (and therefore must force a CLC).
-        """
-        return {
-            i: v
-            for i, (mine, v) in enumerate(zip(self._entries, other._entries))
-            if v > mine and i != skip
-        }
-
     def dominates(self, other: "DDV") -> bool:
         """True if every entry is >= the corresponding entry of ``other``."""
         if len(other) != len(self):

@@ -96,12 +96,10 @@ class ResultCache:
         self,
         root: Optional[Path] = None,
         code_hash: Optional[str] = None,
-        enabled: bool = True,
         journal_shards: int = 1,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.code_hash = code_hash if code_hash is not None else code_version_hash()
-        self.enabled = enabled
         self.journal_shards = max(1, int(journal_shards))
         self.hits = 0
         self.misses = 0
@@ -115,8 +113,6 @@ class ResultCache:
 
     def get(self, experiment: str, params: dict):
         """Return the cached value or ``None``; counts hit/miss."""
-        if not self.enabled:
-            return None
         path = self.path(self.key(experiment, params))
         if not path.exists():
             self.misses += 1
@@ -134,8 +130,6 @@ class ResultCache:
         return value
 
     def put(self, experiment: str, params: dict, value) -> None:
-        if not self.enabled:
-            return
         atomic_write(
             self.path(self.key(experiment, params)),
             lambda fh: pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL),
@@ -179,7 +173,7 @@ class ResultCache:
         cache key hashes to, so concurrent appenders for different keys
         take *different* flocks instead of serializing on one.
         """
-        if not self.enabled or not entries:
+        if not entries:
             return
         groups: dict = {}
         for entry in entries:

@@ -194,32 +194,10 @@ def merge_caches(
             continue
         journal = provenance.get(key, {})
         code = journal.get("code") if isinstance(journal.get("code"), str) else None
-        candidates.append((key, code, journal, path))
-
-    report = SyncReport(
-        operation="merge",
-        source=str(source_dir),
-        destination=str(cache.root),
-        total=len(candidates),
+        candidates.append((key, code, journal, path.read_bytes))
+    return _import_entries(
+        cache, "merge", str(source_dir), f"merge:{source_dir}", candidates, allow_mismatch
     )
-    accepted = _classify(candidates, cache.code_hash, allow_mismatch, report)
-    _reject_if_all_mismatched(report, str(source_dir))
-
-    journal_lines = []
-    for key, code, journal, path in accepted:
-        target = cache.path(key)
-        if target.exists():
-            report.skipped_existing += 1
-            continue
-        _atomic_copy_bytes(path.read_bytes(), target)
-        report.imported += 1
-        if code is None:
-            report.unverified += 1
-        journal_lines.append(
-            _journal_line(key, code, journal, via=f"merge:{source_dir}")
-        )
-    cache.journal_append(journal_lines)
-    return report
 
 
 def _import_archive(cache: ResultCache, archive: Path, allow_mismatch: bool) -> SyncReport:
@@ -245,59 +223,76 @@ def _import_archive(cache: ResultCache, archive: Path, allow_mismatch: bool) -> 
             if member is None:
                 raise CacheSyncError(f"archive {archive} is missing entry {key[:12]}...")
             code = info.get("code_hash", archive_hash)
-            candidates.append((key, code, info, member))
-
-        report = SyncReport(
-            operation="import",
-            source=str(archive),
-            destination=str(cache.root),
-            total=len(candidates),
+            candidates.append((key, code, info, _member_reader(tar, member)))
+        return _import_entries(
+            cache, "import", str(archive), f"import:{archive.name}", candidates, allow_mismatch
         )
-        accepted = _classify(candidates, cache.code_hash, allow_mismatch, report)
-        _reject_if_all_mismatched(report, str(archive))
-
-        journal_lines = []
-        for key, code, info, member in accepted:
-            target = cache.path(key)
-            if target.exists():
-                report.skipped_existing += 1
-                continue
-            fileobj = tar.extractfile(member)
-            if fileobj is None:  # pragma: no cover - isfile() filtered above
-                raise CacheSyncError(f"archive {archive}: unreadable entry {key[:12]}...")
-            _atomic_copy_bytes(fileobj.read(), target)
-            report.imported += 1
-            journal_lines.append(
-                _journal_line(key, code, info, via=f"import:{archive.name}")
-            )
-        cache.journal_append(journal_lines)
-    return report
 
 
 # -- shared plumbing ----------------------------------------------------
 
 
-def _classify(candidates: list, local_hash: str, allow_mismatch: bool, report: SyncReport) -> list:
-    """Split candidates into accepted entries, flagging mismatches on ``report``."""
+def _import_entries(
+    cache: ResultCache,
+    operation: str,
+    source: str,
+    via: str,
+    candidates: list,
+    allow_mismatch: bool,
+) -> SyncReport:
+    """The one import loop behind ``import`` and ``merge``.
+
+    ``candidates`` are ``(key, code hash or None, provenance dict, read)``
+    tuples, ``read()`` returning the entry's bytes -- from a cache directory
+    and its journal, or from a tar and its manifest.  Classification runs
+    over all of them before any write, so a source with no acceptable
+    entry is rejected with the destination untouched.
+    """
+    report = SyncReport(
+        operation=operation,
+        source=source,
+        destination=str(cache.root),
+        total=len(candidates),
+    )
     accepted = []
-    for item in candidates:
-        code = item[1]
-        if code is not None and code != local_hash and not allow_mismatch:
+    for candidate in candidates:
+        key, code, _info, _read = candidate
+        if code is not None and code != cache.code_hash and not allow_mismatch:
             report.skipped_mismatch += 1
             if len(report.mismatched_keys) < 8:
-                report.mismatched_keys.append(item[0])
+                report.mismatched_keys.append(key)
             continue
-        accepted.append(item)
-    return accepted
-
-
-def _reject_if_all_mismatched(report: SyncReport, source: str) -> None:
+        accepted.append(candidate)
     if report.total and report.skipped_mismatch == report.total:
         raise CacheSyncError(
             f"{source}: every entry was computed under different repro sources "
             "than this checkout (stale archive, or sync the code first); "
             "nothing was imported -- use --allow-mismatch to import anyway"
         )
+
+    journal_lines = []
+    for key, code, info, read in accepted:
+        target = cache.path(key)
+        if target.exists():
+            report.skipped_existing += 1
+            continue
+        _atomic_copy_bytes(read(), target)
+        report.imported += 1
+        if code is None:
+            report.unverified += 1
+        journal_lines.append(_journal_line(key, code, info, via=via))
+    cache.journal_append(journal_lines)
+    return report
+
+
+def _member_reader(tar: tarfile.TarFile, member: tarfile.TarInfo):
+    def read() -> bytes:
+        fileobj = tar.extractfile(member)
+        if fileobj is None:  # pragma: no cover - isfile() filtered by the caller
+            raise CacheSyncError(f"unreadable archive entry {member.name}")
+        return fileobj.read()
+
+    return read
 
 
 def _journal_line(key: str, code: Optional[str], info: dict, via: str) -> dict:

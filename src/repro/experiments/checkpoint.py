@@ -170,9 +170,8 @@ class CheckpointConfig:
     def drive(self, fed, horizon: float) -> None:
         """The ``Federation.run`` hook: restore, slice, snapshot.
 
-        Must dispatch exactly the events ``sim.run(until=horizon)`` would:
-        slicing stops and restarts the kernel loop from the *outside*, so
-        no simulated event is added, reordered, or dropped.
+        Must dispatch exactly the events ``sim.run(until=horizon)`` would,
+        which is :func:`repro.sim.snapshot.run_sliced`'s contract.
         """
         idx = self._calls
         self._calls += 1
@@ -203,17 +202,8 @@ class CheckpointConfig:
             wrapper = _EvictingDigest(sim._digest, self)
             sim.attach_digest(wrapper)
         try:
-            if self.every is None:
-                sim.run(until=horizon)
-            else:
-                while True:
-                    if sim._stopped or sim.now >= horizon:
-                        break
-                    target = min(sim.now + self.every, horizon)
-                    sim.run(until=target)
-                    if sim._stopped or target >= horizon:
-                        break
-                    self._write_snapshot(fed, idx, state="inflight")
+            for _ in snapshot.run_sliced(sim, horizon, self.every):
+                self._write_snapshot(fed, idx, state="inflight")
         finally:
             if wrapper is not None and sim._digest is wrapper:
                 sim.attach_digest(wrapper.inner)

@@ -72,20 +72,15 @@ def _point(params: dict) -> dict:
     sim = fed.sim
     sizes: list = []
     events_between: list = []
-    if frac is None:
-        sim.run(until=horizon)
-    else:
-        every = frac * horizon
-        while not sim._stopped and sim.now < horizon:
-            target = min(sim.now + every, horizon)
-            before = sim._processed
-            sim.run(until=target)
-            if sim._stopped or target >= horizon:
-                break
-            sizes.append(len(snapshot.dumps(fed)))
-            events_between.append(sim._processed - before)
+    boundary = sim.processed
+    # the slicing loop sweeps run under --checkpoint-every; a snapshot is
+    # sized here where CheckpointConfig.drive writes it to disk
+    for _ in snapshot.run_sliced(sim, horizon, None if frac is None else frac * horizon):
+        sizes.append(len(snapshot.dumps(fed)))
+        events_between.append(sim.processed - boundary)
+        boundary = sim.processed
     return {
-        "events": sim._processed,
+        "events": sim.processed,
         "snapshots": len(sizes),
         "total_bytes": sum(sizes),
         "max_bytes": max(sizes, default=0),

@@ -81,6 +81,3 @@ class ExperimentResult:
             ))
         parts.extend(f"note: {n}" for n in self.notes)
         return "\n".join(str(p) for p in parts)
-
-    def series_list(self, name: str) -> list:
-        return list(self.series[name])

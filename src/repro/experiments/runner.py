@@ -92,7 +92,6 @@ def run_experiment(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     backend: Union[str, Backend, None] = None,
-    hosts: Optional[Union[str, list]] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     checkpoint: Optional[dict] = None,
 ) -> SweepReport:
@@ -104,10 +103,10 @@ def run_experiment(
     caching; pass a :class:`ResultCache` to reuse/populate entries.
 
     ``backend`` selects where cache-missing points execute: a name
-    (``"local"``, ``"ssh"``, ``"inprocess"``) resolved via
-    :func:`repro.experiments.backends.create_backend` (``hosts`` feeds
-    the SSH roster), or a ready :class:`Backend` instance, which the
-    caller keeps ownership of (it is not shut down here).
+    resolved via :func:`repro.experiments.backends.create_backend` with
+    its defaults, or a ready :class:`Backend` instance -- the way in for
+    one that needs arguments (``ssh`` and its roster, a spool) -- which
+    the caller keeps ownership of (it is not shut down here).
 
     ``checkpoint`` is the sweep's resume policy ``{"every": simulated
     seconds, "wall": throttle seconds or None, "dir": snapshot
@@ -143,7 +142,7 @@ def run_experiment(
     retries = 0
     if pending:
         borrowed = isinstance(backend, Backend)
-        resolved = create_backend(backend, jobs=jobs, hosts=hosts)
+        resolved = create_backend(backend, jobs=jobs)
         try:
             retries = _execute_pending(
                 resolved, exp, grid, pending, results, cache, host_counts,

@@ -6,11 +6,9 @@ Usage::
     repro lint src tests/fixtures     # explicit paths (files or dirs)
     repro lint --rule SNAP001         # one rule (repeatable)
     repro lint --json                 # machine-readable findings
-    repro lint --baseline             # fail only on non-baselined findings
-    repro lint --update-baseline      # rewrite the baseline from this run
     repro lint --list-rules           # rule catalog with motivating incidents
 
-Exit status: 0 on zero reportable findings, 1 when findings remain,
+Exit status: 0 on zero unsuppressed findings, 1 when findings remain,
 2 on usage/configuration errors.  See ``docs/static-analysis.md`` for
 the rule catalog and the suppression syntax
 (``# repro-lint: ignore[RULE001] -- why it is safe``).
@@ -24,12 +22,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import LintError, run_lint
 from repro.lint.rules import all_rules
 
@@ -66,28 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit findings as JSON instead of ruler lines",
     )
     parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="PATH",
-        help=(
-            "fail only on findings absent from this baseline file "
-            f"(default path: {DEFAULT_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the current unsuppressed findings as the new baseline "
-            f"(default path: {DEFAULT_BASELINE}) and exit 0"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog (id, title, motivating incident) and exit",
@@ -116,43 +86,21 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
     paths = args.paths or default_paths()
     try:
         report = run_lint(paths, rules=args.rules)
-        findings = report.findings
-        baselined = []
-        if args.update_baseline is not None:
-            write_baseline(args.update_baseline, findings)
-            print(
-                f"[lint] baseline {args.update_baseline} updated: "
-                f"{len(findings)} finding(s) recorded"
-            )
-            return 0
-        if args.baseline is not None:
-            findings, baselined = apply_baseline(
-                findings, load_baseline(args.baseline)
-            )
     except LintError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        payload = {
-            "findings": [f.as_dict() for f in findings],
-            "baselined": [f.as_dict() for f in baselined],
-            "suppressed": [f.as_dict() for f in report.suppressed],
-            "files_checked": report.files_checked,
-            "rules_run": list(report.rules_run),
-        }
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump(report.as_dict(), sys.stdout, indent=2)
         print()
     else:
-        for finding in findings:
+        for finding in report.findings:
             print(finding.format())
         bits = [
-            f"{len(findings)} finding(s)",
+            f"{len(report.findings)} finding(s)",
             f"{report.files_checked} file(s)",
             f"{len(report.rules_run)} rule(s)",
         ]
         if report.suppressed:
             bits.append(f"{len(report.suppressed)} suppressed")
-        if baselined:
-            bits.append(f"{len(baselined)} baselined")
         print(f"[lint] {', '.join(bits)}")
-    return 1 if findings else 0
+    return 1 if report.findings else 0

@@ -68,14 +68,6 @@ class Finding:
             "message": self.message,
         }
 
-    def baseline_key(self) -> tuple:
-        """Line-insensitive identity used for baseline matching.
-
-        Baselines must survive unrelated edits shifting code up or down,
-        so the key is (rule, path, message) -- not the line number.
-        """
-        return (self.rule, self.path, self.message)
-
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -276,7 +268,7 @@ def load_project(paths: Sequence, config: Optional[LintConfig] = None) -> Projec
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run, before any baseline filtering."""
+    """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)  #: unsuppressed
     suppressed: List[Finding] = field(default_factory=list)

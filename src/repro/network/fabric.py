@@ -49,13 +49,11 @@ class Fabric:
         topology: Topology,
         stats: StatsRegistry,
         tracer: Optional[Tracer] = None,
-        fifo: bool = True,
     ):
         self.sim = sim
         self.topology = topology
         self.stats = stats
         self.tracer = tracer
-        self.fifo = fifo
         self._receivers: dict[NodeId, Receiver] = {}
         self._last_arrival: dict[tuple[NodeId, NodeId], float] = {}
         # lazily-built per-send caches (see module docstring)
@@ -97,13 +95,12 @@ class Fabric:
         # the original two-step now + transfer_delay(...) computation so
         # arrival times stay bit-identical (float addition isn't associative)
         arrival = now + (link.latency + (msg.size * 8.0) / link.bandwidth)
-        if self.fifo:
-            chan = (src, dst)
-            last = self._last_arrival
-            prev = last.get(chan)
-            if prev is not None and arrival < prev:
-                arrival = prev
-            last[chan] = arrival
+        chan = (src, dst)
+        last = self._last_arrival
+        prev = last.get(chan)
+        if prev is not None and arrival < prev:
+            arrival = prev
+        last[chan] = arrival
         self._account(msg)
         sim.schedule_at(arrival, self._deliver, msg)
         return arrival

@@ -113,6 +113,9 @@ class _InstrumentedBackend(Backend):
 class ServeApp:
     """Routes + tiers + admission control behind one async ``handle``."""
 
+    #: seconds a 429 tells the client to back off (``Retry-After``)
+    retry_after = 1
+
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
@@ -121,7 +124,6 @@ class ServeApp:
         queue_size: int = 16,
         max_sweeps: int = 2,
         request_timeout: float = 300.0,
-        retry_after: int = 1,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
         self.hot = HotTier(max_bytes=int(hot_mb * 1024 * 1024))
@@ -130,7 +132,6 @@ class ServeApp:
         self.queue_size = max(0, int(queue_size))
         self.max_sweeps = max(1, int(max_sweeps))
         self.request_timeout = request_timeout
-        self.retry_after = retry_after
         self.started_at = time.time()
         self.host_label = socket.gethostname() or "serve"
         self._inflight = 0  # computes admitted (running or queued)
@@ -481,10 +482,6 @@ class ServerHandle:
     @property
     def port(self) -> int:
         return self.server.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.server.host}:{self.server.port}"
 
     def stop(self) -> None:
         if self._thread.is_alive():

@@ -22,7 +22,7 @@ how node failures preempt application computation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
@@ -332,18 +332,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self._alive else "dead"
         return f"<Process {self.name} {state}>"
-
-
-def all_of(sim: Simulator, processes: Iterable[Process], name: str = "all_of") -> Process:
-    """Return a process that terminates once every given process has."""
-
-    procs = list(processes)
-
-    def waiter() -> ProcessGen:
-        results = []
-        for p in procs:
-            res = yield p
-            results.append(res)
-        return results
-
-    return Process(sim, waiter(), name=name)

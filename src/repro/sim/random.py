@@ -81,10 +81,6 @@ class Stream:
         """In-place Fisher-Yates shuffle."""
         self._rng.shuffle(items)
 
-    def fork(self, name: str) -> "Stream":
-        """Derive a deterministic child stream independent of this one."""
-        return Stream(f"{self.name}/{name}", _derive_seed(self._seed, name))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Stream {self.name!r} seed={self._seed}>"
 

@@ -53,7 +53,7 @@ import itertools
 import json
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.atomic import atomic_write
 
@@ -66,6 +66,7 @@ __all__ = [
     "dumps",
     "loads",
     "read_envelope",
+    "run_sliced",
     "write_envelope",
 ]
 
@@ -146,6 +147,28 @@ class GenSpec:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<GenSpec {name} at={self.phase.get('at')!r}>"
+
+
+def run_sliced(sim, horizon: float, every: Optional[float]) -> Iterator[None]:
+    """Run ``sim`` to ``horizon`` in ``every``-second slices, yielding at each
+    interior slice boundary -- the instants at which a snapshot may be taken.
+
+    Exhausting the generator dispatches exactly the events
+    ``sim.run(until=horizon)`` would: slicing stops and restarts the kernel
+    loop from the *outside*, so no simulated event is added, reordered or
+    dropped.  Nothing is yielded at the horizon itself or once the
+    simulation has stopped; ``every=None`` is the unsliced run (one slice,
+    no boundary).
+    """
+    if every is None:
+        sim.run(until=horizon)
+        return
+    while not sim._stopped and sim.now < horizon:
+        target = min(sim.now + every, horizon)
+        sim.run(until=target)
+        if sim._stopped or target >= horizon:
+            return
+        yield
 
 
 # ---------------------------------------------------------------------------

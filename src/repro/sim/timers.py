@@ -86,21 +86,6 @@ class PeriodicTimer:
         self._running = False
         self._disarm()
 
-    def set_period(self, period: Optional[float]) -> None:
-        """Change the period; re-arms from now if currently running.
-
-        Setting ``None``/infinite disarms immediately.
-        """
-        if period is not None and period <= 0:
-            raise ValueError(f"timer period must be positive, got {period}")
-        was_running = self._running
-        self.period = period
-        if not self.enabled:
-            self._running = False
-            self._disarm()
-        elif was_running:
-            self.start()
-
     # ------------------------------------------------------------------
     def _fire(self) -> None:
         fired = self._event  # just popped by the kernel: safe to reuse

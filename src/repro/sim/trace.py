@@ -89,52 +89,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    # persistence -------------------------------------------------------
-    def save_jsonl(self, path) -> int:
-        """Dump the trace as JSON Lines for offline analysis.
-
-        Non-JSON field values are stringified.  Returns the record count.
-        """
-        import json
-
-        def default(obj: Any) -> str:
-            return str(obj)
-
-        with open(path, "w") as fh:
-            for rec in self.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "time": rec.time,
-                            "level": int(rec.level),
-                            "kind": rec.kind,
-                            "fields": rec.fields,
-                        },
-                        default=default,
-                    )
-                )
-                fh.write("\n")
-        return len(self.records)
-
-    @staticmethod
-    def load_jsonl(path) -> list:
-        """Read records written by :meth:`save_jsonl`."""
-        import json
-
-        records = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                records.append(
-                    TraceRecord(
-                        time=data["time"],
-                        level=TraceLevel(data["level"]),
-                        kind=data["kind"],
-                        fields=data["fields"],
-                    )
-                )
-        return records

@@ -148,32 +148,3 @@ class TestReporting:
         lines = text.splitlines()
         assert lines[-2].strip().startswith("5")
         assert lines[-1].strip().startswith("9")
-
-
-class TestDescribeFederation:
-    def test_hc3i_state_dump(self):
-        from repro.analysis.describe import describe_federation
-
-        fed = make_federation(clc_period=100.0, total_time=400.0, chatty=True)
-        fed.run()
-        text = describe_federation(fed)
-        assert "protocol=hc3i" in text
-        assert "c0" in text and "c1" in text
-        assert "stored CLCs" in text
-        assert "initial" in text  # the first CLC's cause appears
-
-    def test_without_clc_detail(self):
-        from repro.analysis.describe import describe_federation
-
-        fed = make_federation(clc_period=100.0, total_time=300.0)
-        fed.run()
-        text = describe_federation(fed, include_clcs=False)
-        assert "-- cluster" not in text
-
-    def test_non_hc3i_protocol(self):
-        from repro.analysis.describe import describe_federation
-
-        fed = make_federation(protocol="global-coordinated", total_time=50.0)
-        fed.run()
-        text = describe_federation(fed)
-        assert "global-coordinated" in text

@@ -38,19 +38,6 @@ class TestDDV:
         d = DDV([5, 2, 3]).merged({0: 1, 1: 7})
         assert d == (5, 7, 3)  # entry 0 not lowered
 
-    def test_merged_max_elementwise(self):
-        assert DDV([1, 5]).merged_max(DDV([3, 2])) == (3, 5)
-
-    def test_merged_max_size_mismatch(self):
-        with pytest.raises(ValueError):
-            DDV([1]).merged_max(DDV([1, 2]))
-
-    def test_increased_entries(self):
-        mine = DDV([1, 5, 0])
-        theirs = DDV([2, 3, 4])
-        assert mine.increased_entries(theirs) == {0: 2, 2: 4}
-        assert mine.increased_entries(theirs, skip=0) == {2: 4}
-
     def test_dominates(self):
         assert DDV([2, 3]).dominates(DDV([1, 3]))
         assert not DDV([2, 3]).dominates(DDV([3, 3]))

@@ -20,6 +20,19 @@ def test_docs_suite_exists():
     assert (DOCS / "sweeps.md").is_file()
 
 
+def test_the_package_version_has_one_literal():
+    """``pyproject.toml`` reads ``repro.__version__`` instead of restating it
+    (the two literals had drifted apart: 1.2.0 installed, 1.0.0 reported)."""
+    import tomllib
+
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }
+
+
 def test_readme_links_the_docs():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "docs/architecture.md" in readme

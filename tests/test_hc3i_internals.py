@@ -216,6 +216,4 @@ class TestClusterSummary:
         results = fed.run()
         assert results.stored_clcs(0) == results.clusters[0]["clc_stored"]
         assert results.counter("nonexistent", default=7) == 7
-        table = results.message_matrix_table()
-        assert len(table) == 4  # 2x2 cluster pairs
         assert results.clusters[0]["states_per_node"] == 2 * results.stored_clcs(0)

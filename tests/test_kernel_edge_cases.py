@@ -162,15 +162,6 @@ class TestTimerEdges:
         sim.run(until=59.0)
         assert hits == [10.0, 50.0]
 
-    def test_set_period_to_none_disables(self, sim):
-        hits = []
-        t = PeriodicTimer(sim, 10.0, lambda: hits.append(sim.now))
-        t.start()
-        sim.schedule(15.0, t.set_period, None)
-        sim.run(until=100.0)
-        assert hits == [10.0]
-        assert not t.enabled
-
     def test_action_stopping_timer(self, sim):
         hits = []
         t = PeriodicTimer(sim, 10.0, None)

@@ -4,14 +4,13 @@ Three layers, mirroring the consistency oracle's seeded-violation
 pattern:
 
 * the **tier-1 gate**: linting ``src/repro`` with the default config
-  yields zero unsuppressed findings (and the committed baseline is
-  empty), so a PR that introduces a banned pattern fails this file;
+  yields zero unsuppressed findings, so a PR that introduces a banned
+  pattern fails this file;
 * **non-vacuity**: every registered rule fires on a seeded-violation
   fixture under ``tests/fixtures/lint/`` and stays silent on the
   paired clean fixture -- a rule that cannot catch its own motivating
   incident is a bug here, not a shrug;
-* **machinery**: suppression comments, baseline ratchet, CLI exit
-  codes and JSON output.
+* **machinery**: suppression comments, CLI exit codes and JSON output.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.lint import LintConfig, LintError, all_rules, run_lint
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cli import lint_main
-from repro.lint.engine import Finding, load_project
+from repro.lint.engine import load_project
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 SRC = Path(repro.__file__).parent
@@ -84,10 +82,6 @@ class TestRepoIsClean:
         # the run is real: it saw the whole package and every rule
         assert report.files_checked > 80
         assert set(report.rules_run) == set(all_rules())
-
-    def test_committed_baseline_is_empty(self):
-        entries = load_baseline(REPO_ROOT / "tools" / "lint_baseline.json")
-        assert entries == []
 
     def test_every_src_suppression_states_a_reason(self):
         """``ignore[RULE]`` in src/ must carry a ``--`` justification."""
@@ -219,39 +213,6 @@ class TestSuppressions:
         assert len(report.findings) == 2  # nothing suppressed by other files
 
 
-# --------------------------------------------------------------- baseline
-
-
-class TestBaseline:
-    def _findings(self):
-        return [
-            Finding("DET001", "a.py", 3, 0, "msg one"),
-            Finding("DET002", "b.py", 9, 4, "msg two"),
-        ]
-
-    def test_round_trip_and_line_insensitive_match(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._findings())
-        entries = load_baseline(path)
-        moved = [
-            Finding("DET001", "a.py", 33, 7, "msg one"),  # shifted lines
-            Finding("DET002", "b.py", 9, 4, "msg CHANGED"),
-        ]
-        new, baselined = apply_baseline(moved, entries)
-        assert [f.message for f in baselined] == ["msg one"]
-        assert [f.message for f in new] == ["msg CHANGED"]
-
-    def test_missing_baseline_is_an_error(self, tmp_path):
-        with pytest.raises(LintError, match="does not exist"):
-            load_baseline(tmp_path / "nope.json")
-
-    def test_unknown_format_is_an_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"format": 99, "findings": []}))
-        with pytest.raises(LintError, match="unknown format"):
-            load_baseline(path)
-
-
 # -------------------------------------------------------------------- CLI
 
 
@@ -299,20 +260,6 @@ class TestCli:
         for rule_id in all_rules():
             assert rule_id in out
         assert "incident" in out
-
-    def test_baseline_flow(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert lint_main([self.FIRES, "--update-baseline", baseline]) == 0
-        assert lint_main([self.FIRES, "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-        # a clean file against the same baseline also passes
-        assert lint_main([self.CLEAN, "--baseline", baseline]) == 0
-
-    def test_missing_baseline_exit_two(self, capsys):
-        missing = "definitely/not/a/baseline.json"
-        assert lint_main([self.FIRES, "--baseline", missing]) == 2
-        assert "does not exist" in capsys.readouterr().err
 
     def test_repro_cli_dispatch(self, capsys):
         """``repro lint`` routes through the package CLI."""

@@ -16,11 +16,11 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
 
-def make_fabric(topology=None, fifo=True):
+def make_fabric(topology=None):
     sim = Simulator()
     topo = topology or two_cluster_topology(nodes=3)
     stats = StatsRegistry(lambda: sim.now)
-    fabric = Fabric(sim, topo, stats, tracer=None, fifo=fifo)
+    fabric = Fabric(sim, topo, stats, tracer=None)
     return sim, topo, stats, fabric
 
 
@@ -204,18 +204,6 @@ class TestFabric:
                             1, payload={"n": 2}))
         sim.run()
         assert order == [1, 2]
-
-    def test_non_fifo_allows_overtaking(self):
-        sim, topo, stats, fabric = make_fabric(fifo=False)
-        order = []
-        fabric.register(NodeId(0, 0), lambda m: None)
-        fabric.register(NodeId(0, 1), lambda m: order.append(m.payload["n"]))
-        fabric.send(Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP,
-                            10_000_000, payload={"n": 1}))
-        fabric.send(Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP,
-                            1, payload={"n": 2}))
-        sim.run()
-        assert order == [2, 1]
 
     def test_app_message_matrix(self):
         sim, topo, stats, fabric = make_fabric()

@@ -129,12 +129,6 @@ class TestClusterRuntime:
         assert runtime.size == 2
         assert list(runtime) == [a, b]
 
-    def test_up_nodes(self):
-        sim, a, b = build_node_pair()
-        runtime = ClusterRuntime(0, [a, b])
-        b.fail()
-        assert runtime.up_nodes() == [a]
-
 
 class TestProtocolRegistry:
     def test_known_names(self):

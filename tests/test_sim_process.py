@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import SimulationError
-from repro.sim.process import Interrupt, Process, Signal, Timeout, all_of
+from repro.sim.process import Interrupt, Process, Signal, Timeout
 
 
 def run_gen(sim, gen, name="p"):
@@ -142,16 +142,6 @@ class TestJoin:
         run_gen(sim, waiter(w))
         sim.run()
         assert log == [(1.0, "early")]
-
-    def test_all_of_collects_results(self, sim):
-        def worker(d, v):
-            yield Timeout(d)
-            return v
-
-        ws = [run_gen(sim, worker(d, d * 10)) for d in (3.0, 1.0, 2.0)]
-        combined = all_of(sim, ws)
-        sim.run()
-        assert combined.result == [30.0, 10.0, 20.0]
 
 
 class TestInterrupt:

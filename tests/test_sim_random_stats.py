@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.random import RandomStreams, Stream
+from repro.sim.random import RandomStreams
 from repro.sim.stats import Counter, Series, StatsRegistry, Tally, TimeWeighted
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLevel, Tracer
@@ -86,11 +86,6 @@ class TestRandomStreams:
     def test_bernoulli_invalid(self):
         with pytest.raises(ValueError):
             RandomStreams(0).stream("b2").bernoulli(1.5)
-
-    def test_fork_is_deterministic(self):
-        a = Stream("s", 1).fork("child").random()
-        b = Stream("s", 1).fork("child").random()
-        assert a == b
 
 
 class TestCounter:
@@ -265,14 +260,6 @@ class TestPeriodicTimer:
     def test_invalid_period_rejected(self, sim):
         with pytest.raises(ValueError):
             PeriodicTimer(sim, 0.0, lambda: None)
-
-    def test_set_period_rearms(self, sim):
-        hits = []
-        timer = PeriodicTimer(sim, 10.0, lambda: hits.append(sim.now))
-        timer.start()
-        sim.schedule(5.0, timer.set_period, 2.0)
-        sim.run(until=10.0)
-        assert hits == [7.0, 9.0]
 
     def test_firings_counter(self, sim):
         timer = PeriodicTimer(sim, 5.0, lambda: None)

@@ -24,10 +24,6 @@ class TestStableStorage:
         st = StableStorage(cluster=0, n_nodes=100, replication_degree=1)
         assert st.states_held_by(0, stored_clcs=63) == 126
 
-    def test_bytes_held(self):
-        st = StableStorage(cluster=0, n_nodes=4, replication_degree=1)
-        assert st.bytes_held_by(0, stored_clcs=3, state_size=1000) == 6000
-
     def test_single_fault_recoverable_degree_one(self):
         st = StableStorage(cluster=0, n_nodes=5, replication_degree=1)
         for node in range(5):

@@ -204,12 +204,6 @@ class TestCacheStore:
         assert closed, "the raw mkstemp fd was never closed"
         assert not list(tmp_path.rglob("*.tmp")), "the temp file was left behind"
 
-    def test_disabled_cache_never_stores(self, tmp_path):
-        cache = ResultCache(tmp_path, code_hash="h", enabled=False)
-        cache.put("t", {"a": 1}, 1)
-        assert cache.get("t", {"a": 1}) is None
-        assert cache.entry_count() == 0
-
 
 class TestRunner:
     def test_serial_matches_parallel(self):
