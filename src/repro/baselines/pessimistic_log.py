@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["PessimisticLogProtocol"]
 
+_APP = MessageKind.APP
+_REPLAY = MessageKind.REPLAY
+_REPLICA = MessageKind.REPLICA
+
 
 @register_protocol("pessimistic-log")
 class PessimisticLogProtocol(BaseProtocol):
@@ -112,6 +116,9 @@ class PessimisticAgent(NodeAgent):
         self.received_since_checkpoint = 0
         self.logged_messages = 0
         self.logged_bytes = 0
+        #: the pessimistic/log_messages and log_bytes counters, opened by
+        #: the first logged message
+        self._log_counters: Optional[tuple] = None
         period = protocol.federation.timers.clc_period_for(node.id.cluster)
         self.timer = PeriodicTimer(
             protocol.sim, period, self._checkpoint, name=f"pess-{node.id}"
@@ -145,25 +152,31 @@ class PessimisticAgent(NodeAgent):
     def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
         if not self.node.up:
             return
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size,
-            payload=payload or {},
+        self.protocol.federation.fabric.send(
+            Message(self.node.id, dst, _APP, size, payload)
         )
-        self.protocol.federation.fabric.send(msg)
 
     def on_receive(self, msg: Message) -> None:
         kind = msg.kind
-        if kind.is_app:
+        if kind is _APP or kind is _REPLAY:
             # Channel-memory logging: every received message is persisted
             # before delivery (pessimistic: the send blocks on the log in
             # real MPICH-V; the copy itself is local here).
             self.logged_messages += 1
             self.logged_bytes += msg.size
             self.received_since_checkpoint += 1
-            self.protocol.stats.counter("pessimistic/log_messages").inc()
-            self.protocol.stats.counter("pessimistic/log_bytes").inc(msg.size)
+            counters = self._log_counters
+            if counters is None:
+                stats = self.protocol.stats
+                counters = self._log_counters = (
+                    stats.counter("pessimistic/log_messages"),
+                    stats.counter("pessimistic/log_bytes"),
+                )
+            log_messages, log_bytes = counters
+            log_messages.value += 1
+            log_bytes.value += msg.size
             self.node.deliver_app(msg)
-        elif kind is MessageKind.REPLICA:
+        elif kind is _REPLICA:
             pass
         else:  # pragma: no cover - defensive
             raise ValueError(f"pessimistic-log cannot handle {kind}")

@@ -22,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ClusterRuntime", "Node"]
 
+_HEARTBEAT = MessageKind.HEARTBEAT
+
 
 class Node:
     """One machine of the federation."""
@@ -42,6 +44,8 @@ class Node:
         self._held: list = []
         #: statistics hook (set by the federation builder)
         self._stats = None
+        #: this node's app/delivered/c{i} counter, opened by the first delivery
+        self._delivered = None
         #: optional system-level interceptor (e.g. the heartbeat detector);
         #: returning True consumes the message before the protocol agent
         self.system_hook: Optional[Callable[[Message], bool]] = None
@@ -69,10 +73,7 @@ class Node:
         """Protocol-level send (control traffic); no interception."""
         if not self.up:
             return None
-        msg = Message(
-            src=self.id, dst=dst, kind=kind, size=size,
-            payload=payload or {}, piggyback=piggyback,
-        )
+        msg = Message(self.id, dst, kind, size, payload, piggyback)
         self.fabric.send(msg)
         return msg
 
@@ -80,21 +81,28 @@ class Node:
     # receiving
     # ------------------------------------------------------------------
     def _on_fabric_delivery(self, msg: Message) -> None:
-        assert self.agent is not None
+        agent = self.agent
+        assert agent is not None
         if not self.up:
-            if msg.kind is not MessageKind.HEARTBEAT and self.agent.buffer_while_down(msg):
+            if msg.kind is not _HEARTBEAT and agent.buffer_while_down(msg):
                 self._held.append(msg)
             return
-        if self.system_hook is not None and self.system_hook(msg):
+        hook = self.system_hook
+        if hook is not None and hook(msg):
             return
-        if msg.kind is MessageKind.HEARTBEAT:
+        if msg.kind is _HEARTBEAT:
             return  # no detector installed: liveness probes are inert
-        self.agent.on_receive(msg)
+        agent.on_receive(msg)
 
     def deliver_app(self, msg: Message) -> None:
         """Hand a message to the application layer."""
         if self._stats is not None:
-            self._stats.counter(f"app/delivered/c{self.id.cluster}").inc()
+            delivered = self._delivered
+            if delivered is None:
+                delivered = self._delivered = self._stats.counter(
+                    f"app/delivered/c{self.id.cluster}"
+                )
+            delivered.value += 1
         if self.app_sink is not None:
             self.app_sink(msg)
 

@@ -48,13 +48,26 @@ __all__ = [
 #: base size in bytes of a protocol control message
 CONTROL_SIZE = 64
 
+# The kinds this module sends and tests per message, as module globals:
+# ``MessageKind.X`` is a metaclass attribute lookup, several times the cost
+# of a global on the per-message path.  Identity tests are safe across
+# snapshots: enum members unpickle to the same singletons.
+_APP = MessageKind.APP
+_REPLAY = MessageKind.REPLAY
+_CLC_REQUEST = MessageKind.CLC_REQUEST
+_CLC_ACK = MessageKind.CLC_ACK
+_CLC_COMMIT = MessageKind.CLC_COMMIT
+_CLC_INITIATE = MessageKind.CLC_INITIATE
+_REPLICA = MessageKind.REPLICA
+_INTER_ACK = MessageKind.INTER_ACK
+
 
 def replicate_state(cluster: "ClusterRuntime", node: "Node", size: int, degree: int = 1) -> None:
     """Stable storage: copy ``node``'s state to its ``degree`` ring successors."""
     nodes = cluster.nodes
     n = len(nodes)
     for k in range(1, min(degree, n - 1) + 1):
-        node.send_raw(nodes[(node.id.node + k) % n].id, MessageKind.REPLICA, size=size)
+        node.send_raw(nodes[(node.id.node + k) % n].id, _REPLICA, size=size)
 
 
 def recovery_delay(federation: "Federation", failed_node: "Node") -> float:
@@ -114,7 +127,7 @@ class TwoPhaseRound:
         agent.save_state()
         self.acks_pending = {n.id for n in self.others}
         for n in self.others:
-            leader.send_raw(n.id, MessageKind.CLC_REQUEST, size=self.control_size)
+            leader.send_raw(n.id, _CLC_REQUEST, size=self.control_size)
         if not self.acks_pending:
             self._complete()
 
@@ -137,7 +150,7 @@ class TwoPhaseRound:
         assert leader is not None
         for n in self.others:
             leader.send_raw(
-                n.id, MessageKind.CLC_COMMIT, size=self.commit_size, payload=payload
+                n.id, _CLC_COMMIT, size=self.commit_size, payload=payload
             )
         agent = leader.agent
         assert isinstance(agent, FreezeAgent)
@@ -185,9 +198,7 @@ class FreezeAgent(NodeAgent):
         self.send_now(dst, size, payload)
 
     def send_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
-        msg = Message(
-            src=self.node.id, dst=dst, kind=MessageKind.APP, size=size, payload=payload or {}
-        )
+        msg = Message(self.node.id, dst, _APP, size, payload)
         if dst.cluster != self.node.id.cluster:
             self.stamp(msg)
         self.protocol.federation.fabric.send(msg)
@@ -198,33 +209,33 @@ class FreezeAgent(NodeAgent):
 
     # -- receiving -------------------------------------------------------
     def on_receive(self, msg: Message) -> None:
+        # Tested in measured frequency order: at paper scale the four kinds
+        # of a checkpoint round are each 2.5x as frequent as application
+        # messages (92% of the traffic of the section 5 evaluation is 2PC).
         kind = msg.kind
-        if kind is MessageKind.APP or kind is MessageKind.REPLAY:
+        if kind is _CLC_REQUEST:
+            self.freeze()
+            self.save_state()
+            self.node.send_raw(
+                msg.src, _CLC_ACK, self.round.control_size, self.ack_payload()
+            )
+        elif kind is _CLC_ACK:
+            self.round.on_ack(msg)
+        elif kind is _CLC_COMMIT:
+            self.unfreeze()
+        elif kind is _REPLICA:
+            pass  # accounted by the fabric; content is abstract state
+        elif kind is _APP or kind is _REPLAY:
             if msg.src.cluster != msg.dst.cluster:
                 self.on_inter_arrival(msg)
             else:
                 # Deliveries during the freeze window amend the saved state.
                 self.node.deliver_app(msg)
-        elif kind is MessageKind.CLC_REQUEST:
-            self.freeze()
-            self.save_state()
-            self.node.send_raw(
-                msg.src,
-                MessageKind.CLC_ACK,
-                size=self.round.control_size,
-                payload=self.ack_payload(),
-            )
-        elif kind is MessageKind.CLC_ACK:
-            self.round.on_ack(msg)
-        elif kind is MessageKind.CLC_COMMIT:
-            self.unfreeze()
-        elif kind is MessageKind.INTER_ACK:
+        elif kind is _INTER_ACK:
             # sender-side log: the receiver says which checkpoint captures it
             self.state.sent_log.ack(msg.payload["msg_id"], msg.payload["ack_sn"])
-        elif kind is MessageKind.CLC_INITIATE:
+        elif kind is _CLC_INITIATE:
             self.on_force_request(msg.payload)
-        elif kind is MessageKind.REPLICA:
-            pass  # accounted by the fabric; content is abstract state
         else:
             self.on_control(msg)
 
@@ -243,7 +254,7 @@ class FreezeAgent(NodeAgent):
             self.on_force_request(payload)
         else:
             self.node.send_raw(
-                leader.id, MessageKind.CLC_INITIATE, size=size, payload=payload
+                leader.id, _CLC_INITIATE, size=size, payload=payload
             )
 
     def on_force_request(self, payload: dict) -> None:
@@ -254,7 +265,7 @@ class FreezeAgent(NodeAgent):
         """Tell the sender's log which checkpoint first captures ``msg``."""
         self.node.send_raw(
             msg.src,
-            MessageKind.INTER_ACK,
+            _INTER_ACK,
             size=self.round.control_size,
             payload={"msg_id": msg.msg_id, "ack_sn": ack_sn},
         )

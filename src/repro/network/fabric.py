@@ -9,20 +9,34 @@ arbitrary but finite lapse of time") with per-channel FIFO ordering.
 Statistics recorded per message:
 
 * ``net/app/c{i}->c{j}`` -- application message counts per cluster pair
-  (Table 1 of the paper),
+  (Table 1 of the paper); ``net/replays`` for re-sent logged messages,
 * ``net/protocol/{kind}`` -- protocol message counts per kind,
 * ``net/protocol_inter`` -- protocol messages that crossed clusters,
-* ``net/bytes/app`` / ``net/bytes/protocol`` -- byte volumes.
+* ``net/bytes/kind/{kind}``, ``net/bytes/app`` / ``net/bytes/protocol`` --
+  byte volumes.
 
 :meth:`Fabric.send` runs once per message -- by far the busiest non-kernel
-path in the system -- so everything per-send is O(1) dict hits on caches
-built lazily the first time a (kind, cluster-pair, link) is seen: counter
-objects are resolved once instead of re-formatting their registry names per
-message, and link specs are resolved once per cluster pair.  Laziness
-matters for behavior, not just startup cost: metrics must spring into
+path in the system -- so it does no name formatting, no registry lookup and
+no hashing beyond the receiver and FIFO-channel dicts (whose
+:class:`~repro.network.message.NodeId` keys hash in C).  Two flat lists,
+for ``n`` clusters, carry everything else:
+
+* ``_links[src_cluster * n + dst_cluster]`` is the pair's
+  ``(latency, bandwidth)``, filled at construction;
+* ``_cells[kind.index * n * n + src_cluster * n + dst_cluster]`` is the
+  *cell* of such a message: the tuple of live
+  :class:`~repro.sim.stats.Counter` objects it moves -- its count, its
+  ``net/bytes/kind/*``, its ``net/bytes/app|protocol`` and, for protocol
+  traffic that crosses clusters, ``net/protocol_inter`` (else ``None``) --
+  which ``send`` bumps inline.
+
+Cells are opened lazily, by name, on the first such message, and the
+laziness is behaviour, not start-up cost: metrics must spring into
 existence exactly when the first matching message is sent, as the paper
 tables (and ``FederationResults.stats``) only contain rows for traffic that
-actually happened.
+actually happened.  The counters in a cell *are* the registry's, so every
+``stats.counter("net/...")`` read is current and a snapshot restores cells
+and registry as one object graph.
 """
 
 from __future__ import annotations
@@ -32,12 +46,18 @@ from typing import Callable, Optional
 from repro.network.message import Message, MessageKind, NodeId
 from repro.network.topology import Topology
 from repro.sim.kernel import Simulator
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 from repro.sim.trace import TraceLevel, Tracer
 
 __all__ = ["Fabric"]
 
 Receiver = Callable[[Message], None]
+#: (count, net/bytes/kind/*, net/bytes/app|protocol, net/protocol_inter or None)
+Cell = tuple[Counter, Counter, Counter, Optional[Counter]]
+
+_APP = MessageKind.APP
+_REPLAY = MessageKind.REPLAY
+_MESSAGE = int(TraceLevel.MESSAGE)
 
 
 class Fabric:
@@ -49,22 +69,17 @@ class Fabric:
         topology: Topology,
         stats: StatsRegistry,
         tracer: Optional[Tracer] = None,
-    ):
+    ) -> None:
         self.sim = sim
         self.topology = topology
         self.stats = stats
         self.tracer = tracer
         self._receivers: dict[NodeId, Receiver] = {}
         self._last_arrival: dict[tuple[NodeId, NodeId], float] = {}
-        # lazily-built per-send caches (see module docstring)
-        self._links: dict = {}           # (src_cluster, dst_cluster) -> LinkSpec
-        self._bytes_counters: dict = {}  # MessageKind -> Counter net/bytes/kind/*
-        self._app_counters: dict = {}    # (src_cluster, dst_cluster) -> Counter
-        self._proto_counters: dict = {}  # MessageKind -> Counter net/protocol/*
-        self._bytes_app = None
-        self._bytes_protocol = None
-        self._protocol_inter = None
-        self._replays = None
+        n = self._n = topology.n_clusters
+        links = (topology.link_between(a, b) for a in range(n) for b in range(n))
+        self._links = [(link.latency, link.bandwidth) for link in links]
+        self._cells: list[Optional[Cell]] = [None] * (len(MessageKind) * n * n)
 
     # ------------------------------------------------------------------
     def register(self, node_id: NodeId, receiver: Receiver) -> None:
@@ -83,36 +98,62 @@ class Fabric:
         dst = msg.dst
         if dst not in self._receivers:
             raise ValueError(f"message to unregistered node {dst}")
+        size = msg.size
+        if size < 0:
+            # refused before any state moves: the counters below are bumped
+            # inline, where a negative size would be a silent decrement
+            raise ValueError(f"message with negative size: {msg!r}")
         sim = self.sim
         now = sim.now
         msg.send_time = now
         src = msg.src
-        pair = (src.cluster, dst.cluster)
-        link = self._links.get(pair)
-        if link is None:
-            link = self._links[pair] = self.topology.link_between(*pair)
-        # inlined LinkSpec.transfer_delay; the parenthesization must match
-        # the original two-step now + transfer_delay(...) computation so
-        # arrival times stay bit-identical (float addition isn't associative)
-        arrival = now + (link.latency + (msg.size * 8.0) / link.bandwidth)
+        kind = msg.kind
+        n = self._n
+        pair = src.cluster * n + dst.cluster
+        latency, bandwidth = self._links[pair]
+        # LinkSpec.transfer_delay, inlined; the division and the
+        # parenthesization must stay exactly these so arrival times are
+        # bit-identical (float addition isn't associative, and
+        # size * (8 / bandwidth) differs from (size * 8.0) / bandwidth by
+        # an ulp for about a fifth of all sizes)
+        arrival = now + (latency + (size * 8.0) / bandwidth)
         chan = (src, dst)
         last = self._last_arrival
         prev = last.get(chan)
         if prev is not None and arrival < prev:
             arrival = prev
         last[chan] = arrival
-        self._account(msg)
+        slot = kind.index * n * n + pair
+        cell = self._cells[slot]
+        if cell is None:
+            cell = self._cells[slot] = self._open_cell(kind, src.cluster, dst.cluster)
+        count, kind_bytes, class_bytes, inter = cell
+        count.value += 1
+        kind_bytes.value += size
+        class_bytes.value += size
+        if inter is not None:
+            inter.value += 1
+        tracer = self.tracer
+        if (
+            tracer is not None
+            and tracer.level >= _MESSAGE
+            and (kind is _APP or kind is _REPLAY)
+        ):
+            tracer.message(
+                "send",
+                msg_id=msg.msg_id,
+                src=str(src),
+                dst=str(dst),
+                msg_kind=kind.value,
+                piggyback=msg.piggyback,
+            )
         sim.schedule_at(arrival, self._deliver, msg)
         return arrival
 
     # ------------------------------------------------------------------
     def _deliver(self, msg: Message) -> None:
         tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.level >= TraceLevel.MESSAGE
-            and msg.kind.is_app
-        ):
+        if tracer is not None and tracer.level >= _MESSAGE and msg.kind.is_app:
             tracer.message(
                 "deliver",
                 msg_id=msg.msg_id,
@@ -122,63 +163,26 @@ class Fabric:
             )
         self._receivers[msg.dst](msg)
 
-    def _account(self, msg: Message) -> None:
-        kind = msg.kind
-        size = msg.size
-        counter = self._bytes_counters.get(kind)
-        if counter is None:
-            counter = self._bytes_counters[kind] = self.stats.counter(
-                f"net/bytes/kind/{kind.value}"
-            )
-        counter.inc(size)
-        if kind is MessageKind.APP:
-            pair = (msg.src.cluster, msg.dst.cluster)
-            counter = self._app_counters.get(pair)
-            if counter is None:
-                counter = self._app_counters[pair] = self.stats.counter(
-                    f"net/app/c{pair[0]}->c{pair[1]}"
-                )
-            counter.inc()
-            if self._bytes_app is None:
-                self._bytes_app = self.stats.counter("net/bytes/app")
-            self._bytes_app.inc(size)
-        elif kind is MessageKind.REPLAY:
+    def _open_cell(self, kind: MessageKind, src_cluster: int, dst_cluster: int) -> Cell:
+        """Resolve by name the counters a message of this kind and cluster
+        pair moves (once: ``send`` keeps the result in ``_cells``)."""
+        counter = self.stats.counter
+        kind_bytes = counter(f"net/bytes/kind/{kind.value}")
+        inter = None
+        if kind is _APP:
+            count = counter(f"net/app/c{src_cluster}->c{dst_cluster}")
+            class_bytes = counter("net/bytes/app")
+        elif kind is _REPLAY:
             # Replays are re-deliveries of already-counted sends: they are
             # tracked separately so Table-1 style matrices stay clean.
-            if self._replays is None:
-                self._replays = self.stats.counter("net/replays")
-            self._replays.inc()
-            if self._bytes_app is None:
-                self._bytes_app = self.stats.counter("net/bytes/app")
-            self._bytes_app.inc(size)
+            count = counter("net/replays")
+            class_bytes = counter("net/bytes/app")
         else:
-            counter = self._proto_counters.get(kind)
-            if counter is None:
-                counter = self._proto_counters[kind] = self.stats.counter(
-                    f"net/protocol/{kind.value}"
-                )
-            counter.inc()
-            if self._bytes_protocol is None:
-                self._bytes_protocol = self.stats.counter("net/bytes/protocol")
-            self._bytes_protocol.inc(size)
-            if msg.src.cluster != msg.dst.cluster:
-                if self._protocol_inter is None:
-                    self._protocol_inter = self.stats.counter("net/protocol_inter")
-                self._protocol_inter.inc()
-        tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.level >= TraceLevel.MESSAGE
-            and (kind is MessageKind.APP or kind is MessageKind.REPLAY)
-        ):
-            tracer.message(
-                "send",
-                msg_id=msg.msg_id,
-                src=str(msg.src),
-                dst=str(msg.dst),
-                msg_kind=kind.value,
-                piggyback=msg.piggyback,
-            )
+            count = counter(f"net/protocol/{kind.value}")
+            class_bytes = counter("net/bytes/protocol")
+            if src_cluster != dst_cluster:
+                inter = counter("net/protocol_inter")
+        return count, kind_bytes, class_bytes, inter
 
     # ------------------------------------------------------------------
     def app_message_count(self, src_cluster: int, dst_cluster: int) -> int:

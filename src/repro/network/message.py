@@ -6,82 +6,36 @@ collection rounds -- travels as a :class:`Message` through the
 :class:`~repro.network.fabric.Fabric`, so network statistics capture the
 *protocol overhead* the paper evaluates, not only application traffic.
 
-Both classes here are allocated on the per-message hot path (one
-:class:`Message` per send, :class:`NodeId` keys every channel/receiver
-lookup), so they are hand-written ``__slots__`` classes rather than
-dataclasses: no instance ``__dict__``, no generated-method indirection, and
-``NodeId`` caches its hash at construction (it is hashed at least twice per
-send: receiver lookup and FIFO channel key).
+All three types sit on the per-message hot path and are shaped so that a
+message costs no Python-level ``__hash__``/``__eq__``: :class:`NodeId` is a
+named tuple (it keys the receiver table, the FIFO channels and the 2PC ack
+sets, and tuples hash and compare in C), :class:`MessageKind` members carry
+a dense ``index`` so per-kind tables are lists rather than enum-keyed dicts,
+and :class:`Message` is a ``__slots__`` class compared by identity.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["Message", "MessageKind", "NodeId"]
 
 
-class NodeId:
+class NodeId(NamedTuple):
     """Address of a node: cluster index + node index within the cluster.
 
-    Value object: equality, ordering and hashing follow the
-    ``(cluster, node)`` pair.  Treat instances as immutable -- the hash is
-    computed once at construction.
+    Value object: equality, ordering and hashing are those of the
+    ``(cluster, node)`` pair, and the generated ``repr`` reads
+    ``NodeId(cluster=0, node=1)``.
     """
 
-    __slots__ = ("cluster", "node", "_hash")
-
-    def __init__(self, cluster: int, node: int):
-        self.cluster = cluster
-        self.node = node
-        # Cached for __hash__ below; only used for process-local dict/set
-        # placement, never ordered or persisted, so PYTHONHASHSEED
-        # variance cannot leak out.
-        self._hash = hash((cluster, node))  # repro-lint: ignore[DET002] -- __hash__ cache, placement only
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NodeId):
-            return self.cluster == other.cluster and self.node == other.node
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if isinstance(other, NodeId):
-            return self.cluster != other.cluster or self.node != other.node
-        return NotImplemented
-
-    def __lt__(self, other: "NodeId") -> bool:
-        if isinstance(other, NodeId):
-            return (self.cluster, self.node) < (other.cluster, other.node)
-        return NotImplemented
-
-    def __le__(self, other: "NodeId") -> bool:
-        if isinstance(other, NodeId):
-            return (self.cluster, self.node) <= (other.cluster, other.node)
-        return NotImplemented
-
-    def __gt__(self, other: "NodeId") -> bool:
-        if isinstance(other, NodeId):
-            return (self.cluster, self.node) > (other.cluster, other.node)
-        return NotImplemented
-
-    def __ge__(self, other: "NodeId") -> bool:
-        if isinstance(other, NodeId):
-            return (self.cluster, self.node) >= (other.cluster, other.node)
-        return NotImplemented
+    cluster: int
+    node: int
 
     def __str__(self) -> str:
         return f"c{self.cluster}n{self.node}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NodeId(cluster={self.cluster}, node={self.node})"
-
-    def __reduce__(self):
-        return (NodeId, (self.cluster, self.node))
 
 
 class MessageKind(enum.Enum):
@@ -103,10 +57,17 @@ class MessageKind(enum.Enum):
     GC_LOCAL = "gc_local"          #: intra-cluster broadcast of the GC collect vector
     HEARTBEAT = "heartbeat"        #: liveness probe for the failure detector
 
+    #: position in definition order (0..14): the row of per-kind lists
+    index: int
+
     @property
     def is_app(self) -> bool:
         """True for traffic the application generated (incl. replays)."""
         return self in (MessageKind.APP, MessageKind.REPLAY)
+
+
+for _index, _kind in enumerate(MessageKind):
+    _kind.index = _index
 
 
 _msg_ids = itertools.count(1)
@@ -138,7 +99,7 @@ class Message:
         piggyback: Optional[Any] = None,
         msg_id: Optional[int] = None,
         send_time: float = 0.0,
-    ):
+    ) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind

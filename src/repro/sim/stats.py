@@ -178,11 +178,10 @@ class StatsRegistry:
         self._clock = clock
         self._metrics: dict[str, Metric] = {}
 
-    def _get(self, name: str, factory: Callable[[], Metric], kind: type) -> Metric:
+    def _get(self, name: str, kind: type, *args: object) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
+            metric = self._metrics[name] = kind(name, *args)
         elif not isinstance(metric, kind):
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}"
@@ -190,18 +189,16 @@ class StatsRegistry:
         return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, lambda: Counter(name), Counter)  # type: ignore[return-value]
+        return self._get(name, Counter)  # type: ignore[return-value]
 
     def tally(self, name: str) -> Tally:
-        return self._get(name, lambda: Tally(name), Tally)  # type: ignore[return-value]
+        return self._get(name, Tally)  # type: ignore[return-value]
 
     def gauge(self, name: str, initial: float = 0.0) -> TimeWeighted:
-        return self._get(
-            name, lambda: TimeWeighted(name, self._clock, initial), TimeWeighted
-        )  # type: ignore[return-value]
+        return self._get(name, TimeWeighted, self._clock, initial)  # type: ignore[return-value]
 
     def series(self, name: str) -> Series:
-        return self._get(name, lambda: Series(name), Series)  # type: ignore[return-value]
+        return self._get(name, Series)  # type: ignore[return-value]
 
     def names(self) -> list[str]:
         return sorted(self._metrics)

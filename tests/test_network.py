@@ -1,7 +1,12 @@
 """Unit tests for messages, topology and the fabric."""
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.app.workloads import table1_workload
+from repro.cluster.federation import Federation
 from repro.network.message import Message, MessageKind, NodeId
 from repro.network.topology import (
     ETHERNET_LIKE,
@@ -12,6 +17,7 @@ from repro.network.topology import (
     two_cluster_topology,
 )
 from repro.network.fabric import Fabric
+from repro.sim import snapshot
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
@@ -32,6 +38,28 @@ class TestNodeId:
 
     def test_hashable(self):
         assert len({NodeId(0, 1), NodeId(0, 1), NodeId(1, 1)}) == 2
+
+    @given(st.integers(0, 10_000), st.integers(0, 10_000))
+    def test_is_the_cluster_node_pair(self, c, n):
+        """What every dict, set and sort keyed by ids relies on."""
+        node_id = NodeId(c, n)
+        assert (node_id.cluster, node_id.node) == (c, n)
+        assert hash(node_id) == hash((c, n))
+        assert str(node_id) == f"c{c}n{n}"
+        assert repr(node_id) == f"NodeId(cluster={c}, node={n})"
+        for thawed in (
+            pickle.loads(pickle.dumps(node_id)),
+            snapshot.loads(snapshot.dumps(node_id)),
+        ):
+            assert type(thawed) is NodeId and thawed == node_id
+
+    @given(*[st.integers(0, 50)] * 4)
+    def test_orders_like_the_pair(self, c1, n1, c2, n2):
+        a, b = NodeId(c1, n1), NodeId(c2, n2)
+        assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
+            (c1, n1) < (c2, n2), (c1, n1) <= (c2, n2), (c1, n1) == (c2, n2),
+            (c1, n1) != (c2, n2), (c1, n1) >= (c2, n2), (c1, n1) > (c2, n2),
+        )
 
 
 class TestMessage:
@@ -61,6 +89,13 @@ class TestMessage:
         assert MessageKind.REPLAY.is_app
         assert not MessageKind.CLC_REQUEST.is_app
         assert not MessageKind.ALERT.is_app
+
+    def test_kind_index_is_dense_in_definition_order(self):
+        """The fabric's cells are rows of a list indexed by it."""
+        assert [kind.index for kind in MessageKind] == list(range(15))
+        for kind in MessageKind:
+            thawed = pickle.loads(pickle.dumps(kind))
+            assert thawed is kind and thawed.index == kind.index
 
 
 class TestLinkSpec:
@@ -260,3 +295,39 @@ class TestFabric:
         sim.run()
         assert stats.counter("net/bytes/app").value == 500
         assert stats.counter("net/bytes/protocol").value == 300
+
+    def test_negative_size_refused_before_any_state_moves(self):
+        sim, topo, stats, fabric = make_fabric()
+        arrivals = []
+        fabric.register(NodeId(0, 0), lambda m: None)
+        fabric.register(NodeId(0, 1), lambda m: arrivals.append(sim.now))
+        bad = Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, -5)
+        with pytest.raises(ValueError, match=f"Msg#{bad.msg_id} "):
+            fabric.send(bad)
+        # no row for traffic that never happened, nothing in flight, and the
+        # channel's FIFO slot did not move: the next send is not held back
+        assert stats.names() == []
+        assert sim.pending == 0
+        fabric.send(Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, 100))
+        sim.run()
+        assert arrivals == [sim.now] == [MYRINET_LIKE.transfer_delay(100)]
+        assert stats.counter("net/bytes/kind/app").value == 100
+
+    def test_restored_cells_are_the_restored_registrys_counters(self):
+        topology, application, timers = table1_workload(nodes=4, total_time=1800.0)
+        fed = Federation(topology, application, timers, protocol="hc3i", seed=7)
+        fed.start()
+        fed.sim.run(until=900.0)
+        restored = snapshot.loads(snapshot.dumps(fed))
+        fabric, stats = restored.fabric, restored.stats
+        opened = [cell for cell in fabric._cells if cell is not None]
+        assert opened
+        for cell in opened:
+            for counter in cell:
+                assert counter is None or stats.counter(counter.name) is counter
+        before = restored.results().stats
+        fabric.send(Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, 123))
+        after = restored.results().stats
+        assert after["net/app/c0->c0"] == before.get("net/app/c0->c0", 0) + 1
+        assert after["net/bytes/kind/app"] == before.get("net/bytes/kind/app", 0) + 123
+        assert after["net/bytes/app"] == before.get("net/bytes/app", 0) + 123
