@@ -10,7 +10,8 @@ checkpoint store, which dedupes by content address for the same reason).
 Values are pickled per point: point summaries are plain dicts of
 scalars/lists by contract (:mod:`repro.experiments.registry`), so entries
 stay small and portable.  Writes are atomic (temp file + rename) so a
-killed sweep never leaves a truncated entry behind.
+killed sweep never leaves a truncated entry behind; a read is one key and
+one ``open``, and a missing, torn or unreadable entry is simply a miss.
 
 Cache location: ``--cache-dir`` / constructor argument, else the
 ``REPRO_CACHE_DIR`` environment variable, else
@@ -32,14 +33,14 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from repro.atomic import atomic_write
 
 try:  # POSIX advisory locking for the shared provenance journal
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+    fcntl = None  # type: ignore[assignment]
 
 __all__ = ["ResultCache", "code_version_hash", "default_cache_dir", "point_key"]
 
@@ -71,6 +72,11 @@ def code_version_hash() -> str:
     return _code_hash_cache
 
 
+#: what a key hashes, byte for byte ``json.dumps(..., sort_keys=True)``: every
+#: cache entry, snapshot and ``/grid`` answer on disk is addressed by these bytes
+_encode_material = json.JSONEncoder(sort_keys=True).encode
+
+
 def point_key(experiment: str, params: dict, code_hash: Optional[str] = None) -> str:
     """Content address of one grid point: SHA-256(code, experiment, params).
 
@@ -78,13 +84,12 @@ def point_key(experiment: str, params: dict, code_hash: Optional[str] = None) ->
     a point's snapshot key is its cache key -- attempt-independent, which
     is what lets a requeued attempt find its predecessor's snapshots.
     """
-    material = json.dumps(
+    material = _encode_material(
         {
             "code": code_hash if code_hash is not None else code_version_hash(),
             "experiment": experiment,
             "params": params,
-        },
-        sort_keys=True,
+        }
     )
     return hashlib.sha256(material.encode()).hexdigest()
 
@@ -111,25 +116,23 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, experiment: str, params: dict):
+    def get(self, experiment: str, params: dict) -> Any:
         """Return the cached value or ``None``; counts hit/miss."""
-        path = self.path(self.key(experiment, params))
-        if not path.exists():
-            self.misses += 1
-            return None
+        key = self.key(experiment, params)
         try:
-            with open(path, "rb") as fh:
+            # what :meth:`path` names, opened without a stat or a Path
+            with open(os.path.join(self.root, key[:2], key + ".pkl"), "rb") as fh:
                 value = pickle.load(fh)
         except Exception:
-            # a truncated/corrupted entry can raise nearly anything from
-            # the pickle VM (UnpicklingError, ValueError, EOFError, ...);
-            # any load failure is simply a cache miss
+            # no entry is an OSError, and a truncated/corrupted one can raise
+            # nearly anything from the pickle VM (UnpicklingError, ValueError,
+            # EOFError, ...); any load failure is simply a cache miss
             self.misses += 1
             return None
         self.hits += 1
         return value
 
-    def put(self, experiment: str, params: dict, value) -> None:
+    def put(self, experiment: str, params: dict, value: Any) -> None:
         atomic_write(
             self.path(self.key(experiment, params)),
             lambda fh: pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL),

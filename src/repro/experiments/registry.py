@@ -100,8 +100,20 @@ class Experiment:
         return {k: v for k, v in overrides.items() if k in accepted}
 
     def build_grid(self, overrides: Optional[dict] = None) -> list:
-        grid = self.grid(**self.grid_kwargs(overrides))
-        return [canonical_params(p) for p in grid]
+        """The grid under ``overrides``, every point as :func:`canonical_params`
+        returns it -- checked as a whole, in one round trip."""
+        grid = list(self.grid(**self.grid_kwargs(overrides)))
+        try:
+            return canonical_params(grid)
+        except ValueError:
+            for index, params in enumerate(grid):  # walk it, to name the culprit
+                try:
+                    canonical_params(params)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"experiment {self.name!r}, grid point {index}: {exc}"
+                    ) from None
+            raise
 
 
 _REGISTRY: dict = {}
@@ -234,7 +246,11 @@ def _has_non_finite(value) -> bool:
     return False
 
 
-def canonical_params(params: dict) -> dict:
+#: the strict encoding a point must survive: canonical key order, no NaN/Infinity
+_encode_strict = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
+def canonical_params(params: dict | list) -> dict | list:
     """Validate that a grid point round-trips through JSON and return it.
 
     Grid points become cache keys *and* travel as self-contained JSON
@@ -244,20 +260,21 @@ def canonical_params(params: dict) -> dict:
     convention.  Tuples are normalized to lists (JSON
     has no tuples); anything else that decodes differently than it was
     written -- non-string dict keys (``{1: ...}`` silently becomes
-    ``{"1": ...}``), non-finite floats -- is rejected here, at grid-build
-    time, rather than surfacing as a cache miss or a divergent remote
-    result later.
+    ``{"1": ...}``), non-finite floats, values JSON has no form for,
+    keys that do not sort -- is rejected here, at grid-build time, by a
+    :class:`ValueError` showing the point, rather than surfacing as a
+    cache miss or a divergent remote result later.  A whole grid (a list
+    of points) validates the same way, element for element, in one pass.
     """
     try:
-        encoded = json.dumps(params, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
+        encoded = _encode_strict(params)
+    except (TypeError, ValueError) as exc:
         raise ValueError(
-            f"grid point is not JSON-serializable (non-finite float?): "
-            f"{params!r} ({exc})"
+            f"grid point is not JSON-serializable: {params!r} "
+            f"({type(exc).__name__}: {exc})"
         ) from None
     decoded = json.loads(encoded)
-    normalized = _jsonify(params)
-    if decoded != normalized:
+    if decoded != params and decoded != _jsonify(params):  # no tuples: no walk
         raise ValueError(
             "grid point does not survive a JSON round-trip "
             f"(non-string dict keys?): {params!r} decoded as {decoded!r}"
@@ -266,17 +283,13 @@ def canonical_params(params: dict) -> dict:
 
 
 def _jsonify(obj):
-    """What ``obj`` should look like after a *lossless* JSON round-trip."""
+    """What ``obj`` should look like after a *lossless* JSON round-trip:
+    tuples as lists, scalars as they went in (``float(repr(x)) == x`` for
+    every finite float, and the strict encoder refused the others)."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        return json.loads(json.dumps(obj))  # canonical float repr
     return obj
 
 

@@ -9,8 +9,10 @@ params dict carries its own explicit seed, so ``--jobs 1``, ``--jobs N``
 and ``--backend ssh`` produce byte-identical results.
 
 The runner owns fault tolerance.  Results are written to the local
-cache *as they arrive* (not after the sweep), so a partially failed
-sweep re-executes only its missing points.  A worker/host dying
+cache *as they arrive* (not after the sweep) -- finished futures report
+to one completion queue, first in first out, so collecting a point costs
+the same whatever else is in flight -- and a partially failed sweep
+re-executes only its missing points.  A worker/host dying
 mid-point raises :class:`WorkerLostError` from the backend; the runner
 puts the point back in the queue (bounded by ``max_retries`` per point)
 and the backend stops assigning work to the casualty, so a sweep
@@ -26,8 +28,8 @@ its result is safe.
 
 from __future__ import annotations
 
+import queue
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -210,9 +212,16 @@ def _execute_pending(
 
     backend.prepare(len(pending))
     in_flight: dict = {}
+    # every in-flight future reports here once, in completion order, from
+    # whatever thread resolves it: collecting one is O(1) in the rest
+    finished: queue.SimpleQueue = queue.SimpleQueue()
     attempts = dict.fromkeys(pending, 1)
     retries = 0
     failure: Optional[BaseException] = None
+
+    def track(future, i: int) -> None:
+        in_flight[future] = i
+        future.add_done_callback(finished.put)
 
     def complete(future, i: int) -> None:
         """Record one finished future: store+cache a value, or requeue a loss."""
@@ -233,7 +242,7 @@ def _execute_pending(
                 return
             attempts[i] += 1
             retries += 1
-            in_flight[submit(i)] = i
+            track(submit(i), i)
             return
         except BaseException as exc:  # noqa: BLE001 - non-retryable, re-raised below
             if failure is None:
@@ -261,11 +270,13 @@ def _execute_pending(
                 # submit time; handling them here preserves serial fail-fast
                 complete(future, i)
             else:
-                in_flight[future] = i
+                track(future, i)
         if failure is None:
             backend.flush()  # batching backends: the submission burst is over
         while in_flight and failure is None:
-            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+            done = [finished.get()]  # wait for one, take what else is there
+            while not finished.empty():  # this is the only consumer
+                done.append(finished.get_nowait())
             for future in done:
                 complete(future, in_flight.pop(future))
             if failure is None:

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+import textwrap
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -280,13 +285,49 @@ class TestLocalProcessBackend:
             ]
             values = [o.value for o in backend.map_grid(tasks)]
             assert values == [{"x": 0}, {"x": 1}]
-            import os
-
-            expected = min(8, 2, os.cpu_count() or 1)
+            # the CPUs this process may run on, as the backend counts them
+            cpus = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1
+            )
             assert backend._pool is not None
-            assert backend._pool._max_workers == expected
+            assert backend._pool._max_workers == min(8, 2, cpus)
         finally:
             backend.shutdown()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_pool_size_follows_the_cpus_this_process_may_run_on(self):
+        """Under ``taskset``, a cpuset or a SLURM allocation the machine has
+        more CPUs than the process may use: ``--jobs 8`` pinned to one CPU
+        is one worker, not eight thrashing on it."""
+        script = textwrap.dedent(
+            """
+            import os
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from repro.experiments.backends import LocalProcessBackend, PointTask
+            from repro.experiments.registry import canonical_params
+            backend = LocalProcessBackend(jobs=8)
+            backend.prepare(8)
+            try:
+                tasks = [PointTask("t", {"x": i}, canonical_params) for i in range(3)]
+                assert [o.value["x"] for o in backend.map_grid(tasks)] == [0, 1, 2]
+                print(backend._pool._max_workers)
+            finally:
+                backend.shutdown()
+            """
+        )
+        src = str(REPO_ROOT / "src")
+        existing = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": f"{src}:{existing}" if existing else src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
     def test_serial_sweep_fails_fast(self):
         """jobs=1 must stop at the first failing point, not run the grid out."""
@@ -308,6 +349,99 @@ class TestLocalProcessBackend:
         with pytest.raises(RuntimeError, match="deterministic point failure"):
             run_experiment(exploding, backend=backend)
         assert ran == [0, 1]  # points 2..9 never executed
+
+
+class TestChunkedDispatch:
+    """``--jobs N`` ships short points to the pool in chunks sized from their
+    measured time and long points one by one; a chunk is a unit of transport
+    only -- every point still has its own future, value, failure and retry."""
+
+    N = 300
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """Every pool round trip of the test, as the grid indices it carried."""
+        shipped: list = []
+        pool_submit = ProcessPoolExecutor.submit
+
+        def recording_submit(pool, fn, tasks):
+            shipped.append([task.params["i"] for task in tasks])
+            return pool_submit(pool, fn, tasks)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        return shipped
+
+    def _experiment(self, point, n=N, **extra):
+        return dataclasses.replace(
+            registry.get("table1"),
+            name=f"chunked-{point.__name__}",
+            grid=lambda: [{"i": i, **extra} for i in range(n)],
+            point=point,
+            reduce=lambda grid, points: points,
+            scaled=False,
+        )
+
+    def test_short_points_share_round_trips(self, chunks, tmp_path):
+        exp = self._experiment(canonical_params)
+        cache = ResultCache(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # submit() and the pool thread share the backlog
+        try:
+            report = run_experiment(exp, jobs=2, cache=cache)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.result == [{"i": i} for i in range(self.N)]  # grid order
+        assert report.host_counts == {"local": self.N}
+        assert (report.executed, report.retries) == (self.N, 0)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(self.N))
+        assert chunks[0] == [0]  # nothing is measured yet: one point per trip
+        assert len(chunks) < self.N
+        assert cache.entry_count() == self.N
+        again = run_experiment(exp, jobs=2, cache=cache)
+        assert (again.cache_hits, again.executed) == (self.N, 0)
+
+    def test_a_raising_point_fails_alone(self, chunks, tmp_path):
+        exp = self._experiment(_explode_at_150)
+        cache = ResultCache(tmp_path)
+        with pytest.raises(RuntimeError, match="point 150 exploded") as caught:
+            run_experiment(exp, jobs=2, cache=cache)
+        assert any("_explode_at_150" in note for note in caught.value.__notes__)
+        mates = next(chunk for chunk in chunks if 150 in chunk)
+        assert len(mates) > 1 and mates[0] < 150 < mates[-1]  # mid-chunk
+        for i in mates:
+            expected = None if i == 150 else {"i": i}
+            assert cache.get(exp.name, {"i": i}) == expected
+
+    def test_a_dead_worker_requeues_every_point_of_its_chunk(self, chunks, tmp_path):
+        exp = self._experiment(_die_once_at_150, marker=str(tmp_path / "died"))
+        report = run_experiment(exp, jobs=2)
+        assert [p["i"] for p in report.result] == list(range(self.N))
+        mates = next(chunk for chunk in chunks if 150 in chunk)
+        assert len(mates) > 1
+        for i in mates:  # shipped again, each in its own right
+            assert sum(chunk.count(i) for chunk in chunks) >= 2
+        # a shipped point either came back or was lost and requeued, one by one
+        assert report.retries == sum(len(chunk) for chunk in chunks) - self.N
+        assert report.retries >= len(mates)
+
+    def test_a_point_slower_than_the_chunk_target_travels_alone(self, chunks):
+        report = run_experiment(self._experiment(_slow, n=8), jobs=2)
+        assert [p["i"] for p in report.result] == list(range(8))
+        assert sorted(chunks) == [[i] for i in range(8)]
+
+    def test_submit_needs_no_flush_and_shutdown_cancels_the_backlog(self):
+        backend = LocalProcessBackend(jobs=2)
+        backend.prepare(50)
+        try:
+            first = backend.submit(PointTask("t", {"i": 0}, canonical_params))
+            assert first.result(timeout=60).value == {"i": 0}  # no flush() called
+            futures = [
+                backend.submit(PointTask("t", {"i": i}, _slow)) for i in range(1, 50)
+            ]
+        finally:
+            backend.shutdown()
+        assert all(future.done() for future in futures)
+        assert any(future.cancelled() for future in futures)
 
 
 class TestSSHBackend:
@@ -600,11 +734,16 @@ class TestAbortingSweepNeverResubmits:
     where ``backend.flush()`` ran after a non-retryable error was recorded
     for another future in the same completed batch."""
 
-    def test_requeue_plus_fatal_in_one_batch_submits_no_new_job(self, monkeypatch):
+    def test_requeue_plus_fatal_in_one_batch_submits_no_new_job(self):
         """One poll delivers a retryable loss AND a fatal point error; the
-        requeued point must stay in the buffer, not go out as a fresh job."""
-        from repro.experiments import runner as runner_mod
+        requeued point must stay in the buffer, not go out as a fresh job.
 
+        The runner collects completions first in, first out, and the
+        scripted ``flush`` resolves its batch in grid order: the loss
+        (``delay_min == 5``, point 0) is requeued and buffered by the time
+        the fatal error (point 1) is recorded -- the exact interleaving
+        that used to trigger the extra submission.
+        """
         fatal = RemotePointError("scripted", "deterministic point failure")
 
         def script(task, attempt):
@@ -613,22 +752,9 @@ class TestAbortingSweepNeverResubmits:
             return fatal
 
         backend = _ScriptedBatchBackend(script)
-
-        real_wait = runner_mod.wait
-
-        def losses_first_wait(futures, return_when=None):
-            done, not_done = real_wait(futures, return_when=return_when)
-            # deliver retryable losses before the fatal error so the requeue
-            # is buffered by the time the failure is recorded -- the exact
-            # interleaving that used to trigger the extra submission
-            ordered = sorted(
-                done, key=lambda f: not isinstance(f.exception(), WorkerLostError)
-            )
-            return ordered, not_done
-
-        monkeypatch.setattr(runner_mod, "wait", losses_first_wait)
         with pytest.raises(RemotePointError, match="deterministic point failure"):
             run_experiment("fig6-fig7", overrides=FIG67_TINY, backend=backend)
+        assert backend.batches[0][0]["delay_min"] == 5  # the loss did come first
         assert len(backend.batches) == 1, (
             "the aborting sweep submitted a fresh batch of resubmissions"
         )
@@ -655,6 +781,35 @@ class TestAbortingSweepNeverResubmits:
 
 def _explode(params):
     raise RuntimeError("inline point failure")
+
+
+def _after_the_burst(params):
+    """Hold the first round trips (one per in-flight slot) until the runner
+    has queued the whole grid behind them, so chunks form from a full backlog."""
+    if params["i"] < 4:
+        time.sleep(0.25)
+
+
+def _explode_at_150(params):
+    _after_the_burst(params)
+    if params["i"] == 150:
+        raise RuntimeError("point 150 exploded")
+    return params
+
+
+def _die_once_at_150(params):
+    """Kill the worker the first time point 150 runs."""
+    _after_the_burst(params)
+    marker = Path(params["marker"])
+    if params["i"] == 150 and not marker.exists():
+        marker.write_text("x")
+        os._exit(1)
+    return params
+
+
+def _slow(params):
+    time.sleep(0.03)  # longer than local.CHUNK_TARGET_S
+    return params
 
 
 def _die_hard(params):

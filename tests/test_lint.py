@@ -317,6 +317,7 @@ MYPY_STRICT_FLOOR = (
     "repro.serve.stats",
     "repro.core.rounds",
     "repro.core.recovery_line",
+    "repro.experiments.cache",
 )
 
 

@@ -1,13 +1,16 @@
 """Tests for the parallel experiment engine: registry, cache, runner, CLI."""
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.experiments import registry
-from repro.experiments.cache import ResultCache, code_version_hash
+from repro.experiments.cache import ResultCache, code_version_hash, point_key
 from repro.experiments.registry import (
     SCALE_PROFILES,
     canonical_params,
@@ -17,6 +20,15 @@ from repro.experiments.registry import (
 from repro.experiments.runner import run_experiment
 
 TINY = {"nodes": 4, "total_time": 1800.0}
+
+#: points json refuses with a TypeError (keys that do not sort, values it has
+#: no form for); ids are spelled out because ``repr(object())`` holds an address
+UNENCODABLE_POINTS = [
+    pytest.param({1: "a", "b": 2}, id="mixed-keys"),
+    pytest.param({"a": {2: 1, "x": 3}}, id="nested-mixed-keys"),
+    pytest.param({"a": object()}, id="object-value"),
+    pytest.param({"a": b"x"}, id="bytes-value"),
+]
 
 
 class TestRegistry:
@@ -69,8 +81,29 @@ class TestRegistry:
         assert canonical_params({"a": (1, 2)}) == {"a": [1, 2]}
 
     def test_canonical_params_rejects_non_json(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not JSON-serializable"):
             canonical_params({"a": object()})
+
+    @pytest.mark.parametrize("bad", UNENCODABLE_POINTS)
+    def test_canonical_params_names_the_point_it_rejects(self, bad):
+        """The documented contract: a point that cannot round-trip is a
+        ``ValueError`` showing the point, whatever json raised inside."""
+        with pytest.raises(ValueError) as caught:
+            canonical_params(bad)
+        assert repr(bad) in str(caught.value)
+        assert "TypeError" in str(caught.value)  # the cause is kept
+
+    @pytest.mark.parametrize("bad", UNENCODABLE_POINTS)
+    def test_build_grid_names_experiment_and_index_of_a_bad_point(self, bad):
+        points = [{"i": 0}, {"i": 1}, {"i": 2}, bad, {"i": 4}]
+        exp = dataclasses.replace(
+            registry.get("table1"), name="bad-grid", grid=lambda: points
+        )
+        with pytest.raises(ValueError) as caught:
+            exp.build_grid()
+        message = str(caught.value)
+        assert "'bad-grid'" in message and "grid point 3" in message
+        assert repr(bad) in message
 
     def test_duplicate_name_with_different_functions_rejected(self):
         table1 = registry.get("table1")
@@ -203,6 +236,175 @@ class TestCacheStore:
             cache.put("t", {"a": 1}, 1)
         assert closed, "the raw mkstemp fd was never closed"
         assert not list(tmp_path.rglob("*.tmp")), "the temp file was left behind"
+
+
+# JSON-shaped values as a grid function may write them: tuples for lists,
+# nested dicts, bools, None, ints past 64 bits, finite floats
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+_GRIDS = st.lists(st.dictionaries(st.text(max_size=4), _VALUES, max_size=5), max_size=6)
+
+#: points no grid may hold: the ones json refuses with a TypeError, one it
+#: refuses with a ValueError, and one that survives encoding but decodes as a
+#: different point (``{"1": 2}``) than was written
+_BAD_POINTS = [
+    *(param.values[0] for param in UNENCODABLE_POINTS),
+    {"a": float("nan")},
+    {1: 2},
+]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _unreadable(path):
+    path.unlink()
+    path.symlink_to(path)  # ELOOP: unreadable even to root, unlike chmod 000
+
+
+def _fixed_grid_experiment(grid, **changes):
+    return dataclasses.replace(
+        registry.get("table1"), name="fixed-grid", grid=lambda: grid, **changes
+    )
+
+
+class TestSameAnswersAsBefore:
+    """The sweep engine validates a grid and derives a key in fewer steps
+    than it used to; what it answers -- and what is on disk -- is pinned to
+    the longer recipes, which stay here as the reference."""
+
+    @given(_GRIDS)
+    @settings(max_examples=150, deadline=None)
+    def test_whole_grid_validation_equals_the_per_point_recipe(self, grid):
+        built = _fixed_grid_experiment(grid).build_grid()
+        reference = [
+            json.loads(json.dumps(params, sort_keys=True, allow_nan=False))
+            for params in grid
+        ]
+        assert built == reference == [canonical_params(params) for params in grid]
+        # == ignores key order; the unsorted encoding does not, at any depth
+        assert json.dumps(built) == json.dumps(reference)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_finite_float_is_its_own_json_round_trip(self, x):
+        """Why ``_jsonify`` may hand floats back untouched."""
+        assert json.loads(json.dumps(x)) == x
+
+    @given(_GRIDS, st.sampled_from(_BAD_POINTS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_bad_point_raises_its_per_point_error(self, grid, bad, data):
+        index = data.draw(st.integers(min_value=0, max_value=len(grid)))
+        grid = [*grid[:index], bad, *grid[index:]]
+        with pytest.raises(ValueError) as alone:
+            canonical_params(bad)
+        with pytest.raises(ValueError) as in_grid:
+            _fixed_grid_experiment(grid).build_grid()
+        assert str(in_grid.value) == (
+            f"experiment 'fixed-grid', grid point {index}: {alone.value}"
+        )
+
+    @pytest.mark.parametrize(
+        "experiment, params, code, expected",
+        [
+            ("table1", {"nodes": 4, "total_time": 1800.0, "seed": 1}, "c0de",
+             "4450dff9f6738b19231505e837c3fc93c8d3c4a7ffc035b74c05bd92d27bef80"),
+            ("fig9", {"seed": 7, "nodes": [2, 4, 8], "ratio": 0.25, "label": "µ×é"},
+             "c0de",
+             "48552526212373a100db45d11898cb43f69eb3b98caf4052e9192ea0e841e661"),
+            ("protocol-tournament",
+             {"options": {"predicate": "bcs", "gc": None}, "big": 2**70, "flag": True},
+             "0" * 64,
+             "df3bd4b086334776880a58b1591bf83cbea5189432e0cc460b996114bc814f36"),
+            ("x", {}, "",
+             "221e8d398bb4e1567841d91321dd8e733d94547bc5d6d194fafc41b90446417f"),
+        ],
+        ids=["table1", "fig9-unicode", "nested-bigint", "empty"],
+    )
+    def test_point_keys_are_the_ones_on_disk(self, experiment, params, code, expected):
+        """Literals computed at commit efa357e: every cache entry, resume
+        snapshot and ``/grid`` answer written so far is addressed by them."""
+        assert point_key(experiment, params, code) == expected
+        assert ResultCache("unused", code_hash=code).key(experiment, params) == expected
+
+    GRID = [{"x": 0.1 * i, "tags": ["a", i], "opt": {"k": None}} for i in range(5)]
+
+    def _filled_as_before(self, root, experiment):
+        """A cache directory as the parent commit's code wrote it: its key
+        recipe and its path arithmetic, spelled out.  Returns the entry paths."""
+        paths = []
+        for params in experiment.build_grid():
+            material = json.dumps(
+                {"code": code_version_hash(), "experiment": experiment.name, "params": params},
+                sort_keys=True,
+            )
+            key = hashlib.sha256(material.encode()).hexdigest()
+            path = root / key[:2] / f"{key}.pkl"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps({"echo": params}, protocol=pickle.HIGHEST_PROTOCOL))
+            paths.append(path)
+        return paths
+
+    def test_a_cache_written_by_the_old_recipe_is_served_warm(self, tmp_path):
+        def never(params):
+            raise AssertionError("point re-executed despite a filled cache")
+
+        experiment = _fixed_grid_experiment(
+            self.GRID, point=never, reduce=lambda grid, points: points
+        )
+        self._filled_as_before(tmp_path, experiment)
+        cache = ResultCache(tmp_path)
+        report = run_experiment(experiment, cache=cache)
+        assert "(5 cached, 0 executed" in report.summary()
+        assert report.result == [{"echo": params} for params in report.grid]
+        assert (cache.hits, cache.misses) == (5, 0)
+
+    @pytest.mark.parametrize("damage", [_truncate, _directory, _unreadable])
+    def test_a_damaged_entry_is_one_miss(self, tmp_path, damage):
+        experiment = _fixed_grid_experiment(self.GRID)
+        paths = self._filled_as_before(tmp_path, experiment)
+        damage(paths[2])
+        cache = ResultCache(tmp_path)
+        values = [cache.get(experiment.name, params) for params in experiment.build_grid()]
+        assert [value is None for value in values] == [False, False, True, False, False]
+        assert (cache.hits, cache.misses) == (4, 1)
+
+    @pytest.mark.parametrize("damage", [_truncate, _unreadable])
+    def test_a_damaged_entry_is_recomputed_and_rewritten(self, tmp_path, damage):
+        experiment = _fixed_grid_experiment(
+            self.GRID, point=_echo, reduce=lambda grid, points: points
+        )
+        paths = self._filled_as_before(tmp_path, experiment)
+        damage(paths[2])
+        cache = ResultCache(tmp_path)
+        report = run_experiment(experiment, cache=cache)
+        assert (report.cache_hits, report.executed, cache.misses) == (4, 1, 1)
+        assert report.result == [{"echo": params} for params in report.grid]
+        again = run_experiment(experiment, cache=cache)
+        assert (again.cache_hits, again.executed) == (5, 0)
+
+
+def _echo(params):
+    return {"echo": params}
 
 
 class TestRunner:
