@@ -77,12 +77,11 @@ def render_timeline(
     federation: "Federation",
     t0: float = 0.0,
     t1: Optional[float] = None,
-    column_width: int = _COLUMN_WIDTH,
 ) -> str:
     """Render the federation's trace as per-cluster lanes."""
     n = federation.topology.n_clusters
     header = f"{'time':>12}  " + "".join(
-        f"C{c}".ljust(column_width) for c in range(n)
+        f"C{c}".ljust(_COLUMN_WIDTH) for c in range(n)
     )
     lines = [header, "-" * len(header)]
     for record in federation.tracer.records:
@@ -95,9 +94,9 @@ def render_timeline(
         if text is None:
             continue
         cells = [""] * n
-        cells[cluster] = text[: column_width - 1]
+        cells[cluster] = text[: _COLUMN_WIDTH - 1]
         lines.append(
             f"{record.time:>12.3f}  "
-            + "".join(cell.ljust(column_width) for cell in cells)
+            + "".join(cell.ljust(_COLUMN_WIDTH) for cell in cells)
         )
     return "\n".join(lines)

@@ -5,14 +5,13 @@ compute phases with probabilistic message emissions, per the *application
 file* (§5.1).  This subpackage provides:
 
 * :mod:`~repro.app.process` -- the compute/communicate loop run on every
-  node, plus deterministic scripted senders and mailboxes for tests,
+  node, plus deterministic scripted senders,
 * :mod:`~repro.app.workloads` -- ready-made configurations calibrated to
   the paper's evaluation (Table 1 counts, Figure 9 sweeps, the Table 2/3 GC
   scenarios, and the Figure 1 pipeline).
 """
 
 from repro.app.process import (
-    Mailbox,
     compute_communicate_factory,
     exchange_factory,
     scripted_sender_factory,
@@ -26,7 +25,6 @@ from repro.app.workloads import (
 )
 
 __all__ = [
-    "Mailbox",
     "compute_communicate_factory",
     "exchange_factory",
     "fig9_workload",

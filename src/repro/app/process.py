@@ -10,8 +10,6 @@ re-execution from the restored checkpoint.
 ``scripted_sender_factory`` drives deterministic scenarios (the Figure 5
 worked example, protocol unit tests): an explicit list of timed sends.
 
-:class:`Mailbox` is a minimal application sink recording deliveries.
-
 Snapshot support
 ----------------
 
@@ -39,28 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
     from repro.cluster.node import Node
 
-__all__ = ["Mailbox", "compute_communicate_factory", "scripted_sender_factory"]
+__all__ = ["compute_communicate_factory", "scripted_sender_factory"]
 
 AppFactory = Callable[["Node", "Federation"], object]
-
-
-class Mailbox:
-    """Records application-level deliveries on a node."""
-
-    def __init__(self) -> None:
-        self.messages: list = []
-
-    def __call__(self, msg: Message) -> None:
-        self.messages.append(msg)
-
-    def __len__(self) -> int:
-        return len(self.messages)
-
-    def ids(self) -> list:
-        return [m.msg_id for m in self.messages]
-
-    def senders(self) -> list:
-        return [m.src for m in self.messages]
 
 
 class ComputeCommunicateFactory:

@@ -27,7 +27,6 @@ from repro.network.topology import (
     ETHERNET_LIKE,
     MYRINET_LIKE,
     ClusterSpec,
-    LinkSpec,
     Topology,
     two_cluster_topology,
 )
@@ -179,7 +178,6 @@ def pipeline_workload(
     skip_probability: float = 0.0,
     clc_period: float = 15 * MINUTE,
     gc_period: Optional[float] = HOUR,
-    inter_link: LinkSpec = ETHERNET_LIKE,
 ):
     """The Figure 1 code-coupling pipeline: Simulation -> Treatment ->
     Display, each stage on its own cluster, messages flowing downstream.
@@ -211,7 +209,7 @@ def pipeline_workload(
             ClusterSpec(f"stage{i}", nodes_per_stage, MYRINET_LIKE)
             for i in range(n_stages)
         ],
-        default_inter_link=inter_link,
+        default_inter_link=ETHERNET_LIKE,
     )
     application = ApplicationConfig(clusters=specs, total_time=total_time)
     timers = TimersConfig(

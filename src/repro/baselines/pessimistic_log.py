@@ -152,9 +152,10 @@ class PessimisticAgent(NodeAgent):
     def app_send(self, dst: NodeId, size: int, payload: Optional[dict] = None) -> None:
         if not self.node.up:
             return
-        self.protocol.federation.fabric.send(
-            Message(self.node.id, dst, _APP, size, payload)
-        )
+        fabric = self.protocol.federation.fabric
+        msg_id = fabric.next_msg_id
+        fabric.next_msg_id = msg_id + 1
+        fabric.send(Message(self.node.id, dst, _APP, size, payload, None, msg_id))
 
     def on_receive(self, msg: Message) -> None:
         kind = msg.kind

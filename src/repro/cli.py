@@ -111,8 +111,8 @@ def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
     """``--scale``/``--set``/``--seed`` through the registry's one resolver.
 
     Its :class:`ValueError` (malformed pair, non-finite value, key the grid
-    does not take) becomes a clean exit: an explicit flag is never a
-    silent no-op.
+    does not take) and ``build_grid``'s (a value the grid function rejects)
+    become a clean exit: an explicit flag is never a silent no-op.
     """
     try:
         sets = {}
@@ -121,9 +121,22 @@ def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
             if not sep or not key:
                 raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
             sets[key] = coerce_set_value(raw)
-        return resolve_overrides(experiment, scale, sets=sets, seed=seed)
+        overrides = resolve_overrides(experiment, scale, sets=sets, seed=seed)
+        experiment.build_grid(overrides)
+        return overrides
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+
+
+def _jobs(raw: str) -> int:
+    """``--jobs N``: a worker count, so at least one."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0  # not a number: refused below, in the same words
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return jobs
 
 
 def _add_engine_args(parser: argparse.ArgumentParser, unit: str) -> None:
@@ -131,7 +144,7 @@ def _add_engine_args(parser: argparse.ArgumentParser, unit: str) -> None:
     engine; ``unit`` is what that verb calls one grid point in its help."""
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         help=f"worker processes for cache-missing {unit}s (default 1)",
     )

@@ -73,8 +73,11 @@ class Node:
         """Protocol-level send (control traffic); no interception."""
         if not self.up:
             return None
-        msg = Message(self.id, dst, kind, size, payload, piggyback)
-        self.fabric.send(msg)
+        fabric = self.fabric
+        msg_id = fabric.next_msg_id
+        fabric.next_msg_id = msg_id + 1
+        msg = Message(self.id, dst, kind, size, payload, piggyback, msg_id)
+        fabric.send(msg)
         return msg
 
     # ------------------------------------------------------------------

@@ -38,10 +38,6 @@ class CheckpointCause(enum.Enum):
     def forced(self) -> bool:
         return self is CheckpointCause.FORCED
 
-    @property
-    def unforced(self) -> bool:
-        return self is CheckpointCause.TIMER
-
 
 @dataclass(frozen=True)
 class CheckpointRecord:

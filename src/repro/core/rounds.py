@@ -198,10 +198,13 @@ class FreezeAgent(NodeAgent):
         self.send_now(dst, size, payload)
 
     def send_now(self, dst: NodeId, size: int, payload: Optional[dict]) -> None:
-        msg = Message(self.node.id, dst, _APP, size, payload)
+        fabric = self.protocol.federation.fabric
+        msg_id = fabric.next_msg_id
+        fabric.next_msg_id = msg_id + 1
+        msg = Message(self.node.id, dst, _APP, size, payload, None, msg_id)
         if dst.cluster != self.node.id.cluster:
             self.stamp(msg)
-        self.protocol.federation.fabric.send(msg)
+        fabric.send(msg)
 
     def stamp(self, msg: Message) -> None:
         """An inter-cluster application message is about to leave: add the

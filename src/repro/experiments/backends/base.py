@@ -13,9 +13,6 @@ The contract is deliberately narrow:
 * ``submit(task) -> concurrent.futures.Future[PointOutcome]`` -- schedule
   one task; the future resolves to the point's value plus the host that
   computed it.
-* ``map_grid(tasks) -> list[PointOutcome]`` -- convenience fan-out in
-  task order, no retry (the runner layers retry/reassignment on top of
-  ``submit``).
 * ``shutdown()`` -- release pools/connections; backends are context
   managers.
 
@@ -37,7 +34,7 @@ import abc
 import shlex
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 __all__ = [
     "Backend",
@@ -159,12 +156,6 @@ class Backend(abc.ABC):
         immediately instead of waiting out the linger window.  No-op by
         default.
         """
-
-    def map_grid(self, tasks: Iterable[PointTask]) -> list:
-        """Run every task, returning outcomes in task order (no retry)."""
-        futures = [self.submit(task) for task in tasks]
-        self.flush()
-        return [future.result() for future in futures]
 
     def shutdown(self) -> None:
         """Release worker pools/connections.  Idempotent."""

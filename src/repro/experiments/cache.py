@@ -306,11 +306,6 @@ class ResultCache:
                     pass  # e.g. a live writer renamed it away first
         return removed
 
-    def entry_count(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.pkl"))
-
 
 def _parse_journal_text(text: str) -> list:
     """Recover every intact JSON record from journal text, oldest first.

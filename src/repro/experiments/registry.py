@@ -101,8 +101,19 @@ class Experiment:
 
     def build_grid(self, overrides: Optional[dict] = None) -> list:
         """The grid under ``overrides``, every point as :func:`canonical_params`
-        returns it -- checked as a whole, in one round trip."""
-        grid = list(self.grid(**self.grid_kwargs(overrides)))
+        returns it -- checked as a whole, in one round trip.
+
+        :class:`ValueError` is the one way a grid is refused, whether the
+        grid function rejects its keywords (``delays_min=5`` where it
+        iterates a list) or a point cannot round-trip.
+        """
+        kwargs = self.grid_kwargs(overrides)
+        try:
+            grid = list(self.grid(**kwargs))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"experiment {self.name!r}: the grid does not take {kwargs!r} ({exc})"
+            ) from exc
         try:
             return canonical_params(grid)
         except ValueError:

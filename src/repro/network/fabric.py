@@ -80,6 +80,13 @@ class Fabric:
         links = (topology.link_between(a, b) for a in range(n) for b in range(n))
         self._links = [(link.latency, link.bandwidth) for link in links]
         self._cells: list[Optional[Cell]] = [None] * (len(MessageKind) * n * n)
+        #: the ``msg_id`` of the next message built to be sent here.  The
+        #: federation's whole id space is this one int: senders read and
+        #: bump it inline as they build a :class:`Message` (no call), it
+        #: pickles with the fabric, so a restored run numbers on from where
+        #: the snapshot stopped and a run's ids never depend on what else
+        #: the process has sent
+        self.next_msg_id = 1
 
     # ------------------------------------------------------------------
     def register(self, node_id: NodeId, receiver: Receiver) -> None:

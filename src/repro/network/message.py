@@ -17,7 +17,6 @@ and :class:`Message` is a ``__slots__`` class compared by identity.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, NamedTuple, Optional
 
 __all__ = ["Message", "MessageKind", "NodeId"]
@@ -70,9 +69,6 @@ for _index, _kind in enumerate(MessageKind):
     _kind.index = _index
 
 
-_msg_ids = itertools.count(1)
-
-
 class Message:
     """A message in flight (or logged).
 
@@ -84,6 +80,9 @@ class Message:
 
     Messages compare and hash by *identity* (each in-flight message is one
     object); dedupe against ``msg_id``, never against whole messages.
+    ``msg_id`` comes from the sender's :class:`~repro.network.fabric.Fabric`
+    (``next_msg_id``: one id space per federation); a message built without
+    one has none.
     """
 
     __slots__ = ("src", "dst", "kind", "size", "payload", "piggyback",
@@ -106,7 +105,7 @@ class Message:
         self.size = size
         self.payload = {} if payload is None else payload
         self.piggyback = piggyback
-        self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        self.msg_id = msg_id
         self.send_time = send_time
 
     @property

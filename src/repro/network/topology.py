@@ -134,13 +134,14 @@ class Topology:
 
 def two_cluster_topology(
     nodes: int = 100,
-    intra: LinkSpec = MYRINET_LIKE,
-    inter: LinkSpec = ETHERNET_LIKE,
     mtbf: Optional[float] = None,
 ) -> Topology:
     """The paper's evaluation topology: 2 clusters of ``nodes`` nodes (§5.2)."""
     return Topology(
-        clusters=[ClusterSpec("cluster0", nodes, intra), ClusterSpec("cluster1", nodes, intra)],
-        inter_links={(0, 1): inter},
+        clusters=[
+            ClusterSpec("cluster0", nodes, MYRINET_LIKE),
+            ClusterSpec("cluster1", nodes, MYRINET_LIKE),
+        ],
+        inter_links={(0, 1): ETHERNET_LIKE},
         mtbf=mtbf,
     )

@@ -220,7 +220,7 @@ class ServeApp:
                 },
             )
             grid = exp.build_grid(overrides)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             return None, None, json_response({"error": str(exc)}, status=400)
         return exp, grid, None
 
@@ -365,6 +365,10 @@ class ServeApp:
         except ValueError as exc:
             return json_response({"error": str(exc)}, status=400)
         jobs = spec.get("jobs", 1)
+        if type(jobs) is not int or jobs < 1:
+            return json_response(
+                {"error": f'"jobs" must be an integer >= 1, got {jobs!r}'}, status=400
+            )
         backend_name = spec.get("backend", "inprocess")
         if backend_name not in ("inprocess", "local"):
             return json_response(

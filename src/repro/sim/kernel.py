@@ -32,8 +32,8 @@ throughput:
   only on the cold paths (cancel, cancelled-entry pop, compaction) --
   dispatching a live event costs no accounting at all beyond the pop.
 * :meth:`Simulator.run` pops and dispatches inline -- no per-event
-  ``peek()``/``step()`` double scan, ``until`` normalized to ``+inf`` so
-  the horizon test is a single float comparison, and the digest hook
+  look-then-pop double scan, ``until`` normalized to ``+inf`` so the
+  horizon test is a single float comparison, and the digest hook
   specialized out of the loop when disabled.
 * :meth:`Simulator.schedule_many` batches a burst of schedules through one
   call, and :meth:`Simulator.reschedule` re-arms a fired entry in place
@@ -226,8 +226,8 @@ class Simulator:
         """Drop every cancelled entry and re-heapify.
 
         Mutates the queue list *in place*: :meth:`run` (and any caller of
-        :meth:`step`/:meth:`peek`) may hold a local alias to it, so the
-        list's identity must survive compaction.
+        :meth:`step`) may hold a local alias to it, so the list's identity
+        must survive compaction.
         """
         queue = self._queue
         live = []
@@ -243,18 +243,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next pending event, or ``None`` if empty."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[_FN] is not None:
-                return entry[_TIME]
-            heapq.heappop(queue)
-            entry[_ARGS] = None
-            self._cancelled_in_heap -= 1
-        return None
-
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` if the queue is empty."""
         queue = self._queue

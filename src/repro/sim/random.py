@@ -77,10 +77,6 @@ class Stream:
             raise ValueError(f"probability must be in [0,1], got {p}")
         return self._rng.random() < p
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._rng.shuffle(items)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Stream {self.name!r} seed={self._seed}>"
 

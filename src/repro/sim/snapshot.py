@@ -9,7 +9,7 @@ so an evicted sweep point can resume on another worker instead of
 re-running from zero (see :mod:`repro.experiments.checkpoint` for the
 sweep-side policy).
 
-Three things make a live simulation picklable, and all three live here:
+Two things make a live simulation picklable, and both live here:
 
 * **Event-queue entries hold bound methods.**  A heap entry is
   ``[time, seq, fn, args]`` where ``fn`` is typically
@@ -26,11 +26,10 @@ Three things make a live simulation picklable, and all three live here:
   phase label, with no side effects and no RNG draws, so the pending
   ``_resume`` event in the restored queue continues it exactly where
   the original was suspended.
-* **Global message-id state.**  ``Message`` ids come from a module-level
-  counter; the snapshot records the next id and restore advances the
-  live counter to at least that value, so a resumed run allocates the
-  same relative id sequence without colliding with ids already issued
-  in this process.
+
+Nothing process-global rides along: message ids are the federation's own
+(``Fabric.next_msg_id``, an int in the pickled graph), so a restored run
+numbers its messages exactly as the uninterrupted one does.
 
 Snapshots are written as *envelopes*: one JSON header line (format,
 payload checksum, provenance) followed by the raw pickle, written
@@ -49,7 +48,6 @@ pins this bit-for-bit for every registered experiment.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import pickle
 from pathlib import Path
@@ -175,22 +173,9 @@ def run_sliced(sim, horizon: float, every: Optional[float]) -> Iterator[None]:
 # pickle payload
 
 
-def _msg_id_next() -> int:
-    """The next ``Message.msg_id`` the live counter would hand out.
-
-    Parsed from the counter's repr (``count(42)``) so reading it never
-    consumes an id.
-    """
-    from repro.network import message
-
-    rep = repr(message._msg_ids)
-    inside = rep[rep.index("(") + 1 : rep.rindex(")")]
-    return int(inside.split(",")[0])
-
-
 def dumps(root: Any) -> bytes:
-    """Serialize ``root`` (typically a Federation) plus global counters."""
-    payload = {"format": FORMAT, "msg_id_next": _msg_id_next(), "root": root}
+    """Serialize ``root`` (typically a Federation)."""
+    payload = {"format": FORMAT, "root": root}
     try:
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except SnapshotError:
@@ -203,11 +188,8 @@ def loads(blob: bytes) -> Any:
     """Restore a :func:`dumps` payload; returns the root object.
 
     Process generators are rebuilt and primed in a post-pass (the object
-    graph must be complete before any generator function can run), and
-    the global message-id counter is advanced so resumed allocation
-    cannot collide with ids already issued in this process.
+    graph must be complete before any generator function can run).
     """
-    from repro.network import message
     from repro.sim import process as process_mod
 
     if process_mod._restore_batch is not None:
@@ -222,9 +204,6 @@ def loads(blob: bytes) -> Any:
             ) from exc
         if not isinstance(payload, dict) or payload.get("format") != FORMAT:
             raise CorruptSnapshotError("unrecognized snapshot payload format")
-        message._msg_ids = itertools.count(
-            max(_msg_id_next(), int(payload.get("msg_id_next", 1)))
-        )
         for proc in process_mod._restore_batch:
             _rebuild_generator(proc)
         return payload["root"]

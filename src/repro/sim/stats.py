@@ -117,9 +117,6 @@ class TimeWeighted:
         if value > self.max:
             self.max = value
 
-    def adjust(self, delta: float) -> None:
-        self.set(self._value + delta)
-
     def time_average(self, now: Optional[float] = None) -> float:
         """Average value over [start, now]."""
         if now is None:
@@ -171,7 +168,7 @@ class StatsRegistry:
     pre-declare its metrics::
 
         stats.counter("net/inter/c0->c1").inc()
-        stats.gauge("cluster0/stored_clcs").adjust(+1)
+        stats.gauge("cluster0/stored_clcs").set(3)
     """
 
     def __init__(self, clock: Callable[[], float]):

@@ -102,6 +102,30 @@ def make_federation(
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+class Mailbox:
+    """An application sink (``node.app_sink``) recording deliveries."""
+
+    def __init__(self) -> None:
+        self.messages: list = []
+
+    def __call__(self, msg) -> None:
+        self.messages.append(msg)
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def ids(self) -> list:
+        return [m.msg_id for m in self.messages]
+
+    def senders(self) -> list:
+        return [m.src for m in self.messages]
+
+
+def entry_count(cache) -> int:
+    """How many results a :class:`ResultCache` holds on disk."""
+    return sum(1 for _ in cache.root.rglob("*.pkl"))
+
+
 @pytest.fixture
 def stub_ssh(tmp_path):
     """A stand-in for ``ssh``: ignores options/host, runs the command locally.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.app.process import Mailbox, scripted_sender_factory
+from repro.app.process import scripted_sender_factory
 from repro.app.workloads import (
     fig9_workload,
     pipeline_workload,
@@ -11,7 +11,7 @@ from repro.app.workloads import (
     table3_workload,
 )
 from repro.network.message import NodeId
-from tests.conftest import make_federation
+from tests.conftest import Mailbox, make_federation
 
 
 class TestMailbox:

@@ -43,7 +43,7 @@ from repro.experiments.registry import canonical_params, coerce_set_value
 from repro.experiments.remote_worker import run_job
 from repro.experiments.runner import SweepError, run_experiment
 
-from conftest import REPO_ROOT, loopback_spec
+from conftest import REPO_ROOT, entry_count, loopback_spec
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 FIG67_TINY = {"delays_min": [5, 15], **TINY, "seed": 2}
@@ -199,7 +199,7 @@ class TestInProcessBackend:
                 "fig6-fig7", overrides=overrides, backend=doomed,
                 cache=cache, max_retries=0,
             )
-        assert cache.entry_count() == 2  # the completed points were persisted
+        assert entry_count(cache) == 2  # the completed points were persisted
 
         resumed = run_experiment(
             "fig6-fig7", overrides=overrides, backend=InProcessBackend(), cache=cache
@@ -283,8 +283,9 @@ class TestLocalProcessBackend:
                 PointTask(experiment="t", params={"x": i}, fn=canonical_params)
                 for i in range(2)
             ]
-            values = [o.value for o in backend.map_grid(tasks)]
-            assert values == [{"x": 0}, {"x": 1}]
+            futures = [backend.submit(task) for task in tasks]
+            backend.flush()
+            assert [f.result().value for f in futures] == [{"x": 0}, {"x": 1}]
             # the CPUs this process may run on, as the backend counts them
             cpus = (
                 len(os.sched_getaffinity(0))
@@ -313,7 +314,9 @@ class TestLocalProcessBackend:
             backend.prepare(8)
             try:
                 tasks = [PointTask("t", {"x": i}, canonical_params) for i in range(3)]
-                assert [o.value["x"] for o in backend.map_grid(tasks)] == [0, 1, 2]
+                futures = [backend.submit(task) for task in tasks]
+                backend.flush()
+                assert [f.result().value["x"] for f in futures] == [0, 1, 2]
                 print(backend._pool._max_workers)
             finally:
                 backend.shutdown()
@@ -396,7 +399,7 @@ class TestChunkedDispatch:
         assert sorted(i for chunk in chunks for i in chunk) == list(range(self.N))
         assert chunks[0] == [0]  # nothing is measured yet: one point per trip
         assert len(chunks) < self.N
-        assert cache.entry_count() == self.N
+        assert entry_count(cache) == self.N
         again = run_experiment(exp, jobs=2, cache=cache)
         assert (again.cache_hits, again.executed) == (self.N, 0)
 

@@ -25,6 +25,7 @@ from repro.experiments.cache_sync import (
     merge_caches,
 )
 from repro.experiments.runner import run_experiment
+from tests.conftest import entry_count
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 FIG67_TINY = {"delays_min": [5, 15], **TINY, "seed": 2}
@@ -107,13 +108,13 @@ class TestStaleArchiveRejection:
         archive = self.make_stale_archive(tmp_path)
         local = ResultCache(tmp_path / "local")
         run_experiment("table1", overrides={**TINY, "seed": 1}, jobs=1, cache=local)
-        before_entries = local.entry_count()
+        before_entries = entry_count(local)
         before_journal = local.journal_entries()
 
         with pytest.raises(CacheSyncError, match="different repro sources"):
             import_cache(local, archive)
 
-        assert local.entry_count() == before_entries
+        assert entry_count(local) == before_entries
         assert local.journal_entries() == before_journal
 
     def test_allow_mismatch_imports_anyway(self, tmp_path):
@@ -200,7 +201,7 @@ class TestMergeBetweenCacheDirs:
         site_b = ResultCache(tmp_path / "site-b")
         with pytest.raises(CacheSyncError, match="different repro sources"):
             merge_caches(stale.root, site_b)
-        assert site_b.entry_count() == 0
+        assert entry_count(site_b) == 0
 
     def test_merge_into_itself_is_rejected(self, tmp_path):
         site = ResultCache(tmp_path / "site")
@@ -227,7 +228,7 @@ class TestCacheCli:
         assert main(["cache", "import", str(archive), "--cache-dir", str(site_b)]) == 0
         out = capsys.readouterr().out
         assert "[cache import]" in out and "2/2 entries" in out
-        assert ResultCache(site_b).entry_count() == 2
+        assert entry_count(ResultCache(site_b)) == 2
 
     def test_merge_via_cli(self, tmp_path, capsys):
         site_a = tmp_path / "site-a"

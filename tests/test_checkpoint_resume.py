@@ -14,7 +14,6 @@ from-zero rerun -- never crash the sweep, never change its results.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import pickle
@@ -22,7 +21,6 @@ import sys
 
 import pytest
 
-import repro.network.message as message
 from repro.app.workloads import table1_workload
 from repro.cluster.federation import Federation
 from repro.experiments import checkpoint, registry
@@ -41,19 +39,17 @@ from repro.sim.snapshot import (
     CorruptSnapshotError,
     SnapshotError,
 )
+from repro.sim.trace import TraceLevel
 from repro.sim.trace_digest import ChainedTraceDigest
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 
 
-def reset_msg_ids() -> None:
-    """Pretend this is a fresh worker process (fresh message-id counter)."""
-    message._msg_ids = itertools.count(1)
-
-
-def make_fed(seed: int = 7) -> Federation:
+def make_fed(seed: int = 7, **kwargs) -> Federation:
     topology, application, timers = table1_workload(**TINY)
-    return Federation(topology, application, timers, protocol="hc3i", seed=seed)
+    return Federation(
+        topology, application, timers, protocol="hc3i", seed=seed, **kwargs
+    )
 
 
 def tiny_point(name: str) -> dict:
@@ -77,7 +73,6 @@ def run_checkpointed(
         "dir": str(directory),
         "key": checkpoint.point_key(name, params),
     }
-    reset_msg_ids()
     if kill_at is not None:
         os.environ[ENV_KILL] = str(kill_at)
     try:
@@ -101,7 +96,6 @@ def call_digests(manifest: dict) -> list:
 
 class TestSnapshotRoundtrip:
     def test_midrun_snapshot_resumes_bit_identically(self):
-        reset_msg_ids()
         fed = make_fed()
         fed.sim.attach_digest(ChainedTraceDigest())
         fed.start()
@@ -110,14 +104,29 @@ class TestSnapshotRoundtrip:
         fed.sim.run(until=1800.0)
         full = fed.sim._digest.summary()
 
-        reset_msg_ids()
         restored = snapshot.loads(blob)
         restored.sim.run(until=1800.0)
         assert restored.sim._digest.summary() == full
 
+    def test_restored_run_sends_under_the_uninterrupted_runs_ids(self):
+        """Ids ride the snapshot with the federation: neither what this
+        process sent before nor what it sent after the dump moves them."""
+        make_fed().run()
+        fed = make_fed(trace_level=TraceLevel.MESSAGE)
+        fed.start()
+        fed.sim.run(until=900.0)
+        blob = snapshot.dumps(fed)
+        fed.sim.run(until=1800.0)
+
+        restored = snapshot.loads(blob)
+        assert restored.fabric.next_msg_id < fed.fabric.next_msg_id
+        restored.sim.run(until=1800.0)
+        assert restored.fabric.next_msg_id == fed.fabric.next_msg_id
+        sends = [r["msg_id"] for r in fed.tracer.find("send")]
+        assert sends and sends == [r["msg_id"] for r in restored.tracer.find("send")]
+
     def test_snapshot_is_stable_across_repeats(self):
         def blob() -> bytes:
-            reset_msg_ids()
             fed = make_fed()
             fed.start()
             fed.sim.run(until=900.0)
@@ -150,14 +159,12 @@ class TestSnapshotRoundtrip:
 
     def test_process_unpickle_outside_snapshot_loads_is_refused(self):
         """A Process must only thaw through snapshot.loads (generator rebuild)."""
-        reset_msg_ids()
         fed = make_fed()
         fed.start()
         fed.sim.run(until=900.0)
         blob = snapshot.dumps(fed)
         with pytest.raises(Exception, match="snapshot"):
             pickle.loads(blob)  # raw pickle skips the generator-rebuild batch
-        reset_msg_ids()
         assert snapshot.loads(blob) is not None  # the supported path works
 
     def test_envelope_roundtrip_and_corruption(self, tmp_path):
@@ -341,7 +348,6 @@ class TestEquivalence:
     def test_checkpointing_does_not_change_results(self, tmp_path):
         params = tiny_point("table1")
         exp = registry.get("table1")
-        reset_msg_ids()
         plain = exp.point(dict(params))
         checkpointed = run_checkpointed("table1", params, tmp_path)
         assert checkpointed == plain
@@ -430,7 +436,6 @@ class TestPolicy:
         cfg = CheckpointConfig(
             every=60.0, wall=3600.0, directory=tmp_path, key="k"
         )
-        reset_msg_ids()
         fed = make_fed()
         with checkpoint.activate(cfg):
             fed.run()
@@ -467,7 +472,6 @@ class TestPolicy:
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "60")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         params = tiny_point("table1")
-        reset_msg_ids()
         checkpoint.run_point(registry.get("table1").point, params, "table1")
         assert list(tmp_path.iterdir()) == []
 
@@ -587,7 +591,6 @@ class MidRunEvictingTransport(BatchTransport):
             if budget is not None:
                 os.environ[ENV_KILL] = str(budget)
             try:
-                reset_msg_ids()  # each pod is a fresh worker process
                 envelope = run_job(job)
             except SimulatedEviction:
                 phases[i] = "FAILED"
@@ -613,7 +616,6 @@ class TestBatchRequeueResume:
         from repro.experiments.runner import run_experiment
 
         overrides = {**TINY, "seed": 7}
-        reset_msg_ids()
         serial = run_experiment("table1", overrides=overrides, jobs=1)
 
         # Kill every first-job pod after 40 events; requeues run clean.

@@ -10,11 +10,9 @@ Two layers:
   one is seeded into its trace, so a green matrix means something.
 """
 
-import itertools
 
 import pytest
 
-import repro.network.message as msgmod
 from repro.core.protocol import protocol_names
 from repro.network.message import NodeId
 from tests.conftest import make_federation
@@ -50,7 +48,6 @@ def test_case_list_covers_registry():
 
 
 def run_with_failures(protocol, options, seed, fail_specs, total_time=1000.0):
-    msgmod._msg_ids = itertools.count(1)
     fed = make_federation(
         n_clusters=3,
         nodes=3,

@@ -1,5 +1,7 @@
 """Unit tests for the protocol data structures: DDV, CLC store, message log."""
 
+import itertools
+
 import pytest
 
 from repro.core.clc import CheckpointCause, CheckpointRecord, ClcStore
@@ -62,8 +64,6 @@ class TestCheckpointRecord:
     def test_cause_flags(self):
         assert CheckpointCause.FORCED.forced
         assert not CheckpointCause.TIMER.forced
-        assert CheckpointCause.TIMER.unforced
-        assert not CheckpointCause.INITIAL.unforced
 
     def test_forced_property(self):
         assert record(0, 1, [1, 0], CheckpointCause.FORCED).forced
@@ -151,8 +151,11 @@ class TestClcStore:
         assert store.ddv_list()[-1] == (4, (4, 2))
 
 
+_ids = itertools.count(1)  # the log keys entries by msg_id
+
+
 def make_msg(src=NodeId(0, 0), dst=NodeId(1, 0), size=100):
-    return Message(src=src, dst=dst, kind=MessageKind.APP, size=size)
+    return Message(src, dst, MessageKind.APP, size, msg_id=next(_ids))
 
 
 class TestMessageLog:

@@ -6,10 +6,10 @@ delivered only after the forced CLC commits, and acknowledged with the
 receiver's SN + 1 at arrival.
 """
 
-from repro.app.process import Mailbox, scripted_sender_factory
+from repro.app.process import scripted_sender_factory
 from repro.core.clc import CheckpointCause
 from repro.network.message import NodeId
-from tests.conftest import make_federation
+from tests.conftest import Mailbox, make_federation
 
 
 def scripted_fed(scripts, n_clusters=2, nodes=2, total_time=200.0, **kw):

@@ -274,7 +274,6 @@ snapshot_ops = st.lists(
         st.tuples(st.just("schedule"), delays),
         st.tuples(st.just("cancel"), st.integers(min_value=0)),
         st.tuples(st.just("run_for"), delays),
-        st.just(("peek",)),
         st.just(("step",)),
     ),
     min_size=1,
@@ -298,12 +297,6 @@ def apply_picklable_ops(op_list, sim, rec, handles, model):
             horizon = sim.now + op[1]
             sim.run(until=horizon)
             model.fire_up_to(horizon)
-        elif name == "peek":
-            # peek is observational: it may pop cancelled corpses off the
-            # heap top (with their accounting), but pending must not move
-            before = sim.pending
-            sim.peek()
-            assert sim.pending == before
         elif name == "step":
             progressed = sim.step()
             assert progressed == (model.fire_up_to(inf, limit=1) == 1)
@@ -314,26 +307,23 @@ def apply_picklable_ops(op_list, sim, rec, handles, model):
 
 
 class TestSnapshotAccounting:
-    """The peek()/snapshot satellite audit, pinned as properties.
+    """The snapshot accounting audit, pinned as properties.
 
-    ``peek()`` mutates the heap (it pops cancelled corpses and moves
-    ``_cancelled_in_heap``); a snapshot taken in the window between
-    ``peek()`` and ``step()`` must round-trip that accounting exactly,
-    and ``pending`` must stay exact across ``__getstate__`` /
-    ``__setstate__`` with corpses still in the heap.
+    ``step()`` pops cancelled corpses off the heap top and moves
+    ``_cancelled_in_heap``; a snapshot taken with corpses still in the
+    heap must round-trip that accounting exactly, and ``pending`` must
+    stay exact across ``__getstate__`` / ``__setstate__``.
     """
 
     @settings(max_examples=100, deadline=None)
     @given(snapshot_ops)
-    def test_snapshot_between_peek_and_step_roundtrips_exactly(self, op_list):
+    def test_snapshot_before_step_roundtrips_exactly(self, op_list):
         sim = Simulator()
         rec = SnapshotRecorder()
         handles: list = []
         model = Model()
         apply_picklable_ops(op_list, sim, rec, handles, model)
 
-        # the window under audit: peek() (corpse-popping), then snapshot
-        sim.peek()
         cancelled_before = sim._cancelled_in_heap
         pending_before = sim.pending
         assert pending_before == model.pending
@@ -381,7 +371,7 @@ class TestSnapshotAccounting:
     def test_corpse_at_heap_top_survives_snapshot(self):
         """Deterministic pin: cancel the earliest event so a corpse sits at
         the heap top, snapshot, and check the counter round-trips and that
-        a restored peek() pops the corpse without going negative."""
+        a restored step() pops the corpse without going negative."""
         sim = Simulator()
         rec = SnapshotRecorder()
         first = sim.schedule(1.0, rec.hit, 0)
@@ -391,13 +381,9 @@ class TestSnapshotAccounting:
 
         sim2, rec2 = pickle.loads(pickle.dumps((sim, rec)))
         assert sim2._cancelled_in_heap == 1 and sim2.pending == 1
-        assert sim2.peek() == 2.0  # pops the corpse, accounting follows
-        assert sim2._cancelled_in_heap == 0 and sim2.pending == 1
-        # snapshot again in the post-peek window: still exact
-        sim3, rec3 = pickle.loads(pickle.dumps((sim2, rec2)))
-        assert sim3._cancelled_in_heap == 0 and sim3.pending == 1
-        sim3.run()
-        assert rec3.seen == [1] and sim3.pending == 0
+        assert sim2.step() and sim2.now == 2.0  # pops the corpse first
+        assert sim2._cancelled_in_heap == 0 and sim2.pending == 0
+        assert rec2.seen == [1]
 
 
 class TestCompaction:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.app.workloads import table1_workload
 from repro.cluster.federation import Federation
+from repro.cluster.node import Node
 from repro.network.message import Message, MessageKind, NodeId
 from repro.network.topology import (
     ETHERNET_LIKE,
@@ -64,9 +65,16 @@ class TestNodeId:
 
 class TestMessage:
     def test_unique_increasing_ids(self):
-        a = Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, 10)
-        b = Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, 10)
-        assert b.msg_id > a.msg_id
+        """Ids are the fabric's: a node's sends count up from 1, and a
+        message built by hand has none (and takes none from the fabric)."""
+        sim, topo, stats, fabric = make_fabric()
+        a, b = (Node(NodeId(0, i), sim, fabric) for i in range(2))
+        bare = Message(a.id, b.id, MessageKind.APP, 10)
+        assert bare.msg_id is None
+        fabric.send(bare)
+        sent = [a.send_raw(b.id, MessageKind.APP, 10), b.send_raw(a.id, MessageKind.APP, 10)]
+        assert [m.msg_id for m in sent] == [1, 2]
+        assert fabric.next_msg_id == 3
 
     def test_inter_cluster_flag(self):
         intra = Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, 1)
@@ -312,6 +320,31 @@ class TestFabric:
         sim.run()
         assert arrivals == [sim.now] == [MYRINET_LIKE.transfer_delay(100)]
         assert stats.counter("net/bytes/kind/app").value == 100
+
+    def test_two_federations_in_one_process_each_number_from_one(self):
+        """The ``repro serve`` compute-thread case: runs that interleave in
+        one address space do not interleave their ids."""
+        def spied(seed):
+            topology, application, timers = table1_workload(nodes=4, total_time=1800.0)
+            fed = Federation(topology, application, timers, seed=seed)
+            sent, send = [], fed.fabric.send
+
+            def spy(msg):
+                sent.append(msg.msg_id)
+                return send(msg)
+
+            fed.fabric.send = spy
+            fed.start()
+            return fed, sent
+
+        feds = [spied(7), spied(8)]
+        for horizon in range(100, 1900, 100):
+            for fed, _ in feds:
+                fed.sim.run(until=float(horizon))
+        for fed, sent in feds:
+            assert len(sent) > 10
+            assert sent == list(range(1, len(sent) + 1))
+            assert fed.fabric.next_msg_id == len(sent) + 1
 
     def test_restored_cells_are_the_restored_registrys_counters(self):
         topology, application, timers = table1_workload(nodes=4, total_time=1800.0)

@@ -10,11 +10,8 @@ logged sender back, the stale-send guards recognize erased timelines, and
 the leave-one-out importance ranking orders components correctly.
 """
 
-import itertools
-
 import pytest
 
-import repro.network.message as msgmod
 from repro.app.process import scripted_sender_factory
 from repro.core.recovery_line import GHOST, line_targets
 from repro.experiments.studies import (
@@ -24,11 +21,6 @@ from repro.experiments.studies import (
 from repro.experiments.common import ExperimentResult
 from repro.network.message import Message, MessageKind, NodeId
 from tests.conftest import make_federation
-
-
-def fresh_federation(**kwargs):
-    msgmod._msg_ids = itertools.count(1)
-    return make_federation(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -41,7 +33,7 @@ class TestMinProcess:
         scripts = {
             NodeId(0, 1): [(5.0, NodeId(1, 1), 256), (9.0, NodeId(1, 1), 256)]
         }
-        fed = fresh_federation(
+        fed = make_federation(
             n_clusters=3, nodes=2, clc_period=None, total_time=100.0,
             protocol="min-process",
             app_factory=scripted_sender_factory(scripts),
@@ -57,7 +49,7 @@ class TestMinProcess:
         scripts = {
             NodeId(0, 1): [(5.0, NodeId(1, 1), 256)]
         }
-        fed = fresh_federation(
+        fed = make_federation(
             n_clusters=3, nodes=2, clc_period=120.0, total_time=600.0,
             protocol="min-process",
             app_factory=scripted_sender_factory(scripts),
@@ -76,7 +68,7 @@ class TestMinProcess:
                 assert node.up
 
     def test_rounds_record_participant_sizes(self):
-        fed = fresh_federation(
+        fed = make_federation(
             n_clusters=3, nodes=2, clc_period=60.0, total_time=400.0,
             protocol="min-process", chatty=True, seed=3,
         )
@@ -124,7 +116,7 @@ class TestCicPredicates:
         scripts = {
             NodeId(0, 1): [(5.0, NodeId(1, 1), 256), (30.0, NodeId(1, 1), 256)]
         }
-        fed = fresh_federation(
+        fed = make_federation(
             n_clusters=2, nodes=2, clc_period=None, total_time=200.0,
             protocol="clc-cic", protocol_options={"predicate": predicate},
             app_factory=scripted_sender_factory(scripts),
@@ -153,7 +145,7 @@ class TestCicPredicates:
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValueError, match="predicate"):
-            fresh_federation(
+            make_federation(
                 n_clusters=2, nodes=2, protocol="clc-cic",
                 protocol_options={"predicate": "zpf"},
             )
@@ -164,7 +156,7 @@ class TestCicPredicates:
 # ----------------------------------------------------------------------
 
 def ghost_probe(protocol_name):
-    fed = fresh_federation(
+    fed = make_federation(
         n_clusters=2, nodes=2, clc_period=120.0, total_time=100.0,
         protocol=protocol_name,
     )
@@ -192,7 +184,7 @@ def test_send_erased_recognizes_windows(protocol_name):
 
 
 def test_rollback_opens_a_ghost_window():
-    fed = fresh_federation(
+    fed = make_federation(
         n_clusters=2, nodes=2, clc_period=120.0, total_time=600.0,
         protocol="independent", chatty=True, seed=2,
     )

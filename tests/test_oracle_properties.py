@@ -18,13 +18,11 @@ Together these turn "the baselines look plausible" into a checked
 invariant over a randomized scenario space, not just the golden schedules.
 """
 
-import itertools
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.network.message as msgmod
 from repro.core.protocol import protocol_names
 from repro.network.message import NodeId
 from repro.sim.trace_digest import TraceDigest
@@ -73,7 +71,6 @@ def scenario(draw):
 
 
 def run_scenario(protocol, options, seed, n_clusters, crashes):
-    msgmod._msg_ids = itertools.count(1)
     fed = make_federation(
         n_clusters=n_clusters,
         nodes=3,

@@ -3,21 +3,22 @@
 Every public module-level function/class and every public method defined
 under ``src/repro`` must be *referenced* at least once outside its own
 definition somewhere in ``src/ examples/ bench/ tools/ docs/ README.md`` --
-as a name, an attribute, a keyword, an import in a non-``__init__`` module,
-or a word of a docstring or of the docs (the places that tell a user what
-to call).  ``__all__`` lists and package ``__init__.py`` re-exports do not
-count: they are how an unreached name *looks* reached.  Neither does
-anything under ``tests/``: a function only its own test calls is the dead
-weight this file exists to refuse.
+in code as a name, an attribute, a keyword or an import in a
+non-``__init__`` module, in ``docs/`` and ``README.md`` as a word (the
+places that tell a user what to call).  ``__all__`` lists and package
+``__init__.py`` re-exports do not count: they are how an unreached name
+*looks* reached.  Neither do string constants in code -- a docstring that
+mentions a name, a dict key that happens to spell it -- nor anything under
+``tests/``: a function only its own test calls is the dead weight this file
+exists to refuse.
 
 Exempt by construction: dunders; a method that overrides one a base class
 defined in ``src/`` declares (the base's name is the reference); and a
 definition handed to a decorator defined in ``src/`` (a registry reaches
 it by its string key -- ``protocol="clc-cic"`` in a scenario file).
 
-Matching is by bare name and counts prose, so it errs towards "reached":
-two definitions that share a name vouch for each other, and so does a
-docstring that merely mentions one.  What it does catch is the common
+Matching is by bare name, so it errs towards "reached": two definitions
+that share a name vouch for each other.  What it does catch is the common
 case -- a helper, method or module whose last caller left while its test
 kept it looking alive.
 
@@ -39,8 +40,8 @@ SRC = REPO_ROOT / "src" / "repro"
 
 #: where a reference counts: code an entry point runs, and prose that tells
 #: a user what to call
-CODE_ROOTS = ("src", "examples", "bench", "tools")
-PROSE = ("docs", "README.md")
+CODE_ROOTS = tuple(REPO_ROOT / root for root in ("src", "examples", "bench", "tools"))
+PROSE = (REPO_ROOT / "docs", REPO_ROOT / "README.md")
 
 #: qualified name -> why it stays although nothing outside ``tests/`` names
 #: it.  Safety/reference code and pieces of the paper's model only.
@@ -49,6 +50,15 @@ ALLOWLIST: Dict[str, str] = {
         "with check_invariants, the repo's §2.2 claim -- recovery lines are "
         "consistent -- asserted from eleven test modules; ROADMAP 3(a) gives "
         "the pair a --verify entry point"
+    ),
+    "repro.analysis.consistency.check_invariants": (
+        "the protocol-state half of that claim; the ROADMAP oracle item (a) "
+        "keeps it as the trace-replay checker's quiescence pre-check"
+    ),
+    "repro.cluster.storage.StableStorage.recoverable": (
+        "§2.1's question -- does a CLC survive these simultaneous node "
+        "losses; the ROADMAP hostile-conditions item (a), loss of a stored "
+        "replica, asks it during recovery"
     ),
     "repro.config.application.ApplicationConfig.expected_messages": (
         "the Table 1 calibration reference the simulated counts are held to"
@@ -70,9 +80,9 @@ def _python_files(root: Path) -> list:
 def _words(
     node: ast.AST, skip_ids: AbstractSet[int] = frozenset(), imports: bool = True
 ) -> Iterator[str]:
-    """Every name used under ``node``: loads, attributes, keywords, imports,
-    and the words of string constants -- docstrings are where the code tells
-    a reader what to call, and registries look names up by string."""
+    """Every name used under ``node``: loads, attributes, keywords, imports.
+    String constants are not uses: what a registry looks up by string is
+    exempt where it is defined (see ``wanted``)."""
     for child in ast.walk(node):
         if id(child) in skip_ids:
             continue
@@ -84,8 +94,6 @@ def _words(
             yield child.arg
         elif isinstance(child, ast.ImportFrom) and imports:
             yield from (alias.name for alias in child.names)
-        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield from _WORD.findall(child.value)
 
 
 def _all_list_nodes(tree: ast.Module) -> Set[int]:
@@ -103,24 +111,23 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _reference_counts() -> Counter:
+def _reference_counts(code_roots: Tuple[Path, ...], prose: Tuple[Path, ...]) -> Counter:
     counts: Counter = Counter()
-    for root in CODE_ROOTS:
-        for path in _python_files(REPO_ROOT / root):
+    for root in code_roots:
+        for path in _python_files(root):
             tree = _parse(path)
             # a package __init__'s imports are re-exports, not uses
             counts.update(
                 _words(tree, _all_list_nodes(tree), imports=path.name != "__init__.py")
             )
-    for entry in PROSE:
-        target = REPO_ROOT / entry
+    for target in prose:
         for path in [target] if target.is_file() else sorted(target.rglob("*.md")):
             counts.update(_WORD.findall(path.read_text(encoding="utf-8")))
     return counts
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(SRC.parent).with_suffix("").parts
+def _module_name(path: Path, src: Path) -> str:
+    parts = path.relative_to(src.parent).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -162,10 +169,10 @@ def _inherited_methods(cls: ast.ClassDef, classes: Dict[str, ast.ClassDef]) -> S
     return inherited
 
 
-def _definitions() -> Iterator[Tuple[str, str, int]]:
+def _definitions(src: Path) -> Iterator[Tuple[str, str, int]]:
     """(qualified name, bare name, self-references) of every public
-    function, class and method that has to earn its place."""
-    trees = {path: _parse(path) for path in _python_files(SRC)}
+    function, class and method under ``src`` that has to earn its place."""
+    trees = {path: _parse(path) for path in _python_files(src)}
     classes, functions = _src_index(trees)
 
     def wanted(node: ast.AST, inherited: AbstractSet[str] = frozenset()) -> bool:
@@ -177,7 +184,7 @@ def _definitions() -> Iterator[Tuple[str, str, int]]:
         return not any(_bare(d) in functions for d in node.decorator_list)
 
     for path, tree in trees.items():
-        module = _module_name(path)
+        module = _module_name(path, src)
         for node in tree.body:
             if wanted(node):
                 yield f"{module}.{node.name}", node.name, Counter(_words(node))[node.name]
@@ -193,11 +200,18 @@ def _definitions() -> Iterator[Tuple[str, str, int]]:
 
 
 @functools.cache
-def unreached() -> FrozenSet[str]:
-    """Qualified names that nothing outside their own definition refers to."""
-    counts = _reference_counts()
+def unreached(
+    src: Path = SRC,
+    code_roots: Tuple[Path, ...] = CODE_ROOTS,
+    prose: Tuple[Path, ...] = PROSE,
+) -> FrozenSet[str]:
+    """Qualified names under ``src`` that nothing outside their own
+    definition refers to."""
+    counts = _reference_counts(code_roots, prose)
     return frozenset(
-        qualified for qualified, name, own in _definitions() if counts[name] - own <= 0
+        qualified
+        for qualified, name, own in _definitions(src)
+        if counts[name] - own <= 0
     )
 
 
@@ -208,6 +222,15 @@ def test_every_public_name_is_reached_from_an_entry_point():
         "bench/ tools/ docs/ README.md (delete it with its tests, or add it "
         "to ALLOWLIST with a reason):\n  " + "\n  ".join(missing)
     )
+
+
+def test_a_docstring_does_not_vouch_for_a_name_in_its_own_module():
+    """``tests/fixtures/reachability/dead_but_documented.py`` names its
+    uncalled function in the module docstring and in the function's own."""
+    fixture = REPO_ROOT / "tests" / "fixtures" / "reachability"
+    assert unreached(src=fixture, code_roots=(fixture,), prose=()) == {
+        "reachability.dead_but_documented.orphan"
+    }
 
 
 def test_allowlist_is_not_stale():

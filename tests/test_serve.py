@@ -23,6 +23,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.registry import Experiment
 from repro.serve import HotTier, ServeApp, start_in_thread
 from repro.serve.stats import LatencyRing, ServeStats
+from tests.conftest import entry_count
 
 try:
     import fcntl
@@ -272,7 +273,7 @@ class TestTieredPointFetch:
         assert headers["X-Repro-Source"] == "computed"
         payload = json.loads(body)
         assert payload["experiment"] == "table1"
-        assert app.cache.entry_count() == 1  # written through to disk
+        assert entry_count(app.cache) == 1  # written through to disk
 
         status2, headers2, body2 = http_get(server, POINT)
         assert status2 == 200
@@ -379,7 +380,7 @@ class TestSweepStreaming:
         assert events[-1]["event"] == "done"
         assert events[-1]["points"] == 5 and events[-1]["executed"] == 5
         assert [e["done"] for e in events if e["event"] == "point"] == [1, 2, 3, 4, 5]
-        assert app.cache.entry_count() == 5  # sweep populated the shared cache
+        assert entry_count(app.cache) == 5  # sweep populated the shared cache
 
     def test_second_sweep_is_fully_cache_served(self, server, app, sleepy_experiment):
         spec = {"experiment": "serve-test-sleepy", "overrides": {"n_points": 3}}
@@ -395,6 +396,18 @@ class TestSweepStreaming:
     def test_invalid_sweep_spec_is_400(self, server):
         status, _, _ = http_post(server, "/sweeps", {"no": "experiment"})
         assert status == 400
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", True, None])
+    def test_sweep_jobs_below_one_or_not_an_integer_is_400(self, server, jobs):
+        spec = {"experiment": "table1", "scale": "tiny", "jobs": jobs}
+        status, _, body = http_post(server, "/sweeps", spec)
+        assert status == 400
+        assert '"jobs" must be an integer >= 1' in json.loads(body)["error"]
+
+    def test_a_param_the_grid_rejects_is_400(self, server):
+        status, _, body = http_get(server, "/experiments/fig8/points?delays_min=5")
+        assert status == 400
+        assert "experiment 'fig8'" in json.loads(body)["error"]
 
     def test_client_disconnect_cancels_the_sweep(
         self, server, app, sleepy_experiment

@@ -164,20 +164,6 @@ class TestRun:
         sim.run()
         assert sim.processed == 5
 
-    def test_peek_returns_next_time(self, sim):
-        sim.schedule(3.0, lambda: None)
-        sim.schedule(1.0, lambda: None)
-        assert sim.peek() == 1.0
-
-    def test_peek_skips_cancelled(self, sim):
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.cancel(ev)
-        assert sim.peek() == 2.0
-
-    def test_peek_empty_returns_none(self, sim):
-        assert sim.peek() is None
-
 
 class TestDeterminism:
     def test_same_schedule_same_order(self):

@@ -151,13 +151,6 @@ class TestTimeWeighted:
         g.set(2.0)
         assert g.max == 7.0
 
-    def test_adjust(self):
-        now = [0.0]
-        g = TimeWeighted("g", lambda: now[0], initial=3.0)
-        g.adjust(+2)
-        g.adjust(-1)
-        assert g.value == 4.0
-
 
 class TestSeries:
     def test_records_pairs(self):

@@ -18,6 +18,7 @@ from repro.experiments.registry import (
     resolve_overrides,
 )
 from repro.experiments.runner import run_experiment
+from tests.conftest import entry_count
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 
@@ -105,6 +106,13 @@ class TestRegistry:
         assert "'bad-grid'" in message and "grid point 3" in message
         assert repr(bad) in message
 
+    def test_build_grid_turns_a_grid_that_rejects_its_kwargs_into_valueerror(self):
+        """``delays_min=5`` where the grid iterates a list: the one error a
+        caller has to catch is ``ValueError``, naming the experiment."""
+        with pytest.raises(ValueError, match="experiment 'fig8': .*delays_min") as caught:
+            registry.get("fig8").build_grid({"delays_min": 5})
+        assert isinstance(caught.value.__cause__, TypeError)
+
     def test_duplicate_name_with_different_functions_rejected(self):
         table1 = registry.get("table1")
         clash = dataclasses.replace(
@@ -190,7 +198,7 @@ class TestCacheStore:
         cache.put("t", {"a": 1}, {"rows": [1, 2, 3]})
         assert cache.get("t", {"a": 1}) == {"rows": [1, 2, 3]}
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.entry_count() == 1
+        assert entry_count(cache) == 1
 
     @pytest.mark.parametrize(
         "garbage",
@@ -208,7 +216,7 @@ class TestCacheStore:
         cache.put("t", {"a": 1}, 1)
         cache.put("t", {"a": 2}, 2)
         assert cache.clear() == 2
-        assert cache.entry_count() == 0
+        assert entry_count(cache) == 0
 
     def test_clear_sweeps_orphaned_tmp_files(self, tmp_path):
         """A sweep killed between mkstemp and os.replace leaves a *.tmp
@@ -520,6 +528,19 @@ class TestSweepCli:
     def test_name_required_without_list(self):
         with pytest.raises(SystemExit):
             main(["sweep"])
+
+    def test_a_set_value_the_grid_rejects_is_a_clean_exit(self, tmp_path):
+        with pytest.raises(SystemExit, match="experiment 'fig8': .*delays_min"):
+            main(["sweep", "fig8", "--scale", "tiny", "--set", "delays_min=5",
+                  "--cache-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("verb", [["sweep", "table1"], ["ablate"]])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_is_refused(self, verb, jobs, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([*verb, "--scale", "tiny", "--no-cache", "--jobs", jobs])
+        assert caught.value.code == 2
+        assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
 
     def test_unscaled_experiment_ignores_scale_profile(self, capsys):
         rc = main(["sweep", "figure5", "--scale", "tiny", "--no-cache"])

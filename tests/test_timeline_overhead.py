@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.timeline import render_timeline
 from repro.experiments.figure5 import figure5_scenario
 from repro.experiments.runner import run_experiment
+from repro.network.message import Message, MessageKind, NodeId
 
 
 class TestTimeline:
@@ -44,6 +45,17 @@ class TestTimeline:
         text = render_timeline(outcome.federation, t0=0.0, t1=30.0)
         assert "ROLLBACK" not in text
         assert "[CLC 2* (1,2,0)]" in text
+
+    def test_a_trace_is_a_function_of_the_run_not_of_the_process(self, outcome):
+        """Message ids belong to the federation: what else the process sent
+        in between -- another experiment, a message built by hand -- does
+        not renumber the same run."""
+        run_experiment("table1", overrides={"nodes": 4, "total_time": 1800.0})
+        Message(NodeId(0, 0), NodeId(0, 1), MessageKind.APP, 1)
+        again = figure5_scenario().federation
+        assert again.tracer.count("send") > 0
+        assert again.tracer.records == outcome.federation.tracer.records
+        assert render_timeline(again) == render_timeline(outcome.federation)
 
     def test_rows_chronological(self, outcome):
         text = render_timeline(outcome.federation)
