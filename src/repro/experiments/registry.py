@@ -22,6 +22,7 @@ suite all call it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -84,12 +85,7 @@ class Experiment:
 
     def grid_parameters(self) -> Optional[tuple]:
         """Names of the kwargs this grid takes; ``None`` if it takes any."""
-        parameters = inspect.signature(self.grid).parameters
-        if any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        ):
-            return None
-        return tuple(parameters)
+        return _grid_parameters(self.grid)
 
     def grid_kwargs(self, overrides: Optional[dict] = None) -> dict:
         """Filter ``overrides`` down to the kwargs this grid accepts."""
@@ -125,6 +121,16 @@ class Experiment:
                         f"experiment {self.name!r}, grid point {index}: {exc}"
                     ) from None
             raise
+
+
+@functools.lru_cache(maxsize=256)
+def _grid_parameters(grid: Callable[..., list]) -> Optional[tuple]:
+    """Introspected once per grid *function*, not per experiment name:
+    ``dataclasses.replace(exp, grid=other)`` must see ``other``'s parameters."""
+    parameters = inspect.signature(grid).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+        return None
+    return tuple(parameters)
 
 
 _REGISTRY: dict = {}

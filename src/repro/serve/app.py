@@ -4,8 +4,8 @@ Three tiers answer a grid-point fetch, fastest first:
 
 1. **hot tier** -- rendered response bytes in memory
    (:class:`~repro.serve.hot_tier.HotTier`), keyed by the same content
-   address as the disk cache and invalidated wholesale when the
-   code-version hash or journal watermark moves;
+   address as the disk cache, under a generation token this app holds
+   and moves only when its own compute tier writes a point through;
 2. **disk tier** -- the content-addressed
    :class:`~repro.experiments.cache.ResultCache` shared with the sweep
    CLI, so anything a sweep ever computed is served without recompute;
@@ -17,6 +17,11 @@ The response body is byte-identical whichever tier answered (rendering
 is deterministic and the hot tier stores the rendered bytes); the tier
 that answered is reported out-of-band in the ``X-Repro-Source`` header
 (``hot`` / ``disk`` / ``computed``).
+
+A point request does only work that depends on the request: no tier
+lists the cache root or stats a journal shard.  Nothing polls for other
+processes' writes (:mod:`~repro.serve.hot_tier` says why none can make
+an entry stale); a key they add is found on disk on first ask.
 
 Admission control is deliberately blunt: at most ``max_inflight``
 concurrent computes, at most ``queue_size`` more waiting, everything
@@ -135,6 +140,8 @@ class ServeApp:
         self.started_at = time.time()
         self.host_label = socket.gethostname() or "serve"
         self._inflight = 0  # computes admitted (running or queued)
+        #: the hot tier's token: (code hash, points this app computed)
+        self._generation = (self.cache.code_hash, 0)
         self._active_sweeps = 0
         self._compute_sem = threading.BoundedSemaphore(self.max_inflight)
         self._executor = ThreadPoolExecutor(
@@ -209,6 +216,9 @@ class ServeApp:
             exp = registry.get(name)
         except KeyError as exc:
             return None, None, json_response({"error": str(exc)}, status=404)
+        if request.repeated:  # which value would address the point?
+            error = f"query key given more than once: {', '.join(request.repeated)}"
+            return None, None, json_response({"error": error}, status=400)
         try:
             overrides = registry.resolve_overrides(
                 exp,
@@ -269,16 +279,15 @@ class ServeApp:
                 )
         params = grid[index]
         key = self.cache.key(exp.name, params)
-        generation = (self.cache.code_hash, self.cache.journal_watermark())
 
-        payload = self.hot.get(key, generation)
+        payload = self.hot.get(key, self._generation)
         if payload is not None:
             return self._point_response(payload, key, "hot")
 
         value = self.cache.get(exp.name, params)
         if value is not None:
             payload = self._render_point(exp.name, key, params, value)
-            self.hot.put(key, payload, generation)
+            self.hot.put(key, payload, self._generation)
             return self._point_response(payload, key, "disk")
 
         # compute tier: bounded, timed, written through both caches
@@ -299,9 +308,9 @@ class ServeApp:
         finally:
             self._inflight -= 1
         payload = self._render_point(exp.name, key, params, value)
-        # re-read the watermark: our own cache.record just advanced it
-        generation = (self.cache.code_hash, self.cache.journal_watermark())
-        self.hot.put(key, payload, generation)
+        # this server's own write-through is the one thing that moves the token
+        self._generation = (self.cache.code_hash, self._generation[1] + 1)
+        self.hot.put(key, payload, self._generation)
         return self._point_response(payload, key, "computed")
 
     def _compute_point(self, exp, params: dict):

@@ -7,14 +7,17 @@ memory, bounded by a byte budget, so repeat fetches of popular grid
 points never touch disk at all.
 
 Staleness is handled wholesale rather than per-entry: every lookup and
-insert carries a *generation* token -- ``(code-version hash, journal
-watermark)`` -- and a token change flushes the whole tier.  A code-hash
-change means every content address shifted (old entries would simply
-never be asked for again, but would pin memory); a journal-watermark
-advance means some sweep or federation sync just wrote new provenance,
-so anything we answered "not computed yet" about may now exist.  Both
-events are rare next to reads, so a full flush is cheaper than
-per-entry bookkeeping.
+insert carries a *generation* token and a token change flushes the whole
+tier.  The tier only compares tokens; its caller decides what moves one.
+:class:`~repro.serve.app.ServeApp` holds ``(code-version hash, points it
+computed)`` and bumps the count where its own compute tier writes a
+point through -- a counter, so no request lists the cache root or stats
+a journal shard to learn the token.  A write by *another* process (a
+sweep, a ``cache import``) moves nothing, and need not: an entry is the
+rendered value of a content-addressed key, the tier never holds a "not
+computed yet", and the code hash is fixed per process, so no foreign
+write can make an entry stale; a key it adds is simply found on disk on
+first ask.
 
 Thread-safe: the serving app computes points in worker threads while the
 event loop reads, so every operation takes one plain mutex (critical

@@ -53,9 +53,11 @@ _REASONS = {
 class Request:
     method: str
     path: str  # decoded path, query string stripped
-    query: dict  # first-value-wins decoded query params
+    query: dict  # decoded query params; a key sent twice keeps its last value
     headers: dict  # lower-cased header name -> value
     body: bytes = b""
+    repeated: tuple = ()  # the query keys sent more than once, sorted
+    version: str = "HTTP/1.1"
 
     def json(self):
         """Parse the body as JSON; raises ``ValueError`` on damage."""
@@ -166,7 +168,12 @@ class HttpServer:
             if sep:
                 headers[name.strip().lower()] = value.strip()
         split = urlsplit(target)
-        query = {k: v for k, v in parse_qsl(split.query, keep_blank_values=True)}
+        pairs = parse_qsl(split.query, keep_blank_values=True)
+        query = dict(pairs)
+        repeated: tuple = ()
+        if len(query) < len(pairs):
+            names = [k for k, _ in pairs]
+            repeated = tuple(sorted({k for k in names if names.count(k) > 1}))
         body = b""
         length = headers.get("content-length")
         if length is not None:
@@ -183,6 +190,8 @@ class HttpServer:
             query=query,
             headers=headers,
             body=body,
+            repeated=repeated,
+            version=version,
         )
 
     async def _write_response(
@@ -190,9 +199,9 @@ class HttpServer:
     ) -> bool:
         """Write ``response``; returns whether the connection may be reused."""
         reason = _REASONS.get(response.status, "Unknown")
-        want_keep_alive = (
-            request.headers.get("connection", "keep-alive").lower() != "close"
-        )
+        # a client that sent no Connection header gets its version's default
+        default = "close" if request.version == "HTTP/1.0" else "keep-alive"
+        want_keep_alive = request.headers.get("connection", default).lower() != "close"
         streaming = response.stream is not None
         keep_alive = want_keep_alive and not streaming
         head = [f"HTTP/1.1 {response.status} {reason}"]
@@ -204,10 +213,11 @@ class HttpServer:
         else:
             head.append(f"Content-Length: {len(response.body)}")
             head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+        head_bytes = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
         if streaming:
             assert response.stream is not None
             stream = response.stream
+            writer.write(head_bytes)
             try:
                 async for chunk in stream:
                     writer.write(chunk)
@@ -217,6 +227,6 @@ class HttpServer:
                 if close is not None:
                     await close()
             return False
-        writer.write(response.body)
+        writer.write(head_bytes + response.body)  # one write, one send
         await writer.drain()
         return keep_alive

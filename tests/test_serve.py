@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -291,20 +292,51 @@ class TestTieredPointFetch:
         assert (app.cache.hits, app.cache.misses) == disk_before
         assert app.hot.hits == hot_hits_before + 5
 
-    def test_watermark_advance_falls_back_to_disk_byte_identically(
-        self, server, app
-    ):
+    def test_a_foreign_write_leaves_warmed_keys_hot(self, server, app):
         _, _, body_computed = http_get(server, POINT)
         _, headers, body_hot = http_get(server, POINT)
         assert headers["X-Repro-Source"] == "hot"
-        # another sweep appends provenance: the watermark moves, the hot
-        # tier flushes, and the next fetch re-reads the disk tier
+        # another process sweeps into the same root: provenance is appended
+        # and a new key written.  Nothing this server holds went stale (a
+        # key's value cannot change), so the warmed key stays hot ...
         app.cache.journal_append([{"key": "f" * 64, "host": "elsewhere"}])
-        _, headers3, body_disk = http_get(server, POINT)
-        assert headers3["X-Repro-Source"] == "disk"
-        assert body_disk == body_hot == body_computed
-        _, headers4, _ = http_get(server, POINT)
-        assert headers4["X-Repro-Source"] == "hot"  # re-warmed
+        foreign = ResultCache(app.cache.root, journal_shards=4)
+        exp = registry.get("table1")
+        params = exp.build_grid({"nodes": 4, "total_time": 600.0, "seed": 11})[0]
+        foreign.put(exp.name, params, exp.point(params))
+        foreign.record(exp.name, params, host="elsewhere")
+        invalidations = app.hot.invalidations
+        _, headers3, body_again = http_get(server, POINT)
+        assert headers3["X-Repro-Source"] == "hot"
+        assert body_again == body_hot == body_computed
+        assert app.hot.invalidations == invalidations
+        # ... and the key it added is found on disk on first ask, then hot
+        _, headers4, body_disk = http_get(server, POINT + "&seed=11")
+        assert headers4["X-Repro-Source"] == "disk"
+        assert json.loads(body_disk)["params"] == params
+        _, headers5, body_rehot = http_get(server, POINT + "&seed=11")
+        assert headers5["X-Repro-Source"] == "hot" and body_rehot == body_disk
+
+    def test_own_computes_flush_the_tier_in_the_pinned_sequence(self, server):
+        # what bench/workloads.py::ServePoints.verify pins: two never-seen
+        # keys, then the first twice -- this server's own second write-through
+        # moved the generation, so the first key comes back from disk once
+        first, second = POINT + "&seed=101", POINT + "&seed=102"
+        seen = [http_get(server, path) for path in (first, second, first, first)]
+        tiers = [headers["X-Repro-Source"] for _, headers, _ in seen]
+        assert tiers == ["computed", "computed", "disk", "hot"]
+        assert len({seen[i][2] for i in (0, 2, 3)}) == 1  # one body, three tiers
+
+    def test_a_repeated_query_key_is_400_naming_it(self, server, app):
+        # ?seed=1&seed=2 would address whichever key the parser kept
+        for leaf in ("points", "grid"):
+            status, _, body = http_get(
+                server, f"/experiments/table1/{leaf}?scale=tiny&seed=1&seed=2"
+            )
+            assert status == 400
+            assert "seed" in json.loads(body)["error"]
+            assert "scale" not in json.loads(body)["error"]
+        assert entry_count(app.cache) == 0  # nothing was computed for it
 
     def test_compute_is_recorded_in_the_journal(self, server, app):
         _, headers, body = http_get(server, POINT)
@@ -312,6 +344,38 @@ class TestTieredPointFetch:
         assert headers["X-Repro-Key"] == key
         entry = app.cache.journal_by_key()[key]
         assert entry["host"] == app.host_label
+
+
+# ------------------------------------------------- keep-alive per version
+
+
+class TestConnectionDefault:
+    """A client that sends no ``Connection`` header gets its version's default."""
+
+    @staticmethod
+    def _exchange(sock, version: str, extra: str = "") -> http.client.HTTPResponse:
+        sock.sendall(f"GET /healthz {version}\r\nHost: x\r\n{extra}\r\n".encode())
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        assert response.status == 200 and json.loads(response.read()) == {"ok": True}
+        return response
+
+    def test_http_1_0_without_a_connection_header_is_closed(self, server):
+        # ApacheBench's default: told keep-alive, it would wait for an EOF
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            response = self._exchange(sock, "HTTP/1.0")
+            assert response.getheader("Connection") == "close"
+            assert sock.recv(1) == b""  # and the server did close
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            asked = self._exchange(sock, "HTTP/1.0", "Connection: keep-alive\r\n")
+            assert asked.getheader("Connection") == "keep-alive"
+            self._exchange(sock, "HTTP/1.0")  # still open for a second request
+
+    def test_http_1_1_without_a_connection_header_is_kept_alive(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            for _ in range(2):  # the second request rides the same connection
+                response = self._exchange(sock, "HTTP/1.1")
+                assert response.getheader("Connection") == "keep-alive"
 
 
 # ------------------------------------------------------------- backpressure
