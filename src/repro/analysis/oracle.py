@@ -1,13 +1,14 @@
-"""Trace-replay consistency oracle for any checkpointing protocol.
+"""The consistency oracle: is this run's surviving timeline consistent?
 
 The paper's §2.2 definition of a consistent state -- "neither in-transit
 messages (sent but not received) nor ghost-messages (received but not
 sent)" -- is checked here from the *outside*: the oracle records every
 inter-cluster application send, every application delivery and every
 rollback the protocol performs, then replays the recovery lines against
-the message trace.  Nothing protocol-specific is consulted for the
-verdict, so the same oracle locks down HC3I, every baseline and any
-future family on the :mod:`repro.core.protocol` contract.
+the message trace.  Nothing the judged protocol keeps for itself
+(``delivered_ids``, epochs, ghost cuts) is consulted for the verdict, so
+the same oracle locks down HC3I, every baseline and any future family on
+the :mod:`repro.core.protocol` contract.
 
 Timeline model
 --------------
@@ -39,31 +40,40 @@ Checked invariants, on the surviving timeline only:
   message log.  Logged messages count as re-producible -- HC3I's own
   relaxation of the in-transit rule (§4: sender-side logging).
 
+Before the replay, :func:`check_invariants` runs as a quiescence
+pre-check on the HC3I family's SN/DDV/store state; what it finds is
+reported as violations of kind ``invariant``.
+
 Usage::
 
-    fed = make_federation(...)
+    fed = Federation(...)
     oracle = attach_oracle(fed)   # BEFORE fed.start()
     ... run, inject failures ...
-    assert_consistent(fed, oracle)
+    report = assert_consistent(fed, oracle)
+
+``hc3i-sim`` attaches the oracle to every run and prints the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
+from repro.core.hc3i import Hc3iProtocol
 from repro.network.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
+    from repro.cluster.node import Node
 
 __all__ = [
     "ConsistencyOracle",
+    "ConsistencyReport",
     "DeliveryEvent",
-    "OracleReport",
     "SendEvent",
     "assert_consistent",
     "attach_oracle",
+    "check_invariants",
 ]
 
 
@@ -91,10 +101,10 @@ class DeliveryEvent:
 
 
 @dataclass
-class OracleReport:
+class ConsistencyReport:
     """Verdict of a consistency check."""
 
-    violations: list = field(default_factory=list)
+    violations: list[tuple[str, str]] = field(default_factory=list)
     messages: int = 0
     delivered: int = 0
     in_flight: int = 0
@@ -133,14 +143,14 @@ class ConsistencyOracle:
     a bare one.
     """
 
-    def __init__(self, federation: "Federation"):
+    def __init__(self, federation: "Federation") -> None:
         self.federation = federation
         #: msg_id -> [SendEvent] (replays re-send under the same id)
-        self.sends: dict = {}
+        self.sends: dict[int, list[SendEvent]] = {}
         #: msg_id -> [DeliveryEvent]
-        self.deliveries: dict = {}
+        self.deliveries: dict[int, list[DeliveryEvent]] = {}
         #: cluster -> [(erased_after, erased_until)]
-        self.erasure_windows: dict = {}
+        self.erasure_windows: dict[int, list[tuple[float, float]]] = {}
         self._install()
 
     # -- recording shims -------------------------------------------------
@@ -164,7 +174,7 @@ class ConsistencyOracle:
                 )
             return arrival
 
-        fabric.send = send_shim
+        fabric.send = send_shim  # type: ignore[method-assign]
 
         for cluster in fed.clusters:
             for node in cluster.nodes:
@@ -172,15 +182,17 @@ class ConsistencyOracle:
 
         rollback = fed.on_cluster_rollback
 
-        def rollback_shim(cluster, target_time, failed_node=None):
+        def rollback_shim(
+            cluster: int, target_time: float, failed_node: Optional["Node"] = None
+        ) -> None:
             self.erasure_windows.setdefault(cluster, []).append(
                 (target_time, fed.sim.now)
             )
-            return rollback(cluster, target_time, failed_node)
+            rollback(cluster, target_time, failed_node)
 
-        fed.on_cluster_rollback = rollback_shim
+        fed.on_cluster_rollback = rollback_shim  # type: ignore[method-assign]
 
-    def _wrap_node(self, node) -> None:
+    def _wrap_node(self, node: "Node") -> None:
         deliver = node.deliver_app
 
         def deliver_shim(msg: Message) -> None:
@@ -194,9 +206,9 @@ class ConsistencyOracle:
                         kind=msg.kind.value,
                     )
                 )
-            return deliver(msg)
+            deliver(msg)
 
-        node.deliver_app = deliver_shim
+        node.deliver_app = deliver_shim  # type: ignore[method-assign]
 
     # -- timeline --------------------------------------------------------
     def erased(self, cluster: int, t: float) -> bool:
@@ -206,14 +218,14 @@ class ConsistencyOracle:
             for target, until in self.erasure_windows.get(cluster, ())
         )
 
-    def surviving_sends(self, msg_id: int) -> list:
+    def surviving_sends(self, msg_id: int) -> list[SendEvent]:
         return [
             s
             for s in self.sends.get(msg_id, ())
             if not self.erased(s.src_cluster, s.time)
         ]
 
-    def surviving_deliveries(self, msg_id: int) -> list:
+    def surviving_deliveries(self, msg_id: int) -> list[DeliveryEvent]:
         return [
             d
             for d in self.deliveries.get(msg_id, ())
@@ -221,7 +233,7 @@ class ConsistencyOracle:
         ]
 
     # -- the check -------------------------------------------------------
-    def check(self, allow_in_flight: bool = True) -> OracleReport:
+    def check(self, allow_in_flight: bool = True) -> ConsistencyReport:
         """Replay the recovery lines against the recorded trace.
 
         :param allow_in_flight: excuse surviving sends whose (latest)
@@ -231,13 +243,15 @@ class ConsistencyOracle:
         """
         fed = self.federation
         now = fed.sim.now
-        report = OracleReport(
+        report = ConsistencyReport(
             erasures=sum(len(w) for w in self.erasure_windows.values())
         )
+        for problem in check_invariants(fed):
+            report.add("invariant", problem)
         queued_ids = _queued_ids(fed)
         logged_ids = _logged_ids(fed)
 
-        for msg_id, send_events in sorted(self.sends.items()):
+        for msg_id in sorted(self.sends):
             report.messages += 1
             live_sends = self.surviving_sends(msg_id)
             live_deliveries = self.surviving_deliveries(msg_id)
@@ -295,14 +309,62 @@ def assert_consistent(
     federation: "Federation",
     oracle: ConsistencyOracle,
     allow_in_flight: bool = True,
-) -> OracleReport:
+) -> ConsistencyReport:
     """Check and raise ``AssertionError`` with the full report on failure."""
     report = oracle.check(allow_in_flight=allow_in_flight)
     if not report.ok:
-        raise AssertionError(
-            f"{federation.protocol.name}: {report}"
-        )
+        raise AssertionError(f"{federation.protocol.name}: {report}")
     return report
+
+
+# ----------------------------------------------------------------------
+# the quiescence pre-check
+# ----------------------------------------------------------------------
+
+def check_invariants(federation: "Federation") -> list[str]:
+    """HC3I-family protocol-state invariants outside 2PC/recovery windows.
+
+    Returns a list of violation strings (empty = all good, and always
+    empty for a family that keeps no SN/DDV state):
+
+    * the cluster's SN equals its DDV own-entry,
+    * the newest stored CLC (if the state is clean) carries SN = cluster SN,
+    * stored CLC SNs strictly increase and DDVs are entrywise monotone,
+    * the DDV never references an SN larger than the peer ever committed
+      (an SN grows by one per commit, so the peer's commit count bounds it).
+    """
+    protocol = federation.protocol
+    if not isinstance(protocol, Hc3iProtocol):
+        return []
+    states = protocol.cluster_states
+    committed = [protocol.clc_count(cs.index, "total") for cs in states]
+    problems: list[str] = []
+    for cs in states:
+        if cs.ddv[cs.index] != cs.sn:
+            problems.append(
+                f"c{cs.index}: ddv own entry {cs.ddv[cs.index]} != sn {cs.sn}"
+            )
+        for peer, seen in enumerate(cs.ddv):
+            if peer != cs.index and seen > committed[peer]:
+                problems.append(
+                    f"c{cs.index}: ddv[{peer}] = {seen} but c{peer} only ever "
+                    f"committed {committed[peer]} CLCs"
+                )
+        records = list(cs.store)
+        for a, b in zip(records, records[1:]):
+            if b.sn <= a.sn:
+                problems.append(f"c{cs.index}: store SNs not increasing at {b.sn}")
+            if not b.ddv.dominates(a.ddv):
+                problems.append(
+                    f"c{cs.index}: DDV not monotone between sn {a.sn} and {b.sn}"
+                )
+        if records and not cs.recovering:
+            last = records[-1]
+            if cs.sn != last.sn:
+                problems.append(
+                    f"c{cs.index}: sn {cs.sn} != last stored CLC sn {last.sn}"
+                )
+    return problems
 
 
 # ----------------------------------------------------------------------
@@ -313,28 +375,19 @@ def assert_consistent(
 _AGENT_QUEUES = ("deferred_in", "pending", "pending_force")
 
 
-def _iter_messages(container: Iterable) -> Iterator[Message]:
-    """Messages inside a queue of Messages / tuples / entry objects."""
-    if isinstance(container, (bool, int, float, str)) or container is None:
-        return
-    try:
-        items = list(container)
-    except TypeError:
-        return
-    for item in items:
-        if isinstance(item, Message):
-            yield item
-        elif isinstance(item, (tuple, list)):
-            for sub in item:
-                if isinstance(sub, Message):
-                    yield sub
-        elif isinstance(getattr(item, "msg", None), Message):
-            yield item.msg
+def _iter_messages(queue: Iterable[Any]) -> Iterator[Message]:
+    """Messages in a queue of Messages, tuples holding one, or entry
+    objects with a ``.msg``."""
+    for item in queue:
+        for part in item if isinstance(item, tuple) else (item,):
+            msg = part if isinstance(part, Message) else getattr(part, "msg", None)
+            if isinstance(msg, Message):
+                yield msg
 
 
-def _queued_ids(fed: "Federation") -> set:
+def _queued_ids(fed: "Federation") -> set[int]:
     """Ids waiting in node hold buffers or agent input queues."""
-    ids: set = set()
+    ids: set[int] = set()
     for cluster in fed.clusters:
         for node in cluster.nodes:
             for msg in _iter_messages(node._held):
@@ -345,17 +398,10 @@ def _queued_ids(fed: "Federation") -> set:
     return ids
 
 
-def _logged_ids(fed: "Federation") -> set:
+def _logged_ids(fed: "Federation") -> set[int]:
     """Ids still re-producible from a sender-side message log."""
-    ids: set = set()
-    for states_attr in ("cluster_states", "states"):
-        states = getattr(fed.protocol, states_attr, None)
-        if not states:
-            continue
-        for cs in states:
-            log = getattr(cs, "sent_log", None)
-            if log is None:
-                continue
-            for msg in _iter_messages(log):
-                ids.add(msg.msg_id)
+    ids: set[int] = set()
+    for cs in fed.protocol.cluster_states:
+        for msg in _iter_messages(getattr(cs, "sent_log", ())):
+            ids.add(msg.msg_id)
     return ids

@@ -127,7 +127,7 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
                 f"unknown CIC predicate {self.predicate!r}; "
                 f"choose from {PREDICATES}"
             )
-        self.states = [_CicClusterState(i) for i in range(self.n_clusters)]
+        self.cluster_states = [_CicClusterState(i) for i in range(self.n_clusters)]
         #: the participant set of a round is one cluster (its leader coordinates)
         self.rounds = [
             TwoPhaseRound(functools.partial(self._commit, i))
@@ -138,12 +138,12 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "CicAgent":
         cluster = node.id.cluster
-        return CicAgent(self, node, self.rounds[cluster], self.states[cluster])
+        return CicAgent(self, node, self.rounds[cluster], self.cluster_states[cluster])
 
     def start(self) -> None:
         # Initial checkpoints commit directly at t=0 (nothing was delivered
         # yet), so a recovery line exists before the first 2PC completes.
-        for i, st in enumerate(self.states):
+        for i, st in enumerate(self.cluster_states):
             st.lc = 1
             st.record(CicCheckpoint(1, self.sim.now, 1, "initial", frozenset()))
             self.note_commit(i, "initial", lc=1)
@@ -158,13 +158,13 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
     # intra-cluster two-phase commit
     # ------------------------------------------------------------------
     def _timer_fired(self, cluster: int) -> None:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         if self.rounds[cluster].collecting or st.recovering or st.pending_request:
             return
         self._initiate(cluster, cause="timer")
 
     def _initiate(self, cluster: int, cause: str, target: int = 0) -> None:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         if st.recovering:
             return
         if self.rounds[cluster].collecting:
@@ -180,7 +180,7 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
         self.rounds[cluster].begin(runtime.leader, runtime.nodes)
 
     def _commit(self, cluster: int) -> None:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         st.lc = max(st.lc + 1, st.round_target)
         st.record(
             CicCheckpoint(
@@ -215,7 +215,7 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
         self.roll_back_line(node, self.computed_line(failed))
 
     def restore_cluster(self, cluster: int, record: CicCheckpoint) -> None:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         st.clear_pending()
         st.lc = record.index
         st.delivered_ids = set(record.delivered_ids)
@@ -238,8 +238,8 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
 
     def _replay_into(self, dest: int, restored_ordinal: int) -> None:
         """Re-send surviving logged messages ``dest`` no longer has."""
-        restored_ids = self.states[dest].delivered_ids
-        for src_state in self.states:
+        restored_ids = self.cluster_states[dest].delivered_ids
+        for src_state in self.cluster_states:
             if src_state.index == dest:
                 continue
             entries = src_state.sent_log.entries_to_replay(dest, restored_ordinal)
@@ -258,7 +258,7 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
 
     # ------------------------------------------------------------------
     def cluster_summary(self, cluster: int) -> dict:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         return {
             "sn": st.sn,
             "lc": st.lc,

@@ -54,7 +54,7 @@ class GlobalCoordinatedProtocol(LineProtocol, ErasedWindows):
         ErasedWindows.__init__(self, self.n_clusters)
         #: one checkpoint history for everybody: the clusters share it
         self.state = LineClusterState(0)
-        self.states = [self.state] * self.n_clusters
+        self.cluster_states = [self.state] * self.n_clusters
         #: the participant set of a round is the whole federation
         self.round = TwoPhaseRound(self._commit)
         self.rounds = [self.round] * self.n_clusters

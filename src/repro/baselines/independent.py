@@ -59,7 +59,7 @@ class IndependentProtocol(LineProtocol, ErasedWindows):
         # in-flight messages whose send a rollback erased while they were
         # on the wire are dropped on arrival (channel incarnation check)
         ErasedWindows.__init__(self, self.n_clusters)
-        self.states = [LineClusterState(i) for i in range(self.n_clusters)]
+        self.cluster_states = [LineClusterState(i) for i in range(self.n_clusters)]
         #: the participant set of a round is one cluster
         self.rounds = [
             TwoPhaseRound(functools.partial(self._commit, i))
@@ -70,7 +70,7 @@ class IndependentProtocol(LineProtocol, ErasedWindows):
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "IndependentAgent":
         cluster = node.id.cluster
-        return IndependentAgent(self, node, self.rounds[cluster], self.states[cluster])
+        return IndependentAgent(self, node, self.rounds[cluster], self.cluster_states[cluster])
 
     def start(self) -> None:
         for i, timer in enumerate(self.timers_):
@@ -79,13 +79,13 @@ class IndependentProtocol(LineProtocol, ErasedWindows):
 
     # -- intra-cluster coordinated checkpoint ----------------------------
     def _initiate(self, cluster: int) -> None:
-        if self.rounds[cluster].collecting or self.states[cluster].recovering:
+        if self.rounds[cluster].collecting or self.cluster_states[cluster].recovering:
             return
         runtime = self.federation.clusters[cluster]
         self.rounds[cluster].begin(runtime.leader, runtime.nodes)
 
     def _commit(self, cluster: int) -> None:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         st.record(Checkpoint(st.sn + 1, self.sim.now))
         self.note_commit(cluster, "timer")
         self.note_stored(cluster)
@@ -104,7 +104,7 @@ class IndependentProtocol(LineProtocol, ErasedWindows):
 
     # ------------------------------------------------------------------
     def cluster_summary(self, cluster: int) -> dict:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         total = self.clc_count(cluster, "total")
         return {
             "sn": st.sn,

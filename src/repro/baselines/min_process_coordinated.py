@@ -65,7 +65,7 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
         # every cluster learns of a rollback cut in the same instant, so
         # one federation-wide table stands for the per-cluster copies
         GhostCuts.__init__(self, self.n_clusters)
-        self.states = [LineClusterState(i) for i in range(self.n_clusters)]
+        self.cluster_states = [LineClusterState(i) for i in range(self.n_clusters)]
         #: per cluster: newest send-SN delivered there per source cluster;
         #: ``upstream[i][j] >= states[j].sn`` means j communicated with i
         #: since j's last checkpoint, so j belongs in i's minimum set
@@ -78,12 +78,12 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
 
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> "MinProcAgent":
-        return MinProcAgent(self, node, self.round, self.states[node.id.cluster])
+        return MinProcAgent(self, node, self.round, self.cluster_states[node.id.cluster])
 
     def start(self) -> None:
         # §4-style initial checkpoints: commit one per cluster directly at
         # t=0 (no dependencies exist yet, so every minimum set is {c}).
-        for i, st in enumerate(self.states):
+        for i, st in enumerate(self.cluster_states):
             st.record(Checkpoint(1, self.sim.now))
             self.note_commit(i, "initial")
         for timer in self.timers_:
@@ -95,7 +95,7 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
     def record_delivery(self, src: int, send_sn: int, dst: int) -> None:
         if send_sn > self.upstream[dst].get(src, -1):
             self.upstream[dst][src] = send_sn
-        self.edges.append((src, send_sn, dst, self.states[dst].sn))
+        self.edges.append((src, send_sn, dst, self.cluster_states[dst].sn))
 
     def participants_for(self, initiator: int) -> list:
         """Transitive closure of "communicated since its last checkpoint".
@@ -107,8 +107,8 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
 
         def related(a: int, b: int) -> bool:
             return (
-                self.upstream[a].get(b, -1) >= self.states[b].sn
-                or self.upstream[b].get(a, -1) >= self.states[a].sn
+                self.upstream[a].get(b, -1) >= self.cluster_states[b].sn
+                or self.upstream[b].get(a, -1) >= self.cluster_states[a].sn
             )
 
         members = {initiator}
@@ -125,7 +125,7 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
     # the coordinated round
     # ------------------------------------------------------------------
     def _timer_fired(self, cluster: int) -> None:
-        if self.round.collecting or any(st.recovering for st in self.states):
+        if self.round.collecting or any(st.recovering for st in self.cluster_states):
             self.stats.counter("minproc/rounds_skipped").inc()
             return
         self._initiate(cluster)
@@ -147,7 +147,7 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
     def _commit(self) -> None:
         now = self.sim.now
         for c in self.round_participants:
-            st = self.states[c]
+            st = self.cluster_states[c]
             st.record(Checkpoint(st.sn + 1, now))
             self.note_commit(c, "timer")
             self.note_stored(c)
@@ -183,7 +183,7 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
         self.upstream[cluster] = {
             src: sn for src, sn in self.upstream[cluster].items() if sn < record.number
         }
-        self.record_cut(cluster, record.number, self.states[cluster].rollback_epoch)
+        self.record_cut(cluster, record.number, self.cluster_states[cluster].rollback_epoch)
 
     def after_line(self, targets: Sequence[Optional[int]]) -> None:
         # Survivors forget deliveries whose sends were just erased.
@@ -200,7 +200,7 @@ class MinProcessCoordinatedProtocol(LineProtocol, GhostCuts):
 
     # ------------------------------------------------------------------
     def cluster_summary(self, cluster: int) -> dict:
-        st = self.states[cluster]
+        st = self.cluster_states[cluster]
         return {
             "sn": st.sn,
             "clc_initial": self.clc_count(cluster, "initial"),

@@ -10,6 +10,15 @@ or, without installing the entry point::
 
     python -m repro.cli --scenario scenario.json
 
+Every scenario run is judged by the consistency oracle
+(:mod:`repro.analysis.oracle`): after the tables comes one line such as ::
+
+    consistency: consistent: 155 messages (155 delivered, 0 in flight, 0 queued, 0 replayable) across 0 rollback erasures
+
+(a ``"consistency"`` object under ``--json``), and a run whose surviving
+timeline holds an orphan, duplicate or lost message lists the violating
+message ids there and exits 1.
+
 Paper sweeps run through the parallel experiment engine::
 
     repro sweep --list
@@ -51,6 +60,7 @@ multi-host execution, batch schedulers, checkpoint/resume, cache sync) and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -724,6 +734,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "message": TraceLevel.MESSAGE,
         "debug": TraceLevel.DEBUG,
     }[args.trace]
+    from repro.analysis.oracle import attach_oracle
+
     fed = Federation(
         scenario.topology,
         scenario.application,
@@ -733,7 +745,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=scenario.seed,
         trace_level=level,
     )
+    oracle = attach_oracle(fed)
     results = fed.run(until=args.until)
+    verdict = oracle.check()
+    status = 0 if verdict.ok else 1
 
     if args.json:
         payload = {
@@ -744,9 +759,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "protocol_messages": results.protocol_messages,
             "clusters": results.clusters,
             "stats": results.stats,
+            "consistency": {"ok": verdict.ok, **dataclasses.asdict(verdict)},
         }
         _print_json(payload)
-        return 0
+        return status
 
     print(f"protocol={results.protocol} seed={results.seed} "
           f"duration={results.duration:g}s events={results.events}")
@@ -768,7 +784,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace != "none":
         for record in fed.tracer.records:
             print(f"{record.time:14.6f}  {record.kind:20s} {record.fields}")
-    return 0
+    print(f"consistency: {verdict}")
+    return status
 
 
 def console_main() -> int:  # pragma: no cover

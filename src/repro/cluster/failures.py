@@ -95,12 +95,8 @@ class FailureInjector:
         runtime = self.federation.clusters[cluster_index]
         if any(not n.up for n in runtime.nodes):
             return False
-        recovering = getattr(
-            self.federation.protocol, "cluster_states", None
-        )
-        if recovering is not None and recovering[cluster_index].recovering:
-            return False
-        return True
+        states = self.federation.protocol.cluster_states
+        return not (states and states[cluster_index].recovering)
 
     def _pick_victim(self):
         candidates = [

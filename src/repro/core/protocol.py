@@ -121,6 +121,10 @@ class BaseProtocol(abc.ABC):
     def __init__(self, federation: "Federation", options: Optional[dict] = None):
         self.federation = federation
         self.options = dict(options or {})
+        #: per-cluster protocol state, under this one name on every family
+        #: (entries may be shared between clusters; a family that keeps
+        #: none -- ``pessimistic-log`` -- leaves it empty)
+        self.cluster_states: list = []
 
     # -- construction ---------------------------------------------------
     @abc.abstractmethod

@@ -374,8 +374,6 @@ class LineProtocol(BaseProtocol):
     def __init__(self, federation: "Federation", options: Optional[dict] = None) -> None:
         super().__init__(federation, options)
         self.n_clusters: int = federation.topology.n_clusters
-        #: per cluster (entries may be shared between clusters)
-        self.states: list[Any] = []
         self.rounds: list[TwoPhaseRound] = []
         #: message dependency records (src, send_sn, dst, recv_sn)
         self.edges: list[Edge] = []
@@ -399,17 +397,17 @@ class LineProtocol(BaseProtocol):
     def note_commit(self, cluster: int, cause: str, **fields: Any) -> None:
         self.stats.counter(f"clc/c{cluster}/{cause}").inc()
         self.stats.counter(f"clc/c{cluster}/total").inc()
-        self.tracer.protocol(
-            "clc_commit", cluster=cluster, sn=self.states[cluster].sn, cause=cause, **fields
-        )
+        sn = self.cluster_states[cluster].sn
+        self.tracer.protocol("clc_commit", cluster=cluster, sn=sn, cause=cause, **fields)
 
     def note_stored(self, cluster: int) -> None:
-        self.stats.gauge(f"clc/c{cluster}/stored").set(len(self.states[cluster].checkpoints))
+        stored = len(self.cluster_states[cluster].checkpoints)
+        self.stats.gauge(f"clc/c{cluster}/stored").set(stored)
 
     # -- rollback side ---------------------------------------------------
     def computed_line(self, failed: int) -> list[Optional[int]]:
         """The recovery line for a failure in cluster ``failed``."""
-        numbers = [[c.number for c in st.checkpoints] for st in self.states]
+        numbers = [[c.number for c in st.checkpoints] for st in self.cluster_states]
         return line_targets(numbers, self.edges, failed, self.propagate)
 
     def roll_back_line(self, failed_node: "Node", targets: Sequence[Optional[int]]) -> None:
@@ -422,7 +420,7 @@ class LineProtocol(BaseProtocol):
             if number is None:
                 continue
             rolled += 1
-            st = self.states[cluster]
+            st = self.cluster_states[cluster]
             from_sn = st.sn
             record = st.restore(number)
             self.stats.counter("rollback/total").inc()
@@ -452,7 +450,7 @@ class LineProtocol(BaseProtocol):
         self.stats.tally(f"{self.stats_prefix}/rollback_depth").record(depth)
         self.note_stored(cluster)
         self.tracer.protocol(
-            "rollback", cluster=cluster, to_sn=self.states[cluster].sn,
+            "rollback", cluster=cluster, to_sn=self.cluster_states[cluster].sn,
             cause=self.rollback_cause,
         )
 
@@ -479,7 +477,7 @@ class LineProtocol(BaseProtocol):
             failed_node.recover()
         rolled = [c for c, number in enumerate(targets) if number is not None]
         for cluster in rolled:
-            self.states[cluster].recovering = False
+            self.cluster_states[cluster].recovering = False
             fed.restart_cluster_apps(cluster)
             fed.notify_recovery_complete(cluster)
             timers[cluster].reset()

@@ -1,77 +1,12 @@
-"""Tests for the analysis subpackage: consistency checker, rollback costs,
-reporting."""
+"""Tests for the analysis subpackage: the oracle's state-invariant
+pre-check, rollback costs, reporting.  (The trace-replay verdict itself is
+tested in ``tests/test_consistency_oracle.py``.)"""
 
-import pytest
-
-from repro.analysis.consistency import check_invariants, verify_consistency
+from repro.analysis.oracle import attach_oracle, check_invariants
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.rollback_cost import rollback_costs
 from repro.network.message import NodeId
 from tests.conftest import make_federation
-
-
-class TestVerifyConsistency:
-    def test_clean_run_is_consistent(self):
-        fed = make_federation(clc_period=100.0, total_time=600.0, chatty=True)
-        fed.run()
-        report = verify_consistency(fed)
-        assert report.ok
-        assert report.checked_messages >= report.delivered
-
-    def test_detects_fabricated_ghost(self):
-        """Manually corrupting the state must be caught."""
-        fed = make_federation(clc_period=100.0, total_time=300.0, chatty=True)
-        fed.run()
-        cs = fed.protocol.cluster_states[1]
-        cs.delivered_ids.add(999_999_999)  # delivery without any send
-        report = verify_consistency(fed)
-        assert not report.ok
-        assert any(kind == "ghost" for kind, _ in report.violations)
-
-    def test_detects_fabricated_lost_message(self):
-        fed = make_federation(clc_period=100.0, total_time=300.0, chatty=True)
-        fed.run()
-        cs0 = fed.protocol.cluster_states[0]
-        # forge a log entry whose message the receiver never saw
-        from repro.network.message import Message, MessageKind
-        from repro.core.hc3i import Piggyback
-
-        fake = Message(
-            src=NodeId(0, 0), dst=NodeId(1, 0), kind=MessageKind.APP, size=10,
-            piggyback=Piggyback(sn=1, epoch=0),
-        )
-        cs0.sent_log.add(fake, send_sn=1)
-        report = verify_consistency(fed, allow_in_flight=False)
-        assert not report.ok
-        assert any(kind == "lost" for kind, _ in report.violations)
-
-    def test_in_flight_allowance(self):
-        fed = make_federation(clc_period=100.0, total_time=300.0, chatty=True)
-        fed.run()
-        cs0 = fed.protocol.cluster_states[0]
-        from repro.network.message import Message, MessageKind
-        from repro.core.hc3i import Piggyback
-
-        fake = Message(
-            src=NodeId(0, 0), dst=NodeId(1, 0), kind=MessageKind.APP, size=10,
-            piggyback=Piggyback(sn=1, epoch=0),
-        )
-        cs0.sent_log.add(fake, send_sn=1)
-        report = verify_consistency(fed, allow_in_flight=True)
-        assert report.ok
-        assert report.in_flight_allowance >= 1
-
-    def test_non_hc3i_protocol_rejected(self):
-        fed = make_federation(protocol="pessimistic-log", total_time=50.0)
-        fed.run()
-        with pytest.raises(TypeError):
-            verify_consistency(fed)
-
-    def test_report_str(self):
-        fed = make_federation(clc_period=100.0, total_time=200.0)
-        fed.run()
-        report = verify_consistency(fed)
-        assert "consistent" in str(report)
 
 
 class TestCheckInvariants:
@@ -87,6 +22,30 @@ class TestCheckInvariants:
         problems = check_invariants(fed)
         assert problems
         assert any("own entry" in p or "sn" in p for p in problems)
+
+    def test_detects_ddv_entry_beyond_peer_commits(self):
+        """A DDV entry is an SN a peer stamped on a message, and an SN grows
+        by one per commit: an entry above the peer's commit count names a
+        CLC that never existed."""
+        fed = make_federation(clc_period=100.0, total_time=200.0, chatty=True)
+        fed.run()
+        assert check_invariants(fed) == []
+        cs = fed.protocol.cluster_states[0]
+        cs.ddv[1] = fed.protocol.clc_count(1, "total") + 1
+        problems = check_invariants(fed)
+        assert len(problems) == 1
+        assert "ddv[1]" in problems[0]
+
+    def test_oracle_reports_problems_as_invariant_violations(self):
+        fed = make_federation(clc_period=100.0, total_time=200.0, chatty=True)
+        oracle = attach_oracle(fed)
+        fed.run()
+        assert oracle.check().ok
+        fed.protocol.cluster_states[0].sn += 5
+        report = oracle.check()
+        assert not report.ok
+        assert {kind for kind, _ in report.violations} == {"invariant"}
+        assert "INCONSISTENT" in str(report)
 
     def test_non_hc3i_returns_empty(self):
         fed = make_federation(protocol="global-coordinated", total_time=50.0)

@@ -168,8 +168,8 @@ class TestIndependentProtocol:
         fed.inject_failure(NodeId(0, 1))
         fed.sim.run(until=1200.0)
         for src, s_e, dst, r_e in fed.protocol.edges:
-            st_s = fed.protocol.states[src]
-            st_d = fed.protocol.states[dst]
+            st_s = fed.protocol.cluster_states[src]
+            st_d = fed.protocol.cluster_states[dst]
             assert s_e <= st_s.sn
             assert r_e <= st_d.sn
 

@@ -13,15 +13,15 @@ Two layers:
 
 import pytest
 
-from repro.core.protocol import protocol_names
-from repro.network.message import NodeId
-from tests.conftest import make_federation
-from tests.oracles.consistency import (
+from repro.analysis.oracle import (
     DeliveryEvent,
     SendEvent,
     assert_consistent,
     attach_oracle,
 )
+from repro.core.protocol import protocol_names
+from repro.network.message import NodeId
+from tests.conftest import make_federation
 
 #: every registered protocol, with clc-cic exercised under both predicates
 PROTOCOL_CASES = [

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.oracle import assert_consistent, attach_oracle, check_invariants
 from repro.cluster.federation import Federation
 from repro.config.application import ApplicationConfig, ClusterAppSpec
 from repro.config.loader import load_scenario
@@ -45,8 +46,6 @@ class TestAsymmetricTopologies:
         results = fed.run()
         for c in range(3):
             assert results.clc_counts(c)["total"] >= 1
-        from repro.analysis.consistency import check_invariants
-
         assert check_invariants(fed) == []
 
     def test_slow_link_delays_alerts_not_correctness(self):
@@ -63,14 +62,13 @@ class TestAsymmetricTopologies:
         fed = Federation(
             topo, app, TimersConfig(clc_periods=[100.0] * 3), seed=5
         )
+        oracle = attach_oracle(fed)
         fed.start()
         fed.sim.run(until=600.0)
         fed.inject_failure(NodeId(1, 1))
         fed.run()
-        from repro.analysis.consistency import verify_consistency
-
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 1
 
 
 class TestLoaderErrors:

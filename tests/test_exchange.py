@@ -1,7 +1,7 @@
 """Tests for the request/response exchange workload (§2.1)."""
 
 from repro.app.process import exchange_factory
-from repro.analysis.consistency import check_invariants, verify_consistency
+from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.network.message import NodeId
 from tests.conftest import make_federation
 
@@ -59,13 +59,13 @@ class TestExchangePattern:
 
     def test_consistent_after_failure(self):
         fed = exchange_fed(total_time=3000.0, seed=6)
+        oracle = attach_oracle(fed)
         fed.start()
         fed.sim.run(until=1200.0)
         fed.inject_failure(NodeId(1, 1))
         fed.run()
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
-        assert check_invariants(fed) == []
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 1
 
     def test_failed_responder_does_not_reply(self):
         fed = exchange_fed(total_time=3000.0, seed=7)

@@ -3,7 +3,7 @@ simultaneous faults, the heartbeat detector, incremental stable storage."""
 
 import pytest
 
-from repro.analysis.consistency import check_invariants, verify_consistency
+from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.cluster.federation import Federation
 from repro.network.message import NodeId
 from repro.sim.trace import TraceLevel
@@ -21,6 +21,7 @@ class TestSimultaneousFaults:
             n_clusters=3, nodes=2, clc_period=80.0, total_time=1200.0,
             chatty=True, seed=5,
         )
+        oracle = attach_oracle(fed)
         fed.start()
         fed.sim.run(until=500.0)
         # crash a node in cluster 0 and cluster 2 at the same instant
@@ -31,9 +32,8 @@ class TestSimultaneousFaults:
         for cluster in fed.clusters:
             for node in cluster.nodes:
                 assert node.up
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
-        assert check_invariants(fed) == []
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 2
 
     def test_concurrent_epochs_advance_independently(self):
         fed = make_federation(
@@ -60,10 +60,11 @@ class TestSimultaneousFaults:
             trace_level=TraceLevel.PROTOCOL,
             allow_simultaneous_faults=True,
         )
+        oracle = attach_oracle(fed)
         results = fed.run()
         assert results.counter("failures/injected") >= 2
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 2
 
     def test_injector_never_hits_recovering_cluster(self):
         """Victims are only drawn from healthy clusters."""
@@ -90,6 +91,27 @@ class TestSimultaneousFaults:
                 open_failures[c] = True
             elif rec.kind == "recovery_complete":
                 open_failures[rec["cluster"]] = False
+
+    @pytest.mark.parametrize(
+        "protocol", ["global-coordinated", "independent", "min-process", "clc-cic"]
+    )
+    def test_recovering_cluster_of_a_line_family_is_not_healthy(self, protocol):
+        """A crash in cluster 0 rolls cluster 1 back with it; while cluster
+        1 restores, all its nodes are up and only the protocol's per-cluster
+        state says it is not a place to draw the next victim from."""
+        fed = make_federation(
+            clc_period=120.0, total_time=1000.0, chatty=True, seed=3,
+            protocol=protocol,
+        )
+        fed.start()
+        fed.sim.run(until=300.0)
+        fed.inject_failure(NodeId(0, 1))
+        fed.sim.run(until=300.0 + fed.timers.failure_detection_delay)
+        assert all(node.up for node in fed.clusters[1].nodes)
+        assert fed.protocol.cluster_states[1].recovering
+        assert not fed.injector._cluster_healthy(1)
+        fed.run()
+        assert fed.injector._cluster_healthy(1)
 
 
 class TestHeartbeatDetector:

@@ -64,7 +64,7 @@ class TestDistributedGcUnderFailure:
         fed.run()
         # the round either completed after recovery or was skipped by the
         # epoch guard; in both cases invariants hold
-        from repro.analysis.consistency import check_invariants
+        from repro.analysis.oracle import check_invariants
 
         assert check_invariants(fed) == []
 

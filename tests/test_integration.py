@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.consistency import check_invariants, verify_consistency
+from repro.analysis.oracle import assert_consistent, attach_oracle, check_invariants
 from repro.analysis.rollback_cost import rollback_costs
 from repro.cluster.federation import Federation
 from repro.network.message import NodeId
@@ -84,14 +84,14 @@ class TestConsistencyUnderFailures:
             n_clusters=3, nodes=2, clc_period=80.0, total_time=1200.0,
             chatty=True, seed=seed,
         )
+        oracle = attach_oracle(fed)
         fed.start()
         fed.sim.run(until=500.0)
         victim = NodeId(seed % 3, seed % 2)
         fed.inject_failure(victim)
         fed.run()
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
-        assert check_invariants(fed) == []
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 1
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_sequential_failures_consistent(self, seed):
@@ -99,15 +99,15 @@ class TestConsistencyUnderFailures:
             n_clusters=2, nodes=3, clc_period=80.0, total_time=1500.0,
             chatty=True, seed=seed,
         )
+        oracle = attach_oracle(fed)
         fed.start()
         fed.sim.run(until=400.0)
         fed.inject_failure(NodeId(0, 1))
         fed.sim.run(until=800.0)
         fed.inject_failure(NodeId(1, 2))
         fed.run()
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
-        assert check_invariants(fed) == []
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 2
 
     def test_mtbf_driven_failures_consistent(self):
         topo = small_topology(n_clusters=2, nodes=3)
@@ -119,10 +119,11 @@ class TestConsistencyUnderFailures:
             seed=33,
             trace_level=TraceLevel.PROTOCOL,
         )
+        oracle = attach_oracle(fed)
         results = fed.run()
         assert results.counter("failures/injected") >= 2
-        report = verify_consistency(fed)
-        assert report.ok, str(report)
+        report = assert_consistent(fed, oracle)
+        assert report.messages > 0 and report.erasures >= 2
 
     def test_failure_during_gc_safe(self):
         fed = make_federation(

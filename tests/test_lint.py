@@ -318,6 +318,7 @@ MYPY_STRICT_FLOOR = (
     "repro.core.rounds",
     "repro.core.recovery_line",
     "repro.experiments.cache",
+    "repro.analysis.oracle",
 )
 
 

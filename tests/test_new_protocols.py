@@ -132,7 +132,7 @@ class TestCicPredicates:
         assert stats.counter("cic/forces_requested").value > 0
         assert fed.protocol.cluster_summary(1)["clc_forced"] > 0
         # the forced checkpoint adopted the sender's clock
-        assert fed.protocol.states[1].lc >= fed.protocol.states[0].lc
+        assert fed.protocol.cluster_states[1].lc >= fed.protocol.cluster_states[0].lc
 
     def test_aftersend_skips_the_same_force(self):
         fed = self.run_predicate("bcs-aftersend")
@@ -141,7 +141,7 @@ class TestCicPredicates:
         assert stats.counter("cic/forces_requested").value == 0
         assert fed.protocol.cluster_summary(1)["clc_forced"] == 0
         # the clock was still adopted without a checkpoint
-        assert fed.protocol.states[1].lc == fed.protocol.states[0].lc
+        assert fed.protocol.cluster_states[1].lc == fed.protocol.cluster_states[0].lc
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValueError, match="predicate"):

@@ -7,7 +7,7 @@ times on arbitrary non-leader nodes -- and the run must satisfy two
 properties:
 
 * **consistency** -- the protocol-agnostic oracle
-  (:mod:`tests.oracles.consistency`) finds no orphan, duplicate or lost
+  (:mod:`repro.analysis.oracle`) finds no orphan, duplicate or lost
   message on the surviving timeline;
 * **per-seed determinism** -- repeating the identical scenario produces a
   byte-identical run: the kernel dispatch-stream digest (every event's
@@ -23,11 +23,11 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.core.protocol import protocol_names
 from repro.network.message import NodeId
 from repro.sim.trace_digest import TraceDigest
 from tests.conftest import make_federation
-from tests.oracles.consistency import assert_consistent, attach_oracle
 
 PROTOCOL_CASES = [
     ("hc3i", None),

@@ -3,7 +3,7 @@ coverage, recovery-window arrivals, FIFO properties."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.consistency import check_invariants
+from repro.analysis.oracle import check_invariants
 from repro.core.hc3i import Piggyback
 from repro.network.message import Message, MessageKind, NodeId
 from tests.conftest import make_federation

@@ -10,7 +10,7 @@ replays, ghosts) to the declarative §3.4 semantics.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.consistency import check_invariants, verify_consistency
+from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.app.process import scripted_sender_factory
 from repro.core.recovery_line import cascade_targets
 from repro.network.message import NodeId
@@ -54,6 +54,7 @@ def build_and_run(n_clusters, events, faulty):
         total_time=600.0,
         app_factory=scripted_sender_factory(scripts),
     )
+    oracle = attach_oracle(fed)
     fed.start()
     for event in events:
         if event[0] == "clc":
@@ -69,7 +70,7 @@ def build_and_run(n_clusters, events, faulty):
     predicted = cascade_targets(stored, current, failed=faulty)
     fed.inject_failure(NodeId(faulty, 1))
     fed.sim.run(until=last_t + 200.0)
-    return fed, predicted, dirty
+    return fed, predicted, dirty, oracle
 
 
 @given(scenario())
@@ -80,7 +81,7 @@ def build_and_run(n_clusters, events, faulty):
 )
 def test_live_cascade_matches_pure_model(params):
     n_clusters, events, faulty = params
-    fed, predicted, dirty = build_and_run(n_clusters, events, faulty)
+    fed, predicted, dirty, _oracle = build_and_run(n_clusters, events, faulty)
     for c, target in enumerate(predicted):
         # Alerts arrive asynchronously, so a cluster may descend to the
         # recovery line in several steps (each recorded); the property is
@@ -116,10 +117,10 @@ def test_live_cascade_matches_pure_model(params):
 )
 def test_live_run_always_consistent_after_failure(params):
     n_clusters, events, faulty = params
-    fed, _predicted, _dirty = build_and_run(n_clusters, events, faulty)
-    report = verify_consistency(fed)
-    assert report.ok, str(report)
-    assert check_invariants(fed) == []
+    fed, _predicted, _dirty, oracle = build_and_run(n_clusters, events, faulty)
+    report = assert_consistent(fed, oracle)
+    sends = sum(1 for event in events if event[0] == "send")
+    assert report.messages == sends
 
 
 @given(scenario())
@@ -130,7 +131,7 @@ def test_live_run_always_consistent_after_failure(params):
 )
 def test_everyone_recovers(params):
     n_clusters, events, faulty = params
-    fed, _predicted, _dirty = build_and_run(n_clusters, events, faulty)
+    fed, _predicted, _dirty, _oracle = build_and_run(n_clusters, events, faulty)
     for cluster in fed.clusters:
         for node in cluster.nodes:
             assert node.up

@@ -46,15 +46,6 @@ PROSE = (REPO_ROOT / "docs", REPO_ROOT / "README.md")
 #: qualified name -> why it stays although nothing outside ``tests/`` names
 #: it.  Safety/reference code and pieces of the paper's model only.
 ALLOWLIST: Dict[str, str] = {
-    "repro.analysis.consistency.verify_consistency": (
-        "with check_invariants, the repo's §2.2 claim -- recovery lines are "
-        "consistent -- asserted from eleven test modules; ROADMAP 3(a) gives "
-        "the pair a --verify entry point"
-    ),
-    "repro.analysis.consistency.check_invariants": (
-        "the protocol-state half of that claim; the ROADMAP oracle item (a) "
-        "keeps it as the trace-replay checker's quiescence pre-check"
-    ),
     "repro.cluster.storage.StableStorage.recoverable": (
         "§2.1's question -- does a CLC survive these simultaneous node "
         "losses; the ROADMAP hostile-conditions item (a), loss of a stored "

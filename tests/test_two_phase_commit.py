@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.core.clc import CheckpointCause
 from repro.network.message import MessageKind, NodeId
 from repro.app.process import scripted_sender_factory
 from tests.conftest import make_federation
-from tests.oracles.consistency import assert_consistent, attach_oracle
 
 
 def run_initial(fed):
