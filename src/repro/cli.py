@@ -41,7 +41,8 @@ Federation cache sync moves finished results between sites::
     repro cache merge /mnt/siteA-cache ~/.cache/hc3i-repro
 
 The static determinism/concurrency contract checker
-(``docs/static-analysis.md``)::
+(``docs/static-analysis.md``) exits 0 on zero unsuppressed findings, 1 when
+findings remain and 2 on a usage/configuration error::
 
     repro lint
     repro lint --list-rules
@@ -51,6 +52,10 @@ the policy is built once here and rides every task to its worker, the
 same way on every backend::
 
     repro sweep fig6-fig7 --scale full --backend k8s --checkpoint-every 600
+
+Each path above is one row of :data:`VERBS`; :func:`main` looks the first
+argument up there (no verb: the scenario row) and :func:`parser` builds the
+row's parser.  A flag several rows take is declared once.
 
 See ``docs/sweeps.md`` for the sweep-engine guide (scales, caching,
 multi-host execution, batch schedulers, checkpoint/resume, cache sync) and
@@ -64,11 +69,12 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.cluster.federation import Federation
-from repro.config.loader import ScenarioConfig, load_scenario
+from repro.config.loader import load_scenario
 from repro.core.protocol import protocol_names
 from repro.experiments.registry import (
     SCALE_PROFILES,
@@ -77,21 +83,61 @@ from repro.experiments.registry import (
 )
 from repro.sim.trace import TraceLevel
 
-__all__ = [
-    "main",
-    "build_parser",
-    "build_ablate_parser",
-    "build_sweep_parser",
-    "build_cache_parser",
-    "build_serve_parser",
-]
+__all__ = ["VERBS", "main", "parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hc3i-sim",
-        description="Discrete-event simulation of the HC3I checkpointing protocol.",
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for a count that must be at least ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = low - 1  # not a number: refused below, in the same words
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {raw!r}"
+            )
+        return value
+
+    return parse
+
+
+def _positive_float(raw: str) -> float:
+    """An argparse type for a duration that must be above zero."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {raw!r}")
+    return value
+
+
+def _add_cache_dir(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help=f"{what} (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
     )
+
+
+def _add_allow_mismatch(parser: argparse.ArgumentParser, text: str) -> None:
+    parser.add_argument("--allow-mismatch", action="store_true", help=text)
+
+
+def _add_json(parser: argparse.ArgumentParser, what: str, instead: str) -> None:
+    parser.add_argument(
+        "--json", action="store_true", help=f"emit {what} as JSON instead of {instead}"
+    )
+
+
+def _print_json(payload: dict) -> None:
+    json.dump(payload, sys.stdout, indent=2, default=str)
+    print()
+
+
+def _scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="single JSON file with all three sections")
     parser.add_argument("--topology", help="topology file (JSON)")
     parser.add_argument("--application", help="application file (JSON)")
@@ -107,14 +153,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace",
-        choices=["none", "protocol", "message", "debug"],
+        choices=[level.name.lower() for level in TraceLevel],
         default="none",
         help="trace verbosity",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit results as JSON instead of tables"
+    _add_json(parser, "results", "tables")
+
+
+def _run_scenario(args: argparse.Namespace) -> int:
+    if args.scenario:
+        scenario = load_scenario(args.scenario, args.scenario, args.scenario)
+    elif args.topology and args.application and args.timers:
+        scenario = load_scenario(args.topology, args.application, args.timers)
+    else:
+        raise SystemExit(
+            "either --scenario or all of --topology/--application/--timers required"
+        )
+    if args.protocol:
+        scenario.protocol = args.protocol
+    if args.seed is not None:
+        scenario.seed = args.seed
+    from repro.analysis.oracle import attach_oracle
+
+    fed = Federation(
+        scenario.topology,
+        scenario.application,
+        scenario.timers,
+        protocol=scenario.protocol,
+        protocol_options=scenario.protocol_options,
+        seed=scenario.seed,
+        trace_level=TraceLevel[args.trace.upper()],
     )
-    return parser
+    oracle = attach_oracle(fed)
+    results = fed.run(until=args.until)
+    verdict = oracle.check()
+    status = 0 if verdict.ok else 1
+
+    if args.json:
+        _print_json({
+            "protocol": results.protocol,
+            "duration": results.duration,
+            "events": results.events,
+            "messages": {f"{i}->{j}": v for (i, j), v in results.messages.items()},
+            "protocol_messages": results.protocol_messages,
+            "clusters": results.clusters,
+            "stats": results.stats,
+            "consistency": {"ok": verdict.ok, **dataclasses.asdict(verdict)},
+        })
+        return status
+
+    print(f"protocol={results.protocol} seed={results.seed} "
+          f"duration={results.duration:g}s events={results.events}")
+    rows = [(f"c{i}", f"c{j}", v) for (i, j), v in sorted(results.messages.items())]
+    print(format_table(["from", "to", "app messages"], rows, title="-- traffic --"))
+    clc_rows = []
+    for c in range(fed.topology.n_clusters):
+        counts = results.clc_counts(c)
+        clc_rows.append(
+            (f"c{c}", counts["initial"], counts["unforced"], counts["forced"],
+             counts["total"], results.stored_clcs(c))
+        )
+    print(format_table(
+        ["cluster", "initial", "unforced", "forced", "total", "stored"],
+        clc_rows,
+        title="-- committed CLCs --",
+    ))
+    print(f"protocol messages: {results.protocol_messages}")
+    if args.trace != "none":
+        for record in fed.tracer.records:
+            print(f"{record.time:14.6f}  {record.kind:20s} {record.fields}")
+    print(f"consistency: {verdict}")
+    return status
 
 
 def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
@@ -138,23 +247,12 @@ def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
         raise SystemExit(str(exc)) from None
 
 
-def _jobs(raw: str) -> int:
-    """``--jobs N``: a worker count, so at least one."""
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0  # not a number: refused below, in the same words
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
-    return jobs
-
-
 def _add_engine_args(parser: argparse.ArgumentParser, unit: str) -> None:
     """The flags of every verb that runs a registry experiment through the
     engine; ``unit`` is what that verb calls one grid point in its help."""
     parser.add_argument(
         "--jobs",
-        type=_jobs,
+        type=_int_at_least(1),
         default=1,
         help=f"worker processes for cache-missing {unit}s (default 1)",
     )
@@ -163,11 +261,7 @@ def _add_engine_args(parser: argparse.ArgumentParser, unit: str) -> None:
         action="store_true",
         help=f"recompute every {unit}, bypassing the result cache",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
-    )
+    _add_cache_dir(parser, "result cache directory")
     parser.add_argument(
         "--scale",
         choices=sorted(SCALE_PROFILES),
@@ -216,18 +310,7 @@ def _report_payload(report, args: argparse.Namespace) -> dict:
     }
 
 
-def _print_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    print()
-
-
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description=(
-            "Run a registered paper experiment as a parallel, cached sweep."
-        ),
-    )
+def _sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "name",
         nargs="?",
@@ -333,19 +416,14 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "--checkpoint-every)"
         ),
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the reduced result as JSON instead of tables",
-    )
-    return parser
+    _add_json(parser, "the reduced result", "tables")
 
 
 def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
     """``repro sweep``'s backend and checkpoint policy from its flags."""
-    from pathlib import Path
-
     from repro.experiments.backends import create_backend
+    from repro.experiments.backends.k8s import default_k8s_spool_dir
+    from repro.experiments.backends.slurm import default_spool_dir
     from repro.experiments.cache import default_cache_dir
 
     # same rule as --set/--seed: an explicit flag is never a silent no-op
@@ -366,18 +444,12 @@ def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
             "--checkpoint-wall/--checkpoint-dir require --checkpoint-every"
         )
     backend_kwargs: dict = {}
-    if args.backend in ("slurm", "k8s"):
-        if args.spool:
-            backend_kwargs["spool"] = args.spool
-        elif args.cache_dir:
-            # keep the promise of "<cache dir>/<scheduler>-spool": an explicit
-            # --cache-dir (often the cluster-shared filesystem) carries the
-            # spool with it
-            backend_kwargs["spool"] = Path(args.cache_dir) / f"{args.backend}-spool"
     if args.backend == "slurm":
+        backend_kwargs["spool"] = args.spool or default_spool_dir(args.cache_dir)
         backend_kwargs["sbatch_options"] = tuple(args.sbatch_opts)
         backend_kwargs["python"] = sys.executable
     if args.backend == "k8s":
+        backend_kwargs["spool"] = args.spool or default_k8s_spool_dir(args.cache_dir)
         backend_kwargs["namespace"] = args.namespace
         backend_kwargs["kubectl_options"] = tuple(args.k8s_opts)
         # pods run their own interpreter; against the local stub scheduler
@@ -409,10 +481,9 @@ def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
     return backend, policy
 
 
-def _sweep_main(argv: Sequence[str]) -> int:
+def _run_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import registry
 
-    args = build_sweep_parser().parse_args(argv)
     if args.list:
         rows = [
             (exp.name, "yes" if exp.scaled else "no", exp.title)
@@ -453,16 +524,9 @@ def _sweep_main(argv: Sequence[str]) -> int:
 ABLATE_TARGETS = {"hc3i": "ablation-components"}
 
 
-def build_ablate_parser() -> argparse.ArgumentParser:
+def _ablate_args(parser: argparse.ArgumentParser) -> None:
     from repro.experiments.studies import ABLATION_METRICS
 
-    parser = argparse.ArgumentParser(
-        prog="repro ablate",
-        description=(
-            "Leave-one-out component ablation with a ranked importance "
-            "report (runs through the sweep engine and cache)."
-        ),
-    )
     parser.add_argument(
         "target",
         choices=sorted(ABLATE_TARGETS),
@@ -475,28 +539,22 @@ def build_ablate_parser() -> argparse.ArgumentParser:
         help="metric the importance ranking uses (default: lost_work)",
     )
     _add_engine_args(parser, "configuration")
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the ranked report as JSON instead of markdown",
-    )
+    _add_json(parser, "the ranked report", "markdown")
     parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
         help="also write report.json + report.md into DIR",
     )
-    return parser
 
 
-def _ablate_main(argv: Sequence[str]) -> int:
+def _run_ablate(args: argparse.Namespace) -> int:
     from repro.experiments import registry
     from repro.experiments.studies import (
         component_importance,
         render_importance_markdown,
     )
 
-    args = build_ablate_parser().parse_args(argv)
     report = _run(registry.get(ABLATE_TARGETS[args.target]), args)
     result = report.result
     ranking = component_importance(result, metric=args.metric)
@@ -510,8 +568,6 @@ def _ablate_main(argv: Sequence[str]) -> int:
         "rows": [list(row) for row in result.rows],
     }
     if args.out:
-        from pathlib import Path
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(
@@ -528,56 +584,35 @@ def _ablate_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def build_cache_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro cache",
-        description=(
-            "Federation cache sync: move result-cache entries between sites "
-            "with their provenance journal."
-        ),
-    )
+def _cache_args(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
 
     export = sub.add_parser(
         "export", help="pack the local cache into a portable .tar.gz archive"
     )
     export.add_argument("archive", help="archive path to write (.tar.gz)")
-    export.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache to export (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
-    )
+    _add_cache_dir(export, "cache to export")
 
     imp = sub.add_parser(
         "import", help="import an exported archive (or another cache dir)"
     )
     imp.add_argument("source", help="archive file or cache directory to import")
-    imp.add_argument(
-        "--cache-dir",
-        default=None,
-        help="destination cache (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
-    )
-    imp.add_argument(
-        "--allow-mismatch",
-        action="store_true",
-        help=(
-            "also import entries computed under different repro sources "
-            "(content-addressed, so they stay inert until the code matches)"
-        ),
+    _add_cache_dir(imp, "destination cache")
+    _add_allow_mismatch(
+        imp,
+        "also import entries computed under different repro sources "
+        "(content-addressed, so they stay inert until the code matches)",
     )
 
     merge = sub.add_parser("merge", help="merge one cache directory into another")
     merge.add_argument("source", help="source cache directory")
     merge.add_argument("dest", help="destination cache directory")
-    merge.add_argument(
-        "--allow-mismatch",
-        action="store_true",
-        help="also merge entries computed under different repro sources",
+    _add_allow_mismatch(
+        merge, "also merge entries computed under different repro sources"
     )
-    return parser
 
 
-def _cache_main(argv: Sequence[str]) -> int:
+def _run_cache(args: argparse.Namespace) -> int:
     from repro.experiments.cache import ResultCache
     from repro.experiments.cache_sync import (
         CacheSyncError,
@@ -586,7 +621,6 @@ def _cache_main(argv: Sequence[str]) -> int:
         merge_caches,
     )
 
-    args = build_cache_parser().parse_args(argv)
     try:
         if args.command == "export":
             report = export_cache(ResultCache(root=args.cache_dir), args.archive)
@@ -609,22 +643,12 @@ def _cache_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description=(
-            "Serve sweep results over HTTP: registry enumeration, memoized "
-            "grid-point fetches (hot tier over the result cache), streamed "
-            "sweep launches, and /stats observability.  See docs/serve.md."
-        ),
-    )
+def _serve_args(parser: argparse.ArgumentParser) -> None:
+    # counts and deadlines are refused at parse time, not clamped below:
+    # an explicit flag is never silently rewritten
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
     parser.add_argument("--port", type=int, default=8642, help="bind port, 0 = ephemeral (default: %(default)s)")
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache to serve (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
-    )
+    _add_cache_dir(parser, "result cache to serve")
     parser.add_argument(
         "--hot-mb",
         type=float,
@@ -633,44 +657,42 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-inflight",
-        type=int,
+        type=_int_at_least(1),
         default=4,
         help="concurrent point computes before queueing (default: %(default)s)",
     )
     parser.add_argument(
         "--queue-size",
-        type=int,
+        type=_int_at_least(0),
         default=16,
         help="queued computes beyond --max-inflight before 429s (default: %(default)s)",
     )
     parser.add_argument(
         "--max-sweeps",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="concurrent streamed sweeps before 429s (default: %(default)s)",
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=300.0,
         help="per-request compute deadline in seconds (default: %(default)s)",
     )
     parser.add_argument(
         "--journal-shards",
-        type=int,
+        type=_int_at_least(1),
         default=4,
         help="provenance-journal shard count for concurrent writers (default: %(default)s)",
     )
-    return parser
 
 
-def _serve_main(argv: Sequence[str]) -> int:
+def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.experiments.cache import ResultCache
     from repro.serve import HttpServer, ServeApp
 
-    args = build_serve_parser().parse_args(argv)
     cache = ResultCache(root=args.cache_dir, journal_shards=args.journal_shards)
     app = ServeApp(
         cache=cache,
@@ -698,94 +720,127 @@ def _serve_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def _load(args: argparse.Namespace) -> ScenarioConfig:
-    if args.scenario:
-        return load_scenario(args.scenario, args.scenario, args.scenario)
-    if not (args.topology and args.application and args.timers):
-        raise SystemExit(
-            "either --scenario or all of --topology/--application/--timers required"
-        )
-    return load_scenario(args.topology, args.application, args.timers)
+def _lint_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help=(
+            "files or directories to lint (default: the installed repro "
+            "package -- src/repro in a checkout)"
+        ),
+    )
+    parser.add_argument(
+        "--rule",
+        dest="rules",
+        action="append",
+        default=None,
+        metavar="RULE_ID",
+        help="run only this rule (repeatable); see --list-rules",
+    )
+    _add_json(parser, "findings", "ruler lines")
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalog (id, title, motivating incident) and exit",
+    )
+
+
+def _run_lint(args: argparse.Namespace) -> int:
+    from repro.lint.engine import LintError, run_lint
+    from repro.lint.rules import all_rules
+
+    if args.list_rules:
+        for rule in all_rules().values():
+            print(f"{rule.id}  {rule.title}")
+            print(f"        incident: {rule.incident}")
+        return 0
+    # default: this package's directory -- src/repro in a checkout
+    paths = args.paths or [str(Path(__file__).parent)]
+    try:
+        report = run_lint(paths, rules=args.rules)
+    except LintError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
+    if args.json:
+        _print_json(report.as_dict())
+    else:
+        for finding in report.findings:
+            print(finding.format())
+        bits = [
+            f"{len(report.findings)} finding(s)",
+            f"{report.files_checked} file(s)",
+            f"{len(report.rules_run)} rule(s)",
+        ]
+        if report.suppressed:
+            bits.append(f"{len(report.suppressed)} suppressed")
+        print(f"[lint] {', '.join(bits)}")
+    return 1 if report.findings else 0
+
+
+#: verb -> ``(description, add_args, run)``; ``None`` is the scenario path
+#: (``hc3i-sim``, no verb)
+VERBS: Dict[
+    Optional[str],
+    Tuple[str, Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], int]],
+] = {
+    None: (
+        "Discrete-event simulation of the HC3I checkpointing protocol.",
+        _scenario_args,
+        _run_scenario,
+    ),
+    "sweep": (
+        "Run a registered paper experiment as a parallel, cached sweep.",
+        _sweep_args,
+        _run_sweep,
+    ),
+    "ablate": (
+        "Leave-one-out component ablation with a ranked importance "
+        "report (runs through the sweep engine and cache).",
+        _ablate_args,
+        _run_ablate,
+    ),
+    "cache": (
+        "Federation cache sync: move result-cache entries between sites "
+        "with their provenance journal.",
+        _cache_args,
+        _run_cache,
+    ),
+    "serve": (
+        "Serve sweep results over HTTP: registry enumeration, memoized "
+        "grid-point fetches (hot tier over the result cache), streamed "
+        "sweep launches, and /stats observability.  See docs/serve.md.",
+        _serve_args,
+        _run_serve,
+    ),
+    "lint": (
+        "AST-based determinism & concurrency contract checker for this "
+        "repository (rule catalog: docs/static-analysis.md).",
+        _lint_args,
+        _run_lint,
+    ),
+}
+
+
+def parser(verb: Optional[str]) -> argparse.ArgumentParser:
+    """The argument parser of one :data:`VERBS` row."""
+    description, add_args, _ = VERBS[verb]
+    built = argparse.ArgumentParser(
+        prog="hc3i-sim" if verb is None else f"repro {verb}",
+        description=description,
+    )
+    add_args(built)
+    return built
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "sweep":
-        return _sweep_main(argv[1:])
-    if argv and argv[0] == "ablate":
-        return _ablate_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.lint.cli import lint_main
-
-        return lint_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    scenario = _load(args)
-    if args.protocol:
-        scenario.protocol = args.protocol
-    if args.seed is not None:
-        scenario.seed = args.seed
-    level = {
-        "none": TraceLevel.NONE,
-        "protocol": TraceLevel.PROTOCOL,
-        "message": TraceLevel.MESSAGE,
-        "debug": TraceLevel.DEBUG,
-    }[args.trace]
-    from repro.analysis.oracle import attach_oracle
-
-    fed = Federation(
-        scenario.topology,
-        scenario.application,
-        scenario.timers,
-        protocol=scenario.protocol,
-        protocol_options=scenario.protocol_options,
-        seed=scenario.seed,
-        trace_level=level,
-    )
-    oracle = attach_oracle(fed)
-    results = fed.run(until=args.until)
-    verdict = oracle.check()
-    status = 0 if verdict.ok else 1
-
-    if args.json:
-        payload = {
-            "protocol": results.protocol,
-            "duration": results.duration,
-            "events": results.events,
-            "messages": {f"{i}->{j}": v for (i, j), v in results.messages.items()},
-            "protocol_messages": results.protocol_messages,
-            "clusters": results.clusters,
-            "stats": results.stats,
-            "consistency": {"ok": verdict.ok, **dataclasses.asdict(verdict)},
-        }
-        _print_json(payload)
-        return status
-
-    print(f"protocol={results.protocol} seed={results.seed} "
-          f"duration={results.duration:g}s events={results.events}")
-    rows = [(f"c{i}", f"c{j}", v) for (i, j), v in sorted(results.messages.items())]
-    print(format_table(["from", "to", "app messages"], rows, title="-- traffic --"))
-    clc_rows = []
-    for c in range(fed.topology.n_clusters):
-        counts = results.clc_counts(c)
-        clc_rows.append(
-            (f"c{c}", counts["initial"], counts["unforced"], counts["forced"],
-             counts["total"], results.stored_clcs(c))
-        )
-    print(format_table(
-        ["cluster", "initial", "unforced", "forced", "total", "stored"],
-        clc_rows,
-        title="-- committed CLCs --",
-    ))
-    print(f"protocol messages: {results.protocol_messages}")
-    if args.trace != "none":
-        for record in fed.tracer.records:
-            print(f"{record.time:14.6f}  {record.kind:20s} {record.fields}")
-    print(f"consistency: {verdict}")
-    return status
+    verb = argv[0] if argv and not argv[0].startswith("-") else None
+    if verb not in VERBS:
+        names = ", ".join(sorted(name for name in VERBS if name))
+        print(f"repro: unknown command {verb!r} (choose from: {names})", file=sys.stderr)
+        return 2
+    rest = argv if verb is None else argv[1:]
+    return VERBS[verb][2](parser(verb).parse_args(rest))
 
 
 def console_main() -> int:  # pragma: no cover

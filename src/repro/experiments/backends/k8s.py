@@ -37,7 +37,7 @@ import json
 import os
 import shlex
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from repro.experiments.backends.batch import BatchBackend, BatchTransport, CliTransport
 from repro.experiments.cache import default_cache_dir
@@ -83,9 +83,13 @@ def default_kubectl_command() -> tuple:
     return tuple(shlex.split(os.environ.get(_K8S_COMMAND_ENV) or "kubectl"))
 
 
-def default_k8s_spool_dir() -> Path:
-    """``$REPRO_K8S_SPOOL`` or ``<cache dir>/k8s-spool`` (shared filesystem)."""
-    return Path(os.environ.get(_K8S_SPOOL_ENV) or default_cache_dir() / "k8s-spool")
+def default_k8s_spool_dir(cache_dir: Optional[Union[str, Path]] = None) -> Path:
+    """``$REPRO_K8S_SPOOL``, else ``<cache_dir>/k8s-spool`` (shared filesystem);
+    ``cache_dir`` defaults to :func:`default_cache_dir`."""
+    return Path(
+        os.environ.get(_K8S_SPOOL_ENV)
+        or Path(cache_dir or default_cache_dir()) / "k8s-spool"
+    )
 
 
 class K8sCliTransport(CliTransport):

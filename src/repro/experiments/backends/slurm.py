@@ -32,7 +32,7 @@ import os
 import re
 import shlex
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from repro.experiments.backends.batch import (
     BatchBackend,
@@ -92,9 +92,13 @@ def default_slurm_command() -> tuple:
     return tuple(shlex.split(os.environ.get(_SLURM_COMMAND_ENV) or ""))
 
 
-def default_spool_dir() -> Path:
-    """``$REPRO_SLURM_SPOOL`` or ``<cache dir>/slurm-spool`` (shared $HOME)."""
-    return Path(os.environ.get(_SLURM_SPOOL_ENV) or default_cache_dir() / "slurm-spool")
+def default_spool_dir(cache_dir: Optional[Union[str, Path]] = None) -> Path:
+    """``$REPRO_SLURM_SPOOL``, else ``<cache_dir>/slurm-spool`` (shared $HOME);
+    ``cache_dir`` defaults to :func:`default_cache_dir`."""
+    return Path(
+        os.environ.get(_SLURM_SPOOL_ENV)
+        or Path(cache_dir or default_cache_dir()) / "slurm-spool"
+    )
 
 
 class SlurmCliTransport(CliTransport):

@@ -13,7 +13,7 @@ Layout:
 * :mod:`repro.lint.rules` -- the rule registry (DET001, DET002, SNAP001,
   LOCK001, ASYNC001, WIRE001), one module per hazard family
 * :mod:`repro.lint.imports` -- static import closure (SNAP001's scope)
-* :mod:`repro.lint.cli` -- the ``repro lint`` command
+* the ``repro lint`` command is the ``lint`` row of :data:`repro.cli.VERBS`
 
 ``tests/test_lint.py`` runs the analyzer over ``src/`` in tier-1 (zero
 unsuppressed findings is a test) and proves every rule non-vacuous

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.oracle import ConsistencyOracle, SendEvent, attach_oracle
-from repro.cli import build_parser, main
+from repro.cli import VERBS, main, parser
 from repro.cluster.federation import Federation
 from repro.config.application import ApplicationConfig, ClusterAppSpec
 from repro.config.loader import ScenarioConfig, load_scenario
@@ -60,10 +60,24 @@ def faulty_scenario_file(tmp_path):
 
 class TestCli:
     def test_parser_builds(self):
-        parser = build_parser()
-        args = parser.parse_args(["--scenario", "x.json", "--seed", "9"])
+        args = parser(None).parse_args(["--scenario", "x.json", "--seed", "9"])
         assert args.scenario == "x.json"
         assert args.seed == 9
+
+    @pytest.mark.parametrize("verb", sorted(v for v in VERBS if v))
+    def test_every_verb_has_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {verb} ")
+
+    def test_unknown_verb_names_the_verbs(self, capsys):
+        assert main(["swep", "table1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: unknown command 'swep' "
+            "(choose from: ablate, cache, lint, serve, sweep)\n"
+        )
 
     def test_scenario_run(self, scenario_file, capsys):
         rc = main(["--scenario", str(scenario_file)])

@@ -523,6 +523,20 @@ class TestSweepCliK8sFlags:
         assert "backend=k8s" in capsys.readouterr().out
         assert (cache_dir / "k8s-spool").is_dir()
 
+    def test_spool_env_beats_explicit_cache_dir(
+        self, stub_k8s_env, tmp_path, monkeypatch, capsys
+    ):
+        """--spool, else $REPRO_K8S_SPOOL, else <--cache-dir>/k8s-spool."""
+        cache_dir = tmp_path / "shared-cache"
+        monkeypatch.setenv("REPRO_K8S_SPOOL", str(tmp_path / "env-spool"))
+        assert main(
+            ["sweep", "table1", "--scale", "tiny", "--backend", "k8s",
+             "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert "backend=k8s" in capsys.readouterr().out
+        assert (tmp_path / "env-spool").is_dir()
+        assert not (cache_dir / "k8s-spool").exists()
+
     def test_namespace_without_k8s_backend_is_an_error(self):
         with pytest.raises(SystemExit, match="only apply to --backend k8s"):
             main(["sweep", "table1", "--namespace", "sweeps"])

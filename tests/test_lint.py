@@ -23,9 +23,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main as cli_main
+from repro.cli import main
 from repro.lint import LintConfig, LintError, all_rules, run_lint
-from repro.lint.cli import lint_main
 from repro.lint.engine import load_project
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -223,18 +222,18 @@ class TestCli:
     CLEAN = str(FIXTURES / "lock001_clean.py")
 
     def test_exit_one_on_findings(self, capsys):
-        assert lint_main([self.FIRES]) == 1
+        assert main(["lint", self.FIRES]) == 1
         out = capsys.readouterr().out
         assert "LOCK001" in out
         assert "lock001_fires.py" in out
         assert "finding(s)" in out
 
     def test_exit_zero_on_clean(self, capsys):
-        assert lint_main([self.CLEAN]) == 0
+        assert main(["lint", self.CLEAN]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_json_output(self, capsys):
-        assert lint_main([self.FIRES, "--json"]) == 1
+        assert main(["lint", self.FIRES, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in payload["findings"]} == {"LOCK001"}
         assert payload["files_checked"] == 1
@@ -243,28 +242,23 @@ class TestCli:
         assert set(finding) == {"rule", "path", "line", "col", "message"}
 
     def test_rule_filter(self, capsys):
-        assert lint_main([self.FIRES, "--rule", "ASYNC001"]) == 0
+        assert main(["lint", self.FIRES, "--rule", "ASYNC001"]) == 0
         capsys.readouterr()
 
     def test_unknown_rule_is_exit_two(self, capsys):
-        assert lint_main([self.FIRES, "--rule", "NOPE999"]) == 2
+        assert main(["lint", self.FIRES, "--rule", "NOPE999"]) == 2
         assert "unknown rule id" in capsys.readouterr().err
 
     def test_missing_path_is_exit_two(self, capsys):
-        assert lint_main(["definitely/not/a/path.py"]) == 2
+        assert main(["lint", "definitely/not/a/path.py"]) == 2
         assert "no such file" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in all_rules():
             assert rule_id in out
         assert "incident" in out
-
-    def test_repro_cli_dispatch(self, capsys):
-        """``repro lint`` routes through the package CLI."""
-        assert cli_main(["lint", self.CLEAN]) == 0
-        capsys.readouterr()
 
 
 # ------------------------------------------------------------- engine bits

@@ -577,18 +577,45 @@ class TestJournalShardConcurrency:
 
 class TestServeCli:
     def test_parser_defaults(self):
-        from repro.cli import build_serve_parser
+        from repro.cli import parser
 
-        args = build_serve_parser().parse_args([])
+        args = parser("serve").parse_args([])
         assert args.host == "127.0.0.1"
         assert args.hot_mb == 64.0
         assert args.max_inflight == 4
         assert args.journal_shards == 4
 
     def test_parser_overrides(self):
-        from repro.cli import build_serve_parser
+        from repro.cli import parser
 
-        args = build_serve_parser().parse_args(
+        args = parser("serve").parse_args(
             ["--port", "0", "--hot-mb", "8", "--max-inflight", "2"]
         )
         assert args.port == 0 and args.hot_mb == 8.0 and args.max_inflight == 2
+
+    def test_hot_tier_can_be_disabled(self):
+        from repro.cli import parser
+
+        assert parser("serve").parse_args(["--hot-mb", "0"]).hot_mb == 0.0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-inflight", "0"),
+            ("--max-sweeps", "0"),
+            ("--queue-size", "-3"),
+            ("--journal-shards", "0"),
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--timeout", "nan"),
+            ("--max-inflight", "two"),
+        ],
+    )
+    def test_out_of_range_counts_are_refused(self, flag, value, capsys):
+        """Refused at parse time, not clamped (or 504'd) behind the flag."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err

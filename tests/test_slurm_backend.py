@@ -472,6 +472,20 @@ class TestSweepCliSlurmFlags:
         assert "backend=slurm" in capsys.readouterr().out
         assert (cache_dir / "slurm-spool").is_dir()
 
+    def test_spool_env_beats_explicit_cache_dir(
+        self, stub_slurm_env, tmp_path, monkeypatch, capsys
+    ):
+        """--spool, else $REPRO_SLURM_SPOOL, else <--cache-dir>/slurm-spool."""
+        cache_dir = tmp_path / "shared-cache"
+        monkeypatch.setenv("REPRO_SLURM_SPOOL", str(tmp_path / "env-spool"))
+        assert main(
+            ["sweep", "table1", "--scale", "tiny", "--backend", "slurm",
+             "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert "backend=slurm" in capsys.readouterr().out
+        assert (tmp_path / "env-spool").is_dir()
+        assert not (cache_dir / "slurm-spool").exists()
+
     def test_spool_without_slurm_backend_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit, match="only apply to --backend slurm"):
             main(["sweep", "table1", "--spool", str(tmp_path)])
