@@ -45,7 +45,7 @@ The static determinism/concurrency contract checker
 findings remain and 2 on a usage/configuration error::
 
     repro lint
-    repro lint --list-rules
+    repro lint src --json
 
 ``--checkpoint-every`` makes evicted points resume instead of recompute;
 the policy is built once here and rides every task to its worker, the
@@ -729,35 +729,16 @@ def _lint_args(parser: argparse.ArgumentParser) -> None:
             "package -- src/repro in a checkout)"
         ),
     )
-    parser.add_argument(
-        "--rule",
-        dest="rules",
-        action="append",
-        default=None,
-        metavar="RULE_ID",
-        help="run only this rule (repeatable); see --list-rules",
-    )
     _add_json(parser, "findings", "ruler lines")
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog (id, title, motivating incident) and exit",
-    )
 
 
 def _run_lint(args: argparse.Namespace) -> int:
     from repro.lint.engine import LintError, run_lint
-    from repro.lint.rules import all_rules
 
-    if args.list_rules:
-        for rule in all_rules().values():
-            print(f"{rule.id}  {rule.title}")
-            print(f"        incident: {rule.incident}")
-        return 0
     # default: this package's directory -- src/repro in a checkout
     paths = args.paths or [str(Path(__file__).parent)]
     try:
-        report = run_lint(paths, rules=args.rules)
+        report = run_lint(paths)
     except LintError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

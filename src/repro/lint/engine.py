@@ -4,10 +4,10 @@ The engine is deliberately small: it discovers Python files, parses each
 one once with :mod:`ast`, wraps the tree in a :class:`Module` (source
 lines, dotted module name, parent links, suppression comments), bundles
 the modules into a :class:`Project` (so cross-file rules like SNAP001's
-import closure can see the whole tree), and runs every selected rule
-over every module.  All policy lives in the rules
+import closure can see the whole tree), and runs every rule over every
+module.  All policy lives in the rules
 (:mod:`repro.lint.rules`) and in :class:`LintConfig`; the engine knows
-nothing about determinism or locking.
+nothing about determinism or snapshots.
 
 Suppressions are per-line comments::
 
@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.lint.rules import RULES
 
 __all__ = [
     "Finding",
@@ -93,10 +95,6 @@ class LintConfig:
         "repro.cluster.federation",
         "repro.baselines",
     )
-    #: ASYNC001: modules whose ``async def`` bodies share an event loop
-    async_scopes: Tuple[str, ...] = ("repro.serve",)
-    #: WIRE001: modules that register experiment grids
-    wire_scopes: Tuple[str, ...] = ("repro.experiments",)
 
     @staticmethod
     def in_scope(name: str, scopes: Sequence[str]) -> bool:
@@ -284,38 +282,14 @@ class LintReport:
         }
 
 
-def run_lint(
-    paths: Sequence,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[str]] = None,
-) -> LintReport:
-    """Lint ``paths`` and return every finding, split by suppression state.
-
-    ``rules`` restricts the run to the named rule ids (default: all
-    registered rules).  Unknown rule ids raise :class:`LintError` --
-    a typo in ``--rule`` must never silently lint nothing.
-    """
-    from repro.lint.rules import all_rules
-
-    registry = all_rules()
-    if rules is not None:
-        unknown = sorted(set(rules) - set(registry))
-        if unknown:
-            raise LintError(
-                f"unknown rule id(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(registry))})"
-            )
-        selected = {rid: registry[rid] for rid in rules}
-    else:
-        selected = registry
-
+def run_lint(paths: Sequence, config: Optional[LintConfig] = None) -> LintReport:
+    """Lint ``paths`` with every rule; findings are split by suppression state."""
     project = load_project(paths, config)
-    report = LintReport(
-        files_checked=len(project.modules), rules_run=tuple(sorted(selected))
-    )
+    report = LintReport(files_checked=len(project.modules), rules_run=tuple(sorted(RULES)))
     for module in project.modules:
-        for rule in selected.values():
-            for finding in rule.check(module, project):
+        for rule_id, check in RULES.items():
+            for node, message in check(module, project):
+                finding = module.finding(rule_id, node, message)
                 if module.suppressed(finding):
                     report.suppressed.append(finding)
                 else:

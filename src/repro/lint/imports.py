@@ -55,20 +55,6 @@ def module_imports(module: "Module") -> Set[str]:
     return names
 
 
-def _project_matches(project: "Project", dotted: str) -> Set[str]:
-    """Project modules a dotted import name refers to.
-
-    An exact module match wins; a package name also pulls in the
-    package's ``__init__`` module (registered under the package name
-    itself), which is how ``import repro.baselines`` reaches every
-    protocol family the package re-exports.
-    """
-    matches: Set[str] = set()
-    if dotted in project.by_name:
-        matches.add(dotted)
-    return matches
-
-
 def transitive_closure(project: "Project", roots: Sequence[str]) -> Set[str]:
     """Names of project modules reachable from ``roots`` via imports."""
     queue = [root for root in roots if root in project.by_name]
@@ -76,8 +62,7 @@ def transitive_closure(project: "Project", roots: Sequence[str]) -> Set[str]:
     while queue:
         current = project.by_name[queue.pop()]
         for imported in module_imports(current):
-            for match in _project_matches(project, imported):
-                if match not in closure:
-                    closure.add(match)
-                    queue.append(match)
+            if imported in project.by_name and imported not in closure:
+                closure.add(imported)
+                queue.append(imported)
     return closure

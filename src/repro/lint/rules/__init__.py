@@ -1,74 +1,16 @@
-"""Rule registry for ``repro lint``.
+"""The ``repro lint`` rules: :data:`RULES` maps each rule id to its check.
 
-Every rule is a tiny class with an ``id``, a one-line ``title``, the
-``incident`` that motivated it (each rule here exists because a real
-bug shipped, or nearly shipped, in this repository), and a
-``check(module, project)`` generator yielding
-:class:`~repro.lint.engine.Finding` objects.
-
-Adding a rule: create it in a module under ``repro/lint/rules/``,
-list it in :data:`_RULE_CLASSES`, document it in
-``docs/static-analysis.md``, and give it a positive (fires) and a
-negative (silent) fixture under ``tests/fixtures/lint/`` --
-``tests/test_lint.py`` refuses rules without a non-vacuity fixture,
-mirroring the consistency oracle's seeded-violation tests.
+A check is a generator ``check(module, project)`` yielding ``(node,
+message)`` pairs; the engine files each one as a
+:class:`~repro.lint.engine.Finding` under the rule's id.  Each rule's
+motivating incident is its row in ``docs/static-analysis.md``, and
+``tests/test_lint.py`` pairs every id here with a fires and a clean
+fixture.
 """
 
-from __future__ import annotations
+from repro.lint.rules.determinism import det001, det002
+from repro.lint.rules.snapshot import snap001
 
-import ast
-from typing import TYPE_CHECKING, Dict, Iterator, Tuple
+__all__ = ["RULES"]
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.engine import Finding, Module, Project
-
-__all__ = ["Rule", "all_rules", "dotted_chain"]
-
-
-class Rule:
-    """Base class: subclasses set ``id``/``title``/``incident`` and ``check``."""
-
-    id: str = "?"
-    title: str = "?"
-    #: the shipped (or seeded) bug this rule would have caught
-    incident: str = "?"
-
-    def check(
-        self, module: "Module", project: "Project"
-    ) -> Iterator["Finding"]:  # pragma: no cover - abstract
-        raise NotImplementedError
-        yield  # makes every override a generator by contract
-
-
-def dotted_chain(node: ast.expr) -> Tuple[str, ...]:
-    """``a.b.c`` -> ``("a", "b", "c")``; empty tuple for anything fancier."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
-def all_rules() -> Dict[str, Rule]:
-    """Fresh ``{rule_id: rule_instance}`` registry, ordered by id."""
-    from repro.lint.rules.async_blocking import Async001BlockingInAsync
-    from repro.lint.rules.determinism import (
-        Det001UnseededNondeterminism,
-        Det002HashSeedDependence,
-    )
-    from repro.lint.rules.locking import Lock001FlockDiscipline
-    from repro.lint.rules.snapshot import Snap001IsLiteralAcrossPickle
-    from repro.lint.rules.wire import Wire001GridJsonSafety
-
-    rules = [
-        Async001BlockingInAsync(),
-        Det001UnseededNondeterminism(),
-        Det002HashSeedDependence(),
-        Lock001FlockDiscipline(),
-        Snap001IsLiteralAcrossPickle(),
-        Wire001GridJsonSafety(),
-    ]
-    return {rule.id: rule for rule in sorted(rules, key=lambda r: r.id)}
+RULES = {"DET001": det001, "DET002": det002, "SNAP001": snap001}

@@ -21,14 +21,12 @@ survive pickling by construction.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Optional
-
-from repro.lint.rules import Rule
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.engine import Finding, Module, Project
+    from repro.lint.engine import Module, Project
 
-__all__ = ["Snap001IsLiteralAcrossPickle"]
+__all__ = ["snap001"]
 
 
 def _sentinel_description(module: "Module", node: ast.expr) -> Optional[str]:
@@ -47,39 +45,28 @@ def _sentinel_description(module: "Module", node: ast.expr) -> Optional[str]:
     return None
 
 
-class Snap001IsLiteralAcrossPickle(Rule):
-    id = "SNAP001"
-    title = "is/is not against str/int literals on the snapshot restore path"
-    incident = (
-        "PR 6: ClcCoordinator/GlobalCoordinated compared their 2PC phase "
-        "against module-level string sentinels with `is`; unpickled "
-        "(non-interned) strings made the test false after every "
-        "checkpoint restore, silently wedging post-restore forced CLCs "
-        "until the resume-equivalence digests caught it."
-    )
-
-    def check(self, module: "Module", project: "Project") -> Iterator["Finding"]:
-        if module.name not in project.snapshot_closure():
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
+def snap001(module: "Module", project: "Project") -> Iterator[Tuple[ast.AST, str]]:
+    """``is``/``is not`` against str/int literals on the snapshot restore path."""
+    if module.name not in project.snapshot_closure():
+        return
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for index, op in enumerate(node.ops):
+            if not isinstance(op, (ast.Is, ast.IsNot)):
                 continue
-            for index, op in enumerate(node.ops):
-                if not isinstance(op, (ast.Is, ast.IsNot)):
-                    continue
-                lhs = node.left if index == 0 else node.comparators[index - 1]
-                rhs = node.comparators[index]
-                described = _sentinel_description(module, lhs) or _sentinel_description(
-                    module, rhs
-                )
-                if described is None:
-                    continue
-                verb = "is not" if isinstance(op, ast.IsNot) else "is"
-                yield module.finding(
-                    self.id,
-                    node,
-                    f"`{verb}` against {described}: identity does not survive "
-                    "the snapshot pickle boundary (unpickled strings/ints are "
-                    "equal, not identical) -- use ==/!= (the PR 6 restore "
-                    "divergence)",
-                )
+            lhs = node.left if index == 0 else node.comparators[index - 1]
+            rhs = node.comparators[index]
+            described = _sentinel_description(module, lhs) or _sentinel_description(
+                module, rhs
+            )
+            if described is None:
+                continue
+            verb = "is not" if isinstance(op, ast.IsNot) else "is"
+            yield (
+                node,
+                f"`{verb}` against {described}: identity does not survive "
+                "the snapshot pickle boundary (unpickled strings/ints are "
+                "equal, not identical) -- use ==/!= (the PR 6 restore "
+                "divergence)",
+            )

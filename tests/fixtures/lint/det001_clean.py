@@ -1,11 +1,12 @@
 """DET001 negative fixture: the sanctioned alternatives stay silent."""
 
 import random
+from random import Random
 
 
 def jitter(seed):
     rng = random.Random(seed)  # silent: per-run seeded stream
-    return rng.random()
+    return rng.random(), Random(seed), random.Random(x=seed)  # silent: seeded
 
 
 def env_mode(mode, seed):

@@ -4,11 +4,11 @@ Linted by ``tests/test_lint.py`` with a :class:`~repro.lint.engine.LintConfig`
 whose ``determinism_scopes`` include this module; never imported or run.
 """
 
-import os
+import os.path  # binds ``os``: the environ/getenv reads below still fire
 import random
 import time
 from datetime import datetime
-from random import shuffle
+from random import Random, SystemRandom, shuffle
 from time import perf_counter
 
 
@@ -19,6 +19,11 @@ def jitter():
 def reorder(items):
     shuffle(items)  # fires: from-imported global PRNG function
     return items
+
+
+def fresh_streams(seed):
+    # fires three times: no seed, and SystemRandom ignores the one it gets
+    return random.Random(), Random(), SystemRandom(seed)
 
 
 def stamp():

@@ -39,7 +39,12 @@ from repro.experiments.backends import (
     parse_hosts,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.registry import canonical_params, coerce_set_value
+from repro.experiments.registry import (
+    SCALE_PROFILES,
+    canonical_params,
+    coerce_set_value,
+    resolve_overrides,
+)
 from repro.experiments.remote_worker import run_job
 from repro.experiments.runner import SweepError, run_experiment
 
@@ -52,11 +57,14 @@ FIG67_TINY = {"delays_min": [5, 15], **TINY, "seed": 2}
 class TestGridPointsAreWireSafe:
     """Every registered grid point must survive the remote-job wire format."""
 
-    def test_every_grid_point_round_trips_through_json(self):
+    @pytest.mark.parametrize("scale", sorted(SCALE_PROFILES))
+    def test_every_grid_point_round_trips_through_json(self, scale):
+        """Every grid at every scale, ``full`` included: a value like a
+        ``{1: ...}`` key would reach a remote worker as a different point."""
         for exp in registry.all_experiments():
-            for params in exp.build_grid():
+            for params in exp.build_grid(resolve_overrides(exp, scale)):
                 wire = json.loads(json.dumps(params, sort_keys=True))
-                assert wire == params, f"{exp.name} point is lossy over JSON"
+                assert wire == params, f"{exp.name} point is lossy over JSON at {scale}"
                 assert canonical_params(params) == params
 
     def test_canonical_params_rejects_non_string_keys(self):

@@ -339,6 +339,31 @@ class TestJournalHardening:
         assert "ok0" in hosts and "ok1" in hosts
         assert "doomed" not in hosts  # the torn record is never served
 
+    def test_every_byte_lands_before_the_unlock(self, tmp_path, monkeypatch):
+        """The PR 8 torn journal: a buffered ``with open(path, "ab")`` writer
+        unlocked in a ``finally`` that ran before its close flushed, so the
+        bytes reached the file outside the lock.  Whatever the file holds
+        when the lock drops must be everything the append wrote."""
+        import os as _os
+
+        fcntl = pytest.importorskip("fcntl")
+        real_flock = fcntl.flock
+        sizes_at_unlock = []
+
+        def recording_flock(fd, operation):
+            if operation == fcntl.LOCK_UN:
+                fileno = fd if isinstance(fd, int) else fd.fileno()
+                sizes_at_unlock.append(_os.fstat(fileno).st_size)
+            return real_flock(fd, operation)
+
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(fcntl, "flock", recording_flock)
+        cache.journal_append([{"host": f"w{i}", "pad": "x" * 64} for i in range(3)])
+        monkeypatch.undo()
+
+        assert sizes_at_unlock == [cache.journal_path.stat().st_size]
+        assert len(cache.journal_entries()) == 3
+
     def test_torn_final_line_from_killed_appender_never_served(self, tmp_path):
         """A crash between write and newline leaves a torn tail; later
         appends land after it and both sides must parse correctly."""

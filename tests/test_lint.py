@@ -11,6 +11,9 @@ pattern:
   paired clean fixture -- a rule that cannot catch its own motivating
   incident is a bug here, not a shrug;
 * **machinery**: suppression comments, CLI exit codes and JSON output.
+
+A hazard whose whole target is one function is a direct test of that
+function instead (``docs/static-analysis.md``, "Retired rules").
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.lint import LintConfig, LintError, all_rules, run_lint
+from repro.lint import RULES, LintConfig, LintError, run_lint
 from repro.lint.engine import load_project
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -41,32 +44,28 @@ FIXTURE_CONFIG = LintConfig(
         "suppressed",
     ),
     snapshot_roots=("snap_pkg.snapshot",),
-    async_scopes=("async001_fires", "async001_clean"),
-    wire_scopes=("wire001_fires", "wire001_clean"),
 )
 
 #: rule id -> fixture that must make it fire (non-vacuity)
 FIRES_FIXTURES = {
-    "ASYNC001": "async001_fires.py",
     "DET001": "det001_fires.py",
     "DET002": "det002_fires.py",
-    "LOCK001": "lock001_fires.py",
     "SNAP001": "snap_pkg",
-    "WIRE001": "wire001_fires.py",
 }
 
 #: rule id -> fixture that must stay silent (no false positives)
 CLEAN_FIXTURES = {
-    "ASYNC001": "async001_clean.py",
     "DET001": "det001_clean.py",
     "DET002": "det002_clean.py",
-    "LOCK001": "lock001_clean.py",
-    "WIRE001": "wire001_clean.py",
 }
 
 
-def lint_fixture(name, rules=None):
-    return run_lint([FIXTURES / name], config=FIXTURE_CONFIG, rules=rules)
+def lint_fixture(name):
+    return run_lint([FIXTURES / name], config=FIXTURE_CONFIG)
+
+
+def findings_of(rule_id, name):
+    return [f for f in lint_fixture(name).findings if f.rule == rule_id]
 
 
 # ------------------------------------------------------------- tier-1 gate
@@ -80,7 +79,7 @@ class TestRepoIsClean:
         )
         # the run is real: it saw the whole package and every rule
         assert report.files_checked > 80
-        assert set(report.rules_run) == set(all_rules())
+        assert set(report.rules_run) == set(RULES)
 
     def test_every_src_suppression_states_a_reason(self):
         """``ignore[RULE]`` in src/ must carry a ``--`` justification."""
@@ -106,44 +105,51 @@ class TestRepoIsClean:
 
 class TestRuleFixtures:
     def test_registry_and_fixture_map_agree(self):
-        assert set(FIRES_FIXTURES) == set(all_rules())
+        assert set(FIRES_FIXTURES) == set(RULES)
 
     @pytest.mark.parametrize("rule_id", sorted(FIRES_FIXTURES))
     def test_rule_fires_on_seeded_violation(self, rule_id):
-        report = lint_fixture(FIRES_FIXTURES[rule_id], rules=[rule_id])
+        report = lint_fixture(FIRES_FIXTURES[rule_id])
         assert report.findings, f"{rule_id} is vacuous on its fixture"
         assert {f.rule for f in report.findings} == {rule_id}
 
     @pytest.mark.parametrize("rule_id", sorted(CLEAN_FIXTURES))
     def test_rule_silent_on_clean_fixture(self, rule_id):
-        report = lint_fixture(CLEAN_FIXTURES[rule_id], rules=[rule_id])
+        report = lint_fixture(CLEAN_FIXTURES[rule_id])
         assert not report.findings, "\n".join(
             f.format() for f in report.findings
         )
 
     def test_every_rule_documents_an_incident(self):
-        for rule in all_rules().values():
-            assert rule.incident != "?" and len(rule.incident) > 40
-            assert rule.title != "?"
+        """Each rule has a catalog row in the docs naming its incident."""
+        catalog = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
+        catalog = catalog.split("## Rule catalog")[1].split("\n## ")[0]
+        rows = {
+            row.split("`")[1]: row.split(" | ")[-1]
+            for row in catalog.splitlines()
+            if row.startswith("| `")
+        }
+        assert set(rows) == set(RULES)
+        assert all(len(incident) > 40 for incident in rows.values()), rows
 
     def test_det001_catches_each_entropy_shape(self):
-        report = lint_fixture("det001_fires.py", rules=["DET001"])
-        messages = " | ".join(f.message for f in report.findings)
-        assert len(report.findings) == 10
+        findings = findings_of("DET001", "det001_fires.py")
+        messages = " | ".join(f.message for f in findings)
+        assert len(findings) == 13
         assert "process-global PRNG" in messages
+        assert "os.urandom" in messages  # Random(), Random(), SystemRandom(seed)
         assert "wall clock" in messages
-        assert "os.environ" in messages
+        # found although the module says ``import os.path``, not ``import os``
+        assert "os.environ" in messages and "os.getenv" in messages
         assert "bare set" in messages
 
     def test_det002_spares_dunder_hash(self):
-        report = lint_fixture("det002_clean.py", rules=["DET002"])
-        assert not report.findings
-        report = lint_fixture("det002_fires.py", rules=["DET002"])
-        assert len(report.findings) == 2
+        assert not findings_of("DET002", "det002_clean.py")
+        assert len(findings_of("DET002", "det002_fires.py")) == 2
 
     def test_snap001_reconstructs_the_pr6_bug(self):
         """The PR 6 sentinel-`is` shape fires inside the closure only."""
-        report = lint_fixture("snap_pkg", rules=["SNAP001"])
+        report = lint_fixture("snap_pkg")
         by_file = {}
         for finding in report.findings:
             by_file.setdefault(Path(finding.path).name, []).append(finding)
@@ -155,40 +161,6 @@ class TestRuleFixtures:
         messages = " ".join(f.message for f in report.findings)
         assert "pickle boundary" in messages
         assert "_COMMITTING" in messages or "string sentinel" in messages
-
-    def test_lock001_reconstructs_the_pr8_bug(self):
-        report = lint_fixture("lock001_fires.py", rules=["LOCK001"])
-        messages = sorted(f.message for f in report.findings)
-        assert len(messages) == 2
-        assert any("never released" in m for m in messages)
-        assert any("buffered bytes outside the lock" in m for m in messages)
-
-    def test_lock001_accepts_the_fixed_shape(self):
-        # the sibling-nested-try shape of cache.py:_locked_append
-        report = lint_fixture("lock001_clean.py", rules=["LOCK001"])
-        assert not report.findings
-
-    def test_lock001_accepts_the_real_journal_appender(self):
-        cache = SRC / "experiments" / "cache.py"
-        report = run_lint([cache], rules=["LOCK001"])
-        assert not report.findings, "\n".join(
-            f.format() for f in report.findings
-        )
-
-    def test_async001_counts_each_blocking_call(self):
-        report = lint_fixture("async001_fires.py", rules=["ASYNC001"])
-        assert len(report.findings) == 5
-        messages = " | ".join(f.message for f in report.findings)
-        assert "run_experiment" in messages
-        assert "event loop" in messages
-
-    def test_wire001_flags_each_unserializable_value(self):
-        report = lint_fixture("wire001_fires.py", rules=["WIRE001"])
-        assert len(report.findings) == 9
-        messages = " | ".join(f.message for f in report.findings)
-        assert "not JSON-serializable" in messages
-        assert "canonical_params" in messages
-        assert "different point" in messages  # the {1: ...} -> {'1': ...} trap
 
 
 # ----------------------------------------------------------- suppressions
@@ -208,67 +180,56 @@ class TestSuppressions:
 
     def test_suppression_is_per_line(self):
         """A waiver on line N must not silence the same rule elsewhere."""
-        report = lint_fixture("det002_fires.py", rules=["DET002"])
-        assert len(report.findings) == 2  # nothing suppressed by other files
+        # nothing in det002_fires.py is silenced by another file's waivers
+        assert len(findings_of("DET002", "det002_fires.py")) == 2
 
 
 # -------------------------------------------------------------------- CLI
 
 
+@pytest.fixture()
+def seeded_tree(tmp_path):
+    """A ``repro.sim`` package in a scratch tree, so DET001's *default*
+    scope applies: ``bad.py`` reads the environment, ``ok.py`` is seeded."""
+    sim = tmp_path / "repro" / "sim"
+    sim.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (sim / "__init__.py").write_text("")
+    (sim / "bad.py").write_text("import os\n\n\ndef mode():\n    return os.getenv('MODE')\n")
+    (sim / "ok.py").write_text("import random\n\n\ndef rng(seed):\n    return random.Random(seed)\n")
+    return tmp_path
+
+
 class TestCli:
-    """LOCK001 is unscoped, so fixtures work under the CLI's default config."""
-
-    FIRES = str(FIXTURES / "lock001_fires.py")
-    CLEAN = str(FIXTURES / "lock001_clean.py")
-
-    def test_exit_one_on_findings(self, capsys):
-        assert main(["lint", self.FIRES]) == 1
+    def test_exit_one_on_findings(self, capsys, seeded_tree):
+        assert main(["lint", str(seeded_tree)]) == 1
         out = capsys.readouterr().out
-        assert "LOCK001" in out
-        assert "lock001_fires.py" in out
-        assert "finding(s)" in out
+        assert "DET001" in out
+        assert "bad.py" in out
+        assert "1 finding(s), 4 file(s), 3 rule(s)" in out
 
-    def test_exit_zero_on_clean(self, capsys):
-        assert main(["lint", self.CLEAN]) == 0
+    def test_exit_zero_on_clean(self, capsys, seeded_tree):
+        assert main(["lint", str(seeded_tree / "repro" / "sim" / "ok.py")]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_json_output(self, capsys):
-        assert main(["lint", self.FIRES, "--json"]) == 1
+    def test_json_output(self, capsys, seeded_tree):
+        assert main(["lint", str(seeded_tree), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {f["rule"] for f in payload["findings"]} == {"LOCK001"}
-        assert payload["files_checked"] == 1
-        assert "LOCK001" in payload["rules_run"]
+        assert {f["rule"] for f in payload["findings"]} == {"DET001"}
+        assert payload["files_checked"] == 4
+        assert payload["rules_run"] == sorted(RULES)
         finding = payload["findings"][0]
         assert set(finding) == {"rule", "path", "line", "col", "message"}
-
-    def test_rule_filter(self, capsys):
-        assert main(["lint", self.FIRES, "--rule", "ASYNC001"]) == 0
-        capsys.readouterr()
-
-    def test_unknown_rule_is_exit_two(self, capsys):
-        assert main(["lint", self.FIRES, "--rule", "NOPE999"]) == 2
-        assert "unknown rule id" in capsys.readouterr().err
 
     def test_missing_path_is_exit_two(self, capsys):
         assert main(["lint", "definitely/not/a/path.py"]) == 2
         assert "no such file" in capsys.readouterr().err
-
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in all_rules():
-            assert rule_id in out
-        assert "incident" in out
 
 
 # ------------------------------------------------------------- engine bits
 
 
 class TestEngine:
-    def test_unknown_rule_raises(self):
-        with pytest.raises(LintError, match="unknown rule"):
-            run_lint([FIXTURES / "det001_clean.py"], rules=["BOGUS1"])
-
     def test_unparsable_file_raises(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")

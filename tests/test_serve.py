@@ -345,6 +345,32 @@ class TestTieredPointFetch:
         entry = app.cache.journal_by_key()[key]
         assert entry["host"] == app.host_label
 
+    def test_healthz_answers_while_a_point_computes(
+        self, server, app, sleepy_experiment
+    ):
+        """The compute tier runs off the event loop: one blocking call made
+        inline in an ``async def`` would stall every connection."""
+        slow = []
+        fetch = threading.Thread(
+            target=lambda: slow.append(
+                http_get(server, "/experiments/serve-test-sleepy/points?index=0&delay=1.0")
+            )
+        )
+        fetch.start()
+        deadline = time.monotonic() + 10
+        while app._inflight == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert app._inflight == 1, "the 1 s compute never started"
+        started = time.monotonic()
+        status, _, _ = http_get(server, "/healthz")
+        elapsed = time.monotonic() - started
+        fetch.join(timeout=30)
+        assert not fetch.is_alive()
+        assert status == 200
+        assert elapsed < 0.25, f"/healthz took {elapsed:.2f} s behind a 1 s compute"
+        ((slow_status, slow_headers, _),) = slow
+        assert slow_status == 200 and slow_headers["X-Repro-Source"] == "computed"
+
 
 # ------------------------------------------------- keep-alive per version
 
