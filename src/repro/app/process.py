@@ -10,6 +10,29 @@ re-execution from the restored checkpoint.
 ``scripted_sender_factory`` drives deterministic scenarios (the Figure 5
 worked example, protocol unit tests): an explicit list of timed sends.
 
+Draws
+-----
+
+The stochastic loops run once per application message, so each computes
+its invariants once, when the process starts: the destination lottery's
+cumulative weights and total, the node counts, the mean and the end time.
+Each message then draws with the bound C methods of its stream's
+``random.Random`` (``Stream.rng``), using the stdlib's own arithmetic:
+
+* destination cluster -- ``choices[bisect(cum, random() * total, 0, hi)]``,
+  which is ``Random.choices(choices, weights, k=1)[0]``;
+* node -- a ``getrandbits(n.bit_length())`` rejection loop, which is
+  ``Random.randint(0, n - 1)``;
+* compute time -- ``-mean * log(u)``, redrawing while ``u <= 0.0``, which
+  is :meth:`repro.sim.random.Stream.exponential`.
+
+So every draw, and the generator state after it, is the one those methods
+make (``tests/test_sim_random_stats.py`` checks it).  The finite, positive
+weight total that ``Random.choices`` checked per draw is guaranteed by
+:class:`repro.config.application.ClusterAppSpec`.  Only the generator's own
+methods, ``log`` and ``bisect`` are bound; ``node.send_app`` is looked up
+per message (``docs/architecture.md`` §The per-message path).
+
 Snapshot support
 ----------------
 
@@ -27,6 +50,9 @@ streams, same yields, same sends.
 
 from __future__ import annotations
 
+from bisect import bisect
+from itertools import accumulate
+from math import log
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.network.message import Message, NodeId
@@ -36,6 +62,7 @@ from repro.sim.snapshot import GenSpec
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
     from repro.cluster.node import Node
+    from repro.config.application import ClusterAppSpec
 
 __all__ = ["compute_communicate_factory", "scripted_sender_factory"]
 
@@ -56,19 +83,31 @@ def compute_communicate_factory() -> AppFactory:
     return ComputeCommunicateFactory()
 
 
+def _destination_lottery(spec: "ClusterAppSpec", n_clusters: int) -> tuple:
+    """One slot per cluster plus "silence" (``None``), compiled once into
+    what ``Random.choices`` rebuilds on every call: ``(choices, cum, total,
+    hi)``.  A draw is then ``choices[bisect(cum, random() * total, 0, hi)]``,
+    which is ``Random.choices(choices, weights, k=1)[0]``."""
+    probs = [spec.probability_to(d) for d in range(n_clusters)]
+    cum = list(accumulate([*probs, max(0.0, 1.0 - sum(probs))]))
+    return [*range(n_clusters), None], cum, cum[-1] + 0.0, len(cum) - 1
+
+
 def _compute_communicate(
     node: "Node", federation: "Federation", _phase: Optional[dict] = None
 ):
     app = federation.application
     spec = app.spec_for(node.id.cluster)
     topology = federation.topology
-    stream = federation.streams.stream(f"app/{node.id}")
-    n_clusters = topology.n_clusters
-    # Destination lottery: one slot per cluster plus "silence".
-    probs = [spec.probability_to(d) for d in range(n_clusters)]
-    silence = max(0.0, 1.0 - sum(probs))
-    choices = [*range(n_clusters), None]
-    weights = [*probs, silence]
+    rng = federation.streams.stream(f"app/{node.id}").rng
+    choices, cum, total, hi = _destination_lottery(spec, topology.n_clusters)
+    sizes = [topology.nodes_in(d) for d in range(topology.n_clusters)]
+    my_cluster, my_node = node.id
+    mean = spec.mean_compute
+    size = spec.message_size
+    end = app.total_time
+    random = rng.random
+    getrandbits = rng.getrandbits
 
     ph = _phase if _phase is not None else {}
     gate = ph.get("at")
@@ -83,26 +122,32 @@ def _compute_communicate(
                 working = False
                 yield  # restored mid compute: pending Timeout resumes here
             else:
-                delay = stream.exponential(spec.mean_compute)
-                if node.sim.now + delay >= app.total_time:
+                u = random()  # Stream.exponential(mean)
+                while u <= 0.0:  # pragma: no cover - probability ~0
+                    u = random()
+                delay = -mean * log(u)
+                if node.sim.now + delay >= end:
                     # Work until the end of the application, then stop.
-                    remaining = app.total_time - node.sim.now
+                    remaining = end - node.sim.now
                     if remaining > 0:
                         ph["at"] = "drain"
                         yield Timeout(remaining)
                     return
                 ph["at"] = "work"
                 yield Timeout(delay)
-            dst_cluster = stream.choice(choices, weights=weights)
+            dst_cluster = choices[bisect(cum, random() * total, 0, hi)]
             if dst_cluster is None:
                 continue
-            n_nodes = topology.nodes_in(dst_cluster)
-            dst_node = stream.randint(0, n_nodes - 1)
-            if dst_cluster == node.id.cluster and dst_node == node.id.node:
+            n_nodes = sizes[dst_cluster]
+            k = n_nodes.bit_length()  # Random.randint(0, n_nodes - 1)
+            dst_node = getrandbits(k)
+            while dst_node >= n_nodes:
+                dst_node = getrandbits(k)
+            if dst_cluster == my_cluster and dst_node == my_node:
                 dst_node = (dst_node + 1) % n_nodes  # never message oneself
                 if n_nodes == 1:
                     continue
-            node.send_app(NodeId(dst_cluster, dst_node), spec.message_size)
+            node.send_app(NodeId(dst_cluster, dst_node), size)
     except Interrupt:
         return  # failure / rollback: the federation restarts us
 
@@ -128,6 +173,14 @@ class ExchangeFactory:
         request_size: int,
         reply_size: int,
     ):
+        # The loop draws straight from its stream's generator, which checks
+        # neither value; `not (in range)` refuses NaN too.
+        if not mean_compute > 0:
+            raise ValueError(f"mean_compute must be positive: {mean_compute}")
+        if not 0.0 <= request_probability <= 1.0:
+            raise ValueError(
+                f"request_probability must be in [0, 1]: {request_probability}"
+            )
         self.requester_cluster = requester_cluster
         self.responder_cluster = responder_cluster
         self.mean_compute = mean_compute
@@ -201,9 +254,12 @@ def _requester_loop(
     request_size: int,
     _phase: Optional[dict] = None,
 ):
-    app = federation.application
-    stream = federation.streams.stream(f"exchange/{node.id}")
+    end = federation.application.total_time
+    rng = federation.streams.stream(f"exchange/{node.id}").rng
     n_nodes = federation.topology.nodes_in(responder_cluster)
+    k = n_nodes.bit_length()
+    random = rng.random
+    getrandbits = rng.getrandbits
     ph = _phase if _phase is not None else {}
     gate = ph.get("at")
     try:
@@ -216,19 +272,27 @@ def _requester_loop(
                 working = False
                 yield
             else:
-                delay = stream.exponential(mean_compute)
-                if node.sim.now + delay >= app.total_time:
-                    remaining = app.total_time - node.sim.now
+                u = random()  # Stream.exponential(mean_compute)
+                while u <= 0.0:  # pragma: no cover - probability ~0
+                    u = random()
+                delay = -mean_compute * log(u)
+                if node.sim.now + delay >= end:
+                    remaining = end - node.sim.now
                     if remaining > 0:
                         ph["at"] = "drain"
                         yield Timeout(remaining)
                     return
                 ph["at"] = "work"
                 yield Timeout(delay)
-            if not stream.bernoulli(request_probability):
+            if not random() < request_probability:
                 continue
-            dst = NodeId(responder_cluster, stream.randint(0, n_nodes - 1))
-            node.send_app(dst, request_size, payload={"request": True})
+            dst_node = getrandbits(k)  # Random.randint(0, n_nodes - 1)
+            while dst_node >= n_nodes:
+                dst_node = getrandbits(k)
+            node.send_app(
+                NodeId(responder_cluster, dst_node), request_size,
+                payload={"request": True},
+            )
     except Interrupt:
         return
 

@@ -162,13 +162,17 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
 
 def _run_scenario(args: argparse.Namespace) -> int:
     if args.scenario:
-        scenario = load_scenario(args.scenario, args.scenario, args.scenario)
+        files = (args.scenario, args.scenario, args.scenario)
     elif args.topology and args.application and args.timers:
-        scenario = load_scenario(args.topology, args.application, args.timers)
+        files = (args.topology, args.application, args.timers)
     else:
         raise SystemExit(
             "either --scenario or all of --topology/--application/--timers required"
         )
+    try:
+        scenario = load_scenario(*files)
+    except ValueError as exc:  # a malformed or out-of-range value (NaN included)
+        raise SystemExit(f"hc3i-sim: {exc}") from None
     if args.protocol:
         scenario.protocol = args.protocol
     if args.seed is not None:

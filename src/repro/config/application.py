@@ -14,7 +14,9 @@ is "no communication this round".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
 __all__ = ["ApplicationConfig", "ClusterAppSpec"]
 
 #: Default application payload size in bytes (the paper does not report one;
@@ -34,17 +36,24 @@ class ClusterAppSpec:
     message_size: int = DEFAULT_MESSAGE_SIZE
 
     def __post_init__(self) -> None:
-        if self.mean_compute <= 0:
-            raise ValueError(f"mean_compute must be positive: {self.mean_compute}")
-        if self.message_size <= 0:
-            raise ValueError(f"message_size must be positive: {self.message_size}")
+        # Written as `not (in range)` so that NaN, which compares False
+        # with everything, is refused too: the application loop's
+        # destination lottery relies on a finite, positive weight total.
+        if not 0 < self.mean_compute < math.inf:
+            raise ValueError(
+                f"mean_compute must be positive and finite: {self.mean_compute}"
+            )
+        if not 0 < self.message_size < math.inf:
+            raise ValueError(
+                f"message_size must be positive and finite: {self.message_size}"
+            )
         total = 0.0
-        for p in self.send_probabilities:
-            if p < 0:
-                raise ValueError(f"negative send probability: {p}")
+        for i, p in enumerate(self.send_probabilities):
+            if not 0 <= p <= 1:
+                raise ValueError(f"send_probabilities[{i}] must be in [0, 1]: {p}")
             total += p
         if total > 1.0 + 1e-9:
-            raise ValueError(f"send probabilities sum to {total} > 1")
+            raise ValueError(f"send_probabilities sum to {total} > 1")
 
     def probability_to(self, dst_cluster: int) -> float:
         if 0 <= dst_cluster < len(self.send_probabilities):
@@ -77,8 +86,8 @@ class ApplicationConfig:
     def __post_init__(self) -> None:
         if not self.clusters:
             raise ValueError("application needs at least one cluster spec")
-        if self.total_time <= 0:
-            raise ValueError(f"total_time must be positive: {self.total_time}")
+        if not 0 < self.total_time < math.inf:
+            raise ValueError(f"total_time must be positive and finite: {self.total_time}")
 
     def spec_for(self, cluster: int) -> ClusterAppSpec:
         return self.clusters[cluster]

@@ -19,18 +19,27 @@ MINUTE = 60.0
 HOUR = 3600.0
 
 
-def _normalize_period(value: Optional[float]) -> Optional[float]:
+def _normalize_period(value: Optional[float], name: str) -> Optional[float]:
     if value is None:
         return None
     if isinstance(value, str):
         if value.lower() in ("inf", "infinite", "none"):
             return None
         value = float(value)
-    if math.isinf(value):
+    if value == math.inf:
         return None
-    if value <= 0:
-        raise ValueError(f"timer period must be positive or infinite: {value}")
+    if not value > 0:  # NaN and -inf too
+        raise ValueError(f"{name} must be positive or infinite: {value}")
     return value
+
+
+def _require_finite(name: str, value: float, low: float, inclusive: bool = False) -> None:
+    """Refuse ``value`` unless it is finite and above ``low`` (or equal to
+    it, if ``inclusive``).  Tested as ``not (in range)``, so NaN, which
+    compares False with everything, is refused too."""
+    if not (low <= value if inclusive else low < value) or value == math.inf:
+        bound = ">=" if inclusive else ">"
+        raise ValueError(f"{name} must be finite and {bound} {low}: {value}")
 
 
 @dataclass
@@ -75,24 +84,20 @@ class TimersConfig:
     heartbeat_timeout: float = 3.5
 
     def __post_init__(self) -> None:
-        self.clc_periods = [_normalize_period(p) for p in self.clc_periods]
-        self.gc_period = _normalize_period(self.gc_period)
-        if self.failure_detection_delay < 0:
-            raise ValueError("failure_detection_delay must be >= 0")
-        if self.checkpoint_restore_time < 0:
-            raise ValueError("checkpoint_restore_time must be >= 0")
-        if self.node_repair_time < 0:
-            raise ValueError("node_repair_time must be >= 0")
-        if self.node_state_size <= 0:
-            raise ValueError("node_state_size must be positive")
-        if self.gc_memory_threshold is not None and self.gc_memory_threshold <= 0:
-            raise ValueError("gc_memory_threshold must be positive or None")
+        self.clc_periods = [
+            _normalize_period(p, f"clc_periods[{i}]")
+            for i, p in enumerate(self.clc_periods)
+        ]
+        self.gc_period = _normalize_period(self.gc_period, "gc_period")
+        for name in ("failure_detection_delay", "checkpoint_restore_time", "node_repair_time"):
+            _require_finite(name, getattr(self, name), 0, inclusive=True)
+        _require_finite("node_state_size", self.node_state_size, 0)
+        if self.gc_memory_threshold is not None:
+            _require_finite("gc_memory_threshold", self.gc_memory_threshold, 0)
         if self.detector not in ("oracle", "heartbeat"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.heartbeat_period <= 0:
-            raise ValueError("heartbeat_period must be positive")
-        if self.heartbeat_timeout <= self.heartbeat_period:
-            raise ValueError("heartbeat_timeout must exceed heartbeat_period")
+        _require_finite("heartbeat_period", self.heartbeat_period, 0)
+        _require_finite("heartbeat_timeout", self.heartbeat_timeout, self.heartbeat_period)
 
     def clc_period_for(self, cluster: int) -> Optional[float]:
         """Unforced-CLC delay for a cluster (``None`` = infinite)."""

@@ -131,7 +131,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         entry = [self.now + delay, self._seq, fn, args]
         self._seq += 1
@@ -140,7 +140,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # NaN too
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
@@ -155,7 +155,7 @@ class Simulator:
         Equivalent to calling :meth:`schedule` per item (identical sequence
         numbers are assigned, in iteration order, so the dispatch stream is
         the same), but with the per-call overhead paid once.  Returns the
-        new event handles in order.  A negative delay raises after the
+        new event handles in order.  A negative or NaN delay raises after the
         earlier items were already scheduled, exactly as a loop of
         :meth:`schedule` calls would.
         """
@@ -167,7 +167,7 @@ class Simulator:
         try:
             for item in items:
                 delay = item[0]
-                if delay < 0:
+                if not delay >= 0:  # NaN too
                     raise SimulationError(
                         f"cannot schedule into the past (delay={delay})"
                     )
@@ -195,7 +195,7 @@ class Simulator:
         """
         if event is None or event[_ARGS] is not None:
             return self.schedule(delay, fn, *args)
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         event[_TIME] = self.now + delay
         event[_SEQ] = self._seq

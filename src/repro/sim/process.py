@@ -54,7 +54,7 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"negative timeout: {delay}")
         self.delay = delay
 

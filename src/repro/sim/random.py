@@ -8,6 +8,14 @@ flows" solve this with one stream per purpose; we do the same.
 
 Streams are derived deterministically from a root seed and the stream name
 via SHA-256, so stream independence does not depend on creation order.
+
+A :class:`Stream` exposes its generator as ``rng``, a plain
+:class:`random.Random`.  Cold paths draw through the methods below; the
+application loops (:mod:`repro.app.process`) run once per message, so they
+compile their draws once per process and call ``rng``'s C methods
+directly -- with exactly the arithmetic of ``Random.choices``,
+``Random.randint`` and :meth:`Stream.exponential`, so every draw is the one
+these methods would have made.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random as _stdlib_random
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 __all__ = ["RandomStreams", "Stream"]
 
@@ -28,54 +36,40 @@ def _derive_seed(root_seed: int, name: str) -> int:
 class Stream:
     """A single random stream with the distributions the simulator needs."""
 
-    __slots__ = ("name", "_rng", "_seed")
+    __slots__ = ("name", "rng", "_seed")
 
     def __init__(self, name: str, seed: int):
         self.name = name
         self._seed = seed
-        self._rng = _stdlib_random.Random(seed)
+        self.rng = _stdlib_random.Random(seed)
 
     # -- distributions --------------------------------------------------
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return self._rng.random()
+        return self.rng.random()
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high]."""
-        return self._rng.uniform(low, high)
+        return self.rng.uniform(low, high)
 
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given *mean* (not rate).
 
         Used for compute phases and MTBF-driven failure inter-arrival times.
         """
-        if mean <= 0:
+        if not mean > 0:  # NaN too
             raise ValueError(f"exponential mean must be > 0, got {mean}")
         # Inverse-CDF with guard against log(0).
-        u = self._rng.random()
+        u = self.rng.random()
         while u <= 0.0:  # pragma: no cover - probability ~0
-            u = self._rng.random()
+            u = self.rng.random()
         return -mean * math.log(u)
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._rng.randint(low, high)
-
-    def choice(self, seq: Sequence[Any], weights: Optional[Sequence[float]] = None) -> Any:
-        """Pick one element, optionally with relative weights."""
+    def choice(self, seq: Sequence[Any]) -> Any:
+        """Pick one element uniformly."""
         if not seq:
             raise IndexError("choice from empty sequence")
-        if weights is None:
-            return seq[self._rng.randrange(len(seq))]
-        if len(weights) != len(seq):
-            raise ValueError("weights length must match sequence length")
-        return self._rng.choices(seq, weights=weights, k=1)[0]
-
-    def bernoulli(self, p: float) -> bool:
-        """True with probability ``p``."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must be in [0,1], got {p}")
-        return self._rng.random() < p
+        return seq[self.rng.randrange(len(seq))]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Stream {self.name!r} seed={self._seed}>"

@@ -1,6 +1,12 @@
 """Unit tests for the three configuration files and the loader."""
 
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +44,21 @@ class TestClusterAppSpec:
         spec = ClusterAppSpec(mean_compute=5.0, send_probabilities=[0.2], message_size=99)
         assert ClusterAppSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("mean_compute", {"mean_compute": math.nan}),
+            ("mean_compute", {"mean_compute": math.inf}),
+            ("send_probabilities[1]", {"send_probabilities": [0.5, math.nan]}),
+            ("message_size", {"message_size": math.nan}),
+            ("message_size", {"message_size": math.inf}),
+        ],
+    )
+    def test_non_finite_rejected_by_name(self, field, kwargs):
+        """NaN compares False with everything, so `x <= 0` let it through."""
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ClusterAppSpec(**{"mean_compute": 1.0, **kwargs})
+
 
 class TestApplicationConfig:
     def test_expected_messages(self):
@@ -56,6 +77,13 @@ class TestApplicationConfig:
         with pytest.raises(ValueError):
             ApplicationConfig(
                 clusters=[ClusterAppSpec(mean_compute=1.0)], total_time=0.0
+            )
+
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, total_time):
+        with pytest.raises(ValueError, match="total_time"):
+            ApplicationConfig(
+                clusters=[ClusterAppSpec(mean_compute=1.0)], total_time=total_time
             )
 
     def test_roundtrip(self):
@@ -92,6 +120,26 @@ class TestTimersConfig:
             TimersConfig(failure_detection_delay=-1.0)
         with pytest.raises(ValueError):
             TimersConfig(node_state_size=0)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("clc_periods[1]", {"clc_periods": [60.0, math.nan]}),
+            ("clc_periods[0]", {"clc_periods": ["nan"]}),
+            ("clc_periods[0]", {"clc_periods": [-math.inf]}),
+            ("gc_period", {"gc_period": math.nan}),
+            ("failure_detection_delay", {"failure_detection_delay": math.nan}),
+            ("checkpoint_restore_time", {"checkpoint_restore_time": math.nan}),
+            ("node_repair_time", {"node_repair_time": math.inf}),
+            ("node_state_size", {"node_state_size": math.nan}),
+            ("gc_memory_threshold", {"gc_memory_threshold": math.nan}),
+            ("heartbeat_period", {"heartbeat_period": math.nan}),
+            ("heartbeat_timeout", {"heartbeat_timeout": math.nan}),
+        ],
+    )
+    def test_non_finite_rejected_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            TimersConfig(**kwargs)
 
     def test_roundtrip(self):
         t = TimersConfig(clc_periods=[30 * MINUTE, None], gc_period=2 * HOUR)
@@ -192,3 +240,26 @@ class TestScenario:
         results = fed.run()
         assert results.duration == 300.0
         assert results.clc_counts(0)["total"] >= 1
+
+
+def test_hc3i_sim_refuses_a_nan_in_a_scenario_file(tmp_path):
+    """Python's json reads `NaN`; the run must stop at the file, not in the
+    heap, and without a traceback."""
+    repo = Path(__file__).resolve().parents[1]
+    shipped = repo / "examples" / "scenario_files"
+    app = json.loads((shipped / "application.json").read_text())
+    app["clusters"][0]["mean_compute"] = math.nan
+    (tmp_path / "application.json").write_text(json.dumps(app))
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli",
+            "--topology", str(shipped / "topology.json"),
+            "--application", str(tmp_path / "application.json"),
+            "--timers", str(shipped / "timers.json"),
+        ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode != 0
+    assert "Traceback" not in result.stderr
+    assert "mean_compute" in result.stderr

@@ -1,8 +1,15 @@
 """Tests for the request/response exchange workload (§2.1)."""
 
+import dataclasses
+import hashlib
+import math
+
+import pytest
+
 from repro.app.process import exchange_factory
 from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.network.message import NodeId
+from repro.sim import trace_digest
 from tests.conftest import make_federation
 
 
@@ -19,6 +26,36 @@ def exchange_fed(clc_period=120.0, total_time=2000.0, seed=5, **kw):
 
 
 class TestExchangePattern:
+    def test_run_is_pinned(self):
+        """No golden covers this workload, so its dispatch stream and its
+        results are pinned here: the requester loop's draws must stay the
+        stdlib's, bit for bit."""
+        with trace_digest.capture() as digest:
+            results = exchange_fed().run()
+        assert digest.summary() == {
+            "digest": "e497f2601886f541f5df2df9a8f1b13d",
+            "events": 2325,
+        }
+        assert results.messages == {(0, 0): 0, (0, 1): 95, (1, 0): 95, (1, 1): 0}
+        assert results.protocol_messages == 2031
+        assert hashlib.sha256(repr(dataclasses.asdict(results)).encode()).hexdigest() == (
+            "aa5e28d990b719b85ed1dc5a325eb34189eede6036f5671beb44dba0e513e6a4"
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mean_compute": 0.0},
+            {"mean_compute": math.nan},
+            {"request_probability": 1.5},
+            {"request_probability": math.nan},
+        ],
+        ids=["mean-zero", "mean-nan", "probability-above-one", "probability-nan"],
+    )
+    def test_out_of_range_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            exchange_factory(**kwargs)
+
     def test_every_request_gets_a_reply(self):
         fed = exchange_fed()
         results = fed.run()

@@ -9,24 +9,34 @@ exact, so that is what is budgeted here: per ``Fabric.send``, and in
 particular no Python-level hashing or comparing of node ids and message
 kinds, and no statistics-registry lookup per message.
 
+The application loop is the other half of an application message: its
+compute time, destination cluster and node are drawn with the stdlib's
+arithmetic, computed once per process (``repro.app.process``), so the
+standard library's ``random.py`` is counted too -- a draw that falls back
+to ``Random.choices``/``randint`` shows up there.
+
 Only frames whose code lives under ``src/repro`` or in the standard
-library's ``enum.py`` are counted (C builtins are not profiled at all), so
-interpreter versions agree.
+library's ``enum.py`` or ``random.py`` are counted (C builtins are not
+profiled at all), so interpreter versions agree.
 """
 
 import cProfile
 import os
 import pstats
+import random
 
 import pytest
 
 import repro
+from repro.app.workloads import pipeline_workload
+from repro.cluster.federation import Federation
 from repro.experiments import registry
 
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 MESSAGE_PY = os.path.join(SRC_ROOT, "network", "message.py")
 FABRIC_PY = os.path.join(SRC_ROOT, "network", "fabric.py")
 STATS_PY = os.path.join(SRC_ROOT, "sim", "stats.py")
+RANDOM_PY = os.path.abspath(random.__file__)
 
 TOURNAMENT = registry.get("protocol-tournament").build_grid(
     {"nodes": 4, "total_time": 1800.0, "seed": 5}
@@ -44,7 +54,11 @@ def profiled_calls(fn, *args) -> dict:
     calls: dict = {}
     stats = pstats.Stats(profile).stats  # type: ignore[attr-defined]
     for (filename, _line, func), row in stats.items():
-        if filename.startswith(SRC_ROOT) or os.path.basename(filename) == "enum.py":
+        if (
+            filename.startswith(SRC_ROOT)
+            or os.path.basename(filename) == "enum.py"
+            or os.path.abspath(filename) == RANDOM_PY
+        ):
             calls[(filename, func)] = calls.get((filename, func), 0) + row[1]
     return calls
 
@@ -70,6 +84,22 @@ def test_a_message_stays_inside_its_call_budget():
     assert python_level_comparisons(calls) == {}
     # bounded by the number of metrics, not by the number of messages
     assert calls[(STATS_PY, "_get")] <= 250
+
+
+def test_an_application_message_stays_inside_its_call_budget():
+    """An application-heavy run: nearly every send is an application send."""
+    topology, application, timers = pipeline_workload(
+        nodes_per_stage=4, n_stages=3, total_time=600.0, mean_compute=5.0
+    )
+    fed = Federation(topology, application, timers, protocol="hc3i", seed=3)
+    calls = profiled_calls(fed.run)
+    sends = calls[(FABRIC_PY, "send")]
+    assert sends == 1462  # the run is exact for its seed: so is the budget
+    assert sum(calls.values()) / sends <= 16
+    # seeding a stream's Random is all random.py may cost: no draw goes
+    # through Random.choices/randint/randrange
+    in_random_py = sum(n for (filename, _func), n in calls.items() if filename == RANDOM_PY)
+    assert in_random_py <= 2 * len(fed.streams)
 
 
 @pytest.mark.parametrize("params", TOURNAMENT, ids=[p["label"] for p in TOURNAMENT])

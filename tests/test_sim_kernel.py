@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
+
 import pytest
 
 from repro.sim.kernel import Simulator, SimulationError
@@ -50,6 +52,21 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
+
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "schedule_many", "reschedule"])
+    def test_nan_time_rejected(self, sim, entry):
+        """`delay < 0` is False for NaN, which then broke the heap's order."""
+        fired = sim.schedule(1.0, lambda: None)
+        sim.run()
+        calls = {
+            "schedule": lambda: sim.schedule(math.nan, lambda: None),
+            "schedule_at": lambda: sim.schedule_at(math.nan, lambda: None),
+            "schedule_many": lambda: sim.schedule_many([(math.nan, lambda: None)]),
+            "reschedule": lambda: sim.reschedule(fired, math.nan, lambda: None),
+        }
+        with pytest.raises(SimulationError):
+            calls[entry]()
+        assert sim.pending == 0
 
     def test_callback_args_passed(self, sim):
         seen = []

@@ -50,6 +50,10 @@ class TestTimeout:
         with pytest.raises(ValueError):
             Timeout(-1.0)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ValueError):
+            Timeout(float("nan"))
+
     def test_first_step_runs_via_event(self, sim):
         log = []
 

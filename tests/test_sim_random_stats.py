@@ -1,10 +1,15 @@
 """Unit tests for random streams, statistics collectors, timers, tracing."""
 
 import math
+from bisect import bisect
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.random import RandomStreams
+from repro.app.process import _destination_lottery
+from repro.config.application import ClusterAppSpec
+from repro.sim.random import RandomStreams, Stream
 from repro.sim.stats import Counter, Series, StatsRegistry, Tally, TimeWeighted
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLevel, Tracer
@@ -22,10 +27,9 @@ class TestRandomStreams:
         assert a != b
 
     def test_reproducible_across_instances(self):
-        xs = [RandomStreams(7).stream("x").random() for _ in range(3)]
-        ys = [RandomStreams(7).stream("x").random() for _ in range(3)]
+        a, b = RandomStreams(7).stream("x"), RandomStreams(7).stream("x")
         # fresh registries replay identical sequences
-        assert xs[0] == ys[0]
+        assert [a.random() for _ in range(3)] == [b.random() for _ in range(3)]
 
     def test_creation_order_does_not_matter(self):
         rs1 = RandomStreams(3)
@@ -56,36 +60,87 @@ class TestRandomStreams:
         st = RandomStreams(0).stream("u")
         assert all(2.0 <= st.uniform(2.0, 5.0) <= 5.0 for _ in range(1000))
 
-    def test_randint_bounds(self):
-        st = RandomStreams(0).stream("i")
-        values = {st.randint(0, 3) for _ in range(200)}
-        assert values == {0, 1, 2, 3}
-
     def test_choice_uniform(self):
         st = RandomStreams(0).stream("c")
         assert all(st.choice("xyz") in "xyz" for _ in range(100))
-
-    def test_choice_weighted_respects_zero(self):
-        st = RandomStreams(0).stream("w")
-        picks = {st.choice(["a", "b"], weights=[1.0, 0.0]) for _ in range(100)}
-        assert picks == {"a"}
 
     def test_choice_empty_raises(self):
         with pytest.raises(IndexError):
             RandomStreams(0).stream("c2").choice([])
 
-    def test_choice_weight_length_mismatch(self):
-        with pytest.raises(ValueError):
-            RandomStreams(0).stream("c3").choice([1, 2], weights=[1.0])
 
-    def test_bernoulli_probability(self):
-        st = RandomStreams(0).stream("b")
-        hits = sum(st.bernoulli(0.3) for _ in range(20000))
-        assert hits / 20000 == pytest.approx(0.3, abs=0.02)
+#: consecutive draws per example: enough that the generator state after
+#: the first draw is compared too, not just the first value
+DRAWS = 64
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+PROBABILITIES = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    min_size=1,
+    max_size=6,
+)
 
-    def test_bernoulli_invalid(self):
+
+def node_draw(getrandbits, n):
+    """The node draw ``repro.app.process`` inlines per message."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+class TestDrawsMatchTheStdlib:
+    """The application loops draw with the stdlib's own arithmetic, computed
+    once per process; every draw, and the generator state after it, must be
+    the one the stdlib method would have made."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=PROBABILITIES, seed=SEEDS)
+    def test_lottery_is_choices(self, raw, seed):
+        # 1-6 clusters, zero weights, and a silence slot that may be empty
+        total = sum(raw)
+        probs = [p / total for p in raw] if total > 1.0 else raw
+        spec = ClusterAppSpec(mean_compute=1.0, send_probabilities=probs)
+        choices, cum, cum_total, hi = _destination_lottery(spec, len(probs))
+        weights = [*probs, max(0.0, 1.0 - sum(probs))]
+        ours, ref = Random(seed), Random(seed)
+        for _ in range(DRAWS):
+            drawn = choices[bisect(cum, ours.random() * cum_total, 0, hi)]
+            assert drawn == ref.choices(choices, weights, k=1)[0]
+        assert ours.getstate() == ref.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=300), seed=SEEDS)
+    def test_node_draw_is_randint(self, n, seed):
+        ours, ref = Random(seed), Random(seed)
+        for _ in range(DRAWS):
+            assert node_draw(ours.getrandbits, n) == ref.randint(0, n - 1)
+        assert ours.getstate() == ref.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(mean=st.floats(min_value=1e-3, max_value=1e6), seed=SEEDS)
+    def test_delay_is_stream_exponential(self, mean, seed):
+        ours, ref = Random(seed), Stream("ref", seed)
+        for _ in range(DRAWS):
+            u = ours.random()
+            while u <= 0.0:  # pragma: no cover - probability ~0
+                u = ours.random()
+            assert -mean * math.log(u) == ref.exponential(mean)
+        assert ours.getstate() == ref.rng.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(min_value=0.0, max_value=1.0), seed=SEEDS)
+    def test_request_gate_is_random_below_p(self, p, seed):
+        ours, ref = Random(seed), Random(seed)
+        random = ours.random
+        for _ in range(DRAWS):
+            skipped = not random() < p  # the requester loop's gate
+            assert skipped == (not ref.random() < p)
+        assert ours.getstate() == ref.getstate()
+
+    def test_exponential_refuses_nan_mean(self):
         with pytest.raises(ValueError):
-            RandomStreams(0).stream("b2").bernoulli(1.5)
+            Stream("e", 1).exponential(math.nan)
 
 
 class TestCounter:
