@@ -115,6 +115,7 @@ class ClcCicProtocol(LineProtocol, GhostCuts):
     rollback_cause = "ghost-line"
     #: in-transit messages replay from the sender logs: only ghosts propagate
     propagate = (GHOST,)
+    option_keys = frozenset({"predicate"})
 
     def __init__(self, federation, options: Optional[dict] = None):
         LineProtocol.__init__(self, federation, options)

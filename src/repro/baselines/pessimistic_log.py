@@ -43,11 +43,12 @@ _REPLICA = MessageKind.REPLICA
 class PessimisticLogProtocol(BaseProtocol):
     """Log everything; roll back only the crashed node."""
 
+    #: per-node replay cost in seconds per logged message
+    REPLAY_COST = 1e-4
+
     def __init__(self, federation, options: Optional[dict] = None):
         super().__init__(federation, options)
         self._agents: dict = {}
-        #: per-node replay cost in seconds per logged message
-        self.replay_cost = float(self.options.get("replay_cost", 1e-4))
 
     def make_agent(self, node: "Node") -> "PessimisticAgent":
         agent = PessimisticAgent(self, node)
@@ -73,7 +74,7 @@ class PessimisticLogProtocol(BaseProtocol):
             replayed=agent.received_since_checkpoint,
         )
         delay = recovery_delay(fed, node)
-        delay += agent.received_since_checkpoint * self.replay_cost
+        delay += agent.received_since_checkpoint * self.REPLAY_COST
         self.sim.schedule(delay, self._complete_recovery, node)
 
     def _complete_recovery(self, node: "Node") -> None:

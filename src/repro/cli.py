@@ -171,23 +171,23 @@ def _run_scenario(args: argparse.Namespace) -> int:
         )
     try:
         scenario = load_scenario(*files)
-    except ValueError as exc:  # a malformed or out-of-range value (NaN included)
+        if args.protocol:
+            scenario.protocol = args.protocol
+        if args.seed is not None:
+            scenario.seed = args.seed
+        fed = Federation(
+            scenario.topology,
+            scenario.application,
+            scenario.timers,
+            protocol=scenario.protocol,
+            protocol_options=scenario.protocol_options,
+            seed=scenario.seed,
+            trace_level=TraceLevel[args.trace.upper()],
+        )
+    except ValueError as exc:  # an unknown key, or a malformed or out-of-range value
         raise SystemExit(f"hc3i-sim: {exc}") from None
-    if args.protocol:
-        scenario.protocol = args.protocol
-    if args.seed is not None:
-        scenario.seed = args.seed
     from repro.analysis.oracle import attach_oracle
 
-    fed = Federation(
-        scenario.topology,
-        scenario.application,
-        scenario.timers,
-        protocol=scenario.protocol,
-        protocol_options=scenario.protocol_options,
-        seed=scenario.seed,
-        trace_level=TraceLevel[args.trace.upper()],
-    )
     oracle = attach_oracle(fed)
     results = fed.run(until=args.until)
     verdict = oracle.check()

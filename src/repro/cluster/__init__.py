@@ -5,8 +5,9 @@
   inter-process message and talks to the protocol agent,
 * :class:`~repro.cluster.storage.StableStorage` -- checkpoint data
   replicated "in the memory of an other node in the cluster" (§3.1),
-* :mod:`~repro.cluster.failures` -- MTBF-driven fail-stop injection and the
-  (out-of-scope-in-the-paper) failure detector,
+* :mod:`~repro.cluster.failures` -- MTBF-driven fail-stop injection, one
+  fault at a time, each reported by a fixed-latency oracle (the paper puts
+  the failure detector out of scope),
 * :class:`~repro.cluster.federation.Federation` -- wires topology,
   application, timers and a protocol into a runnable simulation.
 """

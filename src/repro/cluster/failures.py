@@ -9,7 +9,10 @@ before arming the next fault.
 The failure *detector* is explicitly out of the paper's scope ("the
 description of the failure detector is out of the scope of this paper",
 §3.4); it is modelled as an oracle that reports the crash to the protocol
-after a configurable delay.
+after a configurable delay.  Simultaneous faults (two clusters recovering
+at once) only arrive through :meth:`Federation.inject_failure`, which a
+``failures`` schedule of :func:`repro.experiments.common.run_federation`
+calls, never from the MTBF draw.
 """
 
 from __future__ import annotations
@@ -29,26 +32,17 @@ __all__ = ["FailureInjector"]
 class FailureInjector:
     """MTBF-driven fault injector.
 
-    By default exactly one fault is in flight at a time (the paper's §2.1
-    assumption).  With ``allow_simultaneous=True`` (the §7 extension:
-    "the protocol should tolerate simultaneous faults in different
-    clusters") the injector keeps arming faults while earlier ones are
-    still recovering, as long as the victim's *cluster* is healthy -- the
-    degree-k stable storage bounds how many faults a single cluster can
-    absorb at once, so victims are never drawn from a recovering cluster.
+    Exactly one fault is in flight at a time (the paper's §2.1
+    assumption): after each crash the injector waits for the faulty
+    cluster to recover before arming the next one, and it never draws a
+    victim from a cluster that is still recovering.
     """
 
-    def __init__(
-        self,
-        federation: "Federation",
-        mtbf: float,
-        allow_simultaneous: bool = False,
-    ):
+    def __init__(self, federation: "Federation", mtbf: float):
         if mtbf <= 0:
             raise ValueError(f"MTBF must be positive: {mtbf}")
         self.federation = federation
         self.mtbf = mtbf
-        self.allow_simultaneous = allow_simultaneous
         self.stream = federation.streams.stream("failures")
         self.injected = 0
         self._process: Optional[Process] = None
@@ -82,14 +76,11 @@ class FailureInjector:
             node = self._pick_victim()
             if node is None:
                 continue
-            # With a heartbeat detector installed, detection happens via
-            # missed probes rather than the oracle callback.
-            self.inject(node.id, detect=fed.detector is None)
-            if not self.allow_simultaneous:
-                # One fault at a time: wait until the protocol reports the
-                # faulty cluster recovered before arming the next one.
-                ph["at"] = "recovery"
-                yield fed.recovery_signal(node.id.cluster)
+            self.inject(node.id)
+            # One fault at a time: wait until the protocol reports the
+            # faulty cluster recovered before arming the next one.
+            ph["at"] = "recovery"
+            yield fed.recovery_signal(node.id.cluster)
 
     def _cluster_healthy(self, cluster_index: int) -> bool:
         runtime = self.federation.clusters[cluster_index]
@@ -110,8 +101,9 @@ class FailureInjector:
         return self.stream.choice(candidates)
 
     # ------------------------------------------------------------------
-    def inject(self, node_id: NodeId, detect: bool = True) -> None:
-        """Crash a node now (also usable directly from tests/examples)."""
+    def inject(self, node_id: NodeId) -> None:
+        """Crash a node now and have the oracle report it after the
+        ``failure_detection_delay`` (also usable from tests/examples)."""
         fed = self.federation
         node = fed.node(node_id)
         if not node.up:
@@ -120,10 +112,7 @@ class FailureInjector:
         fed.stats.counter("failures/injected").inc()
         fed.tracer.protocol("node_failed", cluster=node_id.cluster, node=node_id.node)
         node.fail()
-        if detect:
-            fed.sim.schedule(
-                fed.timers.failure_detection_delay, self._detect, node
-            )
+        fed.sim.schedule(fed.timers.failure_detection_delay, self._detect, node)
 
     def _detect(self, node) -> None:
         if node.up:

@@ -54,7 +54,6 @@ class Federation:
         seed: int = 0,
         trace_level: TraceLevel = TraceLevel.NONE,
         app_factory=None,
-        allow_simultaneous_faults: bool = False,
     ):
         if len(application.clusters) != topology.n_clusters:
             raise ValueError(
@@ -98,19 +97,9 @@ class Federation:
             app_factory = compute_communicate_factory()
         self.app_factory = app_factory
 
-        self.allow_simultaneous_faults = allow_simultaneous_faults
         self.injector = (
-            FailureInjector(self, topology.mtbf, allow_simultaneous_faults)
-            if topology.failures_enabled
-            else None
+            FailureInjector(self, topology.mtbf) if topology.failures_enabled else None
         )
-        self.detector = None
-        if timers.detector == "heartbeat":
-            from repro.cluster.detector import HeartbeatDetector
-
-            self.detector = HeartbeatDetector(
-                self, timers.heartbeat_period, timers.heartbeat_timeout
-            )
         self._recovery_signals: dict = {}
         self._started = False
 
@@ -125,8 +114,6 @@ class Federation:
         for cluster in self.clusters:
             for node in cluster.nodes:
                 self._start_app(node)
-        if self.detector is not None:
-            self.detector.start()
         if self.injector is not None:
             self.injector.start()
 
@@ -195,20 +182,14 @@ class Federation:
         if sig is not None and not sig.triggered:
             sig.trigger(cluster)
 
-    def inject_failure(self, node_id: NodeId, detect: Optional[bool] = None) -> None:
-        """Crash a node on demand (examples / tests).
-
-        With the heartbeat detector active, detection happens through the
-        missed heartbeats; otherwise the oracle reports after the
-        configured ``failure_detection_delay``.
-        """
+    def inject_failure(self, node_id: NodeId) -> None:
+        """Crash a node on demand (examples / tests); the oracle detector
+        reports it after the configured ``failure_detection_delay``."""
         injector = self.injector
         if injector is None:
             injector = FailureInjector(self, mtbf=1.0)
             self.injector = injector
-        if detect is None:
-            detect = self.detector is None
-        injector.inject(node_id, detect=detect)
+        injector.inject(node_id)
 
     # ------------------------------------------------------------------
     # results

@@ -22,8 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ClusterRuntime", "Node"]
 
-_HEARTBEAT = MessageKind.HEARTBEAT
-
 
 class Node:
     """One machine of the federation."""
@@ -46,9 +44,6 @@ class Node:
         self._stats = None
         #: this node's app/delivered/c{i} counter, opened by the first delivery
         self._delivered = None
-        #: optional system-level interceptor (e.g. the heartbeat detector);
-        #: returning True consumes the message before the protocol agent
-        self.system_hook: Optional[Callable[[Message], bool]] = None
         self.failures = 0
         self.fabric.register(node_id, self._on_fabric_delivery)
 
@@ -87,14 +82,9 @@ class Node:
         agent = self.agent
         assert agent is not None
         if not self.up:
-            if msg.kind is not _HEARTBEAT and agent.buffer_while_down(msg):
+            if agent.buffer_while_down(msg):
                 self._held.append(msg)
             return
-        hook = self.system_hook
-        if hook is not None and hook(msg):
-            return
-        if msg.kind is _HEARTBEAT:
-            return  # no detector installed: liveness probes are inert
         agent.on_receive(msg)
 
     def deliver_app(self, msg: Message) -> None:

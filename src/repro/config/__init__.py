@@ -2,8 +2,8 @@
 
 The original simulator is "configurable.  The user has to provide three
 files: a topology file, an application file and a timer file" (§5.1).  This
-subpackage provides the corresponding dataclasses, JSON/dict (de)serializers
-and validation:
+subpackage provides the corresponding dataclasses, their strict JSON/dict
+readers (an unknown key is refused by name) and validation:
 
 * :class:`~repro.network.topology.Topology` -- clusters, per-cluster SAN
   parameters, inter-cluster triangular link matrix, federation MTBF,
@@ -16,7 +16,7 @@ and validation:
 
 from repro.config.application import ApplicationConfig, ClusterAppSpec
 from repro.config.timers import TimersConfig
-from repro.config.loader import ScenarioConfig, load_scenario, topology_from_dict, topology_to_dict
+from repro.config.loader import ScenarioConfig, load_scenario, topology_from_dict
 
 __all__ = [
     "ApplicationConfig",
@@ -25,5 +25,4 @@ __all__ = [
     "TimersConfig",
     "load_scenario",
     "topology_from_dict",
-    "topology_to_dict",
 ]

@@ -15,7 +15,9 @@ is "no communication this round".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.config.keys import refuse_unknown_keys
 
 __all__ = ["ApplicationConfig", "ClusterAppSpec"]
 
@@ -60,15 +62,9 @@ class ClusterAppSpec:
             return self.send_probabilities[dst_cluster]
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_compute": self.mean_compute,
-            "send_probabilities": list(self.send_probabilities),
-            "message_size": self.message_size,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterAppSpec":
+        refuse_unknown_keys("application cluster", data, (f.name for f in fields(cls)))
         return cls(
             mean_compute=data["mean_compute"],
             send_probabilities=list(data.get("send_probabilities", [])),
@@ -103,14 +99,9 @@ class ApplicationConfig:
         rounds = self.total_time / spec.mean_compute
         return nodes * rounds * spec.probability_to(dst)
 
-    def to_dict(self) -> dict:
-        return {
-            "clusters": [c.to_dict() for c in self.clusters],
-            "total_time": self.total_time,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ApplicationConfig":
+        refuse_unknown_keys("application", data, (f.name for f in fields(cls)))
         return cls(
             clusters=[ClusterAppSpec.from_dict(c) for c in data["clusters"]],
             total_time=data["total_time"],

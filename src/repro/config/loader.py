@@ -1,22 +1,24 @@
-"""Loading and saving scenario configuration (the three JSON files).
+"""Loading scenario configuration (the three JSON files).
 
 ``load_scenario`` reads the paper's three configuration files (topology,
 application, timers) and bundles them into a :class:`ScenarioConfig` ready
-to hand to :class:`~repro.cluster.federation.Federation`.
+to hand to :class:`~repro.cluster.federation.Federation`.  Every reader
+refuses keys it does not know (:func:`repro.config.keys.refuse_unknown_keys`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.config.application import ApplicationConfig
+from repro.config.keys import refuse_unknown_keys
 from repro.config.timers import TimersConfig
 from repro.network.topology import ClusterSpec, LinkSpec, Topology
 
-__all__ = ["ScenarioConfig", "load_scenario", "topology_from_dict", "topology_to_dict"]
+__all__ = ["ScenarioConfig", "load_scenario", "topology_from_dict"]
 
 PathLike = Union[str, Path]
 
@@ -35,44 +37,27 @@ def topology_from_dict(data: dict) -> Topology:
           "mtbf": 86400.0            # optional; omit for no failures
         }
     """
+    refuse_unknown_keys(
+        "topology", data, ("clusters", "inter_links", "default_inter_link", "mtbf")
+    )
     clusters = []
     for c in data["clusters"]:
+        refuse_unknown_keys("topology cluster", c, ("name", "nodes", "latency", "bandwidth"))
         link = LinkSpec(latency=c.get("latency", 10e-6), bandwidth=c.get("bandwidth", 80e6))
         clusters.append(ClusterSpec(name=c["name"], nodes=c["nodes"], link=link))
     inter = {}
     for entry in data.get("inter_links", []):
+        refuse_unknown_keys("topology inter_links", entry, ("between", "latency", "bandwidth"))
         i, j = entry["between"]
         inter[(i, j)] = LinkSpec(latency=entry["latency"], bandwidth=entry["bandwidth"])
     default = data.get("default_inter_link")
     kwargs = {}
     if default is not None:
+        refuse_unknown_keys("topology default_inter_link", default, ("latency", "bandwidth"))
         kwargs["default_inter_link"] = LinkSpec(
             latency=default["latency"], bandwidth=default["bandwidth"]
         )
     return Topology(clusters=clusters, inter_links=inter, mtbf=data.get("mtbf"), **kwargs)
-
-
-def topology_to_dict(topology: Topology) -> dict:
-    return {
-        "clusters": [
-            {
-                "name": c.name,
-                "nodes": c.nodes,
-                "latency": c.link.latency,
-                "bandwidth": c.link.bandwidth,
-            }
-            for c in topology.clusters
-        ],
-        "inter_links": [
-            {"between": list(pair), "latency": link.latency, "bandwidth": link.bandwidth}
-            for pair, link in sorted(topology.inter_links.items())
-        ],
-        "default_inter_link": {
-            "latency": topology.default_inter_link.latency,
-            "bandwidth": topology.default_inter_link.bandwidth,
-        },
-        "mtbf": topology.mtbf,
-    }
 
 
 @dataclass
@@ -93,21 +78,9 @@ class ScenarioConfig:
                 f"but topology has {self.topology.n_clusters}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "topology": topology_to_dict(self.topology),
-            "application": self.application.to_dict(),
-            "timers": self.timers.to_dict(),
-            "protocol": self.protocol,
-            "protocol_options": dict(self.protocol_options),
-            "seed": self.seed,
-        }
-
-    def save(self, path: PathLike) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        refuse_unknown_keys("scenario", data, (f.name for f in fields(cls)))
         return cls(
             topology=topology_from_dict(data["topology"]),
             application=ApplicationConfig.from_dict(data["application"]),

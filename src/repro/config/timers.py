@@ -5,13 +5,22 @@ timers for each cluster (delays between two CLCs, garbage collection, ...)".
 
 A ``clc_period`` of ``None`` means the timer is "set to infinite" (Fig. 7):
 the cluster never takes unforced CLCs.  All delays are in seconds.
+
+Two mechanisms have no timer of their own: a crash is reported by a
+fixed-latency oracle after ``failure_detection_delay`` (the paper puts the
+detector out of scope, §3.4), and garbage collection always starts at
+cluster 0's leader.  :meth:`TimersConfig.from_dict` refuses any key that is
+not a field, so a misspelt timer fails the load instead of running with
+its default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from repro.config.keys import refuse_unknown_keys
 
 __all__ = ["TimersConfig"]
 
@@ -58,14 +67,6 @@ class TimersConfig:
         host its restored process again.
     :param node_state_size: size in bytes of one node's saved state; drives
         replication (stable storage) traffic and storage-cost accounting.
-    :param gc_initiator_cluster: cluster whose leader runs the centralized
-        garbage collector.
-    :param detector: ``"oracle"`` (fixed-latency, the default) or
-        ``"heartbeat"`` (simulated liveness probes whose detection latency
-        emerges from the two heartbeat parameters).
-    :param heartbeat_period: interval between liveness probes.
-    :param heartbeat_timeout: silence needed to suspect a node; must
-        exceed the period.
     """
 
     clc_periods: list = field(default_factory=list)
@@ -78,10 +79,6 @@ class TimersConfig:
     checkpoint_restore_time: float = 0.5
     node_repair_time: float = 5.0
     node_state_size: int = 1_000_000
-    gc_initiator_cluster: int = 0
-    detector: str = "oracle"
-    heartbeat_period: float = 1.0
-    heartbeat_timeout: float = 3.5
 
     def __post_init__(self) -> None:
         self.clc_periods = [
@@ -94,10 +91,6 @@ class TimersConfig:
         _require_finite("node_state_size", self.node_state_size, 0)
         if self.gc_memory_threshold is not None:
             _require_finite("gc_memory_threshold", self.gc_memory_threshold, 0)
-        if self.detector not in ("oracle", "heartbeat"):
-            raise ValueError(f"unknown detector {self.detector!r}")
-        _require_finite("heartbeat_period", self.heartbeat_period, 0)
-        _require_finite("heartbeat_timeout", self.heartbeat_timeout, self.heartbeat_period)
 
     def clc_period_for(self, cluster: int) -> Optional[float]:
         """Unforced-CLC delay for a cluster (``None`` = infinite)."""
@@ -105,33 +98,7 @@ class TimersConfig:
             return self.clc_periods[cluster]
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "clc_periods": [p if p is not None else "inf" for p in self.clc_periods],
-            "gc_period": self.gc_period if self.gc_period is not None else "inf",
-            "gc_memory_threshold": self.gc_memory_threshold,
-            "failure_detection_delay": self.failure_detection_delay,
-            "checkpoint_restore_time": self.checkpoint_restore_time,
-            "node_repair_time": self.node_repair_time,
-            "node_state_size": self.node_state_size,
-            "gc_initiator_cluster": self.gc_initiator_cluster,
-            "detector": self.detector,
-            "heartbeat_period": self.heartbeat_period,
-            "heartbeat_timeout": self.heartbeat_timeout,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TimersConfig":
-        return cls(
-            clc_periods=list(data.get("clc_periods", [])),
-            gc_period=data.get("gc_period"),
-            gc_memory_threshold=data.get("gc_memory_threshold"),
-            failure_detection_delay=data.get("failure_detection_delay", 1.0),
-            checkpoint_restore_time=data.get("checkpoint_restore_time", 0.5),
-            node_repair_time=data.get("node_repair_time", 5.0),
-            node_state_size=data.get("node_state_size", 1_000_000),
-            gc_initiator_cluster=data.get("gc_initiator_cluster", 0),
-            detector=data.get("detector", "oracle"),
-            heartbeat_period=data.get("heartbeat_period", 1.0),
-            heartbeat_timeout=data.get("heartbeat_timeout", 3.5),
-        )
+        refuse_unknown_keys("timers", data, (f.name for f in fields(cls)))
+        return cls(**data)

@@ -1,6 +1,6 @@
 """Garbage collection of CLCs and logged messages (§3.5).
 
-Centralized collector (the paper's):
+The paper's centralized collector:
 
 1. the initiator asks one node in each cluster for "its list of all the
    DDVs associated with the stored CLCs",
@@ -16,11 +16,8 @@ Per-round network cost (§5.4): N-1 inter-cluster requests, N-1 responses
 (carrying the DDV lists), N-1 collect messages, plus one broadcast inside
 each cluster -- the fabric counts all of them.
 
-The distributed variant (paper §7: "the garbage collector could be more
-distributed") passes a token around the ring of cluster leaders: a first
-circulation accumulates the DDV lists, the initiator computes the bounds,
-and a second circulation distributes them.  2·N inter-cluster messages
-instead of 3·(N-1), and no central memory hotspot.
+The initiator is always cluster 0's leader.  The paper's §7 "more
+distributed" collector is future work there and is not modelled here.
 
 Safety: a response carries the responding cluster's *rollback epoch*; the
 collect message echoes the epoch vector and every cluster cross-checks it
@@ -33,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.recovery_line import compute_min_sns
+from repro.core.rounds import CONTROL_SIZE
 from repro.network.message import Message, MessageKind, NodeId
 from repro.sim.timers import PeriodicTimer
 
@@ -40,37 +38,30 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.core.hc3i import Hc3iProtocol
 
-__all__ = [
-    "CentralizedGarbageCollector",
-    "DistributedGarbageCollector",
-    "make_garbage_collector",
-]
+__all__ = ["GarbageCollector"]
+
+#: the cluster whose leader starts every round
+INITIATOR_CLUSTER = 0
 
 
-class _GarbageCollectorBase:
-    """Shared plumbing: timer, statistics, the prune step."""
+class GarbageCollector:
+    """The paper's centralized collector (the initiator gathers all)."""
 
     def __init__(self, protocol: "Hc3iProtocol"):
         self.protocol = protocol
-        timers = protocol.federation.timers
-        self.initiator_cluster = timers.gc_initiator_cluster
         self.timer = PeriodicTimer(
-            protocol.sim, timers.gc_period, self._timer_fired, name="gc"
+            protocol.sim, protocol.federation.timers.gc_period, self._timer_fired, name="gc"
         )
         self.rounds_started = 0
         self.rounds_completed = 0
+        self._round_id = 0
+        self._responses: Optional[dict] = None
 
     def start(self) -> None:
         self.timer.start()
 
     def _timer_fired(self) -> None:
         self.collect_now()
-
-    def collect_now(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def on_message(self, node: "Node", msg: Message) -> None:  # pragma: no cover
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def _response_payload(self, cluster: int) -> dict:
@@ -84,7 +75,7 @@ class _GarbageCollectorBase:
 
     def _response_size(self, payload: dict) -> int:
         n = self.protocol.federation.topology.n_clusters
-        return self.protocol.options.control_size + 8 * n * (len(payload["ddvs"]) + 1)
+        return CONTROL_SIZE + 8 * n * (len(payload["ddvs"]) + 1)
 
     def _compute_min_sns(self, responses: dict) -> list:
         n = self.protocol.federation.topology.n_clusters
@@ -110,7 +101,7 @@ class _GarbageCollectorBase:
         # Intra-cluster fan-out of the bounds (network accounting).
         fed = protocol.federation
         leader = fed.clusters[cluster].leader
-        size = protocol.options.control_size + 8 * len(min_sns)
+        size = CONTROL_SIZE + 8 * len(min_sns)
         for node in fed.clusters[cluster].nodes:
             if node.id != leader.id:
                 leader.send_raw(node.id, MessageKind.GC_LOCAL, size=size)
@@ -150,36 +141,27 @@ class _GarbageCollectorBase:
     def _leader_id(self, cluster: int) -> NodeId:
         return NodeId(cluster, 0)
 
-
-class CentralizedGarbageCollector(_GarbageCollectorBase):
-    """The paper's centralized collector (initiator node gathers all)."""
-
-    def __init__(self, protocol: "Hc3iProtocol"):
-        super().__init__(protocol)
-        self._round_id = 0
-        self._responses: Optional[dict] = None
-
     def collect_now(self) -> None:
         """Start a round (periodic, or on demand for memory pressure)."""
         if self._responses is not None:
             return  # previous round still in flight
-        cs = self.protocol.cluster_states[self.initiator_cluster]
+        cs = self.protocol.cluster_states[INITIATOR_CLUSTER]
         if cs.recovering:
             return
         self._round_id += 1
         self.rounds_started += 1
         self._responses = {}
         fed = self.protocol.federation
-        leader = fed.clusters[self.initiator_cluster].leader
+        leader = fed.clusters[INITIATOR_CLUSTER].leader
         self.protocol.tracer.protocol("gc_round", round=self._round_id)
         for d in range(fed.topology.n_clusters):
-            if d == self.initiator_cluster:
+            if d == INITIATOR_CLUSTER:
                 self._responses[d] = self._response_payload(d)
             else:
                 leader.send_raw(
                     self._leader_id(d),
                     MessageKind.GC_REQUEST,
-                    size=self.protocol.options.control_size,
+                    size=CONTROL_SIZE,
                     payload={"round": self._round_id},
                 )
         self._maybe_finish()
@@ -217,10 +199,10 @@ class CentralizedGarbageCollector(_GarbageCollectorBase):
         min_sns = self._compute_min_sns(responses)
         epochs = [responses[c]["epoch"] for c in range(n)]
         self.rounds_completed += 1
-        leader = fed.clusters[self.initiator_cluster].leader
-        size = self.protocol.options.control_size + 16 * n
+        leader = fed.clusters[INITIATOR_CLUSTER].leader
+        size = CONTROL_SIZE + 16 * n
         for d in range(n):
-            if d == self.initiator_cluster:
+            if d == INITIATOR_CLUSTER:
                 self._apply_collect(d, min_sns, epochs)
             else:
                 leader.send_raw(
@@ -229,91 +211,3 @@ class CentralizedGarbageCollector(_GarbageCollectorBase):
                     size=size,
                     payload={"min_sns": min_sns, "epochs": epochs},
                 )
-
-
-class DistributedGarbageCollector(_GarbageCollectorBase):
-    """Token-ring collector (§7 future work: "more distributed")."""
-
-    def __init__(self, protocol: "Hc3iProtocol"):
-        super().__init__(protocol)
-        self._round_id = 0
-        self._round_active = False
-
-    def collect_now(self) -> None:
-        if self._round_active:
-            return
-        cs = self.protocol.cluster_states[self.initiator_cluster]
-        if cs.recovering:
-            return
-        self._round_id += 1
-        self.rounds_started += 1
-        self._round_active = True
-        self.protocol.tracer.protocol("gc_round", round=self._round_id)
-        data = {self.initiator_cluster: self._response_payload(self.initiator_cluster)}
-        self._forward_collect_token(self.initiator_cluster, data)
-
-    def _next_cluster(self, cluster: int) -> int:
-        return (cluster + 1) % self.protocol.federation.topology.n_clusters
-
-    def _forward_collect_token(self, cluster: int, data: dict) -> None:
-        fed = self.protocol.federation
-        nxt = self._next_cluster(cluster)
-        leader = fed.clusters[cluster].leader
-        size = self.protocol.options.control_size + sum(
-            self._response_size(d) for d in data.values()
-        )
-        leader.send_raw(
-            self._leader_id(nxt),
-            MessageKind.GC_REQUEST,
-            size=size,
-            payload={"round": self._round_id, "data": dict(data)},
-        )
-
-    def on_message(self, node: "Node", msg: Message) -> None:
-        kind = msg.kind
-        cluster = node.id.cluster
-        if kind is MessageKind.GC_REQUEST:
-            data = dict(msg.payload["data"])
-            if cluster == self.initiator_cluster:
-                # Token completed the first circulation: compute and
-                # start the prune circulation.
-                n = self.protocol.federation.topology.n_clusters
-                min_sns = self._compute_min_sns(data)
-                epochs = [data[c]["epoch"] for c in range(n)]
-                self.rounds_completed += 1
-                self._apply_collect(cluster, min_sns, epochs)
-                self._forward_prune_token(cluster, min_sns, epochs)
-            else:
-                data[cluster] = self._response_payload(cluster)
-                self._forward_collect_token(cluster, data)
-        elif kind is MessageKind.GC_COLLECT:
-            min_sns = msg.payload["min_sns"]
-            epochs = msg.payload["epochs"]
-            self._apply_collect(cluster, min_sns, epochs)
-            self._forward_prune_token(cluster, min_sns, epochs)
-        elif kind is MessageKind.GC_LOCAL:
-            pass
-
-    def _forward_prune_token(self, cluster: int, min_sns: list, epochs: list) -> None:
-        nxt = self._next_cluster(cluster)
-        if nxt == self.initiator_cluster:
-            self._finish_round()
-            return
-        fed = self.protocol.federation
-        leader = fed.clusters[cluster].leader
-        n = fed.topology.n_clusters
-        leader.send_raw(
-            self._leader_id(nxt),
-            MessageKind.GC_COLLECT,
-            size=self.protocol.options.control_size + 16 * n,
-            payload={"min_sns": min_sns, "epochs": epochs},
-        )
-
-    def _finish_round(self) -> None:
-        self._round_active = False
-
-
-def make_garbage_collector(protocol: "Hc3iProtocol") -> _GarbageCollectorBase:
-    if protocol.options.gc_mode == "distributed":
-        return DistributedGarbageCollector(protocol)
-    return CentralizedGarbageCollector(protocol)

@@ -28,9 +28,12 @@ Protocol options (``protocol_options`` in the scenario):
     ``False`` (ablation): the sender's cluster rolls back instead.
 ``replication_degree``
     number of neighbour copies of each node state (paper: 1).
-``gc_mode``
-    ``"centralized"`` (paper) or ``"distributed"`` (§7 extension,
-    token-ring).
+``incremental``, ``incremental_fraction``
+    incremental stable storage (see :class:`Hc3iOptions`).
+
+Any other key is refused.  The garbage collector is always the paper's
+centralized one (:mod:`repro.core.garbage`) and every control message is
+``CONTROL_SIZE`` bytes plus its payload.
 
 Incarnation numbers: the paper's research report is not public, so one
 mechanism is filled in explicitly -- every rollback increments the cluster's
@@ -43,9 +46,10 @@ comparing its epoch and SN against the recorded alerts
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
+from repro.config.keys import refuse_unknown_keys
 from repro.core.clc import CheckpointCause, CheckpointRecord
 from repro.core.ddv import DDV
 from repro.core.protocol import BaseProtocol, ClusterView, register_protocol
@@ -138,28 +142,17 @@ class Hc3iOptions:
     mode: str = "sn"
     replay_enabled: bool = True
     replication_degree: int = 1
-    gc_mode: str = "centralized"
-    control_size: int = CONTROL_SIZE
     incremental: bool = False
     incremental_fraction: float = 0.2
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hc3iOptions":
-        opts = cls(
-            mode=data.get("mode", "sn"),
-            replay_enabled=data.get("replay_enabled", True),
-            replication_degree=data.get("replication_degree", 1),
-            gc_mode=data.get("gc_mode", "centralized"),
-            control_size=data.get("control_size", CONTROL_SIZE),
-            incremental=data.get("incremental", False),
-            incremental_fraction=data.get("incremental_fraction", 0.2),
-        )
+        refuse_unknown_keys("hc3i protocol_options", data, (f.name for f in fields(cls)))
+        opts = cls(**data)
         if opts.mode not in ("sn", "ddv", "always"):
             raise ValueError(f"unknown HC3I mode {opts.mode!r}")
         if opts.replication_degree < 0:
             raise ValueError("replication_degree must be >= 0")
-        if opts.gc_mode not in ("centralized", "distributed"):
-            raise ValueError(f"unknown gc_mode {opts.gc_mode!r}")
         if not (0.0 < opts.incremental_fraction <= 1.0):
             raise ValueError("incremental_fraction must be in (0, 1]")
         return opts
@@ -174,11 +167,8 @@ class ClcCoordinator(TwoPhaseRound):
     """
 
     def __init__(self, protocol: "Hc3iProtocol", cluster_index: int):
-        control_size = protocol.options.control_size
         n_clusters = protocol.federation.topology.n_clusters
-        super().__init__(
-            self._commit, control_size, commit_size=control_size + 8 * n_clusters
-        )
+        super().__init__(self._commit, commit_size=CONTROL_SIZE + 8 * n_clusters)
         self.protocol = protocol
         self.cluster = cluster_index
         self.cs = protocol.cluster_states[cluster_index]
@@ -424,7 +414,7 @@ class Hc3iNodeAgent(FreezeAgent):
                 )
             self.request_force(
                 {"updates": dict(updates), "force": force_required},
-                size=self.protocol.options.control_size + 8 * len(updates),
+                size=CONTROL_SIZE + 8 * len(updates),
             )
         else:
             self.deliver_now(msg, ack_sn)
@@ -497,6 +487,8 @@ class Hc3iNodeAgent(FreezeAgent):
 class Hc3iProtocol(BaseProtocol):
     """The full hierarchical protocol wired to a federation."""
 
+    option_keys = frozenset(f.name for f in fields(Hc3iOptions))
+
     def __init__(self, federation, options: Optional[dict] = None):
         super().__init__(federation, options)
         self.options: Hc3iOptions = Hc3iOptions.from_dict(self.options)
@@ -504,10 +496,10 @@ class Hc3iProtocol(BaseProtocol):
         self.cluster_states = [Hc3iClusterState(i, n) for i in range(n)]
         self.coordinators = [ClcCoordinator(self, i) for i in range(n)]
         from repro.core.rollback import Hc3iRecoveryManager
-        from repro.core.garbage import make_garbage_collector
+        from repro.core.garbage import GarbageCollector
 
         self.recovery = Hc3iRecoveryManager(self)
-        self.garbage_collector = make_garbage_collector(self)
+        self.garbage_collector = GarbageCollector(self)
 
     # ------------------------------------------------------------------
     def make_agent(self, node: "Node") -> Hc3iNodeAgent:
@@ -536,7 +528,7 @@ class Hc3iProtocol(BaseProtocol):
     def on_alert_message(self, node: "Node", msg: Message) -> None:
         """An ALERT reached this cluster: fan out locally, then handle."""
         cluster = self.federation.clusters[node.id.cluster]
-        size = self.options.control_size
+        size = CONTROL_SIZE
         for other in cluster.nodes:
             if other.id != node.id:
                 node.send_raw(other.id, MessageKind.ALERT_LOCAL, size=size)

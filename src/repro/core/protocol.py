@@ -25,6 +25,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.config.keys import refuse_unknown_keys
 from repro.core.clc import ClcStore
 from repro.core.msglog import MessageLog
 from repro.network.message import Message, NodeId
@@ -117,10 +118,13 @@ class BaseProtocol(abc.ABC):
 
     #: registry name; subclasses set it
     name: str = "base"
+    #: the ``protocol_options`` keys this family reads; any other is refused
+    option_keys: frozenset = frozenset()
 
     def __init__(self, federation: "Federation", options: Optional[dict] = None):
         self.federation = federation
         self.options = dict(options or {})
+        refuse_unknown_keys(f"{self.name} protocol_options", self.options, self.option_keys)
         #: per-cluster protocol state, under this one name on every family
         #: (entries may be shared between clusters; a family that keeps
         #: none -- ``pessimistic-log`` -- leaves it empty)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.clc import CheckpointCause, CheckpointRecord
+from repro.core.rounds import CONTROL_SIZE
 from repro.network.message import MessageKind, NodeId
 from repro.sim.kernel import Event
 
@@ -189,7 +190,7 @@ class Hc3iRecoveryManager:
         #    must be a live node -- the crashed one may be the leader.
         runtime = fed.clusters[cluster]
         sender = next((n for n in runtime.nodes if n.up), runtime.leader)
-        size = protocol.options.control_size
+        size = CONTROL_SIZE
         for d in range(fed.topology.n_clusters):
             if d == cluster:
                 continue

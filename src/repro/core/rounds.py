@@ -98,12 +98,10 @@ class TwoPhaseRound:
     def __init__(
         self,
         on_commit: Callable[[], None],
-        control_size: int = CONTROL_SIZE,
-        commit_size: Optional[int] = None,
+        commit_size: int = CONTROL_SIZE,
     ) -> None:
         self.on_commit = on_commit
-        self.control_size = control_size
-        self.commit_size = control_size if commit_size is None else commit_size
+        self.commit_size = commit_size
         self.phase = self.IDLE
         self.initiator: Optional["Node"] = None
         #: participant nodes other than the leader, in request order
@@ -127,7 +125,7 @@ class TwoPhaseRound:
         agent.save_state()
         self.acks_pending = {n.id for n in self.others}
         for n in self.others:
-            leader.send_raw(n.id, _CLC_REQUEST, size=self.control_size)
+            leader.send_raw(n.id, _CLC_REQUEST, size=CONTROL_SIZE)
         if not self.acks_pending:
             self._complete()
 
@@ -220,7 +218,7 @@ class FreezeAgent(NodeAgent):
             self.freeze()
             self.save_state()
             self.node.send_raw(
-                msg.src, _CLC_ACK, self.round.control_size, self.ack_payload()
+                msg.src, _CLC_ACK, CONTROL_SIZE, self.ack_payload()
             )
         elif kind is _CLC_ACK:
             self.round.on_ack(msg)
@@ -269,7 +267,7 @@ class FreezeAgent(NodeAgent):
         self.node.send_raw(
             msg.src,
             _INTER_ACK,
-            size=self.round.control_size,
+            size=CONTROL_SIZE,
             payload={"msg_id": msg.msg_id, "ack_sn": ack_sn},
         )
 

@@ -44,7 +44,6 @@ def _table2_grid(
     total_time: float = TOTAL_TIME,
     gc_period: float = 2 * HOUR,
     seed: int = 42,
-    gc_mode: str = "centralized",
 ) -> list:
     return [
         {
@@ -52,7 +51,6 @@ def _table2_grid(
             "total_time": total_time,
             "gc_period": gc_period,
             "seed": seed,
-            "gc_mode": gc_mode,
         }
     ]
 
@@ -63,13 +61,7 @@ def _table2_point(params: dict) -> dict:
         total_time=params["total_time"],
         gc_period=params["gc_period"],
     )
-    _fed, results = run_federation(
-        topology,
-        application,
-        timers,
-        seed=params["seed"],
-        protocol_options={"gc_mode": params["gc_mode"]},
-    )
+    _fed, results = run_federation(topology, application, timers, seed=params["seed"])
     needed = []
     for c in range(2):
         series = results.stats.get(f"gc/c{c}/log_needed", [])
@@ -156,7 +148,6 @@ def _table3_grid(
     gc_period: float = 2 * HOUR,
     seed: int = 42,
     inter_messages: int = 100,
-    gc_mode: str = "centralized",
 ) -> list:
     return [
         {
@@ -165,7 +156,6 @@ def _table3_grid(
             "gc_period": gc_period,
             "seed": seed,
             "inter_messages": inter_messages,
-            "gc_mode": gc_mode,
         }
     ]
 
@@ -177,13 +167,7 @@ def _table3_point(params: dict) -> dict:
         gc_period=params["gc_period"],
         inter_messages=params["inter_messages"],
     )
-    _fed, results = run_federation(
-        topology,
-        application,
-        timers,
-        seed=params["seed"],
-        protocol_options={"gc_mode": params["gc_mode"]},
-    )
+    _fed, results = run_federation(topology, application, timers, seed=params["seed"])
     return {"gc_series": [list(results.gc_series(c)) for c in range(3)]}
 
 

@@ -54,9 +54,8 @@ class MessageKind(enum.Enum):
     GC_RESPONSE = "gc_response"    #: GC phase 1: the DDV lists
     GC_COLLECT = "gc_collect"      #: GC phase 2: vector of smallest SNs
     GC_LOCAL = "gc_local"          #: intra-cluster broadcast of the GC collect vector
-    HEARTBEAT = "heartbeat"        #: liveness probe for the failure detector
 
-    #: position in definition order (0..14): the row of per-kind lists
+    #: position in definition order (0..13): the row of per-kind lists
     index: int
 
     @property

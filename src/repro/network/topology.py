@@ -29,10 +29,12 @@ class LinkSpec:
     bandwidth: float      #: bits per second
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError(f"negative latency: {self.latency}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive: {self.bandwidth}")
+        # `not (in range)`, so that NaN, which compares False with
+        # everything, is refused too: a NaN delay reaches the kernel heap
+        if not 0 <= self.latency < math.inf:
+            raise ValueError(f"latency must be finite and >= 0: {self.latency}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be finite and > 0: {self.bandwidth}")
 
     def transfer_delay(self, size_bytes: int) -> float:
         """One-way delay for a message of ``size_bytes``."""
@@ -87,8 +89,8 @@ class Topology:
                 raise ValueError(f"inter-cluster link {pair} references unknown cluster")
             normalized[(min(i, j), max(i, j))] = link
         self.inter_links = normalized
-        if self.mtbf is not None and self.mtbf <= 0:
-            raise ValueError(f"MTBF must be positive (or None): {self.mtbf}")
+        if self.mtbf is not None and not self.mtbf > 0:  # NaN too; inf = no failures
+            raise ValueError(f"mtbf must be positive (or None): {self.mtbf}")
 
     # ------------------------------------------------------------------
     @property

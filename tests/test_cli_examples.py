@@ -12,10 +12,7 @@ import pytest
 from repro.analysis.oracle import ConsistencyOracle, SendEvent, attach_oracle
 from repro.cli import VERBS, main, parser
 from repro.cluster.federation import Federation
-from repro.config.application import ApplicationConfig, ClusterAppSpec
-from repro.config.loader import ScenarioConfig, load_scenario
-from repro.config.timers import TimersConfig
-from repro.network.topology import two_cluster_topology
+from repro.config.loader import load_scenario
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,19 +28,24 @@ def _example_env() -> dict:
 
 
 def _write_scenario(tmp_path, mtbf=None):
-    scenario = ScenarioConfig(
-        topology=two_cluster_topology(nodes=2, mtbf=mtbf),
-        application=ApplicationConfig(
-            clusters=[
-                ClusterAppSpec(mean_compute=20.0, send_probabilities=[0.8, 0.2]),
-                ClusterAppSpec(mean_compute=20.0, send_probabilities=[0.2, 0.8]),
+    """A single-file scenario: 2 clusters of 2 nodes, chatty, CLCs every minute."""
+    scenario = {
+        "topology": {
+            "clusters": [{"name": "c0", "nodes": 2}, {"name": "c1", "nodes": 2}],
+            "inter_links": [{"between": [0, 1], "latency": 1.5e-4, "bandwidth": 1e8}],
+            "mtbf": mtbf,
+        },
+        "application": {
+            "clusters": [
+                {"mean_compute": 20.0, "send_probabilities": [0.8, 0.2]},
+                {"mean_compute": 20.0, "send_probabilities": [0.2, 0.8]},
             ],
-            total_time=200.0,
-        ),
-        timers=TimersConfig(clc_periods=[60.0, 60.0]),
-    )
+            "total_time": 200.0,
+        },
+        "timers": {"clc_periods": [60.0, 60.0]},
+    }
     path = tmp_path / "scenario.json"
-    scenario.save(path)
+    path.write_text(json.dumps(scenario))
     return path
 
 
@@ -112,11 +114,10 @@ class TestCli:
             main(["--topology", "only-this.json"])
 
     def test_three_file_invocation(self, tmp_path, capsys):
-        from repro.config.loader import topology_to_dict
-
-        (tmp_path / "topo.json").write_text(
-            json.dumps(topology_to_dict(two_cluster_topology(nodes=2)))
-        )
+        (tmp_path / "topo.json").write_text(json.dumps({
+            "clusters": [{"name": "c0", "nodes": 2}, {"name": "c1", "nodes": 2}],
+            "inter_links": [{"between": [0, 1], "latency": 1.5e-4, "bandwidth": 1e8}],
+        }))
         (tmp_path / "app.json").write_text(json.dumps({
             "clusters": [
                 {"mean_compute": 30.0, "send_probabilities": [0.9, 0.1]},

@@ -132,17 +132,17 @@ class TestMessageKindCoverage:
             assert isinstance(kind.is_app, bool)
 
     def test_unhandled_kind_raises_in_agent(self):
-        fed = make_federation(total_time=50.0)
+        fed = make_federation(total_time=50.0, protocol="global-coordinated")
         fed.start()
         fed.sim.run(until=5.0)
         from repro.network.message import Message, MessageKind
 
         agent = fed.node(NodeId(0, 0)).agent
-        # HEARTBEAT is filtered at the node layer; feeding it directly to
-        # the HC3I agent is a programming error and must fail loudly
+        # only HC3I collects garbage; a GC message reaching another
+        # family's agent is a programming error and must fail loudly
         msg = Message(
             src=NodeId(0, 1), dst=NodeId(0, 0),
-            kind=MessageKind.HEARTBEAT, size=8,
+            kind=MessageKind.GC_REQUEST, size=8,
         )
         with pytest.raises(ValueError):
             agent.on_receive(msg)

@@ -133,13 +133,6 @@ class TestTables2And3:
             assert stored >= 4
             assert states == 2 * stored  # neighbour replication doubles
 
-    def test_distributed_gc_variant(self):
-        exp = run_experiment(
-            "table2",
-            {"gc_period": 0.5 * HOUR, "seed": 5, "gc_mode": "distributed", **SMALL},
-        ).result
-        assert len(exp.rows) >= 3
-
 
 class TestAblations:
     def test_transitive_never_worse(self):

@@ -1,5 +1,5 @@
 """Tests for the paper-§7 extensions and reproduction-specific features:
-simultaneous faults, the heartbeat detector, incremental stable storage."""
+simultaneous faults (injected by hand) and incremental stable storage."""
 
 import pytest
 
@@ -49,23 +49,6 @@ class TestSimultaneousFaults:
         assert states[0].rollback_epoch >= 1
         assert states[2].rollback_epoch >= 1
 
-    def test_injector_simultaneous_mode(self):
-        topo = small_topology(n_clusters=3, nodes=2)
-        topo.mtbf = 120.0
-        fed = Federation(
-            topo,
-            chatty_application(n_clusters=3, total_time=1500.0),
-            default_timers(n_clusters=3, clc_period=100.0),
-            seed=14,
-            trace_level=TraceLevel.PROTOCOL,
-            allow_simultaneous_faults=True,
-        )
-        oracle = attach_oracle(fed)
-        results = fed.run()
-        assert results.counter("failures/injected") >= 2
-        report = assert_consistent(fed, oracle)
-        assert report.messages > 0 and report.erasures >= 2
-
     def test_injector_never_hits_recovering_cluster(self):
         """Victims are only drawn from healthy clusters."""
         topo = small_topology(n_clusters=2, nodes=3)
@@ -76,7 +59,6 @@ class TestSimultaneousFaults:
             default_timers(clc_period=100.0),
             seed=15,
             trace_level=TraceLevel.PROTOCOL,
-            allow_simultaneous_faults=True,
         )
         fed.run()
         # reconstruct per-cluster fault windows from the trace: no second
@@ -112,82 +94,6 @@ class TestSimultaneousFaults:
         assert not fed.injector._cluster_healthy(1)
         fed.run()
         assert fed.injector._cluster_healthy(1)
-
-
-class TestHeartbeatDetector:
-    def heartbeat_fed(self, **kw):
-        timers = default_timers(clc_period=100.0)
-        timers.detector = "heartbeat"
-        timers.heartbeat_period = 0.5
-        timers.heartbeat_timeout = 1.6
-        return Federation(
-            small_topology(n_clusters=2, nodes=3),
-            chatty_application(total_time=kw.pop("total_time", 600.0)),
-            timers,
-            seed=kw.pop("seed", 3),
-            trace_level=TraceLevel.PROTOCOL,
-            **kw,
-        )
-
-    def test_heartbeats_flow(self):
-        fed = self.heartbeat_fed(total_time=30.0)
-        results = fed.run()
-        assert results.counter("net/protocol/heartbeat") > 0
-
-    def test_crash_detected_within_timeout_plus_period(self):
-        fed = self.heartbeat_fed()
-        fed.start()
-        fed.sim.run(until=100.0)
-        fed.inject_failure(NodeId(0, 2))
-        fed.sim.run(until=110.0)
-        suspect = fed.tracer.first("heartbeat_suspect", cluster=0, node=2)
-        assert suspect is not None
-        assert suspect.time - 100.0 <= 1.6 + 2 * 0.5 + 0.1
-        # and the rollback actually happened through that detection
-        assert fed.tracer.first("rollback", cluster=0) is not None
-
-    def test_leader_crash_detected_by_node_one(self):
-        fed = self.heartbeat_fed()
-        fed.start()
-        fed.sim.run(until=100.0)
-        fed.inject_failure(NodeId(1, 0))  # the cluster leader
-        fed.sim.run(until=110.0)
-        assert fed.tracer.first("heartbeat_suspect", cluster=1, node=0) is not None
-
-    def test_no_false_positives_without_failures(self):
-        fed = self.heartbeat_fed(total_time=300.0)
-        results = fed.run()
-        assert results.counter("failures/detected") == 0
-        assert fed.detector.suspects_raised == 0
-
-    def test_each_failure_reported_once(self):
-        fed = self.heartbeat_fed()
-        fed.start()
-        fed.sim.run(until=100.0)
-        fed.inject_failure(NodeId(0, 1))
-        fed.sim.run(until=200.0)
-        assert fed.detector.suspects_raised == 1
-        assert fed.tracer.count("heartbeat_suspect") == 1
-
-    def test_recovered_node_resumes_heartbeating(self):
-        fed = self.heartbeat_fed()
-        fed.start()
-        fed.sim.run(until=100.0)
-        fed.inject_failure(NodeId(0, 1))
-        fed.sim.run(until=300.0)
-        node = fed.node(NodeId(0, 1))
-        assert node.up
-        # after recovery the node is no longer on the reported list
-        assert node.id not in fed.detector._reported
-
-    def test_invalid_heartbeat_config_rejected(self):
-        from repro.config.timers import TimersConfig
-
-        with pytest.raises(ValueError):
-            TimersConfig(detector="heartbeat", heartbeat_period=2.0,
-                         heartbeat_timeout=1.0)
-        with pytest.raises(ValueError):
-            TimersConfig(detector="telepathy")
 
 
 class TestIncrementalStorage:

@@ -1,4 +1,4 @@
-"""Protocol tests: garbage collection (§3.5), centralized and distributed."""
+"""Protocol tests: garbage collection (§3.5)."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.network.message import NodeId
 from tests.conftest import make_federation
 
 
-def busy_fed(gc_mode="centralized", gc_period=200.0, n_clusters=2, **kw):
+def busy_fed(gc_period=200.0, n_clusters=2, **kw):
     """Bidirectional chatter so CLCs and log entries accumulate."""
     return make_federation(
         n_clusters=n_clusters,
@@ -15,7 +15,6 @@ def busy_fed(gc_mode="centralized", gc_period=200.0, n_clusters=2, **kw):
         gc_period=gc_period,
         total_time=1000.0,
         chatty=True,
-        protocol_options={"gc_mode": gc_mode},
         **kw,
     )
 
@@ -100,53 +99,6 @@ class TestCentralizedGc:
         assert fed.protocol.garbage_collector.rounds_started == 0
         # CLCs accumulate unboundedly
         assert results.stored_clcs(0) >= 8
-
-
-class TestDistributedGc:
-    def test_rounds_complete(self):
-        fed = busy_fed(gc_mode="distributed")
-        fed.run()
-        gc = fed.protocol.garbage_collector
-        assert gc.rounds_completed >= 4
-
-    def test_prunes_like_centralized(self):
-        fed = busy_fed(gc_mode="distributed")
-        results = fed.run()
-        assert results.counter("gc/clcs_removed") > 0
-        for _t, _before, after in results.gc_series(0):
-            assert after <= 3
-
-    def test_token_message_count(self):
-        """Two laps of the ring: 2*N inter-cluster messages per round."""
-        fed = busy_fed(gc_mode="distributed", n_clusters=3)
-        results = fed.run()
-        rounds = fed.protocol.garbage_collector.rounds_completed
-        token_msgs = results.counter("net/protocol/gc_request") + results.counter(
-            "net/protocol/gc_collect"
-        )
-        assert token_msgs == pytest.approx(2 * 3 * rounds, abs=3)
-
-    def test_equivalent_bounds(self):
-        """Both collectors compute the same prune bounds on the same state."""
-        outcomes = {}
-        for mode in ("centralized", "distributed"):
-            fed = make_federation(
-                nodes=2,
-                clc_period=60.0,
-                gc_period=None,
-                total_time=600.0,
-                chatty=True,
-                protocol_options={"gc_mode": mode},
-                seed=7,
-            )
-            fed.start()
-            fed.sim.run(until=500.0)
-            fed.protocol.collect_garbage()
-            fed.sim.run(until=600.0)
-            outcomes[mode] = [
-                fed.protocol.cluster_states[c].store.sns() for c in range(2)
-            ]
-        assert outcomes["centralized"] == outcomes["distributed"]
 
 
 class TestGcEpochGuard:

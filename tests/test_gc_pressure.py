@@ -51,5 +51,5 @@ class TestPressureGc:
             TimersConfig(gc_memory_threshold=0)
 
     def test_config_roundtrip(self):
-        t = TimersConfig(gc_memory_threshold=123456)
-        assert TimersConfig.from_dict(t.to_dict()).gc_memory_threshold == 123456
+        t = TimersConfig.from_dict({"gc_memory_threshold": 123456})
+        assert t.gc_memory_threshold == 123456

@@ -88,7 +88,6 @@ class TestOptions:
         assert opts.mode == "sn"
         assert opts.replay_enabled
         assert opts.replication_degree == 1
-        assert opts.gc_mode == "centralized"
         assert not opts.incremental
 
     def test_invalid_mode(self):
@@ -100,7 +99,7 @@ class TestOptions:
             Hc3iOptions.from_dict({"replication_degree": -1})
 
     def test_invalid_gc_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'gc_mode'"):
             Hc3iOptions.from_dict({"gc_mode": "quantum"})
 
     def test_invalid_fraction(self):
@@ -170,16 +169,6 @@ class TestDownNodeBuffering:
         node._on_fabric_delivery(alert)
         node._on_fabric_delivery(ack)
         assert len(node._held) == 2
-
-    def test_heartbeat_never_buffered(self):
-        fed = self.build()
-        node = fed.node(NodeId(1, 0))
-        node.fail()
-        node._on_fabric_delivery(
-            Message(src=NodeId(1, 1), dst=NodeId(1, 0),
-                    kind=MessageKind.HEARTBEAT, size=8)
-        )
-        assert node._held == []
 
     def test_buffered_messages_flushed_on_recover(self):
         fed = self.build()

@@ -105,20 +105,6 @@ class TestNode:
         b.deliver_app(msg)
         assert got == [msg]
 
-    def test_system_hook_consumes(self):
-        sim, a, b = build_node_pair()
-        b.system_hook = lambda m: True  # eat everything
-        a.send_raw(b.id, MessageKind.INTER_ACK, size=10)
-        sim.run()
-        assert b.agent.received == []
-
-    def test_system_hook_pass_through(self):
-        sim, a, b = build_node_pair()
-        b.system_hook = lambda m: False
-        a.send_raw(b.id, MessageKind.INTER_ACK, size=10)
-        sim.run()
-        assert len(b.agent.received) == 1
-
 
 class TestClusterRuntime:
     def test_leader_and_lookup(self):

@@ -1,9 +1,9 @@
 """Stress integration: every feature enabled at once.
 
-Eight clusters, chatty traffic, distributed garbage collection, transitive
-DDV tracking, degree-2 replication, heartbeat detection, MTBF-driven
-simultaneous faults -- the protocol must stay consistent and every cluster
-must end the run healthy.
+Eight clusters, chatty traffic, garbage collection, transitive DDV
+tracking, degree-2 replication, incremental storage and MTBF-driven faults
+-- the protocol must stay consistent and every cluster must end the run
+healthy.
 
 These are the suite's longest simulations, so the whole module is in the
 slow lane (run ``-m "not slow"`` for the fast smoke pass).
@@ -40,9 +40,6 @@ def build_everything_on(seed: int, mtbf=500.0, n_clusters=8, nodes=3):
         checkpoint_restore_time=0.2,
         node_repair_time=1.0,
         node_state_size=50_000,
-        detector="heartbeat",
-        heartbeat_period=0.5,
-        heartbeat_timeout=1.6,
     )
     return Federation(
         topology,
@@ -51,14 +48,12 @@ def build_everything_on(seed: int, mtbf=500.0, n_clusters=8, nodes=3):
         protocol="hc3i",
         protocol_options={
             "mode": "ddv",
-            "gc_mode": "distributed",
             "replication_degree": 2,
             "incremental": True,
             "incremental_fraction": 0.25,
         },
         seed=seed,
         trace_level=TraceLevel.PROTOCOL,
-        allow_simultaneous_faults=True,
     )
 
 
@@ -99,11 +94,10 @@ def test_everything_on_deterministic():
     assert run() == run()
 
 
-def test_everything_on_heartbeat_detects_all():
+def test_everything_on_detects_all():
     fed = build_everything_on(404, mtbf=600.0)
     results = fed.run()
     injected = results.counter("failures/injected")
-    # every injected fault was found by the heartbeat detector (the oracle
-    # is disabled when the detector is active)
-    assert fed.detector is not None
-    assert fed.detector.suspects_raised == injected
+    # every injected fault was reported by the oracle detector
+    assert injected >= 1
+    assert results.counter("failures/detected") == injected
