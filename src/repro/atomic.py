@@ -1,13 +1,11 @@
 """Write-then-rename file output, once.
 
-Result-cache entries, snapshot envelopes, done manifests and cache-sync
-archives all promise the same thing: a reader sees the previous complete
-file or the new complete file, never a torn mix, and a writer that dies
-or raises leaves nothing behind but (at worst, on a hard kill) a
-``*.tmp`` orphan that ``ResultCache.clear`` / ``sweep_orphans`` collect.
-
-Lives outside ``experiments/`` so :mod:`repro.sim.snapshot` can use it
-without a ``sim -> experiments`` import edge.
+Result-cache entries (``ResultCache.put``), cache-sync archives
+(``export_cache``) and imported entries (``_atomic_copy_bytes``) all
+promise the same thing: a reader sees the previous complete file or the
+new complete file, never a torn mix, and a writer that dies or raises
+leaves nothing behind but (at worst, on a hard kill) a ``*.tmp`` orphan
+that ``ResultCache.clear`` collects.
 """
 
 from __future__ import annotations

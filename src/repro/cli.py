@@ -47,18 +47,12 @@ findings remain and 2 on a usage/configuration error::
     repro lint
     repro lint src --json
 
-``--checkpoint-every`` makes evicted points resume instead of recompute;
-the policy is built once here and rides every task to its worker, the
-same way on every backend::
-
-    repro sweep fig6-fig7 --scale full --backend k8s --checkpoint-every 600
-
 Each path above is one row of :data:`VERBS`; :func:`main` looks the first
 argument up there (no verb: the scenario row) and :func:`parser` builds the
 row's parser.  A flag several rows take is declared once.
 
 See ``docs/sweeps.md`` for the sweep-engine guide (scales, caching,
-multi-host execution, batch schedulers, checkpoint/resume, cache sync) and
+multi-host execution, batch schedulers, lost points, cache sync) and
 ``docs/architecture.md`` for the module map.
 """
 
@@ -279,8 +273,8 @@ def _run(experiment, args: argparse.Namespace, backend_for=None):
     """Run ``experiment`` as the engine flags say; returns the SweepReport.
 
     Cache (unless ``--no-cache``), then ``--scale/--set/--seed`` through the
-    registry, then -- for a verb that has them -- ``backend_for(args, cache)
-    -> (backend, checkpoint policy)``, shut down again once the run is over.
+    registry, then -- for a verb that has them -- ``backend_for(args) ->
+    backend``, shut down again once the run is over.
     """
     from repro.experiments.cache import ResultCache
     from repro.experiments.runner import run_experiment
@@ -288,7 +282,7 @@ def _run(experiment, args: argparse.Namespace, backend_for=None):
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     sets = getattr(args, "sets", ())  # ``repro ablate`` takes no --set
     overrides = _overrides_or_exit(experiment, args.scale, sets, args.seed)
-    backend, policy = backend_for(args, cache) if backend_for else (None, None)
+    backend = backend_for(args) if backend_for else None
     try:
         return run_experiment(
             experiment,
@@ -296,7 +290,6 @@ def _run(experiment, args: argparse.Namespace, backend_for=None):
             jobs=args.jobs,
             cache=cache,
             backend=backend,
-            checkpoint=policy,
         )
     finally:
         if backend is not None:
@@ -389,46 +382,14 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
             "--k8s-opt=--context=federation-b --k8s-opt=--kubeconfig=/path"
         ),
     )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=None,
-        metavar="SIM_SECONDS",
-        help=(
-            "snapshot each running grid point every SIM_SECONDS of simulated "
-            "time, so a requeued (lost/evicted) point resumes from its latest "
-            "snapshot instead of recomputing from zero (see docs/sweeps.md)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-wall",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock throttle: skip an interval snapshot when the previous "
-            "one was written less than SECONDS ago (requires --checkpoint-every)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "snapshot spool directory (default: <cache dir>/checkpoints, or "
-            "<spool>/snapshots for the slurm/k8s backends; requires "
-            "--checkpoint-every)"
-        ),
-    )
     _add_json(parser, "the reduced result", "tables")
 
 
-def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
-    """``repro sweep``'s backend and checkpoint policy from its flags."""
+def _sweep_backend(args: argparse.Namespace):
+    """``repro sweep``'s backend from its flags."""
     from repro.experiments.backends import create_backend
     from repro.experiments.backends.k8s import default_k8s_spool_dir
     from repro.experiments.backends.slurm import default_spool_dir
-    from repro.experiments.cache import default_cache_dir
 
     # same rule as --set/--seed: an explicit flag is never a silent no-op
     for given, flags, backends in (
@@ -441,12 +402,6 @@ def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
             raise SystemExit(
                 f"{flags} to --backend {backends} (got --backend {args.backend})"
             )
-    if (
-        args.checkpoint_wall is not None or args.checkpoint_dir
-    ) and args.checkpoint_every is None:
-        raise SystemExit(
-            "--checkpoint-wall/--checkpoint-dir require --checkpoint-every"
-        )
     backend_kwargs: dict = {}
     if args.backend == "slurm":
         backend_kwargs["spool"] = args.spool or default_spool_dir(args.cache_dir)
@@ -461,28 +416,11 @@ def _sweep_backend(args: argparse.Namespace, cache) -> tuple:
         # $REPRO_K8S_PYTHON names the interpreter inside the image
         backend_kwargs["python"] = os.environ.get("REPRO_K8S_PYTHON", sys.executable)
     try:
-        backend = create_backend(
+        return create_backend(
             args.backend, jobs=args.jobs, hosts=args.hosts, **backend_kwargs
         )
     except ValueError as exc:
         raise SystemExit(f"repro sweep: {exc}") from None
-    policy = None
-    if args.checkpoint_every is not None:
-        # One policy for every backend; it rides each task to its worker.
-        # Snapshots default to <spool>/snapshots for slurm/k8s (compute
-        # nodes/pods can reach it), else to <cache dir>/checkpoints.
-        if args.checkpoint_dir:
-            ckpt_dir = Path(args.checkpoint_dir)
-        elif args.backend in ("slurm", "k8s"):
-            ckpt_dir = backend.spool / "snapshots"
-        else:
-            ckpt_dir = (cache.root if cache is not None else default_cache_dir()) / "checkpoints"
-        policy = {
-            "every": args.checkpoint_every,
-            "wall": args.checkpoint_wall,
-            "dir": str(ckpt_dir),
-        }
-    return backend, policy
 
 
 def _run_sweep(args: argparse.Namespace) -> int:

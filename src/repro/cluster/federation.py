@@ -30,7 +30,6 @@ from repro.core.protocol import BaseProtocol, make_protocol
 from repro.network.fabric import Fabric
 from repro.network.message import NodeId
 from repro.network.topology import Topology
-from repro.sim import snapshot as snapshot_mod
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, Signal
 from repro.sim.random import RandomStreams
@@ -120,16 +119,7 @@ class Federation:
     def run(self, until: Optional[float] = None) -> "FederationResults":
         """Run to ``until`` (default: the application's total time)."""
         self.start()
-        horizon = until if until is not None else self.application.total_time
-        driver = snapshot_mod._drive_hook
-        if driver is not None:
-            # Checkpointing active: the driver slices sim.run() into
-            # intervals and snapshots between slices (it may also restore
-            # this federation in place before running).  The dispatch
-            # stream is identical either way.
-            driver(self, horizon)
-        else:
-            self.sim.run(until=horizon)
+        self.sim.run(until=until if until is not None else self.application.total_time)
         return self.results()
 
     def _start_app(self, node: Node) -> None:

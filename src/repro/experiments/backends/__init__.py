@@ -26,11 +26,10 @@ pluggable policy behind the :class:`Backend` protocol:
 hygiene); each contributes only its scheduler's dialect.
 
 A :class:`PointTask` reaches its worker one way on all of them: the
-backend hands the task -- checkpoint policy ref included -- to
-:func:`repro.experiments.checkpoint.run_point`, directly (``local``,
-``inprocess``) or as the one wire job
+experiment's point function is called on the task's params, directly
+(``local``, ``inprocess``) or by the worker that reads the one wire job
 :func:`repro.experiments.remote_worker.encode_wire_job` builds (``ssh``,
-``slurm``, ``k8s``).  No backend takes a checkpoint option of its own.
+``slurm``, ``k8s``).
 
 ``create_backend`` is the CLI/runner factory.  The runner owns retry:
 a :class:`WorkerLostError` puts the point back in the queue and the
@@ -78,12 +77,25 @@ __all__ = [
     "SlurmCliTransport",
     "SSHBackend",
     "WorkerLostError",
+    "backend_name",
     "create_backend",
     "parse_hosts",
 ]
 
 #: names accepted by ``--backend`` / :func:`create_backend`
 BACKEND_NAMES = ("local", "ssh", "slurm", "k8s", "inprocess")
+
+
+def backend_name(spec: Union[str, Backend, None]) -> str:
+    """The name ``spec`` resolves to; an unknown name raises ``ValueError``."""
+    if isinstance(spec, Backend):
+        return spec.name
+    name = spec or "local"
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
+        )
+    return name
 
 
 def create_backend(
@@ -101,7 +113,7 @@ def create_backend(
     """
     if isinstance(spec, Backend):
         return spec
-    name = spec or "local"
+    name = backend_name(spec)
     if name == "local":
         return LocalProcessBackend(jobs=jobs, **kwargs)
     if name == "inprocess":
@@ -113,8 +125,4 @@ def create_backend(
         return SSHBackend(roster, **kwargs)
     if name == "slurm":
         return SlurmBackend(**kwargs)
-    if name == "k8s":
-        return KubernetesBackend(**kwargs)
-    raise ValueError(
-        f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
-    )
+    return KubernetesBackend(**kwargs)

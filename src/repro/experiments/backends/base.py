@@ -57,17 +57,13 @@ class PointTask:
 
     ``experiment`` + ``params`` are the location-independent description
     (what a remote worker needs); ``fn`` is the already-resolved local
-    callable (what in-process backends call directly).  ``checkpoint``
-    is the point's snapshot policy ref ``{every, wall, dir, key}``, or
-    ``None``: the runner fills it in and every backend hands it to the
-    worker unchanged (in the wire job, for the distributed ones), so a
-    point checkpoints the same way wherever an attempt lands.
+    callable (what in-process backends call directly).  A requeued task
+    is the same description again: the point is recomputed from zero.
     """
 
     experiment: str
     params: dict
     fn: Callable[[dict], object]
-    checkpoint: Optional[dict] = None
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ The common shape:
   dispatched as **one** scheduler batch of up to ``batch_size`` tasks.
 * Each batch gets a job directory under a shared spool: every point's
   wire job (the exact :func:`encode_wire_job` text the SSH backend
-  pipes, checkpoint ref included) is written to ``tasks/<i>.json``, and
-  task *i* runs the shared worker line
+  pipes) is written to ``tasks/<i>.json``, and task *i* runs the shared
+  worker line
   (:func:`~repro.experiments.backends.base.worker_shell_line`), leaving
   its response envelope at ``results/<i>.json`` -- write-then-rename, so
   a result file is complete the instant it exists.
@@ -28,8 +28,9 @@ The common shape:
 * Failure semantics follow the backend contract: a task that ends in a
   lost state, times out, or vanishes raises :class:`WorkerLostError`, so
   the runner requeues the point and resubmissions go out as a fresh
-  batch.  A point *raising* inside the worker comes back in the envelope
-  as a deterministic :class:`RemotePointError` (not retryable), and the
+  batch, where each lost point is recomputed from its params.  A point
+  *raising* inside the worker comes back in the envelope as a
+  deterministic :class:`RemotePointError` (not retryable), and the
   code-hash handshake refuses results from out-of-sync checkouts.
 
 Scheduler interaction goes through a pluggable :class:`BatchTransport`

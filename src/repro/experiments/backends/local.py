@@ -28,7 +28,6 @@ from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
-from repro.experiments import checkpoint
 from repro.experiments.backends.base import (
     Backend,
     BackendUnavailableError,
@@ -236,14 +235,9 @@ def _timed_chunk(tasks: list) -> list:
 
 
 def _timed_point(task: PointTask) -> tuple:
-    """Worker-side wrapper: run a point and report its wall time.
-
-    Routed through :func:`checkpoint.run_point` so pool workers honor the
-    task's checkpoint policy exactly as remote workers honor the same
-    ref in their wire job.
-    """
+    """Worker-side wrapper: run a point and report its wall time."""
     start = time.perf_counter()
-    value = checkpoint.run_point(task.fn, task.params, task.experiment, task.checkpoint)
+    value = task.fn(task.params)
     return value, time.perf_counter() - start
 
 

@@ -73,16 +73,16 @@ def code_version_hash() -> str:
 
 
 #: what a key hashes, byte for byte ``json.dumps(..., sort_keys=True)``: every
-#: cache entry, snapshot and ``/grid`` answer on disk is addressed by these bytes
+#: cache entry and ``/grid`` answer on disk is addressed by these bytes
 _encode_material = json.JSONEncoder(sort_keys=True).encode
 
 
 def point_key(experiment: str, params: dict, code_hash: Optional[str] = None) -> str:
     """Content address of one grid point: SHA-256(code, experiment, params).
 
-    The one recipe behind result-cache entries *and* resume snapshots, so
-    a point's snapshot key is its cache key -- attempt-independent, which
-    is what lets a requeued attempt find its predecessor's snapshots.
+    The key of a point's result-cache entry.  It depends on nothing about
+    the attempt, so a requeued point is recomputed and stored exactly where
+    its lost attempt's result would have gone.
     """
     material = _encode_material(
         {

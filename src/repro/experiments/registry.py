@@ -64,7 +64,6 @@ _EXPERIMENT_MODULES = (
     "repro.experiments.failure_sweep",
     "repro.experiments.scalability",
     "repro.experiments.studies",
-    "repro.experiments.checkpoint_overhead",
 )
 
 

@@ -13,12 +13,6 @@ A job is one JSON object::
 
     {"experiment": "fig8", "params": {...}, "code_hash": "<submitter's hash>"}
 
-plus, when the sweep runs under a checkpoint policy, the task's snapshot
-ref -- the only way a policy ever reaches a worker::
-
-    "checkpoint": {"every": 600.0, "wall": null, "dir": "/spool/snapshots",
-                   "key": "<the point's cache key>"}
-
 The response is exactly one JSON envelope.  Success::
 
     {"ok": true, "code_hash": "<this host's hash>",
@@ -55,7 +49,7 @@ import time
 import traceback
 from typing import Optional
 
-from repro.experiments import checkpoint, registry
+from repro.experiments import registry
 from repro.experiments.cache import code_version_hash
 
 __all__ = ["decode_envelope", "encode_wire_job", "main", "make_wire_job", "run_job"]
@@ -65,20 +59,12 @@ def make_wire_job(task) -> dict:
     """The self-contained job object a worker consumes, handshake included.
 
     ``task`` is a :class:`~repro.experiments.backends.base.PointTask`.
-    Its ``checkpoint`` ref rides along only when set (a job without a
-    policy has exactly the keys ``code_hash, experiment, params``); the
-    worker runs the point under it via
-    :func:`repro.experiments.checkpoint.run_point`, resuming from the
-    latest envelope at that key if one exists.
     """
-    wire = {
+    return {
         "experiment": task.experiment,
         "params": task.params,
         "code_hash": code_version_hash(),
     }
-    if task.checkpoint is not None:
-        wire["checkpoint"] = task.checkpoint
-    return wire
 
 
 def encode_wire_job(task) -> str:
@@ -132,9 +118,7 @@ def run_job(job: dict) -> dict:
             experiment = registry.get(str(job["experiment"]))
             params = registry.canonical_params(job["params"])
             start = time.perf_counter()
-            value = checkpoint.run_point(
-                experiment.point, params, experiment.name, job.get("checkpoint")
-            )
+            value = experiment.point(params)
             elapsed = time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - reported in the envelope
         return {

@@ -19,11 +19,11 @@ and the backend stops assigning work to the casualty, so a sweep
 survives losing hosts mid-flight -- the federation-of-scavenged-
 resources model of the paper's setting.
 
-The runner also owns the sweep's checkpoint policy: it is the one place
-that knows both the policy and that a result is durably cached, so it
-stamps each :class:`PointTask` with its snapshot ref (the only carrier a
-policy has, whatever the backend) and collects a point's snapshots once
-its result is safe.
+A requeued point is recomputed from zero: its params dict is its
+checkpoint (seed included, a few hundred bytes), and the new attempt
+reproduces the lost one byte for byte.  Points are short enough that
+snapshotting them mid-run would cost more than it saves (measured in
+``docs/sweeps.md``, "A lost point is recomputed").
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.experiments import checkpoint as checkpoint_mod, registry
+from repro.experiments import registry
 from repro.experiments.backends import (
     Backend,
     PointTask,
     WorkerLostError,
+    backend_name,
     create_backend,
 )
-from repro.experiments.cache import ResultCache, point_key
+from repro.experiments.cache import ResultCache
 from repro.experiments.registry import Experiment
 
 __all__ = ["SweepError", "SweepReport", "run_experiment"]
@@ -95,7 +96,6 @@ def run_experiment(
     cache: Optional[ResultCache] = None,
     backend: Union[str, Backend, None] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    checkpoint: Optional[dict] = None,
 ) -> SweepReport:
     """Run one experiment's full grid; returns the reduced result + stats.
 
@@ -108,18 +108,11 @@ def run_experiment(
     resolved via :func:`repro.experiments.backends.create_backend` with
     its defaults, or a ready :class:`Backend` instance -- the way in for
     one that needs arguments (``ssh`` and its roster, a spool) -- which
-    the caller keeps ownership of (it is not shut down here).
-
-    ``checkpoint`` is the sweep's resume policy ``{"every": simulated
-    seconds, "wall": throttle seconds or None, "dir": snapshot
-    directory}``: every executed point snapshots under it -- on any
-    backend -- at its cache key, so a requeued attempt resumes (see
-    :mod:`repro.experiments.checkpoint`).
+    the caller keeps ownership of (it is not shut down here).  A name is
+    checked before the cache is read, so a misspelt one fails whether or
+    not any point would have executed.
     """
-    if checkpoint is not None:
-        if not checkpoint.get("dir"):
-            raise ValueError("a checkpoint policy needs a snapshot 'dir'")
-        checkpoint = {**checkpoint, "dir": str(checkpoint["dir"])}  # wire-safe
+    backend_label = backend_name(backend)
     exp = registry.get(experiment) if isinstance(experiment, str) else experiment
     start = time.perf_counter()
     grid = exp.build_grid(overrides)
@@ -147,19 +140,11 @@ def run_experiment(
         resolved = create_backend(backend, jobs=jobs)
         try:
             retries = _execute_pending(
-                resolved, exp, grid, pending, results, cache, host_counts,
-                max_retries, checkpoint,
+                resolved, exp, grid, pending, results, cache, host_counts, max_retries
             )
         finally:
             if not borrowed:
                 resolved.shutdown()
-            if checkpoint is not None:
-                # killed writers leave *.tmp behind; snapshots of completed
-                # points were collected as they finished
-                checkpoint_mod.sweep_orphans(checkpoint["dir"])
-        backend_name = resolved.name
-    else:
-        backend_name = backend.name if isinstance(backend, Backend) else (backend or "local")
 
     reduced = exp.reduce(grid, results)
     return SweepReport(
@@ -171,7 +156,7 @@ def run_experiment(
         executed=len(pending),
         jobs=jobs,
         elapsed=time.perf_counter() - start,
-        backend=backend_name,
+        backend=backend_label,
         host_counts=host_counts,
         retries=retries,
     )
@@ -186,7 +171,6 @@ def _execute_pending(
     cache: Optional[ResultCache],
     host_counts: dict,
     max_retries: int,
-    policy: Optional[dict] = None,
 ) -> int:
     """Fan ``pending`` grid indices out over ``backend`` with retry.
 
@@ -194,21 +178,8 @@ def _execute_pending(
     an aborted sweep resumes from exactly where it failed.  Returns the
     number of worker-loss resubmissions.
     """
-    # A task's snapshot ref is the policy plus the point's cache key --
-    # identical for the first submission and every requeue, which is what
-    # lets attempt N+1 pick up attempt N's latest snapshot.
-    tasks = {
-        i: PointTask(
-            exp.name,
-            grid[i],
-            exp.point,
-            policy and {**policy, "key": point_key(exp.name, grid[i])},
-        )
-        for i in pending
-    }
-
     def submit(i: int):
-        return backend.submit(tasks[i])
+        return backend.submit(PointTask(exp.name, grid[i], exp.point))
 
     backend.prepare(len(pending))
     in_flight: dict = {}
@@ -253,12 +224,6 @@ def _execute_pending(
         if cache is not None:
             cache.put(exp.name, grid[i], outcome.value)
             cache.record(exp.name, grid[i], host=outcome.host, elapsed=outcome.elapsed)
-        ref = tasks[i].checkpoint
-        if ref is not None:
-            # the point is durably recorded: its resume snapshots are
-            # garbage (the worker that died after writing its result may
-            # not have gotten to its own GC)
-            checkpoint_mod.gc_point(ref["dir"], ref["key"])
 
     try:
         for i in pending:

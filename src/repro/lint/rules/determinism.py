@@ -2,7 +2,7 @@
 
 The repository's correctness story is *per-seed byte-identical replay*:
 golden dispatch-trace digests, cross-backend equivalence, and
-checkpoint/resume all assert that the same seed produces the same event
+snapshot forks all assert that the same seed produces the same event
 stream, bit for bit.  Any read of process-global entropy inside the
 modules that feed that stream -- the global :mod:`random` PRNG, an
 unseeded ``random.Random()``, wall-clock time, the process environment,

@@ -14,7 +14,7 @@ The rule flags ``is`` / ``is not`` comparisons where either operand is a
 in any module of the snapshot import closure (everything transitively
 imported from the snapshot module, the federation, and the protocol
 families -- i.e. everything whose instances can be pickled into a
-checkpoint).  ``x is None`` / ``x is True`` stay legal: singletons
+snapshot).  ``x is None`` / ``x is True`` stay legal: singletons
 survive pickling by construction.
 """
 

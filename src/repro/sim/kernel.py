@@ -353,11 +353,8 @@ class Simulator:
     def __getstate__(self):
         if self._running:
             raise SimulationError("cannot snapshot a simulator mid-run()")
-        digest = self._digest
-        if digest is not None and not getattr(digest, "snapshot_safe", False):
-            # Streaming digests (and ad-hoc sinks) cannot round-trip a
-            # pickle; drop them rather than producing an unrestorable blob.
-            digest = None
+        # The digest stays behind: a streaming hash cannot be pickled, so a
+        # restored simulator has none until one is attached again.
         return {
             "now": self.now,
             "queue": self._queue,
@@ -365,7 +362,6 @@ class Simulator:
             "cancelled": self._cancelled_in_heap,
             "stopped": self._stopped,
             "processed": self._processed,
-            "digest": digest,
         }
 
     def __setstate__(self, state) -> None:
@@ -376,7 +372,7 @@ class Simulator:
         self._running = False
         self._stopped = state["stopped"]
         self._processed = state["processed"]
-        self._digest = state["digest"]
+        self._digest = None
 
     # ------------------------------------------------------------------
     # introspection

@@ -1,13 +1,13 @@
-"""Simulator snapshot/restore: serialize a live federation mid-run.
+"""Simulator snapshot/restore: fork a live federation mid-run.
 
-The paper's whole subject is checkpointing long-running parallel work so
-it survives failures -- this module applies that medicine to the
-simulator itself.  A snapshot captures the *entire* simulation state --
-the kernel's event queue, every process, the protocol and RNG state, the
-statistics registry and the trace-digest accumulator -- as one pickle,
-so an evicted sweep point can resume on another worker instead of
-re-running from zero (see :mod:`repro.experiments.checkpoint` for the
-sweep-side policy).
+A snapshot captures the *entire* simulation state -- the kernel's event
+queue, every process, the protocol and RNG state and the statistics
+registry -- as one pickle, so a run can be forked: frozen at some
+simulated instant, thawed (in this process or another) and run on from
+there.  It is not a sweep-side resume mechanism: a lost grid point is
+simply recomputed from its params (see ``docs/sweeps.md``, "A lost point
+is recomputed"), which at the run lengths this repo sees costs less than
+writing snapshots would.
 
 Two things make a live simulation picklable, and both live here:
 
@@ -29,70 +29,31 @@ Two things make a live simulation picklable, and both live here:
 
 Nothing process-global rides along: message ids are the federation's own
 (``Fabric.next_msg_id``, an int in the pickled graph), so a restored run
-numbers its messages exactly as the uninterrupted one does.
-
-Snapshots are written as *envelopes*: one JSON header line (format,
-payload checksum, provenance) followed by the raw pickle, written
-atomically (temp file + rename) so a killed writer never leaves a
-truncated snapshot that parses.  :func:`read_envelope` verifies the
-checksum and raises :class:`CorruptSnapshotError` on any damage --
-callers treat that as "no snapshot" and fall back to running from zero.
+numbers its messages exactly as the uninterrupted one does.  Neither
+does the trace digest: a streaming hash cannot be pickled, so the
+restored simulator has none and a caller that wants one attaches it
+again.
 
 The determinism contract (see :mod:`repro.sim.trace_digest`) extends
-through snapshots: restoring a snapshot and running on must dispatch
+through a fork: restoring a snapshot and running on must dispatch
 exactly the events the uninterrupted run would have -- same times, same
-sequence numbers, same callbacks.  ``tests/test_checkpoint_resume.py``
-pins this bit-for-bit for every registered experiment.
+sequence numbers, same callbacks.  ``tests/test_snapshot_fork.py`` pins
+this bit-for-bit for every registered experiment.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import pickle
-from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable
 
-from repro.atomic import atomic_write
+__all__ = ["GenSpec", "SimClock", "SnapshotError", "dumps", "loads"]
 
-__all__ = [
-    "CorruptSnapshotError",
-    "GenSpec",
-    "SimClock",
-    "SnapshotError",
-    "StaleSnapshotError",
-    "dumps",
-    "loads",
-    "read_envelope",
-    "run_sliced",
-    "write_envelope",
-]
-
-#: envelope/payload format version; bump on incompatible layout changes
+#: payload format version; bump on incompatible layout changes
 FORMAT = 1
-
-#: installed by :func:`repro.experiments.checkpoint.activate`; when set,
-#: ``Federation.run`` hands the run loop to ``hook(federation, horizon)``
-#: instead of calling ``sim.run(until=horizon)`` itself (module-level so
-#: the sim layer never imports the experiments layer)
-_drive_hook: Optional[Callable[..., Any]] = None
 
 
 class SnapshotError(RuntimeError):
     """A snapshot could not be taken or restored."""
-
-
-class CorruptSnapshotError(SnapshotError):
-    """The snapshot envelope is damaged (truncated, garbled, bad checksum)."""
-
-
-class StaleSnapshotError(SnapshotError):
-    """The snapshot was taken by different ``repro`` sources.
-
-    Resuming state produced by other code could silently diverge from the
-    from-zero run (and poison the result cache), so stale snapshots are
-    refused exactly as federation cache sync refuses mismatched entries.
-    """
 
 
 class SimClock:
@@ -147,28 +108,6 @@ class GenSpec:
         return f"<GenSpec {name} at={self.phase.get('at')!r}>"
 
 
-def run_sliced(sim, horizon: float, every: Optional[float]) -> Iterator[None]:
-    """Run ``sim`` to ``horizon`` in ``every``-second slices, yielding at each
-    interior slice boundary -- the instants at which a snapshot may be taken.
-
-    Exhausting the generator dispatches exactly the events
-    ``sim.run(until=horizon)`` would: slicing stops and restarts the kernel
-    loop from the *outside*, so no simulated event is added, reordered or
-    dropped.  Nothing is yielded at the horizon itself or once the
-    simulation has stopped; ``every=None`` is the unsliced run (one slice,
-    no boundary).
-    """
-    if every is None:
-        sim.run(until=horizon)
-        return
-    while not sim._stopped and sim.now < horizon:
-        target = min(sim.now + every, horizon)
-        sim.run(until=target)
-        if sim._stopped or target >= horizon:
-            return
-        yield
-
-
 # ---------------------------------------------------------------------------
 # pickle payload
 
@@ -199,11 +138,9 @@ def loads(blob: bytes) -> Any:
         try:
             payload = pickle.loads(blob)
         except Exception as exc:
-            raise CorruptSnapshotError(
-                f"snapshot payload does not unpickle: {exc}"
-            ) from exc
+            raise SnapshotError(f"snapshot payload does not unpickle: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != FORMAT:
-            raise CorruptSnapshotError("unrecognized snapshot payload format")
+            raise SnapshotError("unrecognized snapshot payload format")
         for proc in process_mod._restore_batch:
             _rebuild_generator(proc)
         return payload["root"]
@@ -231,50 +168,3 @@ def _rebuild_generator(proc) -> None:
             raise SnapshotError(
                 f"cannot prime restored process {proc.name!r}: {exc}"
             ) from exc
-
-
-# ---------------------------------------------------------------------------
-# envelope I/O
-
-
-def write_envelope(path, meta: dict, payload: bytes) -> Path:
-    """Atomically write header-line + payload; returns the final path.
-
-    The header is ``meta`` plus ``format`` and ``payload_sha256``.
-    Write-then-rename (the result-cache idiom): a reader either sees the
-    previous complete snapshot or this one, never a torn mix.
-    """
-    header = dict(meta)
-    header["format"] = FORMAT
-    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    return atomic_write(path, lambda fh: fh.writelines((line, payload)))
-
-
-def read_envelope(path) -> Tuple[dict, bytes]:
-    """Parse and verify one envelope; returns ``(header, payload)``.
-
-    Any damage -- unreadable file, missing header line, bad JSON, format
-    skew, checksum mismatch -- raises :class:`CorruptSnapshotError`.
-    """
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise CorruptSnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise CorruptSnapshotError(f"snapshot {path} has no header line")
-    try:
-        header = json.loads(blob[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptSnapshotError(
-            f"snapshot {path} header is not JSON: {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT:
-        raise CorruptSnapshotError(f"snapshot {path} has an unsupported format")
-    payload = blob[newline + 1 :]
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
-        raise CorruptSnapshotError(
-            f"snapshot {path} payload checksum mismatch (truncated write?)"
-        )
-    return header, payload

@@ -54,7 +54,7 @@ import struct
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-__all__ = ["ChainedTraceDigest", "TraceDigest", "callback_id", "capture"]
+__all__ = ["TraceDigest", "callback_id", "capture"]
 
 _pack = struct.Struct("<dQ").pack
 
@@ -104,57 +104,6 @@ class TraceDigest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TraceDigest events={self.events} {self.hexdigest()[:12]}...>"
-
-
-class ChainedTraceDigest:
-    """An order-sensitive dispatch digest that survives pickling.
-
-    :class:`TraceDigest` streams into one ``blake2b`` object, which cannot
-    be pickled mid-stream -- so a checkpointed run could not carry its
-    digest across a snapshot.  This variant hash-chains instead: the state
-    is a plain 16-byte value, folded per event as
-    ``state = blake2b(state || time || seq || callback_id)``.  Same
-    sensitivity (any event changed, dropped, or reordered changes the
-    final value), different digest values for the same stream -- so
-    chained digests are only ever compared against other chained digests.
-
-    ``snapshot_safe`` marks it as keepable by ``Simulator.__getstate__``:
-    a restored run continues the chain exactly where the snapshot left it,
-    which is what makes kill-and-resume digest comparisons possible.
-    """
-
-    __slots__ = ("state", "events")
-
-    snapshot_safe = True
-
-    def __init__(self) -> None:
-        self.state = bytes(16)
-        self.events = 0
-
-    def update(self, time: float, seq: int, fn: Callable[..., Any]) -> None:
-        self.state = hashlib.blake2b(
-            self.state
-            + _pack(time, seq)
-            + callback_id(fn).encode("utf-8", "replace")
-            + b"\x00",
-            digest_size=16,
-        ).digest()
-        self.events += 1
-
-    def hexdigest(self) -> str:
-        return self.state.hex()
-
-    def summary(self) -> dict:
-        return {"digest": self.hexdigest(), "events": self.events}
-
-    def __getstate__(self):
-        return (self.state, self.events)
-
-    def __setstate__(self, state) -> None:
-        self.state, self.events = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ChainedTraceDigest events={self.events} {self.hexdigest()[:12]}...>"
 
 
 @contextmanager

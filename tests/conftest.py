@@ -131,21 +131,17 @@ def stub_ssh(tmp_path):
     """A stand-in for ``ssh``: ignores options/host, runs the command locally.
 
     Hosts named ``dead*`` refuse the connection (exit 255), so tests can
-    kill a fake remote worker without an sshd anywhere.  Like a real ssh
-    hop, it does not forward ``REPRO_CHECKPOINT_*`` variables: whatever
-    the worker needs must arrive inside the wire job.
+    kill a fake remote worker without an sshd anywhere.
     """
     script = tmp_path / "stub-ssh.py"
     script.write_text(
         "#!/usr/bin/env python3\n"
-        "import os, subprocess, sys\n"
+        "import subprocess, sys\n"
         "host, command = sys.argv[-2], sys.argv[-1]\n"
         "if host.startswith('dead'):\n"
         "    print('stub-ssh: connection refused', file=sys.stderr)\n"
         "    sys.exit(255)\n"
-        "env = {k: v for k, v in os.environ.items()\n"
-        "       if not k.startswith('REPRO_CHECKPOINT_')}\n"
-        "sys.exit(subprocess.call(command, shell=True, env=env))\n"
+        "sys.exit(subprocess.call(command, shell=True))\n"
     )
     return (sys.executable, str(script))
 

@@ -552,6 +552,12 @@ class TestSSHBackend:
 
 
 class TestRemoteWorker:
+    def test_wire_job_is_exactly_experiment_params_and_handshake(self):
+        from repro.experiments.remote_worker import make_wire_job
+
+        job = make_wire_job(PointTask("table1", {"seed": 1}, fn=dict))
+        assert sorted(job) == ["code_hash", "experiment", "params"]
+
     def test_run_job_success_envelope_round_trips_value(self):
         import base64
         import pickle

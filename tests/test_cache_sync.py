@@ -11,6 +11,7 @@ survive concurrent/interleaved appenders.
 from __future__ import annotations
 
 import json
+import os
 import tarfile
 import threading
 
@@ -428,3 +429,73 @@ class TestJournalSharding:
         writer.journal_append([self._entry(s, float(s)) for s in range(8)])
         reader = ResultCache(tmp_path)
         assert len(reader.journal_entries()) == 8
+
+
+# ---------------------------------------------------------------------------
+# atomic writers
+
+
+class _TornFile:
+    """A file whose every write lands one byte, then the disk fills up."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(bytes(data)[:1])
+        raise OSError("disk full")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _export_empty_cache(root):
+    export_cache(ResultCache(root / "empty", code_hash="h"), root / "site.tar.gz")
+
+
+def _copy_entry(root):
+    from repro.experiments.cache_sync import _atomic_copy_bytes
+
+    _atomic_copy_bytes(b"entry bytes", root / "ab" / "entry.pkl")
+
+
+#: the three atomic writers: (call, glob of the target it creates under root)
+ATOMIC_WRITERS = {
+    "ResultCache.put": (
+        lambda root: ResultCache(root, code_hash="h").put("t", {"a": 1}, [1, 2, 3]),
+        "*.pkl",
+    ),
+    "export_cache": (_export_empty_cache, "*.tar.gz"),
+    "_atomic_copy_bytes": (_copy_entry, "*.pkl"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_a_writer_that_raises_mid_write_leaves_nothing_behind(
+    writer, tmp_path, monkeypatch
+):
+    """All three go through ``repro.atomic.atomic_write``: a write that
+    raises part-way leaves no ``*.tmp`` and no partial target."""
+    write, target = ATOMIC_WRITERS[writer]
+    real_fdopen = os.fdopen
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            os, "fdopen", lambda fd, *a, **k: _TornFile(real_fdopen(fd, *a, **k))
+        )
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path)
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert list(tmp_path.rglob(target)) == []
+    write(tmp_path)  # and unbroken, the same call does create its target
+    assert len(list(tmp_path.rglob(target))) == 1
+    assert list(tmp_path.rglob("*.tmp")) == []

@@ -37,10 +37,7 @@ SMOKE_EXPERIMENTS = ("table1", "fig6-fig7", "protocol-tournament", "ablation-com
 
 #: `scaling` measures wall-clock in whichever process runs the point (see
 #: scalability.py): its first N columns are deterministic, the rest timing.
-#: `checkpoint_overhead` reports pickle sizes, which drift by a few bytes
-#: between interpreter instances (hash randomization reorders set iteration
-#: and with it the pickle memo layout); interval/events/snapshots stay exact.
-DETERMINISTIC_COLUMNS = {"scaling": 5, "checkpoint_overhead": 3}
+DETERMINISTIC_COLUMNS = {"scaling": 5}
 
 
 @pytest.fixture(scope="module")

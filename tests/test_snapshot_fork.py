@@ -1,0 +1,212 @@
+"""Snapshot forks: ``snapshot.dumps/loads`` mid-run changes nothing.
+
+The contract under test (see docs/architecture.md, "Snapshots"): freezing
+a federation mid-run and thawing it must reproduce the uninterrupted run
+bit for bit -- same point values, same dispatch stream.  The fork check
+runs every registered experiment with ``Federation.run`` patched to fork
+each call half-way, and compares against the plain run.
+
+The snapshot layer's own refusals (a dump mid-``run()``, a process not
+built from a ``GenSpec``, an unpickle outside ``loads``) are pinned here
+too, and so are the sweep-side checkpoint knobs that no longer exist.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.app.workloads import table1_workload
+from repro.cluster.federation import Federation
+from repro.experiments import registry
+from repro.experiments.golden import golden_overrides
+from repro.sim import snapshot, trace_digest
+from repro.sim.process import Process, Timeout
+from repro.sim.snapshot import SnapshotError
+from repro.sim.trace import TraceLevel
+
+TINY = {"nodes": 4, "total_time": 1800.0}
+
+
+def make_fed(seed: int = 7, **kwargs) -> Federation:
+    topology, application, timers = table1_workload(**TINY)
+    return Federation(
+        topology, application, timers, protocol="hc3i", seed=seed, **kwargs
+    )
+
+
+# ---------------------------------------------------------------------------
+# the fork check, over the registry
+
+
+def forking_run(forks: list):
+    """A ``Federation.run`` that forks itself half-way through each call.
+
+    Runs to the middle of what is left, round-trips the federation through
+    ``dumps``/``loads``, moves the restored state into the caller's object
+    (experiments hold it across calls), re-attaches the streaming digest
+    (it never rides a snapshot) and runs to the end.
+    """
+
+    def run(self, until=None):
+        self.start()
+        horizon = until if until is not None else self.application.total_time
+        self.sim.run(until=(self.sim.now + horizon) / 2)
+        digest = self.sim._digest
+        restored = snapshot.loads(snapshot.dumps(self))
+        self.__dict__.update(restored.__dict__)
+        self.sim.attach_digest(digest)
+        self.sim.run(until=horizon)
+        forks.append(self.sim.now)
+        return self.results()
+
+    return run
+
+
+def _scrub(name: str, value):
+    """Drop the wall-clock field `scaling` measures (host-dependent, see
+    test_cross_backend.DETERMINISTIC_COLUMNS); everything else must match."""
+    if name == "scaling" and isinstance(value, dict):
+        return {k: v for k, v in value.items() if k != "wall"}
+    return value
+
+
+def run_grid(name: str) -> tuple:
+    """Every tiny grid point's value, and the digest of their dispatch streams."""
+    experiment = registry.get(name)
+    grid = experiment.build_grid(golden_overrides(experiment))
+    with trace_digest.capture() as digest:
+        values = [_scrub(name, experiment.point(params)) for params in grid]
+    return values, digest.summary()
+
+
+def assert_fork_changes_nothing(name: str, monkeypatch) -> None:
+    plain = run_grid(name)
+    forks: list = []
+    monkeypatch.setattr(Federation, "run", forking_run(forks))
+    forked = run_grid(name)
+    assert forks, f"{name}: no Federation.run call was forked"
+    assert forked[1] == plain[1], f"{name}: the fork changed the dispatch stream"
+    assert forked[0] == plain[0], f"{name}: the fork changed a point's value"
+
+
+# figure5 holds the federation across run() calls; protocol-tournament
+# covers every protocol family's restore path in the fast lane
+FORK_FAST = ["table1", "figure5", "protocol-tournament"]
+
+
+@pytest.mark.parametrize("name", FORK_FAST)
+def test_fork_matches_uninterrupted(name, monkeypatch):
+    assert_fork_changes_nothing(name, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [n for n in registry.names() if n not in FORK_FAST])
+def test_fork_matches_uninterrupted_all(name, monkeypatch):
+    assert_fork_changes_nothing(name, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the snapshot layer
+
+
+class TestSnapshotRoundtrip:
+    def test_midrun_snapshot_resumes_bit_identically(self):
+        """The restored federation dispatches the rest of the run exactly as
+        the original does after the dump, and ends with the same results."""
+        fed = make_fed()
+        fed.start()
+        fed.sim.run(until=900.0)
+        blob = snapshot.dumps(fed)
+        tail = trace_digest.TraceDigest()
+        fed.sim.attach_digest(tail)
+        fed.sim.run(until=1800.0)
+
+        restored = snapshot.loads(blob)
+        restored_tail = trace_digest.TraceDigest()
+        restored.sim.attach_digest(restored_tail)
+        restored.sim.run(until=1800.0)
+        assert tail.events > 0
+        assert restored_tail.summary() == tail.summary()
+        assert restored.results() == fed.results()
+
+    def test_restored_run_sends_under_the_uninterrupted_runs_ids(self):
+        """Ids ride the snapshot with the federation: neither what this
+        process sent before nor what it sent after the dump moves them."""
+        make_fed().run()
+        fed = make_fed(trace_level=TraceLevel.MESSAGE)
+        fed.start()
+        fed.sim.run(until=900.0)
+        blob = snapshot.dumps(fed)
+        fed.sim.run(until=1800.0)
+
+        restored = snapshot.loads(blob)
+        assert restored.fabric.next_msg_id < fed.fabric.next_msg_id
+        restored.sim.run(until=1800.0)
+        assert restored.fabric.next_msg_id == fed.fabric.next_msg_id
+        sends = [r["msg_id"] for r in fed.tracer.find("send")]
+        assert sends and sends == [r["msg_id"] for r in restored.tracer.find("send")]
+
+    def test_snapshot_is_stable_across_repeats(self):
+        def blob() -> bytes:
+            fed = make_fed()
+            fed.start()
+            fed.sim.run(until=900.0)
+            return snapshot.dumps(fed)
+
+        assert blob() == blob()
+
+    def test_dumps_refuses_mid_run(self):
+        fed = make_fed()
+        fed.start()
+        grabbed = []
+        fed.sim.schedule(100.0, lambda: grabbed.append(snapshot.dumps(fed)))
+        with pytest.raises(SnapshotError):
+            fed.sim.run(until=200.0)
+        assert not grabbed
+
+    def test_raw_generator_process_is_rejected(self):
+        fed = make_fed()
+        fed.start()
+
+        def loiter():
+            yield Timeout(1e17)
+
+        Process(fed.sim, loiter(), name="no-spec")
+        fed.sim.run(until=100.0)
+        with pytest.raises(SnapshotError, match="GenSpec"):
+            snapshot.dumps(fed)
+
+    def test_process_unpickle_outside_snapshot_loads_is_refused(self):
+        """A Process must only thaw through snapshot.loads (generator rebuild)."""
+        fed = make_fed()
+        fed.start()
+        fed.sim.run(until=900.0)
+        blob = snapshot.dumps(fed)
+        with pytest.raises(Exception, match="snapshot"):
+            pickle.loads(blob)  # raw pickle skips the generator-rebuild batch
+        assert snapshot.loads(blob) is not None  # the supported path works
+
+
+# ---------------------------------------------------------------------------
+# the sweep-side checkpoint policy is gone: naming it fails, by name
+
+
+class TestRetiredCheckpointKnobsRefused:
+    @pytest.mark.parametrize(
+        "flag", ["--checkpoint-every", "--checkpoint-wall", "--checkpoint-dir"]
+    )
+    def test_sweep_flag(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "table1", flag, "60"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_run_experiment_keyword(self):
+        from repro.experiments.runner import run_experiment
+
+        with pytest.raises(TypeError, match="checkpoint"):
+            run_experiment("table1", overrides=TINY, checkpoint={})

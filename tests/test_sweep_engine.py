@@ -456,6 +456,22 @@ class TestRunner:
         assert grown.points == 3
         assert grown.cache_hits == 2 and grown.executed == 1
 
+    def test_misspelt_backend_fails_on_a_cold_cache(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown backend 'slrum'"):
+            run_experiment(
+                "table1", overrides={**TINY, "seed": 5},
+                cache=ResultCache(tmp_path), backend="slrum",
+            )
+
+    def test_misspelt_backend_fails_on_a_warm_cache(self, tmp_path):
+        """The name is checked before the cache is read: a sweep with no
+        point to execute refuses it too, instead of reporting it."""
+        cache = ResultCache(tmp_path)
+        overrides = {**TINY, "seed": 5}
+        run_experiment("table1", overrides=overrides, cache=cache)
+        with pytest.raises(ValueError, match="unknown backend 'slrum'"):
+            run_experiment("table1", overrides=overrides, cache=cache, backend="slrum")
+
     def test_no_cache_executes_every_time(self):
         report = run_experiment("table1", overrides={**TINY, "seed": 4})
         assert report.cache_hits == 0 and report.executed == 1

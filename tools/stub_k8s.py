@@ -28,17 +28,8 @@ list of ``jobseq:index`` pairs (1-based job sequence numbers as this
 stub assigns them) and those pods are *not* executed -- they are
 recorded phase ``Failed`` / reason ``Evicted`` with no result file,
 exactly what a node-pressure eviction mid-sweep looks like to the
-backend.
-
-``$REPRO_K8S_STUB_KILL_MID`` kills pods *mid-run* instead: a comma list
-of ``jobseq:index:event`` triples.  The matching pod runs with
-``REPRO_CHECKPOINT_KILL_EVENT=<event>`` in its environment, so the worker
-genuinely executes -- writing checkpoint snapshots as it goes -- and then
-dies after that many simulator events (see
-:mod:`repro.experiments.checkpoint`).  The requeued copy (a later job, a
-new sequence number) no longer matches and runs to completion, resuming
-from the dead pod's latest snapshot.  This is the CI resume-smoke lane's
-eviction model.
+backend.  The requeued copy (a later job, a new sequence number) no
+longer matches and recomputes the point from zero.
 """
 
 from __future__ import annotations
@@ -81,21 +72,6 @@ def _killed_pods() -> set:
     return pairs
 
 
-def _mid_run_kills() -> dict:
-    """``{"seq:index": event_count}`` from $REPRO_K8S_STUB_KILL_MID."""
-    kills = {}
-    for chunk in os.environ.get("REPRO_K8S_STUB_KILL_MID", "").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        pod, _, event = chunk.rpartition(":")
-        try:
-            kills[pod] = int(event)
-        except ValueError:
-            print(f"stub_k8s: malformed KILL_MID entry {chunk!r}", file=sys.stderr)
-    return kills
-
-
 def _flag_value(argv: list, *flags: str) -> str:
     for flag in flags:
         if flag in argv:
@@ -129,18 +105,12 @@ def _create(argv: list) -> int:
     seq = state["next_seq"]
     state["next_seq"] += 1
     killed = _killed_pods()
-    mid_kills = _mid_run_kills()
     pods = {}
     for i in range(completions):
         if f"{seq}:{i}" in killed:
             pods[str(i)] = {"phase": "Failed", "reason": "Evicted"}
             continue
         env = dict(os.environ, JOB_COMPLETION_INDEX=str(i))
-        mid = mid_kills.get(f"{seq}:{i}")
-        if mid is not None:
-            # the worker runs for real but dies after `mid` simulator
-            # events -- mid-run eviction, snapshots already on disk
-            env["REPRO_CHECKPOINT_KILL_EVENT"] = str(mid)
         rc = subprocess.call(list(command), env=env)
         pods[str(i)] = {"phase": "Succeeded" if rc == 0 else "Failed"}
     state["jobs"][name] = {"seq": seq, "pods": pods}
