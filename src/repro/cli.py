@@ -40,13 +40,6 @@ Federation cache sync moves finished results between sites::
     repro cache import siteA.tar.gz          # at site B
     repro cache merge /mnt/siteA-cache ~/.cache/hc3i-repro
 
-The static determinism/concurrency contract checker
-(``docs/static-analysis.md``) exits 0 on zero unsuppressed findings, 1 when
-findings remain and 2 on a usage/configuration error::
-
-    repro lint
-    repro lint src --json
-
 Each path above is one row of :data:`VERBS`; :func:`main` looks the first
 argument up there (no verb: the scenario row) and :func:`parser` builds the
 row's parser.  A flag several rows take is declared once.
@@ -662,44 +655,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help=(
-            "files or directories to lint (default: the installed repro "
-            "package -- src/repro in a checkout)"
-        ),
-    )
-    _add_json(parser, "findings", "ruler lines")
-
-
-def _run_lint(args: argparse.Namespace) -> int:
-    from repro.lint.engine import LintError, run_lint
-
-    # default: this package's directory -- src/repro in a checkout
-    paths = args.paths or [str(Path(__file__).parent)]
-    try:
-        report = run_lint(paths)
-    except LintError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _print_json(report.as_dict())
-    else:
-        for finding in report.findings:
-            print(finding.format())
-        bits = [
-            f"{len(report.findings)} finding(s)",
-            f"{report.files_checked} file(s)",
-            f"{len(report.rules_run)} rule(s)",
-        ]
-        if report.suppressed:
-            bits.append(f"{len(report.suppressed)} suppressed")
-        print(f"[lint] {', '.join(bits)}")
-    return 1 if report.findings else 0
-
-
 #: verb -> ``(description, add_args, run)``; ``None`` is the scenario path
 #: (``hc3i-sim``, no verb)
 VERBS: Dict[
@@ -734,12 +689,6 @@ VERBS: Dict[
         "sweep launches, and /stats observability.  See docs/serve.md.",
         _serve_args,
         _run_serve,
-    ),
-    "lint": (
-        "AST-based determinism & concurrency contract checker for this "
-        "repository (rule catalog: docs/static-analysis.md).",
-        _lint_args,
-        _run_lint,
     ),
 }
 

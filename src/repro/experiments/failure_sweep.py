@@ -76,10 +76,11 @@ def _point(params: dict) -> dict:
         trace_level=TraceLevel.PROTOCOL,
     )
     results = fed.run()
-    lost = results.stats.get("rollback/lost_work", {})
+    # the tally exists only once a rollback has recorded into it
+    lost = results.stats.get("rollback/lost_work")
     return {
         "failures": results.counter("failures/injected"),
-        "lost_total": lost["total"] if isinstance(lost, dict) else 0.0,
+        "lost_total": lost["total"] if lost else 0.0,
         "node_seconds": topology.total_nodes * params["total_time"],
     }
 

@@ -120,7 +120,7 @@ class Signal:
         state = "triggered" if self._triggered else "armed"
         # id() only labels an anonymous Signal in debug repr output; the
         # string never reaches a digest, ordering decision, or file.
-        return f"<Signal {self.name or id(self)} {state}>"  # repro-lint: ignore[DET002] -- debug repr label only
+        return f"<Signal {self.name or id(self)} {state}>"
 
 
 class Process:

@@ -78,8 +78,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (
             "repro: unknown command 'swep' "
-            "(choose from: ablate, cache, lint, serve, sweep)\n"
+            "(choose from: ablate, cache, serve, sweep)\n"
         )
+
+    def test_retired_lint_verb_is_unknown(self, capsys):
+        assert main(["lint", "src"]) == 2
+        assert "unknown command 'lint'" in capsys.readouterr().err
 
     def test_scenario_run(self, scenario_file, capsys):
         rc = main(["--scenario", str(scenario_file)])

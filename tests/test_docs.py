@@ -7,6 +7,7 @@ locally before it fails CI.
 
 from __future__ import annotations
 
+import configparser
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,42 @@ def test_the_package_version_has_one_literal():
     assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "repro.__version__"
     }
+
+
+#: the strict-allowlist floor: mypy.ini must keep (at least) these
+#: modules fully checked.  Growing the list is encouraged; shrinking it
+#: fails here.
+MYPY_STRICT_FLOOR = (
+    "repro.network.message",
+    "repro.network.fabric",
+    "repro.network.topology",
+    "repro.sim.trace_digest",
+    "repro.serve.stats",
+    "repro.core.rounds",
+    "repro.core.recovery_line",
+    "repro.experiments.cache",
+    "repro.analysis.oracle",
+)
+
+
+class TestMypyRatchet:
+    def test_allowlist_can_only_grow(self):
+        config = configparser.ConfigParser()
+        read = config.read(REPO_ROOT / "mypy.ini")
+        assert read, "mypy.ini is missing"
+        assert config.getboolean("mypy", "ignore_errors"), (
+            "global ignore_errors=True is the allowlist mechanism; "
+            "strictness is opted into per module"
+        )
+        for module in MYPY_STRICT_FLOOR:
+            section = f"mypy-{module}"
+            assert config.has_section(section), (
+                f"{section} left the mypy strict allowlist -- the "
+                "allowlist may only grow (add modules, never remove)"
+            )
+            assert not config.getboolean(section, "ignore_errors"), (
+                f"{section} is no longer strict"
+            )
 
 
 def test_readme_links_the_docs():

@@ -6,6 +6,8 @@ runs; the full-scale numbers are held by ``tests/test_paper_fidelity.py``.
 
 import pytest
 
+from repro.experiments import registry
+from repro.experiments.golden import golden_overrides
 from repro.experiments.runner import run_experiment
 
 HOUR = 3600.0
@@ -13,6 +15,25 @@ HOUR = 3600.0
 # Reduced scale used everywhere in this module: 10x fewer nodes, 1/5 the
 # duration -> runs in well under a second each.
 SMALL = {"nodes": 10, "total_time": 2 * HOUR}
+
+
+@pytest.mark.parametrize("total_time", [60.0, 600.0])
+def test_every_experiment_returns_every_point_on_a_short_run(total_time):
+    """A run too short for a failure still reduces to a result: ``mtbf`` once
+    raised ``KeyError: 'total'`` on a run that never rolled back."""
+    for name in registry.names():
+        experiment = registry.get(name)
+        accepted = experiment.grid_parameters()
+        overrides = golden_overrides(experiment)
+        if accepted is None or "total_time" in accepted:
+            overrides["total_time"] = total_time
+        grid = experiment.build_grid(overrides)
+        points = [experiment.point(params) for params in grid]
+        experiment.reduce(grid, points)
+        if name == "mtbf":
+            assert all(
+                point["lost_total"] == 0.0 for point in points if not point["failures"]
+            )
 
 
 class TestTable1:

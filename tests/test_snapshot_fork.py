@@ -4,7 +4,8 @@ The contract under test (see docs/architecture.md, "Snapshots"): freezing
 a federation mid-run and thawing it must reproduce the uninterrupted run
 bit for bit -- same point values, same dispatch stream.  The fork check
 runs every registered experiment with ``Federation.run`` patched to fork
-each call half-way, and compares against the plain run.
+each call half-way, and compares against the plain run; a tiny federation
+of each protocol family is also forked after every one of its events.
 
 The snapshot layer's own refusals (a dump mid-``run()``, a process not
 built from a ``GenSpec``, an unpickle outside ``loads``) are pinned here
@@ -19,6 +20,8 @@ import pytest
 
 from repro.app.workloads import table1_workload
 from repro.cluster.federation import Federation
+from repro.core.protocol import protocol_names
+from repro.core.rounds import TwoPhaseRound
 from repro.experiments import registry
 from repro.experiments.golden import golden_overrides
 from repro.sim import snapshot, trace_digest
@@ -29,10 +32,10 @@ from repro.sim.trace import TraceLevel
 TINY = {"nodes": 4, "total_time": 1800.0}
 
 
-def make_fed(seed: int = 7, **kwargs) -> Federation:
+def make_fed(seed: int = 7, protocol: str = "hc3i", **kwargs) -> Federation:
     topology, application, timers = table1_workload(**TINY)
     return Federation(
-        topology, application, timers, protocol="hc3i", seed=seed, **kwargs
+        topology, application, timers, protocol=protocol, seed=seed, **kwargs
     )
 
 
@@ -105,6 +108,64 @@ def test_fork_matches_uninterrupted(name, monkeypatch):
 @pytest.mark.parametrize("name", [n for n in registry.names() if n not in FORK_FAST])
 def test_fork_matches_uninterrupted_all(name, monkeypatch):
     assert_fork_changes_nothing(name, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the fork check, at every dispatched event
+#
+# A half-horizon fork lands wherever the middle happens to fall; a hazard
+# that only bites when the snapshot is taken inside a 2PC round passes it.
+# The coordinators once shipped one: they compared their phase to string
+# sentinels with ``is``, and a restored phase string is equal to, but not
+# the same object as, the class constant.  A snapshot must be consistent
+# wherever it is taken, so this forks a tiny federation after each event
+# of its run, for every protocol family.
+
+
+def traced_run(protocol: str, steps=None):
+    """``make_fed(protocol)`` run to the horizon under a fresh digest; with
+    ``steps``, forked through ``dumps``/``loads`` after that many events."""
+    fed = make_fed(protocol=protocol)
+    digest = trace_digest.TraceDigest()
+    fed.sim.attach_digest(digest)
+    fed.start()
+    if steps is not None:
+        for _ in range(steps):
+            assert fed.sim.step()
+        fed = snapshot.loads(snapshot.dumps(fed))
+        fed.sim.attach_digest(digest)
+    fed.sim.run(until=TINY["total_time"])
+    return digest.summary(), fed.results()
+
+
+def divergent_forks(protocol: str) -> list:
+    """The event counts at which a fork changes the run's digest or results."""
+    plain = traced_run(protocol)
+    return [k for k in range(plain[0]["events"]) if traced_run(protocol, k) != plain]
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_fork_at_every_event_matches_uninterrupted(protocol):
+    assert divergent_forks(protocol) == []
+
+
+def test_every_event_fork_catches_an_identity_compared_phase(monkeypatch):
+    """Non-vacuity: the ``is``-sentinel bug, rebuilt on the live
+    ``TwoPhaseRound``.  An uninterrupted run cannot see it; some fork must."""
+    plain = traced_run("hc3i")
+    on_ack = TwoPhaseRound.on_ack
+
+    def identity_on_ack(self, msg):
+        if self.phase is not self.COLLECTING:
+            return
+        on_ack(self, msg)
+
+    monkeypatch.setattr(
+        TwoPhaseRound, "collecting", property(lambda self: self.phase is self.COLLECTING)
+    )
+    monkeypatch.setattr(TwoPhaseRound, "on_ack", identity_on_ack)
+    assert traced_run("hc3i") == plain
+    assert divergent_forks("hc3i")
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_sweep_rejects_a_set_key_the_row_does_not_take():
 
 
 def test_importing_the_cli_loads_no_experiment_module():
-    """``repro lint``/``cache``/``serve`` start-up must not pay for the registry."""
+    """``repro cache``/``serve`` start-up must not pay for the registry."""
     script = (
         "import sys, json; import repro.cli; "
         "before = set(sys.modules); "
