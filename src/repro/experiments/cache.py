@@ -10,8 +10,11 @@ checkpoint store, which dedupes by content address for the same reason).
 Values are pickled per point: point summaries are plain dicts of
 scalars/lists by contract (:mod:`repro.experiments.registry`), so entries
 stay small and portable.  Writes are atomic (temp file + rename) so a
-killed sweep never leaves a truncated entry behind; a read is one key and
-one ``open``, and a missing, torn or unreadable entry is simply a miss.
+killed sweep never leaves a truncated entry behind.  Entries are re-read far
+more often than written, so a read costs one key -- one encode of the
+params, one copy of a SHA-256 fed the rest of the material once per (code,
+experiment) -- and one ``os.open``/``os.read`` to the end; a missing, torn
+or unreadable entry is simply a miss.
 
 Cache location: ``--cache-dir`` / constructor argument, else the
 ``REPRO_CACHE_DIR`` environment variable, else
@@ -27,6 +30,7 @@ when auditing a multi-host sweep.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,6 +49,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 __all__ = ["ResultCache", "code_version_hash", "default_cache_dir", "point_key"]
 
 _ENV_VAR = "REPRO_CACHE_DIR"
+_READ_CHUNK = 1 << 16  # entries are small; a larger one takes more reads
 _code_hash_cache: Optional[str] = None
 
 
@@ -77,25 +82,35 @@ def code_version_hash() -> str:
 _encode_material = json.JSONEncoder(sort_keys=True).encode
 
 
+@functools.lru_cache(maxsize=256)
+def _key_prefix(code_hash: str, experiment: str) -> Any:
+    """SHA-256 fed ``{"code": <hash>, "experiment": <name>, "params": ``.
+
+    ``sort_keys`` puts ``code < experiment < params``, so these are the first
+    bytes of every key material under this code and experiment; callers
+    ``copy()`` the object and never update it.
+    """
+    head = _encode_material({"code": code_hash, "experiment": experiment})
+    return hashlib.sha256(f'{head[:-1]}, "params": '.encode())
+
+
 def point_key(experiment: str, params: dict, code_hash: Optional[str] = None) -> str:
     """Content address of one grid point: SHA-256(code, experiment, params).
 
     The key of a point's result-cache entry.  It depends on nothing about
     the attempt, so a requeued point is recomputed and stored exactly where
-    its lost attempt's result would have gone.
+    its lost attempt's result would have gone.  Only the params are encoded
+    per call; the rest of the material is a copied, pre-fed prefix.
     """
-    material = _encode_material(
-        {
-            "code": code_hash if code_hash is not None else code_version_hash(),
-            "experiment": experiment,
-            "params": params,
-        }
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
+    code = code_hash if code_hash is not None else code_version_hash()
+    digest = _key_prefix(code, experiment).copy()
+    digest.update((_encode_material(params) + "}").encode())
+    return digest.hexdigest()
 
 
 class ResultCache:
-    """Pickle store addressed by (experiment, params, code version)."""
+    """Pickle store addressed by (experiment, params, code version); :meth:`get`
+    is one ``os.open`` and ``os.read`` to EOF of ``<root>/<key[:2]>/<key>.pkl``."""
 
     def __init__(
         self,
@@ -104,6 +119,7 @@ class ResultCache:
         journal_shards: int = 1,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._root = os.fspath(self.root)  # what :meth:`get` formats a path from
         self.code_hash = code_hash if code_hash is not None else code_version_hash()
         self.journal_shards = max(1, int(journal_shards))
         self.hits = 0
@@ -120,13 +136,20 @@ class ResultCache:
         """Return the cached value or ``None``; counts hit/miss."""
         key = self.key(experiment, params)
         try:
-            # what :meth:`path` names, opened without a stat or a Path
-            with open(os.path.join(self.root, key[:2], key + ".pkl"), "rb") as fh:
-                value = pickle.load(fh)
+            # what :meth:`path` names, read without a stat, a Path or a buffer
+            fd = os.open(f"{self._root}/{key[:2]}/{key}.pkl", os.O_RDONLY)
+            try:
+                data = bytearray()
+                while chunk := os.read(fd, _READ_CHUNK):
+                    data += chunk
+            finally:
+                os.close(fd)
+            value = pickle.loads(data)
         except Exception:
-            # no entry is an OSError, and a truncated/corrupted one can raise
-            # nearly anything from the pickle VM (UnpicklingError, ValueError,
-            # EOFError, ...); any load failure is simply a cache miss
+            # no entry is an OSError (as is a directory or a symlink loop), and
+            # a truncated/corrupted one can raise nearly anything from the
+            # pickle VM (UnpicklingError, ValueError, EOFError, ...); any load
+            # failure is simply a cache miss
             self.misses += 1
             return None
         self.hits += 1

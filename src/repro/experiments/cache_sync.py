@@ -81,6 +81,9 @@ class SyncReport:
     unverified: int = 0
     #: sample of mismatched keys, for the operator's post-mortem
     mismatched_keys: list = field(default_factory=list)
+    #: keys whose entry is not a readable regular file (a directory, a symlink
+    #: loop, ...): a miss to ``ResultCache.get``, so left behind
+    damaged_keys: list = field(default_factory=list)
 
     def summary(self) -> str:
         text = (
@@ -94,6 +97,9 @@ class SyncReport:
             details.append(f"{self.skipped_mismatch} skipped (code-version mismatch)")
         if self.unverified:
             details.append(f"{self.unverified} unverified (no journal provenance)")
+        if self.damaged_keys:
+            names = ", ".join(key[:12] + "..." for key in self.damaged_keys)
+            details.append(f"{len(self.damaged_keys)} damaged, skipped: {names}")
         if details:
             text += " (" + ", ".join(details) + ")"
         return text
@@ -110,6 +116,7 @@ def export_cache(cache: ResultCache, archive: Union[str, Path]) -> SyncReport:
     archive = Path(archive)
     provenance = cache.journal_by_key()
     entries = []
+    damaged = []
     paths = sorted(cache.root.rglob("*.pkl")) if cache.root.exists() else []
 
     def write_archive(raw) -> None:
@@ -117,6 +124,11 @@ def export_cache(cache: ResultCache, archive: Union[str, Path]) -> SyncReport:
             for path in paths:
                 key = path.stem
                 if not _KEY_RE.match(key):
+                    continue
+                try:
+                    data = path.read_bytes()
+                except OSError:
+                    damaged.append(key)
                     continue
                 info = {"key": key}
                 journal = provenance.get(key)
@@ -127,7 +139,7 @@ def export_cache(cache: ResultCache, archive: Union[str, Path]) -> SyncReport:
                     if isinstance(journal.get("code"), str):
                         info["code_hash"] = journal["code"]
                 entries.append(info)
-                tar.add(path, arcname=_member_name(key))
+                _add_bytes(tar, _member_name(key), data)
             manifest = {
                 "format": ARCHIVE_FORMAT,
                 "code_hash": cache.code_hash,
@@ -142,8 +154,9 @@ def export_cache(cache: ResultCache, archive: Union[str, Path]) -> SyncReport:
         operation="export",
         source=str(cache.root),
         destination=str(archive),
-        total=len(entries),
+        total=len(entries) + len(damaged),
         imported=len(entries),
+        damaged_keys=damaged,
     )
 
 
@@ -276,7 +289,12 @@ def _import_entries(
         if target.exists():
             report.skipped_existing += 1
             continue
-        _atomic_copy_bytes(read(), target)
+        try:
+            data = read()
+        except OSError:  # a directory or a symlink loop where an entry should be
+            report.damaged_keys.append(key)
+            continue
+        _atomic_copy_bytes(data, target)
         report.imported += 1
         if code is None:
             report.unverified += 1

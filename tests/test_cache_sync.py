@@ -10,14 +10,17 @@ survive concurrent/interleaved appenders.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 import tarfile
 import threading
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import registry
 from repro.experiments.cache import ResultCache, code_version_hash
 from repro.experiments.cache_sync import (
     CacheSyncError,
@@ -27,6 +30,7 @@ from repro.experiments.cache_sync import (
 )
 from repro.experiments.runner import run_experiment
 from tests.conftest import entry_count
+from tests.test_sweep_engine import _directory, _truncate, _unreadable
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 FIG67_TINY = {"delays_min": [5, 15], **TINY, "seed": 2}
@@ -247,6 +251,76 @@ class TestCacheCli:
         export_cache(stale, archive)
         with pytest.raises(SystemExit, match="different repro sources"):
             main(["cache", "import", str(archive), "--cache-dir", str(tmp_path / "b")])
+
+
+def _echo(params):
+    return {"echo": params}
+
+
+ECHO = dataclasses.replace(
+    registry.get("table1"),
+    name="sync-echo",
+    grid=lambda: [{"i": i} for i in range(5)],
+    point=_echo,
+    reduce=lambda grid, points: points,
+    scaled=False,
+)
+
+
+def _sync(how, source: ResultCache, dest: ResultCache, tmp_path):
+    """Carry ``source``'s entries to ``dest`` by a dir merge or an archive;
+    returns the reports of the steps taken."""
+    if how == "merge":
+        return [merge_caches(source.root, dest)]
+    archive = tmp_path / "site-a.tar.gz"
+    return [export_cache(source, archive), import_cache(dest, archive)]
+
+
+@pytest.mark.parametrize("how", ["merge", "import"])
+class TestDamagedEntriesInTransit:
+    """What ``ResultCache.get`` reads as a miss -- a torn pickle, a directory
+    or a symlink loop where an entry should be -- costs the destination one
+    recompute, never the sync."""
+
+    def _site_a(self, tmp_path):
+        site_a = ResultCache(tmp_path / "site-a")
+        report = run_experiment(ECHO, cache=site_a)
+        return site_a, [site_a.key(ECHO.name, params) for params in report.grid]
+
+    @pytest.mark.parametrize("damage", [_directory, _unreadable])
+    def test_a_damaged_entry_stays_behind_and_the_rest_travel(self, how, damage, tmp_path):
+        site_a, keys = self._site_a(tmp_path)
+        damage(site_a.path(keys[2]))
+        site_b = ResultCache(tmp_path / "site-b")
+        reports = _sync(how, site_a, site_b, tmp_path)
+        assert reports[0].damaged_keys == [keys[2]]
+        assert f"1 damaged, skipped: {keys[2][:12]}..." in reports[0].summary()
+        assert (reports[-1].imported, reports[-1].total) == (4, 5 if how == "merge" else 4)
+        report = run_experiment(ECHO, cache=site_b)
+        assert (report.cache_hits, report.executed) == (4, 1)
+
+    def test_a_torn_entry_that_travelled_is_one_miss(self, how, tmp_path):
+        site_a, keys = self._site_a(tmp_path)
+        _truncate(site_a.path(keys[2]))
+        site_b = ResultCache(tmp_path / "site-b")
+        assert _sync(how, site_a, site_b, tmp_path)[-1].imported == 5
+        report = run_experiment(ECHO, cache=site_b)
+        assert (report.cache_hits, report.executed, site_b.misses) == (4, 1, 1)
+        assert report.result == [_echo(params) for params in report.grid]
+        rewritten = pickle.loads(site_b.path(keys[2]).read_bytes())
+        assert rewritten == _echo(report.grid[2])
+        again = run_experiment(ECHO, cache=site_b)
+        assert (again.cache_hits, again.executed) == (5, 0)
+
+
+def test_merge_via_cli_names_a_damaged_entry(tmp_path, capsys):
+    site_a = ResultCache(tmp_path / "site-a")
+    report = run_experiment(ECHO, cache=site_a)
+    key = site_a.key(ECHO.name, report.grid[0])
+    _directory(site_a.path(key))
+    assert main(["cache", "merge", str(site_a.root), str(tmp_path / "site-b")]) == 0
+    out = capsys.readouterr().out
+    assert "4/5 entries" in out and f"1 damaged, skipped: {key[:12]}..." in out
 
 
 class TestJournalHardening:

@@ -3,13 +3,17 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.experiments import registry
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import ResultCache, code_version_hash, point_key
 from repro.experiments.registry import (
     SCALE_PROFILES,
@@ -206,6 +210,29 @@ class TestCacheStore:
         path.write_bytes(garbage)
         assert cache.get("t", {"a": 1}) is None
 
+    def test_an_entry_larger_than_one_read_round_trips(self, tmp_path):
+        cache = ResultCache(tmp_path, code_hash="h")
+        value = {"blob": bytes(range(256)) * (3 * cache_module._READ_CHUNK // 256 + 7)}
+        cache.put("t", {"a": 1}, value)
+        assert cache.path(cache.key("t", {"a": 1})).stat().st_size > 3 * cache_module._READ_CHUNK
+        assert cache.get("t", {"a": 1}) == value
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    def test_no_read_leaves_a_descriptor_open(self, tmp_path):
+        cache = ResultCache(tmp_path, code_hash="h")
+        damages = {"truncated": _truncate, "empty": lambda path: path.write_bytes(b""),
+                   "directory": _directory, "symlink-loop": _unreadable}
+        for params in [{"a": name} for name in ("intact", *damages)]:
+            cache.put("t", params, {"v": params})
+        for name, damage in damages.items():
+            damage(cache.path(cache.key("t", {"a": name})))
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            for params in [{"a": name} for name in ("intact", "missing", *damages)]:
+                cache.get("t", params)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert (cache.hits, cache.misses) == (3, 3 * (1 + len(damages)))
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path, code_hash="h")
         cache.put("t", {"a": 1}, 1)
@@ -348,6 +375,45 @@ class TestSameAnswersAsBefore:
         snapshot and ``/grid`` answer written so far is addressed by them."""
         assert point_key(experiment, params, code) == expected
         assert ResultCache("unused", code_hash=code).key(experiment, params) == expected
+
+    @given(
+        st.dictionaries(st.text(max_size=4), _VALUES, max_size=5),
+        st.one_of(st.sampled_from(['"', "\\", 'a"b\\c', "µ×é", "", "params"]), st.text()),
+        st.one_of(st.sampled_from(["", '"', "0" * 64]), st.text()),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_key_hashes_the_long_recipe(self, params, experiment, code):
+        material = json.dumps(
+            {"code": code, "experiment": experiment, "params": params}, sort_keys=True
+        )
+        expected = hashlib.sha256(material.encode()).hexdigest()
+        assert point_key(experiment, params, code) == expected
+        assert ResultCache("unused", code_hash=code).key(experiment, params) == expected
+
+    def test_threads_sharing_one_key_prefix_derive_the_serial_keys(self):
+        grid = [{"seed": i, "x": [i, 0.5 * i], "name": "n" * (i % 7)} for i in range(400)]
+        cache = ResultCache("unused", code_hash="c0de")
+        serial = [cache.key("shared", params) for params in grid]
+        results: dict = {}
+        start = threading.Barrier(8)
+
+        def derive(worker: int) -> None:
+            start.wait()
+            results[worker] = [cache.key("shared", params) for params in grid]
+
+        threads = [threading.Thread(target=derive, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between nearly every copy()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {i: serial for i in range(8)}
+        assert [point_key("shared", params, "c0de") for params in grid] == serial
 
     GRID = [{"x": 0.1 * i, "tags": ["a", i], "opt": {"k": None}} for i in range(5)]
 
