@@ -10,11 +10,15 @@ re-execution from the restored checkpoint.
 ``scripted_sender_factory`` drives deterministic scenarios (the Figure 5
 worked example, protocol unit tests): an explicit list of timed sends.
 
+Each loop is a :class:`repro.sim.process.Body`: one ``send`` call per step,
+its position kept in plain fields, so a live federation pickles as it
+stands (:mod:`repro.sim.snapshot`).
+
 Draws
 -----
 
 The stochastic loops run once per application message, so each computes
-its invariants once, when the process starts: the destination lottery's
+its invariants once, when the body is built: the destination lottery's
 cumulative weights and total, the node counts, the mean and the end time.
 Each message then draws with the bound C methods of its stream's
 ``random.Random`` (``Stream.rng``), using the stdlib's own arithmetic:
@@ -26,26 +30,12 @@ Each message then draws with the bound C methods of its stream's
 * compute time -- ``-mean * log(u)``, redrawing while ``u <= 0.0``, which
   is :meth:`repro.sim.random.Stream.exponential`.
 
-So every draw, and the generator state after it, is the one those methods
+So every draw, and the stream's state after it, is the one those methods
 make (``tests/test_sim_random_stats.py`` checks it).  The finite, positive
 weight total that ``Random.choices`` checked per draw is guaranteed by
-:class:`repro.config.application.ClusterAppSpec`.  Only the generator's own
-methods, ``log`` and ``bisect`` are bound; ``node.send_app`` is looked up
-per message (``docs/architecture.md`` §The per-message path).
-
-Snapshot support
-----------------
-
-A live generator cannot be pickled, so every application generator here is
-resumable by construction (see :class:`repro.sim.snapshot.GenSpec`): the
-factories return ``GenSpec`` objects instead of raw generators, each
-generator takes a trailing ``_phase`` dict it labels (``phase["at"]``)
-before every yield, and on restore the rebuilt generator reads that label
-once and jumps to a bare re-entry ``yield`` -- no side effects, no RNG
-draws -- so the pending kernel event resumes it exactly where the original
-was suspended.  The fresh path (empty phase dict) is behaviorally
-identical to the pre-snapshot generators: same draws from the same
-streams, same yields, same sends.
+:class:`repro.config.application.ClusterAppSpec`.  A body holds only its
+stream's own bound methods; ``node.send_app`` is looked up per message
+(``docs/architecture.md`` §The per-message path).
 """
 
 from __future__ import annotations
@@ -53,11 +43,10 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import accumulate
 from math import log
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.network.message import Message, NodeId
-from repro.sim.process import Interrupt, Timeout
-from repro.sim.snapshot import GenSpec
+from repro.sim.process import Body, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
@@ -68,19 +57,13 @@ __all__ = ["compute_communicate_factory", "scripted_sender_factory"]
 
 AppFactory = Callable[["Node", "Federation"], object]
 
-
-class ComputeCommunicateFactory:
-    """Picklable factory for the default stochastic workload."""
-
-    __slots__ = ()
-
-    def __call__(self, node: "Node", federation: "Federation") -> GenSpec:
-        return GenSpec(_compute_communicate, node, federation)
+#: the wait of a body with nothing left to do: it stays alive until interrupted
+_FOREVER = 1e18
 
 
 def compute_communicate_factory() -> AppFactory:
     """The default stochastic workload (the paper's application model)."""
-    return ComputeCommunicateFactory()
+    return ComputeCommunicate
 
 
 def _destination_lottery(spec: "ClusterAppSpec", n_clusters: int) -> tuple:
@@ -93,63 +76,78 @@ def _destination_lottery(spec: "ClusterAppSpec", n_clusters: int) -> tuple:
     return [*range(n_clusters), None], cum, cum[-1] + 0.0, len(cum) - 1
 
 
-def _compute_communicate(
-    node: "Node", federation: "Federation", _phase: Optional[dict] = None
-):
-    app = federation.application
-    spec = app.spec_for(node.id.cluster)
-    topology = federation.topology
-    rng = federation.streams.stream(f"app/{node.id}").rng
-    choices, cum, total, hi = _destination_lottery(spec, topology.n_clusters)
-    sizes = [topology.nodes_in(d) for d in range(topology.n_clusters)]
-    my_cluster, my_node = node.id
-    mean = spec.mean_compute
-    size = spec.message_size
-    end = app.total_time
-    random = rng.random
-    getrandbits = rng.getrandbits
+class ComputeCommunicate(Body):
+    """Compute, then send one message (or none); until the application ends."""
 
-    ph = _phase if _phase is not None else {}
-    gate = ph.get("at")
-    try:
-        if gate == "drain":
-            # Restored mid final wait: the pending event ends the run.
-            yield
-            return
-        working = gate == "work"
-        while True:
-            if working:
-                working = False
-                yield  # restored mid compute: pending Timeout resumes here
-            else:
-                u = random()  # Stream.exponential(mean)
-                while u <= 0.0:  # pragma: no cover - probability ~0
-                    u = random()
-                delay = -mean * log(u)
-                if node.sim.now + delay >= end:
-                    # Work until the end of the application, then stop.
-                    remaining = end - node.sim.now
-                    if remaining > 0:
-                        ph["at"] = "drain"
-                        yield Timeout(remaining)
-                    return
-                ph["at"] = "work"
-                yield Timeout(delay)
-            dst_cluster = choices[bisect(cum, random() * total, 0, hi)]
-            if dst_cluster is None:
-                continue
-            n_nodes = sizes[dst_cluster]
-            k = n_nodes.bit_length()  # Random.randint(0, n_nodes - 1)
-            dst_node = getrandbits(k)
-            while dst_node >= n_nodes:
+    __slots__ = (
+        "node",
+        "random",
+        "getrandbits",
+        "choices",
+        "cum",
+        "total",
+        "hi",
+        "sizes",
+        "my_cluster",
+        "my_node",
+        "mean",
+        "size",
+        "end",
+        "working",
+        "draining",
+    )
+
+    def __init__(self, node: "Node", federation: "Federation"):
+        app = federation.application
+        spec = app.spec_for(node.id.cluster)
+        topology = federation.topology
+        rng = federation.streams.stream(f"app/{node.id}").rng
+        self.node = node
+        self.random = rng.random
+        self.getrandbits = rng.getrandbits
+        self.choices, self.cum, self.total, self.hi = _destination_lottery(
+            spec, topology.n_clusters
+        )
+        self.sizes = [topology.nodes_in(d) for d in range(topology.n_clusters)]
+        self.my_cluster, self.my_node = node.id
+        self.mean = spec.mean_compute
+        self.size = spec.message_size
+        self.end = app.total_time
+        self.working = False  # a compute phase is under way
+        self.draining = False  # the last wait, up to the end of the application
+
+    def send(self, _value: object) -> Timeout:
+        if self.draining:
+            raise StopIteration
+        node = self.node
+        random = self.random
+        if self.working:  # the compute phase is over: communicate
+            dst_cluster = self.choices[bisect(self.cum, random() * self.total, 0, self.hi)]
+            if dst_cluster is not None:
+                n_nodes = self.sizes[dst_cluster]
+                k = n_nodes.bit_length()  # Random.randint(0, n_nodes - 1)
+                getrandbits = self.getrandbits
                 dst_node = getrandbits(k)
-            if dst_cluster == my_cluster and dst_node == my_node:
-                dst_node = (dst_node + 1) % n_nodes  # never message oneself
-                if n_nodes == 1:
-                    continue
-            node.send_app(NodeId(dst_cluster, dst_node), size)
-    except Interrupt:
-        return  # failure / rollback: the federation restarts us
+                while dst_node >= n_nodes:
+                    dst_node = getrandbits(k)
+                if dst_cluster != self.my_cluster or dst_node != self.my_node:
+                    node.send_app(NodeId(dst_cluster, dst_node), self.size)
+                elif n_nodes > 1:  # never message oneself
+                    node.send_app(NodeId(dst_cluster, (dst_node + 1) % n_nodes), self.size)
+        u = random()  # Stream.exponential(mean)
+        while u <= 0.0:  # pragma: no cover - probability ~0
+            u = random()
+        delay = -self.mean * log(u)
+        now = node.sim.now
+        if now + delay >= self.end:
+            # Work until the end of the application, then stop.
+            remaining = self.end - now
+            if remaining > 0:
+                self.draining = True
+                return Timeout(remaining)
+            raise StopIteration
+        self.working = True
+        return Timeout(delay)
 
 
 class ExchangeFactory:
@@ -188,20 +186,12 @@ class ExchangeFactory:
         self.request_size = request_size
         self.reply_size = reply_size
 
-    def __call__(self, node: "Node", federation: "Federation") -> GenSpec:
+    def __call__(self, node: "Node", federation: "Federation") -> Body:
         if node.id.cluster == self.responder_cluster:
             node.app_sink = _Responder(node, self.reply_size)
         if node.id.cluster == self.requester_cluster:
-            return GenSpec(
-                _requester_loop,
-                node,
-                federation,
-                self.responder_cluster,
-                self.mean_compute,
-                self.request_probability,
-                self.request_size,
-            )
-        return GenSpec(_idle_forever, node)
+            return Requester(node, federation, self)
+        return Idle()
 
 
 def exchange_factory(
@@ -245,68 +235,82 @@ class _Responder:
             self.node.send_app(msg.src, self.reply_size, payload={"reply": True})
 
 
-def _requester_loop(
-    node: "Node",
-    federation: "Federation",
-    responder_cluster: int,
-    mean_compute: float,
-    request_probability: float,
-    request_size: int,
-    _phase: Optional[dict] = None,
-):
-    end = federation.application.total_time
-    rng = federation.streams.stream(f"exchange/{node.id}").rng
-    n_nodes = federation.topology.nodes_in(responder_cluster)
-    k = n_nodes.bit_length()
-    random = rng.random
-    getrandbits = rng.getrandbits
-    ph = _phase if _phase is not None else {}
-    gate = ph.get("at")
-    try:
-        if gate == "drain":
-            yield
-            return
-        working = gate == "work"
-        while True:
-            if working:
-                working = False
-                yield
-            else:
-                u = random()  # Stream.exponential(mean_compute)
-                while u <= 0.0:  # pragma: no cover - probability ~0
-                    u = random()
-                delay = -mean_compute * log(u)
-                if node.sim.now + delay >= end:
-                    remaining = end - node.sim.now
-                    if remaining > 0:
-                        ph["at"] = "drain"
-                        yield Timeout(remaining)
-                    return
-                ph["at"] = "work"
-                yield Timeout(delay)
-            if not random() < request_probability:
-                continue
-            dst_node = getrandbits(k)  # Random.randint(0, n_nodes - 1)
+class Requester(Body):
+    """A requester-cluster node: compute, then maybe request; until the
+    application ends."""
+
+    __slots__ = (
+        "node",
+        "random",
+        "getrandbits",
+        "responder_cluster",
+        "n_nodes",
+        "mean",
+        "probability",
+        "size",
+        "end",
+        "working",
+        "draining",
+    )
+
+    def __init__(self, node: "Node", federation: "Federation", spec: ExchangeFactory):
+        rng = federation.streams.stream(f"exchange/{node.id}").rng
+        self.node = node
+        self.random = rng.random
+        self.getrandbits = rng.getrandbits
+        self.responder_cluster = spec.responder_cluster
+        self.n_nodes = federation.topology.nodes_in(spec.responder_cluster)
+        self.mean = spec.mean_compute
+        self.probability = spec.request_probability
+        self.size = spec.request_size
+        self.end = federation.application.total_time
+        self.working = False
+        self.draining = False
+
+    def send(self, _value: object) -> Timeout:
+        if self.draining:
+            raise StopIteration
+        node = self.node
+        random = self.random
+        if self.working and random() < self.probability:
+            n_nodes = self.n_nodes
+            k = n_nodes.bit_length()  # Random.randint(0, n_nodes - 1)
+            getrandbits = self.getrandbits
+            dst_node = getrandbits(k)
             while dst_node >= n_nodes:
                 dst_node = getrandbits(k)
             node.send_app(
-                NodeId(responder_cluster, dst_node), request_size,
+                NodeId(self.responder_cluster, dst_node), self.size,
                 payload={"request": True},
             )
-    except Interrupt:
-        return
+        u = random()  # Stream.exponential(mean_compute)
+        while u <= 0.0:  # pragma: no cover - probability ~0
+            u = random()
+        delay = -self.mean * log(u)
+        now = node.sim.now
+        if now + delay >= self.end:
+            remaining = self.end - now
+            if remaining > 0:
+                self.draining = True
+                return Timeout(remaining)
+            raise StopIteration
+        self.working = True
+        return Timeout(delay)
 
 
-def _idle_forever(node: "Node", _phase: Optional[dict] = None):
-    ph = _phase if _phase is not None else {}
-    try:
-        if ph.get("at") == "idle":
-            yield
-            return
-        ph["at"] = "idle"
-        yield Timeout(float("1e18"))
-    except Interrupt:
-        return
+class Idle(Body):
+    """A node with nothing to send."""
+
+    __slots__ = ("waited",)
+
+    def __init__(self) -> None:
+        self.waited = False
+
+    def send(self, _value: object) -> Timeout:
+        if self.waited:
+            raise StopIteration
+        self.waited = True
+        return Timeout(_FOREVER)
 
 
 class ScriptedSenderFactory:
@@ -317,8 +321,8 @@ class ScriptedSenderFactory:
     def __init__(self, scripts: dict):
         self.scripts = {nid: tuple(sorted(items)) for nid, items in scripts.items()}
 
-    def __call__(self, node: "Node", federation: "Federation") -> GenSpec:
-        return GenSpec(_scripted, node, self.scripts.get(node.id, ()))
+    def __call__(self, node: "Node", federation: "Federation") -> Body:
+        return ScriptedSender(node, self.scripts.get(node.id, ()))
 
 
 def scripted_sender_factory(scripts: dict) -> AppFactory:
@@ -331,39 +335,38 @@ def scripted_sender_factory(scripts: dict) -> AppFactory:
     return ScriptedSenderFactory(scripts)
 
 
-def _scripted(node: "Node", script: Iterable[tuple], _phase: Optional[dict] = None):
-    script = tuple(script)
-    ph = _phase if _phase is not None else {}
-    gate = ph.get("at")
-    try:
-        if gate == "idle":
-            yield
-            return
-        start = 0
-        if gate == "send":
-            # Restored mid wait for instruction ph["i"]: its Timeout is the
-            # pending event, so commit the send without re-checking its
-            # time (the original had already passed the `at < now` guard).
-            yield
-            idx = ph["i"]
-            _at, dst, size = script[idx]
+class ScriptedSender(Body):
+    """Send each ``(time, dst, size)`` of a script at its time, then idle."""
+
+    __slots__ = ("node", "script", "index", "due")
+
+    def __init__(self, node: "Node", script: tuple):
+        self.node = node
+        self.script = script
+        self.index = 0  # the next instruction; past the end once idle
+        self.due = False  # the wait for script[index] is over: send it
+
+    def send(self, _value: object) -> Timeout:
+        node, script, i = self.node, self.script, self.index
+        if i > len(script):
+            raise StopIteration  # the idle wait is over
+        if self.due:
+            # The wait already passed the `at < now` check below.
+            self.due = False
+            _at, dst, size = script[i]
             node.send_app(dst, size)
-            start = idx + 1
-        for idx in range(start, len(script)):
-            at, dst, size = script[idx]
+            i += 1
+        while i < len(script):
+            at, dst, size = script[i]
             # A restarted script (post-rollback re-execution) skips the
             # instructions whose time already passed: deterministic
             # scenarios assert on protocol state, not on re-sent traffic.
-            if at < node.sim.now:
-                continue
-            delay = at - node.sim.now
-            if delay > 0:
-                ph["at"] = "send"
-                ph["i"] = idx
-                yield Timeout(delay)
-            node.send_app(dst, size)
-        # Stay alive (idle) so joins behave uniformly.
-        ph["at"] = "idle"
-        yield Timeout(float("1e18"))
-    except Interrupt:
-        return
+            if at >= node.sim.now:
+                delay = at - node.sim.now
+                if delay > 0:
+                    self.index, self.due = i, True
+                    return Timeout(delay)
+                node.send_app(dst, size)
+            i += 1
+        self.index = i + 1
+        return Timeout(_FOREVER)

@@ -5,7 +5,7 @@ Result-cache entries (``ResultCache.put``), cache-sync archives
 promise the same thing: a reader sees the previous complete file or the
 new complete file, never a torn mix, and a writer that dies or raises
 leaves nothing behind but (at worst, on a hard kill) a ``*.tmp`` orphan
-that ``ResultCache.clear`` collects.
+beside the target, which no reader ever opens.
 """
 
 from __future__ import annotations

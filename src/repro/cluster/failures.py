@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.network.message import NodeId
-from repro.sim.process import Process, Timeout
-from repro.sim.snapshot import GenSpec
+from repro.sim.process import Body, Process, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
@@ -29,8 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["FailureInjector"]
 
 
-class FailureInjector:
-    """MTBF-driven fault injector.
+class FailureInjector(Body):
+    """MTBF-driven fault injector, and the body of its own process.
 
     Exactly one fault is in flight at a time (the paper's §2.1
     assumption): after each crash the injector waits for the faulty
@@ -46,41 +45,28 @@ class FailureInjector:
         self.stream = federation.streams.stream("failures")
         self.injected = 0
         self._process: Optional[Process] = None
+        self._armed = False  # a fault's countdown is under way
 
     def start(self) -> None:
-        spec = GenSpec(self._run)
-        self._process = Process(
-            self.federation.sim, spec.make(), name="failure-injector", gen_spec=spec
-        )
+        self._process = Process(self.federation.sim, self, name="failure-injector")
 
     # ------------------------------------------------------------------
-    def _run(self, _phase=None):
+    def send(self, _value: object):
+        """One step: strike when a fault's countdown ends, then arm the next."""
         fed = self.federation
-        end = fed.application.total_time
-        ph = _phase if _phase is not None else {}
-        gate = ph.get("at")
-        while True:
-            if gate == "armed":
-                gate = None
-                yield  # restored mid fault countdown: pending Timeout resumes here
-            elif gate == "recovery":
-                gate = None
-                yield  # restored awaiting recovery: pending Signal resumes here
-                continue
-            else:
-                delay = self.stream.exponential(self.mtbf)
-                if fed.sim.now + delay >= end:
-                    return
-                ph["at"] = "armed"
-                yield Timeout(delay)
+        if self._armed:
+            self._armed = False
             node = self._pick_victim()
-            if node is None:
-                continue
-            self.inject(node.id)
-            # One fault at a time: wait until the protocol reports the
-            # faulty cluster recovered before arming the next one.
-            ph["at"] = "recovery"
-            yield fed.recovery_signal(node.id.cluster)
+            if node is not None:
+                self.inject(node.id)
+                # One fault at a time: wait until the protocol reports the
+                # faulty cluster recovered before arming the next one.
+                return fed.recovery_signal(node.id.cluster)
+        delay = self.stream.exponential(self.mtbf)
+        if fed.sim.now + delay >= fed.application.total_time:
+            raise StopIteration
+        self._armed = True
+        return Timeout(delay)
 
     def _cluster_healthy(self, cluster_index: int) -> bool:
         runtime = self.federation.clusters[cluster_index]

@@ -33,7 +33,7 @@ from repro.network.topology import Topology
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, Signal
 from repro.sim.random import RandomStreams
-from repro.sim.snapshot import GenSpec, SimClock
+from repro.sim.snapshot import SimClock
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import TraceLevel, Tracer
 
@@ -123,13 +123,9 @@ class Federation:
         return self.results()
 
     def _start_app(self, node: Node) -> None:
-        made = self.app_factory(node, self)
-        if isinstance(made, GenSpec):
-            node.app_process = Process(
-                self.sim, made.make(), name=f"app-{node.id}", gen_spec=made
-            )
-        else:
-            node.app_process = Process(self.sim, made, name=f"app-{node.id}")
+        node.app_process = Process(
+            self.sim, self.app_factory(node, self), name=f"app-{node.id}"
+        )
 
     # ------------------------------------------------------------------
     # hooks used by protocols

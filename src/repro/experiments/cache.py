@@ -156,10 +156,17 @@ class ResultCache:
         return value
 
     def put(self, experiment: str, params: dict, value: Any) -> None:
-        atomic_write(
-            self.path(self.key(experiment, params)),
-            lambda fh: pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        try:
+            atomic_write(
+                self.path(self.key(experiment, params)),
+                lambda fh: pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL),
+            )
+        except IsADirectoryError:
+            # A directory where the entry belongs is damage that :meth:`get`
+            # reads as a miss: it stays, the caller keeps its computed value
+            # and the next sweep recomputes the point.  Any other OSError
+            # (ENOSPC, ...) is the caller's to see.
+            pass
 
     def record(self, experiment: str, params: dict, host: str, elapsed: float = 0.0) -> None:
         """Append one provenance line: who computed this entry, and how long it took.
@@ -308,26 +315,6 @@ class ResultCache:
             if isinstance(key, str):
                 by_key[key] = entry
         return by_key
-
-    def clear(self) -> int:
-        """Remove every entry; returns the number of entries removed.
-
-        Also sweeps orphaned ``*.tmp`` files -- a sweep killed inside
-        :meth:`put`'s :func:`~repro.atomic.atomic_write` leaves one behind,
-        and nothing else ever looks at them.  Orphans do not count toward
-        the return value (they were never entries).
-        """
-        removed = 0
-        if self.root.exists():
-            for path in self.root.rglob("*.pkl"):
-                path.unlink()
-                removed += 1
-            for path in self.root.rglob("*.tmp"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass  # e.g. a live writer renamed it away first
-        return removed
 
 
 def _parse_journal_text(text: str) -> list:

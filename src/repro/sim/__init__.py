@@ -5,8 +5,8 @@ simulator.  It provides:
 
 * :class:`~repro.sim.kernel.Simulator` -- the event loop (schedule / cancel /
   run) with deterministic tie-breaking,
-* :class:`~repro.sim.process.Process` -- generator-based simulated processes
-  with timeouts, joins, signals and interrupts,
+* :class:`~repro.sim.process.Process` -- simulated processes driving
+  picklable bodies, with timeouts, signals and interrupts,
 * :class:`~repro.sim.random.RandomStreams` -- named, independently seeded
   random streams so that components draw from decoupled sequences,
 * :mod:`~repro.sim.stats` -- counters, tallies, time-weighted gauges and

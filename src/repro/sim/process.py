@@ -1,44 +1,49 @@
-"""Generator-based simulated processes.
+"""Simulated processes.
 
-The paper's simulator maps every node to a C++SIM thread.  Here each node
-(and each protocol activity) is a Python generator driven by the kernel: the
-generator *yields* a waitable and is resumed when the waitable completes.
+The paper's simulator maps every node to a C++SIM thread.  Here each node's
+application (and the failure injector) is a *body* driven by the kernel: the
+body returns a waitable from each step and is stepped again when the
+waitable completes.
 
-Supported yield targets:
+A body speaks the generator protocol, so a plain generator is one:
+
+``send(value)``
+    run one step and return what to wait on next, or raise
+    :class:`StopIteration` when done,
+``throw(exc)``
+    deliver an :class:`Interrupt` at the current wait point,
+``close()``
+    release the body once the process is over.
+
+The model's bodies are small classes (:class:`Body`) that keep their state
+in plain fields, so a live federation pickles as it stands
+(:mod:`repro.sim.snapshot`); a raw generator drives a process just as well
+but cannot be pickled.
+
+Supported wait targets:
 
 ``Timeout(delay)``
     resume after ``delay`` simulated seconds,
-``Process``
-    resume when the target process terminates (join); the ``yield``
-    expression evaluates to the process's return value,
 ``Signal``
-    resume when the signal is triggered; the ``yield`` expression evaluates
-    to the value passed to :meth:`Signal.trigger`.
+    resume when the signal is triggered, with the value passed to
+    :meth:`Signal.trigger`.
 
-A process may be interrupted with :meth:`Process.interrupt`, which raises
-:class:`Interrupt` inside the generator at its current wait point.  This is
-how node failures preempt application computation.
+A process may be interrupted with :meth:`Process.interrupt`, which throws
+:class:`Interrupt` into the body at its wait point.  This is how node
+failures preempt application computation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Optional
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
-__all__ = ["Interrupt", "Process", "Signal", "Timeout"]
-
-ProcessGen = Generator[Any, Any, Any]
-
-#: set to a list by :func:`repro.sim.snapshot.loads` while a snapshot is
-#: being unpickled; every restored :class:`Process` appends itself so the
-#: loader can rebuild generators once the object graph is complete.
-#: ``None`` outside a restore -- unpickling a Process any other way fails.
-_restore_batch: Optional[list] = None
+__all__ = ["Body", "Interrupt", "Process", "Signal", "Timeout"]
 
 
 class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
+    """Thrown into a process body when it is interrupted.
 
     :param cause: arbitrary object describing why (e.g. a failure record).
     """
@@ -123,12 +128,28 @@ class Signal:
         return f"<Signal {self.name or id(self)} {state}>"
 
 
-class Process:
-    """A simulated process wrapping a generator.
+class Body:
+    """Base of a picklable process body: subclasses define :meth:`send`.
 
-    Create with ``Process(sim, gen_fn(args...), name=...)``; the first step
-    of the generator runs at the current simulation time via a zero-delay
-    event (so construction itself never executes model code).
+    An interrupt ends the body, as ``except Interrupt: return`` ends a
+    generator.
+    """
+
+    __slots__ = ()
+
+    def throw(self, exc: BaseException) -> Any:
+        raise StopIteration
+
+    def close(self) -> None:
+        pass
+
+
+class Process:
+    """A simulated process driving a body (see the module docstring).
+
+    Create with ``Process(sim, body, name=...)``; the first step of the
+    body runs at the current simulation time via a zero-delay event (so
+    construction itself never executes model code).
     """
 
     __slots__ = (
@@ -136,35 +157,25 @@ class Process:
         "name",
         "_gen",
         "_alive",
-        "_result",
-        "_failure",
         "_pending_event",
         "_waiting_on",
-        "_joiners",
         "_interrupt_pending",
-        "_gen_spec",
     )
 
-    def __init__(
-        self, sim: Simulator, gen: ProcessGen, name: str = "", gen_spec: Any = None
-    ):
+    def __init__(self, sim: Simulator, gen: Any, name: str = ""):
         if not hasattr(gen, "send"):
             raise TypeError(
-                "Process expects a generator (did you forget to call the "
-                f"generator function?): got {gen!r}"
+                "Process expects a body or a generator (did you forget to "
+                f"call the generator function?): got {gen!r}"
             )
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
-        self._gen_spec = gen_spec
         self._alive = True
-        self._result: Any = None
-        self._failure: Optional[BaseException] = None
         self._pending_event: Optional[Event] = None
         self._waiting_on: Any = None
-        self._joiners: list[Process] = []
         self._interrupt_pending: Optional[Interrupt] = None
-        # First resume: kick the generator with None.
+        # First resume: kick the body with None.
         self._pending_event = sim.schedule(0.0, self._resume, None)
 
     # ------------------------------------------------------------------
@@ -172,21 +183,11 @@ class Process:
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        """True until the generator returns or raises."""
+        """True until the body finishes or raises."""
         return self._alive
 
-    @property
-    def result(self) -> Any:
-        """Return value of the generator (``None`` until it terminates)."""
-        return self._result
-
-    @property
-    def failure(self) -> Optional[BaseException]:
-        """Exception that killed the process, if any."""
-        return self._failure
-
     def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its wait point.
+        """Throw :class:`Interrupt` into the body at its wait point.
 
         Interrupting a dead process is a no-op.  The interrupt is delivered
         through a zero-delay event, preserving deterministic ordering.
@@ -202,52 +203,40 @@ class Process:
         if exc is None or not self._alive:  # raced with termination
             return
         self._pending_event = None
-        self._advance(lambda: self._gen.throw(exc))
+        try:
+            target = self._gen.throw(exc)
+        except (StopIteration, Interrupt):
+            self._terminate()
+            return
+        except BaseException:
+            self._terminate()
+            raise
+        self._wait_on(target)
 
     # ------------------------------------------------------------------
     # engine
     # ------------------------------------------------------------------
     def _resume(self, value: Any) -> None:
-        # The app-loop hot path: inlined (no closure allocation, no
-        # _advance/_wait_on frames) with the dominant Timeout target
-        # dispatched directly.  Must stay behaviorally identical to
-        # _advance() + _wait_on().
+        # The app-loop hot path: the dominant Timeout target is dispatched
+        # inline (no _wait_on frame), exactly as _wait_on() would.
         if not self._alive:
             return
         self._pending_event = None
         self._waiting_on = None
         try:
             target = self._gen.send(value)
-        except StopIteration as stop:
-            self._terminate(result=stop.value)
+        except (StopIteration, Interrupt):
+            # An Interrupt escaping the body is a clean kill.
+            self._terminate()
             return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as a clean kill.
-            self._terminate(result=None)
-            return
-        except BaseException as exc:
-            self._terminate(failure=exc)
+        except BaseException:
+            self._terminate()
             raise
         if type(target) is Timeout:
             self._waiting_on = target
             self._pending_event = self.sim.schedule(target.delay, self._resume, None)
         else:
             self._wait_on(target)
-
-    def _advance(self, step: Callable[[], Any]) -> None:
-        try:
-            target = step()
-        except StopIteration as stop:
-            self._terminate(result=stop.value)
-            return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as a clean kill.
-            self._terminate(result=None)
-            return
-        except BaseException as exc:
-            self._terminate(failure=exc)
-            raise
-        self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
         if isinstance(target, Timeout):
@@ -256,17 +245,11 @@ class Process:
         elif isinstance(target, Signal):
             self._waiting_on = target
             target._add_waiter(self)
-        elif isinstance(target, Process):
-            if not target._alive:
-                self._pending_event = self.sim.schedule(0.0, self._resume, target._result)
-            else:
-                self._waiting_on = target
-                target._joiners.append(self)
         else:
             err = SimulationError(
                 f"process {self.name!r} yielded unsupported target {target!r}"
             )
-            self._terminate(failure=err)
+            self._terminate()
             raise err
 
     def _detach_wait(self) -> None:
@@ -276,58 +259,11 @@ class Process:
             self._pending_event = None
         if isinstance(self._waiting_on, Signal):
             self._waiting_on._remove_waiter(self)
-        elif isinstance(self._waiting_on, Process):
-            try:
-                self._waiting_on._joiners.remove(self)
-            except ValueError:
-                pass
         self._waiting_on = None
 
-    def _terminate(self, result: Any = None, failure: Optional[BaseException] = None) -> None:
+    def _terminate(self) -> None:
         self._alive = False
-        self._result = result
-        self._failure = failure
         self._gen.close()
-        joiners, self._joiners = self._joiners, []
-        if joiners:
-            self.sim.schedule_many(
-                [(0.0, proc._resume, (result,)) for proc in joiners]
-            )
-
-    # ------------------------------------------------------------------
-    # snapshot support (see repro.sim.snapshot)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        if self._alive and self._gen_spec is None:
-            raise SimulationError(
-                f"process {self.name!r} was not built from a GenSpec and "
-                "cannot be snapshotted while alive"
-            )
-        # Everything except the live generator, which is rebuilt on restore.
-        return {
-            "sim": self.sim,
-            "name": self.name,
-            "_alive": self._alive,
-            "_result": self._result,
-            "_failure": self._failure,
-            "_pending_event": self._pending_event,
-            "_waiting_on": self._waiting_on,
-            "_joiners": self._joiners,
-            "_interrupt_pending": self._interrupt_pending,
-            "_gen_spec": self._gen_spec,
-        }
-
-    def __setstate__(self, state) -> None:
-        if _restore_batch is None:
-            raise SimulationError(
-                "a Process can only be unpickled through repro.sim.snapshot"
-            )
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._gen = None
-        # Generator rebuild is deferred to snapshot.loads(): priming may
-        # touch other restored objects, so the graph must be complete first.
-        _restore_batch.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self._alive else "dead"

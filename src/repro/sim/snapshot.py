@@ -9,23 +9,16 @@ simply recomputed from its params (see ``docs/sweeps.md``, "A lost point
 is recomputed"), which at the run lengths this repo sees costs less than
 writing snapshots would.
 
-Two things make a live simulation picklable, and both live here:
-
-* **Event-queue entries hold bound methods.**  A heap entry is
-  ``[time, seq, fn, args]`` where ``fn`` is typically
-  ``proc._resume`` or ``timer._fire``.  Bound methods pickle by
-  reference (object + attribute name), and the pickle memo preserves
-  aliasing, so the restored queue entries point at the restored
-  processes -- including the identity between an entry and the
-  ``Process._pending_event`` / ``PeriodicTimer._event`` that holds it.
-* **Generators do not pickle.**  Every resumable process generator is
-  built from a :class:`GenSpec` -- the generator function, its
-  arguments, and a mutable *phase* dict the generator labels before
-  every yield.  On restore the generator is rebuilt from the spec and
-  primed: run forward to a bare re-entry ``yield`` selected by the
-  phase label, with no side effects and no RNG draws, so the pending
-  ``_resume`` event in the restored queue continues it exactly where
-  the original was suspended.
+A live simulation pickles as it stands.  A kernel heap entry is
+``[time, seq, fn, args]`` where ``fn`` is typically ``proc._resume`` or
+``timer._fire``; bound methods pickle by reference (object + attribute
+name), and the pickle memo preserves aliasing, so the restored queue
+entries point at the restored processes -- including the identity between
+an entry and the ``Process._pending_event`` / ``PeriodicTimer._event`` that
+holds it.  Process bodies are plain objects (:class:`repro.sim.process.Body`)
+whose fields say where they stand, so restoring one is unpickling it; a
+process driven by a raw generator refuses to snapshot, because generators
+do not pickle.
 
 Nothing process-global rides along: message ids are the federation's own
 (``Fabric.next_msg_id``, an int in the pickled graph), so a restored run
@@ -44,9 +37,9 @@ this bit-for-bit for every registered experiment.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["GenSpec", "SimClock", "SnapshotError", "dumps", "loads"]
+__all__ = ["SimClock", "SnapshotError", "dumps", "loads"]
 
 #: payload format version; bump on incompatible layout changes
 FORMAT = 1
@@ -74,40 +67,6 @@ class SimClock:
         self.sim = state
 
 
-class GenSpec:
-    """How to rebuild one process generator after a restore.
-
-    ``fn`` must be a picklable generator function (module-level function
-    or bound method) taking a trailing ``_phase`` keyword: a mutable dict
-    the generator assigns ``phase["at"] = "<label>"`` to before every
-    yield it can be resumed at.  On restore the generator is rebuilt with
-    the *restored* phase dict; reading the label, it jumps to a bare
-    re-entry ``yield`` with no side effects, ready for the pending
-    ``_resume`` event to continue it.
-    """
-
-    __slots__ = ("fn", "args", "phase")
-
-    def __init__(self, fn: Callable[..., Any], *args: Any) -> None:
-        self.fn = fn
-        self.args = args
-        self.phase: dict = {}
-
-    def make(self):
-        """Build the generator (fresh, or positioned for priming)."""
-        return self.fn(*self.args, _phase=self.phase)
-
-    def __getstate__(self):
-        return (self.fn, self.args, self.phase)
-
-    def __setstate__(self, state) -> None:
-        self.fn, self.args, self.phase = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<GenSpec {name} at={self.phase.get('at')!r}>"
-
-
 # ---------------------------------------------------------------------------
 # pickle payload
 
@@ -117,54 +76,16 @@ def dumps(root: Any) -> bytes:
     payload = {"format": FORMAT, "root": root}
     try:
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except SnapshotError:
-        raise
     except Exception as exc:
         raise SnapshotError(f"state is not snapshottable: {exc}") from exc
 
 
 def loads(blob: bytes) -> Any:
-    """Restore a :func:`dumps` payload; returns the root object.
-
-    Process generators are rebuilt and primed in a post-pass (the object
-    graph must be complete before any generator function can run).
-    """
-    from repro.sim import process as process_mod
-
-    if process_mod._restore_batch is not None:
-        raise SnapshotError("snapshot.loads() does not nest")
-    process_mod._restore_batch = []
+    """Restore a :func:`dumps` payload; returns the root object."""
     try:
-        try:
-            payload = pickle.loads(blob)
-        except Exception as exc:
-            raise SnapshotError(f"snapshot payload does not unpickle: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != FORMAT:
-            raise SnapshotError("unrecognized snapshot payload format")
-        for proc in process_mod._restore_batch:
-            _rebuild_generator(proc)
-        return payload["root"]
-    finally:
-        process_mod._restore_batch = None
-
-
-def _rebuild_generator(proc) -> None:
-    """Rebuild (and, for a started process, prime) one restored process."""
-    if not proc._alive:
-        proc._gen = None
-        return
-    spec = proc._gen_spec
-    gen = spec.make()
-    proc._gen = gen
-    if "at" in spec.phase:
-        # The process was suspended mid-generator: run the rebuilt one to
-        # its bare re-entry yield.  By the GenSpec contract this executes
-        # no model side effects and draws no randomness.
-        try:
-            next(gen)
-        except SnapshotError:
-            raise
-        except Exception as exc:
-            raise SnapshotError(
-                f"cannot prime restored process {proc.name!r}: {exc}"
-            ) from exc
+        payload = pickle.loads(blob)
+    except Exception as exc:
+        raise SnapshotError(f"snapshot payload does not unpickle: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+        raise SnapshotError("unrecognized snapshot payload format")
+    return payload["root"]

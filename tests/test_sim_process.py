@@ -1,9 +1,11 @@
-"""Unit tests for generator-based processes, signals and interrupts."""
+"""Unit tests for processes, signals and interrupts."""
+
+import pickle
 
 import pytest
 
 from repro.sim.kernel import SimulationError
-from repro.sim.process import Interrupt, Process, Signal, Timeout
+from repro.sim.process import Body, Interrupt, Process, Signal, Timeout
 
 
 def run_gen(sim, gen, name="p"):
@@ -68,16 +70,6 @@ class TestTimeout:
 
 
 class TestLifecycle:
-    def test_result_captured(self, sim):
-        def proc():
-            yield Timeout(1.0)
-            return 42
-
-        p = run_gen(sim, proc())
-        sim.run()
-        assert not p.alive
-        assert p.result == 42
-
     def test_alive_until_done(self, sim):
         def proc():
             yield Timeout(5.0)
@@ -101,7 +93,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             sim.run()
         assert not p.alive
-        assert isinstance(p.failure, ValueError)
 
     def test_unsupported_yield_target_fails(self, sim):
         def proc():
@@ -111,41 +102,6 @@ class TestLifecycle:
         with pytest.raises(SimulationError):
             sim.run()
         assert not p.alive
-
-
-class TestJoin:
-    def test_join_waits_for_completion(self, sim):
-        log = []
-
-        def worker():
-            yield Timeout(3.0)
-            return "done"
-
-        def waiter(w):
-            res = yield w
-            log.append((sim.now, res))
-
-        w = run_gen(sim, worker())
-        run_gen(sim, waiter(w))
-        sim.run()
-        assert log == [(3.0, "done")]
-
-    def test_join_on_dead_process_resumes_immediately(self, sim):
-        log = []
-
-        def worker():
-            return "early"
-            yield  # pragma: no cover
-
-        def waiter(w):
-            res = yield w
-            log.append((sim.now, res))
-
-        w = run_gen(sim, worker())
-        sim.run(until=1.0)
-        run_gen(sim, waiter(w))
-        sim.run()
-        assert log == [(1.0, "early")]
 
 
 class TestInterrupt:
@@ -195,9 +151,8 @@ class TestInterrupt:
 
         p = run_gen(sim, proc())
         sim.schedule(1.0, p.interrupt, "kill")
-        sim.run()
+        sim.run()  # a clean kill, not an error
         assert not p.alive
-        assert p.failure is None  # a clean kill, not an error
 
     def test_process_can_continue_after_interrupt(self, sim):
         log = []
@@ -296,3 +251,46 @@ class TestSignal:
         sim.schedule(1.0, sig.trigger, "second")
         sim.run()
         assert log == ["second"]
+
+
+class Ticker(Body):
+    """Logs the time, then waits one second; ``left`` more times."""
+
+    __slots__ = ("sim", "left", "log")
+
+    def __init__(self, sim, left):
+        self.sim, self.left, self.log = sim, left, []
+
+    def send(self, _value):
+        self.log.append(self.sim.now)
+        if not self.left:
+            raise StopIteration
+        self.left -= 1
+        return Timeout(1.0)
+
+
+class TestBody:
+    def test_a_body_steps_until_it_stops(self, sim):
+        body = Ticker(sim, 3)
+        p = run_gen(sim, body)
+        sim.run()
+        assert body.log == [0.0, 1.0, 2.0, 3.0]
+        assert not p.alive
+
+    def test_an_interrupt_ends_a_body(self, sim):
+        body = Ticker(sim, 10)
+        p = run_gen(sim, body)
+        sim.schedule(2.5, p.interrupt)
+        sim.run()
+        assert body.log == [0.0, 1.0, 2.0]
+        assert not p.alive
+        assert sim.now == 2.5
+
+    def test_a_waiting_body_pickles_with_its_simulator(self, sim):
+        body = Ticker(sim, 3)
+        run_gen(sim, body)
+        sim.run(until=1.5)
+        twin = pickle.loads(pickle.dumps(body))
+        twin.sim.run()
+        sim.run()
+        assert twin.log == body.log == [0.0, 1.0, 2.0, 3.0]

@@ -7,17 +7,25 @@ runs every registered experiment with ``Federation.run`` patched to fork
 each call half-way, and compares against the plain run; a tiny federation
 of each protocol family is also forked after every one of its events.
 
-The snapshot layer's own refusals (a dump mid-``run()``, a process not
-built from a ``GenSpec``, an unpickle outside ``loads``) are pinned here
-too, and so are the sweep-side checkpoint knobs that no longer exist.
+Process bodies are plain objects, so a fork is one unpickle.  The bodies
+no registered experiment reaches -- the exchange workload's requester, idle
+and responder, and the MTBF injector waiting for a recovery -- are forked
+after every event too.
+
+The snapshot layer's own refusals (a dump mid-``run()``, a process driven
+by a raw generator) are pinned here too, and so are the sweep-side
+checkpoint knobs that no longer exist.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import pickle
 
 import pytest
 
+from repro.app.process import Idle, Requester, exchange_factory
 from repro.app.workloads import table1_workload
 from repro.cluster.federation import Federation
 from repro.core.protocol import protocol_names
@@ -25,9 +33,10 @@ from repro.core.rounds import TwoPhaseRound
 from repro.experiments import registry
 from repro.experiments.golden import golden_overrides
 from repro.sim import snapshot, trace_digest
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process, Signal, Timeout
 from repro.sim.snapshot import SnapshotError
 from repro.sim.trace import TraceLevel
+from tests.conftest import make_federation
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 
@@ -122,10 +131,10 @@ def test_fork_matches_uninterrupted_all(name, monkeypatch):
 # of its run, for every protocol family.
 
 
-def traced_run(protocol: str, steps=None):
-    """``make_fed(protocol)`` run to the horizon under a fresh digest; with
+def traced_run(build, steps=None):
+    """``build()``'s federation run to the horizon under a fresh digest; with
     ``steps``, forked through ``dumps``/``loads`` after that many events."""
-    fed = make_fed(protocol=protocol)
+    fed = build()
     digest = trace_digest.TraceDigest()
     fed.sim.attach_digest(digest)
     fed.start()
@@ -134,25 +143,60 @@ def traced_run(protocol: str, steps=None):
             assert fed.sim.step()
         fed = snapshot.loads(snapshot.dumps(fed))
         fed.sim.attach_digest(digest)
-    fed.sim.run(until=TINY["total_time"])
+    fed.sim.run(until=fed.application.total_time)
     return digest.summary(), fed.results()
 
 
-def divergent_forks(protocol: str) -> list:
+def divergent_forks(build) -> list:
     """The event counts at which a fork changes the run's digest or results."""
-    plain = traced_run(protocol)
-    return [k for k in range(plain[0]["events"]) if traced_run(protocol, k) != plain]
+    plain = traced_run(build)
+    return [k for k in range(plain[0]["events"]) if traced_run(build, k) != plain]
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_fork_at_every_event_matches_uninterrupted(protocol):
-    assert divergent_forks(protocol) == []
+    assert divergent_forks(functools.partial(make_fed, protocol=protocol)) == []
+
+
+def exchange_fed() -> Federation:
+    """Requesters in cluster 0; idle bodies and responders in cluster 1."""
+    return make_federation(
+        nodes=2, total_time=200.0, app_factory=exchange_factory(mean_compute=30.0), seed=5
+    )
+
+
+def test_exchange_bodies_fork_at_every_event():
+    fed = exchange_fed()
+    results = fed.run()
+    bodies = [type(node.app_process._gen) for c in fed.clusters for node in c.nodes]
+    assert bodies == [Requester, Requester, Idle, Idle]
+    assert results.messages[(0, 1)] > 0 and results.messages[(1, 0)] > 0  # replies
+    assert divergent_forks(exchange_fed) == []
+
+
+def faulty_fed() -> Federation:
+    """A tiny table1 run whose MTBF injects several failures."""
+    topology, application, timers = table1_workload(**TINY)
+    topology = dataclasses.replace(topology, mtbf=600.0)
+    return Federation(topology, application, timers, protocol="hc3i", seed=7)
+
+
+def test_failure_injector_forks_at_every_event():
+    assert divergent_forks(faulty_fed) == []
+    fed = faulty_fed()
+    fed.start()
+    awaiting_recovery = 0
+    while fed.sim.now < fed.application.total_time and fed.sim.step():
+        awaiting_recovery += isinstance(fed.injector._process._waiting_on, Signal)
+    assert fed.injector.injected >= 2
+    assert awaiting_recovery  # some fork was taken while it waited on one
 
 
 def test_every_event_fork_catches_an_identity_compared_phase(monkeypatch):
     """Non-vacuity: the ``is``-sentinel bug, rebuilt on the live
     ``TwoPhaseRound``.  An uninterrupted run cannot see it; some fork must."""
-    plain = traced_run("hc3i")
+    build = functools.partial(make_fed, protocol="hc3i")
+    plain = traced_run(build)
     on_ack = TwoPhaseRound.on_ack
 
     def identity_on_ack(self, msg):
@@ -164,8 +208,8 @@ def test_every_event_fork_catches_an_identity_compared_phase(monkeypatch):
         TwoPhaseRound, "collecting", property(lambda self: self.phase is self.COLLECTING)
     )
     monkeypatch.setattr(TwoPhaseRound, "on_ack", identity_on_ack)
-    assert traced_run("hc3i") == plain
-    assert divergent_forks("hc3i")
+    assert traced_run(build) == plain
+    assert divergent_forks(build)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +234,18 @@ class TestSnapshotRoundtrip:
         restored.sim.run(until=1800.0)
         assert tail.events > 0
         assert restored_tail.summary() == tail.summary()
+        assert restored.results() == fed.results()
+
+    def test_a_plain_unpickle_restores(self):
+        """Bodies are plain objects, so ``pickle.loads`` alone thaws a
+        snapshot: there is no loader pass to skip."""
+        fed = make_fed()
+        fed.start()
+        fed.sim.run(until=900.0)
+        blob = snapshot.dumps(fed)
+        fed.sim.run(until=1800.0)
+        restored = pickle.loads(blob)["root"]
+        restored.sim.run(until=1800.0)
         assert restored.results() == fed.results()
 
     def test_restored_run_sends_under_the_uninterrupted_runs_ids(self):
@@ -236,18 +292,8 @@ class TestSnapshotRoundtrip:
 
         Process(fed.sim, loiter(), name="no-spec")
         fed.sim.run(until=100.0)
-        with pytest.raises(SnapshotError, match="GenSpec"):
+        with pytest.raises(SnapshotError, match="generator"):
             snapshot.dumps(fed)
-
-    def test_process_unpickle_outside_snapshot_loads_is_refused(self):
-        """A Process must only thaw through snapshot.loads (generator rebuild)."""
-        fed = make_fed()
-        fed.start()
-        fed.sim.run(until=900.0)
-        blob = snapshot.dumps(fed)
-        with pytest.raises(Exception, match="snapshot"):
-            pickle.loads(blob)  # raw pickle skips the generator-rebuild batch
-        assert snapshot.loads(blob) is not None  # the supported path works
 
 
 # ---------------------------------------------------------------------------

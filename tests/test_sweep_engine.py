@@ -1,6 +1,7 @@
 """Tests for the parallel experiment engine: registry, cache, runner, CLI."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -233,24 +234,6 @@ class TestCacheStore:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert (cache.hits, cache.misses) == (3, 3 * (1 + len(damages)))
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path, code_hash="h")
-        cache.put("t", {"a": 1}, 1)
-        cache.put("t", {"a": 2}, 2)
-        assert cache.clear() == 2
-        assert entry_count(cache) == 0
-
-    def test_clear_sweeps_orphaned_tmp_files(self, tmp_path):
-        """A sweep killed between mkstemp and os.replace leaves a *.tmp
-        orphan that nothing ever reads; clear() must remove it too."""
-        cache = ResultCache(tmp_path, code_hash="h")
-        cache.put("t", {"a": 1}, 1)
-        orphan = cache.path(cache.key("t", {"a": 1})).parent / "tmporphan.tmp"
-        orphan.write_bytes(b"partial write")
-        assert cache.clear() == 1  # orphans are not entries: uncounted
-        assert not orphan.exists()
-        assert not list(tmp_path.rglob("*.tmp"))
-
     def test_put_closes_fd_when_fdopen_fails(self, tmp_path, monkeypatch):
         """os.fdopen raising must not leak mkstemp's raw fd or its file."""
         import os
@@ -470,6 +453,32 @@ class TestSameAnswersAsBefore:
         assert report.result == [{"echo": params} for params in report.grid]
         again = run_experiment(experiment, cache=cache)
         assert (again.cache_hits, again.executed) == (5, 0)
+
+    def test_a_directory_entry_is_recomputed_every_sweep(self, tmp_path):
+        """``put`` cannot replace a directory: it leaves it, and the sweep
+        finishes with the computed value instead of failing."""
+        experiment = _fixed_grid_experiment(
+            self.GRID, point=_echo, reduce=lambda grid, points: points
+        )
+        paths = self._filled_as_before(tmp_path, experiment)
+        _directory(paths[2])
+        for _ in range(2):
+            report = run_experiment(experiment, cache=ResultCache(tmp_path))
+            assert (report.cache_hits, report.executed) == (4, 1)
+            assert report.result == [{"echo": params} for params in report.grid]
+        assert paths[2].is_dir()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_put_still_raises_any_other_os_error(self, tmp_path, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = ResultCache(tmp_path, code_hash="h")
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError) as exc:
+            cache.put("t", {"a": 1}, 1)
+        assert exc.value.errno == errno.ENOSPC
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _echo(params):
