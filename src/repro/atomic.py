@@ -1,11 +1,10 @@
 """Write-then-rename file output, once.
 
-Result-cache entries (``ResultCache.put``), cache-sync archives
-(``export_cache``) and imported entries (``_atomic_copy_bytes``) all
-promise the same thing: a reader sees the previous complete file or the
-new complete file, never a torn mix, and a writer that dies or raises
-leaves nothing behind but (at worst, on a hard kill) a ``*.tmp`` orphan
-beside the target, which no reader ever opens.
+A result-cache entry (``ResultCache.put``) promises that a reader sees
+the previous complete file or the new complete file, never a torn mix,
+and that a writer that dies or raises leaves nothing behind but (at
+worst, on a hard kill) a ``*.tmp`` orphan beside the target, which no
+reader ever opens.
 """
 
 from __future__ import annotations

@@ -25,27 +25,19 @@ Paper sweeps run through the parallel experiment engine::
     repro sweep table1 --jobs 4
     repro sweep fig6-fig7 --scale tiny --no-cache
     repro sweep fig8 --set delays_min=[5,15]
-    repro sweep table1 --backend ssh --hosts nodeA,nodeB:4
     repro sweep fig9 --backend slurm --sbatch-opt=--partition=short
-    repro sweep fig9 --backend k8s --namespace sweeps
 
 Component ablations rank what each HC3I piece buys::
 
     repro ablate hc3i --scale tiny
     repro ablate hc3i --metric checkpoints --json
 
-Federation cache sync moves finished results between sites::
-
-    repro cache export siteA.tar.gz
-    repro cache import siteA.tar.gz          # at site B
-    repro cache merge /mnt/siteA-cache ~/.cache/hc3i-repro
-
 Each path above is one row of :data:`VERBS`; :func:`main` looks the first
 argument up there (no verb: the scenario row) and :func:`parser` builds the
 row's parser.  A flag several rows take is declared once.
 
 See ``docs/sweeps.md`` for the sweep-engine guide (scales, caching,
-multi-host execution, batch schedulers, lost points, cache sync) and
+batch schedulers, lost points, where a sweep runs) and
 ``docs/architecture.md`` for the module map.
 """
 
@@ -107,10 +99,6 @@ def _add_cache_dir(parser: argparse.ArgumentParser, what: str) -> None:
         default=None,
         help=f"{what} (default: $REPRO_CACHE_DIR or ~/.cache/hc3i-repro)",
     )
-
-
-def _add_allow_mismatch(parser: argparse.ArgumentParser, text: str) -> None:
-    parser.add_argument("--allow-mismatch", action="store_true", help=text)
 
 
 def _add_json(parser: argparse.ArgumentParser, what: str, instead: str) -> None:
@@ -323,29 +311,19 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["local", "ssh", "slurm", "k8s"],
+        choices=["local", "slurm"],
         default="local",
         help=(
-            "where cache-missing points execute: 'local' (process pool, default), "
-            "'ssh' (fan out to --hosts), 'slurm' (sbatch array jobs) or "
-            "'k8s' (indexed-completion kubernetes jobs)"
-        ),
-    )
-    parser.add_argument(
-        "--hosts",
-        default=None,
-        help=(
-            "ssh backend roster: comma list ('nodeA,nodeB:4', ':N' = concurrent "
-            "slots) or a hosts.toml path (see docs/sweeps.md)"
+            "where cache-missing points execute: 'local' (process pool, default) "
+            "or 'slurm' (sbatch array jobs)"
         ),
     )
     parser.add_argument(
         "--spool",
         default=None,
         help=(
-            "slurm/k8s backend spool directory, visible to submit machine and "
-            "compute nodes/pods (default: $REPRO_SLURM_SPOOL or "
-            "<cache dir>/slurm-spool; $REPRO_K8S_SPOOL or <cache dir>/k8s-spool)"
+            "slurm backend spool directory, visible to submit machine and "
+            "compute nodes (default: $REPRO_SLURM_SPOOL or <cache dir>/slurm-spool)"
         ),
     )
     parser.add_argument(
@@ -359,61 +337,26 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
             "--sbatch-opt=--partition=short --sbatch-opt=--time=30"
         ),
     )
-    parser.add_argument(
-        "--namespace",
-        default=None,
-        help="k8s backend: namespace to create sweep jobs in (default: the context's)",
-    )
-    parser.add_argument(
-        "--k8s-opt",
-        dest="k8s_opts",
-        action="append",
-        default=[],
-        metavar="OPT",
-        help=(
-            "extra kubectl argument for the k8s backend (repeatable), e.g. "
-            "--k8s-opt=--context=federation-b --k8s-opt=--kubeconfig=/path"
-        ),
-    )
     _add_json(parser, "the reduced result", "tables")
 
 
 def _sweep_backend(args: argparse.Namespace):
     """``repro sweep``'s backend from its flags."""
     from repro.experiments.backends import create_backend
-    from repro.experiments.backends.k8s import default_k8s_spool_dir
     from repro.experiments.backends.slurm import default_spool_dir
 
     # same rule as --set/--seed: an explicit flag is never a silent no-op
-    for given, flags, backends in (
-        (args.hosts, "--hosts only applies", "ssh"),
-        (args.sbatch_opts, "--sbatch-opt directives only apply", "slurm"),
-        (args.spool, "--spool/--sbatch-opt only apply", "slurm/k8s"),
-        (args.namespace or args.k8s_opts, "--namespace/--k8s-opt only apply", "k8s"),
-    ):
-        if given and args.backend not in backends.split("/"):
-            raise SystemExit(
-                f"{flags} to --backend {backends} (got --backend {args.backend})"
-            )
+    if (args.spool or args.sbatch_opts) and args.backend != "slurm":
+        raise SystemExit(
+            "--spool/--sbatch-opt only apply to --backend slurm "
+            f"(got --backend {args.backend})"
+        )
     backend_kwargs: dict = {}
     if args.backend == "slurm":
         backend_kwargs["spool"] = args.spool or default_spool_dir(args.cache_dir)
         backend_kwargs["sbatch_options"] = tuple(args.sbatch_opts)
         backend_kwargs["python"] = sys.executable
-    if args.backend == "k8s":
-        backend_kwargs["spool"] = args.spool or default_k8s_spool_dir(args.cache_dir)
-        backend_kwargs["namespace"] = args.namespace
-        backend_kwargs["kubectl_options"] = tuple(args.k8s_opts)
-        # pods run their own interpreter; against the local stub scheduler
-        # this process's python is the right default, on a real cluster
-        # $REPRO_K8S_PYTHON names the interpreter inside the image
-        backend_kwargs["python"] = os.environ.get("REPRO_K8S_PYTHON", sys.executable)
-    try:
-        return create_backend(
-            args.backend, jobs=args.jobs, hosts=args.hosts, **backend_kwargs
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro sweep: {exc}") from None
+    return create_backend(args.backend, jobs=args.jobs, **backend_kwargs)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -519,65 +462,6 @@ def _run_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_args(parser: argparse.ArgumentParser) -> None:
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    export = sub.add_parser(
-        "export", help="pack the local cache into a portable .tar.gz archive"
-    )
-    export.add_argument("archive", help="archive path to write (.tar.gz)")
-    _add_cache_dir(export, "cache to export")
-
-    imp = sub.add_parser(
-        "import", help="import an exported archive (or another cache dir)"
-    )
-    imp.add_argument("source", help="archive file or cache directory to import")
-    _add_cache_dir(imp, "destination cache")
-    _add_allow_mismatch(
-        imp,
-        "also import entries computed under different repro sources "
-        "(content-addressed, so they stay inert until the code matches)",
-    )
-
-    merge = sub.add_parser("merge", help="merge one cache directory into another")
-    merge.add_argument("source", help="source cache directory")
-    merge.add_argument("dest", help="destination cache directory")
-    _add_allow_mismatch(
-        merge, "also merge entries computed under different repro sources"
-    )
-
-
-def _run_cache(args: argparse.Namespace) -> int:
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.cache_sync import (
-        CacheSyncError,
-        export_cache,
-        import_cache,
-        merge_caches,
-    )
-
-    try:
-        if args.command == "export":
-            report = export_cache(ResultCache(root=args.cache_dir), args.archive)
-        elif args.command == "import":
-            report = import_cache(
-                ResultCache(root=args.cache_dir),
-                args.source,
-                allow_mismatch=args.allow_mismatch,
-            )
-        else:
-            report = merge_caches(
-                args.source, args.dest, allow_mismatch=args.allow_mismatch
-            )
-    except CacheSyncError as exc:
-        raise SystemExit(f"repro cache: {exc}") from None
-    print(report.summary())
-    if report.mismatched_keys:
-        sample = ", ".join(key[:12] + "..." for key in report.mismatched_keys)
-        print(f"[cache {report.operation}] mismatched keys (sample): {sample}")
-    return 0
-
-
 def _serve_args(parser: argparse.ArgumentParser) -> None:
     # counts and deadlines are refused at parse time, not clamped below:
     # an explicit flag is never silently rewritten
@@ -676,12 +560,6 @@ VERBS: Dict[
         "report (runs through the sweep engine and cache).",
         _ablate_args,
         _run_ablate,
-    ),
-    "cache": (
-        "Federation cache sync: move result-cache entries between sites "
-        "with their provenance journal.",
-        _cache_args,
-        _run_cache,
     ),
     "serve": (
         "Serve sweep results over HTTP: registry enumeration, memoized "

@@ -1,27 +1,24 @@
 """Execution-backend protocol for the sweep engine.
 
-The paper's setting is a *cluster federation*: loosely-coupled clusters
-whose resources are aggregated over WAN links.  The sweep engine mirrors
-that shape.  A grid point is a :class:`PointTask` -- experiment name +
-canonical-JSON params + the local point callable -- and because the
-params dict fully determines the simulation (seed included), a task can
-execute *anywhere*: in this process, in a local process pool, or on a
-remote host reached over SSH.  A :class:`Backend` is the "where".
+A grid point is a :class:`PointTask` -- experiment name + canonical-JSON
+params + the point callable -- and because the params dict fully
+determines the simulation (seed included), a task can execute in this
+process, in a process pool or in a SLURM array task with the same result.  A :class:`Backend`
+is the "where".
 
 The contract is deliberately narrow:
 
 * ``submit(task) -> concurrent.futures.Future[PointOutcome]`` -- schedule
   one task; the future resolves to the point's value plus the host that
   computed it.
-* ``shutdown()`` -- release pools/connections; backends are context
-  managers.
+* ``shutdown()`` -- release pools; backends are context managers.
 
 Failure semantics split in two, and the split is what makes retry safe:
 
-* :class:`WorkerLostError` -- the *worker* died (SSH transport failure,
-  crashed pool process, killed host).  The task itself is fine; the
-  runner puts it back in the queue and the backend stops assigning work
-  to the dead host.  Retryable.
+* :class:`WorkerLostError` -- the *worker* died (a crashed pool process,
+  a killed or vanished array task, an injected fault).  The task itself is fine; the runner puts it back
+  in the queue and the backend stops assigning work to the dead worker.
+  Retryable.
 * Any other exception out of ``future.result()`` -- the *point function*
   raised.  Re-running it elsewhere would fail identically (points are
   deterministic), so this propagates and aborts the sweep.  Not
@@ -31,10 +28,9 @@ Failure semantics split in two, and the split is what makes retry safe:
 from __future__ import annotations
 
 import abc
-import shlex
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "Backend",
@@ -44,21 +40,17 @@ __all__ = [
     "RemoteCodeMismatchError",
     "RemotePointError",
     "WorkerLostError",
-    "worker_shell_line",
 ]
-
-#: the stdin/stdout worker every distributed backend runs
-WORKER_MODULE = "repro.experiments.remote_worker"
 
 
 @dataclass(frozen=True)
 class PointTask:
     """One schedulable grid point.
 
-    ``experiment`` + ``params`` are the location-independent description
-    (what a remote worker needs); ``fn`` is the already-resolved local
-    callable (what in-process backends call directly).  A requeued task
-    is the same description again: the point is recomputed from zero.
+    ``experiment`` + ``params`` are the location-independent description;
+    ``fn`` is the already-resolved point callable, which pickles by
+    reference into a pool worker.  A requeued task is the same
+    description again: the point is recomputed from zero.
     """
 
     experiment: str
@@ -146,37 +138,19 @@ class Backend(abc.ABC):
     def flush(self) -> None:
         """Optional hint: no more submissions are imminent.
 
-        Batching backends (SLURM array jobs) buffer submitted tasks
-        briefly to group them into one scheduler job; the runner calls
-        this after each submission burst so buffered tasks are dispatched
-        immediately instead of waiting out the linger window.  No-op by
+        The runner calls this after each submission burst, so a backend
+        that buffers submitted tasks can dispatch them at once.  No-op by
         default.
         """
 
     def shutdown(self) -> None:
-        """Release worker pools/connections.  Idempotent."""
-
-    def hosts(self) -> list:
-        """Names of hosts this backend can currently assign work to."""
-        return []
+        """Release worker pools.  Idempotent."""
 
     def __enter__(self) -> "Backend":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-@dataclass
-class _HostState:
-    """Shared bookkeeping for backends that juggle multiple hosts."""
-
-    name: str
-    slots: int = 1
-    free: int = 0
-    alive: bool = True
-    strikes: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def resolve_future(future: Future, compute: Callable[[], PointOutcome]) -> None:
@@ -187,36 +161,3 @@ def resolve_future(future: Future, compute: Callable[[], PointOutcome]) -> None:
         future.set_exception(exc)
     else:
         future.set_result(outcome)
-
-
-def tail_text(blob: bytes, limit: int = 300) -> str:
-    """The last ``limit`` characters of a subprocess stream, for error messages."""
-    text = blob.decode(errors="replace").strip()
-    return text[-limit:] if len(text) > limit else text
-
-
-def worker_shell_line(
-    python: str,
-    cwd: Optional[str] = None,
-    pythonpath: Optional[str] = None,
-    spooled: bool = False,
-) -> str:
-    """The one shell line that runs the worker on a remote side, safely quoted.
-
-    ``cd`` into the checkout, prepend ``pythonpath``, run the worker on
-    stdin/stdout (what SSH pipes).  ``spooled`` is the batch form: job
-    from ``$task``, envelope to ``$out`` by write-then-rename, so a
-    result file is complete the instant it exists.
-    """
-    steps = []
-    if cwd:
-        steps.append(f"cd {shlex.quote(cwd)}")
-    if pythonpath:
-        # export is a declaration utility: no word splitting on the suffix
-        steps.append(
-            f"export PYTHONPATH={shlex.quote(pythonpath)}" + "${PYTHONPATH:+:$PYTHONPATH}"
-        )
-    run = f"{shlex.quote(python)} -m {WORKER_MODULE}"
-    if spooled:
-        run += ' < "$task" > "$out.tmp" && mv "$out.tmp" "$out"'
-    return " && ".join([*steps, run])

@@ -1,12 +1,10 @@
 """Scheduler-agnostic substrate for batch-submission backends.
 
-Real federation sites take work through a batch scheduler, and the two
-big scheduler families -- SLURM-style array jobs and Kubernetes-style
-indexed Jobs -- share almost all of their sweep-side machinery.  This
-module is that shared machinery, extracted so each concrete backend only
-has to answer two questions: *how is one batch described to the
-scheduler* (an ``sbatch`` script, a Job manifest) and *what do the
-scheduler's task states mean*.
+Real federation sites take work through a batch scheduler.  This module
+is the sweep-side machinery such a backend needs, kept apart from the
+scheduler's dialect so the concrete backend (:mod:`.slurm`) only has to
+answer two questions: *how is one batch described to the scheduler* (an
+``sbatch`` script) and *what do the scheduler's task states mean*.
 
 The common shape:
 
@@ -14,10 +12,8 @@ The common shape:
   (``linger`` window, ``prepare``/``flush`` hints from the runner) and
   dispatched as **one** scheduler batch of up to ``batch_size`` tasks.
 * Each batch gets a job directory under a shared spool: every point's
-  wire job (the exact :func:`encode_wire_job` text the SSH backend
-  pipes) is written to ``tasks/<i>.json``, and task *i* runs the shared
-  worker line
-  (:func:`~repro.experiments.backends.base.worker_shell_line`), leaving
+  wire job (:func:`encode_wire_job`) is written to ``tasks/<i>.json``, and task *i* runs the shared
+  worker line (:func:`worker_shell_line`), leaving
   its response envelope at ``results/<i>.json`` -- write-then-rename, so
   a result file is complete the instant it exists.
 * A polling thread harvests result envelopes (an envelope always beats
@@ -34,11 +30,10 @@ The common shape:
   code-hash handshake refuses results from out-of-sync checkouts.
 
 Scheduler interaction goes through a pluggable :class:`BatchTransport`
-(``sbatch``/``squeue``/``sacct`` for SLURM, ``kubectl`` for Kubernetes;
-both real ones are :class:`CliTransport` dialects), which is also the
-test seam: in-memory transports and the ``tools/stub_slurm.py`` /
-``tools/stub_k8s.py`` mini-schedulers drive the exact same code paths CI
-cannot reach with a real cluster.
+(``sbatch``/``squeue``/``sacct`` for SLURM, a :class:`CliTransport`
+dialect), which is also the test seam: an in-memory transport and the
+``tools/stub_slurm.py`` mini-scheduler drive the exact same code paths
+CI cannot reach with a real cluster.
 """
 
 from __future__ import annotations
@@ -62,8 +57,6 @@ from repro.experiments.backends.base import (
     PointOutcome,
     PointTask,
     WorkerLostError,
-    tail_text,
-    worker_shell_line,
 )
 from repro.experiments.remote_worker import decode_envelope, encode_wire_job
 
@@ -74,7 +67,36 @@ __all__ = [
     "CliTransport",
     "expand_indices",
     "normalize_state",
+    "worker_shell_line",
 ]
+
+
+def tail_text(blob: bytes, limit: int = 300) -> str:
+    """The last ``limit`` characters of a subprocess stream, for error messages."""
+    text = blob.decode(errors="replace").strip()
+    return text[-limit:] if len(text) > limit else text
+
+
+def worker_shell_line(
+    python: str, cwd: Optional[str] = None, pythonpath: Optional[str] = None
+) -> str:
+    """The one shell line a batch task runs, safely quoted.
+
+    ``cd`` into the checkout, prepend ``pythonpath``, run the worker with
+    the job from ``$task`` and the envelope to ``$out`` by
+    write-then-rename, so a result file is complete the instant it exists.
+    """
+    steps = []
+    if cwd:
+        steps.append(f"cd {shlex.quote(cwd)}")
+    if pythonpath:
+        # export is a declaration utility: no word splitting on the suffix
+        steps.append(
+            f"export PYTHONPATH={shlex.quote(pythonpath)}" + "${PYTHONPATH:+:$PYTHONPATH}"
+        )
+    run = f"{shlex.quote(python)} -m repro.experiments.remote_worker"
+    run += ' < "$task" > "$out.tmp" && mv "$out.tmp" "$out"'
+    return " && ".join([*steps, run])
 
 
 #: one array-index chunk: ``7``, ``0-15``, ``0-15:4``, each with an optional
@@ -354,7 +376,7 @@ class BatchBackend(Backend):
             "set -u",
             f'task={quoted}/tasks/"${self.index_var}".json',
             f'out={quoted}/results/"${self.index_var}".json',
-            worker_shell_line(self.python, self.cwd, self.pythonpath, spooled=True),
+            worker_shell_line(self.python, self.cwd, self.pythonpath),
         ]
         return "\n".join(lines) + "\n"
 
@@ -402,9 +424,6 @@ class BatchBackend(Backend):
             slot.future.cancel()
         self._buffer.clear()
         self._cleanup_sweep_dir()
-
-    def hosts(self) -> list:
-        return [self.name]
 
     # -- submission loop -----------------------------------------------
 
@@ -535,7 +554,7 @@ class BatchBackend(Backend):
                 continue
             state = states.get(i)
             if timed_out:
-                # dedupe: schedulers without per-task cancel (k8s) name the
+                # dedupe: schedulers without per-task cancel name the
                 # whole job for every index, and one delete is enough
                 target = self._cancel_target(job.job_id, i)
                 if target not in cancelled_targets:

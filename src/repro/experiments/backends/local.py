@@ -13,7 +13,7 @@ results are byte-identical across ``jobs`` settings and backends.
 
 ``InProcessBackend`` is the test double: synchronous execution with a
 configurable roster of fake hosts and a fault-injection hook, so
-worker-loss/retry behaviour is testable without processes or SSH.
+worker-loss/retry behaviour is testable without processes.
 """
 
 from __future__ import annotations
@@ -155,9 +155,6 @@ class LocalProcessBackend(Backend):
             # cancel_futures: after an aborted sweep, queued points must not
             # keep burning CPU (and delaying exit) for results nobody reads
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def hosts(self) -> list:
-        return [LOCAL_HOST]
 
 
 class InProcessBackend(Backend):

@@ -4,7 +4,7 @@ Real federation sites do not hand out interactive shells -- they take
 work through a batch scheduler.  This backend turns the sweep's
 cache-missing grid points into SLURM *array jobs*: points submitted
 close together are batched into one job directory under a shared spool,
-each point's wire job (the same text the SSH backend pipes) written to
+each point's wire job written to
 ``tasks/<i>.json``, and one ``sbatch`` script whose array task ``i``
 runs ``python -m repro.experiments.remote_worker`` with stdin/stdout
 redirected to ``tasks/<i>.json`` / ``results/<i>.json``.
@@ -20,9 +20,8 @@ module contributes only SLURM's dialect: the ``sbatch`` script, the
 
 The default transport, :class:`SlurmCliTransport`, shells out to
 ``sbatch``/``squeue``/``sacct``/``scancel``; ``$REPRO_SLURM_COMMAND``
-prefixes every invocation (like ``$REPRO_SSH_COMMAND`` for the SSH
-backend), which is how tests and CI substitute a stub scheduler without
-a real SLURM installation.
+prefixes every invocation, which is how tests and CI substitute a stub
+scheduler without a real SLURM installation.
 """
 
 from __future__ import annotations

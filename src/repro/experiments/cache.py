@@ -20,12 +20,11 @@ Cache location: ``--cache-dir`` / constructor argument, else the
 ``REPRO_CACHE_DIR`` environment variable, else
 ``~/.cache/hc3i-repro``.
 
-The cache is *always local to the submitting machine*, whatever backend
-executed the points: remote workers stream values back and the runner
-writes them here as they arrive, so a sweep that dies half-way re-runs
-only its missing points.  ``record`` keeps a best-effort provenance
-journal (``journal.jsonl``) of which host computed each entry -- handy
-when auditing a multi-host sweep.
+The runner writes each value here as it arrives, whatever backend
+executed the point, so a sweep that dies half-way re-runs only its
+missing points.  ``record`` keeps a best-effort provenance journal
+(``journal.jsonl``) of which worker computed each entry and how long it
+took.
 """
 
 from __future__ import annotations
@@ -173,8 +172,7 @@ class ResultCache:
 
         Best-effort and append-only; the journal is documentation, never
         consulted for lookups, so journal I/O errors are swallowed.  The
-        ``code`` field records which source version produced the entry --
-        that is what lets federation cache sync verify entries it moves.
+        ``code`` field records which source version produced the entry.
         """
         self.journal_append(
             [
@@ -192,8 +190,8 @@ class ResultCache:
     def journal_append(self, entries: list) -> None:
         """Append entry dicts as journal lines, safely against concurrent writers.
 
-        Two sweeps (or two federation sites syncing into one shared cache
-        dir) may append concurrently; an exclusive ``flock`` plus an
+        Two sweeps (or a sweep and ``repro serve``) sharing one cache dir
+        may append concurrently; an exclusive ``flock`` plus an
         ``O_APPEND`` write per batch keeps lines from interleaving
         mid-record.  Exception safety is part of the contract: whatever a
         write raises mid-line, the lock is released and the fd closed on

@@ -270,17 +270,17 @@ def canonical_params(params: dict | list) -> dict | list:
     """Validate that a grid point round-trips through JSON and return it.
 
     Grid points become cache keys *and* travel as self-contained JSON
-    wire jobs to remote workers -- piped over SSH or spooled to disk for
-    SLURM array tasks (:func:`repro.experiments.remote_worker.make_wire_job`)
-    -- so lossless serialization is a hard requirement, not a
-    convention.  Tuples are normalized to lists (JSON
-    has no tuples); anything else that decodes differently than it was
-    written -- non-string dict keys (``{1: ...}`` silently becomes
-    ``{"1": ...}``), non-finite floats, values JSON has no form for,
-    keys that do not sort -- is rejected here, at grid-build time, by a
-    :class:`ValueError` showing the point, rather than surfacing as a
-    cache miss or a divergent remote result later.  A whole grid (a list
-    of points) validates the same way, element for element, in one pass.
+    wire jobs spooled to disk for SLURM array tasks
+    (:func:`repro.experiments.remote_worker.make_wire_job`), so lossless
+    serialization is a hard requirement, not a convention.  Tuples are
+    normalized to lists (JSON has no tuples); anything else that decodes
+    differently than it was written -- non-string dict keys (``{1: ...}``
+    silently becomes ``{"1": ...}``), non-finite floats, values JSON has
+    no form for, keys that do not sort -- is rejected here, at grid-build
+    time, by a :class:`ValueError` showing the point, rather than
+    surfacing as a cache miss or a divergent remote result later.  A
+    whole grid (a list of points) validates the same way, element for
+    element, in one pass.
     """
     try:
         encoded = _encode_strict(params)

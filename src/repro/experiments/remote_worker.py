@@ -1,13 +1,11 @@
-"""Stdin/stdout worker for the distributed backends: run one grid point, emit JSON.
+"""Stdin/stdout worker for the SLURM backend: run one grid point, emit JSON.
 
-This module *owns the wire format* shared by every distributed backend:
-the SSH backend pipes a job over ``ssh <host> python -m
-repro.experiments.remote_worker``; the SLURM and Kubernetes backends
-write the same job to a spool file and a task runs the same command with
-stdin/stdout redirected.  Every backend serialises a task with
-:func:`encode_wire_job` and interprets the response with
-:func:`decode_envelope`, so all of them ship the same job and apply the
-same code-hash handshake and failure taxonomy.
+This module *owns the wire format* of the batch backends: the SLURM
+backend writes a job to a spool file and an array task runs ``python -m
+repro.experiments.remote_worker`` with stdin/stdout redirected.  The
+backend serialises a task with :func:`encode_wire_job` and interprets
+the response with :func:`decode_envelope`, which applies the code-hash
+handshake and failure taxonomy.
 
 A job is one JSON object::
 
@@ -27,8 +25,8 @@ caching.  Point failure::
 
 with exit status 0: a deterministic point raising is a *point* error the
 submitter must not retry.  Transport-level death (import failure, kill,
-connection drop) surfaces as a non-zero exit / truncated stream, which
-the SSH backend maps to a retryable worker loss.
+node loss) surfaces as a missing or truncated result file, which the
+batch backend maps to a retryable worker loss.
 
 The worker never touches the result cache -- caching is the submitter's
 job, keyed by the submitter's code hash.  ``code_hash`` lets the backend
@@ -68,7 +66,7 @@ def make_wire_job(task) -> dict:
 
 
 def encode_wire_job(task) -> str:
-    """``task`` as the JSON text SSH pipes and the batch spool stores."""
+    """``task`` as the JSON text the batch spool stores."""
     return json.dumps(make_wire_job(task), sort_keys=True)
 
 

@@ -1,23 +1,22 @@
 """Parallel sweep runner over the experiment registry.
 
 Grid points are independent simulations, so a sweep is embarrassingly
-parallel: cache misses fan out over a pluggable execution backend
-(:mod:`repro.experiments.backends` -- local process pool, SSH hosts, or
-an in-process test double) while hits return instantly from the
+parallel: cache misses fan out over an execution backend
+(:mod:`repro.experiments.backends` -- local process pool, SLURM array
+jobs, or an in-process test double) while hits return instantly from the
 content-addressed cache.  Determinism is structural: every point's
 params dict carries its own explicit seed, so ``--jobs 1``, ``--jobs N``
-and ``--backend ssh`` produce byte-identical results.
+and ``--backend slurm`` produce byte-identical results.
 
 The runner owns fault tolerance.  Results are written to the local
 cache *as they arrive* (not after the sweep) -- finished futures report
 to one completion queue, first in first out, so collecting a point costs
 the same whatever else is in flight -- and a partially failed sweep
-re-executes only its missing points.  A worker/host dying
-mid-point raises :class:`WorkerLostError` from the backend; the runner
-puts the point back in the queue (bounded by ``max_retries`` per point)
-and the backend stops assigning work to the casualty, so a sweep
-survives losing hosts mid-flight -- the federation-of-scavenged-
-resources model of the paper's setting.
+re-executes only its missing points.  A worker dying mid-point raises
+:class:`WorkerLostError` from the backend; the runner puts the point
+back in the queue (bounded by ``max_retries`` per point) and the backend
+stops assigning work to the casualty, so a sweep survives losing
+workers mid-flight.
 
 A requeued point is recomputed from zero: its params dict is its
 checkpoint (seed included, a few hundred bytes), and the new attempt
@@ -107,9 +106,9 @@ def run_experiment(
     ``backend`` selects where cache-missing points execute: a name
     resolved via :func:`repro.experiments.backends.create_backend` with
     its defaults, or a ready :class:`Backend` instance -- the way in for
-    one that needs arguments (``ssh`` and its roster, a spool) -- which
-    the caller keeps ownership of (it is not shut down here).  A name is
-    checked before the cache is read, so a misspelt one fails whether or
+    one that needs arguments (a ``slurm`` spool, an ``inprocess`` roster
+    or fault hook) -- which the caller keeps ownership of (it is not shut
+    down here).  A name is checked before the cache is read, so a misspelt one fails whether or
     not any point would have executed.
     """
     backend_label = backend_name(backend)
@@ -248,7 +247,7 @@ def _execute_pending(
                 # dispatch any resubmissions as one batch -- but never for a
                 # sweep that is already aborting: a fatal error recorded for
                 # another future in the same `done` batch must not let a
-                # batching backend (SLURM/k8s) submit a fresh job of
+                # batching backend (SLURM) submit a fresh job of
                 # resubmissions that will only be cancelled below
                 backend.flush()
         if failure is not None:

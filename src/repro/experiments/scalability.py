@@ -2,19 +2,16 @@
 
 Not a paper experiment -- it characterizes the *reproduction substrate*
 itself, so users know what problem sizes are practical: simulated events
-and wall-clock time as the federation grows in nodes and clusters
-(protocol control traffic grows with both: the 2PC is linear in cluster
-size, the CIC layer in cluster count).
+and messages as the federation grows in nodes and clusters (protocol
+control traffic grows with both: the 2PC is linear in cluster size, the
+CIC layer in cluster count).
 
-Wall-clock columns are measured in whichever process runs the point, so
-this experiment is deliberately excluded from result caching semantics
-beyond code-version addressing: a cached row reports the timing of the
-run that produced it.
+Every column is a count, so a cached row is reproducible on any host.
+Host speed (events per wall-clock second) is measured by ``bench/``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from repro.cluster.federation import Federation
@@ -64,33 +61,26 @@ def _point(params: dict) -> dict:
     application = _uniform_workload(n_clusters, params["total_time"])
     timers = TimersConfig(clc_periods=[5 * MINUTE] * n_clusters)
     fed = Federation(topology, application, timers, seed=params["seed"])
-    t0 = time.perf_counter()
     results = fed.run()
-    wall = time.perf_counter() - t0
     return {
         "total_nodes": topology.total_nodes,
         "events": results.events,
         "app_msgs": sum(results.messages.values()),
         "protocol_msgs": results.protocol_messages,
-        "wall": wall,
     }
 
 
 def _reduce(grid: list, points: list) -> ExperimentResult:
-    rows = []
-    for params, point in zip(grid, points):
-        wall = point["wall"]
-        rows.append(
-            (
-                f"{params['n_clusters']}x{params['nodes']}",
-                point["total_nodes"],
-                point["events"],
-                point["app_msgs"],
-                point["protocol_msgs"],
-                round(wall, 3),
-                int(point["events"] / wall) if wall > 0 else 0,
-            )
+    rows = [
+        (
+            f"{params['n_clusters']}x{params['nodes']}",
+            point["total_nodes"],
+            point["events"],
+            point["app_msgs"],
+            point["protocol_msgs"],
         )
+        for params, point in zip(grid, points)
+    ]
     total_time = grid[0]["total_time"]
     return ExperimentResult(
         name="Scalability -- simulator cost vs federation shape",
@@ -98,15 +88,7 @@ def _reduce(grid: list, points: list) -> ExperimentResult:
             f"{total_time:g}s of simulated time; 5-minute CLC timers; "
             "5% inter-cluster traffic spread uniformly."
         ),
-        headers=[
-            "shape",
-            "nodes",
-            "events",
-            "app msgs",
-            "protocol msgs",
-            "wall s",
-            "events/s",
-        ],
+        headers=["shape", "nodes", "events", "app msgs", "protocol msgs"],
         rows=rows,
     )
 

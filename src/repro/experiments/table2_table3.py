@@ -39,6 +39,19 @@ def _gc_table(gc_series: list) -> tuple:
     return headers, table
 
 
+def _not_evaluated(exp: ExperimentResult, params: dict) -> ExperimentResult:
+    """A run that ends before its first GC round has no row to compare: say
+    so, and why, instead of an empty table beside the paper's numbers."""
+    exp.paper = {}
+    exp.notes.append(
+        f"not evaluated at this scale: the {params['total_time'] / HOUR:g} h run "
+        f"ends before the first GC round (every {params['gc_period'] / HOUR:g} h) "
+        "completes in every cluster; raise total_time above the GC period "
+        "(e.g. --set total_time=36000)"
+    )
+    return exp
+
+
 def _table2_grid(
     nodes: int = 100,
     total_time: float = TOTAL_TIME,
@@ -85,6 +98,8 @@ def _table2_reduce(grid: list, points: list) -> ExperimentResult:
         rows=rows,
         paper={"before": "10-18", "after": 2},
     )
+    if not rows:
+        return _not_evaluated(exp, grid[0])
     needed = point["log_needed"]
     exp.notes.append(
         f"max replay-relevant (needed) log entries at GC instants: "
@@ -173,7 +188,7 @@ def _table3_point(params: dict) -> dict:
 
 def _table3_reduce(grid: list, points: list) -> ExperimentResult:
     headers, rows = _gc_table(points[0]["gc_series"])
-    return ExperimentResult(
+    exp = ExperimentResult(
         name="Table 3 -- Number of stored CLCs (3 clusters, GC every 2 h)",
         description=(
             "Cluster 2 clones cluster 1; roughly 200 messages leave and "
@@ -183,6 +198,7 @@ def _table3_reduce(grid: list, points: list) -> ExperimentResult:
         rows=rows,
         paper={"before": "30-80", "after": 2},
     )
+    return exp if rows else _not_evaluated(exp, grid[0])
 
 
 TABLE2 = register(

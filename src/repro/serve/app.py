@@ -111,9 +111,6 @@ class _InstrumentedBackend(Backend):
     def shutdown(self) -> None:
         self.inner.shutdown()
 
-    def hosts(self) -> list:
-        return self.inner.hosts()
-
 
 class ServeApp:
     """Routes + tiers + admission control behind one async ``handle``."""

@@ -13,7 +13,7 @@ tier.  The tier only compares tokens; its caller decides what moves one.
 computed)`` and bumps the count where its own compute tier writes a
 point through -- a counter, so no request lists the cache root or stats
 a journal shard to learn the token.  A write by *another* process (a
-sweep, a ``cache import``) moves nothing, and need not: an entry is the
+sweep, a second server) moves nothing, and need not: an entry is the
 rendered value of a content-addressed key, the tier never holds a "not
 computed yet", and the code hash is fixed per process, so no foreign
 write can make an entry stale; a key it adds is simply found on disk on

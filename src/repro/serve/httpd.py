@@ -7,8 +7,8 @@ progress) written incrementally with ``Connection: close`` delimiting.
 
 Deliberately *not* here: TLS, chunked request bodies, multipart,
 HTTP/2.  This serves trusted lab traffic (benchmark rigs, notebook
-clients, CI smoke jobs), so the parser is strict and small: anything
-malformed is a ``400`` and the connection drops.
+clients, CI smoke jobs), so the parser is strict and small: a malformed
+request head or body length drops the connection unanswered.
 
 The streaming contract is the interesting part: a ``Response`` whose
 ``stream`` is an async iterator is written chunk by chunk with a drain
@@ -167,7 +167,10 @@ class HttpServer:
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)  # e.g. "http://[::1/": Invalid IPv6 URL
+        except ValueError:
+            raise asyncio.IncompleteReadError(head, None) from None
         pairs = parse_qsl(split.query, keep_blank_values=True)
         query = dict(pairs)
         repeated: tuple = ()
@@ -177,13 +180,10 @@ class HttpServer:
         body = b""
         length = headers.get("content-length")
         if length is not None:
-            try:
-                n = int(length)
-            except ValueError:
-                raise asyncio.IncompleteReadError(head, None) from None
-            if not 0 <= n <= _MAX_BODY:
+            # ASCII digits only: int() would also take "1_0", "+1" and "١٠"
+            if not (length.isascii() and length.isdigit()) or int(length) > _MAX_BODY:
                 raise asyncio.IncompleteReadError(head, None)
-            body = await reader.readexactly(n)
+            body = await reader.readexactly(int(length))
         return Request(
             method=method.upper(),
             path=unquote(split.path),

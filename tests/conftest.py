@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -126,39 +125,6 @@ def entry_count(cache) -> int:
     return sum(1 for _ in cache.root.rglob("*.pkl"))
 
 
-@pytest.fixture
-def stub_ssh(tmp_path):
-    """A stand-in for ``ssh``: ignores options/host, runs the command locally.
-
-    Hosts named ``dead*`` refuse the connection (exit 255), so tests can
-    kill a fake remote worker without an sshd anywhere.
-    """
-    script = tmp_path / "stub-ssh.py"
-    script.write_text(
-        "#!/usr/bin/env python3\n"
-        "import subprocess, sys\n"
-        "host, command = sys.argv[-2], sys.argv[-1]\n"
-        "if host.startswith('dead'):\n"
-        "    print('stub-ssh: connection refused', file=sys.stderr)\n"
-        "    sys.exit(255)\n"
-        "sys.exit(subprocess.call(command, shell=True))\n"
-    )
-    return (sys.executable, str(script))
-
-
-def loopback_spec(name: str = "loopback", slots: int = 2):
-    """A host that works through the stub transport: this repo, this python."""
-    from repro.experiments.backends import HostSpec
-
-    return HostSpec(
-        name=name,
-        slots=slots,
-        python=sys.executable,
-        cwd=str(REPO_ROOT),
-        pythonpath="src",
-    )
-
-
 class InMemorySlurmTransport(BatchTransport):
     """A :class:`BatchTransport` that runs array tasks in-process.
 
@@ -212,68 +178,6 @@ def make_slurm_backend(spool, transport=None, **kwargs):
     kwargs.setdefault("poll_interval", 0.01)
     return SlurmBackend(
         transport=transport if transport is not None else InMemorySlurmTransport(),
-        spool=Path(spool),
-        **kwargs,
-    )
-
-
-class InMemoryK8sTransport(BatchTransport):
-    """A :class:`BatchTransport` that runs completion indices in-process.
-
-    ``kubectl create`` is simulated at submit time: each index's wire job
-    is read from the spool, executed through the real
-    ``remote_worker.run_job``, and its envelope written where the pod
-    would have written it.  ``fault(job_seq, index, job) -> phase | None``
-    injects control-plane failures: returning a pod phase string (e.g.
-    ``"EVICTED"``) kills that pod -- terminal phase recorded, no result
-    file -- exactly what a node-pressure eviction mid-sweep looks like to
-    the backend.
-    """
-
-    def __init__(self, fault=None) -> None:
-        self.fault = fault
-        self.seq = 0
-        self.jobs: dict = {}
-        self.job_names: dict = {}
-        self.job_dirs: dict = {}
-        self.cancelled: list = []
-
-    def submit(self, job_dir, spec, n_tasks) -> str:
-        from repro.experiments.remote_worker import run_job
-
-        self.seq += 1
-        manifest = json.loads(Path(spec).read_text(encoding="utf-8"))
-        name = manifest["metadata"]["name"]
-        phases = {}
-        for i in range(n_tasks):
-            job = json.loads((job_dir / "tasks" / f"{i}.json").read_text())
-            verdict = self.fault(self.seq, i, job) if self.fault else None
-            if verdict:
-                phases[i] = verdict
-                continue
-            envelope = run_job(job)
-            (job_dir / "results" / f"{i}.json").write_text(json.dumps(envelope))
-            phases[i] = "SUCCEEDED"
-        self.jobs[name] = phases
-        self.job_names[self.seq] = name
-        self.job_dirs[name] = job_dir
-        return name
-
-    def poll(self, job_id: str) -> dict:
-        return dict(self.jobs.get(job_id, {}))
-
-    def cancel(self, target: str) -> None:
-        self.cancelled.append(target)
-
-
-def make_k8s_backend(spool, transport=None, **kwargs):
-    """A fast-polling :class:`KubernetesBackend` over the in-memory transport."""
-    from repro.experiments.backends import KubernetesBackend
-
-    kwargs.setdefault("linger", 0.01)
-    kwargs.setdefault("poll_interval", 0.01)
-    return KubernetesBackend(
-        transport=transport if transport is not None else InMemoryK8sTransport(),
         spool=Path(spool),
         **kwargs,
     )

@@ -1,11 +1,9 @@
-"""Tests for the pluggable execution-backend layer of the sweep engine.
+"""Tests for the execution-backend layer of the sweep engine.
 
-Covers the ISSUE-2 acceptance surface: JSON round-trip of every
-registered experiment's grid points, worker-loss retry/reassignment
-(killing a fake worker mid-sweep), and ssh-vs-``jobs=1`` result equality
--- via the :class:`InProcessBackend` test double and via a stub SSH
-transport that runs the real ``remote_worker`` subprocess locally (no
-sshd in CI).
+Covers JSON round-trip of every registered experiment's grid points,
+worker-loss retry/reassignment (killing a fake worker mid-sweep, crashing
+a pool worker) and the local pool's chunked dispatch -- via the
+:class:`InProcessBackend` test double and the real process pool.
 """
 
 from __future__ import annotations
@@ -27,16 +25,13 @@ from repro.experiments import registry
 from repro.experiments.backends import (
     Backend,
     BackendUnavailableError,
-    HostSpec,
     InProcessBackend,
     LocalProcessBackend,
     PointTask,
     RemoteCodeMismatchError,
     RemotePointError,
-    SSHBackend,
     WorkerLostError,
     create_backend,
-    parse_hosts,
 )
 from repro.experiments.cache import ResultCache
 from repro.experiments.registry import (
@@ -45,22 +40,23 @@ from repro.experiments.registry import (
     coerce_set_value,
     resolve_overrides,
 )
-from repro.experiments.remote_worker import run_job
+from repro.experiments.remote_worker import decode_envelope, make_wire_job, run_job
 from repro.experiments.runner import SweepError, run_experiment
 
-from conftest import REPO_ROOT, entry_count, loopback_spec
+from conftest import REPO_ROOT, entry_count
 
 TINY = {"nodes": 4, "total_time": 1800.0}
 FIG67_TINY = {"delays_min": [5, 15], **TINY, "seed": 2}
 
 
 class TestGridPointsAreWireSafe:
-    """Every registered grid point must survive the remote-job wire format."""
+    """Every registered grid point must survive a JSON round-trip: its
+    canonical JSON is what the cache key digests."""
 
     @pytest.mark.parametrize("scale", sorted(SCALE_PROFILES))
     def test_every_grid_point_round_trips_through_json(self, scale):
         """Every grid at every scale, ``full`` included: a value like a
-        ``{1: ...}`` key would reach a remote worker as a different point."""
+        ``{1: ...}`` key would be cached under a different point's key."""
         for exp in registry.all_experiments():
             for params in exp.build_grid(resolve_overrides(exp, scale)):
                 wire = json.loads(json.dumps(params, sort_keys=True))
@@ -79,45 +75,6 @@ class TestGridPointsAreWireSafe:
         assert canonical_params({"a": (1, 2), "b": [3.5]}) == {"a": [1, 2], "b": [3.5]}
 
 
-class TestHostsParsing:
-    def test_inline_list_with_slots(self):
-        hosts = parse_hosts("nodeA, nodeB:4")
-        assert hosts == [HostSpec(name="nodeA"), HostSpec(name="nodeB", slots=4)]
-
-    def test_inline_single_host(self):
-        (host,) = parse_hosts("localhost")
-        assert host.name == "localhost" and host.slots == 1
-
-    def test_toml_roster_with_defaults(self, tmp_path):
-        roster = tmp_path / "hosts.toml"
-        roster.write_text(
-            '[defaults]\npython = "python3.12"\nslots = 2\n'
-            '[[hosts]]\nname = "a"\n'
-            '[[hosts]]\nname = "b"\nslots = 8\ncwd = "/srv/repo"\npythonpath = "src"\n'
-        )
-        a, b = parse_hosts(str(roster))
-        assert a == HostSpec(name="a", slots=2, python="python3.12")
-        assert b.slots == 8 and b.cwd == "/srv/repo" and b.pythonpath == "src"
-
-    def test_toml_unknown_key_rejected(self, tmp_path):
-        roster = tmp_path / "hosts.toml"
-        roster.write_text('[[hosts]]\nname = "a"\nports = 22\n')
-        with pytest.raises(ValueError, match="unknown keys"):
-            parse_hosts(str(roster))
-
-    def test_missing_toml_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="not found"):
-            parse_hosts(str(tmp_path / "nope.toml"))
-
-    def test_duplicate_hosts_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_hosts("a,b,a")
-
-    def test_empty_spec_rejected(self):
-        with pytest.raises(ValueError):
-            parse_hosts("  ,  ")
-
-
 class TestCreateBackend:
     def test_names(self):
         assert create_backend(None).name == "local"
@@ -128,18 +85,9 @@ class TestCreateBackend:
         backend = InProcessBackend()
         assert create_backend(backend) is backend
 
-    def test_ssh_requires_hosts(self):
-        with pytest.raises(ValueError, match="--hosts"):
-            create_backend("ssh")
-
     def test_slurm_is_a_registered_backend(self, tmp_path):
         backend = create_backend("slurm", spool=tmp_path)
         assert backend.name == "slurm"
-        backend.shutdown()
-
-    def test_k8s_is_a_registered_backend(self, tmp_path):
-        backend = create_backend("k8s", spool=tmp_path)
-        assert backend.name == "k8s"
         backend.shutdown()
 
     def test_unknown_backend_rejected(self):
@@ -455,106 +403,10 @@ class TestChunkedDispatch:
         assert any(future.cancelled() for future in futures)
 
 
-class TestSSHBackend:
-    def test_matches_jobs1_byte_identically(self, stub_ssh):
-        serial = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1)
-        backend = SSHBackend([loopback_spec()], ssh_command=stub_ssh)
-        try:
-            report = run_experiment("fig6-fig7", overrides=FIG67_TINY, backend=backend)
-        finally:
-            backend.shutdown()
-        assert report.result.render() == serial.result.render()
-        assert report.result.series == serial.result.series
-        assert report.backend == "ssh"
-        assert report.host_counts == {"loopback": 2}
-
-    def test_dead_host_points_reassigned_to_live_host(self, stub_ssh):
-        serial = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1)
-        roster = [
-            dataclasses.replace(loopback_spec("deadhost"), slots=1),
-            loopback_spec("loopback"),
-        ]
-        backend = SSHBackend(roster, ssh_command=stub_ssh, max_host_strikes=1)
-        try:
-            report = run_experiment("fig6-fig7", overrides=FIG67_TINY, backend=backend)
-        finally:
-            backend.shutdown()
-        assert report.result.render() == serial.result.render()
-        assert report.host_counts.get("deadhost", 0) == 0
-        assert report.host_counts["loopback"] == 2
-        assert report.retries >= 1
-        assert backend.hosts() == ["loopback"]
-
-    def test_all_hosts_dead_aborts_not_hangs(self, stub_ssh):
-        backend = SSHBackend(
-            [dataclasses.replace(loopback_spec("deadhost"), slots=1)],
-            ssh_command=stub_ssh,
-            max_host_strikes=1,
-        )
-        try:
-            with pytest.raises((SweepError, BackendUnavailableError, WorkerLostError)):
-                run_experiment(
-                    "table1", overrides={**TINY, "seed": 1}, backend=backend
-                )
-        finally:
-            backend.shutdown()
-
-    def test_code_mismatch_is_refused(self, tmp_path):
-        """A host running different sources must not contribute results."""
-        liar = tmp_path / "liar-ssh.py"
-        liar.write_text(
-            "#!/usr/bin/env python3\n"
-            "import base64, json, pickle, sys\n"
-            "print(json.dumps({'ok': True, 'code_hash': 'f' * 64,\n"
-            "                  'elapsed': 0.0,\n"
-            "                  'pickle': base64.b64encode(pickle.dumps({})).decode()}))\n"
-        )
-        backend = SSHBackend(
-            [loopback_spec()], ssh_command=(sys.executable, str(liar))
-        )
-        try:
-            task = PointTask(experiment="table1", params={"x": 1}, fn=canonical_params)
-            with pytest.raises(RemoteCodeMismatchError, match="different repro sources"):
-                backend.submit(task).result()
-        finally:
-            backend.shutdown()
-
-    def test_stale_host_point_error_diagnosed_as_code_mismatch(self, tmp_path):
-        """ok=false from an out-of-sync checkout must say 'sync the repo',
-        not present the stale host's confusing point traceback."""
-        stale = tmp_path / "stale-ssh.py"
-        stale.write_text(
-            "#!/usr/bin/env python3\n"
-            "import json\n"
-            "print(json.dumps({'ok': False, 'code_hash': 'e' * 64,\n"
-            "                  'error': \"KeyError: unknown experiment 'shiny-new'\",\n"
-            "                  'traceback': ''}))\n"
-        )
-        backend = SSHBackend(
-            [loopback_spec()], ssh_command=(sys.executable, str(stale))
-        )
-        try:
-            fut = backend.submit(
-                PointTask(experiment="shiny-new", params={"x": 1}, fn=canonical_params)
-            )
-            with pytest.raises(RemoteCodeMismatchError, match="sync the repo"):
-                fut.result()
-        finally:
-            backend.shutdown()
-
-    def test_env_var_overrides_transport(self, stub_ssh, monkeypatch):
-        from repro.experiments.backends.ssh import default_ssh_command
-
-        monkeypatch.setenv("REPRO_SSH_COMMAND", " ".join(stub_ssh))
-        assert default_ssh_command() == tuple(stub_ssh)
-        monkeypatch.delenv("REPRO_SSH_COMMAND")
-        assert default_ssh_command()[0] == "ssh"
-
-
 class TestRemoteWorker:
-    def test_wire_job_is_exactly_experiment_params_and_handshake(self):
-        from repro.experiments.remote_worker import make_wire_job
+    """The SLURM array task's worker: one JSON job in, one envelope out."""
 
+    def test_wire_job_is_exactly_experiment_params_and_handshake(self):
         job = make_wire_job(PointTask("table1", {"seed": 1}, fn=dict))
         assert sorted(job) == ["code_hash", "experiment", "params"]
 
@@ -574,17 +426,24 @@ class TestRemoteWorker:
         assert envelope["ok"] is False
         assert "unknown experiment" in envelope["error"]
 
-    def test_point_error_is_not_retried(self, stub_ssh, tmp_path):
+    def test_point_error_is_not_retried(self):
         """ok=false envelopes raise RemotePointError, not WorkerLostError."""
-        backend = SSHBackend([loopback_spec()], ssh_command=stub_ssh)
-        try:
-            fut = backend.submit(
-                PointTask(experiment="does-not-exist", params={"x": 1}, fn=canonical_params)
-            )
-            with pytest.raises(RemotePointError, match="does-not-exist"):
-                fut.result()
-        finally:
-            backend.shutdown()
+        task = PointTask(experiment="does-not-exist", params={"x": 1}, fn=canonical_params)
+        envelope = run_job(make_wire_job(task))
+        with pytest.raises(RemotePointError, match="does-not-exist"):
+            decode_envelope(envelope, "node1")
+
+    def test_stale_point_error_is_diagnosed_as_code_mismatch(self):
+        """ok=false from an out-of-sync checkout must say 'sync the repo',
+        not present the stale node's confusing point traceback."""
+        envelope = {
+            "ok": False,
+            "code_hash": "e" * 64,
+            "error": "KeyError: unknown experiment 'shiny-new'",
+            "traceback": "",
+        }
+        with pytest.raises(RemoteCodeMismatchError, match="sync the repo"):
+            decode_envelope(envelope, "node1")
 
 
 class TestSweepCliBackendFlags:
@@ -597,43 +456,16 @@ class TestSweepCliBackendFlags:
         out = capsys.readouterr().out
         assert "backend=local" in out
 
-    def test_backend_ssh_requires_hosts(self):
-        with pytest.raises(SystemExit, match="--hosts"):
-            main(["sweep", "table1", "--backend", "ssh"])
+    @pytest.mark.parametrize("flag", ["--hosts=a", "--namespace=n", "--k8s-opt=x"])
+    def test_a_retired_flag_exits_2_naming_itself(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "table1", "--scale", "tiny", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
-    def test_hosts_without_ssh_backend_is_an_error(self):
-        # an explicit flag must never be a silent no-op
-        with pytest.raises(SystemExit, match="only applies to --backend ssh"):
-            main(["sweep", "table1", "--hosts", "nodeA"])
-
-    def test_backend_ssh_end_to_end_matches_jobs1(
-        self, stub_ssh, tmp_path, capsys, monkeypatch
-    ):
-        """`repro sweep ... --backend ssh --hosts <loopback>` == `--jobs 1`."""
-        roster = tmp_path / "hosts.toml"
-        roster.write_text(
-            "[[hosts]]\n"
-            'name = "loopback"\n'
-            "slots = 2\n"
-            f'python = "{sys.executable}"\n'
-            f'cwd = "{REPO_ROOT}"\n'
-            'pythonpath = "src"\n'
-        )
-        monkeypatch.setenv("REPRO_SSH_COMMAND", " ".join(stub_ssh))
-        assert main(
-            ["sweep", "table1", "--scale", "tiny", "--no-cache", "--json",
-             "--backend", "ssh", "--hosts", str(roster)]
-        ) == 0
-        over_ssh = json.loads(capsys.readouterr().out)
-        assert main(
-            ["sweep", "table1", "--scale", "tiny", "--no-cache", "--json",
-             "--jobs", "1"]
-        ) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert over_ssh["rows"] == serial["rows"]
-        assert over_ssh["headers"] == serial["headers"]
-        assert over_ssh["backend"] == "ssh"
-        assert over_ssh["host_counts"] == {"loopback": 1}
+    def test_the_retired_cache_verb_is_an_unknown_command(self, capsys):
+        assert main(["cache", "export", "x"]) == 2
+        assert "unknown command 'cache'" in capsys.readouterr().err
 
     def test_summary_reports_hosts(self, capsys):
         # the fields surface through SweepReport.summary() -> CLI output
@@ -701,13 +533,13 @@ class TestSetOverrides:
 
 
 class _ScriptedBatchBackend(Backend):
-    """A synchronous stand-in for batching backends (SLURM/k8s).
+    """A synchronous stand-in for batching backends (SLURM).
 
     ``submit`` only buffers -- nothing runs until ``flush`` dispatches
-    the whole buffer as one batch, exactly the shape of an array-job or
-    indexed-Job submission.  ``script(task, attempt)`` decides each
-    dispatched task's fate: an exception instance is delivered through
-    the future, anything else becomes the point value.
+    the whole buffer as one batch, exactly the shape of an array-job
+    submission.  ``script(task, attempt)`` decides each dispatched task's
+    fate: an exception instance is delivered through the future, anything
+    else becomes the point value.
     """
 
     name = "scripted-batch"

@@ -1,330 +1,25 @@
-"""Tests for federation cache sync (export/import/merge) and journal hardening.
+"""Tests for the result cache's shared-directory safety.
 
-The acceptance scenario: a sweep finished at site A is exported, carried
-to site B, imported, and a re-run at site B is served entirely from the
-cache -- with the provenance journal still answering "who computed
-this?".  Fault injection: stale archives (different code version) must be
-rejected without corrupting the local cache, and the journal must
-survive concurrent/interleaved appenders.
+Several writers -- two sweeps, or a sweep and ``repro serve`` -- may
+share one cache directory.
+The provenance journal must survive concurrent, interleaved and torn
+appends, sharded or not, and a cache entry is written atomically: a
+writer that fails part-way leaves nothing a reader could open.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import pickle
-import tarfile
 import threading
 
 import pytest
 
-from repro.cli import main
-from repro.experiments import registry
-from repro.experiments.cache import ResultCache, code_version_hash
-from repro.experiments.cache_sync import (
-    CacheSyncError,
-    export_cache,
-    import_cache,
-    merge_caches,
-)
-from repro.experiments.runner import run_experiment
-from tests.conftest import entry_count
-from tests.test_sweep_engine import _directory, _truncate, _unreadable
-
-TINY = {"nodes": 4, "total_time": 1800.0}
-FIG67_TINY = {"delays_min": [5, 15], **TINY, "seed": 2}
-
-
-def run_site_a_sweep(site_a: ResultCache):
-    return run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=site_a)
-
-
-class TestExportImportRoundTrip:
-    def test_sweep_round_trips_between_two_sites(self, tmp_path):
-        """Sweep at A, export, import at B: B's re-run is fully cache-served."""
-        site_a = ResultCache(tmp_path / "site-a")
-        first = run_site_a_sweep(site_a)
-        assert first.executed == 2
-
-        archive = tmp_path / "site-a.tar.gz"
-        export_report = export_cache(site_a, archive)
-        assert export_report.total == 2
-        assert archive.is_file()
-
-        site_b = ResultCache(tmp_path / "site-b")
-        import_report = import_cache(site_b, archive)
-        assert import_report.imported == 2
-        assert import_report.skipped_mismatch == 0
-
-        second = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=site_b)
-        assert second.cache_hits == 2 and second.executed == 0
-        assert second.result.render() == first.result.render()
-
-    def test_provenance_travels_with_the_entries(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        run_site_a_sweep(site_a)
-        original = site_a.journal_by_key()
-
-        archive = tmp_path / "site-a.tar.gz"
-        export_cache(site_a, archive)
-        site_b = ResultCache(tmp_path / "site-b")
-        import_cache(site_b, archive)
-
-        imported = site_b.journal_by_key()
-        assert set(imported) == set(original)
-        for key, entry in imported.items():
-            assert entry["host"] == original[key]["host"]  # original computer
-            assert entry["via"] == "import:site-a.tar.gz"
-            assert entry["code"] == code_version_hash()
-            assert entry["experiment"] == "fig6-fig7"
-
-    def test_reimport_skips_existing_entries(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        run_site_a_sweep(site_a)
-        archive = tmp_path / "a.tar.gz"
-        export_cache(site_a, archive)
-        site_b = ResultCache(tmp_path / "site-b")
-        assert import_cache(site_b, archive).imported == 2
-        again = import_cache(site_b, archive)
-        assert again.imported == 0 and again.skipped_existing == 2
-
-    def test_export_of_empty_cache_is_a_valid_archive(self, tmp_path):
-        empty = ResultCache(tmp_path / "empty")
-        archive = tmp_path / "empty.tar.gz"
-        report = export_cache(empty, archive)
-        assert report.total == 0
-        imported = import_cache(ResultCache(tmp_path / "dest"), archive)
-        assert imported.total == 0
-
-
-class TestStaleArchiveRejection:
-    """Fault injection: archives from out-of-sync sources must be refused."""
-
-    def make_stale_archive(self, tmp_path):
-        """An archive whose entries were (per journal) built by other sources."""
-        stale_site = ResultCache(tmp_path / "stale-site", code_hash="e" * 64)
-        run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=stale_site)
-        archive = tmp_path / "stale.tar.gz"
-        export_cache(stale_site, archive)
-        return archive
-
-    def test_stale_archive_rejected_without_corrupting_local_cache(self, tmp_path):
-        archive = self.make_stale_archive(tmp_path)
-        local = ResultCache(tmp_path / "local")
-        run_experiment("table1", overrides={**TINY, "seed": 1}, jobs=1, cache=local)
-        before_entries = entry_count(local)
-        before_journal = local.journal_entries()
-
-        with pytest.raises(CacheSyncError, match="different repro sources"):
-            import_cache(local, archive)
-
-        assert entry_count(local) == before_entries
-        assert local.journal_entries() == before_journal
-
-    def test_allow_mismatch_imports_anyway(self, tmp_path):
-        archive = self.make_stale_archive(tmp_path)
-        local = ResultCache(tmp_path / "local")
-        report = import_cache(local, archive, allow_mismatch=True)
-        assert report.imported == 2
-        # inert: stale keys can never be produced by local lookups
-        resumed = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=local)
-        assert resumed.cache_hits == 0
-
-    def test_partially_stale_archive_imports_the_fresh_entries(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        run_site_a_sweep(site_a)
-        # doctor one journal line so one entry claims a foreign code hash
-        lines = site_a.journal_path.read_text().splitlines()
-        doctored = json.loads(lines[0])
-        doctored["code"] = "d" * 64
-        site_a.journal_path.write_text(
-            "\n".join([json.dumps(doctored), *lines[1:]]) + "\n"
-        )
-        archive = tmp_path / "mixed.tar.gz"
-        export_cache(site_a, archive)
-
-        local = ResultCache(tmp_path / "local")
-        report = import_cache(local, archive)
-        assert report.imported == 1
-        assert report.skipped_mismatch == 1
-        assert report.mismatched_keys  # flagged for the operator
-
-    def test_not_an_archive_is_rejected(self, tmp_path):
-        bogus = tmp_path / "bogus.tar.gz"
-        bogus.write_bytes(b"not a tarball")
-        with pytest.raises(CacheSyncError, match="cannot read archive"):
-            import_cache(ResultCache(tmp_path / "local"), bogus)
-
-    def test_tarball_without_manifest_is_rejected(self, tmp_path):
-        payload = tmp_path / "x.txt"
-        payload.write_text("hi")
-        plain = tmp_path / "plain.tar.gz"
-        with tarfile.open(plain, "w:gz") as tar:
-            tar.add(payload, arcname="x.txt")
-        with pytest.raises(CacheSyncError, match="no manifest.json"):
-            import_cache(ResultCache(tmp_path / "local"), plain)
-
-    def test_missing_source_is_rejected(self, tmp_path):
-        with pytest.raises(CacheSyncError, match="archive not found"):
-            import_cache(ResultCache(tmp_path / "local"), tmp_path / "nope.tar.gz")
-
-
-class TestMergeBetweenCacheDirs:
-    def test_merge_moves_entries_and_provenance(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        first = run_site_a_sweep(site_a)
-        site_b = ResultCache(tmp_path / "site-b")
-        report = merge_caches(site_a.root, site_b)
-        assert report.imported == 2 and report.unverified == 0
-
-        resumed = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=site_b)
-        assert resumed.cache_hits == 2
-        assert resumed.result.render() == first.result.render()
-        hosts = {e["host"] for e in site_b.journal_entries()}
-        assert hosts == {"local"}  # site A computed everything locally
-
-    def test_import_of_a_directory_merges(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        run_site_a_sweep(site_a)
-        site_b = ResultCache(tmp_path / "site-b")
-        report = import_cache(site_b, site_a.root)
-        assert report.operation == "merge"
-        assert report.imported == 2
-
-    def test_merge_without_journal_counts_unverified(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        run_site_a_sweep(site_a)
-        site_a.journal_path.unlink()  # e.g. rsync'd entries without the journal
-        site_b = ResultCache(tmp_path / "site-b")
-        report = merge_caches(site_a.root, site_b)
-        assert report.imported == 2 and report.unverified == 2
-
-    def test_merge_skips_foreign_code_entries(self, tmp_path):
-        stale = ResultCache(tmp_path / "stale", code_hash="e" * 64)
-        run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=stale)
-        site_b = ResultCache(tmp_path / "site-b")
-        with pytest.raises(CacheSyncError, match="different repro sources"):
-            merge_caches(stale.root, site_b)
-        assert entry_count(site_b) == 0
-
-    def test_merge_into_itself_is_rejected(self, tmp_path):
-        site = ResultCache(tmp_path / "site")
-        site.root.mkdir(parents=True)
-        with pytest.raises(CacheSyncError, match="into itself"):
-            merge_caches(site.root, site)
-
-    def test_merge_missing_source_is_rejected(self, tmp_path):
-        with pytest.raises(CacheSyncError, match="not found"):
-            merge_caches(tmp_path / "nope", ResultCache(tmp_path / "site"))
-
-
-class TestCacheCli:
-    def test_export_import_round_trip_via_cli(self, tmp_path, capsys):
-        site_a = tmp_path / "site-a"
-        run_experiment(
-            "fig6-fig7", overrides=FIG67_TINY, jobs=1, cache=ResultCache(site_a)
-        )
-        archive = tmp_path / "a.tar.gz"
-        assert main(["cache", "export", str(archive), "--cache-dir", str(site_a)]) == 0
-        assert "2/2 entries" in capsys.readouterr().out
-
-        site_b = tmp_path / "site-b"
-        assert main(["cache", "import", str(archive), "--cache-dir", str(site_b)]) == 0
-        out = capsys.readouterr().out
-        assert "[cache import]" in out and "2/2 entries" in out
-        assert entry_count(ResultCache(site_b)) == 2
-
-    def test_merge_via_cli(self, tmp_path, capsys):
-        site_a = tmp_path / "site-a"
-        run_experiment(
-            "table1", overrides={**TINY, "seed": 1}, jobs=1, cache=ResultCache(site_a)
-        )
-        site_b = tmp_path / "site-b"
-        assert main(["cache", "merge", str(site_a), str(site_b)]) == 0
-        assert "1/1 entries" in capsys.readouterr().out
-
-    def test_stale_import_via_cli_is_a_clean_error(self, tmp_path):
-        stale = ResultCache(tmp_path / "stale", code_hash="e" * 64)
-        run_experiment("table1", overrides={**TINY, "seed": 1}, jobs=1, cache=stale)
-        archive = tmp_path / "stale.tar.gz"
-        export_cache(stale, archive)
-        with pytest.raises(SystemExit, match="different repro sources"):
-            main(["cache", "import", str(archive), "--cache-dir", str(tmp_path / "b")])
-
-
-def _echo(params):
-    return {"echo": params}
-
-
-ECHO = dataclasses.replace(
-    registry.get("table1"),
-    name="sync-echo",
-    grid=lambda: [{"i": i} for i in range(5)],
-    point=_echo,
-    reduce=lambda grid, points: points,
-    scaled=False,
-)
-
-
-def _sync(how, source: ResultCache, dest: ResultCache, tmp_path):
-    """Carry ``source``'s entries to ``dest`` by a dir merge or an archive;
-    returns the reports of the steps taken."""
-    if how == "merge":
-        return [merge_caches(source.root, dest)]
-    archive = tmp_path / "site-a.tar.gz"
-    return [export_cache(source, archive), import_cache(dest, archive)]
-
-
-@pytest.mark.parametrize("how", ["merge", "import"])
-class TestDamagedEntriesInTransit:
-    """What ``ResultCache.get`` reads as a miss -- a torn pickle, a directory
-    or a symlink loop where an entry should be -- costs the destination one
-    recompute, never the sync."""
-
-    def _site_a(self, tmp_path):
-        site_a = ResultCache(tmp_path / "site-a")
-        report = run_experiment(ECHO, cache=site_a)
-        return site_a, [site_a.key(ECHO.name, params) for params in report.grid]
-
-    @pytest.mark.parametrize("damage", [_directory, _unreadable])
-    def test_a_damaged_entry_stays_behind_and_the_rest_travel(self, how, damage, tmp_path):
-        site_a, keys = self._site_a(tmp_path)
-        damage(site_a.path(keys[2]))
-        site_b = ResultCache(tmp_path / "site-b")
-        reports = _sync(how, site_a, site_b, tmp_path)
-        assert reports[0].damaged_keys == [keys[2]]
-        assert f"1 damaged, skipped: {keys[2][:12]}..." in reports[0].summary()
-        assert (reports[-1].imported, reports[-1].total) == (4, 5 if how == "merge" else 4)
-        report = run_experiment(ECHO, cache=site_b)
-        assert (report.cache_hits, report.executed) == (4, 1)
-
-    def test_a_torn_entry_that_travelled_is_one_miss(self, how, tmp_path):
-        site_a, keys = self._site_a(tmp_path)
-        _truncate(site_a.path(keys[2]))
-        site_b = ResultCache(tmp_path / "site-b")
-        assert _sync(how, site_a, site_b, tmp_path)[-1].imported == 5
-        report = run_experiment(ECHO, cache=site_b)
-        assert (report.cache_hits, report.executed, site_b.misses) == (4, 1, 1)
-        assert report.result == [_echo(params) for params in report.grid]
-        rewritten = pickle.loads(site_b.path(keys[2]).read_bytes())
-        assert rewritten == _echo(report.grid[2])
-        again = run_experiment(ECHO, cache=site_b)
-        assert (again.cache_hits, again.executed) == (5, 0)
-
-
-def test_merge_via_cli_names_a_damaged_entry(tmp_path, capsys):
-    site_a = ResultCache(tmp_path / "site-a")
-    report = run_experiment(ECHO, cache=site_a)
-    key = site_a.key(ECHO.name, report.grid[0])
-    _directory(site_a.path(key))
-    assert main(["cache", "merge", str(site_a.root), str(tmp_path / "site-b")]) == 0
-    out = capsys.readouterr().out
-    assert "4/5 entries" in out and f"1 damaged, skipped: {key[:12]}..." in out
+from repro.experiments.cache import ResultCache
 
 
 class TestJournalHardening:
-    """Two hosts appending into one shared cache dir must not corrupt reads."""
+    """Two writers appending into one shared cache dir must not corrupt reads."""
 
     def test_interleaved_records_on_one_line_are_recovered(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -415,7 +110,7 @@ class TestJournalHardening:
         assert "doomed" not in hosts  # the torn record is never served
 
     def test_every_byte_lands_before_the_unlock(self, tmp_path, monkeypatch):
-        """The PR 8 torn journal: a buffered ``with open(path, "ab")`` writer
+        """A torn journal seen before: a buffered ``with open(path, "ab")`` writer
         unlocked in a ``finally`` that ran before its close flushed, so the
         bytes reached the file outside the lock.  Whatever the file holds
         when the lock drops must be everything the append wrote."""
@@ -505,10 +200,6 @@ class TestJournalSharding:
         assert len(reader.journal_entries()) == 8
 
 
-# ---------------------------------------------------------------------------
-# atomic writers
-
-
 class _TornFile:
     """A file whose every write lands one byte, then the disk fills up."""
 
@@ -533,24 +224,12 @@ class _TornFile:
         return getattr(self._fh, name)
 
 
-def _export_empty_cache(root):
-    export_cache(ResultCache(root / "empty", code_hash="h"), root / "site.tar.gz")
-
-
-def _copy_entry(root):
-    from repro.experiments.cache_sync import _atomic_copy_bytes
-
-    _atomic_copy_bytes(b"entry bytes", root / "ab" / "entry.pkl")
-
-
-#: the three atomic writers: (call, glob of the target it creates under root)
+#: the atomic writers: (call, glob of the target it creates under root)
 ATOMIC_WRITERS = {
     "ResultCache.put": (
         lambda root: ResultCache(root, code_hash="h").put("t", {"a": 1}, [1, 2, 3]),
         "*.pkl",
     ),
-    "export_cache": (_export_empty_cache, "*.tar.gz"),
-    "_atomic_copy_bytes": (_copy_entry, "*.pkl"),
 }
 
 
@@ -558,8 +237,8 @@ ATOMIC_WRITERS = {
 def test_a_writer_that_raises_mid_write_leaves_nothing_behind(
     writer, tmp_path, monkeypatch
 ):
-    """All three go through ``repro.atomic.atomic_write``: a write that
-    raises part-way leaves no ``*.tmp`` and no partial target."""
+    """Each goes through ``repro.atomic.atomic_write``: a write that raises
+    part-way leaves no ``*.tmp`` and no partial target."""
     write, target = ATOMIC_WRITERS[writer]
     real_fdopen = os.fdopen
     with monkeypatch.context() as patch:

@@ -78,7 +78,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (
             "repro: unknown command 'swep' "
-            "(choose from: ablate, cache, serve, sweep)\n"
+            "(choose from: ablate, serve, sweep)\n"
         )
 
     def test_retired_lint_verb_is_unknown(self, capsys):

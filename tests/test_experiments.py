@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.golden import golden_overrides
+from repro.experiments.registry import resolve_overrides
 from repro.experiments.runner import run_experiment
 
 HOUR = 3600.0
@@ -147,6 +148,27 @@ class TestTables2And3:
             for before, after in zip(row[1::2], row[2::2]):
                 assert after <= before
                 assert after <= 3
+
+    @pytest.mark.parametrize("name", ["table2", "table3"])
+    def test_a_run_that_ends_before_the_first_gc_says_so(self, name):
+        """At ``--scale small`` the 2 h run ends before the first 2 h GC: no
+        empty table beside the paper's numbers, no "needed log entries: 0"."""
+        overrides = resolve_overrides(registry.get(name), "small")
+        exp = run_experiment(name, overrides).result
+        text = exp.render()
+        assert not exp.rows
+        assert "not evaluated at this scale: the 2 h run ends before the first GC" in text
+        assert "paper reference" not in text and "needed" not in text
+
+    @pytest.mark.parametrize("name", ["table2", "table3"])
+    def test_a_run_past_the_first_gc_shows_its_rows(self, name):
+        overrides = resolve_overrides(
+            registry.get(name), "small", sets={"total_time": 4 * HOUR}
+        )
+        exp = run_experiment(name, overrides).result
+        text = exp.render()
+        assert len(exp.rows) == 1
+        assert "paper reference" in text and "not evaluated" not in text
 
     def test_no_gc_reference_accumulates(self):
         exp = run_experiment("no-gc", {"seed": 5, **SMALL}).result

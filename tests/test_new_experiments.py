@@ -75,6 +75,6 @@ class TestScaling:
         assert [row[0] for row in exp.rows] == ["2x4", "3x4"]
         for row in exp.rows:
             assert row[2] > 0      # events
-            assert row[6] > 1000   # events/s
+        assert len(exp.headers) == 5  # counts only: no host-speed column
         # more clusters, more protocol traffic
         assert exp.rows[1][4] > 0

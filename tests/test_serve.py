@@ -11,6 +11,7 @@ serialize concurrent appenders on a single flock.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
@@ -18,6 +19,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments import registry
 from repro.experiments.cache import ResultCache
@@ -402,6 +404,102 @@ class TestConnectionDefault:
             for _ in range(2):  # the second request rides the same connection
                 response = self._exchange(sock, "HTTP/1.1")
                 assert response.getheader("Connection") == "keep-alive"
+
+
+# ------------------------------------------------------- request-reader fuzz
+
+#: request lines no route answers with anything but a 4xx, if they parse at all
+_BAD_LINES = [
+    b"GET http://[::1/ HTTP/1.1",  # urlsplit raises "Invalid IPv6 URL"
+    b"GET / HTTP/2.0",
+    b"GET /",
+    b"",
+    b"GET /nope HTTP/1.1 trailing",
+    b"\x00\xff\xfe",
+    b"GET /%ff%00 HTTP/1.1",
+    b"POST /sweeps HTTP/1.1",  # any body here is a 400 or a short read
+    b"BREW /healthz HTTP/1.0",
+    b"GET /experiments/nope/points?seed=1&seed=2 HTTP/1.1",
+]
+_HEADER_NAMES = ["Host", "Content-Length", "Connection", "X-Any"]
+_HEADER_VALUES = [
+    "1_0", "\u0661\u0660", "-1", "+3", "0x10", " 3 ", "3", "0",
+    "99999999999", "keep-alive", "close", "",
+]
+_no_crlf = st.text(max_size=12).filter(lambda t: "\r" not in t and "\n" not in t)
+
+
+@st.composite
+def _bad_requests(draw):
+    """(chunks, pause): one malformed request, split for a slow writer."""
+    line = draw(st.one_of(
+        st.sampled_from(_BAD_LINES),
+        st.binary(max_size=60).filter(lambda b: b"\r" not in b and b"\n" not in b),
+    ))
+    headers = draw(st.lists(
+        st.tuples(st.sampled_from(_HEADER_NAMES),
+                  st.one_of(st.sampled_from(_HEADER_VALUES), _no_crlf)),
+        max_size=4,
+    ))
+    if draw(st.booleans()):  # the same header twice, disagreeing
+        headers += [("Content-Length", "2"), ("Content-Length", "7")]
+    if draw(st.integers(0, 9)) == 0:  # a head over the 64 KiB limit
+        headers.append(("X-Pad", "a" * (70 * 1024)))
+    head = line + b"\r\n" + b"".join(
+        f"{name}: {value}\r\n".encode("utf-8") for name, value in headers
+    ) + b"\r\n"
+    payload = head + draw(st.binary(max_size=8))  # often shorter than promised
+    cuts = sorted(draw(st.lists(st.integers(0, len(payload)), max_size=3)))
+    chunks = [payload[a:b] for a, b in zip([0, *cuts], [*cuts, len(payload)])]
+    return chunks, draw(st.sampled_from([0.0, 0.005]))
+
+
+class TestRequestReaderFuzz:
+    """Whatever a client sends, the answer is a 4xx or a closed socket: no
+    handler error, no unhandled exception on the loop, no leaked slot."""
+
+    def test_malformed_requests_get_a_4xx_or_a_closed_socket(self, server):
+        recorded: list = []
+        server._loop.set_exception_handler(lambda loop, context: recorded.append(context))
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(request=_bad_requests())
+        @example(request=([b"GET http://[::1/ HTTP/1.1\r\nHost: x\r\n\r\n"], 0.0))
+        @example(request=([b"POST /sweeps HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n", b"{}"], 0.0))
+        def exchange(request):
+            chunks, pause = request
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                try:
+                    for chunk in chunks:
+                        sock.sendall(chunk)
+                        time.sleep(pause)
+                    sock.shutdown(socket.SHUT_WR)
+                except OSError:
+                    pass  # the server dropped us mid-write: a closed socket
+                answer = b""
+                try:
+                    while data := sock.recv(65536):
+                        answer += data
+                except ConnectionResetError:
+                    pass
+            gc.collect()  # a task that died with its exception reports it now
+            assert not answer or answer.startswith(b"HTTP/1.1 4"), answer[:80]
+            assert recorded == []
+
+        exchange()
+        admission = json.loads(http_get(server, "/stats")[2])["admission"]
+        assert (admission["inflight"], admission["queue_depth"]) == (0, 0)
+
+    @pytest.mark.parametrize("length", ["1_0", "+10", "\u0661\u0660"])
+    def test_a_content_length_of_anything_but_ascii_digits_is_malformed(
+        self, server, length
+    ):
+        """``int()`` reads all three as 10; the reader must not."""
+        request = f"GET /healthz HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request.encode("utf-8") + b"0123456789")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1) == b""  # dropped unanswered, not a 200
 
 
 # ------------------------------------------------------------- backpressure

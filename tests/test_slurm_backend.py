@@ -1,6 +1,6 @@
 """Tests for the SLURM batch backend.
 
-Two stub levels, mirroring the SSH backend's test strategy:
+Two stub levels:
 
 * :class:`conftest.InMemorySlurmTransport` -- a pure-python scheduler that
   executes array tasks in-process, for fast unit coverage of batching,

@@ -76,20 +76,12 @@ def forking_run(forks: list):
     return run
 
 
-def _scrub(name: str, value):
-    """Drop the wall-clock field `scaling` measures (host-dependent, see
-    test_cross_backend.DETERMINISTIC_COLUMNS); everything else must match."""
-    if name == "scaling" and isinstance(value, dict):
-        return {k: v for k, v in value.items() if k != "wall"}
-    return value
-
-
 def run_grid(name: str) -> tuple:
     """Every tiny grid point's value, and the digest of their dispatch streams."""
     experiment = registry.get(name)
     grid = experiment.build_grid(golden_overrides(experiment))
     with trace_digest.capture() as digest:
-        values = [_scrub(name, experiment.point(params)) for params in grid]
+        values = [experiment.point(params) for params in grid]
     return values, digest.summary()
 
 
