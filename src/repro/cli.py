@@ -25,7 +25,6 @@ Paper sweeps run through the parallel experiment engine::
     repro sweep table1 --jobs 4
     repro sweep fig6-fig7 --scale tiny --no-cache
     repro sweep fig8 --set delays_min=[5,15]
-    repro sweep fig9 --backend slurm --sbatch-opt=--partition=short
 
 Component ablations rank what each HC3I piece buys::
 
@@ -37,7 +36,7 @@ argument up there (no verb: the scenario row) and :func:`parser` builds the
 row's parser.  A flag several rows take is declared once.
 
 See ``docs/sweeps.md`` for the sweep-engine guide (scales, caching,
-batch schedulers, lost points, where a sweep runs) and
+lost points, where a sweep runs) and
 ``docs/architecture.md`` for the module map.
 """
 
@@ -250,12 +249,11 @@ def _add_engine_args(parser: argparse.ArgumentParser, unit: str) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the grid seed")
 
 
-def _run(experiment, args: argparse.Namespace, backend_for=None):
+def _run(experiment, args: argparse.Namespace):
     """Run ``experiment`` as the engine flags say; returns the SweepReport.
 
     Cache (unless ``--no-cache``), then ``--scale/--set/--seed`` through the
-    registry, then -- for a verb that has them -- ``backend_for(args) ->
-    backend``, shut down again once the run is over.
+    registry, then ``--jobs`` local worker processes.
     """
     from repro.experiments.cache import ResultCache
     from repro.experiments.runner import run_experiment
@@ -263,18 +261,7 @@ def _run(experiment, args: argparse.Namespace, backend_for=None):
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     sets = getattr(args, "sets", ())  # ``repro ablate`` takes no --set
     overrides = _overrides_or_exit(experiment, args.scale, sets, args.seed)
-    backend = backend_for(args) if backend_for else None
-    try:
-        return run_experiment(
-            experiment,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache=cache,
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.shutdown()
+    return run_experiment(experiment, overrides=overrides, jobs=args.jobs, cache=cache)
 
 
 def _report_payload(report, args: argparse.Namespace) -> dict:
@@ -309,54 +296,7 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
             "true/false -> bool, 5 -> int, 5.0 -> float, [5,15] -> list, else str"
         ),
     )
-    parser.add_argument(
-        "--backend",
-        choices=["local", "slurm"],
-        default="local",
-        help=(
-            "where cache-missing points execute: 'local' (process pool, default) "
-            "or 'slurm' (sbatch array jobs)"
-        ),
-    )
-    parser.add_argument(
-        "--spool",
-        default=None,
-        help=(
-            "slurm backend spool directory, visible to submit machine and "
-            "compute nodes (default: $REPRO_SLURM_SPOOL or <cache dir>/slurm-spool)"
-        ),
-    )
-    parser.add_argument(
-        "--sbatch-opt",
-        dest="sbatch_opts",
-        action="append",
-        default=[],
-        metavar="OPT",
-        help=(
-            "extra #SBATCH line for slurm array jobs (repeatable), e.g. "
-            "--sbatch-opt=--partition=short --sbatch-opt=--time=30"
-        ),
-    )
     _add_json(parser, "the reduced result", "tables")
-
-
-def _sweep_backend(args: argparse.Namespace):
-    """``repro sweep``'s backend from its flags."""
-    from repro.experiments.backends import create_backend
-    from repro.experiments.backends.slurm import default_spool_dir
-
-    # same rule as --set/--seed: an explicit flag is never a silent no-op
-    if (args.spool or args.sbatch_opts) and args.backend != "slurm":
-        raise SystemExit(
-            "--spool/--sbatch-opt only apply to --backend slurm "
-            f"(got --backend {args.backend})"
-        )
-    backend_kwargs: dict = {}
-    if args.backend == "slurm":
-        backend_kwargs["spool"] = args.spool or default_spool_dir(args.cache_dir)
-        backend_kwargs["sbatch_options"] = tuple(args.sbatch_opts)
-        backend_kwargs["python"] = sys.executable
-    return create_backend(args.backend, jobs=args.jobs, **backend_kwargs)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -376,7 +316,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         experiment = registry.get(args.name)
     except KeyError as exc:
         raise SystemExit(exc.args[0]) from None
-    report = _run(experiment, args, _sweep_backend)
+    report = _run(experiment, args)
     result = report.result
     if args.json:
         _print_json({

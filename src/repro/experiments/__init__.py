@@ -7,8 +7,8 @@ paper's table/series -- registered in
 ablations share one grid/point/reduce and are rows of the table in
 :mod:`repro.experiments.studies`.  The sweep engine
 (:mod:`repro.experiments.runner`) fans grid points out over an execution
-backend (:mod:`repro.experiments.backends` -- a local process pool, SLURM
-array jobs, or an in-process test double) and memoizes them in a content-addressed cache
+backend (:mod:`repro.experiments.backends` -- a local process pool or an
+in-process test double) and memoizes them in a content-addressed cache
 (:mod:`repro.experiments.cache`).
 
 The registry is the only entry point: ``run_experiment(name,

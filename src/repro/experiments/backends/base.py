@@ -3,8 +3,8 @@
 A grid point is a :class:`PointTask` -- experiment name + canonical-JSON
 params + the point callable -- and because the params dict fully
 determines the simulation (seed included), a task can execute in this
-process, in a process pool or in a SLURM array task with the same result.  A :class:`Backend`
-is the "where".
+process or in a process pool with the same result.  A :class:`Backend` is
+the "where".
 
 The contract is deliberately narrow:
 
@@ -16,7 +16,7 @@ The contract is deliberately narrow:
 Failure semantics split in two, and the split is what makes retry safe:
 
 * :class:`WorkerLostError` -- the *worker* died (a crashed pool process,
-  a killed or vanished array task, an injected fault).  The task itself is fine; the runner puts it back
+  an injected fault).  The task itself is fine; the runner puts it back
   in the queue and the backend stops assigning work to the dead worker.
   Retryable.
 * Any other exception out of ``future.result()`` -- the *point function*
@@ -37,8 +37,6 @@ __all__ = [
     "BackendUnavailableError",
     "PointOutcome",
     "PointTask",
-    "RemoteCodeMismatchError",
-    "RemotePointError",
     "WorkerLostError",
 ]
 
@@ -84,43 +82,10 @@ class BackendUnavailableError(RuntimeError):
     """No live workers remain; retrying cannot help.  Aborts the sweep."""
 
 
-class RemotePointError(RuntimeError):
-    """The point function raised *on the remote host*.
-
-    Points are deterministic, so this would fail identically anywhere:
-    not retryable.  Carries the remote traceback for diagnosis.
-    """
-
-    def __init__(self, host: str, error: str, remote_traceback: str = "") -> None:
-        self.host = host
-        self.remote_traceback = remote_traceback
-        detail = f"point failed on host {host!r}: {error}"
-        if remote_traceback:
-            detail += f"\n--- remote traceback ---\n{remote_traceback}"
-        super().__init__(detail)
-
-
-class RemoteCodeMismatchError(RuntimeError):
-    """The remote host runs different ``repro`` sources than we do.
-
-    Results are cached under the *local* code-version hash, so accepting
-    a value computed by different code would poison the cache.  Fail
-    loudly instead.
-    """
-
-    def __init__(self, host: str, local_hash: str, remote_hash: str) -> None:
-        self.host = host
-        super().__init__(
-            f"host {host!r} runs different repro sources "
-            f"(local code hash {local_hash[:12]}..., remote {remote_hash[:12]}...); "
-            "sync the repo on that host before sweeping"
-        )
-
-
 class Backend(abc.ABC):
     """Where grid points execute.  See the module docstring for the contract."""
 
-    #: short identifier used in reports and the CLI (``--backend NAME``)
+    #: short identifier used in reports (``backend=NAME``)
     name: str = "?"
 
     @abc.abstractmethod
@@ -133,14 +98,6 @@ class Backend(abc.ABC):
         Lets pooled backends size themselves to the actual fan-out (e.g.
         not spawning eight processes for one cache-missing point).  No-op
         by default.
-        """
-
-    def flush(self) -> None:
-        """Optional hint: no more submissions are imminent.
-
-        The runner calls this after each submission burst, so a backend
-        that buffers submitted tasks can dispatch them at once.  No-op by
-        default.
         """
 
     def shutdown(self) -> None:

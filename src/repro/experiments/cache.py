@@ -268,10 +268,8 @@ class ResultCache:
 
     def journal_watermark(self) -> int:
         """Total bytes across all journal shards: a cheap, monotonically
-        increasing high-water mark.  Any advance means provenance was
-        appended (a sweep wrote results, a federation sync imported
-        entries), which is what the serve layer's hot tier keys its
-        invalidation on."""
+        increasing high-water mark.  Any advance means a writer appended
+        provenance; ``repro serve`` reports it under ``/stats``."""
         total = 0
         for path in self.journal_paths():
             try:
@@ -283,12 +281,12 @@ class ResultCache:
     def journal_entries(self) -> list:
         """Parsed provenance journal (all shards merged), oldest first.
 
-        Tolerates damage from unlocked/foreign appenders (an rsync'd
-        journal, a writer without :meth:`journal_append`'s lock): torn
-        lines are skipped and multiple records interleaved onto one
-        physical line are each recovered.  With a single journal file the
-        file order is preserved exactly; across shards, entries merge by
-        their ``time`` field (stable, so within-shard order survives).
+        Tolerates damage from an appender killed mid-line or one without
+        :meth:`journal_append`'s lock: torn lines are skipped and multiple
+        records interleaved onto one physical line are each recovered.
+        With a single journal file the file order is preserved exactly;
+        across shards, entries merge by their ``time`` field (stable, so
+        within-shard order survives).
         """
         per_file = []
         for path in self.journal_paths():

@@ -96,11 +96,10 @@ def _reduce(grid: list, points: list) -> ExperimentResult:
         timer = params["timer_min"]
         # Replica traffic dominates any byte ratio; report the *control*
         # overhead the paper reasons about separately from storage motion.
-        overhead_pct = (
-            100.0
-            * (point["piggyback_bytes"] + point["control_bytes"] + point["ack_bytes"])
-            / point["app_bytes"]
-        )
+        # A run that sent no application byte has no ratio to report.
+        control = point["piggyback_bytes"] + point["control_bytes"] + point["ack_bytes"]
+        app = point["app_bytes"]
+        overhead_pct = round(100.0 * control / app, 2) if app else "n/a"
         rows.append(
             (
                 "off" if timer is None else f"{timer:g} min",
@@ -111,7 +110,7 @@ def _reduce(grid: list, points: list) -> ExperimentResult:
                 point["replica_bytes"],
                 point["log_peak_bytes"],
                 point["stored_bytes"],
-                round(overhead_pct, 2),
+                overhead_pct,
             )
         )
     return ExperimentResult(

@@ -2,11 +2,11 @@
 
 Grid points are independent simulations, so a sweep is embarrassingly
 parallel: cache misses fan out over an execution backend
-(:mod:`repro.experiments.backends` -- local process pool, SLURM array
-jobs, or an in-process test double) while hits return instantly from the
+(:mod:`repro.experiments.backends` -- a local process pool or an
+in-process test double) while hits return instantly from the
 content-addressed cache.  Determinism is structural: every point's
-params dict carries its own explicit seed, so ``--jobs 1``, ``--jobs N``
-and ``--backend slurm`` produce byte-identical results.
+params dict carries its own explicit seed, so ``--jobs 1`` and
+``--jobs N`` produce byte-identical results.
 
 The runner owns fault tolerance.  Results are written to the local
 cache *as they arrive* (not after the sweep) -- finished futures report
@@ -106,10 +106,10 @@ def run_experiment(
     ``backend`` selects where cache-missing points execute: a name
     resolved via :func:`repro.experiments.backends.create_backend` with
     its defaults, or a ready :class:`Backend` instance -- the way in for
-    one that needs arguments (a ``slurm`` spool, an ``inprocess`` roster
-    or fault hook) -- which the caller keeps ownership of (it is not shut
-    down here).  A name is checked before the cache is read, so a misspelt one fails whether or
-    not any point would have executed.
+    one that needs arguments (an ``inprocess`` roster or fault hook) --
+    which the caller keeps ownership of (it is not shut down here).  A
+    name is checked before the cache is read, so a misspelt one fails
+    whether or not any point would have executed.
     """
     backend_label = backend_name(backend)
     exp = registry.get(experiment) if isinstance(experiment, str) else experiment
@@ -235,21 +235,12 @@ def _execute_pending(
                 complete(future, i)
             else:
                 track(future, i)
-        if failure is None:
-            backend.flush()  # batching backends: the submission burst is over
         while in_flight and failure is None:
             done = [finished.get()]  # wait for one, take what else is there
             while not finished.empty():  # this is the only consumer
                 done.append(finished.get_nowait())
             for future in done:
                 complete(future, in_flight.pop(future))
-            if failure is None:
-                # dispatch any resubmissions as one batch -- but never for a
-                # sweep that is already aborting: a fatal error recorded for
-                # another future in the same `done` batch must not let a
-                # batching backend (SLURM) submit a fresh job of
-                # resubmissions that will only be cancelled below
-                backend.flush()
         if failure is not None:
             # stop scheduling, but harvest every point that did finish --
             # with streaming cache writes, a re-run resumes from here

@@ -126,6 +126,7 @@ class Study:
             builder_args[self.rename.get(name, name)] = kwargs[name]
         failures = []
         if self.failures:
+            self._check_victims(kwargs)
             times = list(kwargs.get("failure_times") or ()) or [
                 fraction * kwargs["total_time"] for fraction, _victim in self.failures
             ]
@@ -153,6 +154,17 @@ class Study:
             }
             for variant in variants
         ]
+
+    def _check_victims(self, kwargs: dict) -> None:
+        """Refuse a node count that leaves a failure victim without its node."""
+        top = max(victim[1] for _fraction, victim in self.failures)
+        for name in self.scale:
+            if self.rename.get(name, name) in ("nodes", "nodes_per_stage"):
+                if kwargs[name] <= top:
+                    raise ValueError(
+                        f"study {self.name!r} crashes node {top} of a cluster; "
+                        f"{name}={kwargs[name]!r} must be above {top}"
+                    )
 
     def experiment(self) -> Experiment:
         """The registry triple serving this row."""

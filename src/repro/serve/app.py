@@ -105,9 +105,6 @@ class _InstrumentedBackend(Backend):
     def prepare(self, n_tasks: int) -> None:
         self.inner.prepare(n_tasks)
 
-    def flush(self) -> None:
-        self.inner.flush()
-
     def shutdown(self) -> None:
         self.inner.shutdown()
 

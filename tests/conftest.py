@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from repro.cluster.federation import Federation
 from repro.config.application import ApplicationConfig, ClusterAppSpec
 from repro.config.timers import TimersConfig
-from repro.experiments.backends import BatchTransport
 from repro.network.message import NodeId
 from repro.network.topology import ClusterSpec, LinkSpec, Topology
 from repro.sim.kernel import Simulator
@@ -123,64 +121,6 @@ class Mailbox:
 def entry_count(cache) -> int:
     """How many results a :class:`ResultCache` holds on disk."""
     return sum(1 for _ in cache.root.rglob("*.pkl"))
-
-
-class InMemorySlurmTransport(BatchTransport):
-    """A :class:`BatchTransport` that runs array tasks in-process.
-
-    ``sbatch`` is simulated at submit time: each task's wire job is read
-    from the spool, executed through the real ``remote_worker.run_job``,
-    and its envelope written where the array task would have written it.
-    ``fault(job_seq, index, job) -> state | None`` injects scheduler-level
-    failures: returning a SLURM state string (e.g. ``"CANCELLED"``) kills
-    that task -- terminal state recorded, no result file -- exactly what
-    an operator's ``scancel`` mid-sweep looks like to the backend.
-    """
-
-    def __init__(self, fault=None) -> None:
-        self.fault = fault
-        self.seq = 0
-        self.jobs: dict = {}
-        self.job_dirs: dict = {}
-        self.cancelled: list = []
-
-    def submit(self, job_dir, script, n_tasks) -> str:
-        from repro.experiments.remote_worker import run_job
-
-        self.seq += 1
-        job_id = str(self.seq)
-        states = {}
-        for i in range(n_tasks):
-            job = json.loads((job_dir / "tasks" / f"{i}.json").read_text())
-            verdict = self.fault(self.seq, i, job) if self.fault else None
-            if verdict:
-                states[i] = verdict
-                continue
-            envelope = run_job(job)
-            (job_dir / "results" / f"{i}.json").write_text(json.dumps(envelope))
-            states[i] = "COMPLETED"
-        self.jobs[job_id] = states
-        self.job_dirs[job_id] = job_dir
-        return job_id
-
-    def poll(self, job_id: str) -> dict:
-        return dict(self.jobs.get(job_id, {}))
-
-    def cancel(self, job_id: str) -> None:
-        self.cancelled.append(job_id)
-
-
-def make_slurm_backend(spool, transport=None, **kwargs):
-    """A fast-polling :class:`SlurmBackend` over the in-memory transport."""
-    from repro.experiments.backends import SlurmBackend
-
-    kwargs.setdefault("linger", 0.01)
-    kwargs.setdefault("poll_interval", 0.01)
-    return SlurmBackend(
-        transport=transport if transport is not None else InMemorySlurmTransport(),
-        spool=Path(spool),
-        **kwargs,
-    )
 
 
 @pytest.fixture

@@ -23,13 +23,10 @@ import pytest
 from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.backends import (
-    Backend,
     BackendUnavailableError,
     InProcessBackend,
     LocalProcessBackend,
     PointTask,
-    RemoteCodeMismatchError,
-    RemotePointError,
     WorkerLostError,
     create_backend,
 )
@@ -40,7 +37,6 @@ from repro.experiments.registry import (
     coerce_set_value,
     resolve_overrides,
 )
-from repro.experiments.remote_worker import decode_envelope, make_wire_job, run_job
 from repro.experiments.runner import SweepError, run_experiment
 
 from conftest import REPO_ROOT, entry_count
@@ -84,11 +80,6 @@ class TestCreateBackend:
     def test_instance_passes_through(self):
         backend = InProcessBackend()
         assert create_backend(backend) is backend
-
-    def test_slurm_is_a_registered_backend(self, tmp_path):
-        backend = create_backend("slurm", spool=tmp_path)
-        assert backend.name == "slurm"
-        backend.shutdown()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -240,7 +231,6 @@ class TestLocalProcessBackend:
                 for i in range(2)
             ]
             futures = [backend.submit(task) for task in tasks]
-            backend.flush()
             assert [f.result().value for f in futures] == [{"x": 0}, {"x": 1}]
             # the CPUs this process may run on, as the backend counts them
             cpus = (
@@ -271,7 +261,6 @@ class TestLocalProcessBackend:
             try:
                 tasks = [PointTask("t", {"x": i}, canonical_params) for i in range(3)]
                 futures = [backend.submit(task) for task in tasks]
-                backend.flush()
                 assert [f.result().value["x"] for f in futures] == [0, 1, 2]
                 print(backend._pool._max_workers)
             finally:
@@ -393,7 +382,7 @@ class TestChunkedDispatch:
         backend.prepare(50)
         try:
             first = backend.submit(PointTask("t", {"i": 0}, canonical_params))
-            assert first.result(timeout=60).value == {"i": 0}  # no flush() called
+            assert first.result(timeout=60).value == {"i": 0}  # dispatched at submit
             futures = [
                 backend.submit(PointTask("t", {"i": i}, _slow)) for i in range(1, 50)
             ]
@@ -403,60 +392,12 @@ class TestChunkedDispatch:
         assert any(future.cancelled() for future in futures)
 
 
-class TestRemoteWorker:
-    """The SLURM array task's worker: one JSON job in, one envelope out."""
-
-    def test_wire_job_is_exactly_experiment_params_and_handshake(self):
-        job = make_wire_job(PointTask("table1", {"seed": 1}, fn=dict))
-        assert sorted(job) == ["code_hash", "experiment", "params"]
-
-    def test_run_job_success_envelope_round_trips_value(self):
-        import base64
-        import pickle
-
-        params = {**TINY, "seed": 3}
-        envelope = run_job({"experiment": "table1", "params": params})
-        assert envelope["ok"] is True
-        value = pickle.loads(base64.b64decode(envelope["pickle"]))
-        assert value == registry.get("table1").point(canonical_params(params))
-        json.dumps(envelope)  # the envelope itself must be wire-safe
-
-    def test_run_job_unknown_experiment_reports_point_error(self):
-        envelope = run_job({"experiment": "nope", "params": {}})
-        assert envelope["ok"] is False
-        assert "unknown experiment" in envelope["error"]
-
-    def test_point_error_is_not_retried(self):
-        """ok=false envelopes raise RemotePointError, not WorkerLostError."""
-        task = PointTask(experiment="does-not-exist", params={"x": 1}, fn=canonical_params)
-        envelope = run_job(make_wire_job(task))
-        with pytest.raises(RemotePointError, match="does-not-exist"):
-            decode_envelope(envelope, "node1")
-
-    def test_stale_point_error_is_diagnosed_as_code_mismatch(self):
-        """ok=false from an out-of-sync checkout must say 'sync the repo',
-        not present the stale node's confusing point traceback."""
-        envelope = {
-            "ok": False,
-            "code_hash": "e" * 64,
-            "error": "KeyError: unknown experiment 'shiny-new'",
-            "traceback": "",
-        }
-        with pytest.raises(RemoteCodeMismatchError, match="sync the repo"):
-            decode_envelope(envelope, "node1")
-
-
 class TestSweepCliBackendFlags:
-    def test_backend_local_explicit(self, tmp_path, capsys):
-        rc = main(
-            ["sweep", "table1", "--scale", "tiny", "--backend", "local",
-             "--cache-dir", str(tmp_path)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "backend=local" in out
-
-    @pytest.mark.parametrize("flag", ["--hosts=a", "--namespace=n", "--k8s-opt=x"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--hosts=a", "--namespace=n", "--k8s-opt=x", "--backend=local",
+         "--spool=x", "--sbatch-opt=x"],
+    )
     def test_a_retired_flag_exits_2_naming_itself(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "table1", "--scale", "tiny", flag])
@@ -532,104 +473,7 @@ class TestSetOverrides:
         assert payload["points"] == 1  # ran with nodes=6, not tiny's 4
 
 
-class _ScriptedBatchBackend(Backend):
-    """A synchronous stand-in for batching backends (SLURM).
-
-    ``submit`` only buffers -- nothing runs until ``flush`` dispatches
-    the whole buffer as one batch, exactly the shape of an array-job
-    submission.  ``script(task, attempt)`` decides each dispatched task's
-    fate: an exception instance is delivered through the future, anything
-    else becomes the point value.
-    """
-
-    name = "scripted-batch"
-
-    def __init__(self, script):
-        self._script = script
-        self._buffer = []
-        self._attempts = {}
-        self.batches = []
-
-    def submit(self, task):
-        from concurrent.futures import Future
-
-        future = Future()
-        self._buffer.append((task, future))
-        return future
-
-    def flush(self):
-        from repro.experiments.backends import PointOutcome
-
-        if not self._buffer:
-            return
-        batch, self._buffer = self._buffer, []
-        self.batches.append([task.params for task, _ in batch])
-        for task, future in batch:
-            key = json.dumps(task.params, sort_keys=True)
-            attempt = self._attempts.get(key, 0) + 1
-            self._attempts[key] = attempt
-            verdict = self._script(task, attempt)
-            if isinstance(verdict, BaseException):
-                future.set_exception(verdict)
-            else:
-                future.set_result(
-                    PointOutcome(value=verdict, host="scripted", elapsed=0.0)
-                )
-
-
-class TestAbortingSweepNeverResubmits:
-    """The runner must not let a batching backend dispatch resubmissions
-    for a sweep that has already recorded a fatal failure -- the regression
-    where ``backend.flush()`` ran after a non-retryable error was recorded
-    for another future in the same completed batch."""
-
-    def test_requeue_plus_fatal_in_one_batch_submits_no_new_job(self):
-        """One poll delivers a retryable loss AND a fatal point error; the
-        requeued point must stay in the buffer, not go out as a fresh job.
-
-        The runner collects completions first in, first out, and the
-        scripted ``flush`` resolves its batch in grid order: the loss
-        (``delay_min == 5``, point 0) is requeued and buffered by the time
-        the fatal error (point 1) is recorded -- the exact interleaving
-        that used to trigger the extra submission.
-        """
-        fatal = RemotePointError("scripted", "deterministic point failure")
-
-        def script(task, attempt):
-            if task.params.get("delay_min") == 5:
-                return WorkerLostError("scripted", "pod evicted")
-            return fatal
-
-        backend = _ScriptedBatchBackend(script)
-        with pytest.raises(RemotePointError, match="deterministic point failure"):
-            run_experiment("fig6-fig7", overrides=FIG67_TINY, backend=backend)
-        assert backend.batches[0][0]["delay_min"] == 5  # the loss did come first
-        assert len(backend.batches) == 1, (
-            "the aborting sweep submitted a fresh batch of resubmissions"
-        )
-
-    def test_inline_fatal_failure_skips_the_submission_flush(self):
-        """Synchronous backends fail at submit time; the post-burst flush
-        must not run once that failure is recorded."""
-
-        class FlushSpy(InProcessBackend):
-            flush_calls = 0
-
-            def flush(self):
-                type(self).flush_calls += 1
-
-        exploding = dataclasses.replace(registry.get("fig6-fig7"), point=_explode)
-        backend = FlushSpy()
-        with pytest.raises(RuntimeError, match="inline point failure"):
-            run_experiment(exploding, overrides=FIG67_TINY, backend=backend)
-        assert FlushSpy.flush_calls == 0
-
-
 # -- module-level point functions (must pickle by reference into workers) --
-
-
-def _explode(params):
-    raise RuntimeError("inline point failure")
 
 
 def _after_the_burst(params):

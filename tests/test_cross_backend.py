@@ -3,22 +3,20 @@
 The engine's load-bearing invariant is that a grid point's params dict
 (seed included) fully determines its simulation, so *where* it runs can
 never change the result.  This suite enforces that end to end: all
-registered experiments over the ``inprocess`` test double, a ``--jobs 2``
-process pool and the SLURM backend (over an in-memory scheduler) must
-produce sweep results byte-identical to a ``--jobs 1`` serial run --
-every column, ``scaling``'s included.
+registered experiments over the ``inprocess`` test double and a
+``--jobs 2`` process pool must produce sweep results byte-identical to a
+``--jobs 1`` serial run -- every column, ``scaling``'s included.
 
 The serial baselines are computed once per experiment (module-scoped
 fixture).  The in-process matrix is cheap and runs in the fast lane; the
-pool and SLURM lanes over all experiments are ``slow``-marked, with a
-small unmarked smoke subset so the fast lane still crosses every backend.
+pool lane over all experiments is ``slow``-marked, with a small unmarked
+smoke subset so the fast lane still crosses the pool.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import InMemorySlurmTransport, make_slurm_backend
 from repro.experiments import registry
 from repro.experiments.backends import InProcessBackend
 from repro.experiments.golden import golden_overrides
@@ -26,7 +24,7 @@ from repro.experiments.runner import run_experiment
 
 ALL_EXPERIMENTS = registry.names()
 
-#: unmarked smoke subset: every backend crossed in the fast lane
+#: unmarked smoke subset: the pool crossed in the fast lane
 SMOKE_EXPERIMENTS = ("table1", "fig6-fig7", "protocol-tournament", "ablation-components")
 
 
@@ -46,15 +44,12 @@ def serial_baseline():
     return get
 
 
-def run_on_backend(name: str, backend_kind: str, tmp_path=None):
+def run_on_backend(name: str, backend_kind: str):
     experiment = registry.get(name)
     overrides = golden_overrides(experiment)
     if backend_kind == "local":
         return run_experiment(experiment, overrides=overrides, jobs=2)
-    if backend_kind == "slurm":
-        backend = make_slurm_backend(tmp_path / "spool", InMemorySlurmTransport())
-    else:
-        backend = InProcessBackend(hosts=["w0", "w1", "w2"])
+    backend = InProcessBackend(hosts=["w0", "w1", "w2"])
     try:
         return run_experiment(experiment, overrides=overrides, backend=backend)
     finally:
@@ -72,32 +67,25 @@ def assert_equivalent(report, serial, name: str, backend_kind: str) -> None:
 
 
 class TestEquivalenceFastLane:
-    """Cheap coverage that still crosses every experiment and every backend."""
+    """Cheap coverage that still crosses every experiment and both backends."""
 
     @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
     def test_inprocess_matches_serial(self, name, serial_baseline):
         report = run_on_backend(name, "inprocess")
         assert_equivalent(report, serial_baseline(name), name, "inprocess")
 
-    @pytest.mark.parametrize("backend_kind", ["local", "slurm"])
+    @pytest.mark.parametrize("backend_kind", ["local"])
     @pytest.mark.parametrize("name", SMOKE_EXPERIMENTS)
-    def test_smoke_subset_matches_serial(
-        self, name, backend_kind, serial_baseline, tmp_path
-    ):
-        report = run_on_backend(name, backend_kind, tmp_path)
+    def test_smoke_subset_matches_serial(self, name, backend_kind, serial_baseline):
+        report = run_on_backend(name, backend_kind)
         assert_equivalent(report, serial_baseline(name), name, backend_kind)
 
 
 @pytest.mark.slow
 class TestEquivalenceFullMatrix:
-    """The full registry x heavyweight-backend matrix (slow lane)."""
+    """The full registry over the process pool (slow lane)."""
 
     @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
     def test_local_pool_matches_serial(self, name, serial_baseline):
         report = run_on_backend(name, "local")
         assert_equivalent(report, serial_baseline(name), name, "local")
-
-    @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
-    def test_slurm_stub_matches_serial(self, name, serial_baseline, tmp_path):
-        report = run_on_backend(name, "slurm", tmp_path)
-        assert_equivalent(report, serial_baseline(name), name, "slurm")

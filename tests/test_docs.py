@@ -96,8 +96,8 @@ def test_architecture_doc_mentions_every_experiment():
 
 def test_sweeps_doc_covers_the_cli_surface():
     text = (DOCS / "sweeps.md").read_text()
-    for flag in ("--scale", "--jobs", "--backend", "--spool", "--sbatch-opt", "--set",
-                 "--no-cache", "--cache-dir", "--seed", "--json", "--list"):
+    for flag in ("--scale", "--jobs", "--set", "--no-cache", "--cache-dir", "--seed",
+                 "--json", "--list"):
         assert flag in text, f"docs/sweeps.md misses flag {flag}"
 
 

@@ -37,6 +37,40 @@ def test_every_experiment_returns_every_point_on_a_short_run(total_time):
             )
 
 
+#: grid keys that set how many nodes a cluster (or pipeline stage) has
+NODE_COUNT_KEYS = ("nodes", "nodes_per_stage", "nodes_per_cluster")
+
+
+def _edge_draws():
+    """``(experiment, key, value)``: each node-count key the grid takes at 1
+    and 2, and ``total_time`` at 1 s and 60 s, one key at a time over tiny."""
+    for experiment in registry.all_experiments():
+        taken = experiment.grid_parameters()
+        draws = [(key, n) for key in NODE_COUNT_KEYS if key in taken for n in (1, 2)]
+        draws += [("total_time", t) for t in (1.0, 60.0) if "total_time" in taken]
+        for key, value in draws:
+            yield pytest.param(
+                experiment.name, key, value, id=f"{experiment.name}-{key}={value}"
+            )
+
+
+@pytest.mark.parametrize("name, key, value", list(_edge_draws()))
+def test_an_edge_value_renders_or_is_refused_naming_its_key(name, key, value):
+    """A valid value at the edge of a grid key's domain either yields a
+    rendered result or is refused at grid-build time with a ``ValueError``
+    that names the key -- never a traceback from inside a point or the
+    reducer (``baselines`` at ``nodes=1`` once raised ``IndexError`` for its
+    victim node 1, ``overhead`` at ``total_time=1.0`` ``ZeroDivisionError``)."""
+    experiment = registry.get(name)
+    overrides = resolve_overrides(experiment, "tiny", sets={key: value})
+    try:
+        experiment.build_grid(overrides)
+    except ValueError as exc:
+        assert f"{key}={value!r}" in str(exc)
+        return
+    assert run_experiment(experiment, overrides=overrides).result.render()
+
+
 class TestTable1:
     def test_counts_scale_with_workload(self):
         exp = run_experiment("table1", {"seed": 1, **SMALL}).result

@@ -596,6 +596,7 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "[sweep] table1: 1 points" in out
+        assert "jobs=2, backend=local)" in out and "[hosts: local=1]" in out
 
     def test_sweep_json_output(self, tmp_path, capsys):
         rc = main(
@@ -606,6 +607,8 @@ class TestSweepCli:
         assert payload["experiment"] == "fig8"
         assert payload["series"]["c0 total"]
         assert payload["points"] == len(payload["xs"])
+        assert payload["backend"] == "local" and payload["retries"] == 0
+        assert payload["host_counts"] == {"local": payload["points"]}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
