@@ -1,8 +1,8 @@
 """Verification and reporting utilities.
 
-* :mod:`~repro.analysis.oracle` -- the one consistency oracle: records a
-  run's inter-cluster sends, deliveries and rollbacks from the outside
-  and replays them against the paper's §2.2 definition ("neither
+* :mod:`~repro.analysis.oracle` -- the one consistency oracle: reads a
+  run's inter-cluster sends, deliveries and rollbacks from its own
+  protocol-level trace and replays them against the paper's §2.2 definition ("neither
   in-transit messages ... nor ghost-messages"), for every protocol
   family, after a pre-check of the HC3I state invariants (SN/DDV
   agreement, store monotonicity); ``hc3i-sim`` prints its verdict,

@@ -2,10 +2,11 @@
 
 The paper's §2.2 definition of a consistent state -- "neither in-transit
 messages (sent but not received) nor ghost-messages (received but not
-sent)" -- is checked here from the *outside*: the oracle records every
-inter-cluster application send, every application delivery and every
-rollback the protocol performs, then replays the recovery lines against
-the message trace.  Nothing the judged protocol keeps for itself
+sent)" -- is checked here from the *outside*: the oracle reads every
+inter-cluster application send, every inter-cluster application delivery
+and every rollback the protocol performs from the run's own
+``PROTOCOL``-level trace, then replays the recovery lines against those
+messages.  Nothing the judged protocol keeps for itself
 (``delivered_ids``, epochs, ghost cuts) is consulted for the verdict, so
 the same oracle locks down HC3I, every baseline and any future family on
 the :mod:`repro.core.protocol` contract.
@@ -18,7 +19,7 @@ A rollback of cluster ``c`` to ``target_time`` at simulation time ``now``
 ``[target_time, now]``: sends from an erased interval never happened in
 the surviving timeline, deliveries in it are forgotten with the discarded
 state.  (Protocols report exactly these two numbers through
-``Federation.on_cluster_rollback``, which the oracle wraps.)
+``Federation.on_cluster_rollback``, which records them as an ``erasure``.)
 
 The interval is closed on the *left* because a checkpoint's content is
 fixed the moment its commit is recorded: events stamped at exactly the
@@ -57,47 +58,22 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.core.hc3i import Hc3iProtocol
 from repro.network.message import Message
+from repro.sim.trace import TraceLevel, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.federation import Federation
-    from repro.cluster.node import Node
 
 __all__ = [
     "ConsistencyOracle",
     "ConsistencyReport",
-    "DeliveryEvent",
-    "SendEvent",
     "assert_consistent",
     "attach_oracle",
     "check_invariants",
 ]
-
-
-@dataclass(frozen=True)
-class SendEvent:
-    """One inter-cluster application send observed at the fabric."""
-
-    msg_id: int
-    time: float
-    src_cluster: int
-    dst_cluster: int
-    arrival: float
-    kind: str
-
-
-@dataclass(frozen=True)
-class DeliveryEvent:
-    """One inter-cluster application delivery observed at a node."""
-
-    msg_id: int
-    time: float
-    cluster: int
-    node: str
-    kind: str
 
 
 @dataclass
@@ -133,104 +109,46 @@ class ConsistencyReport:
 
 
 class ConsistencyOracle:
-    """Records sends/deliveries/rollbacks of a federation and checks them.
+    """Checks a federation's run against the run's own trace.
 
-    Install with :func:`attach_oracle` *before* ``fed.start()`` so the
-    initial protocol activity is captured too.  The oracle wraps
-    ``fed.fabric.send``, every node's ``deliver_app`` and
-    ``fed.on_cluster_rollback`` with recording shims; the wrapped
-    behaviour is unchanged, so an instrumented run is trace-identical to
-    a bare one.
+    The federation's :class:`~repro.sim.trace.Tracer` must record at
+    ``TraceLevel.PROTOCOL`` or above from ``fed.start()`` on -- which is
+    all :func:`attach_oracle` arranges -- so three records exist:
+
+    * ``send`` (``Fabric.send``): an inter-cluster application send or
+      replay, with its scheduled ``arrival``;
+    * ``app_delivered`` (``Node.deliver_app``): an inter-cluster message
+      the application saw;
+    * ``erasure`` (``Federation.on_cluster_rollback``): a rollback of
+      ``cluster`` to ``target_time``, erasing everything it did since.
+
+    Nothing is patched on the run, so an oracle-checked federation
+    snapshots and forks like any other; :meth:`check` reads the records.
     """
 
     def __init__(self, federation: "Federation") -> None:
         self.federation = federation
-        #: msg_id -> [SendEvent] (replays re-send under the same id)
-        self.sends: dict[int, list[SendEvent]] = {}
-        #: msg_id -> [DeliveryEvent]
-        self.deliveries: dict[int, list[DeliveryEvent]] = {}
-        #: cluster -> [(erased_after, erased_until)]
-        self.erasure_windows: dict[int, list[tuple[float, float]]] = {}
-        self._install()
+        #: node name (``"c0n1"``) -> its cluster
+        self.cluster_of = {
+            str(node.id): node.id.cluster for cluster in federation.clusters for node in cluster
+        }
 
-    # -- recording shims -------------------------------------------------
-    def _install(self) -> None:
-        fed = self.federation
-        fabric = fed.fabric
-        fabric_send = fabric.send
-
-        def send_shim(msg: Message) -> float:
-            arrival = fabric_send(msg)
-            if msg.kind.is_app and msg.inter_cluster:
-                self.sends.setdefault(msg.msg_id, []).append(
-                    SendEvent(
-                        msg_id=msg.msg_id,
-                        time=fed.sim.now,
-                        src_cluster=msg.src.cluster,
-                        dst_cluster=msg.dst.cluster,
-                        arrival=arrival,
-                        kind=msg.kind.value,
-                    )
-                )
-            return arrival
-
-        fabric.send = send_shim  # type: ignore[method-assign]
-
-        for cluster in fed.clusters:
-            for node in cluster.nodes:
-                self._wrap_node(node)
-
-        rollback = fed.on_cluster_rollback
-
-        def rollback_shim(
-            cluster: int, target_time: float, failed_node: Optional["Node"] = None
-        ) -> None:
-            self.erasure_windows.setdefault(cluster, []).append(
-                (target_time, fed.sim.now)
-            )
-            rollback(cluster, target_time, failed_node)
-
-        fed.on_cluster_rollback = rollback_shim  # type: ignore[method-assign]
-
-    def _wrap_node(self, node: "Node") -> None:
-        deliver = node.deliver_app
-
-        def deliver_shim(msg: Message) -> None:
-            if msg.kind.is_app and msg.inter_cluster:
-                self.deliveries.setdefault(msg.msg_id, []).append(
-                    DeliveryEvent(
-                        msg_id=msg.msg_id,
-                        time=self.federation.sim.now,
-                        cluster=node.id.cluster,
-                        node=str(node.id),
-                        kind=msg.kind.value,
-                    )
-                )
-            deliver(msg)
-
-        node.deliver_app = deliver_shim  # type: ignore[method-assign]
-
-    # -- timeline --------------------------------------------------------
-    def erased(self, cluster: int, t: float) -> bool:
-        """Did a later rollback of ``cluster`` erase an event at ``t``?"""
-        return any(
-            target <= t <= until
-            for target, until in self.erasure_windows.get(cluster, ())
-        )
-
-    def surviving_sends(self, msg_id: int) -> list[SendEvent]:
-        return [
-            s
-            for s in self.sends.get(msg_id, ())
-            if not self.erased(s.src_cluster, s.time)
-        ]
-
-    def surviving_deliveries(self, msg_id: int) -> list[DeliveryEvent]:
-        return [
-            d
-            for d in self.deliveries.get(msg_id, ())
-            if not self.erased(d.cluster, d.time)
-        ]
+    def recorded(self) -> tuple[dict, dict, dict]:
+        """The run's inter-cluster ``send`` and ``app_delivered`` records by
+        ``msg_id`` (a replay re-sends under its id), and each cluster's
+        erasure windows ``(erased_after, erased_until)``."""
+        cluster_of = self.cluster_of
+        sends: dict[int, list[TraceRecord]] = {}
+        deliveries: dict[int, list[TraceRecord]] = {}
+        windows: dict[int, list[tuple[float, float]]] = {}
+        for rec in self.federation.tracer.records:
+            if rec.kind == "send" and cluster_of[rec["src"]] != cluster_of[rec["dst"]]:
+                sends.setdefault(rec["msg_id"], []).append(rec)
+            elif rec.kind == "app_delivered":
+                deliveries.setdefault(rec["msg_id"], []).append(rec)
+            elif rec.kind == "erasure":
+                windows.setdefault(rec["cluster"], []).append((rec["target_time"], rec.time))
+        return sends, deliveries, windows
 
     # -- the check -------------------------------------------------------
     def check(self, allow_in_flight: bool = True) -> ConsistencyReport:
@@ -243,37 +161,43 @@ class ConsistencyOracle:
         """
         fed = self.federation
         now = fed.sim.now
-        report = ConsistencyReport(
-            erasures=sum(len(w) for w in self.erasure_windows.values())
-        )
+        cluster_of = self.cluster_of
+        sends, deliveries, windows = self.recorded()
+
+        def survives(rec: TraceRecord, node: str) -> bool:
+            """Did no later rollback of ``node``'s cluster erase ``rec``?"""
+            return not any(
+                target <= rec.time <= until
+                for target, until in windows.get(cluster_of[node], ())
+            )
+
+        report = ConsistencyReport(erasures=sum(len(w) for w in windows.values()))
         for problem in check_invariants(fed):
             report.add("invariant", problem)
         queued_ids = _queued_ids(fed)
         logged_ids = _logged_ids(fed)
 
-        for msg_id in sorted(self.sends):
+        for msg_id in sorted(sends):
             report.messages += 1
-            live_sends = self.surviving_sends(msg_id)
-            live_deliveries = self.surviving_deliveries(msg_id)
+            live_sends = [s for s in sends[msg_id] if survives(s, s["src"])]
+            live_deliveries = [d for d in deliveries.get(msg_id, ()) if survives(d, d["node"])]
 
             if live_deliveries and not live_sends:
                 d = live_deliveries[0]
                 report.add(
                     "orphan",
-                    f"msg {msg_id} delivered at t={d.time:.3f} on {d.node} "
+                    f"msg {msg_id} delivered at t={d.time:.3f} on {d['node']} "
                     f"but every send was erased by a rollback",
                 )
             if len(live_deliveries) > 1:
-                where = ", ".join(
-                    f"{d.node}@t={d.time:.3f}" for d in live_deliveries
-                )
+                where = ", ".join(f"{d['node']}@t={d.time:.3f}" for d in live_deliveries)
                 report.add(
                     "duplicate",
                     f"msg {msg_id} delivered {len(live_deliveries)} times "
                     f"in the surviving timeline ({where})",
                 )
             if live_sends and not live_deliveries:
-                if any(s.arrival > now for s in live_sends):
+                if any(s["arrival"] > now for s in live_sends):
                     if allow_in_flight:
                         report.in_flight += 1
                         continue
@@ -285,23 +209,23 @@ class ConsistencyOracle:
                     s = live_sends[-1]
                     report.add(
                         "lost",
-                        f"msg {msg_id} (c{s.src_cluster} -> c{s.dst_cluster}, "
+                        f"msg {msg_id} (c{cluster_of[s['src']]} -> c{cluster_of[s['dst']]}, "
                         f"sent t={s.time:.3f}) has no surviving delivery and "
                         f"is neither in flight, queued, nor logged",
                     )
             if live_deliveries:
                 report.delivered += 1
 
-        for msg_id in sorted(set(self.deliveries) - set(self.sends)):
-            report.add(
-                "unsourced",
-                f"msg {msg_id} was delivered but never seen at the fabric",
-            )
+        for msg_id in sorted(set(deliveries) - set(sends)):
+            report.add("unsourced", f"msg {msg_id} was delivered but never seen at the fabric")
         return report
 
 
 def attach_oracle(federation: "Federation") -> ConsistencyOracle:
-    """Instrument ``federation`` (call before ``federation.start()``)."""
+    """Trace ``federation`` at ``PROTOCOL`` level at least (call before
+    ``federation.start()``) and return its oracle."""
+    tracer = federation.tracer
+    tracer.level = max(tracer.level, TraceLevel.PROTOCOL)
     return ConsistencyOracle(federation)
 
 

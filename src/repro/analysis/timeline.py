@@ -5,9 +5,9 @@ embedded), inter-cluster message arrows and the rollback cascade.  This
 module reconstructs that picture from the trace: one column per cluster,
 one row per event, chronological.
 
-Requires the federation to have run with ``TraceLevel.MESSAGE`` (or
-higher) so message sends/deliveries are available; protocol-level events
-(CLC commits, rollbacks, alerts, GC) render at ``TraceLevel.PROTOCOL``.
+Renders from a run at ``TraceLevel.PROTOCOL`` or higher: inter-cluster
+sends are protocol-level records, like CLC commits, rollbacks, alerts and
+GC (intra-cluster traffic, recorded at ``MESSAGE``, is left out).
 
 Example output::
 

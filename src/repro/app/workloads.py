@@ -63,8 +63,6 @@ def table1_workload(
     infinite"); pass a finite value for Fig. 8.  ``messages_1_to_0`` scales
     the sparse reverse flow (Fig. 9 sweeps it).
     """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
     # Means keep the paper's per-node activity rate; probabilities are the
     # full-scale ratios, so a scaled-down run sees proportionally scaled
     # expected counts (e.g. 145 * scale messages 0 -> 1).

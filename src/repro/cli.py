@@ -56,7 +56,7 @@ from repro.config.loader import load_scenario
 from repro.core.protocol import protocol_names
 from repro.experiments.registry import (
     SCALE_PROFILES,
-    coerce_set_value,
+    coerce_sets,
     resolve_overrides,
 )
 from repro.sim.trace import TraceLevel
@@ -217,8 +217,8 @@ def _overrides_or_exit(experiment, scale: str, set_pairs=(), seed=None) -> dict:
             key, sep, raw = pair.partition("=")
             if not sep or not key:
                 raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
-            sets[key] = coerce_set_value(raw)
-        overrides = resolve_overrides(experiment, scale, sets=sets, seed=seed)
+            sets[key] = raw
+        overrides = resolve_overrides(experiment, scale, sets=coerce_sets(sets), seed=seed)
         experiment.build_grid(overrides)
         return overrides
     except ValueError as exc:

@@ -137,6 +137,8 @@ class Federation:
         self, cluster: int, target_time: float, failed_node: Optional[Node] = None
     ) -> None:
         """Interrupt the cluster's application and account the lost work."""
+        if self.tracer.level >= TraceLevel.PROTOCOL:  # read by the consistency oracle
+            self.tracer.protocol("erasure", cluster=cluster, target_time=target_time)
         now = self.sim.now
         lost_each = max(0.0, now - target_time)
         runtime = self.clusters[cluster]

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.network.message import Message, MessageKind, NodeId
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLevel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.protocol import NodeAgent
@@ -21,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
 
 __all__ = ["ClusterRuntime", "Node"]
+
+_PROTOCOL = TraceLevel.PROTOCOL
 
 
 class Node:
@@ -89,6 +92,11 @@ class Node:
 
     def deliver_app(self, msg: Message) -> None:
         """Hand a message to the application layer."""
+        tracer = self.fabric.tracer
+        if tracer is not None and tracer.level >= _PROTOCOL and msg.src.cluster != self.id.cluster:
+            # read by the consistency oracle: a freeze window can hold a
+            # message here past the fabric's delivery
+            tracer.record(_PROTOCOL, "app_delivered", msg_id=msg.msg_id, node=str(self.id))
         if self._stats is not None:
             delivered = self._delivered
             if delivered is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.config.keys import refuse_unknown_keys
 
-__all__ = ["ApplicationConfig", "ClusterAppSpec"]
+__all__ = ["ApplicationConfig", "ClusterAppSpec", "check_total_time"]
 
 #: Default application payload size in bytes (the paper does not report one;
 #: small control-style messages dominate code-coupling exchanges).
@@ -72,6 +72,12 @@ class ClusterAppSpec:
         )
 
 
+def check_total_time(total_time: float) -> None:
+    """Refuse a run length that is not positive and finite."""
+    if not 0 < total_time < math.inf:
+        raise ValueError(f"total_time must be positive and finite: {total_time}")
+
+
 @dataclass
 class ApplicationConfig:
     """The whole application: one spec per cluster plus the total duration."""
@@ -82,8 +88,7 @@ class ApplicationConfig:
     def __post_init__(self) -> None:
         if not self.clusters:
             raise ValueError("application needs at least one cluster spec")
-        if not 0 < self.total_time < math.inf:
-            raise ValueError(f"total_time must be positive and finite: {self.total_time}")
+        check_total_time(self.total_time)
 
     def spec_for(self, cluster: int) -> ClusterAppSpec:
         return self.clusters[cluster]

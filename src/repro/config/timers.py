@@ -22,13 +22,14 @@ from typing import Optional
 
 from repro.config.keys import refuse_unknown_keys
 
-__all__ = ["TimersConfig"]
+__all__ = ["TimersConfig", "normalize_period"]
 
 MINUTE = 60.0
 HOUR = 3600.0
 
 
-def _normalize_period(value: Optional[float], name: str) -> Optional[float]:
+def normalize_period(value: Optional[float], name: str) -> Optional[float]:
+    """A timer period, ``None`` for an infinite one; refuses anything not > 0."""
     if value is None:
         return None
     if isinstance(value, str):
@@ -82,10 +83,10 @@ class TimersConfig:
 
     def __post_init__(self) -> None:
         self.clc_periods = [
-            _normalize_period(p, f"clc_periods[{i}]")
+            normalize_period(p, f"clc_periods[{i}]")
             for i, p in enumerate(self.clc_periods)
         ]
-        self.gc_period = _normalize_period(self.gc_period, "gc_period")
+        self.gc_period = normalize_period(self.gc_period, "gc_period")
         for name in ("failure_detection_delay", "checkpoint_restore_time", "node_repair_time"):
             _require_finite(name, getattr(self, name), 0, inclusive=True)
         _require_finite("node_state_size", self.node_state_size, 0)

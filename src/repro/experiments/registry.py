@@ -30,12 +30,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.config.application import check_total_time
+from repro.config.timers import normalize_period
+from repro.network.topology import check_node_count
+
 __all__ = [
     "SCALE_PROFILES",
     "Experiment",
     "all_experiments",
     "canonical_params",
     "coerce_set_value",
+    "coerce_sets",
     "derive_seed",
     "get",
     "load_all",
@@ -98,17 +103,28 @@ class Experiment:
         """The grid under ``overrides``, every point as :func:`canonical_params`
         returns it -- checked as a whole, in one round trip.
 
-        :class:`ValueError` is the one way a grid is refused, whether the
-        grid function rejects its keywords (``delays_min=5`` where it
-        iterates a list) or a point cannot round-trip.
+        :class:`ValueError` is the one way a grid is refused, naming the
+        ``key=value`` the configuration layer (:data:`_CONFIG_CHECKS`) or the
+        grid function (``delays_min=5`` where it iterates a list) refuses,
+        or the point that cannot round-trip.
         """
         kwargs = self.grid_kwargs(overrides)
+        for key, value in kwargs.items():
+            if key in _CONFIG_CHECKS:
+                try:
+                    _CONFIG_CHECKS[key](value)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"experiment {self.name!r}: refuses {key}={value!r}: {exc}"
+                    ) from None
         try:
             grid = list(self.grid(**kwargs))
         except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"experiment {self.name!r}: the grid does not take {kwargs!r} ({exc})"
-            ) from exc
+            # name the keywords without which the grid builds: the caller's,
+            # not the scale profile's
+            culprits = [k for k in kwargs if _builds_without(self.grid, kwargs, k)] or kwargs
+            named = ", ".join(f"{k}={kwargs[k]!r}" for k in culprits)
+            raise ValueError(f"experiment {self.name!r}: refuses {named}: {exc}") from exc
         try:
             return canonical_params(grid)
         except ValueError:
@@ -120,6 +136,26 @@ class Experiment:
                         f"experiment {self.name!r}, grid point {index}: {exc}"
                     ) from None
             raise
+
+
+def _builds_without(grid: Callable[..., list], kwargs: dict, key: str) -> bool:
+    """Does ``grid`` build from ``kwargs`` less ``key``?"""
+    try:
+        list(grid(**{k: v for k, v in kwargs.items() if k != key}))
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+#: grid keys whose values the configuration layer checks, each with the
+#: check (it raises ValueError) -- called once per grid by ``build_grid``
+_CONFIG_CHECKS: dict[str, Callable] = {
+    "total_time": check_total_time,
+    "gc_period": functools.partial(normalize_period, name="gc_period"),
+    "nodes": functools.partial(check_node_count, "a cluster"),
+    "nodes_per_stage": functools.partial(check_node_count, "a pipeline stage"),
+    "nodes_per_cluster": functools.partial(check_node_count, "a cluster"),
+}
 
 
 @functools.lru_cache(maxsize=256)
@@ -239,17 +275,32 @@ def coerce_set_value(raw: str):
     accepts keeps its JSON type (``5`` -> int, ``5.0`` -> float,
     ``[5, 15]`` -> list); everything else stays a string.  Non-finite
     floats raise :class:`ValueError` -- grid points must survive a strict
-    JSON round-trip, so NaN/Infinity could never run.
+    JSON round-trip, so NaN/Infinity could never run -- and so does a value
+    nested too deeply to decode.
     """
     if raw.lower() in ("true", "false"):
         return raw.lower() == "true"
     try:
         value = json.loads(raw)
+        non_finite = _has_non_finite(value)
     except json.JSONDecodeError:
         return raw
-    if _has_non_finite(value):
+    except RecursionError:  # only a value hundreds of brackets long gets here
+        raise ValueError(f"override value {raw[:40]!r}... is nested too deeply") from None
+    if non_finite:
         raise ValueError(f"override value {raw!r} contains a non-finite number")
     return value
+
+
+def coerce_sets(raw: dict) -> dict:
+    """:func:`coerce_set_value` over ``{key: raw value}``; a refusal names its key."""
+    sets = {}
+    for key, value in raw.items():
+        try:
+            sets[key] = coerce_set_value(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return sets
 
 
 def _has_non_finite(value) -> bool:

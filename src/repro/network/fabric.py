@@ -57,7 +57,8 @@ Cell = tuple[Counter, Counter, Counter, Optional[Counter]]
 
 _APP = MessageKind.APP
 _REPLAY = MessageKind.REPLAY
-_MESSAGE = int(TraceLevel.MESSAGE)
+_PROTOCOL = TraceLevel.PROTOCOL
+_MESSAGE = TraceLevel.MESSAGE
 
 
 class Fabric:
@@ -141,19 +142,12 @@ class Fabric:
         if inter is not None:
             inter.value += 1
         tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.level >= _MESSAGE
-            and (kind is _APP or kind is _REPLAY)
-        ):
-            tracer.message(
-                "send",
-                msg_id=msg.msg_id,
-                src=str(src),
-                dst=str(dst),
-                msg_kind=kind.value,
-                piggyback=msg.piggyback,
-            )
+        if tracer is not None and tracer.level >= _PROTOCOL and (kind is _APP or kind is _REPLAY):
+            # an inter-cluster send is a protocol-level record: the consistency oracle reads it
+            level = _PROTOCOL if src.cluster != dst.cluster else _MESSAGE
+            if tracer.level >= level:
+                tracer.record(level, "send", msg_id=msg.msg_id, src=str(src), dst=str(dst),
+                              msg_kind=kind.value, piggyback=msg.piggyback, arrival=arrival)
         sim.schedule_at(arrival, self._deliver, msg)
         return arrival
 

@@ -18,7 +18,14 @@ from typing import Iterator, Optional
 
 from repro.network.message import NodeId
 
-__all__ = ["ClusterSpec", "LinkSpec", "Topology", "MYRINET_LIKE", "ETHERNET_LIKE"]
+__all__ = ["ClusterSpec", "LinkSpec", "Topology", "MYRINET_LIKE", "ETHERNET_LIKE",
+           "check_node_count"]
+
+
+def check_node_count(what: str, nodes: int) -> None:
+    """Refuse a cluster of fewer than one node."""
+    if nodes < 1:
+        raise ValueError(f"{what} must have >= 1 node: {nodes}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,7 @@ class ClusterSpec:
     link: LinkSpec = MYRINET_LIKE
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError(f"cluster {self.name!r} must have >= 1 node")
+        check_node_count(f"cluster {self.name!r}", self.nodes)
 
 
 @dataclass

@@ -217,11 +217,9 @@ class ServeApp:
             overrides = registry.resolve_overrides(
                 exp,
                 request.query.get("scale", "tiny"),
-                sets={
-                    key: registry.coerce_set_value(raw)
-                    for key, raw in request.query.items()
-                    if key not in _RESERVED_QUERY
-                },
+                sets=registry.coerce_sets(
+                    {k: raw for k, raw in request.query.items() if k not in _RESERVED_QUERY}
+                ),
             )
             grid = exp.build_grid(overrides)
         except ValueError as exc:

@@ -65,6 +65,8 @@ class Request:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("request body is nested too deeply") from None
 
 
 @dataclass

@@ -27,9 +27,10 @@ class TraceLevel(enum.IntEnum):
     DEBUG = 3     #: plus internal details (timer firings, log searches, ...)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One time-stamped action of one node (or of the federation)."""
+    """One time-stamped action of one node (or of the federation).  Not
+    frozen: a frozen dataclass's ``__init__`` costs three times as much."""
 
     time: float
     level: TraceLevel

@@ -12,7 +12,7 @@ from repro.config.timers import TimersConfig
 from repro.network.message import NodeId
 from repro.network.topology import ClusterSpec, LinkSpec, Topology
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLevel
+from repro.sim.trace import TraceLevel, TraceRecord
 
 
 FAST_INTRA = LinkSpec(latency=10e-6, bandwidth=80e6)
@@ -135,3 +135,16 @@ def fed() -> Federation:
 
 def nid(cluster: int, node: int) -> NodeId:
     return NodeId(cluster, node)
+
+
+def inject_record(fed: Federation, time: float, kind: str, **fields) -> None:
+    """Append a ``PROTOCOL``-level record stamped ``time`` to ``fed``'s trace
+    -- how a test seeds a send, delivery or erasure into the oracle's input."""
+    fed.tracer.records.append(TraceRecord(time, TraceLevel.PROTOCOL, kind, fields))
+
+
+def inject_send(fed: Federation, msg_id: int, time: float, arrival: float,
+                src: str = "c0n0", dst: str = "c1n0") -> None:
+    """Seed an inter-cluster application send the run never made."""
+    inject_record(fed, time, "send", msg_id=msg_id, src=src, dst=dst,
+                  msg_kind="app", piggyback=None, arrival=arrival)

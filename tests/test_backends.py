@@ -455,6 +455,28 @@ class TestSetOverrides:
         with pytest.raises(SystemExit, match="finite"):
             main(["sweep", "table1", "--no-cache", "--set", f"nodes={raw}"])
 
+    def test_a_deeply_nested_set_value_is_refused_naming_its_key(self):
+        raw = "[" * 20000  # json.loads raises RecursionError on it
+        with pytest.raises(ValueError, match="nested too deeply"):
+            coerce_set_value(raw)
+        with pytest.raises(SystemExit, match=r"^seed: override value '\[\[\["):
+            main(["sweep", "table1", "--scale", "tiny", "--no-cache", "--set", f"seed={raw}"])
+
+    def test_a_refused_value_reads_as_refused(self):
+        with pytest.raises(SystemExit) as refused:
+            main(["sweep", "baselines", "--scale", "tiny", "--no-cache", "--set", "nodes=1"])
+        assert str(refused.value).startswith(
+            "experiment 'baselines': refuses nodes=1: study 'baselines' crashes node 1"
+        )
+
+    def test_a_refusal_names_only_the_keys_the_caller_set(self):
+        """Not the scale profile's ``nodes``/``total_time``."""
+        with pytest.raises(SystemExit) as refused:
+            main(["sweep", "fig8", "--scale", "tiny", "--no-cache", "--set", "delays_min=5"])
+        assert str(refused.value) == (
+            "experiment 'fig8': refuses delays_min=5: 'int' object is not iterable"
+        )
+
     def test_set_unknown_key_is_an_error(self):
         with pytest.raises(SystemExit, match="does not accept bogus_key="):
             main(["sweep", "table1", "--no-cache", "--set", "bogus_key=1"])

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.oracle import ConsistencyOracle, SendEvent, attach_oracle
+from repro.analysis.oracle import ConsistencyOracle, attach_oracle
 from repro.cli import VERBS, main, parser
 from repro.cluster.federation import Federation
 from repro.config.loader import load_scenario
+from tests.conftest import inject_send
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -181,10 +182,7 @@ class TestCliVerdict:
 
         def seeded_check(oracle, allow_in_flight=True):
             now = oracle.federation.sim.now
-            oracle.sends[999999] = [
-                SendEvent(msg_id=999999, time=now - 10.0, src_cluster=0,
-                          dst_cluster=1, arrival=now - 9.0, kind="app")
-            ]
+            inject_send(oracle.federation, 999999, time=now - 10.0, arrival=now - 9.0)
             return real_check(oracle, allow_in_flight)
 
         monkeypatch.setattr(ConsistencyOracle, "check", seeded_check)
@@ -209,10 +207,10 @@ class TestCliVerdict:
         oracle = attach_oracle(fed)
         fed.run()
         send = min(
-            (s for sends in oracle.sends.values() for s in sends),
+            (s for sends in oracle.recorded()[0].values() for s in sends),
             key=lambda s: s.time,
         )
-        on_the_wire = (send.time + send.arrival) / 2
+        on_the_wire = (send.time + send["arrival"]) / 2
 
         rc = main([
             "--scenario", str(scenario_file), "--until", repr(on_the_wire), "--json"

@@ -13,15 +13,10 @@ Two layers:
 
 import pytest
 
-from repro.analysis.oracle import (
-    DeliveryEvent,
-    SendEvent,
-    assert_consistent,
-    attach_oracle,
-)
+from repro.analysis.oracle import assert_consistent, attach_oracle
 from repro.core.protocol import protocol_names
 from repro.network.message import NodeId
-from tests.conftest import make_federation
+from tests.conftest import inject_record, inject_send, make_federation
 
 #: every registered protocol, with clc-cic exercised under both predicates
 PROTOCOL_CASES = [
@@ -92,7 +87,8 @@ def test_every_protocol_consistent_without_failures(protocol, options):
 
 
 # ----------------------------------------------------------------------
-# non-vacuity: seed each violation class, the oracle must flag it
+# non-vacuity: seed each violation class as trace records the run never
+# made, the oracle must flag it
 # ----------------------------------------------------------------------
 
 def clean_run():
@@ -103,77 +99,72 @@ def clean_run():
 
 
 def first_delivered(oracle):
-    for msg_id in sorted(oracle.sends):
-        if oracle.deliveries.get(msg_id):
-            return msg_id
+    """The first delivered message's id, its first send and first delivery
+    (their trace records)."""
+    sends, deliveries, _windows = oracle.recorded()
+    for msg_id in sorted(sends):
+        if deliveries.get(msg_id):
+            return msg_id, sends[msg_id][0], deliveries[msg_id][0]
     raise AssertionError("no delivered inter-cluster message in the trace")
 
 
-def violation_kinds(oracle):
-    return {kind for kind, _ in oracle.check().violations}
+def violations(oracle, allow_in_flight=True):
+    """``{kind: [msg ids]}`` of a check's violations."""
+    found: dict = {}
+    for kind, detail in oracle.check(allow_in_flight).violations:
+        found.setdefault(kind, []).append(int(detail.split()[1]))
+    return found
 
 
 def test_oracle_flags_orphan():
-    _fed, oracle = clean_run()
-    msg_id = first_delivered(oracle)
+    fed, oracle = clean_run()
+    msg_id, send, _delivery = first_delivered(oracle)
     # erase exactly the send instant on the sender; the delivery survives
-    send = oracle.sends[msg_id][0]
-    oracle.erasure_windows.setdefault(send.src_cluster, []).append(
-        (send.time, send.time)
-    )
-    assert "orphan" in violation_kinds(oracle)
+    inject_record(fed, send.time, "erasure", cluster=oracle.cluster_of[send["src"]],
+                  target_time=send.time)
+    assert violations(oracle) == {"orphan": [msg_id]}
 
 
 def test_oracle_flags_duplicate():
-    _fed, oracle = clean_run()
-    msg_id = first_delivered(oracle)
-    d = oracle.deliveries[msg_id][0]
-    oracle.deliveries[msg_id].append(
-        DeliveryEvent(msg_id=msg_id, time=d.time + 1.0, cluster=d.cluster,
-                      node=d.node, kind=d.kind)
-    )
-    assert "duplicate" in violation_kinds(oracle)
+    fed, oracle = clean_run()
+    msg_id, _send, d = first_delivered(oracle)
+    inject_record(fed, d.time + 1.0, "app_delivered", msg_id=msg_id,
+                  node=d["node"])
+    assert violations(oracle) == {"duplicate": [msg_id]}
 
 
 def test_oracle_flags_lost():
     fed, oracle = clean_run()
     now = fed.sim.now
-    oracle.sends[999999] = [
-        SendEvent(msg_id=999999, time=now - 10.0, src_cluster=0,
-                  dst_cluster=1, arrival=now - 9.0, kind="app")
-    ]
-    assert "lost" in violation_kinds(oracle)
+    inject_send(fed, 999999, time=now - 10.0, arrival=now - 9.0)
+    assert violations(oracle) == {"lost": [999999]}
 
 
 def test_oracle_flags_unsourced():
-    _fed, oracle = clean_run()
-    oracle.deliveries[999999] = [
-        DeliveryEvent(msg_id=999999, time=1.0, cluster=1, node="n1.0",
-                      kind="app")
-    ]
-    assert "unsourced" in violation_kinds(oracle)
+    fed, oracle = clean_run()
+    inject_record(fed, 1.0, "app_delivered", msg_id=999999, node="c1n0")
+    assert violations(oracle) == {"unsourced": [999999]}
 
 
 def test_in_flight_excuse_is_optional():
     fed, oracle = clean_run()
     now = fed.sim.now
-    oracle.sends[999999] = [
-        SendEvent(msg_id=999999, time=now - 0.001, src_cluster=0,
-                  dst_cluster=1, arrival=now + 5.0, kind="app")
-    ]
+    inject_send(fed, 999999, time=now - 0.001, arrival=now + 5.0)
     report = oracle.check(allow_in_flight=True)
     assert report.ok and report.in_flight == 1
-    strict = oracle.check(allow_in_flight=False)
-    assert not strict.ok
-    assert {kind for kind, _ in strict.violations} == {"lost"}
+    assert violations(oracle, allow_in_flight=False) == {"lost": [999999]}
 
 
 def test_erasure_interval_is_closed_on_the_left():
     """An event stamped exactly at the restored checkpoint's commit time is
     erased -- it is causally after the commit, not part of the state."""
-    _fed, oracle = clean_run()
-    oracle.erasure_windows[0] = [(100.0, 200.0)]
-    assert oracle.erased(0, 100.0)
-    assert oracle.erased(0, 200.0)
-    assert not oracle.erased(0, 99.999999)
-    assert not oracle.erased(0, 200.000001)
+    fed = make_federation(n_clusters=3, nodes=3)
+    oracle = attach_oracle(fed)
+    inject_record(fed, 200.0, "erasure", cluster=0, target_time=100.0)
+    # a surviving delivery in cluster 1 of a send at each instant: an
+    # erased send leaves its delivery an orphan
+    for msg_id, t in enumerate([99.999999, 100.0, 200.0, 200.000001], start=1):
+        inject_send(fed, msg_id, time=t, arrival=t)
+        inject_record(fed, t, "app_delivered", msg_id=msg_id, node="c1n0")
+    assert violations(oracle) == {"orphan": [2, 3]}
+    assert oracle.check().erasures == 1

@@ -43,11 +43,14 @@ NODE_COUNT_KEYS = ("nodes", "nodes_per_stage", "nodes_per_cluster")
 
 def _edge_draws():
     """``(experiment, key, value)``: each node-count key the grid takes at 1
-    and 2, and ``total_time`` at 1 s and 60 s, one key at a time over tiny."""
+    and 2, and ``total_time`` at 1 s and 60 s, one key at a time over tiny;
+    and just outside the domain: node counts at 0, ``total_time`` at 0 and
+    -1, ``gc_period`` at 0."""
     for experiment in registry.all_experiments():
         taken = experiment.grid_parameters()
-        draws = [(key, n) for key in NODE_COUNT_KEYS if key in taken for n in (1, 2)]
-        draws += [("total_time", t) for t in (1.0, 60.0) if "total_time" in taken]
+        draws = [(key, n) for key in NODE_COUNT_KEYS if key in taken for n in (0, 1, 2)]
+        draws += [("total_time", t) for t in (0, -1, 1.0, 60.0) if "total_time" in taken]
+        draws += [("gc_period", 0)] if "gc_period" in taken else []
         for key, value in draws:
             yield pytest.param(
                 experiment.name, key, value, id=f"{experiment.name}-{key}={value}"
@@ -56,11 +59,12 @@ def _edge_draws():
 
 @pytest.mark.parametrize("name, key, value", list(_edge_draws()))
 def test_an_edge_value_renders_or_is_refused_naming_its_key(name, key, value):
-    """A valid value at the edge of a grid key's domain either yields a
-    rendered result or is refused at grid-build time with a ``ValueError``
-    that names the key -- never a traceback from inside a point or the
-    reducer (``baselines`` at ``nodes=1`` once raised ``IndexError`` for its
-    victim node 1, ``overhead`` at ``total_time=1.0`` ``ZeroDivisionError``)."""
+    """A value at the edge of a grid key's domain either yields a rendered
+    result or is refused at grid-build time with a ``ValueError`` that
+    names the key -- never a traceback from inside a point or the reducer
+    (``baselines`` at ``nodes=1`` once raised ``IndexError`` for its victim
+    node 1, ``overhead`` at ``total_time=1.0`` ``ZeroDivisionError``, and
+    ``table2`` at ``gc_period=0`` built its grid, then failed in the point)."""
     experiment = registry.get(name)
     overrides = resolve_overrides(experiment, "tiny", sets={key: value})
     try:

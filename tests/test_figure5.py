@@ -17,8 +17,8 @@ def watched():
     """The scenario's outcome and an oracle on its federation.
 
     ``figure5_scenario`` builds and starts its own federation, so the
-    oracle goes on through the constructor the scenario calls (the shims
-    record and pass through: the run is trace-identical to a bare one).
+    oracle goes on through the constructor the scenario calls (it only
+    reads the run's trace: the run is trace-identical to a bare one).
     """
     oracles = []
 

@@ -17,6 +17,7 @@ import json
 import socket
 import threading
 import time
+from urllib.parse import quote
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -454,9 +455,62 @@ def _bad_requests(draw):
     return chunks, draw(st.sampled_from([0.0, 0.005]))
 
 
+#: query keys some of the fuzzed grids take, and a few no grid takes
+_QUERY_KEYS = [
+    "scale", "seed", "index", "nodes", "total_time", "gc_period", "delays_min",
+    "failure_times", "protocol", "bogus",
+]
+_QUERY_VALUES = ["tiny", "full", "0", "-1", "1e999", "NaN", "true", "[]", "{}", "null", "2"]
+
+
+@st.composite
+def _query_targets(draw):
+    """A request target: a grid or point route with an arbitrary query string.
+
+    Points compute, so their route only varies ``seed``/``index`` (a tiny
+    ``table1`` point costs about a millisecond); the grid route, which
+    resolves overrides the same way but never computes, takes any key.
+    ``[`` is sent raw, so a value nested thousands deep fits in the head.
+    """
+    value = st.one_of(
+        st.sampled_from(_QUERY_VALUES),
+        st.text(max_size=12),
+        st.integers(1, 30000).map(lambda depth: "[" * depth),
+    )
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["table1", "table2", "fig8", "baselines", "nope"]))
+        path, keys = f"/experiments/{name}/grid", st.sampled_from(_QUERY_KEYS)
+    else:
+        path, keys = "/experiments/table1/points", st.sampled_from(["seed", "index"])
+    pairs = draw(st.lists(st.tuples(st.one_of(keys, st.text(max_size=6)), value), max_size=3))
+    if path.endswith("points"):
+        pairs.insert(0, ("scale", "tiny"))
+    query = "&".join(f"{quote(k, safe='')}={quote(v, safe='[]')}" for k, v in pairs)
+    return f"{path}?{query}"
+
+
 class TestRequestReaderFuzz:
     """Whatever a client sends, the answer is a 4xx or a closed socket: no
     handler error, no unhandled exception on the loop, no leaked slot."""
+
+    def test_any_query_string_gets_a_2xx_or_a_4xx(self, server, app):
+        recorded: list = []
+        server._loop.set_exception_handler(lambda loop, context: recorded.append(context))
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(target=_query_targets())
+        def fetch(target):
+            request = f"GET {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                sock.sendall(request.encode("ascii"))
+                answer = b""
+                while data := sock.recv(65536):
+                    answer += data
+            assert not answer or answer[:10] in (b"HTTP/1.1 2", b"HTTP/1.1 4"), answer[:200]
+            assert recorded == []
+
+        fetch()
+        assert app._inflight == 0
 
     def test_malformed_requests_get_a_4xx_or_a_closed_socket(self, server):
         recorded: list = []
@@ -596,6 +650,25 @@ class TestSweepStreaming:
         status, _, body = http_get(server, "/experiments/fig8/points?delays_min=5")
         assert status == 400
         assert "experiment 'fig8'" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("route", ["points", "grid"])
+    def test_a_deeply_nested_value_is_400_naming_its_key(self, server, route):
+        """``json.loads`` raises ``RecursionError`` on it, which once
+        answered 500 with a logged traceback."""
+        path = f"/experiments/table1/{route}?scale=tiny&seed=" + "[" * 20000
+        status, _, body = http_get(server, path)
+        assert status == 400
+        assert json.loads(body)["error"].startswith("seed: override value '[[[")
+
+    def test_a_deeply_nested_sweep_body_is_400(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("POST", "/sweeps", body="[" * 20000)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "nested too deeply" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
 
     def test_client_disconnect_cancels_the_sweep(
         self, server, app, sleepy_experiment

@@ -5,7 +5,9 @@ a federation mid-run and thawing it must reproduce the uninterrupted run
 bit for bit -- same point values, same dispatch stream.  The fork check
 runs every registered experiment with ``Federation.run`` patched to fork
 each call half-way, and compares against the plain run; a tiny federation
-of each protocol family is also forked after every one of its events.
+of each protocol family is also forked after every one of its events, with
+the consistency oracle attached, and each fork's verdict must equal the
+uninterrupted run's.
 
 Process bodies are plain objects, so a fork is one unpickle.  The bodies
 no registered experiment reaches -- the exchange workload's requester, idle
@@ -25,6 +27,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.oracle import ConsistencyOracle, attach_oracle
 from repro.app.process import Idle, Requester, exchange_factory
 from repro.app.workloads import table1_workload
 from repro.cluster.federation import Federation
@@ -124,9 +127,12 @@ def test_fork_matches_uninterrupted_all(name, monkeypatch):
 
 
 def traced_run(build, steps=None):
-    """``build()``'s federation run to the horizon under a fresh digest; with
-    ``steps``, forked through ``dumps``/``loads`` after that many events."""
+    """``build()``'s federation run to the horizon under a fresh digest and
+    the consistency oracle; with ``steps``, forked through ``dumps``/``loads``
+    after that many events.  The oracle reads the run's own trace, so it
+    rides the snapshot and the fork's verdict covers the whole run."""
     fed = build()
+    attach_oracle(fed)
     digest = trace_digest.TraceDigest()
     fed.sim.attach_digest(digest)
     fed.start()
@@ -136,12 +142,14 @@ def traced_run(build, steps=None):
         fed = snapshot.loads(snapshot.dumps(fed))
         fed.sim.attach_digest(digest)
     fed.sim.run(until=fed.application.total_time)
-    return digest.summary(), fed.results()
+    return digest.summary(), fed.results(), ConsistencyOracle(fed).check()
 
 
 def divergent_forks(build) -> list:
-    """The event counts at which a fork changes the run's digest or results."""
+    """The event counts at which a fork changes the run's digest, results or
+    consistency verdict (ok, counts and violations)."""
     plain = traced_run(build)
+    assert plain[2].ok, plain[2]
     return [k for k in range(plain[0]["events"]) if traced_run(build, k) != plain]
 
 
@@ -166,15 +174,16 @@ def test_exchange_bodies_fork_at_every_event():
     assert divergent_forks(exchange_fed) == []
 
 
-def faulty_fed() -> Federation:
+def faulty_fed(seed: int = 7) -> Federation:
     """A tiny table1 run whose MTBF injects several failures."""
     topology, application, timers = table1_workload(**TINY)
     topology = dataclasses.replace(topology, mtbf=600.0)
-    return Federation(topology, application, timers, protocol="hc3i", seed=7)
+    return Federation(topology, application, timers, protocol="hc3i", seed=seed)
 
 
 def test_failure_injector_forks_at_every_event():
     assert divergent_forks(faulty_fed) == []
+    assert traced_run(faulty_fed)[2].erasures >= 2  # on both sides of a fork
     fed = faulty_fed()
     fed.start()
     awaiting_recovery = 0
@@ -182,6 +191,15 @@ def test_failure_injector_forks_at_every_event():
         awaiting_recovery += isinstance(fed.injector._process._waiting_on, Signal)
     assert fed.injector.injected >= 2
     assert awaiting_recovery  # some fork was taken while it waited on one
+
+
+def test_failure_injector_forks_at_every_event_across_erased_sends():
+    """Seed 11's rollbacks also erase the sends of two inter-cluster
+    messages: the fork's verdict must account for them as the run's does."""
+    build = functools.partial(faulty_fed, 11)
+    assert divergent_forks(build) == []
+    verdict = traced_run(build)[2]
+    assert (verdict.messages, verdict.delivered) == (2, 0) and verdict.erasures >= 2
 
 
 def test_every_event_fork_catches_an_identity_compared_phase(monkeypatch):
