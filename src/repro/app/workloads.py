@@ -32,6 +32,7 @@ from repro.network.topology import (
 )
 
 __all__ = [
+    "check_message_count",
     "fig9_workload",
     "pipeline_workload",
     "table1_workload",
@@ -45,6 +46,12 @@ TOTAL_TIME = 10 * HOUR
 # Table 1 calibration targets.
 _C0_SENDS = 2920 + 145      # total emissions of cluster 0
 _C1_SENDS = 2497 + 11       # total emissions of cluster 1
+
+
+def check_message_count(count: float) -> None:
+    """Refuse an expected inter-cluster message count below zero."""
+    if not count >= 0:
+        raise ValueError(f"a message count must be >= 0: {count}")
 
 
 def table1_workload(
@@ -63,6 +70,7 @@ def table1_workload(
     infinite"); pass a finite value for Fig. 8.  ``messages_1_to_0`` scales
     the sparse reverse flow (Fig. 9 sweeps it).
     """
+    check_message_count(messages_1_to_0)
     # Means keep the paper's per-node activity rate; probabilities are the
     # full-scale ratios, so a scaled-down run sees proportionally scaled
     # expected counts (e.g. 145 * scale messages 0 -> 1).
@@ -139,6 +147,7 @@ def table3_workload(
 
     Each cluster sends ``inter_messages`` to each of the two others.
     """
+    check_message_count(inter_messages)
     full_sends = [_C0_SENDS, _C1_SENDS, _C1_SENDS]
     specs = []
     for c in range(3):

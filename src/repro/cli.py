@@ -322,7 +322,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         _print_json({
             **_report_payload(report, args),
             "backend": report.backend,
-            "host_counts": dict(report.host_counts),
             "retries": report.retries,
             "name": result.name,
             "headers": list(result.headers),

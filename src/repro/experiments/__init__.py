@@ -6,10 +6,9 @@ paper's table/series -- registered in
 :mod:`repro.experiments.registry`.  The protocol comparisons and
 ablations share one grid/point/reduce and are rows of the table in
 :mod:`repro.experiments.studies`.  The sweep engine
-(:mod:`repro.experiments.runner`) fans grid points out over an execution
-backend (:mod:`repro.experiments.backends` -- a local process pool or an
-in-process test double) and memoizes them in a content-addressed cache
-(:mod:`repro.experiments.cache`).
+(:mod:`repro.experiments.runner`) runs grid points inline or fans them
+out over a local process pool (:mod:`repro.experiments.backends`) and
+memoizes them in a content-addressed cache (:mod:`repro.experiments.cache`).
 
 The registry is the only entry point: ``run_experiment(name,
 overrides).result`` from code, ``repro sweep <name>`` from the shell

@@ -1,23 +1,42 @@
-"""Local execution backends: in-process (tests) and process-pool.
+"""Where a sweep's grid points execute: inline, or over a local process pool.
 
-``LocalProcessBackend`` is the default: points run inline for
-``jobs <= 1`` (no pool spawn, fail-fast, debugger-friendly) and fan out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise
-(simulations are CPU-bound; threads would serialize on the GIL).  A pool
-round trip costs ~0.1 ms, so submitted points wait in a backlog and
-travel in chunks sized from the worker-side time of the points that came
-back last: many sub-millisecond points per trip, a long point alone.
-The chunk is transport only -- every point keeps its own future.
-Determinism is structural -- every params dict carries its seed -- so
-results are byte-identical across ``jobs`` settings and backends.
+A grid point is location-independent -- its params dict (seed included)
+fully determines the simulation -- so a :class:`PointTask` runs in this
+process or in a pool worker with the same result.  :class:`Backend` is
+the narrow protocol the runner drives and wrappers (``repro serve``'s
+progress stream, ``bench/``'s spans) put themselves around:
 
-``InProcessBackend`` is the test double: synchronous execution with a
-configurable roster of fake hosts and a fault-injection hook, so
-worker-loss/retry behaviour is testable without processes.
+* ``submit(task) -> concurrent.futures.Future[PointOutcome]`` -- schedule
+  one task; the future resolves to the point's value plus the
+  worker-side seconds it took;
+* ``prepare(n_tasks)`` -- a hint of the fan-out; ``shutdown()`` --
+  release pools.
+
+There is one implementation, :class:`LocalProcessBackend`: points run
+inline for ``jobs <= 1`` (no pool spawn, fail-fast, debugger-friendly)
+and fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+otherwise (simulations are CPU-bound; threads would serialize on the
+GIL).  A pool round trip costs ~0.1 ms, so submitted points wait in a
+backlog and travel in chunks sized from the worker-side time of the
+points that came back last: many sub-millisecond points per trip, a long
+point alone.  The chunk is transport only -- every point keeps its own
+future.  Determinism is structural -- every params dict carries its
+seed -- so results are byte-identical across ``jobs`` settings.
+
+Failure semantics split in two, and the split is what makes retry safe:
+
+* :class:`WorkerLostError` -- a pool worker died.  The task itself is
+  fine; the runner puts it back in the queue and the backend replaces
+  the broken pool.  Retryable.
+* Any other exception out of ``future.result()`` -- the *point function*
+  raised.  Re-running it would fail identically (points are
+  deterministic), so this propagates and aborts the sweep.  Not
+  retryable.
 """
 
 from __future__ import annotations
 
+import abc
 import functools
 import os
 import threading
@@ -26,20 +45,20 @@ import traceback
 from collections import deque
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
-from repro.experiments.backends.base import (
-    Backend,
-    BackendUnavailableError,
-    PointOutcome,
-    PointTask,
-    WorkerLostError,
-    resolve_future,
-)
+__all__ = [
+    "BACKEND_NAMES",
+    "Backend",
+    "LocalProcessBackend",
+    "PointOutcome",
+    "PointTask",
+    "WorkerLostError",
+    "backend_name",
+    "create_backend",
+]
 
-__all__ = ["InProcessBackend", "LocalProcessBackend"]
-
-LOCAL_HOST = "local"
 #: worker-side seconds of points one pool round trip carries: what amortizes
 #: the ~0.1 ms trip, and the finished work a killed worker can take with it
 CHUNK_TARGET_S = 0.02
@@ -47,8 +66,59 @@ CHUNK_TARGET_S = 0.02
 CHUNKS_PER_WORKER = 2
 
 
+@dataclass(frozen=True)
+class PointTask:
+    """One schedulable grid point.
+
+    ``params`` is the location-independent description; ``fn`` is the
+    already-resolved point callable, which pickles by reference into a
+    pool worker.  A requeued task is the same description again: the
+    point is recomputed from zero.
+    """
+
+    params: dict
+    fn: Callable[[dict], object]
+
+
+@dataclass(frozen=True)
+class PointOutcome:
+    """A completed point: its value plus the worker-side seconds it took."""
+
+    value: object
+    elapsed: float = 0.0
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died while (or before) executing a task.
+
+    Retryable: the task is unharmed and can be reassigned.
+    """
+
+
+class Backend(abc.ABC):
+    """Where grid points execute; the module docstring gives the contract."""
+
+    #: short identifier used in reports (``backend=NAME``)
+    name: str = "?"
+
+    @abc.abstractmethod
+    def submit(self, task: PointTask) -> "Future[PointOutcome]":
+        """Schedule one task; the future resolves to a :class:`PointOutcome`."""
+
+    def prepare(self, n_tasks: int) -> None:
+        """Optional hint: about this many tasks are coming.
+
+        Lets pooled backends size themselves to the actual fan-out (e.g.
+        not spawning eight processes for one cache-missing point).  No-op
+        by default.
+        """
+
+    def shutdown(self) -> None:
+        """Release worker pools.  Idempotent."""
+
+
 class LocalProcessBackend(Backend):
-    """Today's process-pool path behind the :class:`Backend` protocol."""
+    """Inline points or a process pool behind the :class:`Backend` protocol."""
 
     name = "local"
 
@@ -92,7 +162,10 @@ class LocalProcessBackend(Backend):
     def submit(self, task: PointTask) -> "Future[PointOutcome]":
         future: Future = Future()
         if self._inline():
-            resolve_future(future, lambda: _run_inline(task))
+            try:
+                future.set_result(PointOutcome(*_timed_point(task)))
+            except BaseException as exc:  # noqa: BLE001 - forwarded to the caller
+                future.set_exception(exc)
             return future
         self._backlog.append((task, future))
         self._ship()
@@ -140,9 +213,9 @@ class LocalProcessBackend(Backend):
             if outer.cancelled():
                 continue  # the runner aborted this sweep; nobody wants the value
             if isinstance(result, tuple):
-                outer.set_result(PointOutcome(result[0], LOCAL_HOST, result[1]))
+                outer.set_result(PointOutcome(*result))
             elif isinstance(result, BrokenProcessPool):
-                outer.set_exception(WorkerLostError(LOCAL_HOST, "process pool worker died"))
+                outer.set_exception(WorkerLostError("process pool worker died"))
             else:
                 outer.set_exception(result)
 
@@ -155,66 +228,6 @@ class LocalProcessBackend(Backend):
             # cancel_futures: after an aborted sweep, queued points must not
             # keep burning CPU (and delaying exit) for results nobody reads
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-class InProcessBackend(Backend):
-    """Synchronous backend with fake hosts and injectable worker faults.
-
-    ``fault(task, host, attempt)`` is consulted before each execution;
-    returning ``True`` simulates that host dying mid-task: the host is
-    retired (no further assignments) and :class:`WorkerLostError` is
-    raised exactly as a real backend would.  ``attempt`` counts per-task
-    submissions (1-based), so tests can kill the first attempt and let
-    the reassigned retry through.
-    """
-
-    name = "inprocess"
-
-    def __init__(
-        self,
-        hosts: Optional[list] = None,
-        fault: Optional[Callable[[PointTask, str, int], bool]] = None,
-    ) -> None:
-        self._hosts = list(hosts) if hosts else ["w0"]
-        self._alive = set(self._hosts)
-        self._fault = fault
-        self._attempts: dict = {}
-        self._rr = 0
-        self.submitted = 0
-
-    def kill_host(self, host: str) -> None:
-        """Retire a host by name, as an external failure detector would."""
-        self._alive.discard(host)
-
-    def _pick_host(self) -> str:
-        live = [h for h in self._hosts if h in self._alive]
-        if not live:
-            raise BackendUnavailableError(
-                f"all {len(self._hosts)} in-process workers are dead"
-            )
-        host = live[self._rr % len(live)]
-        self._rr += 1
-        return host
-
-    def submit(self, task: PointTask) -> "Future[PointOutcome]":
-        future: Future = Future()
-        resolve_future(future, lambda: self._run(task))
-        return future
-
-    def _run(self, task: PointTask) -> PointOutcome:
-        host = self._pick_host()
-        self.submitted += 1
-        key = (task.experiment, _freeze(task.params))
-        attempt = self._attempts.get(key, 0) + 1
-        self._attempts[key] = attempt
-        if self._fault is not None and self._fault(task, host, attempt):
-            self.kill_host(host)
-            raise WorkerLostError(host, "fault injected")
-        value, elapsed = _timed_point(task)
-        return PointOutcome(value=value, host=host, elapsed=elapsed)
-
-    def hosts(self) -> list:
-        return [h for h in self._hosts if h in self._alive]
 
 
 def _timed_chunk(tasks: list) -> list:
@@ -238,15 +251,25 @@ def _timed_point(task: PointTask) -> tuple:
     return value, time.perf_counter() - start
 
 
-def _run_inline(task: PointTask) -> PointOutcome:
-    value, elapsed = _timed_point(task)
-    return PointOutcome(value=value, host=LOCAL_HOST, elapsed=elapsed)
+#: names accepted by :func:`create_backend`
+BACKEND_NAMES = ("local", "inprocess")
 
 
-def _freeze(obj):
-    """Hashable identity for a canonical-JSON params dict."""
-    if isinstance(obj, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in obj.items()))
-    if isinstance(obj, list):
-        return tuple(_freeze(v) for v in obj)
-    return obj
+def backend_name(spec: Union[str, Backend, None]) -> str:
+    """The name ``spec`` resolves to; an unknown name raises ``ValueError``."""
+    if isinstance(spec, Backend):
+        return spec.name
+    name = spec or "local"
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
+        )
+    return name
+
+
+def create_backend(spec: Union[str, Backend, None], jobs: int = 1) -> Backend:
+    """Resolve a backend name (or pass an instance through) to a Backend."""
+    if isinstance(spec, Backend):
+        return spec
+    # "inprocess" is the inline path under the name the benchmark ladder asks for
+    return LocalProcessBackend(jobs=1 if backend_name(spec) == "inprocess" else jobs)

@@ -23,7 +23,7 @@ Cache location: ``--cache-dir`` / constructor argument, else the
 The runner writes each value here as it arrives, whatever backend
 executed the point, so a sweep that dies half-way re-runs only its
 missing points.  ``record`` keeps a best-effort provenance journal
-(``journal.jsonl``) of which worker computed each entry and how long it
+(``journal.jsonl``) of which machine computed each entry and how long it
 took.
 """
 
@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import pickle
+import socket
 import time
 from pathlib import Path
 from typing import Any, Optional
@@ -45,11 +46,21 @@ try:  # POSIX advisory locking for the shared provenance journal
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["ResultCache", "code_version_hash", "default_cache_dir", "point_key"]
+__all__ = [
+    "JOURNAL_HOST",
+    "ResultCache",
+    "code_version_hash",
+    "default_cache_dir",
+    "point_key",
+]
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _READ_CHUNK = 1 << 16  # entries are small; a larger one takes more reads
 _code_hash_cache: Optional[str] = None
+
+#: the ``host`` of a journal line this process writes: a sweep and
+#: ``repro serve`` both compute on the machine they run on
+JOURNAL_HOST = socket.gethostname() or "localhost"
 
 
 def default_cache_dir() -> Path:

@@ -30,9 +30,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.app.workloads import check_message_count
 from repro.config.application import check_total_time
 from repro.config.timers import normalize_period
-from repro.network.topology import check_node_count
+from repro.network.topology import check_mtbf, check_node_count
 
 __all__ = [
     "SCALE_PROFILES",
@@ -106,10 +107,16 @@ class Experiment:
         :class:`ValueError` is the one way a grid is refused, naming the
         ``key=value`` the configuration layer (:data:`_CONFIG_CHECKS`) or the
         grid function (``delays_min=5`` where it iterates a list) refuses,
-        or the point that cannot round-trip.
+        an empty list (which would run no axis, or silently the default
+        one), or the point that cannot round-trip.
         """
         kwargs = self.grid_kwargs(overrides)
         for key, value in kwargs.items():
+            if isinstance(value, (list, tuple)) and not value:
+                raise ValueError(
+                    f"experiment {self.name!r}: refuses {key}={value!r}: "
+                    "a list value needs at least one element"
+                )
             if key in _CONFIG_CHECKS:
                 try:
                     _CONFIG_CHECKS[key](value)
@@ -147,6 +154,17 @@ def _builds_without(grid: Callable[..., list], kwargs: dict, key: str) -> bool:
     return True
 
 
+def _each(check: Callable) -> Callable:
+    """``check`` over every element of a list-valued (axis) grid key; a
+    value that is no list is the grid function's to refuse."""
+
+    def check_each(values) -> None:
+        for value in values if isinstance(values, (list, tuple)) else ():
+            check(value)
+
+    return check_each
+
+
 #: grid keys whose values the configuration layer checks, each with the
 #: check (it raises ValueError) -- called once per grid by ``build_grid``
 _CONFIG_CHECKS: dict[str, Callable] = {
@@ -155,6 +173,13 @@ _CONFIG_CHECKS: dict[str, Callable] = {
     "nodes": functools.partial(check_node_count, "a cluster"),
     "nodes_per_stage": functools.partial(check_node_count, "a pipeline stage"),
     "nodes_per_cluster": functools.partial(check_node_count, "a cluster"),
+    "inter_messages": check_message_count,
+    # axes: a period of 0 or an MTBF of 0 is refused element by element
+    "mtbfs": _each(check_mtbf),
+    "message_counts": _each(check_message_count),
+    "delays_min": _each(functools.partial(normalize_period, name="a CLC delay")),
+    "timers_min": _each(functools.partial(normalize_period, name="a CLC timer")),
+    "periods_h": _each(functools.partial(normalize_period, name="gc_period")),
 }
 
 
@@ -245,7 +270,7 @@ def resolve_overrides(
     ``sets`` values, then ``seed`` -- are never ignored: a key the grid
     does not take raises :class:`ValueError` naming the keys it does.
     """
-    if scale not in SCALE_PROFILES:
+    if not isinstance(scale, str) or scale not in SCALE_PROFILES:  # a JSON list too
         raise ValueError(
             f"unknown scale {scale!r}; choose from {sorted(SCALE_PROFILES)}"
         )

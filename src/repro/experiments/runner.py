@@ -2,20 +2,20 @@
 
 Grid points are independent simulations, so a sweep is embarrassingly
 parallel: cache misses fan out over an execution backend
-(:mod:`repro.experiments.backends` -- a local process pool or an
-in-process test double) while hits return instantly from the
-content-addressed cache.  Determinism is structural: every point's
-params dict carries its own explicit seed, so ``--jobs 1`` and
-``--jobs N`` produce byte-identical results.
+(:mod:`repro.experiments.backends` -- inline, or a local process pool)
+while hits return instantly from the content-addressed cache.
+Determinism is structural: every point's params dict carries its own
+explicit seed, so ``--jobs 1`` and ``--jobs N`` produce byte-identical
+results.
 
 The runner owns fault tolerance.  Results are written to the local
 cache *as they arrive* (not after the sweep) -- finished futures report
 to one completion queue, first in first out, so collecting a point costs
 the same whatever else is in flight -- and a partially failed sweep
-re-executes only its missing points.  A worker dying mid-point raises
-:class:`WorkerLostError` from the backend; the runner puts the point
-back in the queue (bounded by ``max_retries`` per point) and the backend
-stops assigning work to the casualty, so a sweep survives losing
+re-executes only its missing points.  A pool worker dying mid-point
+raises :class:`WorkerLostError` from the backend; the runner puts the
+point back in the queue (at most :data:`MAX_RETRIES` times per point)
+and the backend replaces the broken pool, so a sweep survives losing
 workers mid-flight.
 
 A requeued point is recomputed from zero: its params dict is its
@@ -40,17 +40,17 @@ from repro.experiments.backends import (
     backend_name,
     create_backend,
 )
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import JOURNAL_HOST, ResultCache
 from repro.experiments.registry import Experiment
 
-__all__ = ["SweepError", "SweepReport", "run_experiment"]
+__all__ = ["MAX_RETRIES", "SweepError", "SweepReport", "run_experiment"]
 
 #: per-point reassignment budget after worker losses
-DEFAULT_MAX_RETRIES = 3
+MAX_RETRIES = 3
 
 
 class SweepError(RuntimeError):
-    """A sweep could not be completed (retry budget or backend exhausted)."""
+    """A sweep could not be completed (a point's retry budget ran out)."""
 
 
 @dataclass
@@ -66,8 +66,6 @@ class SweepReport:
     jobs: int = 1
     elapsed: float = 0.0
     backend: str = "local"
-    #: executed-point count per host, e.g. ``{"nodeA": 4, "nodeB": 3}``
-    host_counts: dict = field(default_factory=dict)
     #: points resubmitted after a worker loss
     retries: int = 0
 
@@ -75,17 +73,11 @@ class SweepReport:
         executed = f"{self.executed} executed"
         if self.retries:
             executed += f" ({self.retries} retried)"
-        text = (
+        return (
             f"{self.name}: {self.points} points "
             f"({self.cache_hits} cached, {executed}, "
             f"jobs={self.jobs}, backend={self.backend}) in {self.elapsed:.2f}s"
         )
-        if self.host_counts:
-            per_host = " ".join(
-                f"{host}={count}" for host, count in sorted(self.host_counts.items())
-            )
-            text += f" [hosts: {per_host}]"
-        return text
 
 
 def run_experiment(
@@ -94,7 +86,6 @@ def run_experiment(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     backend: Union[str, Backend, None] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> SweepReport:
     """Run one experiment's full grid; returns the reduced result + stats.
 
@@ -105,11 +96,10 @@ def run_experiment(
 
     ``backend`` selects where cache-missing points execute: a name
     resolved via :func:`repro.experiments.backends.create_backend` with
-    its defaults, or a ready :class:`Backend` instance -- the way in for
-    one that needs arguments (an ``inprocess`` roster or fault hook) --
-    which the caller keeps ownership of (it is not shut down here).  A
-    name is checked before the cache is read, so a misspelt one fails
-    whether or not any point would have executed.
+    ``jobs``, or a ready :class:`Backend` instance -- the way in for a
+    wrapper around one -- which the caller keeps ownership of (it is not
+    shut down here).  A name is checked before the cache is read, so a
+    misspelt one fails whether or not any point would have executed.
     """
     backend_label = backend_name(backend)
     exp = registry.get(experiment) if isinstance(experiment, str) else experiment
@@ -132,15 +122,12 @@ def run_experiment(
         else:
             pending.append(i)
 
-    host_counts: dict = {}
     retries = 0
     if pending:
         borrowed = isinstance(backend, Backend)
         resolved = create_backend(backend, jobs=jobs)
         try:
-            retries = _execute_pending(
-                resolved, exp, grid, pending, results, cache, host_counts, max_retries
-            )
+            retries = _execute_pending(resolved, exp, grid, pending, results, cache)
         finally:
             if not borrowed:
                 resolved.shutdown()
@@ -156,7 +143,6 @@ def run_experiment(
         jobs=jobs,
         elapsed=time.perf_counter() - start,
         backend=backend_label,
-        host_counts=host_counts,
         retries=retries,
     )
 
@@ -168,8 +154,6 @@ def _execute_pending(
     pending: list,
     results: list,
     cache: Optional[ResultCache],
-    host_counts: dict,
-    max_retries: int,
 ) -> int:
     """Fan ``pending`` grid indices out over ``backend`` with retry.
 
@@ -178,7 +162,7 @@ def _execute_pending(
     number of worker-loss resubmissions.
     """
     def submit(i: int):
-        return backend.submit(PointTask(exp.name, grid[i], exp.point))
+        return backend.submit(PointTask(grid[i], exp.point))
 
     backend.prepare(len(pending))
     in_flight: dict = {}
@@ -201,11 +185,10 @@ def _execute_pending(
         except WorkerLostError as loss:
             if failure is not None:
                 return  # already aborting; don't resubmit
-            if attempts[i] > max_retries:
+            if attempts[i] > MAX_RETRIES:
                 error = SweepError(
-                    f"grid point {i} of {exp.name!r} failed "
-                    f"{attempts[i]} times (last host: {loss.host}); "
-                    f"giving up after max_retries={max_retries}"
+                    f"grid point {i} of {exp.name!r} failed {attempts[i]} times "
+                    f"({loss}); giving up after {MAX_RETRIES} retries"
                 )
                 error.__cause__ = loss
                 failure = error
@@ -219,10 +202,9 @@ def _execute_pending(
                 failure = exc
             return
         results[i] = outcome.value
-        host_counts[outcome.host] = host_counts.get(outcome.host, 0) + 1
         if cache is not None:
             cache.put(exp.name, grid[i], outcome.value)
-            cache.record(exp.name, grid[i], host=outcome.host, elapsed=outcome.elapsed)
+            cache.record(exp.name, grid[i], host=JOURNAL_HOST, elapsed=outcome.elapsed)
 
     try:
         for i in pending:
@@ -230,8 +212,8 @@ def _execute_pending(
                 break  # fail fast: don't schedule points past a fatal error
             future = submit(i)
             if future.done():
-                # synchronous backends (inline local, in-process) resolve at
-                # submit time; handling them here preserves serial fail-fast
+                # the inline path resolves at submit time; handling it here
+                # preserves serial fail-fast
                 complete(future, i)
             else:
                 track(future, i)

@@ -19,13 +19,20 @@ from typing import Iterator, Optional
 from repro.network.message import NodeId
 
 __all__ = ["ClusterSpec", "LinkSpec", "Topology", "MYRINET_LIKE", "ETHERNET_LIKE",
-           "check_node_count"]
+           "check_mtbf", "check_node_count"]
 
 
 def check_node_count(what: str, nodes: int) -> None:
     """Refuse a cluster of fewer than one node."""
     if nodes < 1:
         raise ValueError(f"{what} must have >= 1 node: {nodes}")
+
+
+def check_mtbf(mtbf: Optional[float]) -> None:
+    """Refuse a mean time between failures that is not positive (``None``
+    and ``inf`` both mean no failures)."""
+    if mtbf is not None and not mtbf > 0:  # NaN too
+        raise ValueError(f"mtbf must be positive (or None): {mtbf}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,7 @@ class Topology:
                 raise ValueError(f"inter-cluster link {pair} references unknown cluster")
             normalized[(min(i, j), max(i, j))] = link
         self.inter_links = normalized
-        if self.mtbf is not None and not self.mtbf > 0:  # NaN too; inf = no failures
-            raise ValueError(f"mtbf must be positive (or None): {self.mtbf}")
+        check_mtbf(self.mtbf)
 
     # ------------------------------------------------------------------
     @property

@@ -35,16 +35,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import AsyncIterator, Optional
 
+from repro.config.keys import refuse_unknown_keys
 from repro.experiments import registry
-from repro.experiments.backends import create_backend
-from repro.experiments.backends.base import Backend, PointTask
-from repro.experiments.cache import ResultCache
+from repro.experiments.backends import Backend, LocalProcessBackend, PointTask
+from repro.experiments.cache import JOURNAL_HOST, ResultCache
 from repro.experiments.runner import run_experiment
 from repro.serve.hot_tier import HotTier
 from repro.serve.httpd import HttpServer, Request, Response, json_response
@@ -54,6 +53,8 @@ __all__ = ["ServeApp", "ServerHandle", "start_in_thread"]
 
 #: query keys with route-level meaning; everything else is a grid override
 _RESERVED_QUERY = {"scale", "index"}
+#: the fields a ``POST /sweeps`` spec may carry
+_SWEEP_FIELDS = ("experiment", "scale", "overrides", "jobs")
 
 
 class _SweepCancelled(RuntimeError):
@@ -94,7 +95,6 @@ class _InstrumentedBackend(Backend):
                 {
                     "event": "point",
                     "done": done,
-                    "host": outcome.host,
                     "elapsed": round(outcome.elapsed, 6),
                 }
             )
@@ -132,7 +132,6 @@ class ServeApp:
         self.max_sweeps = max(1, int(max_sweeps))
         self.request_timeout = request_timeout
         self.started_at = time.time()
-        self.host_label = socket.gethostname() or "serve"
         self._inflight = 0  # computes admitted (running or queued)
         #: the hot tier's token: (code hash, points this app computed)
         self._generation = (self.cache.code_hash, 0)
@@ -214,14 +213,13 @@ class ServeApp:
             error = f"query key given more than once: {', '.join(request.repeated)}"
             return None, None, json_response({"error": error}, status=400)
         try:
-            overrides = registry.resolve_overrides(
+            _, grid = _build_grid(
                 exp,
                 request.query.get("scale", "tiny"),
-                sets=registry.coerce_sets(
+                registry.coerce_sets(
                     {k: raw for k, raw in request.query.items() if k not in _RESERVED_QUERY}
                 ),
             )
-            grid = exp.build_grid(overrides)
         except ValueError as exc:
             return None, None, json_response({"error": str(exc)}, status=400)
         return exp, grid, None
@@ -312,7 +310,7 @@ class ServeApp:
             value = exp.point(params)
             elapsed = time.perf_counter() - start
         self.cache.put(exp.name, params, value)
-        self.cache.record(exp.name, params, host=self.host_label, elapsed=elapsed)
+        self.cache.record(exp.name, params, host=JOURNAL_HOST, elapsed=elapsed)
         return value
 
     @staticmethod
@@ -353,6 +351,10 @@ class ServeApp:
                 status=400,
             )
         try:
+            refuse_unknown_keys("sweep spec", spec, _SWEEP_FIELDS)
+        except ValueError as exc:
+            return json_response({"error": str(exc)}, status=400)
+        try:
             exp = registry.get(spec["experiment"])
         except KeyError as exc:
             return json_response({"error": str(exc)}, status=404)
@@ -360,9 +362,9 @@ class ServeApp:
         if not isinstance(extra, dict):
             return json_response({"error": '"overrides" must be an object'}, status=400)
         try:
-            overrides = registry.resolve_overrides(
-                exp, spec.get("scale", "tiny"), sets=extra
-            )
+            # the grid is built before the stream starts, so a refused value
+            # is the 400 that GET .../grid answers for it, not an error event
+            overrides, _ = _build_grid(exp, spec.get("scale", "tiny"), extra)
         except ValueError as exc:
             return json_response({"error": str(exc)}, status=400)
         jobs = spec.get("jobs", 1)
@@ -370,20 +372,12 @@ class ServeApp:
             return json_response(
                 {"error": f'"jobs" must be an integer >= 1, got {jobs!r}'}, status=400
             )
-        backend_name = spec.get("backend", "inprocess")
-        if backend_name not in ("inprocess", "local"):
-            return json_response(
-                {"error": f"serve sweeps support inprocess/local backends, not {backend_name!r}"},
-                status=400,
-            )
         if self._active_sweeps >= self.max_sweeps:
             return self._reject_429("sweep queue saturated")
-        stream = self._sweep_stream(exp, overrides, jobs, backend_name)
+        stream = self._sweep_stream(exp, overrides, jobs)
         return Response(status=200, content_type="application/x-ndjson", stream=stream)
 
-    async def _sweep_stream(
-        self, exp, overrides: dict, jobs: int, backend_name: str
-    ) -> AsyncIterator[bytes]:
+    async def _sweep_stream(self, exp, overrides: dict, jobs: int) -> AsyncIterator[bytes]:
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
         cancelled = threading.Event()
@@ -395,9 +389,7 @@ class ServeApp:
         def run_sweep() -> None:
             backend = None
             try:
-                backend = _InstrumentedBackend(
-                    create_backend(backend_name, jobs=jobs), emit, cancelled
-                )
+                backend = _InstrumentedBackend(LocalProcessBackend(jobs), emit, cancelled)
                 report = run_experiment(
                     exp,
                     overrides=overrides,
@@ -470,6 +462,13 @@ class ServeApp:
             "requests": self.stats.snapshot(),
         }
         return json_response(payload)
+
+
+def _build_grid(exp, scale, sets: dict) -> tuple:
+    """``(overrides, grid)`` for a route's scale and typed overrides; a
+    :class:`ValueError` names what the registry or the grid refuses."""
+    overrides = registry.resolve_overrides(exp, scale, sets=sets)
+    return overrides, exp.build_grid(overrides)
 
 
 # ---------------------------------------------------------------- embedding

@@ -101,6 +101,9 @@ class HttpServer:
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self._server: Optional[asyncio.AbstractServer] = None
+        # the task serving each open connection: Server.close() leaves them
+        # running (and, since 3.12, wait_closed() waits for them)
+        self._connections: set = set()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -109,21 +112,32 @@ class HttpServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled (Ctrl-C under ``asyncio.run``), then :meth:`stop`.
+
+        Not ``Server.serve_forever()``: cancelled, it waits for every open
+        connection to close before anything here could close them."""
         if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+            await self.start()  # serving starts here
+        try:
+            await asyncio.get_running_loop().create_future()  # nobody resolves it
+        finally:
+            await self.stop()
 
     async def stop(self) -> None:
+        """Stop listening and close every connection, idle keep-alive ones too."""
         if self._server is not None:
             self._server.close()
+            for task in self._connections:
+                task.cancel()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 request = await self._read_request(reader)
@@ -141,7 +155,10 @@ class HttpServer:
                     break
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass  # client went away or overflowed the head limit: just drop
+        except asyncio.CancelledError:
+            pass  # stop() closes it; ending quietly spares 3.11 its "exception in callback"
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -1,9 +1,8 @@
 """Tests for the execution-backend layer of the sweep engine.
 
 Covers JSON round-trip of every registered experiment's grid points,
-worker-loss retry/reassignment (killing a fake worker mid-sweep, crashing
-a pool worker) and the local pool's chunked dispatch -- via the
-:class:`InProcessBackend` test double and the real process pool.
+the inline path, worker-loss retry (crashing a pool worker) and the local
+pool's chunked dispatch -- on the real process pool.
 """
 
 from __future__ import annotations
@@ -23,21 +22,19 @@ import pytest
 from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.backends import (
-    BackendUnavailableError,
-    InProcessBackend,
     LocalProcessBackend,
     PointTask,
     WorkerLostError,
     create_backend,
 )
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import JOURNAL_HOST, ResultCache
 from repro.experiments.registry import (
     SCALE_PROFILES,
     canonical_params,
     coerce_set_value,
     resolve_overrides,
 )
-from repro.experiments.runner import SweepError, run_experiment
+from repro.experiments.runner import MAX_RETRIES, SweepError, run_experiment
 
 from conftest import REPO_ROOT, entry_count
 
@@ -74,99 +71,17 @@ class TestGridPointsAreWireSafe:
 class TestCreateBackend:
     def test_names(self):
         assert create_backend(None).name == "local"
-        assert create_backend("local", jobs=2).name == "local"
-        assert create_backend("inprocess").name == "inprocess"
+        assert create_backend("local", jobs=2).jobs == 2
+        # the name the benchmark ladder passes: the inline path, whatever jobs says
+        assert create_backend("inprocess", jobs=4).jobs == 1
 
     def test_instance_passes_through(self):
-        backend = InProcessBackend()
+        backend = LocalProcessBackend()
         assert create_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("nomad")
-
-
-class TestInProcessBackend:
-    def test_matches_jobs1_and_accounts_per_host(self):
-        serial = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1)
-        backend = InProcessBackend(hosts=["w0", "w1"])
-        report = run_experiment("fig6-fig7", overrides=FIG67_TINY, backend=backend)
-        assert report.result.render() == serial.result.render()
-        assert report.backend == "inprocess"
-        assert report.host_counts == {"w0": 1, "w1": 1}
-        assert sum(report.host_counts.values()) == report.executed == 2
-
-    def test_worker_loss_mid_sweep_is_reassigned(self):
-        """Kill one fake worker mid-sweep: its point must finish elsewhere."""
-        serial = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=1)
-
-        def die_once(task, host, attempt):
-            return host == "w1" and attempt == 1
-
-        backend = InProcessBackend(hosts=["w0", "w1"], fault=die_once)
-        report = run_experiment("fig6-fig7", overrides=FIG67_TINY, backend=backend)
-        assert report.result.render() == serial.result.render()
-        assert report.retries == 1
-        assert report.host_counts == {"w0": 2}  # the dead host computed nothing
-        assert backend.hosts() == ["w0"]
-
-    def test_retry_budget_exhaustion_raises_sweep_error(self):
-        backend = InProcessBackend(
-            hosts=["w0", "w1", "w2", "w3", "w4", "w5"],
-            fault=lambda task, host, attempt: True,
-        )
-        with pytest.raises(SweepError, match="giving up"):
-            run_experiment(
-                "table1", overrides={**TINY, "seed": 1}, backend=backend, max_retries=2
-            )
-
-    def test_all_hosts_dead_aborts(self):
-        backend = InProcessBackend(
-            hosts=["w0"], fault=lambda task, host, attempt: True
-        )
-        with pytest.raises((BackendUnavailableError, SweepError)):
-            run_experiment("table1", overrides={**TINY, "seed": 1}, backend=backend)
-
-    def test_partial_failure_reruns_only_missing_points(self, tmp_path):
-        """Streaming cache writes: an aborted sweep resumes where it died."""
-        cache = ResultCache(tmp_path)
-        overrides = {"delays_min": [5, 15, 30], **TINY, "seed": 2}
-
-        state = {"done": 0}
-
-        def die_after_two(task, host, attempt):
-            if state["done"] >= 2:
-                return True
-            state["done"] += 1
-            return False
-
-        doomed = InProcessBackend(hosts=["w0"], fault=die_after_two)
-        with pytest.raises((SweepError, BackendUnavailableError)):
-            run_experiment(
-                "fig6-fig7", overrides=overrides, backend=doomed,
-                cache=cache, max_retries=0,
-            )
-        assert entry_count(cache) == 2  # the completed points were persisted
-
-        resumed = run_experiment(
-            "fig6-fig7", overrides=overrides, backend=InProcessBackend(), cache=cache
-        )
-        assert resumed.cache_hits == 2 and resumed.executed == 1
-        fresh = run_experiment("fig6-fig7", overrides=overrides, jobs=1)
-        assert resumed.result.render() == fresh.result.render()
-
-    def test_journal_records_provenance(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_experiment(
-            "fig6-fig7",
-            overrides=FIG67_TINY,
-            backend=InProcessBackend(hosts=["w0", "w1"]),
-            cache=cache,
-        )
-        entries = cache.journal_entries()
-        assert len(entries) == 2
-        assert {e["host"] for e in entries} == {"w0", "w1"}
-        assert all(e["experiment"] == "fig6-fig7" for e in entries)
 
 
 class TestLocalProcessBackend:
@@ -175,21 +90,51 @@ class TestLocalProcessBackend:
         pooled = run_experiment("fig6-fig7", overrides=FIG67_TINY, jobs=2)
         assert pooled.result.render() == inline.result.render()
         assert pooled.backend == "local"
-        assert pooled.host_counts == {"local": 2}
+
+    def test_partial_failure_reruns_only_missing_points(self, tmp_path):
+        """Streaming cache writes: an aborted sweep resumes where it died."""
+        cache = ResultCache(tmp_path)
+        overrides = {"delays_min": [5, 15, 30], **TINY, "seed": 2}
+        fig67 = registry.get("fig6-fig7")
+
+        def fail_at_30(params):
+            if params["delay_min"] == 30:
+                raise RuntimeError("point failed at delay_min=30")
+            return fig67.point(params)
+
+        doomed = dataclasses.replace(fig67, point=fail_at_30)
+        with pytest.raises(RuntimeError, match="delay_min=30"):
+            run_experiment(doomed, overrides=overrides, backend="inprocess", cache=cache)
+        assert entry_count(cache) == 2  # the completed points were persisted
+
+        resumed = run_experiment(fig67, overrides=overrides, backend="inprocess", cache=cache)
+        assert resumed.cache_hits == 2 and resumed.executed == 1
+        fresh = run_experiment(fig67, overrides=overrides, jobs=1)
+        assert resumed.result.render() == fresh.result.render()
+
+    def test_journal_records_provenance(self, tmp_path):
+        """Inline and pooled points alike carry the machine they ran on;
+        ``inprocess`` is the inline path under the name the benchmark
+        ladder passes."""
+        for jobs, backend in ((1, "inprocess"), (2, "local")):
+            cache = ResultCache(tmp_path / backend)
+            run_experiment(
+                "fig6-fig7", overrides=FIG67_TINY, jobs=jobs, backend=backend, cache=cache
+            )
+            entries = cache.journal_entries()
+            assert len(entries) == 2
+            assert all(e["host"] == JOURNAL_HOST for e in entries)
+            assert all(e["experiment"] == "fig6-fig7" for e in entries)
 
     def test_crashed_pool_worker_surfaces_as_worker_loss(self, tmp_path):
         backend = LocalProcessBackend(jobs=2)
         try:
-            task = PointTask(
-                experiment="crash", params={"marker": str(tmp_path / "s")}, fn=_die_hard
-            )
-            with pytest.raises(WorkerLostError, match="local"):
+            task = PointTask(params={"marker": str(tmp_path / "s")}, fn=_die_hard)
+            with pytest.raises(WorkerLostError, match="process pool worker died"):
                 backend.submit(task).result()
             # the backend replaces the broken pool, so new work still runs
-            ok = backend.submit(
-                PointTask(experiment="ok", params={"x": 1}, fn=canonical_params)
-            ).result()
-            assert ok.value == {"x": 1} and ok.host == "local"
+            ok = backend.submit(PointTask(params={"x": 1}, fn=canonical_params)).result()
+            assert ok.value == {"x": 1}
         finally:
             backend.shutdown()
 
@@ -211,13 +156,23 @@ class TestLocalProcessBackend:
         assert report.result == [{"survived": True}, {"survived": True}]
         assert report.retries >= 1
 
+    def test_retry_budget_exhaustion_raises_sweep_error(self):
+        """A point that kills its worker on every attempt ends the sweep once
+        its retries are spent, instead of respawning pools forever."""
+        doomed = dataclasses.replace(
+            registry.get("table1"),
+            grid=lambda: [{"i": 0}, {"i": 1}],  # two points: the pool engages
+            point=_die_hard,
+            reduce=lambda grid, points: points,
+        )
+        with pytest.raises(SweepError, match=f"giving up after {MAX_RETRIES} retries"):
+            run_experiment(doomed, jobs=2)
+
     def test_single_pending_point_runs_inline_even_with_jobs(self):
         """Historical behaviour: no pool spawn for one cache-missing point."""
         backend = LocalProcessBackend(jobs=8)
         backend.prepare(1)
-        outcome = backend.submit(
-            PointTask(experiment="t", params={"x": 1}, fn=canonical_params)
-        ).result()
+        outcome = backend.submit(PointTask(params={"x": 1}, fn=canonical_params)).result()
         assert outcome.value == {"x": 1}
         assert backend._pool is None  # never paid for worker processes
         backend.shutdown()
@@ -226,10 +181,7 @@ class TestLocalProcessBackend:
         backend = LocalProcessBackend(jobs=8)
         backend.prepare(2)
         try:
-            tasks = [
-                PointTask(experiment="t", params={"x": i}, fn=canonical_params)
-                for i in range(2)
-            ]
+            tasks = [PointTask(params={"x": i}, fn=canonical_params) for i in range(2)]
             futures = [backend.submit(task) for task in tasks]
             assert [f.result().value for f in futures] == [{"x": 0}, {"x": 1}]
             # the CPUs this process may run on, as the backend counts them
@@ -259,7 +211,7 @@ class TestLocalProcessBackend:
             backend = LocalProcessBackend(jobs=8)
             backend.prepare(8)
             try:
-                tasks = [PointTask("t", {"x": i}, canonical_params) for i in range(3)]
+                tasks = [PointTask({"x": i}, canonical_params) for i in range(3)]
                 futures = [backend.submit(task) for task in tasks]
                 assert [f.result().value["x"] for f in futures] == [0, 1, 2]
                 print(backend._pool._max_workers)
@@ -293,9 +245,8 @@ class TestLocalProcessBackend:
             point=record,
             reduce=lambda grid, points: points,
         )
-        backend = InProcessBackend()
         with pytest.raises(RuntimeError, match="deterministic point failure"):
-            run_experiment(exploding, backend=backend)
+            run_experiment(exploding)
         assert ran == [0, 1]  # points 2..9 never executed
 
 
@@ -339,7 +290,6 @@ class TestChunkedDispatch:
         finally:
             sys.setswitchinterval(interval)
         assert report.result == [{"i": i} for i in range(self.N)]  # grid order
-        assert report.host_counts == {"local": self.N}
         assert (report.executed, report.retries) == (self.N, 0)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(self.N))
         assert chunks[0] == [0]  # nothing is measured yet: one point per trip
@@ -381,10 +331,10 @@ class TestChunkedDispatch:
         backend = LocalProcessBackend(jobs=2)
         backend.prepare(50)
         try:
-            first = backend.submit(PointTask("t", {"i": 0}, canonical_params))
+            first = backend.submit(PointTask({"i": 0}, canonical_params))
             assert first.result(timeout=60).value == {"i": 0}  # dispatched at submit
             futures = [
-                backend.submit(PointTask("t", {"i": i}, _slow)) for i in range(1, 50)
+                backend.submit(PointTask({"i": i}, _slow)) for i in range(1, 50)
             ]
         finally:
             backend.shutdown()
@@ -407,17 +357,6 @@ class TestSweepCliBackendFlags:
     def test_the_retired_cache_verb_is_an_unknown_command(self, capsys):
         assert main(["cache", "export", "x"]) == 2
         assert "unknown command 'cache'" in capsys.readouterr().err
-
-    def test_summary_reports_hosts(self, capsys):
-        # the fields surface through SweepReport.summary() -> CLI output
-        report = run_experiment(
-            "fig6-fig7",
-            overrides=FIG67_TINY,
-            backend=InProcessBackend(hosts=["a", "b"]),
-        )
-        text = report.summary()
-        assert "backend=inprocess" in text
-        assert "[hosts: a=1 b=1]" in text
 
 
 class TestSetOverrides:
@@ -523,12 +462,12 @@ def _die_once_at_150(params):
 
 
 def _slow(params):
-    time.sleep(0.03)  # longer than local.CHUNK_TARGET_S
+    time.sleep(0.03)  # longer than backends.CHUNK_TARGET_S
     return params
 
 
 def _die_hard(params):
-    """Kill the worker process outright: simulates a crashed host."""
+    """Kill the worker process outright: simulates a crashed worker."""
     import os
 
     os._exit(1)

@@ -1,16 +1,17 @@
-"""Cross-backend equivalence: every experiment, every backend, one answer.
+"""Cross-backend equivalence: every experiment, every way to run it, one answer.
 
 The engine's load-bearing invariant is that a grid point's params dict
 (seed included) fully determines its simulation, so *where* it runs can
 never change the result.  This suite enforces that end to end: all
-registered experiments over the ``inprocess`` test double and a
-``--jobs 2`` process pool must produce sweep results byte-identical to a
-``--jobs 1`` serial run -- every column, ``scaling``'s included.
+registered experiments under the ``inprocess`` backend name (the inline
+path the benchmark ladder asks for) and over a ``--jobs 2`` process pool
+must produce sweep results byte-identical to a ``--jobs 1`` serial run --
+every column, ``scaling``'s included.
 
 The serial baselines are computed once per experiment (module-scoped
-fixture).  The in-process matrix is cheap and runs in the fast lane; the
-pool lane over all experiments is ``slow``-marked, with a small unmarked
-smoke subset so the fast lane still crosses the pool.
+fixture).  The ``inprocess`` matrix is cheap and runs in the fast lane;
+the pool lane over all experiments is ``slow``-marked, with a small
+unmarked smoke subset so the fast lane still crosses the pool.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.backends import InProcessBackend
 from repro.experiments.golden import golden_overrides
 from repro.experiments.runner import run_experiment
 
@@ -49,11 +49,7 @@ def run_on_backend(name: str, backend_kind: str):
     overrides = golden_overrides(experiment)
     if backend_kind == "local":
         return run_experiment(experiment, overrides=overrides, jobs=2)
-    backend = InProcessBackend(hosts=["w0", "w1", "w2"])
-    try:
-        return run_experiment(experiment, overrides=overrides, backend=backend)
-    finally:
-        backend.shutdown()
+    return run_experiment(experiment, overrides=overrides, backend=backend_kind)
 
 
 def assert_equivalent(report, serial, name: str, backend_kind: str) -> None:

@@ -40,17 +40,34 @@ def test_every_experiment_returns_every_point_on_a_short_run(total_time):
 #: grid keys that set how many nodes a cluster (or pipeline stage) has
 NODE_COUNT_KEYS = ("nodes", "nodes_per_stage", "nodes_per_cluster")
 
+#: list-valued grid keys, each with an element just outside its domain
+#: (``None``: the key has no bound to cross)
+LIST_KEYS = {
+    "mtbfs": 0,
+    "message_counts": -5,
+    "timers_min": 0,
+    "delays_min": 0,
+    "periods_h": 0,
+    "seeds": None,
+    "failure_times": None,
+}
+
 
 def _edge_draws():
     """``(experiment, key, value)``: each node-count key the grid takes at 1
     and 2, and ``total_time`` at 1 s and 60 s, one key at a time over tiny;
     and just outside the domain: node counts at 0, ``total_time`` at 0 and
-    -1, ``gc_period`` at 0."""
+    -1, ``gc_period`` at 0, ``inter_messages`` at -5, a list holding one element outside its key's
+    domain, and an empty list."""
     for experiment in registry.all_experiments():
         taken = experiment.grid_parameters()
         draws = [(key, n) for key in NODE_COUNT_KEYS if key in taken for n in (0, 1, 2)]
         draws += [("total_time", t) for t in (0, -1, 1.0, 60.0) if "total_time" in taken]
         draws += [("gc_period", 0)] if "gc_period" in taken else []
+        draws += [("inter_messages", -5)] if "inter_messages" in taken else []
+        lists = [key for key in LIST_KEYS if key in taken]
+        draws += [(key, [LIST_KEYS[key]]) for key in lists if LIST_KEYS[key] is not None]
+        draws += [(key, []) for key in lists]
         for key, value in draws:
             yield pytest.param(
                 experiment.name, key, value, id=f"{experiment.name}-{key}={value}"
@@ -64,7 +81,9 @@ def test_an_edge_value_renders_or_is_refused_naming_its_key(name, key, value):
     names the key -- never a traceback from inside a point or the reducer
     (``baselines`` at ``nodes=1`` once raised ``IndexError`` for its victim
     node 1, ``overhead`` at ``total_time=1.0`` ``ZeroDivisionError``, and
-    ``table2`` at ``gc_period=0`` built its grid, then failed in the point)."""
+    ``table2`` at ``gc_period=0`` built its grid, then failed in the point;
+    ``mtbf`` at ``mtbfs=[0]`` likewise, and ``delays_min=[]`` silently ran
+    the default axis)."""
     experiment = registry.get(name)
     overrides = resolve_overrides(experiment, "tiny", sets={key: value})
     try:
@@ -72,6 +91,7 @@ def test_an_edge_value_renders_or_is_refused_naming_its_key(name, key, value):
     except ValueError as exc:
         assert f"{key}={value!r}" in str(exc)
         return
+    assert value != [], "an empty list ran the default in its place"
     assert run_experiment(experiment, overrides=overrides).result.render()
 
 

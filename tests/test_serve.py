@@ -11,10 +11,16 @@ serialize concurrent appenders on a single flock.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import http.client
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from urllib.parse import quote
@@ -23,11 +29,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments import registry
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import JOURNAL_HOST, ResultCache
 from repro.experiments.registry import Experiment
 from repro.serve import HotTier, ServeApp, start_in_thread
 from repro.serve.stats import LatencyRing, ServeStats
-from tests.conftest import entry_count
+from tests.conftest import REPO_ROOT, entry_count
 
 try:
     import fcntl
@@ -159,6 +165,27 @@ def sleepy_experiment():
     )
     registry.register(exp)
     _EXECUTED.clear()
+    yield exp
+    registry._REGISTRY.pop(exp.name, None)
+
+
+def _pid_point(params: dict) -> dict:
+    return {"pid": os.getpid()}
+
+
+@pytest.fixture()
+def pid_experiment():
+    """A registered experiment whose points report the process that ran them."""
+    registry.load_all()
+    exp = Experiment(
+        name="serve-test-pid",
+        title="which process ran each point",
+        grid=lambda n_points=4: [{"i": i} for i in range(n_points)],
+        point=_pid_point,
+        reduce=lambda grid, points: points,
+        scaled=False,
+    )
+    registry.register(exp)
     yield exp
     registry._REGISTRY.pop(exp.name, None)
 
@@ -346,7 +373,7 @@ class TestTieredPointFetch:
         key = json.loads(body)["key"]
         assert headers["X-Repro-Key"] == key
         entry = app.cache.journal_by_key()[key]
-        assert entry["host"] == app.host_label
+        assert entry["host"] == JOURNAL_HOST
 
     def test_healthz_answers_while_a_point_computes(
         self, server, app, sleepy_experiment
@@ -405,6 +432,28 @@ class TestConnectionDefault:
             for _ in range(2):  # the second request rides the same connection
                 response = self._exchange(sock, "HTTP/1.1")
                 assert response.getheader("Connection") == "keep-alive"
+
+    def test_stop_closes_an_idle_keep_alive_connection(self, app):
+        """``Server.wait_closed()`` waits for open connections since 3.12
+        (``stop()`` timed out after 10 s); on 3.11 the connection's task was
+        left pending on a closed loop."""
+        handle = start_in_thread(app)
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+        try:
+            conn.request("GET", "/experiments")
+            assert conn.getresponse().read()  # the connection stays open, idle
+
+            async def tasks() -> set:
+                return asyncio.all_tasks() - {asyncio.current_task()}
+
+            serving = asyncio.run_coroutine_threadsafe(tasks(), handle._loop).result(5)
+            assert serving  # the idle connection's task, waiting for a request
+            start = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - start < 1.0
+            assert all(task.done() for task in serving)
+        finally:
+            conn.close()
 
 
 # ------------------------------------------------------- request-reader fuzz
@@ -635,6 +684,52 @@ class TestSweepStreaming:
         status, _, body = http_post(server, "/sweeps", {"experiment": "nope"})
         assert status == 404
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_jobs_decides_where_the_points_run(self, server, app, pid_experiment, jobs):
+        """Inline in the server process at 1, in pool workers above 1 (the
+        spec's ``jobs`` was once dropped on the way to the backend)."""
+        spec = {"experiment": "serve-test-pid", "jobs": jobs}
+        status, _, body = http_post(server, "/sweeps", spec)
+        assert status == 200
+        events = [json.loads(line) for line in body.decode().splitlines()]
+        assert events[-1]["event"] == "done" and events[-1]["executed"] == 4
+        assert all("host" not in e for e in events if e["event"] == "point")
+        pids = {app.cache.get("serve-test-pid", {"i": i})["pid"] for i in range(4)}
+        if jobs == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("field", ["backend", "host", "jbos"])
+    def test_an_unknown_spec_field_is_400_naming_it(self, server, app, field):
+        spec = {"experiment": "table1", "scale": "tiny", field: "local"}
+        status, _, body = http_post(server, "/sweeps", spec)
+        assert status == 400
+        assert f"unknown key {field!r}" in json.loads(body)["error"]
+        assert entry_count(app.cache) == 0
+
+    @pytest.mark.parametrize("scale", [[], {}, 1, "huge"])
+    def test_a_scale_that_names_no_profile_is_400(self, server, scale):
+        """A list once reached ``scale in SCALE_PROFILES`` and answered 500."""
+        spec = {"experiment": "table1", "scale": scale}
+        status, _, body = http_post(server, "/sweeps", spec)
+        assert status == 400
+        assert json.loads(body)["error"].startswith("unknown scale")
+
+    def test_a_value_the_grid_refuses_is_400_before_the_stream(self, server, app):
+        """As ``GET .../grid`` answers for the same value, not a 200 whose
+        stream ends in an error event."""
+        spec = {"experiment": "table2", "scale": "tiny", "overrides": {"gc_period": 0}}
+        status, headers, body = http_post(server, "/sweeps", spec)
+        assert status == 400 and headers["Content-Type"] == "application/json"
+        error = json.loads(body)["error"]
+        assert error.startswith("experiment 'table2': refuses gc_period=0")
+        grid_status, _, grid_body = http_get(
+            server, "/experiments/table2/grid?scale=tiny&gc_period=0"
+        )
+        assert (grid_status, json.loads(grid_body)["error"]) == (400, error)
+        assert app._active_sweeps == 0
+
     def test_invalid_sweep_spec_is_400(self, server):
         status, _, _ = http_post(server, "/sweeps", {"no": "experiment"})
         assert status == 400
@@ -773,6 +868,29 @@ class TestJournalShardConcurrency:
 
 
 class TestServeCli:
+    def test_ctrl_c_with_an_idle_keep_alive_client_exits_at_once(self, tmp_path):
+        """Cancelled, ``Server.serve_forever()`` waits for every open
+        connection: from 3.12 ``repro serve`` did not exit while a client
+        held one, and 3.11 logged a traceback for the cancelled handler."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()  # and the connection stays open
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=5)
+            conn.close()
+        finally:
+            proc.kill()
+        assert proc.returncode == 0 and "shutting down" in out
+        assert "Traceback" not in err, err
+
     def test_parser_defaults(self):
         from repro.cli import parser
 

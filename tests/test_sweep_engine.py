@@ -557,12 +557,14 @@ class TestRunner:
         other = run_experiment("table1", overrides={**TINY, "seed": 2}, cache=cache)
         assert other.executed == 1 and other.cache_hits == 0
 
-    def test_empty_sequences_fall_back_to_default_grids(self):
-        # pre-engine semantics: `delays_min or DEFAULT` treated [] like None
-        assert len(registry.get("fig6-fig7").build_grid({"delays_min": []})) == 9
-        assert len(registry.get("fig8").build_grid({"delays_min": []})) == 7
-        assert len(registry.get("fig9").build_grid({"message_counts": []})) == 6
-        assert len(registry.get("robustness").build_grid({"seeds": []})) == 10
+    def test_empty_sequences_are_refused_naming_their_key(self):
+        """``delays_min or DEFAULT`` once read ``[]`` as "the default axis":
+        a run the caller did not ask for, reported as if they had."""
+        for name, key in [("fig6-fig7", "delays_min"), ("fig8", "delays_min"),
+                          ("fig9", "message_counts"), ("robustness", "seeds")]:
+            with pytest.raises(ValueError, match=rf"refuses {key}=\[\]: "):
+                registry.get(name).build_grid({key: []})
+            assert registry.get(name).build_grid({key: None})  # the default axis
 
     def test_empty_grid_is_an_error(self):
         empty = dataclasses.replace(
@@ -596,7 +598,7 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "[sweep] table1: 1 points" in out
-        assert "jobs=2, backend=local)" in out and "[hosts: local=1]" in out
+        assert "jobs=2, backend=local) in " in out and "[hosts:" not in out
 
     def test_sweep_json_output(self, tmp_path, capsys):
         rc = main(
@@ -608,7 +610,7 @@ class TestSweepCli:
         assert payload["series"]["c0 total"]
         assert payload["points"] == len(payload["xs"])
         assert payload["backend"] == "local" and payload["retries"] == 0
-        assert payload["host_counts"] == {"local": payload["points"]}
+        assert not [key for key in payload if "host" in key]
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
