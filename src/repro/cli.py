@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,6 +93,17 @@ def _positive_float(raw: str) -> float:
     return value
 
 
+def _sim_time(raw: str) -> float:
+    """An argparse type for a simulated time: finite and not negative."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < math.inf:  # NaN too
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw!r}")
+    return value
+
+
 def _add_cache_dir(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
         "--cache-dir",
@@ -123,7 +135,7 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=None, help="root random seed")
     parser.add_argument(
-        "--until", type=float, default=None, help="stop at this simulated time (s)"
+        "--until", type=_sim_time, default=None, help="stop at this simulated time (s)"
     )
     parser.add_argument(
         "--trace",
@@ -426,12 +438,6 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
         help="queued computes beyond --max-inflight before 429s (default: %(default)s)",
     )
     parser.add_argument(
-        "--max-sweeps",
-        type=_int_at_least(1),
-        default=2,
-        help="concurrent streamed sweeps before 429s (default: %(default)s)",
-    )
-    parser.add_argument(
         "--timeout",
         type=_positive_float,
         default=300.0,
@@ -457,7 +463,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         hot_mb=args.hot_mb,
         max_inflight=args.max_inflight,
         queue_size=args.queue_size,
-        max_sweeps=args.max_sweeps,
         request_timeout=args.timeout,
     )
     server = HttpServer(app.handle, host=args.host, port=args.port)
@@ -502,8 +507,8 @@ VERBS: Dict[
     ),
     "serve": (
         "Serve sweep results over HTTP: registry enumeration, memoized "
-        "grid-point fetches (hot tier over the result cache), streamed "
-        "sweep launches, and /stats observability.  See docs/serve.md.",
+        "grid-point fetches (hot tier over the result cache), and /stats "
+        "observability.  See docs/serve.md.",
         _serve_args,
         _run_serve,
     ),

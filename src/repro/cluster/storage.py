@@ -23,14 +23,19 @@ from typing import Iterable
 __all__ = ["StableStorage"]
 
 
+def check_replication_degree(degree: int) -> None:
+    """Refuse a replication degree below zero."""
+    if not degree >= 0:  # NaN too
+        raise ValueError(f"replication_degree must be >= 0: {degree}")
+
+
 class StableStorage:
     """Replication placement for one cluster's checkpoint data."""
 
     def __init__(self, cluster: int, n_nodes: int, replication_degree: int = 1):
         if n_nodes < 1:
             raise ValueError("cluster must have at least one node")
-        if replication_degree < 0:
-            raise ValueError("replication_degree must be >= 0")
+        check_replication_degree(replication_degree)
         self.cluster = cluster
         self.n_nodes = n_nodes
         #: effective degree is bounded by the number of *other* nodes

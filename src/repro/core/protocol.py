@@ -186,14 +186,15 @@ def register_protocol(name: str):
     return deco
 
 
+def check_protocol_name(name: str) -> None:
+    """Refuse a name no protocol family is registered under."""
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown protocol {name!r}; available: {sorted(_REGISTRY)}")
+
+
 def make_protocol(name: str, federation: "Federation", options: Optional[dict] = None) -> BaseProtocol:
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return cls(federation, options)
+    check_protocol_name(name)
+    return _REGISTRY[name](federation, options)
 
 
 def protocol_names() -> list:

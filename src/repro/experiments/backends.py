@@ -3,8 +3,8 @@
 A grid point is location-independent -- its params dict (seed included)
 fully determines the simulation -- so a :class:`PointTask` runs in this
 process or in a pool worker with the same result.  :class:`Backend` is
-the narrow protocol the runner drives and wrappers (``repro serve``'s
-progress stream, ``bench/``'s spans) put themselves around:
+the narrow protocol the runner drives and a wrapper (``bench/``'s spans)
+puts itself around:
 
 * ``submit(task) -> concurrent.futures.Future[PointOutcome]`` -- schedule
   one task; the future resolves to the point's value plus the

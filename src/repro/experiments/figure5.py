@@ -113,7 +113,6 @@ def figure5_scenario(
     outcome = Figure5Outcome(federation=fed)
 
     # Phase 1: run just past m5 and snapshot the pre-fault state.
-    # (fed.run, not fed.sim.run, so sweep checkpointing can slice it.)
     fed.run(until=75.0)
     for cs in fed.protocol.cluster_states:
         outcome.pre_fault_sns.append(cs.sn)

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.app.workloads import check_message_count
+from repro.cluster.storage import check_replication_degree
 from repro.config.application import check_total_time
 from repro.config.timers import normalize_period
+from repro.core.protocol import check_protocol_name
 from repro.network.topology import check_mtbf, check_node_count
 
 __all__ = [
@@ -156,13 +158,36 @@ def _builds_without(grid: Callable[..., list], kwargs: dict, key: str) -> bool:
 
 def _each(check: Callable) -> Callable:
     """``check`` over every element of a list-valued (axis) grid key; a
-    value that is no list is the grid function's to refuse."""
+    value that is no list is the grid function's to refuse, but for a
+    string, which the grid would iterate character by character."""
 
     def check_each(values) -> None:
+        if isinstance(values, str):
+            raise ValueError("an axis takes a list, not a string")
         for value in values if isinstance(values, (list, tuple)) else ():
             check(value)
 
     return check_each
+
+
+def _check_delay(delay) -> None:
+    """A CLC delay on a plot's x axis: a period, and a finite one."""
+    if normalize_period(delay, name="a CLC delay") is None:
+        raise ValueError(f"a CLC delay on an axis must be finite: {delay!r}")
+
+
+def _check_failure_time(at: float) -> None:
+    """Refuse a crash time that is negative or not finite."""
+    if not 0 <= at < math.inf:  # NaN too
+        raise ValueError(f"a failure time must be finite and >= 0: {at}")
+
+
+def _check_shape(shape) -> None:
+    """A ``scaling`` shape: ``[clusters, nodes per cluster]``."""
+    clusters, nodes = shape
+    if not clusters >= 1:
+        raise ValueError(f"a federation must have >= 1 cluster: {clusters}")
+    check_node_count("a cluster", nodes)
 
 
 #: grid keys whose values the configuration layer checks, each with the
@@ -177,9 +202,13 @@ _CONFIG_CHECKS: dict[str, Callable] = {
     # axes: a period of 0 or an MTBF of 0 is refused element by element
     "mtbfs": _each(check_mtbf),
     "message_counts": _each(check_message_count),
-    "delays_min": _each(functools.partial(normalize_period, name="a CLC delay")),
+    "delays_min": _each(_check_delay),
     "timers_min": _each(functools.partial(normalize_period, name="a CLC timer")),
     "periods_h": _each(functools.partial(normalize_period, name="gc_period")),
+    "failure_times": _each(_check_failure_time),
+    "degrees": _each(check_replication_degree),
+    "shapes": _each(_check_shape),
+    "protocols": _each(check_protocol_name),
 }
 
 

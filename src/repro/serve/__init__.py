@@ -1,11 +1,11 @@
-"""Serve sweep results as a high-QPS async HTTP service.
+"""Serve cached grid points as a high-QPS async HTTP service.
 
 ``repro serve`` exposes the experiment registry and the
 content-addressed result cache over a small stdlib-asyncio HTTP API:
 enumeration (``GET /experiments``), memoized grid-point fetches
-(``GET /experiments/<name>/points``), streamed sweep launches
-(``POST /sweeps``), and observability (``GET /stats``).  See
-``docs/serve.md`` for the API reference and backpressure semantics.
+(``GET /experiments/<name>/points``), and observability
+(``GET /stats``).  See ``docs/serve.md`` for the API reference and
+backpressure semantics.
 """
 
 from repro.serve.app import ServeApp, ServerHandle, start_in_thread

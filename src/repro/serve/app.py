@@ -1,4 +1,4 @@
-"""The repro serving application: sweep results as a high-QPS service.
+"""The repro serving application: cached grid points as a high-QPS service.
 
 Three tiers answer a grid-point fetch, fastest first:
 
@@ -27,8 +27,11 @@ Admission control is deliberately blunt: at most ``max_inflight``
 concurrent computes, at most ``queue_size`` more waiting, everything
 beyond that is an immediate ``429`` with ``Retry-After`` -- a saturated
 lab server should shed load in microseconds, not accumulate a silent
-backlog.  Sweeps are bounded separately (``max_sweeps``) since one
-sweep is worth thousands of point fetches.
+backlog.
+
+The service only reads and fills the cache point by point; a whole
+sweep runs through ``repro sweep``, whose ``--json`` report carries
+what a client would want from one.
 """
 
 from __future__ import annotations
@@ -38,13 +41,10 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import AsyncIterator, Optional
+from typing import Optional
 
-from repro.config.keys import refuse_unknown_keys
 from repro.experiments import registry
-from repro.experiments.backends import Backend, LocalProcessBackend, PointTask
 from repro.experiments.cache import JOURNAL_HOST, ResultCache
-from repro.experiments.runner import run_experiment
 from repro.serve.hot_tier import HotTier
 from repro.serve.httpd import HttpServer, Request, Response, json_response
 from repro.serve.stats import ServeStats
@@ -53,60 +53,6 @@ __all__ = ["ServeApp", "ServerHandle", "start_in_thread"]
 
 #: query keys with route-level meaning; everything else is a grid override
 _RESERVED_QUERY = {"scale", "index"}
-#: the fields a ``POST /sweeps`` spec may carry
-_SWEEP_FIELDS = ("experiment", "scale", "overrides", "jobs")
-
-
-class _SweepCancelled(RuntimeError):
-    """Raised inside the runner thread when the client went away."""
-
-
-class _InstrumentedBackend(Backend):
-    """Wraps a real backend to stream per-point progress and honour cancel.
-
-    ``submit`` is the one chokepoint every executed point passes through,
-    so checking the cancel flag there aborts a sweep promptly (the
-    runner's submission loop hits it on the very next point) without the
-    runner knowing anything about HTTP clients.
-    """
-
-    name = "instrumented"
-
-    def __init__(self, inner: Backend, emit, cancelled: threading.Event) -> None:
-        self.inner = inner
-        self._emit = emit
-        self._cancelled = cancelled
-        self._done = 0
-        self._lock = threading.Lock()
-
-    def submit(self, task: PointTask):
-        if self._cancelled.is_set():
-            raise _SweepCancelled("client disconnected")
-        future = self.inner.submit(task)
-
-        def _on_done(fut) -> None:
-            if fut.cancelled() or fut.exception() is not None:
-                return
-            outcome = fut.result()
-            with self._lock:
-                self._done += 1
-                done = self._done
-            self._emit(
-                {
-                    "event": "point",
-                    "done": done,
-                    "elapsed": round(outcome.elapsed, 6),
-                }
-            )
-
-        future.add_done_callback(_on_done)
-        return future
-
-    def prepare(self, n_tasks: int) -> None:
-        self.inner.prepare(n_tasks)
-
-    def shutdown(self) -> None:
-        self.inner.shutdown()
 
 
 class ServeApp:
@@ -121,7 +67,6 @@ class ServeApp:
         hot_mb: float = 64.0,
         max_inflight: int = 4,
         queue_size: int = 16,
-        max_sweeps: int = 2,
         request_timeout: float = 300.0,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
@@ -129,13 +74,11 @@ class ServeApp:
         self.stats = ServeStats()
         self.max_inflight = max(1, int(max_inflight))
         self.queue_size = max(0, int(queue_size))
-        self.max_sweeps = max(1, int(max_sweeps))
         self.request_timeout = request_timeout
         self.started_at = time.time()
         self._inflight = 0  # computes admitted (running or queued)
         #: the hot tier's token: (code hash, points this app computed)
         self._generation = (self.cache.code_hash, 0)
-        self._active_sweeps = 0
         self._compute_sem = threading.BoundedSemaphore(self.max_inflight)
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight + self.queue_size,
@@ -161,8 +104,6 @@ class ServeApp:
             return "/stats", self._stats_response()
         if path == "/healthz" and request.method == "GET":
             return "/healthz", json_response({"ok": True})
-        if path == "/sweeps" and request.method == "POST":
-            return "/sweeps", self._launch_sweep(request)
         parts = [p for p in path.split("/") if p]
         if len(parts) == 3 and parts[0] == "experiments":
             name, leaf = parts[1], parts[2]
@@ -178,7 +119,6 @@ class ServeApp:
                         "GET /experiments",
                         "GET /experiments/{name}/grid",
                         "GET /experiments/{name}/points",
-                        "POST /sweeps",
                         "GET /stats",
                         "GET /healthz",
                     ],
@@ -213,13 +153,13 @@ class ServeApp:
             error = f"query key given more than once: {', '.join(request.repeated)}"
             return None, None, json_response({"error": error}, status=400)
         try:
-            _, grid = _build_grid(
-                exp,
-                request.query.get("scale", "tiny"),
-                registry.coerce_sets(
-                    {k: raw for k, raw in request.query.items() if k not in _RESERVED_QUERY}
-                ),
+            sets = registry.coerce_sets(
+                {k: raw for k, raw in request.query.items() if k not in _RESERVED_QUERY}
             )
+            overrides = registry.resolve_overrides(
+                exp, request.query.get("scale", "tiny"), sets=sets
+            )
+            grid = exp.build_grid(overrides)
         except ValueError as exc:
             return None, None, json_response({"error": str(exc)}, status=400)
         return exp, grid, None
@@ -338,106 +278,6 @@ class ServeApp:
             headers={"Retry-After": str(self.retry_after)},
         )
 
-    # ------------------------------------------------------------ POST /sweeps
-
-    def _launch_sweep(self, request: Request) -> Response:
-        try:
-            spec = request.json()
-        except ValueError as exc:
-            return json_response({"error": str(exc)}, status=400)
-        if not isinstance(spec, dict) or not isinstance(spec.get("experiment"), str):
-            return json_response(
-                {"error": 'sweep spec must be a JSON object with an "experiment" name'},
-                status=400,
-            )
-        try:
-            refuse_unknown_keys("sweep spec", spec, _SWEEP_FIELDS)
-        except ValueError as exc:
-            return json_response({"error": str(exc)}, status=400)
-        try:
-            exp = registry.get(spec["experiment"])
-        except KeyError as exc:
-            return json_response({"error": str(exc)}, status=404)
-        extra = spec.get("overrides", {})
-        if not isinstance(extra, dict):
-            return json_response({"error": '"overrides" must be an object'}, status=400)
-        try:
-            # the grid is built before the stream starts, so a refused value
-            # is the 400 that GET .../grid answers for it, not an error event
-            overrides, _ = _build_grid(exp, spec.get("scale", "tiny"), extra)
-        except ValueError as exc:
-            return json_response({"error": str(exc)}, status=400)
-        jobs = spec.get("jobs", 1)
-        if type(jobs) is not int or jobs < 1:
-            return json_response(
-                {"error": f'"jobs" must be an integer >= 1, got {jobs!r}'}, status=400
-            )
-        if self._active_sweeps >= self.max_sweeps:
-            return self._reject_429("sweep queue saturated")
-        stream = self._sweep_stream(exp, overrides, jobs)
-        return Response(status=200, content_type="application/x-ndjson", stream=stream)
-
-    async def _sweep_stream(self, exp, overrides: dict, jobs: int) -> AsyncIterator[bytes]:
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
-        cancelled = threading.Event()
-        self._active_sweeps += 1
-
-        def emit(event) -> None:
-            loop.call_soon_threadsafe(queue.put_nowait, event)
-
-        def run_sweep() -> None:
-            backend = None
-            try:
-                backend = _InstrumentedBackend(LocalProcessBackend(jobs), emit, cancelled)
-                report = run_experiment(
-                    exp,
-                    overrides=overrides,
-                    jobs=jobs,
-                    cache=self.cache,
-                    backend=backend,
-                )
-                emit(
-                    {
-                        "event": "done",
-                        "points": report.points,
-                        "cache_hits": report.cache_hits,
-                        "executed": report.executed,
-                        "retries": report.retries,
-                        "elapsed": round(report.elapsed, 6),
-                    }
-                )
-            except _SweepCancelled:
-                emit({"event": "cancelled"})
-            except Exception as exc:  # surfaced to the client, not swallowed
-                emit({"event": "error", "error": str(exc)})
-            finally:
-                if backend is not None:
-                    backend.shutdown()
-                emit(None)  # stream sentinel
-
-        thread = threading.Thread(target=run_sweep, name="serve-sweep", daemon=True)
-        thread.start()
-        try:
-            yield self._ndjson(
-                {"event": "start", "experiment": exp.name, "overrides": overrides}
-            )
-            while True:
-                event = await queue.get()
-                if event is None:
-                    break
-                yield self._ndjson(event)
-        finally:
-            # normal completion or client disconnect: either way stop the
-            # runner (submit raises on the next point) and free the slot
-            cancelled.set()
-            await loop.run_in_executor(None, thread.join, 10.0)
-            self._active_sweeps -= 1
-
-    @staticmethod
-    def _ndjson(event: dict) -> bytes:
-        return json.dumps(event, sort_keys=True).encode("utf-8") + b"\n"
-
     # -------------------------------------------------------------- GET /stats
 
     def _stats_response(self) -> Response:
@@ -456,19 +296,10 @@ class ServeApp:
                 "max_inflight": self.max_inflight,
                 "queue_depth": max(0, self._inflight - self.max_inflight),
                 "queue_size": self.queue_size,
-                "active_sweeps": self._active_sweeps,
-                "max_sweeps": self.max_sweeps,
             },
             "requests": self.stats.snapshot(),
         }
         return json_response(payload)
-
-
-def _build_grid(exp, scale, sets: dict) -> tuple:
-    """``(overrides, grid)`` for a route's scale and typed overrides; a
-    :class:`ValueError` names what the registry or the grid refuses."""
-    overrides = registry.resolve_overrides(exp, scale, sets=sets)
-    return overrides, exp.build_grid(overrides)
 
 
 # ---------------------------------------------------------------- embedding

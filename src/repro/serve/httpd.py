@@ -1,21 +1,13 @@
 """Minimal stdlib-asyncio HTTP/1.1 server for the serving layer.
 
 Just enough HTTP for the repro API, with zero dependencies beyond
-asyncio: request-line + header parsing, ``Content-Length`` bodies,
-keep-alive for fixed-length responses, and streamed responses (NDJSON
-progress) written incrementally with ``Connection: close`` delimiting.
+asyncio: request-line + header parsing, ``Content-Length`` bodies and
+keep-alive.  Every response has a fixed length and leaves in one write.
 
-Deliberately *not* here: TLS, chunked request bodies, multipart,
-HTTP/2.  This serves trusted lab traffic (benchmark rigs, notebook
-clients, CI smoke jobs), so the parser is strict and small: a malformed
-request head or body length drops the connection unanswered.
-
-The streaming contract is the interesting part: a ``Response`` whose
-``stream`` is an async iterator is written chunk by chunk with a drain
-after each, so a client that disconnects mid-stream surfaces as a write
-error / closed transport *inside the generator loop*.  The generator is
-then closed (its ``finally`` runs), which is how sweep cancellation on
-client disconnect propagates without any out-of-band signalling.
+Deliberately *not* here: TLS, chunked bodies, multipart, streamed
+responses, HTTP/2.  This serves trusted lab traffic (benchmark rigs,
+notebook clients, CI smoke jobs), so the parser is strict and small: a
+malformed request head or body length drops the connection unanswered.
 """
 
 from __future__ import annotations
@@ -24,7 +16,7 @@ import asyncio
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Awaitable, Callable, Optional
+from typing import Awaitable, Callable, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 __all__ = ["HttpServer", "Request", "Response", "json_response"]
@@ -33,7 +25,8 @@ _log = logging.getLogger(__name__)
 
 #: request line + headers must fit in this many bytes
 _MAX_HEAD = 64 * 1024
-#: largest accepted request body (sweep specs are small JSON)
+#: largest accepted request body; no route reads one, but it is read and
+#: bounded all the same, so the next request on the connection parses
 _MAX_BODY = 1024 * 1024
 
 _REASONS = {
@@ -55,28 +48,15 @@ class Request:
     path: str  # decoded path, query string stripped
     query: dict  # decoded query params; a key sent twice keeps its last value
     headers: dict  # lower-cased header name -> value
-    body: bytes = b""
     repeated: tuple = ()  # the query keys sent more than once, sorted
     version: str = "HTTP/1.1"
-
-    def json(self):
-        """Parse the body as JSON; raises ``ValueError`` on damage."""
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError("request body is nested too deeply") from None
 
 
 @dataclass
 class Response:
     status: int = 200
-    body: bytes = b""
-    content_type: str = "application/json"
+    body: bytes = b""  # JSON: every route answers in it
     headers: dict = field(default_factory=dict)
-    #: streamed payload; mutually exclusive with ``body``
-    stream: Optional[AsyncIterator[bytes]] = None
 
 
 def json_response(payload, status: int = 200, headers: Optional[dict] = None) -> Response:
@@ -196,19 +176,17 @@ class HttpServer:
         if len(query) < len(pairs):
             names = [k for k, _ in pairs]
             repeated = tuple(sorted({k for k in names if names.count(k) > 1}))
-        body = b""
         length = headers.get("content-length")
         if length is not None:
             # ASCII digits only: int() would also take "1_0", "+1" and "١٠"
             if not (length.isascii() and length.isdigit()) or int(length) > _MAX_BODY:
                 raise asyncio.IncompleteReadError(head, None)
-            body = await reader.readexactly(int(length))
+            await reader.readexactly(int(length))
         return Request(
             method=method.upper(),
             path=unquote(split.path),
             query=query,
             headers=headers,
-            body=body,
             repeated=repeated,
             version=version,
         )
@@ -220,32 +198,13 @@ class HttpServer:
         reason = _REASONS.get(response.status, "Unknown")
         # a client that sent no Connection header gets its version's default
         default = "close" if request.version == "HTTP/1.0" else "keep-alive"
-        want_keep_alive = request.headers.get("connection", default).lower() != "close"
-        streaming = response.stream is not None
-        keep_alive = want_keep_alive and not streaming
-        head = [f"HTTP/1.1 {response.status} {reason}"]
-        head.append(f"Content-Type: {response.content_type}")
+        keep_alive = request.headers.get("connection", default).lower() != "close"
+        head = [f"HTTP/1.1 {response.status} {reason}", "Content-Type: application/json"]
         for name, value in response.headers.items():
             head.append(f"{name}: {value}")
-        if streaming:
-            head.append("Connection: close")  # EOF delimits the stream
-        else:
-            head.append(f"Content-Length: {len(response.body)}")
-            head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
+        head.append(f"Content-Length: {len(response.body)}")
+        head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
         head_bytes = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-        if streaming:
-            assert response.stream is not None
-            stream = response.stream
-            writer.write(head_bytes)
-            try:
-                async for chunk in stream:
-                    writer.write(chunk)
-                    await writer.drain()
-            finally:
-                close = getattr(stream, "aclose", None)
-                if close is not None:
-                    await close()
-            return False
         writer.write(head_bytes + response.body)  # one write, one send
         await writer.drain()
         return keep_alive

@@ -269,7 +269,8 @@ class Simulator:
         Returns the simulation time at which the run stopped.  When ``until``
         is given the clock is advanced to exactly ``until`` even if the last
         event fired earlier (matching how the paper reports a fixed
-        application duration).
+        application duration).  A NaN ``until``, which no event time
+        exceeds, raises :class:`SimulationError`.
 
         :attr:`processed` is refreshed when ``run`` returns (or raises);
         a callback reading it mid-run sees the value as of the last
@@ -277,6 +278,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
+        if until != until:  # NaN: ``time > horizon`` would never hold
+            raise SimulationError(f"cannot run until t={until}")
         self._running = True
         self._stopped = False
         queue = self._queue

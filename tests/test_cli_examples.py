@@ -114,6 +114,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["duration"] == 50.0
 
+    @pytest.mark.parametrize("until", ["nan", "inf", "-5"])
+    def test_until_is_a_finite_time_at_least_zero(self, scenario_file, until, capsys):
+        """``nan`` and ``inf`` once ran forever (periodic timers keep the
+        queue full), and ``-5`` ran no event yet printed a verdict."""
+        with pytest.raises(SystemExit) as exc:
+            parser(None).parse_args(["--scenario", str(scenario_file), f"--until={until}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --until: expected a finite number >= 0, got {until!r}" in err
+
     def test_missing_files_rejected(self):
         with pytest.raises(SystemExit):
             main(["--topology", "only-this.json"])

@@ -40,16 +40,20 @@ def test_every_experiment_returns_every_point_on_a_short_run(total_time):
 #: grid keys that set how many nodes a cluster (or pipeline stage) has
 NODE_COUNT_KEYS = ("nodes", "nodes_per_stage", "nodes_per_cluster")
 
-#: list-valued grid keys, each with an element just outside its domain
-#: (``None``: the key has no bound to cross)
+#: list-valued grid keys, each with the elements just outside its domain
+#: (none: the key has no bound to cross); a delay is an x value, so neither
+#: ``None`` nor ``"inf"`` (an infinite period elsewhere) is one
 LIST_KEYS = {
-    "mtbfs": 0,
-    "message_counts": -5,
-    "timers_min": 0,
-    "delays_min": 0,
-    "periods_h": 0,
-    "seeds": None,
-    "failure_times": None,
+    "mtbfs": (0,),
+    "message_counts": (-5,),
+    "timers_min": (0,),
+    "delays_min": (0, None, "inf"),
+    "periods_h": (0,),
+    "seeds": (),
+    "failure_times": (-5,),
+    "degrees": (-1,),
+    "shapes": ([0, 4],),
+    "protocols": ("nope",),
 }
 
 
@@ -58,7 +62,7 @@ def _edge_draws():
     and 2, and ``total_time`` at 1 s and 60 s, one key at a time over tiny;
     and just outside the domain: node counts at 0, ``total_time`` at 0 and
     -1, ``gc_period`` at 0, ``inter_messages`` at -5, a list holding one element outside its key's
-    domain, and an empty list."""
+    domain, an empty list, and a string where the grid iterates a list."""
     for experiment in registry.all_experiments():
         taken = experiment.grid_parameters()
         draws = [(key, n) for key in NODE_COUNT_KEYS if key in taken for n in (0, 1, 2)]
@@ -66,8 +70,9 @@ def _edge_draws():
         draws += [("gc_period", 0)] if "gc_period" in taken else []
         draws += [("inter_messages", -5)] if "inter_messages" in taken else []
         lists = [key for key in LIST_KEYS if key in taken]
-        draws += [(key, [LIST_KEYS[key]]) for key in lists if LIST_KEYS[key] is not None]
+        draws += [(key, [element]) for key in lists for element in LIST_KEYS[key]]
         draws += [(key, []) for key in lists]
+        draws += [("protocols", "hc3i")] if "protocols" in taken else []
         for key, value in draws:
             yield pytest.param(
                 experiment.name, key, value, id=f"{experiment.name}-{key}={value}"
@@ -83,7 +88,8 @@ def test_an_edge_value_renders_or_is_refused_naming_its_key(name, key, value):
     node 1, ``overhead`` at ``total_time=1.0`` ``ZeroDivisionError``, and
     ``table2`` at ``gc_period=0`` built its grid, then failed in the point;
     ``mtbf`` at ``mtbfs=[0]`` likewise, and ``delays_min=[]`` silently ran
-    the default axis)."""
+    the default axis; ``mtbf`` at ``protocols=["nope"]`` and ``scaling`` at
+    ``shapes=[[0, 4]]`` failed inside the point)."""
     experiment = registry.get(name)
     overrides = resolve_overrides(experiment, "tiny", sets={key: value})
     try:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.kernel import SimulationError
 from repro.sim.process import Interrupt, Process, Signal, Timeout
 from repro.sim.random import RandomStreams
 from repro.sim.timers import PeriodicTimer
@@ -37,6 +38,14 @@ class TestKernelEdges:
         sim.run(until=0.0)
         assert seen == [1]
         assert sim.now == 0.0
+
+    def test_run_until_nan_raises(self, sim):
+        """No event time exceeds NaN, so the run would never stop on its own."""
+        seen = []
+        sim.schedule(1.0, seen.append, 1)
+        with pytest.raises(SimulationError, match="until t=nan"):
+            sim.run(until=float("nan"))
+        assert seen == [] and sim.pending == 1
 
     def test_many_cancellations_keep_heap_clean(self, sim):
         events = [sim.schedule(float(i), lambda: None) for i in range(100)]

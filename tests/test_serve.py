@@ -134,16 +134,12 @@ class TestLatencyRing:
 
 # ----------------------------------------------------- synthetic experiment
 
-_EXECUTED: list = []
-
-
 def _sleepy_grid(n_points: int = 5, delay: float = 0.001, **_) -> list:
     return [{"i": i, "delay": delay} for i in range(int(n_points))]
 
 
 def _sleepy_point(params: dict) -> dict:
     time.sleep(params["delay"])
-    _EXECUTED.append(params["i"])
     return {"i": params["i"]}
 
 
@@ -164,28 +160,6 @@ def sleepy_experiment():
         scaled=False,
     )
     registry.register(exp)
-    _EXECUTED.clear()
-    yield exp
-    registry._REGISTRY.pop(exp.name, None)
-
-
-def _pid_point(params: dict) -> dict:
-    return {"pid": os.getpid()}
-
-
-@pytest.fixture()
-def pid_experiment():
-    """A registered experiment whose points report the process that ran them."""
-    registry.load_all()
-    exp = Experiment(
-        name="serve-test-pid",
-        title="which process ran each point",
-        grid=lambda n_points=4: [{"i": i} for i in range(n_points)],
-        point=_pid_point,
-        reduce=lambda grid, points: points,
-        scaled=False,
-    )
-    registry.register(exp)
     yield exp
     registry._REGISTRY.pop(exp.name, None)
 
@@ -201,7 +175,6 @@ def app(tmp_path):
         hot_mb=8,
         max_inflight=2,
         queue_size=2,
-        max_sweeps=1,
         request_timeout=60.0,
     )
     yield app
@@ -219,21 +192,6 @@ def http_get(handle, path: str):
     conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
     try:
         conn.request("GET", path)
-        resp = conn.getresponse()
-        return resp.status, dict(resp.getheaders()), resp.read()
-    finally:
-        conn.close()
-
-
-def http_post(handle, path: str, payload: dict):
-    conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=60)
-    try:
-        conn.request(
-            "POST",
-            path,
-            body=json.dumps(payload),
-            headers={"Content-Type": "application/json"},
-        )
         resp = conn.getresponse()
         return resp.status, dict(resp.getheaders()), resp.read()
     finally:
@@ -271,6 +229,22 @@ class TestEnumeration:
         status, _, _ = http_get(server, "/totally/bogus")
         assert status == 404
 
+    def test_post_sweeps_is_an_unknown_route(self, server):
+        """The service launches no sweeps: ``repro sweep --json`` does.  The
+        body is read and dropped, so the connection serves the next request."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("POST", "/sweeps", body=json.dumps({"experiment": "table1"}))
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert json.loads(resp.read())["error"] == "no route for POST /sweeps"
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read() == b'{"ok":true}\n'
+        finally:
+            conn.close()
+        _, _, root = http_get(server, "/")
+        assert not any("sweeps" in route for route in json.loads(root)["routes"])
+
     def test_unknown_scale_is_400(self, server):
         status, _, _ = http_get(server, "/experiments/table1/points?scale=huge")
         assert status == 400
@@ -284,6 +258,20 @@ class TestEnumeration:
         status, _, body = http_get(server, "/experiments/baselines/points?bogus=1")
         assert status == 400
         assert "bogus" in json.loads(body)["error"]
+
+    def test_a_param_the_grid_rejects_is_400(self, server):
+        status, _, body = http_get(server, "/experiments/fig8/points?delays_min=5")
+        assert status == 400
+        assert "experiment 'fig8'" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("route", ["points", "grid"])
+    def test_a_deeply_nested_value_is_400_naming_its_key(self, server, route):
+        """``json.loads`` raises ``RecursionError`` on it, which once
+        answered 500 with a logged traceback."""
+        path = f"/experiments/table1/{route}?scale=tiny&seed=" + "[" * 20000
+        status, _, body = http_get(server, path)
+        assert status == 400
+        assert json.loads(body)["error"].startswith("seed: override value '[[[")
 
     def test_index_out_of_range_is_400(self, server):
         status, _, _ = http_get(server, POINT + "&index=99")
@@ -467,7 +455,7 @@ _BAD_LINES = [
     b"GET /nope HTTP/1.1 trailing",
     b"\x00\xff\xfe",
     b"GET /%ff%00 HTTP/1.1",
-    b"POST /sweeps HTTP/1.1",  # any body here is a 400 or a short read
+    b"POST /sweeps HTTP/1.1",  # its body is read and dropped: a 404 or a short read
     b"BREW /healthz HTTP/1.0",
     b"GET /experiments/nope/points?seed=1&seed=2 HTTP/1.1",
 ]
@@ -630,17 +618,6 @@ class TestBackpressure:
         finally:
             app._inflight = 0
 
-    def test_saturated_sweep_queue_rejects(self, server, app):
-        app._active_sweeps = app.max_sweeps
-        try:
-            status, headers, _ = http_post(
-                server, "/sweeps", {"experiment": "table1"}
-            )
-            assert status == 429
-            assert "Retry-After" in headers
-        finally:
-            app._active_sweeps = 0
-
     def test_compute_deadline_returns_504(self, tmp_path, sleepy_experiment):
         cache = ResultCache(tmp_path / "c504")
         app = ServeApp(cache=cache, request_timeout=0.05)
@@ -652,151 +629,6 @@ class TestBackpressure:
             assert "exceeded" in json.loads(body)["error"]
             assert app.stats.timeouts == 1
         app.close()
-
-
-# ------------------------------------------------------------------ sweeps
-
-
-class TestSweepStreaming:
-    def test_sweep_streams_ndjson_to_completion(self, server, app, sleepy_experiment):
-        status, headers, body = http_post(
-            server,
-            "/sweeps",
-            {"experiment": "serve-test-sleepy", "overrides": {"n_points": 5}},
-        )
-        assert status == 200
-        assert headers["Content-Type"] == "application/x-ndjson"
-        events = [json.loads(line) for line in body.decode().splitlines()]
-        assert events[0]["event"] == "start"
-        assert events[-1]["event"] == "done"
-        assert events[-1]["points"] == 5 and events[-1]["executed"] == 5
-        assert [e["done"] for e in events if e["event"] == "point"] == [1, 2, 3, 4, 5]
-        assert entry_count(app.cache) == 5  # sweep populated the shared cache
-
-    def test_second_sweep_is_fully_cache_served(self, server, app, sleepy_experiment):
-        spec = {"experiment": "serve-test-sleepy", "overrides": {"n_points": 3}}
-        http_post(server, "/sweeps", spec)
-        _, _, body = http_post(server, "/sweeps", spec)
-        done = json.loads(body.decode().splitlines()[-1])
-        assert done["cache_hits"] == 3 and done["executed"] == 0
-
-    def test_sweep_error_is_streamed_not_dropped(self, server):
-        status, _, body = http_post(server, "/sweeps", {"experiment": "nope"})
-        assert status == 404
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_jobs_decides_where_the_points_run(self, server, app, pid_experiment, jobs):
-        """Inline in the server process at 1, in pool workers above 1 (the
-        spec's ``jobs`` was once dropped on the way to the backend)."""
-        spec = {"experiment": "serve-test-pid", "jobs": jobs}
-        status, _, body = http_post(server, "/sweeps", spec)
-        assert status == 200
-        events = [json.loads(line) for line in body.decode().splitlines()]
-        assert events[-1]["event"] == "done" and events[-1]["executed"] == 4
-        assert all("host" not in e for e in events if e["event"] == "point")
-        pids = {app.cache.get("serve-test-pid", {"i": i})["pid"] for i in range(4)}
-        if jobs == 1:
-            assert pids == {os.getpid()}
-        else:
-            assert os.getpid() not in pids
-
-    @pytest.mark.parametrize("field", ["backend", "host", "jbos"])
-    def test_an_unknown_spec_field_is_400_naming_it(self, server, app, field):
-        spec = {"experiment": "table1", "scale": "tiny", field: "local"}
-        status, _, body = http_post(server, "/sweeps", spec)
-        assert status == 400
-        assert f"unknown key {field!r}" in json.loads(body)["error"]
-        assert entry_count(app.cache) == 0
-
-    @pytest.mark.parametrize("scale", [[], {}, 1, "huge"])
-    def test_a_scale_that_names_no_profile_is_400(self, server, scale):
-        """A list once reached ``scale in SCALE_PROFILES`` and answered 500."""
-        spec = {"experiment": "table1", "scale": scale}
-        status, _, body = http_post(server, "/sweeps", spec)
-        assert status == 400
-        assert json.loads(body)["error"].startswith("unknown scale")
-
-    def test_a_value_the_grid_refuses_is_400_before_the_stream(self, server, app):
-        """As ``GET .../grid`` answers for the same value, not a 200 whose
-        stream ends in an error event."""
-        spec = {"experiment": "table2", "scale": "tiny", "overrides": {"gc_period": 0}}
-        status, headers, body = http_post(server, "/sweeps", spec)
-        assert status == 400 and headers["Content-Type"] == "application/json"
-        error = json.loads(body)["error"]
-        assert error.startswith("experiment 'table2': refuses gc_period=0")
-        grid_status, _, grid_body = http_get(
-            server, "/experiments/table2/grid?scale=tiny&gc_period=0"
-        )
-        assert (grid_status, json.loads(grid_body)["error"]) == (400, error)
-        assert app._active_sweeps == 0
-
-    def test_invalid_sweep_spec_is_400(self, server):
-        status, _, _ = http_post(server, "/sweeps", {"no": "experiment"})
-        assert status == 400
-
-    @pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", True, None])
-    def test_sweep_jobs_below_one_or_not_an_integer_is_400(self, server, jobs):
-        spec = {"experiment": "table1", "scale": "tiny", "jobs": jobs}
-        status, _, body = http_post(server, "/sweeps", spec)
-        assert status == 400
-        assert '"jobs" must be an integer >= 1' in json.loads(body)["error"]
-
-    def test_a_param_the_grid_rejects_is_400(self, server):
-        status, _, body = http_get(server, "/experiments/fig8/points?delays_min=5")
-        assert status == 400
-        assert "experiment 'fig8'" in json.loads(body)["error"]
-
-    @pytest.mark.parametrize("route", ["points", "grid"])
-    def test_a_deeply_nested_value_is_400_naming_its_key(self, server, route):
-        """``json.loads`` raises ``RecursionError`` on it, which once
-        answered 500 with a logged traceback."""
-        path = f"/experiments/table1/{route}?scale=tiny&seed=" + "[" * 20000
-        status, _, body = http_get(server, path)
-        assert status == 400
-        assert json.loads(body)["error"].startswith("seed: override value '[[[")
-
-    def test_a_deeply_nested_sweep_body_is_400(self, server):
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-        try:
-            conn.request("POST", "/sweeps", body="[" * 20000)
-            resp = conn.getresponse()
-            assert resp.status == 400
-            assert "nested too deeply" in json.loads(resp.read())["error"]
-        finally:
-            conn.close()
-
-    def test_client_disconnect_cancels_the_sweep(
-        self, server, app, sleepy_experiment
-    ):
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-        conn.request(
-            "POST",
-            "/sweeps",
-            body=json.dumps(
-                {
-                    "experiment": "serve-test-sleepy",
-                    "overrides": {"n_points": 200, "delay": 0.02},
-                }
-            ),
-            headers={"Content-Type": "application/json"},
-        )
-        resp = conn.getresponse()
-        assert resp.status == 200
-        assert json.loads(resp.readline())["event"] == "start"
-        resp.readline()  # one point event, so the sweep is demonstrably live
-        # close the response too: http.client defers the real OS close
-        # while the response's buffered reader still holds the socket
-        resp.close()
-        conn.close()  # walk away mid-stream
-
-        deadline = time.monotonic() + 15
-        while app._active_sweeps and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert app._active_sweeps == 0, "sweep slot never freed after disconnect"
-        executed_at_stop = len(_EXECUTED)
-        assert executed_at_stop < 200, "sweep ran to completion despite disconnect"
-        time.sleep(0.3)  # the runner thread must actually have stopped
-        assert len(_EXECUTED) == executed_at_stop
 
 
 # ------------------------------------------------------------------- stats
@@ -812,7 +644,12 @@ class TestStatsEndpoint:
         assert stats["hot_tier"]["hits"] == 1
         assert stats["disk_cache"]["journal_shards"] == 4
         assert stats["disk_cache"]["journal_watermark"] > 0
-        assert stats["admission"]["max_inflight"] == app.max_inflight
+        assert stats["admission"] == {
+            "inflight": 0,
+            "max_inflight": app.max_inflight,
+            "queue_depth": 0,
+            "queue_size": app.queue_size,
+        }
         route = stats["requests"]["routes"]["/experiments/{name}/points"]
         assert route["count"] == 2
         assert route["p99_ms"] >= route["p50_ms"] >= 0
@@ -917,7 +754,6 @@ class TestServeCli:
         "flag, value",
         [
             ("--max-inflight", "0"),
-            ("--max-sweeps", "0"),
             ("--queue-size", "-3"),
             ("--journal-shards", "0"),
             ("--timeout", "0"),
@@ -934,3 +770,11 @@ class TestServeCli:
             main(["serve", flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: expected" in capsys.readouterr().err
+
+    def test_the_retired_max_sweeps_flag_exits_2_naming_itself(self, capsys):
+        from repro.cli import parser
+
+        with pytest.raises(SystemExit) as exc:
+            parser("serve").parse_args(["--max-sweeps", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-sweeps 2" in capsys.readouterr().err

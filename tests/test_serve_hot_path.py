@@ -128,30 +128,18 @@ class _StubWriter:
         pass
 
 
-def test_a_fixed_length_response_is_one_write_a_streamed_one_several():
+def test_a_response_is_one_write():
     async def never_called(_request):  # pragma: no cover
         raise AssertionError
 
-    async def chunks():
-        yield b'{"event":"start"}\n'
-        yield b'{"event":"done"}\n'
-
     server = HttpServer(never_called)
-    request = _point_request(1)
-
-    fixed = _StubWriter()
+    writer = _StubWriter()
     body = b'{"ok":true}\n'
-    keep = asyncio.run(server._write_response(fixed, request, Response(body=body)))
+    keep = asyncio.run(server._write_response(writer, _point_request(1), Response(body=body)))
     assert keep is True
-    assert len(fixed.writes) == 1  # head and body leave in one send
-    head, _, sent_body = fixed.writes[0].partition(b"\r\n\r\n")
+    assert len(writer.writes) == 1  # head and body leave in one send
+    head, _, sent_body = writer.writes[0].partition(b"\r\n\r\n")
     assert sent_body == body and f"Content-Length: {len(body)}".encode() in head
-
-    streamed = _StubWriter()
-    keep = asyncio.run(server._write_response(streamed, request, Response(stream=chunks())))
-    assert keep is False
-    assert len(streamed.writes) >= 2  # the head first, then chunk by chunk
-    assert b"".join(streamed.writes).endswith(b'{"event":"start"}\n{"event":"done"}\n')
 
 
 def test_grid_parameters_are_introspected_once_per_grid_function(monkeypatch):
